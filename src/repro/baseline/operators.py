@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.hw.host import Host
-from repro.relational.expressions import bind_aggregates
+from repro.relational import compile
 from repro.relational.plans import (
     Aggregate,
     AntiJoin,
@@ -41,6 +41,7 @@ from repro.relational.plans import (
 from repro.relational.schema import Schema
 from repro.storage.locks import LockMode
 from repro.storage.manager import StorageManager
+from repro.storage.page import RID
 from repro.storage.streams import next_stream
 
 
@@ -108,10 +109,7 @@ class ScanOp(Operator):
         self.plan = plan
         self.table = plan.table
         base = ctx.sm.catalog.table_schema(plan.table)
-        self._pred = plan.predicate.bind(base) if plan.predicate else None
-        self._proj = (
-            base.projector(plan.project) if plan.project is not None else None
-        )
+        self._post = compile.scan(plan.predicate, plan.project, base)
         self._num_pages = ctx.sm.num_pages(plan.table)
         # Recovery resume: visit exactly the unconsumed page suffix in
         # wrapped order; a fresh scan visits every page from 0.
@@ -134,10 +132,7 @@ class ScanOp(Operator):
             self._visited += 1
             rows = page.rows()
             yield from self.ctx.cpu(len(rows))
-            if self._pred is not None:
-                rows = [row for row in rows if self._pred(row)]
-            if self._proj is not None:
-                rows = [self._proj(row) for row in rows]
+            rows = self._post(rows)
             if self.ctx.lineage is not None:
                 self.ctx.lineage.scan_page(
                     self._stream, self.table, block, len(rows),
@@ -165,10 +160,7 @@ class IndexScanOp(Operator):
         info = ctx.sm.catalog.index(plan.table, plan.index)
         self._clustered = info.clustered
         self._key_fn = ctx.sm._key_fn(base, info.key_columns)
-        self._pred = plan.predicate.bind(base) if plan.predicate else None
-        self._proj = (
-            base.projector(plan.project) if plan.project is not None else None
-        )
+        self._post = compile.scan(plan.predicate, plan.project, base)
         self._rids: Optional[List] = None
         self._page_no: Optional[int] = None
         self._stopped = False
@@ -211,10 +203,7 @@ class IndexScanOp(Operator):
                     if (plan.lo is None or self._key_fn(row) >= plan.lo)
                     and (plan.hi is None or self._key_fn(row) <= plan.hi)
                 ]
-            if self._pred is not None:
-                rows = [row for row in rows if self._pred(row)]
-            if self._proj is not None:
-                rows = [self._proj(row) for row in rows]
+            rows = self._post(rows)
             if rows:
                 return rows
         return None
@@ -243,11 +232,7 @@ class IndexScanOp(Operator):
                     group.append(row)
                 self._cursor += 1
             yield from self.ctx.cpu(len(group))
-            if self._pred is not None:
-                group = [row for row in group if self._pred(row)]
-            if self._proj is not None:
-                group = [self._proj(row) for row in group]
-            out.extend(group)
+            out.extend(self._post(group))
         return out or None
 
 
@@ -258,7 +243,7 @@ class FilterOp(Operator):
         super().__init__(plan.output_schema(ctx.sm.catalog))
         self.ctx = ctx
         self.child = child
-        self._pred = plan.predicate.bind(child.schema)
+        self._matching = compile.filter(plan.predicate, child.schema)
 
     def next_batch(self):
         while True:
@@ -266,7 +251,7 @@ class FilterOp(Operator):
             if batch is None:
                 return None
             yield from self.ctx.cpu(len(batch))
-            kept = [row for row in batch if self._pred(row)]
+            kept = self._matching(batch)
             if kept:
                 return kept
 
@@ -276,18 +261,16 @@ class ProjectOp(Operator):
         super().__init__(plan.output_schema(ctx.sm.catalog))
         self.ctx = ctx
         self.child = child
-        if plan.exprs is None:
-            self._fn = child.schema.projector(plan.names)
-        else:
-            bound = [e.bind(child.schema) for e in plan.exprs]
-            self._fn = lambda row: tuple(fn(row) for fn in bound)
+        self._project = compile.project(
+            plan.names if plan.exprs is None else plan.exprs, child.schema
+        )
 
     def next_batch(self):
         batch = yield from self.child.next_batch()
         if batch is None:
             return None
         yield from self.ctx.cpu(len(batch))
-        return [self._fn(row) for row in batch]
+        return self._project(batch)
 
 
 class SortOp(Operator):
@@ -654,7 +637,7 @@ class NLJoinOp(Operator):
         self.ctx = ctx
         self.left = left
         self.right = right
-        self._pred = plan.predicate.bind(self.schema)
+        self._matching = compile.filter(plan.predicate, self.schema)
         self._right_mat = None
         self._done = False
 
@@ -688,11 +671,9 @@ class NLJoinOp(Operator):
                 )
                 rrows = page.rows()
                 yield from self.ctx.cpu(len(batch) * len(rrows))
-                for lrow in batch:
-                    for rrow in rrows:
-                        joined = lrow + rrow
-                        if self._pred(joined):
-                            out.append(joined)
+                out += self._matching(
+                    [lrow + rrow for lrow in batch for rrow in rrows]
+                )
             if out:
                 return out
 
@@ -842,7 +823,8 @@ class AggregateOp(Operator):
         super().__init__(plan.output_schema(ctx.sm.catalog))
         self.ctx = ctx
         self.child = child
-        self.specs, self._fns = bind_aggregates(plan.aggs, child.schema)
+        self.specs = list(plan.aggs)
+        self._fold = compile.agg_update(plan.aggs, child.schema)
         self._done = False
 
     #: Consumed input batches between lineage checkpoints of the
@@ -861,9 +843,7 @@ class AggregateOp(Operator):
             if batch is None:
                 break
             yield from self.ctx.cpu(len(batch) * len(states))
-            for row in batch:
-                for state, fn in zip(states, self._fns):
-                    state.add(fn(row))
+            self._fold(states, batch)
             consumed += len(batch)
             batches += 1
             if lineage is not None and batches % self.CHECKPOINT_EVERY == 0:
@@ -882,8 +862,10 @@ class GroupByOp(Operator):
         super().__init__(plan.output_schema(ctx.sm.catalog))
         self.ctx = ctx
         self.child = child
-        self.specs, self._fns = bind_aggregates(plan.aggs, child.schema)
-        self._group = child.schema.projector(plan.group_cols)
+        self.specs = list(plan.aggs)
+        self._fold = compile.group_update(
+            plan.aggs, plan.group_cols, child.schema
+        )
         self._result: Optional[List[tuple]] = None
         self._cursor = 0
 
@@ -894,14 +876,7 @@ class GroupByOp(Operator):
             if batch is None:
                 break
             yield from self.ctx.cpu(len(batch) * max(1, len(self.specs)))
-            for row in batch:
-                key = self._group(row)
-                states = groups.get(key)
-                if states is None:
-                    states = [spec.make_state() for spec in self.specs]
-                    groups[key] = states
-                for state, fn in zip(states, self._fns):
-                    state.add(fn(row))
+            self._fold(groups, batch)
         self._result = [
             key + tuple(state.result() for state in states)
             for key, states in sorted(groups.items())
@@ -958,21 +933,18 @@ class UpdateOp(Operator):
         owner = self.ctx.owner or id(self)
         table = self.plan.table
         schema = self.ctx.sm.catalog.table_schema(table)
-        pred = self.plan.predicate.bind(schema) if self.plan.predicate else None
+        matching = compile.filter_items(self.plan.predicate, schema)
         yield self.ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
         changed = 0
         try:
             info = self.ctx.sm.catalog.table(table)
             for block in range(info.num_pages):
                 page = yield from self.ctx.sm.read_table_page(table, block)
-                for slot, row in list(page.items()):
-                    if pred is None or pred(row):
-                        from repro.storage.page import RID
-
-                        yield from self.ctx.sm.update_row(
-                            table, RID(block, slot), self.plan.apply(row)
-                        )
-                        changed += 1
+                for slot, row in matching(page.items()):
+                    yield from self.ctx.sm.update_row(
+                        table, RID(block, slot), self.plan.apply(row)
+                    )
+                    changed += 1
         finally:
             self.ctx.sm.locks.release(owner, table)
         return [(changed,)]
@@ -994,21 +966,16 @@ class DeleteOp(Operator):
         owner = self.ctx.owner or id(self)
         table = self.plan.table
         schema = self.ctx.sm.catalog.table_schema(table)
-        pred = self.plan.predicate.bind(schema) if self.plan.predicate else None
+        matching = compile.filter_items(self.plan.predicate, schema)
         yield self.ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
         removed = 0
         try:
             info = self.ctx.sm.catalog.table(table)
             for block in range(info.num_pages):
                 page = yield from self.ctx.sm.read_table_page(table, block)
-                for slot, row in list(page.items()):
-                    if pred is None or pred(row):
-                        from repro.storage.page import RID
-
-                        yield from self.ctx.sm.delete_row(
-                            table, RID(block, slot)
-                        )
-                        removed += 1
+                for slot, row in matching(page.items()):
+                    yield from self.ctx.sm.delete_row(table, RID(block, slot))
+                    removed += 1
         finally:
             self.ctx.sm.locks.release(owner, table)
         return [(removed,)]

@@ -16,7 +16,7 @@ from typing import Dict, Generator, List
 from repro.engine.buffers import SEGMENT_BOUNDARY
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
-from repro.relational.expressions import bind_aggregates
+from repro.relational import compile
 
 OUT_BATCH = 1024
 
@@ -32,8 +32,8 @@ class AggEngine(MicroEngine):
         plan = packet.plan
         query = packet.query
         child_schema = plan.child.output_schema(self.engine.sm.catalog)
-        specs, fns = bind_aggregates(plan.aggs, child_schema)
-        states = [spec.make_state() for spec in specs]
+        update = compile.agg_update(plan.aggs, child_schema)
+        states = [spec.make_state() for spec in plan.aggs]
         source = packet.inputs[0]
         lineage = query.lineage
         consumed = 0
@@ -47,9 +47,7 @@ class AggEngine(MicroEngine):
             if batch is SEGMENT_BOUNDARY:
                 continue
             yield from self.charge(packet, len(batch) * len(states))
-            for row in batch:
-                for state, fn in zip(states, fns):
-                    state.add(fn(row))
+            update(states, batch)
             consumed += len(batch)
             batches += 1
             if lineage is not None and batches % CHECKPOINT_EVERY == 0:
@@ -79,46 +77,54 @@ class FoldBank:
     mid-page stays exactly-once.
     """
 
-    __slots__ = ("residual", "upto", "_pairs", "_order")
+    __slots__ = ("residual", "upto", "_schema", "_specs", "_states",
+                 "_fold")
 
-    def __init__(self, residual, frontier: int = 0):
+    def __init__(self, residual, schema, frontier: int = 0):
         #: ``survivors -> member scan rows`` (the folded scan's own
         #: predicate + projection, shared by every member of this bank).
         self.residual = residual
         self.upto = frontier
-        self._pairs: Dict[str, tuple] = {}
-        self._order: List[str] = []
+        #: Schema of the residual's output: what the aggregates read.
+        self._schema = schema
+        self._specs: List = []
+        self._states: Dict[str, object] = {}
+        self._fold = None
 
-    def enroll(self, specs, fns):
-        """Register one member's bound aggregates; dedupe by signature.
+    def enroll(self, specs):
+        """Register one member's aggregates; dedupe by signature.
 
-        Returns ``(sigs, fresh)``: the member's own signature list (its
-        result row is ``result_for(sigs)``) and the newly created
-        ``(state, fn)`` pairs the caller must replay history into.
+        Returns ``(sigs, replay)``: the member's own signature list (its
+        result row is ``result_for(sigs)``) and, when new accumulators
+        were created, a ``rows -> None`` fold into just those -- the
+        caller replays history through it -- else None.
         """
         sigs: List[str] = []
-        fresh: List[tuple] = []
-        for spec, fn in zip(specs, fns):
+        fresh: List = []
+        for spec in specs:
             sig = spec.signature()
             sigs.append(sig)
-            if sig not in self._pairs:
-                pair = (spec.make_state(), fn)
-                self._pairs[sig] = pair
-                self._order.append(sig)
-                fresh.append(pair)
-        return sigs, fresh
+            if sig not in self._states:
+                self._states[sig] = spec.make_state()
+                fresh.append(spec)
+        if not fresh:
+            return sigs, None
+        self._specs += fresh
+        self._fold = None  # recompiled over the grown spec list
+        fold = compile.agg_update(fresh, self._schema)
+        states = [self._states[spec.signature()] for spec in fresh]
+        return sigs, lambda rows: fold(states, rows)
 
     def add_batch(self, rows) -> None:
-        pairs = [self._pairs[sig] for sig in self._order]
-        for row in rows:
-            for state, fn in pairs:
-                state.add(fn(row))
+        if self._fold is None:
+            self._fold = compile.agg_update(self._specs, self._schema)
+        self._fold(list(self._states.values()), rows)
 
     def result_for(self, sigs) -> tuple:
-        return tuple(self._pairs[sig][0].result() for sig in sigs)
+        return tuple(self._states[sig].result() for sig in sigs)
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._specs)
 
 
 class GroupByEngine(MicroEngine):
@@ -128,8 +134,10 @@ class GroupByEngine(MicroEngine):
         plan = packet.plan
         query = packet.query
         child_schema = plan.child.output_schema(self.engine.sm.catalog)
-        specs, fns = bind_aggregates(plan.aggs, child_schema)
-        group = child_schema.projector(plan.group_cols)
+        update = compile.group_update(
+            plan.aggs, plan.group_cols, child_schema
+        )
+        weight = max(1, len(plan.aggs))
         source = packet.inputs[0]
 
         packet.phase = "group"
@@ -140,15 +148,8 @@ class GroupByEngine(MicroEngine):
                 break
             if batch is SEGMENT_BOUNDARY:
                 continue
-            yield from self.charge(packet, len(batch) * max(1, len(specs)))
-            for row in batch:
-                key = group(row)
-                states = groups.get(key)
-                if states is None:
-                    states = [spec.make_state() for spec in specs]
-                    groups[key] = states
-                for state, fn in zip(states, fns):
-                    state.add(fn(row))
+            yield from self.charge(packet, len(batch) * weight)
+            update(groups, batch)
         packet.phase = "emit"
         result: List[tuple] = [
             key + tuple(state.result() for state in states)

@@ -28,6 +28,7 @@ from repro.engine.buffers import TupleBuffer
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet, PacketState
 from repro.faults.errors import FaultError
+from repro.relational import compile
 from repro.sim import ChannelClosed
 
 
@@ -48,23 +49,11 @@ class IScanEngine(MicroEngine):
             yield from self._serve_unclustered(packet)
 
     # -- helpers ----------------------------------------------------------
-    def _row_fns(self, packet: Packet):
-        sm = self.engine.sm
+    def _post(self, packet: Packet):
+        """``rows -> rows``: the plan's predicate + projection."""
         plan = packet.plan
-        base = sm.catalog.table_schema(plan.table)
-        pred = plan.predicate.bind(base) if plan.predicate else None
-        proj = (
-            base.projector(plan.project) if plan.project is not None else None
-        )
-        return pred, proj
-
-    @staticmethod
-    def _apply(rows, pred, proj):
-        if pred is not None:
-            rows = [row for row in rows if pred(row)]
-        if proj is not None:
-            rows = [proj(row) for row in rows]
-        return rows
+        base = self.engine.sm.catalog.table_schema(plan.table)
+        return compile.scan(plan.predicate, plan.project, base)
 
     # ------------------------------------------------------------------
     # Clustered path
@@ -72,7 +61,7 @@ class IScanEngine(MicroEngine):
     def _serve_clustered(self, packet: Packet, info) -> Generator:
         sm = self.engine.sm
         plan = packet.plan
-        pred, proj = self._row_fns(packet)
+        post = self._post(packet)
         base = sm.catalog.table_schema(plan.table)
         key_fn = sm._key_fn(base, info.key_columns)
 
@@ -84,7 +73,7 @@ class IScanEngine(MicroEngine):
         packet.artifacts["key_fn"] = key_fn
         packet.phase = "fetch"
         yield from self._fetch_clustered(
-            packet, start_page, None, pred, proj, key_fn,
+            packet, start_page, None, post, key_fn,
             output=packet.output, track_cursor=True,
         )
 
@@ -102,8 +91,7 @@ class IScanEngine(MicroEngine):
         packet: Packet,
         start_page: int,
         stop_page,
-        pred,
-        proj,
+        post,
         key_fn,
         output,
         track_cursor: bool,
@@ -130,7 +118,7 @@ class IScanEngine(MicroEngine):
                     if (plan.lo is None or key_fn(row) >= plan.lo)
                     and (plan.hi is None or key_fn(row) <= plan.hi)
                 ]
-            rows = self._apply(rows, pred, proj)
+            rows = post(rows)
             if rows:
                 yield from output.put(rows)
             page_no += 1
@@ -143,7 +131,7 @@ class IScanEngine(MicroEngine):
     def _serve_unclustered(self, packet: Packet) -> Generator:
         sm = self.engine.sm
         plan = packet.plan
-        pred, proj = self._row_fns(packet)
+        post = self._post(packet)
         packet.phase = "rid_list"
         pairs = yield from sm.index_range(
             plan.table, plan.index, plan.lo, plan.hi
@@ -155,7 +143,7 @@ class IScanEngine(MicroEngine):
         packet.artifacts["cursor"] = 0
         packet.phase = "fetch"
         yield from self._fetch_rids(
-            packet, pairs, 0, len(pairs), pred, proj,
+            packet, pairs, 0, len(pairs), post,
             output=packet.output, track_cursor=True,
         )
 
@@ -165,8 +153,7 @@ class IScanEngine(MicroEngine):
         pairs: List[Tuple],
         start: int,
         stop: int,
-        pred,
-        proj,
+        post,
         output,
         track_cursor: bool = False,
     ) -> Generator:
@@ -193,7 +180,7 @@ class IScanEngine(MicroEngine):
                     group.append(row)
                 j += 1
             yield from self.charge(packet, len(group))
-            group = self._apply(group, pred, proj)
+            group = post(group)
             if group:
                 yield from output.put(group)
             i = j
@@ -275,7 +262,7 @@ class IScanEngine(MicroEngine):
 
     def _split_relay(self, host: Packet, packet: Packet) -> Generator:
         """Segment A from the host, a boundary marker, then segment B."""
-        pred, proj = self._row_fns(packet)
+        post = self._post(packet)
         seg_a = TupleBuffer(
             self.sim,
             capacity_tuples=self.engine.config.buffer_tuples,
@@ -308,8 +295,7 @@ class IScanEngine(MicroEngine):
                     packet,
                     boundary["start_page"],
                     boundary["cursor"],
-                    pred,
-                    proj,
+                    post,
                     boundary["key_fn"],
                     output=out,
                     track_cursor=False,
@@ -320,8 +306,7 @@ class IScanEngine(MicroEngine):
                     boundary["pairs"],
                     0,
                     boundary["cursor"],
-                    pred,
-                    proj,
+                    post,
                     output=out,
                 )
         except ChannelClosed:

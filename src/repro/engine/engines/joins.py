@@ -18,6 +18,7 @@ from typing import Dict, Generator, List
 from repro.engine.buffers import SEGMENT_BOUNDARY, TupleBuffer
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
+from repro.relational import compile
 
 OUT_BATCH = 256
 
@@ -326,7 +327,7 @@ class NLJoinEngine(MicroEngine):
         query = packet.query
         sm = self.engine.sm
         schema = plan.output_schema(sm.catalog)
-        pred = plan.predicate.bind(schema)
+        matching = compile.filter(plan.predicate, schema)
         left_in, right_in = packet.inputs
 
         packet.phase = "materialize"
@@ -348,11 +349,9 @@ class NLJoinEngine(MicroEngine):
                     page = yield from sm.read_temp_page(mat, block)
                     rows = page.rows()
                     yield from self.charge(packet, len(batch) * len(rows))
-                    for lrow in batch:
-                        for rrow in rows:
-                            joined = lrow + rrow
-                            if pred(joined):
-                                pending.append(joined)
+                    pending += matching(
+                        [lrow + rrow for lrow in batch for rrow in rows]
+                    )
                 if pending:
                     yield from packet.output.put(pending)
         finally:

@@ -14,6 +14,7 @@ from typing import Generator
 from repro.engine.buffers import SEGMENT_BOUNDARY
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
+from repro.relational import compile
 from repro.relational.plans import DeleteRows, InsertRows, UpdateRows
 from repro.storage.locks import LockMode
 from repro.storage.page import RID
@@ -25,11 +26,9 @@ class ProjectEngine(MicroEngine):
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
         child_schema = plan.child.output_schema(self.engine.sm.catalog)
-        if plan.exprs is None:
-            fn = child_schema.projector(plan.names)
-        else:
-            bound = [e.bind(child_schema) for e in plan.exprs]
-            fn = lambda row: tuple(b(row) for b in bound)  # noqa: E731
+        project = compile.project(
+            plan.names if plan.exprs is None else plan.exprs, child_schema
+        )
         source = packet.inputs[0]
         while True:
             batch = yield from source.get()
@@ -40,7 +39,7 @@ class ProjectEngine(MicroEngine):
                 yield from packet.primary_output.put_marker()
                 continue
             yield from self.charge(packet, len(batch))
-            yield from packet.output.put([fn(row) for row in batch])
+            yield from packet.output.put(project(batch))
 
 
 class FilterEngine(MicroEngine):
@@ -48,8 +47,8 @@ class FilterEngine(MicroEngine):
 
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
-        pred = plan.predicate.bind(
-            plan.child.output_schema(self.engine.sm.catalog)
+        matching = compile.filter(
+            plan.predicate, plan.child.output_schema(self.engine.sm.catalog)
         )
         source = packet.inputs[0]
         while True:
@@ -60,7 +59,7 @@ class FilterEngine(MicroEngine):
                 yield from packet.primary_output.put_marker()
                 continue
             yield from self.charge(packet, len(batch))
-            kept = [row for row in batch if pred(row)]
+            kept = matching(batch)
             if kept:
                 yield from packet.output.put(kept)
 
@@ -152,7 +151,7 @@ class UpdateEngine(MicroEngine):
         sm = self.engine.sm
         owner = ("q", packet.query.query_id, packet.packet_id)
         schema = sm.catalog.table_schema(plan.table)
-        pred = plan.predicate.bind(schema) if plan.predicate else None
+        matching = compile.filter_items(plan.predicate, schema)
         packet.phase = "lock"
         yield sm.locks.acquire(owner, plan.table, LockMode.EXCLUSIVE)
         packet.phase = "write"
@@ -161,10 +160,9 @@ class UpdateEngine(MicroEngine):
             info = sm.catalog.table(plan.table)
             for block in range(info.num_pages):
                 page = yield from sm.read_table_page(plan.table, block)
-                for slot, row in list(page.items()):
-                    if pred is None or pred(row):
-                        yield from sm.delete_row(plan.table, RID(block, slot))
-                        removed += 1
+                for slot, row in matching(page.items()):
+                    yield from sm.delete_row(plan.table, RID(block, slot))
+                    removed += 1
         finally:
             sm.locks.release_if_held(owner, plan.table)
         yield from packet.output.put([(removed,)])
@@ -173,7 +171,7 @@ class UpdateEngine(MicroEngine):
         sm = self.engine.sm
         owner = ("q", packet.query.query_id, packet.packet_id)
         schema = sm.catalog.table_schema(plan.table)
-        pred = plan.predicate.bind(schema) if plan.predicate else None
+        matching = compile.filter_items(plan.predicate, schema)
         packet.phase = "lock"
         yield sm.locks.acquire(owner, plan.table, LockMode.EXCLUSIVE)
         packet.phase = "write"
@@ -182,12 +180,11 @@ class UpdateEngine(MicroEngine):
             info = sm.catalog.table(plan.table)
             for block in range(info.num_pages):
                 page = yield from sm.read_table_page(plan.table, block)
-                for slot, row in list(page.items()):
-                    if pred is None or pred(row):
-                        yield from sm.update_row(
-                            plan.table, RID(block, slot), plan.apply(row)
-                        )
-                        changed += 1
+                for slot, row in matching(page.items()):
+                    yield from sm.update_row(
+                        plan.table, RID(block, slot), plan.apply(row)
+                    )
+                    changed += 1
         finally:
             sm.locks.release_if_held(owner, plan.table)
         yield from packet.output.put([(changed,)])

@@ -19,6 +19,7 @@ from typing import Generator
 
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
+from repro.relational import compile
 from repro.storage.locks import LockMode
 
 
@@ -80,10 +81,7 @@ class FScanEngine(MicroEngine):
         sm = self.engine.sm
         plan = packet.plan
         base = sm.catalog.table_schema(plan.table)
-        pred = plan.predicate.bind(base) if plan.predicate else None
-        proj = (
-            base.projector(plan.project) if plan.project is not None else None
-        )
+        post = compile.scan(plan.predicate, plan.project, base)
         # Section 4.3.4: a scan waits while the table is locked for writing.
         owner = ("scan", packet.query.query_id, packet.packet_id)
         num_pages = sm.num_pages(plan.table)
@@ -103,10 +101,7 @@ class FScanEngine(MicroEngine):
                 )
                 rows = page.rows()
                 yield from self.charge(packet, len(rows))
-                if pred is not None:
-                    rows = [row for row in rows if pred(row)]
-                if proj is not None:
-                    rows = [proj(row) for row in rows]
+                rows = post(rows)
                 if lineage is not None:
                     # Before put(): the page entry must exist by the time
                     # the root sees the batch and computes its frontier.

@@ -7,11 +7,11 @@ in flight or queued over the same table, the dispatcher attaches the new
 query as a *fold member* instead of dispatching its own scan.  One wide
 scan runs (the union of the members' predicates); each member receives
 exactly the rows its own predicate + projection would have produced, via
-a per-member residual filter compiled with the pushexec expression
-codegen.  Whole ``Aggregate(TableScan)`` queries additionally fold their
-aggregation into a shared accumulator bank (one accumulator per distinct
-aggregate over the same folded scan), so N similar aggregate queries cost
-one scan and one aggregation pass.
+a per-member residual filter from the shared expression compiler
+(:mod:`repro.relational.compile`).  Whole ``Aggregate(TableScan)``
+queries additionally fold their aggregation into a shared accumulator
+bank (one accumulator per distinct aggregate over the same folded scan),
+so N similar aggregate queries cost one scan and one aggregation pass.
 
 Correctness model:
 
@@ -39,8 +39,8 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.engine.engines.aggregates import FoldBank
 from repro.engine.packets import Packet, PacketState
 from repro.folding.stats import FoldStats
-from repro.pushexec.fusion import gen_filter, gen_scan_batch
-from repro.relational.expressions import Or, bind_aggregates
+from repro.relational import compile
+from repro.relational.expressions import Or
 from repro.relational.plans import Aggregate, TableScan
 from repro.sql.planner import (
     fold_union,
@@ -51,23 +51,10 @@ from repro.storage.locks import LockMode
 
 
 def _compile_residual(predicate, project, schema):
-    """``survivors -> member rows``: the member's own filter + projection.
-
-    Prefers the fused pushexec codegen; falls back to interpreted
-    bind/projector for expressions the flat renderer cannot handle.
-    """
-    fn = gen_scan_batch(predicate, project, schema)
-    if fn is not None:
-        return fn
-    pred = predicate.bind(schema) if predicate is not None else None
-    proj = schema.projector(project) if project is not None else None
-    if pred is None and proj is None:
-        return list
-    if pred is None:
-        return lambda rows: [proj(row) for row in rows]
-    if proj is None:
-        return lambda rows: [row for row in rows if pred(row)]
-    return lambda rows: [proj(row) for row in rows if pred(row)]
+    """``survivors -> member rows``: the member's own filter + projection."""
+    if predicate is None and project is None:
+        return list  # a private copy: the survivors also live in the ring
+    return compile.scan(predicate, project, schema)
 
 
 def _term_count(predicate) -> int:
@@ -250,25 +237,20 @@ class FoldGroup:
             bank = FoldBank(
                 _compile_residual(scan.plan.predicate, scan.plan.project,
                                   base),
+                scan.plan.output_schema(catalog),
                 frontier=self.blocks_done,
             )
             self.banks[scan.signature] = bank
             stats.banks += 1
-        plan = member.packet.plan
-        specs, fns = bind_aggregates(
-            plan.aggs, plan.child.output_schema(catalog)
-        )
         member.bank = bank
-        member.sigs, fresh = bank.enroll(specs, fns)
-        if fresh and bank.upto:
+        member.sigs, replay = bank.enroll(member.packet.plan.aggs)
+        if replay is not None and bank.upto:
             # Catch fresh accumulators up from the survivor ring; states
             # already in the bank cover this prefix and must not see it
             # twice.  ``bank.upto`` (not ``blocks_done``) bounds the
             # replay so a join landing mid-page stays exactly-once.
             for block, rows in self.ring[:bank.upto]:
-                for row in bank.residual(rows):
-                    for state, fn in fresh:
-                        state.add(fn(row))
+                replay(bank.residual(rows))
 
     # ------------------------------------------------------------------
     # The wide scan (runs as the host packet's serve coroutine)
@@ -282,14 +264,10 @@ class FoldGroup:
     def _wide_fn(self, base):
         if self._wide_dirty:
             self._wide_dirty = False
-            if self.wide is None:
-                self._wide_filter = None
-            else:
-                fn = gen_filter(self.wide, base)
-                if fn is None:
-                    pred = self.wide.bind(base)
-                    fn = lambda rows: [row for row in rows if pred(row)]
-                self._wide_filter = fn
+            self._wide_filter = (
+                None if self.wide is None
+                else compile.filter(self.wide, base)
+            )
         return self._wide_filter
 
     def _scan(self) -> Generator:
@@ -307,7 +285,7 @@ class FoldGroup:
         yield sm.locks.acquire(owner, self.table, LockMode.SHARED)
         try:
             for block in range(self.num_pages):
-                # Re-bound lazily: the predicate may have widened during
+                # Recompiled lazily: the predicate may have widened during
                 # the previous page's I/O (only while blocks_done == 0).
                 wide = self._wide_fn(base)
                 page = yield from sm.read_table_page(

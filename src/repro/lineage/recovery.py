@@ -29,7 +29,7 @@ from repro.faults.errors import FaultError
 from repro.hw.disk import Disk
 from repro.lineage.log import LineageLog
 from repro.lineage.tracker import LineageTracker, resume_shape
-from repro.relational.expressions import bind_aggregates
+from repro.relational import compile
 from repro.relational.plans import TableScan
 from repro.sim.errors import Interrupted
 
@@ -223,16 +223,13 @@ class RecoveryManager:
         emit the single aggregate row (host-side fold, CPU charged at
         the engine's per-tuple rate)."""
         child_schema = plan.child.output_schema(self.sm.catalog)
-        specs, fns = bind_aggregates(plan.aggs, child_schema)
-        states = [spec.make_state() for spec in specs]
+        states = [spec.make_state() for spec in plan.aggs]
         for state, snap in zip(states, payload):
             count, total, best = snap
             state.count = count
             state.total = total
             state.best = best
-        for row in suffix_rows:
-            for state, fn in zip(states, fns):
-                state.add(fn(row))
+        compile.agg_update(plan.aggs, child_schema)(states, suffix_rows)
         cost = (
             len(suffix_rows) * len(states)
             * self.sm.host.config.cpu_per_tuple

@@ -22,10 +22,11 @@ by holding the shared scan back before they are ready to read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List
 
 from repro.engine.packets import Packet
 from repro.faults.errors import FaultError
+from repro.relational import compile
 from repro.sim import ChannelClosed, Event, Interrupted
 from repro.storage.locks import LockMode
 from repro.storage.streams import next_stream
@@ -36,8 +37,9 @@ class ScanConsumer:
     """One query's attachment to a circular scan."""
 
     packet: Packet
-    filter_fn: Optional[Callable]
-    project_fn: Optional[Callable]
+    #: ``page rows -> this consumer's rows``: its own predicate and
+    #: projection, one generated comprehension per delivered page.
+    post: Callable
     pages_remaining: int
     done: Event
     delivered_pages: int = 0
@@ -96,10 +98,7 @@ class CircularScanManager:
         plan = packet.plan
         table = plan.table
         base = self.sm.catalog.table_schema(table)
-        filter_fn = plan.predicate.bind(base) if plan.predicate else None
-        project_fn = (
-            base.projector(plan.project) if plan.project is not None else None
-        )
+        post = compile.scan(plan.predicate, plan.project, base)
         # Late activation: wait for the consumer to flag readiness.
         if getattr(self.engine.config, "late_activation", True):
             yield from packet.primary_output.wait_activated()
@@ -116,8 +115,7 @@ class CircularScanManager:
         done.describe = f"circular scan of {table}"
         consumer = ScanConsumer(
             packet=packet,
-            filter_fn=filter_fn,
-            project_fn=project_fn,
+            post=post,
             pages_remaining=self.sm.num_pages(table),
             done=done,
         )
@@ -277,11 +275,7 @@ class CircularScanManager:
         if packet.output.closed or packet.query.aborted:
             return "gone"
         yield from self.engine.engines["fscan"].charge(packet, len(rows))
-        out = rows
-        if consumer.filter_fn is not None:
-            out = [row for row in out if consumer.filter_fn(row)]
-        if consumer.project_fn is not None:
-            out = [consumer.project_fn(row) for row in out]
+        out = consumer.post(rows)
         consumer.last_out = len(out)
         if out:
             before = packet.primary_output.tuples_in
@@ -366,11 +360,7 @@ class CircularScanManager:
         if packet.output.closed:
             return False
         yield from self.engine.engines["fscan"].charge(packet, len(rows))
-        out = rows
-        if consumer.filter_fn is not None:
-            out = [row for row in out if consumer.filter_fn(row)]
-        if consumer.project_fn is not None:
-            out = [consumer.project_fn(row) for row in out]
+        out = consumer.post(rows)
         consumer.last_out = len(out)
         if out:
             try:

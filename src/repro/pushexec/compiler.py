@@ -18,12 +18,8 @@ sequence** of storage-manager calls and CPU charges that the reference
 iterator operators in :mod:`repro.baseline.operators` issue.  Each
 source/breaker below is a transliteration of the corresponding operator
 with the same charge points, the same batch boundaries, the same spill
-thresholds and the same temp-file lifetimes.  The planner's fuse /
-materialize choices (:func:`repro.sql.planner.plan_pipelines`) only ever
-select *how the host computes* a batch, never what the simulation sees;
-runtime guards (actual row counts) make spill decisions, exactly like
-the iterator, so a mis-estimate costs host-side specialisation, never
-correctness.
+thresholds and the same temp-file lifetimes.  Runtime guards (actual row
+counts) make every spill decision, exactly like the iterator.
 """
 
 from __future__ import annotations
@@ -32,11 +28,11 @@ import heapq
 import math
 from itertools import count
 from operator import itemgetter
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from repro.baseline.operators import ExecContext, SortOp, _Neg
 from repro.pushexec import fusion
-from repro.relational.expressions import Col, bind_aggregates
+from repro.relational import compile
 from repro.relational.plans import (
     Aggregate,
     AntiJoin,
@@ -165,15 +161,7 @@ def _scan_source(ctx: ExecContext, plan: TableScan) -> Callable:
     base = ctx.sm.catalog.table_schema(plan.table)
     # The hot path: predicate + projection fused into one generated
     # whole-batch comprehension (no per-row closure calls at all).
-    fused = fusion.gen_scan_batch(plan.predicate, plan.project, base)
-    pred = proj = None
-    if fused is None:
-        pred = plan.predicate.bind(base) if plan.predicate else None
-        proj = (
-            base.projector(plan.project)
-            if plan.project is not None
-            else None
-        )
+    post = compile.scan(plan.predicate, plan.project, base)
     num_pages = ctx.sm.num_pages(plan.table)
     # Recovery resume: visit exactly the unconsumed page suffix in
     # wrapped order; a fresh scan visits every page from 0.
@@ -194,13 +182,7 @@ def _scan_source(ctx: ExecContext, plan: TableScan) -> Callable:
             )
             rows = page.rows()
             yield from ctx.cpu(len(rows))
-            if fused is not None:
-                rows = fused(rows)
-            else:
-                if pred is not None:
-                    rows = [row for row in rows if pred(row)]
-                if proj is not None:
-                    rows = [proj(row) for row in rows]
+            rows = post(rows)
             if ctx.lineage is not None:
                 ctx.lineage.scan_page(
                     stream, plan.table, page_no, len(rows), num_pages
@@ -215,17 +197,8 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
     base = ctx.sm.catalog.table_schema(plan.table)
     info = ctx.sm.catalog.index(plan.table, plan.index)
     key_fn = ctx.sm._key_fn(base, info.key_columns)
-    # Fused post-processing runs after the key-range filter, matching
-    # the pred-then-proj ordering below.
-    fused = fusion.gen_scan_batch(plan.predicate, plan.project, base)
-    pred = proj = None
-    if fused is None:
-        pred = plan.predicate.bind(base) if plan.predicate else None
-        proj = (
-            base.projector(plan.project)
-            if plan.project is not None
-            else None
-        )
+    # Post-processing runs after the key-range filter.
+    post = compile.scan(plan.predicate, plan.project, base)
 
     if info.clustered:
 
@@ -256,13 +229,7 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
                         if (plan.lo is None or key_fn(row) >= plan.lo)
                         and (plan.hi is None or key_fn(row) <= plan.hi)
                     ]
-                if fused is not None:
-                    rows = fused(rows)
-                else:
-                    if pred is not None:
-                        rows = [row for row in rows if pred(row)]
-                    if proj is not None:
-                        rows = [proj(row) for row in rows]
+                rows = post(rows)
                 if rows:
                     yield (_BATCH, rows)
                     # The iterator re-reads the page count at each batch
@@ -294,14 +261,7 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
                     group.append(row)
                 cursor += 1
             yield from ctx.cpu(len(group))
-            if fused is not None:
-                group = fused(group)
-            else:
-                if pred is not None:
-                    group = [row for row in group if pred(row)]
-                if proj is not None:
-                    group = [proj(row) for row in group]
-            out.extend(group)
+            out.extend(post(group))
             if out:
                 yield (_BATCH, out)
                 out = []
@@ -569,9 +529,7 @@ def _mergejoin_source(
 def _nljoin_source(
     ctx, plan: NLJoin, left_factory, right_factory, out_schema, right_width
 ) -> Callable:
-    pred = fusion.gen_row_fn(plan.predicate, out_schema)
-    if pred is None:
-        pred = plan.predicate.bind(out_schema)
+    matching = compile.filter(plan.predicate, out_schema)
 
     def run():
         right = right_factory()
@@ -596,84 +554,20 @@ def _nljoin_source(
                 page = yield from ctx.sm.read_temp_page(mat, block)
                 prows = page.rows()
                 yield from ctx.cpu(len(batch) * len(prows))
-                for lrow in batch:
-                    for rrow in prows:
-                        joined = lrow + rrow
-                        if pred(joined):
-                            out.append(joined)
+                out += matching(
+                    [lrow + rrow for lrow in batch for rrow in prows]
+                )
             if out:
                 yield (_BATCH, out)
 
     return run
 
 
-def _bind_agg_fns(aggs, schema):
-    """bind_aggregates, with plain column references specialised to
-    ``operator.itemgetter`` (same value, C-speed under ``map``) and
-    richer expressions to one generated closure (same operators applied
-    in the same order as the bound tree, so identical values)."""
-    specs, fns = bind_aggregates(aggs, schema)
-    fast = []
-    for spec, fn in zip(specs, fns):
-        if type(spec.expr) is Col:
-            fast.append(itemgetter(schema.index_of(spec.expr.name)))
-            continue
-        gen = (
-            fusion.gen_row_fn(spec.expr, schema)
-            if spec.expr is not None
-            else None
-        )
-        fast.append(gen if gen is not None else fn)
-    return specs, fast
-
-
-def _batch_updaters(specs, fns):
-    """One ``update(state, batch)`` closure per aggregate, equal bit for
-    bit to the per-row ``AggState.add`` loop the iterator runs.
-
-    The float-sensitive case is sum/avg: ``sum(it, start)`` performs the
-    exact left fold ``for v in it: start += v`` performs, so running
-    totals round identically; count is integer arithmetic and min/max
-    are exact comparisons (``min``/``max`` keep the first extremum, like
-    the per-row compare).  Only the dispatch moves from per-row Python
-    to per-batch C.
-    """
-    updaters = []
-    for spec, fn in zip(specs, fns):
-        func = spec.func
-        if func == "count":
-            def update(state, batch, fn=fn):
-                state.count += len(batch)
-        elif func in ("sum", "avg"):
-            def update(state, batch, fn=fn):
-                state.count += len(batch)
-                state.total = sum(map(fn, batch), state.total)
-        elif func == "min":
-            def update(state, batch, fn=fn):
-                state.count += len(batch)
-                low = min(map(fn, batch))
-                if state.best is None or low < state.best:
-                    state.best = low
-        elif func == "max":
-            def update(state, batch, fn=fn):
-                state.count += len(batch)
-                high = max(map(fn, batch))
-                if state.best is None or high > state.best:
-                    state.best = high
-        else:  # unknown func: fall back to the reference per-row path
-            def update(state, batch, fn=fn):
-                for row in batch:
-                    state.add(fn(row))
-        updaters.append(update)
-    return updaters
-
-
 def _aggregate_source(ctx, plan: Aggregate, child_factory, in_schema) -> Callable:
-    specs, fns = _bind_agg_fns(plan.aggs, in_schema)
-    updaters = _batch_updaters(specs, fns)
+    update = compile.agg_update(plan.aggs, in_schema)
 
     def run():
-        states = [spec.make_state() for spec in specs]
+        states = [spec.make_state() for spec in plan.aggs]
         child = child_factory()
         consumed = 0
         batches = 0
@@ -682,9 +576,7 @@ def _aggregate_source(ctx, plan: Aggregate, child_factory, in_schema) -> Callabl
             if batch is None:
                 break
             yield from ctx.cpu(len(batch) * len(states))
-            if batch:
-                for state, update in zip(states, updaters):
-                    update(state, batch)
+            update(states, batch)
             consumed += len(batch)
             batches += 1
             if ctx.lineage is not None and batches % 8 == 0:
@@ -698,12 +590,8 @@ def _aggregate_source(ctx, plan: Aggregate, child_factory, in_schema) -> Callabl
 
 
 def _groupby_source(ctx, plan: GroupBy, child_factory, in_schema) -> Callable:
-    specs, fns = _bind_agg_fns(plan.aggs, in_schema)
-    updaters = _batch_updaters(specs, fns)
-    # Group keys reach the output rows, so they stay tuples -- but they
-    # are computed per batch in one generated comprehension instead of
-    # one projector call per row.
-    group_batch = fusion.gen_scan_batch(None, plan.group_cols, in_schema)
+    update = compile.group_update(plan.aggs, plan.group_cols, in_schema)
+    weight = max(1, len(plan.aggs))
 
     def run():
         groups: Dict[tuple, list] = {}
@@ -712,25 +600,8 @@ def _groupby_source(ctx, plan: GroupBy, child_factory, in_schema) -> Callable:
             batch = yield from pull_batch(child)
             if batch is None:
                 break
-            yield from ctx.cpu(len(batch) * max(1, len(specs)))
-            # Split the batch by group key (rows keep encounter order,
-            # so each state sees the same value sequence as the
-            # iterator's per-row loop), then update per group at batch
-            # granularity.
-            grouped: Dict[tuple, list] = {}
-            for key, row in zip(group_batch(batch), batch):
-                rows = grouped.get(key)
-                if rows is None:
-                    grouped[key] = [row]
-                else:
-                    rows.append(row)
-            for key, rows in grouped.items():
-                states = groups.get(key)
-                if states is None:
-                    states = [spec.make_state() for spec in specs]
-                    groups[key] = states
-                for state, update in zip(states, updaters):
-                    update(state, rows)
+            yield from ctx.cpu(len(batch) * weight)
+            update(groups, batch)
         result = [
             key + tuple(state.result() for state in states)
             for key, states in sorted(groups.items())
@@ -796,19 +667,18 @@ def _update_source(ctx, plan: UpdateRows) -> Callable:
         owner = ctx.owner or _next_stream()
         table = plan.table
         schema = ctx.sm.catalog.table_schema(table)
-        pred = plan.predicate.bind(schema) if plan.predicate else None
+        matching = compile.filter_items(plan.predicate, schema)
         yield ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
         changed = 0
         try:
             info = ctx.sm.catalog.table(table)
             for block in range(info.num_pages):
                 page = yield from ctx.sm.read_table_page(table, block)
-                for slot, row in list(page.items()):
-                    if pred is None or pred(row):
-                        yield from ctx.sm.update_row(
-                            table, RID(block, slot), plan.apply(row)
-                        )
-                        changed += 1
+                for slot, row in matching(page.items()):
+                    yield from ctx.sm.update_row(
+                        table, RID(block, slot), plan.apply(row)
+                    )
+                    changed += 1
         finally:
             ctx.sm.locks.release(owner, table)
         yield (_BATCH, [(changed,)])
@@ -821,17 +691,16 @@ def _delete_source(ctx, plan: DeleteRows) -> Callable:
         owner = ctx.owner or _next_stream()
         table = plan.table
         schema = ctx.sm.catalog.table_schema(table)
-        pred = plan.predicate.bind(schema) if plan.predicate else None
+        matching = compile.filter_items(plan.predicate, schema)
         yield ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
         removed = 0
         try:
             info = ctx.sm.catalog.table(table)
             for block in range(info.num_pages):
                 page = yield from ctx.sm.read_table_page(table, block)
-                for slot, row in list(page.items()):
-                    if pred is None or pred(row):
-                        yield from ctx.sm.delete_row(table, RID(block, slot))
-                        removed += 1
+                for slot, row in matching(page.items()):
+                    yield from ctx.sm.delete_row(table, RID(block, slot))
+                    removed += 1
         finally:
             ctx.sm.locks.release(owner, table)
         yield (_BATCH, [(removed,)])
@@ -842,26 +711,8 @@ def _delete_source(ctx, plan: DeleteRows) -> Callable:
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
-def compile_plan(
-    plan: PlanNode, ctx: ExecContext, choices: Optional[dict] = None
-) -> Pipeline:
-    """Compile *plan* into a tree of pipelines rooted at one Pipeline.
-
-    *choices* maps plan nodes to the planner's
-    :class:`~repro.sql.planner.PipelineChoice` decisions; absent
-    entries default to fused compilation.
-    """
-    if choices is None:
-        choices = {}
-    return _compile(plan, ctx, choices)
-
-
-def _fuse_choice(plan, choices) -> bool:
-    choice = choices.get(plan)
-    return True if choice is None else choice.fuse
-
-
-def _compile(plan: PlanNode, ctx: ExecContext, choices: dict) -> Pipeline:
+def compile_plan(plan: PlanNode, ctx: ExecContext) -> Pipeline:
+    """Compile *plan* into a tree of pipelines rooted at one Pipeline."""
     catalog = ctx.sm.catalog
     schema = plan.output_schema(catalog)
 
@@ -871,10 +722,8 @@ def _compile(plan: PlanNode, ctx: ExecContext, choices: dict) -> Pipeline:
         return Pipeline(ctx, _index_source(ctx, plan), [], [], schema)
 
     if isinstance(plan, (Filter, Project, Limit, Distinct)):
-        child = _compile(plan.child, ctx, choices)
-        stage = fusion.build_stage(
-            plan, child.schema, fuse=_fuse_choice(plan, choices)
-        )
+        child = compile_plan(plan.child, ctx)
+        stage = fusion.build_stage(plan, child.schema)
         return Pipeline(
             ctx,
             child.source_factory,
@@ -884,37 +733,37 @@ def _compile(plan: PlanNode, ctx: ExecContext, choices: dict) -> Pipeline:
         )
 
     if isinstance(plan, Sort):
-        child = _compile(plan.child, ctx, choices)
+        child = compile_plan(plan.child, ctx)
         source = _sort_source(ctx, plan, child.generator, child.schema)
         return Pipeline(ctx, source, [], [], schema)
     if isinstance(plan, Aggregate):
-        child = _compile(plan.child, ctx, choices)
+        child = compile_plan(plan.child, ctx)
         source = _aggregate_source(ctx, plan, child.generator, child.schema)
         return Pipeline(ctx, source, [], [], schema)
     if isinstance(plan, GroupBy):
-        child = _compile(plan.child, ctx, choices)
+        child = compile_plan(plan.child, ctx)
         source = _groupby_source(ctx, plan, child.generator, child.schema)
         return Pipeline(ctx, source, [], [], schema)
 
     if isinstance(plan, HashJoin):
-        left = _compile(plan.left, ctx, choices)
-        right = _compile(plan.right, ctx, choices)
+        left = compile_plan(plan.left, ctx)
+        right = compile_plan(plan.right, ctx)
         source = _hashjoin_source(
             ctx, plan, left.generator, right.generator,
             left.schema, right.schema,
         )
         return Pipeline(ctx, source, [], [], schema)
     if isinstance(plan, MergeJoin):
-        left = _compile(plan.left, ctx, choices)
-        right = _compile(plan.right, ctx, choices)
+        left = compile_plan(plan.left, ctx)
+        right = compile_plan(plan.right, ctx)
         source = _mergejoin_source(
             ctx, plan, left.generator, right.generator,
             left.schema, right.schema,
         )
         return Pipeline(ctx, source, [], [], schema)
     if isinstance(plan, NLJoin):
-        left = _compile(plan.left, ctx, choices)
-        right = _compile(plan.right, ctx, choices)
+        left = compile_plan(plan.left, ctx)
+        right = compile_plan(plan.right, ctx)
         source = _nljoin_source(
             ctx, plan, left.generator, right.generator,
             schema, right.schema.row_width,
@@ -922,8 +771,8 @@ def _compile(plan: PlanNode, ctx: ExecContext, choices: dict) -> Pipeline:
         return Pipeline(ctx, source, [], [], schema)
 
     if isinstance(plan, (SemiJoin, AntiJoin)):
-        left = _compile(plan.left, ctx, choices)
-        right = _compile(plan.right, ctx, choices)
+        left = compile_plan(plan.left, ctx)
+        right = compile_plan(plan.right, ctx)
         lkey = _join_key(left.schema, plan.left_key)
         rkey = _join_key(right.schema, plan.right_key)
         stage = fusion.SemiProbeStage(lkey, anti=isinstance(plan, AntiJoin))
@@ -939,8 +788,8 @@ def _compile(plan: PlanNode, ctx: ExecContext, choices: dict) -> Pipeline:
             schema,
         )
     if isinstance(plan, LeftOuterJoin):
-        left = _compile(plan.left, ctx, choices)
-        right = _compile(plan.right, ctx, choices)
+        left = compile_plan(plan.left, ctx)
+        right = compile_plan(plan.right, ctx)
         lkey = _join_key(left.schema, plan.left_key)
         rkey = _join_key(right.schema, plan.right_key)
         stage = fusion.OuterProbeStage(lkey, len(right.schema))

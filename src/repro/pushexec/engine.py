@@ -4,9 +4,7 @@ Drop-in interface-compatible with
 :class:`~repro.baseline.engine.IteratorEngine`: same constructor shape,
 same ``execute`` coroutine contract, same
 :class:`~repro.results.QueryResult`.  Internally it compiles the plan
-into push pipelines (:mod:`repro.pushexec.compiler`) after asking the
-planner's cost rule (:func:`repro.sql.planner.plan_pipelines`) how each
-pipeline should be specialised.
+into push pipelines (:mod:`repro.pushexec.compiler`).
 
 Because the compiled pipelines replay the iterator operators' exact
 virtual-cost schedule, this engine is observationally identical to the
@@ -34,7 +32,6 @@ from repro.pushexec.compiler import compile_plan, pull_batch
 from repro.relational.plans import PlanNode
 from repro.results import QueryResult
 from repro.sim.errors import Interrupted
-from repro.sql.planner import plan_pipelines
 from repro.storage.manager import StorageManager
 
 
@@ -95,10 +92,7 @@ class PushEngine:
             owner=("q", self.name, query_id),
             lineage=lineage,
         )
-        choices = plan_pipelines(
-            plan, self.sm.catalog, self.work_mem_tuples
-        )
-        pipeline = compile_plan(plan, ctx, choices)
+        pipeline = compile_plan(plan, ctx)
         gen = pipeline.generator()
         handle = _PushQuery(
             query_id=query_id, ctx=ctx, proc=self.sim.active_process

@@ -1,51 +1,27 @@
 """Streaming operator chains compiled to push-based stage closures.
 
-PR 4 taught expressions to :meth:`~repro.relational.expressions.Expr.bind`
-into per-row closures; this module extends that compilation to whole
-operator chains.  A run of streaming operators between two pipeline
-breakers -- filter -> project -> limit -> distinct, plus the probe side
-of semi/anti/outer joins -- becomes a list of *stages*.  Each stage is a
-pair of pure functions over a row batch:
+A run of streaming operators between two pipeline breakers -- filter ->
+project -> limit -> distinct, plus the probe side of semi/anti/outer
+joins -- becomes a list of *stages*.  Each stage is a pair of pure
+functions over a row batch:
 
 * ``cost(batch)``  -- the tuple count the iterator reference charges the
   simulated CPU for the same batch (0 where the reference charges
   nothing, e.g. LIMIT), and
-* ``apply(batch)`` -- the batch transformation itself.
+* ``apply(batch)`` -- the batch transformation itself; predicates and
+  projections are whole-batch kernels from
+  :mod:`repro.relational.compile`.
 
 The push driver in :mod:`repro.pushexec.compiler` interleaves the two,
 so the simulated schedule is *independent* of how ``apply`` is built.
-That independence is what lets the planner's cost rule pick between two
-compilation modes per pipeline without ever perturbing a figure:
-
-* **fused** (``fuse=True``): predicates and projections bind once into
-  specialised row closures (inlined column indices, captured constants)
-  and run via list comprehensions -- the hot path.
-* **interpreted** (``fuse=False``): the reference semantics, walking the
-  expression tree per row with no pre-binding -- cheaper to set up, and
-  what the property tests compare the fused mode against row for row
-  under varying batch boundaries.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from repro.relational.expressions import (
-    _ARITH_OPS,
-    _CMP_OPS,
-    And,
-    Arith,
-    Between,
-    Cmp,
-    Col,
-    Const,
-    Expr,
-    If,
-    InList,
-    Like,
-    Not,
-    Or,
-)
+from repro.relational import compile
+from repro.relational.expressions import Expr
 from repro.relational.plans import Distinct, Filter, Limit, PlanNode, Project
 from repro.relational.schema import Column, Schema
 
@@ -57,243 +33,11 @@ __all__ = [
     "DistinctStage",
     "SemiProbeStage",
     "OuterProbeStage",
-    "eval_expr",
     "build_stage",
     "compile_chain",
     "chain_output_schema",
     "push_batches",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Interpreted expression evaluation (the unfused reference)
-# ---------------------------------------------------------------------------
-def eval_expr(expr: Expr, row: tuple, schema: Schema) -> Any:
-    """Evaluate *expr* on *row* by walking the tree -- no pre-binding.
-
-    This is the semantic reference the fused closures are differential-
-    tested against; it deliberately re-resolves column indices and
-    operator functions on every call.
-    """
-    if isinstance(expr, Col):
-        return row[schema.index_of(expr.name)]
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Cmp):
-        fn = _CMP_OPS[expr.op]
-        return fn(
-            eval_expr(expr.left, row, schema),
-            eval_expr(expr.right, row, schema),
-        )
-    if isinstance(expr, Arith):
-        fn = _ARITH_OPS[expr.op]
-        return fn(
-            eval_expr(expr.left, row, schema),
-            eval_expr(expr.right, row, schema),
-        )
-    if isinstance(expr, And):
-        return all(bool(eval_expr(t, row, schema)) for t in expr.terms)
-    if isinstance(expr, Or):
-        return any(bool(eval_expr(t, row, schema)) for t in expr.terms)
-    if isinstance(expr, Not):
-        return not eval_expr(expr.term, row, schema)
-    if isinstance(expr, Between):
-        return expr.lo <= eval_expr(expr.expr, row, schema) <= expr.hi
-    if isinstance(expr, InList):
-        return eval_expr(expr.expr, row, schema) in expr.values
-    if isinstance(expr, Like):
-        value = eval_expr(expr.expr, row, schema)
-        pattern = expr.pattern
-        if pattern.startswith("%") and pattern.endswith("%") and len(pattern) > 1:
-            return pattern[1:-1] in value
-        if pattern.endswith("%"):
-            return value.startswith(pattern[:-1])
-        if pattern.startswith("%"):
-            return value.endswith(pattern[1:])
-        return value == pattern
-    if isinstance(expr, If):
-        if eval_expr(expr.cond, row, schema):
-            return eval_expr(expr.then, row, schema)
-        return eval_expr(expr.otherwise, row, schema)
-    raise TypeError(f"cannot interpret expression {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# Source-level fusion: expression trees compiled to flat Python code
-# ---------------------------------------------------------------------------
-# ``Expr.bind`` produces one closure per tree node, so evaluating the
-# q6 predicate costs ~5 Python frames per row.  The generators below
-# instead render the tree as a single Python expression string (column
-# refs become ``row[i]`` tuple indexing, constants become literals) and
-# ``eval`` it into ONE closure -- or, better, straight into a whole-batch
-# list comprehension, so a scan filters a page in a single frame.
-#
-# Value-for-value parity with ``bind`` is load-bearing (the property
-# tests compare row for row): comparisons/arith map to the same Python
-# operators ``_CMP_OPS``/``_ARITH_OPS`` name; ``and``/``or`` chains get a
-# ``bool()`` wrapper only in *value* position (bind always returns bool
-# there) and run bare in ``if`` position, where only truthiness matters;
-# Between/Like/If mirror their bind closures shape for shape.  Constants
-# that have no exact literal spelling (NaN, infinities, rich objects,
-# IN-list sets) are passed by reference through the eval namespace
-# instead of being spelled inline.
-
-
-class _Unsupported(Exception):
-    """Raised when a tree has no flat-source rendering; callers fall
-    back to the bound-closure path."""
-
-
-def _const_src(value: Any, env: dict) -> str:
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return _env_src(value, env)
-        return repr(value)
-    if value is None or isinstance(value, (bool, int, str)):
-        return repr(value)
-    return _env_src(value, env)
-
-
-def _env_src(value: Any, env: dict) -> str:
-    name = f"_c{len(env)}"
-    env[name] = value
-    return name
-
-
-def _expr_src(expr: Expr, schema: Schema, env: dict, cond: bool) -> str:
-    """Render *expr* as a Python expression over the free variable
-    ``row``.  ``cond`` marks boolean (``if``) position, where bind's
-    ``bool()`` normalisation of and/or chains can be elided."""
-    if isinstance(expr, Col):
-        return f"row[{schema.index_of(expr.name)}]"
-    if isinstance(expr, Const):
-        return _const_src(expr.value, env)
-    if isinstance(expr, Cmp):
-        left = _expr_src(expr.left, schema, env, False)
-        right = _expr_src(expr.right, schema, env, False)
-        return f"({left} {expr.op} {right})"
-    if isinstance(expr, Arith):
-        left = _expr_src(expr.left, schema, env, False)
-        right = _expr_src(expr.right, schema, env, False)
-        return f"({left} {expr.op} {right})"
-    if isinstance(expr, (And, Or)):
-        joiner = " and " if isinstance(expr, And) else " or "
-        inner = joiner.join(
-            _expr_src(t, schema, env, cond) for t in expr.terms
-        )
-        if cond and len(expr.terms) > 1:
-            return f"({inner})"
-        return f"bool({inner})"
-    if isinstance(expr, Not):
-        return f"(not {_expr_src(expr.term, schema, env, True)})"
-    if isinstance(expr, Between):
-        lo = _const_src(expr.lo, env)
-        hi = _const_src(expr.hi, env)
-        mid = _expr_src(expr.expr, schema, env, False)
-        return f"({lo} <= {mid} <= {hi})"
-    if isinstance(expr, InList):
-        value = _expr_src(expr.expr, schema, env, False)
-        return f"({value} in {_env_src(expr.values, env)})"
-    if isinstance(expr, Like):
-        value = _expr_src(expr.expr, schema, env, False)
-        pattern = expr.pattern
-        if (
-            pattern.startswith("%")
-            and pattern.endswith("%")
-            and len(pattern) > 1
-        ):
-            return f"({pattern[1:-1]!r} in {value})"
-        if pattern.endswith("%"):
-            return f"{value}.startswith({pattern[:-1]!r})"
-        if pattern.startswith("%"):
-            return f"{value}.endswith({pattern[1:]!r})"
-        return f"({value} == {pattern!r})"
-    if isinstance(expr, If):
-        then = _expr_src(expr.then, schema, env, False)
-        test = _expr_src(expr.cond, schema, env, True)
-        other = _expr_src(expr.otherwise, schema, env, False)
-        return f"({then} if {test} else {other})"
-    raise _Unsupported(type(expr).__name__)
-
-
-def _tuple_src(parts: Sequence[str]) -> str:
-    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
-
-
-#: Source -> code object.  ``compile`` dominates specialisation cost
-#: (~2ms a call) and the same few sources recur on every cell of a
-#: figure grid, so code objects are cached process-wide; each ``eval``
-#: still binds a fresh ``env``, so per-plan constants stay per-closure.
-_code_cache: dict = {}
-
-
-def _evaluate(src: str, env: dict):
-    code = _code_cache.get(src)
-    if code is None:
-        # Designated impurity: a deterministic memo -- the cached code
-        # object is a pure function of `src`, so cell results cannot
-        # depend on whether the cache was warm.
-        code = _code_cache[src] = compile(src, "<fused>", "eval")  # simlint: disable=IPR201
-    return eval(code, env)
-
-
-def gen_row_fn(expr: Expr, schema: Schema):
-    """``row -> value`` as a single generated closure, or None."""
-    env: dict = {}
-    try:
-        src = _expr_src(expr, schema, env, False)
-    except _Unsupported:
-        return None
-    return _evaluate(f"lambda row: {src}", env)
-
-
-def gen_filter(predicate: Expr, schema: Schema):
-    """``batch -> surviving rows`` as one comprehension, or None."""
-    env: dict = {}
-    try:
-        src = _expr_src(predicate, schema, env, True)
-    except _Unsupported:
-        return None
-    return _evaluate(f"lambda rows: [row for row in rows if {src}]", env)
-
-
-def gen_project_batch(exprs: Sequence[Expr], schema: Schema):
-    """``batch -> [tuple(e(row)...)]`` as one comprehension, or None."""
-    env: dict = {}
-    try:
-        parts = [_expr_src(e, schema, env, False) for e in exprs]
-    except _Unsupported:
-        return None
-    return _evaluate(f"lambda rows: [{_tuple_src(parts)} for row in rows]", env)
-
-
-def gen_scan_batch(
-    predicate: Optional[Expr],
-    project: Optional[Sequence[str]],
-    schema: Schema,
-):
-    """Fused scan post-processing: filter + column projection in one
-    comprehension (``rows -> [projected for row in rows if pred]``).
-    Returns None when there is nothing to fuse or the predicate has no
-    flat rendering."""
-    env: dict = {}
-    if predicate is not None:
-        try:
-            test = _expr_src(predicate, schema, env, True)
-        except _Unsupported:
-            return None
-    else:
-        test = None
-    if project is not None:
-        out = _tuple_src(
-            [f"row[{schema.index_of(n)}]" for n in project]
-        )
-    elif test is None:
-        return None
-    else:
-        out = "row"
-    suffix = f" if {test}]" if test is not None else "]"
-    return _evaluate(f"lambda rows: [{out} for row in rows{suffix}", env)
 
 
 # ---------------------------------------------------------------------------
@@ -322,60 +66,28 @@ class Stage:
 class FilterStage(Stage):
     """Row selection; charges one tuple per input row (FilterOp)."""
 
-    __slots__ = ("pred", "batch_fn")
+    # The compiled kernel *is* ``apply`` (an instance slot over the
+    # base method): no wrapper frame per batch.
+    __slots__ = ("apply",)
 
-    def __init__(self, predicate: Expr, schema: Schema, fuse: bool):
-        self.batch_fn = gen_filter(predicate, schema) if fuse else None
-        if self.batch_fn is not None:
-            self.pred = None
-        elif fuse:
-            self.pred = predicate.bind(schema)
-        else:
-            self.pred = lambda row: eval_expr(predicate, row, schema)
-
-    def apply(self, batch):
-        if self.batch_fn is not None:
-            return self.batch_fn(batch)
-        pred = self.pred
-        return [row for row in batch if pred(row)]
+    def __init__(self, predicate: Expr, schema: Schema):
+        self.apply = compile.filter(predicate, schema)
 
 
 class ProjectStage(Stage):
     """Column selection / computed expressions (ProjectOp)."""
 
-    __slots__ = ("fn", "batch_fn")
+    __slots__ = ("apply",)
 
     def __init__(
         self,
         names: Sequence[str],
         exprs: Optional[Sequence[Expr]],
         schema: Schema,
-        fuse: bool,
     ):
-        self.fn = None
-        self.batch_fn = None
-        if exprs is None:
-            if fuse:
-                self.batch_fn = gen_scan_batch(None, names, schema)
-            else:
-                self.fn = lambda row: tuple(
-                    row[schema.index_of(n)] for n in names
-                )
-        elif fuse:
-            self.batch_fn = gen_project_batch(exprs, schema)
-            if self.batch_fn is None:
-                fns = tuple(e.bind(schema) for e in exprs)
-                self.fn = lambda row: tuple(fn(row) for fn in fns)
-        else:
-            self.fn = lambda row: tuple(
-                eval_expr(e, row, schema) for e in exprs
-            )
-
-    def apply(self, batch):
-        if self.batch_fn is not None:
-            return self.batch_fn(batch)
-        fn = self.fn
-        return [fn(row) for row in batch]
+        self.apply = compile.project(
+            names if exprs is None else exprs, schema
+        )
 
 
 class LimitStage(Stage):
@@ -488,12 +200,12 @@ def _out_schema(op: PlanNode, schema: Schema) -> Schema:
     return schema
 
 
-def build_stage(op: PlanNode, schema: Schema, fuse: bool = True) -> Stage:
+def build_stage(op: PlanNode, schema: Schema) -> Stage:
     """Compile one streaming plan node into a :class:`Stage`."""
     if isinstance(op, Filter):
-        return FilterStage(op.predicate, schema, fuse)
+        return FilterStage(op.predicate, schema)
     if isinstance(op, Project):
-        return ProjectStage(op.names, op.exprs, schema, fuse)
+        return ProjectStage(op.names, op.exprs, schema)
     if isinstance(op, Limit):
         return LimitStage(op.count, op.offset)
     if isinstance(op, Distinct):
@@ -501,14 +213,12 @@ def build_stage(op: PlanNode, schema: Schema, fuse: bool = True) -> Stage:
     raise TypeError(f"{type(op).__name__} is not a streaming operator")
 
 
-def compile_chain(
-    ops: Sequence[PlanNode], schema: Schema, fuse: bool = True
-) -> List[Stage]:
+def compile_chain(ops: Sequence[PlanNode], schema: Schema) -> List[Stage]:
     """Compile a run of streaming operators into stages, threading the
     schema through projections."""
     stages = []
     for op in ops:
-        stages.append(build_stage(op, schema, fuse))
+        stages.append(build_stage(op, schema))
         schema = _out_schema(op, schema)
     return stages
 
@@ -523,8 +233,8 @@ def push_batches(stages: Sequence[Stage], batches: Iterable[list]) -> list:
     """Drive *batches* through *stages* outside the simulator.
 
     The sim-free counterpart of the compiler's fused driver loop, used by
-    the property tests to compare fused and interpreted chains under
-    different batch boundaries."""
+    the property tests to compare chains against a reference interpreter
+    under different batch boundaries."""
     out: list = []
     for batch in batches:
         rows = list(batch)

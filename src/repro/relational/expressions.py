@@ -1,8 +1,8 @@
 """Scalar expressions, predicates, and aggregate specifications.
 
-Expressions *bind* against a schema to produce plain Python callables
-(row -> value), so per-tuple evaluation costs one closure call.  Every
-expression also has a canonical :meth:`~Expr.signature`, which the OSP
+Expressions are plain trees; :mod:`repro.relational.compile` turns them
+into generated per-batch kernels against a schema.  Every expression
+has a canonical :meth:`~Expr.signature`, which the OSP
 coordinator compares to detect overlapping computations (two packets
 overlap only when their argument lists encode identically -- paper
 section 4.3: "a quick check of the encoded argument list").
@@ -10,29 +10,16 @@ section 4.3: "a quick check of the encoded argument list").
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, Set, Tuple
+from typing import Any, Callable, Sequence, Set
 
 from repro.relational.schema import Schema
 
 RowFn = Callable[[tuple], Any]
 
-_CMP_OPS = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-_ARITH_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
+#: Operator spellings; the compiler emits them verbatim as Python.
+_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+_ARITH_OPS = ("+", "-", "*", "/")
 
 
 class Expr:
@@ -40,7 +27,9 @@ class Expr:
 
     def bind(self, schema: Schema) -> RowFn:
         """Compile to a row -> value callable against *schema*."""
-        raise NotImplementedError
+        from repro.relational.compile import row_fn
+
+        return row_fn(self, schema)
 
     def columns(self) -> Set[str]:
         """The column names this expression references."""
@@ -104,10 +93,6 @@ class Col(Expr):
     def __init__(self, name: str):
         self.name = name
 
-    def bind(self, schema):
-        idx = schema.index_of(self.name)
-        return lambda row: row[idx]
-
     def columns(self):
         return {self.name}
 
@@ -124,10 +109,6 @@ class Const(Expr):
     def __init__(self, value: Any):
         self.value = value
 
-    def bind(self, schema):
-        value = self.value
-        return lambda row: value
-
     def columns(self):
         return set()
 
@@ -136,32 +117,6 @@ class Const(Expr):
 
     def __repr__(self):
         return f"Const({self.value!r})"
-
-
-def _bind_binary(fn, left: "Expr", right: "Expr", schema):
-    """Bound evaluator for ``fn(left, right)``, specialised by operand shape.
-
-    Column and constant operands are inlined as a tuple index / captured
-    value instead of a nested bound-lambda call; bound predicates run
-    once per row on the scan hot path, so the two saved frames per row
-    are the bulk of predicate cost (DESIGN.md section 10).
-    """
-    if isinstance(left, Col):
-        li = schema.index_of(left.name)
-        if isinstance(right, Const):
-            rv = right.value
-            return lambda row: fn(row[li], rv)
-        if isinstance(right, Col):
-            ri = schema.index_of(right.name)
-            return lambda row: fn(row[li], row[ri])
-        rfn = right.bind(schema)
-        return lambda row: fn(row[li], rfn(row))
-    if isinstance(right, Const):
-        lfn = left.bind(schema)
-        rv = right.value
-        return lambda row: fn(lfn(row), rv)
-    lfn, rfn = left.bind(schema), right.bind(schema)
-    return lambda row: fn(lfn(row), rfn(row))
 
 
 class Cmp(Expr):
@@ -173,10 +128,6 @@ class Cmp(Expr):
         self.op = op
         self.left = left
         self.right = right
-
-    def bind(self, schema):
-        fn = _CMP_OPS[self.op]
-        return _bind_binary(fn, self.left, self.right, schema)
 
     def columns(self):
         return self.left.columns() | self.right.columns()
@@ -198,10 +149,6 @@ class Arith(Expr):
         self.left = left
         self.right = right
 
-    def bind(self, schema):
-        fn = _ARITH_OPS[self.op]
-        return _bind_binary(fn, self.left, self.right, schema)
-
     def columns(self):
         return self.left.columns() | self.right.columns()
 
@@ -214,21 +161,6 @@ class And(Expr):
         if not terms:
             raise ValueError("And needs at least one term")
         self.terms = terms
-
-    def bind(self, schema):
-        # Bound predicates run once per row on the scan/filter hot path;
-        # the common 1-3 term shapes skip the generator-expression frame.
-        fns = [t.bind(schema) for t in self.terms]
-        if len(fns) == 1:
-            f0 = fns[0]
-            return lambda row: bool(f0(row))
-        if len(fns) == 2:
-            f0, f1 = fns
-            return lambda row: bool(f0(row) and f1(row))
-        if len(fns) == 3:
-            f0, f1, f2 = fns
-            return lambda row: bool(f0(row) and f1(row) and f2(row))
-        return lambda row: all(fn(row) for fn in fns)
 
     def columns(self):
         out: Set[str] = set()
@@ -246,19 +178,6 @@ class Or(Expr):
             raise ValueError("Or needs at least one term")
         self.terms = terms
 
-    def bind(self, schema):
-        fns = [t.bind(schema) for t in self.terms]
-        if len(fns) == 1:
-            f0 = fns[0]
-            return lambda row: bool(f0(row))
-        if len(fns) == 2:
-            f0, f1 = fns
-            return lambda row: bool(f0(row) or f1(row))
-        if len(fns) == 3:
-            f0, f1, f2 = fns
-            return lambda row: bool(f0(row) or f1(row) or f2(row))
-        return lambda row: any(fn(row) for fn in fns)
-
     def columns(self):
         out: Set[str] = set()
         for t in self.terms:
@@ -272,10 +191,6 @@ class Or(Expr):
 class Not(Expr):
     def __init__(self, term: Expr):
         self.term = term
-
-    def bind(self, schema):
-        fn = self.term.bind(schema)
-        return lambda row: not fn(row)
 
     def columns(self):
         return self.term.columns()
@@ -292,11 +207,6 @@ class Between(Expr):
         self.lo = lo
         self.hi = hi
 
-    def bind(self, schema):
-        fn = self.expr.bind(schema)
-        lo, hi = self.lo, self.hi
-        return lambda row: lo <= fn(row) <= hi
-
     def columns(self):
         return self.expr.columns()
 
@@ -310,11 +220,6 @@ class InList(Expr):
     def __init__(self, expr: Expr, values: Sequence[Any]):
         self.expr = _lift(expr)
         self.values = frozenset(values)
-
-    def bind(self, schema):
-        fn = self.expr.bind(schema)
-        values = self.values
-        return lambda row: fn(row) in values
 
     def columns(self):
         return self.expr.columns()
@@ -331,20 +236,6 @@ class Like(Expr):
         self.expr = _lift(expr)
         self.pattern = pattern
 
-    def bind(self, schema):
-        fn = self.expr.bind(schema)
-        pattern = self.pattern
-        if pattern.startswith("%") and pattern.endswith("%") and len(pattern) > 1:
-            needle = pattern[1:-1]
-            return lambda row: needle in fn(row)
-        if pattern.endswith("%"):
-            prefix = pattern[:-1]
-            return lambda row: fn(row).startswith(prefix)
-        if pattern.startswith("%"):
-            suffix = pattern[1:]
-            return lambda row: fn(row).endswith(suffix)
-        return lambda row: fn(row) == pattern
-
     def columns(self):
         return self.expr.columns()
 
@@ -359,11 +250,6 @@ class If(Expr):
         self.cond = cond
         self.then = _lift(then)
         self.otherwise = _lift(otherwise)
-
-    def bind(self, schema):
-        cond = self.cond.bind(schema)
-        then, other = self.then.bind(schema), self.otherwise.bind(schema)
-        return lambda row: then(row) if cond(row) else other(row)
 
     def columns(self):
         return (
@@ -461,16 +347,3 @@ class AggState:
         if func == "avg":
             return self.total / self.count if self.count else None
         return self.best
-
-
-def bind_aggregates(
-    specs: Sequence[AggSpec], schema: Schema
-) -> Tuple[list, list]:
-    """Bind aggregate input expressions; returns (specs, value_fns)."""
-    fns = []
-    for spec in specs:
-        if spec.expr is None:
-            fns.append(lambda row: 1)
-        else:
-            fns.append(spec.expr.bind(schema))
-    return list(specs), fns

@@ -28,7 +28,7 @@ import math
 from typing import Dict, Generator, List, Sequence
 
 from repro.baseline.operators import ExecContext
-from repro.relational.expressions import bind_aggregates
+from repro.relational import compile
 from repro.relational.plans import (
     Aggregate,
     Distinct,
@@ -50,18 +50,9 @@ def group_rows(
     ctx: ExecContext,
 ) -> Generator:
     """Coroutine: the reference GroupBy over an in-memory row stream."""
-    specs, fns = bind_aggregates(plan.aggs, schema)
-    group = schema.projector(plan.group_cols)
-    yield from ctx.cpu(len(rows) * max(1, len(specs)))
+    yield from ctx.cpu(len(rows) * max(1, len(plan.aggs)))
     groups: Dict[tuple, list] = {}
-    for row in rows:
-        key = group(row)
-        states = groups.get(key)
-        if states is None:
-            states = [spec.make_state() for spec in specs]
-            groups[key] = states
-        for state, fn in zip(states, fns):
-            state.add(fn(row))
+    compile.group_update(plan.aggs, plan.group_cols, schema)(groups, rows)
     return [
         key + tuple(state.result() for state in states)
         for key, states in sorted(groups.items())
@@ -102,16 +93,11 @@ def _apply_one(
     schema = op.children[0].output_schema(catalog)
     if isinstance(op, Filter):
         yield from ctx.cpu(len(rows))
-        pred = op.predicate.bind(schema)
-        return [row for row in rows if pred(row)]
+        return compile.filter(op.predicate, schema)(rows)
     if isinstance(op, Project):
         yield from ctx.cpu(len(rows))
-        if op.exprs is None:
-            fn = schema.projector(op.names)
-        else:
-            bound = [e.bind(schema) for e in op.exprs]
-            fn = lambda row: tuple(f(row) for f in bound)  # noqa: E731
-        return [fn(row) for row in rows]
+        items = op.names if op.exprs is None else op.exprs
+        return compile.project(items, schema)(rows)
     if isinstance(op, Sort):
         n = len(rows)
         comparisons = n * max(1.0, math.log2(max(2, n)))
@@ -122,12 +108,9 @@ def _apply_one(
         out.sort(key=schema.projector(op.keys), reverse=op.descending)
         return out
     if isinstance(op, Aggregate):
-        specs, fns = bind_aggregates(op.aggs, schema)
-        states = [spec.make_state() for spec in specs]
+        states = [spec.make_state() for spec in op.aggs]
         yield from ctx.cpu(len(rows) * len(states))
-        for row in rows:
-            for state, fn in zip(states, fns):
-                state.add(fn(row))
+        compile.agg_update(op.aggs, schema)(states, rows)
         return [tuple(state.result() for state in states)]
     if isinstance(op, GroupBy):
         out = yield from group_rows(op, rows, schema, ctx)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.relational import compile
 from repro.relational.expressions import (
     AggSpec,
     And,
@@ -631,12 +632,15 @@ def _plan_dml(stmt, catalog) -> PlanNode:
     for column, expr in stmt.assignments:
         if column not in schema:
             raise SqlError(f"no column {column!r} in {stmt.table!r}")
-        assignments.append((schema.index_of(column), translator.expr(expr)))
+        assignments.append(
+            (schema.index_of(column),
+             compile.row_fn(translator.expr(expr), schema))
+        )
 
     def apply(row: tuple) -> tuple:
         out = list(row)
-        for idx, bound_expr in assignments:
-            out[idx] = bound_expr.bind(schema)(row)
+        for idx, value in assignments:
+            out[idx] = value(row)
         return tuple(out)
 
     return UpdateRows(stmt.table, predicate, apply)
@@ -663,12 +667,6 @@ def plan(sql: str, catalog) -> PlanNode:
 # ---------------------------------------------------------------------------
 # Pipeline cost rule (the push backend's planner hook)
 # ---------------------------------------------------------------------------
-#: Below this many estimated input rows a streaming chain is interpreted
-#: instead of compiled: binding expressions into specialised closures has
-#: a fixed per-query setup cost that tiny inputs never amortise
-#: (Shaikhha et al.; Deshmukh et al.'s pipeline-vs-materialize rule).
-FUSE_MIN_ROWS = 64
-
 #: Fallback selectivity for predicate shapes the estimator cannot grade.
 _DEFAULT_SELECTIVITY = 0.5
 
@@ -677,17 +675,15 @@ _DEFAULT_SELECTIVITY = 0.5
 class PipelineChoice:
     """One per-node decision from :func:`plan_pipelines`.
 
-    ``fuse`` selects specialised bound closures over per-row expression
-    interpretation for streaming stages; ``materialize`` predicts that a
-    sort/hash-join input exceeds work memory and will take the external
-    (spilling) path.  Both only steer host-side compilation -- runtime
-    guards on actual row counts keep simulated behaviour identical when
-    the estimate is wrong.
+    ``materialize`` predicts that a sort/hash-join input exceeds work
+    memory and will take the external (spilling) path.  It is a
+    prediction only -- runtime guards on actual row counts make every
+    spill decision, so simulated behaviour is identical when the
+    estimate is wrong.
     """
 
     op: str
     input_rows: int
-    fuse: bool
     materialize: bool
     reason: str
 
@@ -770,38 +766,23 @@ def estimate_rows(plan_node: PlanNode, catalog) -> int:
 def plan_pipelines(
     plan_node: PlanNode, catalog, work_mem_tuples: int = 50_000
 ) -> Dict[PlanNode, PipelineChoice]:
-    """Decide fuse-vs-interpret and in-memory-vs-materialize per node.
+    """Predict in-memory vs materialize per memory-sensitive breaker.
 
     Returns a mapping from plan node to :class:`PipelineChoice`, keyed
-    by node identity, covering every streaming stage (filter, project,
-    limit, distinct) and every memory-sensitive breaker (sort, hash
-    join).  The push compiler reads ``fuse``; ``materialize`` is the
-    recorded spill prediction the docs and tests inspect.
+    by node identity, covering every sort and hash join.  There is no
+    per-stage compilation choice: every expression goes through
+    :mod:`repro.relational.compile`, whose shape-keyed cache leaves no
+    per-parameter-set compile cost for small inputs to dodge.
     """
     choices: Dict[PlanNode, PipelineChoice] = {}
 
     def visit(node: PlanNode) -> None:
-        if isinstance(node, (Filter, Project, Limit, Distinct)):
-            input_rows = estimate_rows(node.child, catalog)
-            fuse = input_rows >= FUSE_MIN_ROWS
-            choices[node] = PipelineChoice(
-                op=node.op_name,
-                input_rows=input_rows,
-                fuse=fuse,
-                materialize=False,
-                reason=(
-                    f"~{input_rows} input rows "
-                    f"{'>=' if fuse else '<'} {FUSE_MIN_ROWS}: "
-                    f"{'fuse closures' if fuse else 'interpret'}"
-                ),
-            )
-        elif isinstance(node, Sort):
+        if isinstance(node, Sort):
             input_rows = estimate_rows(node.child, catalog)
             materialize = input_rows > work_mem_tuples
             choices[node] = PipelineChoice(
                 op=node.op_name,
                 input_rows=input_rows,
-                fuse=True,
                 materialize=materialize,
                 reason=(
                     f"~{input_rows} rows vs {work_mem_tuples} work mem: "
@@ -814,7 +795,6 @@ def plan_pipelines(
             choices[node] = PipelineChoice(
                 op=node.op_name,
                 input_rows=input_rows,
-                fuse=True,
                 materialize=materialize,
                 reason=(
                     f"~{input_rows} build rows vs {work_mem_tuples} "

@@ -3,15 +3,11 @@
 Two independent axes of the push backend's compilation are checked
 against reference semantics, on random operator chains over random rows:
 
-* **fusion**: a chain compiled with ``fuse=True`` (expressions bound to
-  specialised closures) must produce row-identical output to the same
-  chain compiled with ``fuse=False`` (the tree-walking interpreter);
+* **compilation**: a compiled chain must produce row-identical output
+  to a row-at-a-time walk of the same operators with the tree-walking
+  expression interpreter (``tests/expr_oracle.py``);
 * **batching**: the output must not depend on where batch boundaries
   fall -- batch sizes 1, 7, 64 and whole-table must agree.
-
-Both properties are what lets the planner's cost rule pick fuse vs
-materialize per pipeline without perturbing results (DESIGN.md section
-12).
 """
 
 import random
@@ -23,12 +19,13 @@ from hypothesis import strategies as st
 from repro.pushexec.fusion import (
     chain_output_schema,
     compile_chain,
-    eval_expr,
     push_batches,
 )
 from repro.relational.expressions import Between, Col, Const, If, InList, Like
 from repro.relational.plans import Distinct, Filter, Limit, Project
 from repro.relational.schema import Column, Schema
+
+from tests.expr_oracle import eval_expr
 
 SCHEMA = Schema(
     [
@@ -129,41 +126,46 @@ def slice_batches(rows, size):
     return [rows[i:i + size] for i in range(0, len(rows), size)]
 
 
-def run_chain(ops, rows, batch_size, fuse):
+def run_chain(ops, rows, batch_size):
     # Stages are stateful (limit counters, distinct sets): compile a
     # fresh chain per run.
     return push_batches(
-        compile_chain(ops, SCHEMA, fuse=fuse), slice_batches(rows, batch_size)
+        compile_chain(ops, SCHEMA), slice_batches(rows, batch_size)
     )
+
+
+def interpret_chain(ops, rows):
+    """The reference: each operator over the whole stream, expressions
+    walked per row by the oracle."""
+    schema = SCHEMA
+    for op in ops:
+        if isinstance(op, Filter):
+            rows = [r for r in rows if eval_expr(op.predicate, r, schema)]
+        elif isinstance(op, Project):
+            exprs = op.exprs or [Col(name) for name in op.names]
+            rows = [
+                tuple(eval_expr(e, r, schema) for e in exprs) for r in rows
+            ]
+        elif isinstance(op, Limit):
+            rows = rows[op.offset:op.offset + op.count]
+        else:
+            rows = list(dict.fromkeys(rows))  # Distinct: first wins
+        schema = chain_output_schema([op], schema)
+    return rows
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000))
-def test_fused_matches_interpreted_at_every_batch_size(seed):
+def test_compiled_matches_interpreted_at_every_batch_size(seed):
     rng = random.Random(seed)
     rows = make_rows(rng, rng.randrange(0, 200))
     ops = random_chain(rng)
 
-    reference = run_chain(ops, rows, None, fuse=False)
+    reference = interpret_chain(ops, rows)
     for size in BATCH_SIZES:
-        for fuse in (True, False):
-            assert run_chain(ops, rows, size, fuse) == reference, (
-                f"mismatch at batch_size={size} fuse={fuse} for {ops}"
-            )
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 100_000))
-def test_bound_expressions_match_interpreter(seed):
-    """Expr.bind closures agree with the tree-walking interpreter on
-    random predicates over random rows (the PR-4 contract the chain
-    compiler builds on)."""
-    rng = random.Random(seed)
-    rows = make_rows(rng, 50)
-    pred = random_predicate(rng)
-    bound = pred.bind(SCHEMA)
-    for row in rows:
-        assert bool(bound(row)) == bool(eval_expr(pred, row, SCHEMA))
+        assert run_chain(ops, rows, size) == reference, (
+            f"mismatch at batch_size={size} for {ops}"
+        )
 
 
 def test_limit_state_is_per_compilation():
@@ -171,8 +173,8 @@ def test_limit_state_is_per_compilation():
     resets its counters (stages are per-execution state)."""
     rows = make_rows(random.Random(1), 100)
     ops = [Limit(None, 10, offset=3)]
-    first = run_chain(ops, rows, 7, fuse=True)
-    second = run_chain(ops, rows, 7, fuse=True)
+    first = run_chain(ops, rows, 7)
+    second = run_chain(ops, rows, 7)
     assert first == second == rows[3:13]
 
 

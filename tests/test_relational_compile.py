@@ -1,0 +1,389 @@
+"""The expression compiler against its oracles.
+
+* Generated ``Expr`` trees over all eleven node types are checked row for
+  row against the tree-walking interpreter (``tests/expr_oracle.py``) for
+  every batch entry point.
+* ``agg_update`` / ``group_update`` are checked against the per-row
+  ``AggState.add`` loop under varying batch boundaries.
+* The code cache is keyed by expression shape: constants never add
+  entries, and each closure still sees its own.
+* Float SUM/AVG equals the plain ``+=`` left fold on all three engines
+  (builtin ``sum`` compensates floats on Python >= 3.12).
+"""
+
+import math
+import os
+import pathlib
+import random
+import re
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    Aggregate,
+    Host,
+    HostConfig,
+    IteratorEngine,
+    QPipeConfig,
+    QPipeEngine,
+    StorageManager,
+    TableScan,
+)
+from repro.pushexec import PushEngine
+from repro.relational import compile
+from repro.relational.expressions import (
+    AggSpec,
+    And,
+    Arith,
+    Between,
+    Cmp,
+    Col,
+    Const,
+    If,
+    InList,
+    Like,
+    Not,
+    Or,
+)
+from repro.relational.schema import Schema
+
+from tests.expr_oracle import eval_expr
+
+SCHEMA = Schema.of("id:int", "grp:int", "val:float", "name:str:8")
+BATCH_SIZES = (1, 7, 64, None)  # None = the whole input in one batch
+
+NAN = float("nan")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def make_rows(rng: random.Random, n: int):
+    names = ("alpha", "beta", "gamma", "delta", "")
+    vals = (0.0, -1.5, NAN, float("inf"), 2.25)
+    return [
+        (
+            i - 3,
+            rng.randrange(5),
+            rng.choice(vals) if rng.random() < 0.2
+            else round(rng.uniform(-50, 50), 3),
+            rng.choice(names),
+        )
+        for i in range(n)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Expression strategies: loosely typed, so some trees raise (None < 1,
+# 1 / 0) -- the compiler must then raise the same error the oracle does.
+# ---------------------------------------------------------------------------
+numbers = st.one_of(
+    st.integers(-5, 5),
+    st.floats(-50, 50, allow_nan=False),
+    st.sampled_from([NAN, float("inf"), float("-inf"), True, False, -7]),
+)
+strings = st.sampled_from(["alpha", "beta", "a", "", "ta", "%"])
+patterns = st.sampled_from(
+    ["%a%", "al%", "%ta", "beta", "%", "%%", "", "a%a"]
+)
+
+num_leaf = st.one_of(
+    st.sampled_from([Col("id"), Col("grp"), Col("val")]),
+    numbers.map(Const),
+)
+str_leaf = st.one_of(st.just(Col("name")), strings.map(Const))
+
+
+def _extend(children):
+    """Grow numeric and boolean trees together; *children* draws either."""
+    num = st.one_of(num_leaf, children)
+    terms = st.lists(children, min_size=1, max_size=6)
+    return st.one_of(
+        st.builds(Cmp, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+                  num, num),
+        st.builds(Cmp, st.sampled_from(["==", "!="]), str_leaf, str_leaf),
+        st.builds(Cmp, st.sampled_from(["==", "<"]), num,
+                  st.just(Const(None))),
+        st.builds(Arith, st.sampled_from(["+", "-", "*", "/"]), num, num),
+        terms.map(lambda ts: And(*ts)),
+        terms.map(lambda ts: Or(*ts)),
+        st.builds(Not, children),
+        st.builds(Between, num, numbers, numbers),
+        st.builds(InList, num,
+                  st.lists(st.one_of(numbers, st.none()), max_size=4)),
+        st.builds(InList, str_leaf, st.lists(strings, max_size=3)),
+        st.builds(Like, str_leaf, patterns),
+        st.builds(If, children, num, num),
+    )
+
+
+exprs = st.recursive(num_leaf, _extend, max_leaves=12)
+
+
+def same(a, b) -> bool:
+    """Equal values of equal type (``True`` is not ``1``), NaN == NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the comparison is on the error's type
+        return ("raised", type(exc))
+
+
+def same_outcome(got, want) -> bool:
+    if got[0] != want[0]:
+        return False
+    if got[0] == "raised":
+        return got[1] is want[1]
+    if isinstance(want[1], list):  # a batch: compare row for row
+        return same(tuple(got[1]), tuple(want[1]))
+    return same(got[1], want[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=exprs, seed=st.integers(0, 1000))
+def test_row_fn_matches_oracle(expr, seed):
+    fn = compile.row_fn(expr, SCHEMA)
+    for row in make_rows(random.Random(seed), 12):
+        want = outcome(eval_expr, expr, row, SCHEMA)
+        got = outcome(fn, row)
+        assert same_outcome(got, want), (expr, row, got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pred=exprs, items=st.lists(exprs, min_size=1, max_size=3),
+       seed=st.integers(0, 1000))
+def test_batch_kernels_match_oracle(pred, items, seed):
+    rng = random.Random(seed)
+    rows = make_rows(rng, 20)
+    names = rng.sample(SCHEMA.names, rng.randrange(1, 4))
+
+    def keep(rows):
+        return [r for r in rows if eval_expr(pred, r, SCHEMA)]
+
+    def values(rows):
+        return [tuple(eval_expr(e, r, SCHEMA) for e in items) for r in rows]
+
+    def cols(rows):
+        return [tuple(r[SCHEMA.index_of(n)] for n in names) for r in rows]
+
+    checks = [
+        (compile.filter(pred, SCHEMA), keep),
+        (compile.project(items, SCHEMA), values),
+        (compile.project(names, SCHEMA), cols),
+        (compile.scan(pred, None, SCHEMA), keep),
+        (compile.scan(None, names, SCHEMA), cols),
+        (compile.scan(pred, names, SCHEMA), lambda rows: cols(keep(rows))),
+        (compile.scan(None, None, SCHEMA), list),
+    ]
+    for kernel, reference in checks:
+        assert same_outcome(outcome(kernel, rows), outcome(reference, rows))
+
+    slots = list(enumerate(rows))
+    got = outcome(compile.filter_items(pred, SCHEMA), iter(slots))
+    want = outcome(lambda: [(s, r) for s, r in slots
+                            if eval_expr(pred, r, SCHEMA)])
+    assert same_outcome(got, want)
+    assert compile.filter_items(None, SCHEMA)(iter(slots)) == slots
+
+
+def test_and_or_are_bool_in_value_position():
+    rows = [(2, 0, 1.5, "a"), (0, 3, 0.0, "")]
+    both = And(Col("id"), Col("val"))
+    either = Or(Col("grp"), Col("name"))
+    assert compile.project([both, either, both + 1], SCHEMA)(rows) == [
+        (True, True, 2), (False, True, 1),
+    ]
+    assert all(
+        type(v) is bool for row in compile.project([both, either], SCHEMA)(rows)
+        for v in row
+    )
+    assert type(And(Col("id")).bind(SCHEMA)(rows[0])) is bool
+
+
+def test_unknown_node_is_rejected():
+    class Mystery(Col):
+        pass
+
+    assert compile.row_fn(Mystery("id"), SCHEMA)((4, 0, 0.0, "")) == 4
+    with pytest.raises(TypeError):
+        compile.row_fn(object(), SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# Aggregate folds
+# ---------------------------------------------------------------------------
+agg_specs = st.lists(
+    st.one_of(
+        st.just(AggSpec("count")),
+        st.builds(
+            AggSpec,
+            st.sampled_from(["sum", "avg", "min", "max", "count"]),
+            st.one_of(
+                st.sampled_from([Col("id"), Col("grp"), Col("val")]),
+                st.just(Col("val") * Const(1.1) - Col("id")),
+                st.just(If(Col("grp") > 2, Col("val"), Const(0.0))),
+            ),
+        ),
+    ),
+    max_size=5,
+)
+
+
+def snapshot(states):
+    return [(s.count, s.total, s.best) for s in states]
+
+
+def slice_batches(rows, size):
+    if size is None:
+        return [rows]
+    return [rows[i:i + size] for i in range(0, len(rows), size)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(specs=agg_specs, seed=st.integers(0, 1000))
+def test_agg_update_matches_per_row_add(specs, seed):
+    rng = random.Random(seed)
+    rows = [r for r in make_rows(rng, rng.randrange(0, 150))
+            if not math.isnan(r[2])]
+    want = [spec.make_state() for spec in specs]
+    for row in rows:
+        for state, spec in zip(want, specs):
+            state.add(1 if spec.expr is None
+                      else eval_expr(spec.expr, row, SCHEMA))
+    for size in BATCH_SIZES:
+        update = compile.agg_update(specs, SCHEMA)
+        got = [spec.make_state() for spec in specs]
+        for batch in slice_batches(rows, size):
+            update(got, batch)
+        assert same(tuple(snapshot(got)), tuple(snapshot(want)))
+        assert [s.result() for s in got] == [s.result() for s in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=agg_specs, seed=st.integers(0, 1000),
+       keys=st.sampled_from([["grp"], ["grp", "name"], ["id"], []]))
+def test_group_update_matches_per_row_add(specs, seed, keys):
+    rng = random.Random(seed)
+    rows = [r for r in make_rows(rng, rng.randrange(0, 150))
+            if not math.isnan(r[2])]
+    want = {}
+    for row in rows:
+        key = tuple(row[SCHEMA.index_of(k)] for k in keys)
+        states = want.setdefault(key, [s.make_state() for s in specs])
+        for state, spec in zip(states, specs):
+            state.add(1 if spec.expr is None
+                      else eval_expr(spec.expr, row, SCHEMA))
+    for size in BATCH_SIZES:
+        update = compile.group_update(specs, keys, SCHEMA)
+        got = {}
+        for batch in slice_batches(rows, size):
+            update(got, batch)
+        # Same groups, first seen in the same order, same accumulators.
+        assert list(got) == list(want)
+        for key in want:
+            assert same(tuple(snapshot(got[key])),
+                        tuple(snapshot(want[key])))
+
+
+# ---------------------------------------------------------------------------
+# The code cache is keyed by shape
+# ---------------------------------------------------------------------------
+def test_constants_do_not_grow_the_code_cache():
+    def predicate(i):
+        return And(
+            Col("id") >= i,
+            Between(Col("val"), i * 0.5, NAN if i % 2 else i + 0.5),
+            Or(Like(Col("name"), f"%{i % 7}%"),
+               InList(Col("grp"), [i % 5, (i + 1) % 5])),
+            Col("name") != f"n{i}",
+        )
+
+    compile.filter(predicate(-1), SCHEMA)  # the shape's one compile
+    before = len(compile._code_cache)
+    kernels = [compile.filter(predicate(i), SCHEMA) for i in range(1000)]
+    assert len(compile._code_cache) == before
+
+    rows = [(i, i % 5, i * 0.5 + 0.25, f"x{i % 7}") for i in range(0, 1000, 3)]
+    for i in range(0, 1000, 37):
+        want = [r for r in rows if eval_expr(predicate(i), r, SCHEMA)]
+        assert kernels[i](rows) == want
+    assert kernels[6](rows) and not kernels[7](rows)  # NaN bound: no row
+
+
+def test_one_more_shape_is_one_more_entry():
+    before = len(compile._code_cache)
+    for value in (1, 2.5, "s", NAN, None):
+        compile.row_fn(
+            If(Col("grp") == value, Col("id") * -1, Col("val") / 3), SCHEMA
+        )
+    assert len(compile._code_cache) <= before + 1
+
+
+# ---------------------------------------------------------------------------
+# Float folds are the left fold on every engine
+# ---------------------------------------------------------------------------
+def _float_table(n=6000):
+    rng = random.Random(12)
+    # Mixed magnitudes make compensated and plain summation disagree.
+    return [(i, rng.uniform(-1, 1) * 10.0 ** rng.randrange(-8, 9))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("engine_name", ["packets", "iterator", "pushed"])
+def test_float_sum_is_the_plain_left_fold(engine_name):
+    rows = _float_table()
+    host = Host(HostConfig())
+    sm = StorageManager(host, buffer_pages=16, policy="lru")
+    sm.create_table("f", Schema.of("k:int", "x:float"))
+    sm.load_table("f", rows)
+    engine = {
+        "packets": lambda: QPipeEngine(sm, QPipeConfig()),
+        "iterator": lambda: IteratorEngine(sm),
+        "pushed": lambda: PushEngine(sm),
+    }[engine_name]()
+    plan = Aggregate(
+        TableScan("f"),
+        [AggSpec("sum", Col("x"), "s"), AggSpec("avg", Col("x"), "a"),
+         AggSpec("sum", Col("x") * Const(0.1), "t")],
+    )
+    total = scaled = 0
+    for _k, x in rows:
+        total += x
+        scaled += x * 0.1
+    assert engine.run_query(plan) == [(total, total / len(rows), scaled)]
+
+
+def test_builtin_sum_is_not_used_over_row_values():
+    """The regression's other half: nothing under src/ folds with sum()
+    except integer bookkeeping (counts, sizes, stats)."""
+    src = SRC / "repro"
+    relational = (src / "relational" / "compile.py").read_text()
+    assert not re.search(r"\bsum\(", relational.split('"""', 2)[2])
+    for path in ("pushexec/compiler.py", "engine/engines/aggregates.py",
+                 "baseline/operators.py", "shard/merge.py",
+                 "lineage/recovery.py"):
+        assert not re.search(r"\bsum\(", (src / path).read_text()), path
+
+
+# ---------------------------------------------------------------------------
+# Layering
+# ---------------------------------------------------------------------------
+def test_lower_layers_import_without_pushexec():
+    code = (
+        "import sys, repro.relational, repro.engine, repro.osp, "
+        "repro.baseline, repro.folding; "
+        "sys.exit('repro.pushexec' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

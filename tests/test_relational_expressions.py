@@ -15,8 +15,8 @@ from repro.relational.expressions import (
     Like,
     Not,
     Or,
-    bind_aggregates,
 )
+from repro.relational import compile
 from repro.relational.schema import Schema
 
 SCHEMA = Schema.of("a:int", "b:float", "s:str:10")
@@ -145,11 +145,11 @@ def test_agg_merge():
     assert s1.result() == 7 and s1.count == 2
 
 
-def test_bind_aggregates():
+def test_agg_update_folds_a_batch():
     specs = [AggSpec("sum", Col("a"), "s"), AggSpec("count", None, "n")]
-    bound, fns = bind_aggregates(specs, SCHEMA)
-    assert fns[0]((5, 0, "")) == 5
-    assert fns[1]((5, 0, "")) == 1
+    states = [spec.make_state() for spec in specs]
+    compile.agg_update(specs, SCHEMA)(states, [(5, 0, ""), (7, 0, "")])
+    assert [state.result() for state in states] == [12, 2]
 
 
 @settings(max_examples=50, deadline=None)
