@@ -64,9 +64,12 @@ class ExecContext:
     temp_files: List[Any] = field(default_factory=list)
 
     def cpu(self, tuples: int, factor: float = 1.0) -> Generator:
-        """Coroutine: charge CPU for processing *tuples* tuples."""
-        cost = tuples * self.host.config.cpu_per_tuple * factor
-        yield from self.host.cpu.burst(cost)
+        """Coroutine: charge CPU for processing *tuples* tuples.
+
+        Hands back the burst itself, so a charge is one generator frame.
+        """
+        host = self.host
+        return host.cpu.burst(tuples * host.config.cpu_per_tuple * factor)
 
     def track_temp(self, temp) -> Any:
         """Register a freshly created temp file for fault-path cleanup."""

@@ -254,16 +254,15 @@ class MicroEngine:
     # ------------------------------------------------------------------
     def charge(self, packet: Packet, tuples: int, factor: float = 1.0) -> Generator:
         """Coroutine: charge CPU for *tuples* on this micro-engine's
-        partition (or the shared pool when none is configured)."""
+        partition (or the shared pool when none is configured).
+
+        Hands back the burst itself, so a charge is one generator frame.
+        """
         if self.cpu is None:
-            yield from packet.query.cpu(tuples, factor)
-            return
-        cost = (
-            tuples
-            * self.engine.host.config.cpu_per_tuple
-            * factor
+            return packet.query.cpu(tuples, factor)
+        return self.cpu.burst(
+            tuples * self.engine.host.config.cpu_per_tuple * factor
         )
-        yield from self.cpu.burst(cost)
 
     @staticmethod
     def get_batch(buffer: TupleBuffer) -> Generator:

@@ -58,9 +58,12 @@ class QueryContext:
     lineage: Any = None
 
     def cpu(self, tuples: int, factor: float = 1.0) -> Generator:
-        """Coroutine: charge CPU for processing *tuples* tuples."""
-        cost = tuples * self.host_machine.config.cpu_per_tuple * factor
-        yield from self.host_machine.cpu.burst(cost)
+        """Coroutine: charge CPU for processing *tuples* tuples.
+
+        Hands back the burst itself, so a charge is one generator frame.
+        """
+        host = self.host_machine
+        return host.cpu.burst(tuples * host.config.cpu_per_tuple * factor)
 
     def bump(self, key: str, amount: float = 1.0) -> None:
         self.stats[key] = self.stats.get(key, 0.0) + amount

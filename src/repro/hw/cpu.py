@@ -38,13 +38,9 @@ class CPU:
             raise ValueError(f"negative CPU cost: {cost}")
         if cost == 0:
             return
-        grant = yield self._resource.request()
-        try:
-            yield self.sim.timeout(cost)
-            self.total_burst_time += cost
-            self.total_bursts += 1
-        finally:
-            self._resource.release(grant)
+        yield self._resource.hold(cost)
+        self.total_burst_time += cost
+        self.total_bursts += 1
 
     @property
     def queue_length(self) -> int:

@@ -101,10 +101,16 @@ class Disk:
         self._head: Tuple[int, int] = (-1, -1)  # (file_id, last block)
 
     # ------------------------------------------------------------------
-    def _service_time(self, file_id: int, block_no: int) -> float:
+    def _position(self, file_id: int, block_no: int) -> float:
+        """Move the head to the block; returns the service time it costs.
+
+        Runs when the disk is handed over (``hold`` evaluates it at grant
+        time), because whether the access is sequential depends on what
+        was serviced last, not on what was queued last.
+        """
         prev_file, prev_block = self._head
-        sequential = file_id == prev_file and block_no == prev_block + 1
-        if sequential:
+        self._head = (file_id, block_no)
+        if file_id == prev_file and block_no == prev_block + 1:
             self.stats.sequential_hits += 1
             return self.transfer_time
         self.stats.seeks += 1
@@ -118,37 +124,33 @@ class Disk:
         service time before an injected error surfaces, matching how a
         failing drive burns time before reporting.
         """
-        grant = yield self._resource.request()
-        try:
-            service = self._service_time(file_id, block_no)
-            self._head = (file_id, block_no)
-            action = None
+        action = None
+
+        def position() -> float:
+            nonlocal action
+            service = self._position(file_id, block_no)
             if self.fault_hook is not None:
                 action = self.fault_hook(file_id, block_no)
-            if action is not None:
-                service += action.extra_latency
-            yield self.sim.timeout(service)
-            self.stats.blocks_read += 1
-            self.stats.read_time += service
-            entry = self.stats._file_entry(file_id)
-            entry[0] += 1
-            entry[1] += service
-            if action is not None and action.error is not None:
-                raise action.error
-        finally:
-            self._resource.release(grant)
+                if action is not None:
+                    service += action.extra_latency
+            return service
+
+        service = yield self._resource.hold(position)
+        self.stats.blocks_read += 1
+        self.stats.read_time += service
+        entry = self.stats._file_entry(file_id)
+        entry[0] += 1
+        entry[1] += service
+        if action is not None and action.error is not None:
+            raise action.error
 
     def write(self, file_id: int, block_no: int) -> Generator:
         """Coroutine: write one block (same head mechanics as reads)."""
-        grant = yield self._resource.request()
-        try:
-            service = self._service_time(file_id, block_no)
-            self._head = (file_id, block_no)
-            yield self.sim.timeout(service)
-            self.stats.blocks_written += 1
-            self.stats.write_time += service
-        finally:
-            self._resource.release(grant)
+        service = yield self._resource.hold(
+            lambda: self._position(file_id, block_no)
+        )
+        self.stats.blocks_written += 1
+        self.stats.write_time += service
 
     @property
     def queue_length(self) -> int:

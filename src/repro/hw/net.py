@@ -169,11 +169,7 @@ class Network:
         service = wire / self.config.bandwidth
         tracer = self.sim.tracer
 
-        grant = yield snic.tx.request()
-        try:
-            yield self.sim.timeout(service)
-        finally:
-            snic.tx.release(grant)
+        yield snic.tx.hold(service)
         self.stats.send_time += service
         tracer.net(
             "send", src=src, dst=dst, bytes=wire, frames=frames, tag=tag
@@ -182,11 +178,7 @@ class Network:
         if self.config.latency:
             yield self.sim.timeout(self.config.latency)
 
-        grant = yield rnic.rx.request()
-        try:
-            yield self.sim.timeout(service)
-        finally:
-            rnic.rx.release(grant)
+        yield rnic.rx.hold(service)
         self.stats.recv_time += service
 
         self.stats.messages += 1

@@ -64,16 +64,24 @@ class DeadlockDetector:
             producer, consumer = buf.producer, buf.consumer
             if producer is None or consumer is None:
                 continue
+            blocked_full = buf.full and buf.blocked_producers()
+            blocked_empty = buf.empty and buf.blocked_consumers()
+            if not (blocked_full or blocked_empty):
+                continue
             # Stale edge: a completed/aborted endpoint is not waiting on
             # anything; treating it as a node would manufacture phantom
             # cycles (and materialise innocent buffers) during teardown.
             if self._stale(producer) or self._stale(consumer):
                 continue
-            if buf.full and buf.blocked_producers():
+            if blocked_full:
                 edges.setdefault(producer, set()).add(consumer)
                 blocking_buffer[(producer, consumer)] = buf
-            if buf.empty and buf.blocked_consumers():
+            if blocked_empty:
                 edges.setdefault(consumer, set()).add(producer)
+        if not blocking_buffer:
+            # Only a full buffer with a blocked producer can be
+            # materialised; without one no cycle has a resolution.
+            return None
         cycle = self._find_cycle(edges)
         if cycle is None:
             return None

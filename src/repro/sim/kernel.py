@@ -80,9 +80,10 @@ class Event:
         #: nothing will ever resume from this event, so wait queues must
         #: not grant it a resource or deliver it an item.
         self.abandoned = False
-        #: Optional human-readable description of what waiting on this
-        #: event means ("get on channel X"); starvation diagnostics use it.
-        self.describe: Optional[str] = None
+        #: Optional description of what waiting on this event means ("get
+        #: on channel X"): text, or an object whose ``str()`` is the text,
+        #: so the hot paths never format it.  Starvation diagnostics use it.
+        self.describe: Any = None
 
     @property
     def triggered(self) -> bool:
@@ -295,66 +296,91 @@ class Process(Event):
     def _deliver_interrupt(self) -> None:
         if self.triggered or not self._interrupts:
             return
-        self._step(True, self._interrupts.pop(0))
+        self._throw(self._interrupts.pop(0))
 
     def _resume(self, event: Optional[Event]) -> None:
-        if self.triggered:
+        """Advance the generator one step with *event*'s outcome and re-arm.
+
+        This runs once per process step and is the kernel's single hottest
+        call site: the send path is written out here in one frame and
+        allocates nothing.  ``sim.active_process`` names this process
+        while its generator runs (attribute writes only), so code deep
+        inside an ``execute()`` coroutine can learn which process is
+        driving it without threading the handle through every call
+        signature.
+        """
+        if self._value is not PENDING:
             return
         self._target = None
         if self._interrupts:
-            self._step(True, self._interrupts.pop(0))
-        elif event is None:
-            self._step(False, None)
+            self._throw(self._interrupts.pop(0))
+            return
+        if event is None:
+            payload = None
         elif event._ok:
-            self._step(False, event._value)
+            payload = event._value
         else:
-            self._step(True, event._value)
-
-    def _step(self, throwing: bool, payload: Any) -> None:
-        """Advance the generator one step (send or throw) and re-arm.
-
-        Takes the resume mode and payload directly instead of a closure:
-        this runs once per process step and is the kernel's single hottest
-        call site, so it must not allocate.  ``sim.active_process`` names
-        this process while its generator runs (attribute writes only), so
-        code deep inside an ``execute()`` coroutine can learn which
-        process is driving it without threading the handle through every
-        call signature.
-        """
+            self._throw(event._value)
+            return
         sim = self.sim
         prev = sim.active_process
         sim.active_process = self
         try:
-            if throwing:
-                target = self.generator.throw(payload)
-            else:
-                target = self.generator.send(payload)
-        except StopIteration as stop:
-            self.succeed(stop.value)
+            target = self.generator.send(payload)
+        except BaseException as exc:
+            sim.active_process = prev
+            self._exit(exc)
             return
-        except Interrupted:
+        sim.active_process = prev
+        if isinstance(target, Event) and target.sim is sim:
+            self._target = target
+            callbacks = target.callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume)
+            else:
+                sim.schedule(0.0, self._resume, target)
+        else:
+            self._bad_yield(target)
+
+    def _throw(self, exc: BaseException) -> None:
+        """The rare step: throw *exc* (interrupt, failed event) instead."""
+        sim = self.sim
+        prev = sim.active_process
+        sim.active_process = self
+        try:
+            target = self.generator.throw(exc)
+        except BaseException as raised:
+            sim.active_process = prev
+            self._exit(raised)
+            return
+        sim.active_process = prev
+        if isinstance(target, Event) and target.sim is sim:
+            self._target = target
+            target.add_callback(self._resume)
+        else:
+            self._bad_yield(target)
+
+    def _exit(self, exc: BaseException) -> None:
+        """The generator ended by raising *exc*: settle the process event."""
+        if isinstance(exc, StopIteration):
+            self.succeed(exc.value)
+        elif isinstance(exc, Interrupted):
             # An uncaught interrupt is a normal way for a process to die:
             # the process event succeeds with None rather than failing.
             self._ok = True
             self._value = None
             self.sim._schedule_event(self)
-            return
-        except BaseException as exc:
+        else:
             self.fail(exc)
             self.sim._register_crash(self, exc)
-            return
-        finally:
-            sim.active_process = prev
-        if not isinstance(target, Event):
-            self.fail(TypeError(f"{self.name} yielded non-event {target!r}"))
-            self.sim._register_crash(self, self.value)
-            return
-        if target.sim is not self.sim:
-            self.fail(SimulationError("event belongs to a different simulator"))
-            self.sim._register_crash(self, self.value)
-            return
-        self._target = target
-        target.add_callback(self._resume)
+
+    def _bad_yield(self, target: Any) -> None:
+        if isinstance(target, Event):
+            error = SimulationError("event belongs to a different simulator")
+        else:
+            error = TypeError(f"{self.name} yielded non-event {target!r}")
+        self.fail(error)
+        self.sim._register_crash(self, error)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"
@@ -450,17 +476,19 @@ class Simulator:
                 self._compact()
 
     def _compact(self) -> None:
-        """Drop lazily-cancelled entries from both queues in place.
+        """Drop lazily-cancelled entries from both queues.
 
+        In place: the run loop holds references to the two containers.
         Filtering preserves relative order, and re-heapifying a set of
         entries with unique ``(time, priority, seq)`` keys reproduces the
         exact pop order of the unfiltered heap, so compaction is
         invisible to virtual time.
         """
-        self._heap = [e for e in self._heap if e[5]]
+        self._heap[:] = [e for e in self._heap if e[5]]
         heapq.heapify(self._heap)
-        if self._now_queue:
-            self._now_queue = deque(e for e in self._now_queue if e[5])
+        live = [e for e in self._now_queue if e[5]]
+        self._now_queue.clear()
+        self._now_queue.extend(live)
         self._dead = 0
 
     def _schedule_event(self, event: Event) -> None:
@@ -513,44 +541,37 @@ class Simulator:
         heap = self._heap
         nowq = self._now_queue
         heappop = heapq.heappop
+        popleft = nowq.popleft
+        crashes = self._crashes
         while True:
-            # Skip lazily-cancelled entries at both fronts.
-            while heap and not heap[0][5]:
-                heappop(heap)
-                self._dead -= 1
-            while nowq and not nowq[0][5]:
-                nowq.popleft()
-                self._dead -= 1
             # Pop whichever front is smaller by (time, priority, seq) --
             # the now-queue is FIFO-sorted by construction, so this
             # reproduces the pure heap's order exactly.
-            if nowq and (not heap or nowq[0] < heap[0]):
-                entry = nowq[0]
-                from_nowq = True
+            if nowq and not (heap and heap[0] < nowq[0]):
+                entry = popleft()
             elif heap:
-                entry = heap[0]
-                from_nowq = False
+                entry = heappop(heap)
             else:
                 break
+            if not entry[5]:
+                # Lazily cancelled: dropped without touching the clock.
+                self._dead -= 1
+                continue
             if until is not None and entry[0] > until:
+                # Not due in this run: back it goes (the merge is by key,
+                # so the heap is the right home whichever queue it left).
+                heapq.heappush(heap, entry)
                 self._now = until
                 break
-            if from_nowq:
-                nowq.popleft()
-            else:
-                heappop(heap)
             # Mark executed so a late cancel() is a no-op for accounting.
             entry[5] = False
             self._now = entry[0]
             entry[3](*entry[4])
-            if self._crashes:
-                process, exc = self._crashes[0]
+            if crashes:
+                process, exc = crashes[0]
                 raise SimulationError(
                     f"process {process.name} crashed at t={self._now:.3f}"
                 ) from exc
-            # _compact() may have replaced the deque/heap objects.
-            heap = self._heap
-            nowq = self._now_queue
         return self._now
 
     def run_until_done(self, watched: Iterable[Process]) -> float:

@@ -17,7 +17,7 @@ from collections import deque
 from typing import Any, Optional
 
 from repro.sim.errors import SimulationError
-from repro.sim.kernel import Event, Simulator, fast_paths_enabled
+from repro.sim.kernel import PENDING, Event, Simulator, fast_paths_enabled
 
 
 def _abandoned(event: Event) -> bool:
@@ -248,10 +248,64 @@ class Channel:
         )
 
 
+class _Grant(Event):
+    """A ``request()`` grant that hands its unit back if nobody takes it.
+
+    An uncontended grant is triggered at once but its requester only
+    resumes after the now-queue flush; a requester interrupted in that
+    gap never reaches its ``try:``, so the unit must come back here.
+    """
+
+    __slots__ = ("_resource",)
+
+    def __init__(self, resource: "Resource"):
+        Event.__init__(self, resource.sim)
+        self._resource = resource
+        self.describe = resource  # formatted only by diagnostics
+
+    def remove_callback(self, callback) -> None:
+        Event.remove_callback(self, callback)
+        if self.abandoned and self.triggered and not self.processed:
+            self._resource.release()
+
+
+class _Hold(Event):
+    """One whole service on a resource: grant, occupy, release."""
+
+    __slots__ = ("_resource", "_duration", "_entry")
+
+    def __init__(self, resource: "Resource", duration: Any):
+        # Event.__init__ written out: one is built per device service.
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self.abandoned = False
+        self.describe = resource  # formatted only by diagnostics
+        self._resource = resource
+        self._duration = duration
+        #: The completion's kernel entry while the unit is held.
+        self._entry: Optional[list] = None
+
+    def remove_callback(self, callback) -> None:
+        Event.remove_callback(self, callback)
+        if self.abandoned and self._entry is not None:
+            # Interrupted mid-service: the unit comes back at this instant
+            # (a hold abandoned while still queued is skipped by release()).
+            entry, self._entry = self._entry, None
+            self.sim.cancel(entry)
+            self._resource.release()
+
+
 class Resource:
     """A counted resource with a FIFO wait queue (e.g. disk, CPU cores).
 
-    Usage inside a process::
+    A device service is one event (DESIGN.md section 10)::
+
+        service = yield resource.hold(service_time)
+
+    The three-step form shares the same queue, for holders that do more
+    than wait while they own the unit::
 
         grant = yield resource.request()
         try:
@@ -277,6 +331,9 @@ class Resource:
         self.busy_time = 0.0
         self._last_change = 0.0
 
+    def __str__(self) -> str:
+        return f"resource {self.name}"
+
     @property
     def in_use(self) -> int:
         return self._in_use
@@ -286,14 +343,13 @@ class Resource:
         return len(self._waiters)
 
     def _account(self) -> None:
-        now = self.sim.now
+        now = self.sim._now
         self.busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
 
     def request(self) -> Event:
         """Acquire one unit; the returned event fires with a grant token."""
-        event = Event(self.sim)
-        event.describe = f"resource {self.name}"
+        event = _Grant(self)
         if self._in_use < self.capacity and not self._waiters:
             self._account()
             self._in_use += 1
@@ -302,6 +358,43 @@ class Resource:
         else:
             self._waiters.append(event)
         return event
+
+    def hold(self, duration: Any) -> Event:
+        """Occupy one unit for *duration* virtual seconds, queueing FIFO.
+
+        The whole service is ONE kernel entry, scheduled when the unit is
+        granted: when it fires the unit is released (which starts the
+        next waiter's service at that instant) and then the holder
+        resumes with the service time as the event's value.  *duration*
+        may be a callable; it is evaluated at grant time, so a device
+        model sees its state as of the hand-over, not as of the queueing.
+        Abandoning the event (an interrupt while queued or mid-service)
+        gives the unit back at that instant -- no ``finally`` needed.
+        """
+        event = _Hold(self, duration)
+        if self._in_use < self.capacity and not self._waiters:
+            self._account()
+            self._in_use += 1
+            self.total_acquisitions += 1
+            self._serve(event)
+        else:
+            self._waiters.append(event)
+        return event
+
+    def _serve(self, event: _Hold) -> None:
+        """Start a granted hold's service: its one kernel entry."""
+        duration = event._duration
+        if callable(duration):
+            duration = event._duration = duration()
+        event._entry = self.sim.schedule(duration, self._complete, event)
+
+    def _complete(self, event: _Hold) -> None:
+        event._entry = None
+        self.release()
+        event._value = event._duration
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
 
     def release(self, _grant: Any = None) -> None:
         """Release one unit, waking the longest waiter if any."""
@@ -315,7 +408,10 @@ class Resource:
                 continue
             self._in_use += 1
             self.total_acquisitions += 1
-            event.succeed(self)
+            if event.__class__ is _Hold:
+                self._serve(event)
+            else:
+                event.succeed(self)
             break
 
     def utilization(self) -> float:

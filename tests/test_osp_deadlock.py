@@ -90,6 +90,34 @@ def test_crossed_waits_resolve_by_materialisation():
     assert any(tag == "y" for tag, _ in done)
 
 
+def test_empty_buffer_edges_alone_skip_the_cycle_search(monkeypatch):
+    """Consumers starved in a ring form a waits-for cycle with nothing to
+    materialise: the sweep must answer None without running the DFS."""
+    sim, engine = make_stub()
+    ab = TupleBuffer(sim, 2, name="ab", producer="A", consumer="B")
+    ba = TupleBuffer(sim, 2, name="ba", producer="B", consumer="A")
+    engine.register_buffer(ab)
+    engine.register_buffer(ba)
+
+    def starve(buf):
+        yield from buf.get()
+
+    sim.spawn(starve(ab))
+    sim.spawn(starve(ba))
+    sim.run()
+    assert ab.blocked_consumers() and ba.blocked_consumers()
+    detector = DeadlockDetector(engine)
+    monkeypatch.setattr(
+        DeadlockDetector,
+        "_find_cycle",
+        staticmethod(
+            lambda edges: pytest.fail("cycle search ran without a candidate")
+        ),
+    )
+    assert detector.check_once() is None
+    assert engine.osp_stats.deadlocks_resolved == 0 and not detector.resolved
+
+
 def test_victim_is_cheapest_buffer():
     """Among cycle candidates the least-full buffer is materialised."""
     sim, engine = make_stub()
