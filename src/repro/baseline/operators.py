@@ -290,7 +290,8 @@ class SortOp(Operator):
         self.child = child
         self.keys = plan.keys
         self.descending = plan.descending
-        self._key = child.schema.projector(plan.keys)
+        self._key = child.schema.key_of(plan.keys)
+        self._rank = _merge_rank(self._key, len(plan.keys), plan.descending)
         self._sorted: Optional[List[tuple]] = None  # in-memory path
         self._merge: Optional[Generator] = None  # external path
         self._runs: List = []
@@ -345,27 +346,19 @@ class SortOp(Operator):
 
     def _merged_rows(self):
         """Coroutine: k-way merge over spilled runs, yielding ('row', r)."""
-        sign = -1 if self.descending else 1
-
         readers = [self._run_reader(run) for run in self._runs]
         heads: List = []
         for i, reader in enumerate(readers):
             row = yield from self._advance(reader)
             if row is not None:
-                heads.append((self._rank(row, sign), i, row))
+                heads.append((self._rank(row), i, row))
         heapq.heapify(heads)
         while heads:
             _rank, i, row = heapq.heappop(heads)
             yield ("row", row)
             nxt = yield from self._advance(readers[i])
             if nxt is not None:
-                heapq.heappush(heads, (self._rank(nxt, sign), i, nxt))
-
-    def _rank(self, row, sign):
-        key = self._key(row)
-        if sign == 1:
-            return key
-        return tuple(_Neg(part) for part in key)
+                heapq.heappush(heads, (self._rank(nxt), i, nxt))
 
     @staticmethod
     def _advance(reader):
@@ -425,6 +418,16 @@ class _Neg:
         return other.value == self.value
 
 
+def _merge_rank(key, arity: int, descending: bool):
+    """Heap rank of a row in a k-way run merge: its sort key, inverted
+    column by column for a descending sort."""
+    if not descending:
+        return key
+    if arity == 1:
+        return lambda row: _Neg(key(row))
+    return lambda row: tuple(_Neg(part) for part in key(row))
+
+
 class HashJoinOp(Operator):
     """Hash join: build on the left input, probe with the right.
 
@@ -439,14 +442,18 @@ class HashJoinOp(Operator):
         self.ctx = ctx
         self.left = left
         self.right = right
-        self._lkey = left.schema.projector([plan.left_key])
-        self._rkey = right.schema.projector([plan.right_key])
+        self._hash_insert = compile.hash_build(plan.left_key, left.schema)
+        self._hash_probe = compile.hash_probe(
+            plan.right_key, right.schema, "inner"
+        )
+        self._lsplit = compile.partition(plan.left_key, left.schema)
+        self._rsplit = compile.partition(plan.right_key, right.schema)
         self._table: Optional[Dict] = None
         self._partitioned = False
         self._lparts: List = []
         self._rparts: List = []
         self._part_iter = None
-        self._pending: List[tuple] = []
+        self._pending = iter(())  # 1024-row slices of a partition's join
         self._done = False
 
     def _build(self):
@@ -465,8 +472,7 @@ class HashJoinOp(Operator):
             if self._partitioned:
                 overflow.extend(batch)
             else:
-                for row in batch:
-                    table.setdefault(self._lkey(row), []).append(row)
+                self._hash_insert(table, batch)
         if not self._partitioned:
             self._table = table
             return
@@ -477,18 +483,16 @@ class HashJoinOp(Operator):
             2, -(-len(all_rows) // max(1, self.ctx.work_mem_tuples // 2))
         )
         self._lparts = yield from self._partition(
-            all_rows, self._lkey, nparts, "hjL"
+            all_rows, self._lsplit, nparts, "hjL"
         )
         rrows = yield from self.right.drain()
         self._rparts = yield from self._partition(
-            rrows, self._rkey, nparts, "hjR"
+            rrows, self._rsplit, nparts, "hjR"
         )
         self._part_iter = iter(range(nparts))
 
-    def _partition(self, rows, key, nparts, label):
-        buckets: List[List[tuple]] = [[] for _ in range(nparts)]
-        for row in rows:
-            buckets[hash(key(row)) % nparts].append(row)
+    def _partition(self, rows, split, nparts, label):
+        buckets = split(rows, nparts)
         yield from self.ctx.cpu(len(rows))
         parts = []
         for bucket in buckets:
@@ -512,28 +516,20 @@ class HashJoinOp(Operator):
             return None
         if self._table is None and not self._partitioned:
             yield from self._build()
-        if self._pending:
-            out, self._pending = self._pending[:1024], self._pending[1024:]
-            return out
         if not self._partitioned:
-            table = self._table
             while True:
                 batch = yield from self.right.next_batch()
                 if batch is None:
                     self._done = True
                     return None
                 yield from self.ctx.cpu(len(batch))
-                out: List[tuple] = []
-                for rrow in batch:
-                    for lrow in table.get(self._rkey(rrow), ()):
-                        out.append(lrow + rrow)
+                out = self._hash_probe(self._table, batch)
                 if out:
                     return out
         # Partitioned path: join one partition pair at a time.
         while True:
-            if self._pending:
-                out = self._pending[:1024]
-                self._pending = self._pending[1024:]
+            out = next(self._pending, None)
+            if out is not None:
                 return out
             try:
                 p = next(self._part_iter)
@@ -546,11 +542,11 @@ class HashJoinOp(Operator):
             rrows = yield from self._read_part(self._rparts[p])
             yield from self.ctx.cpu(len(lrows) + len(rrows))
             table: Dict[Any, List[tuple]] = {}
-            for row in lrows:
-                table.setdefault(self._lkey(row), []).append(row)
-            for rrow in rrows:
-                for lrow in table.get(self._rkey(rrow), ()):
-                    self._pending.append(lrow + rrow)
+            self._hash_insert(table, lrows)
+            joined = self._hash_probe(table, rrows)
+            self._pending = (
+                joined[i:i + 1024] for i in range(0, len(joined), 1024)
+            )
 
 
 class MergeJoinOp(Operator):
@@ -562,8 +558,8 @@ class MergeJoinOp(Operator):
         self.ctx = ctx
         self.left = left
         self.right = right
-        self._lkey = left.schema.projector([plan.left_key])
-        self._rkey = right.schema.projector([plan.right_key])
+        self._lkey = left.schema.key_of([plan.left_key])
+        self._rkey = right.schema.key_of([plan.right_key])
         self._lbuf: List[tuple] = []
         self._rbuf: List[tuple] = []
         self._lend = False
@@ -742,9 +738,10 @@ class SemiJoinOp(Operator):
         self.ctx = ctx
         self.left = left
         self.right = right
-        self.anti = anti
-        self._lkey = left.schema.projector([plan.left_key])
-        self._rkey = right.schema.projector([plan.right_key])
+        self._hash_insert = compile.key_set(plan.right_key, right.schema)
+        self._hash_probe = compile.hash_probe(
+            plan.left_key, left.schema, "anti" if anti else "semi"
+        )
         self._keys = None
 
     def _build(self):
@@ -754,8 +751,7 @@ class SemiJoinOp(Operator):
             if batch is None:
                 break
             yield from self.ctx.cpu(len(batch))
-            for row in batch:
-                keys.add(self._rkey(row))
+            self._hash_insert(keys, batch)
         self._keys = keys
 
     def next_batch(self):
@@ -766,10 +762,7 @@ class SemiJoinOp(Operator):
             if batch is None:
                 return None
             yield from self.ctx.cpu(len(batch))
-            if self.anti:
-                kept = [r for r in batch if self._lkey(r) not in self._keys]
-            else:
-                kept = [r for r in batch if self._lkey(r) in self._keys]
+            kept = self._hash_probe(self._keys, batch)
             if kept:
                 return kept
 
@@ -783,9 +776,10 @@ class LeftOuterJoinOp(Operator):
         self.ctx = ctx
         self.left = left
         self.right = right
-        self._lkey = left.schema.projector([plan.left_key])
-        self._rkey = right.schema.projector([plan.right_key])
-        self._pad = (None,) * len(right.schema)
+        self._hash_insert = compile.hash_build(plan.right_key, right.schema)
+        self._hash_probe = compile.hash_probe(
+            plan.left_key, left.schema, "outer", pad=len(right.schema)
+        )
         self._table = None
 
     def _build(self):
@@ -795,8 +789,7 @@ class LeftOuterJoinOp(Operator):
             if batch is None:
                 break
             yield from self.ctx.cpu(len(batch))
-            for row in batch:
-                table.setdefault(self._rkey(row), []).append(row)
+            self._hash_insert(table, batch)
         self._table = table
 
     def next_batch(self):
@@ -807,14 +800,7 @@ class LeftOuterJoinOp(Operator):
             if batch is None:
                 return None
             yield from self.ctx.cpu(len(batch))
-            out: List[tuple] = []
-            for lrow in batch:
-                matches = self._table.get(self._lkey(lrow))
-                if matches:
-                    for rrow in matches:
-                        out.append(lrow + rrow)
-                else:
-                    out.append(lrow + self._pad)
+            out = self._hash_probe(self._table, batch)
             if out:
                 return out
 

@@ -28,10 +28,11 @@ class HashJoinEngine(MicroEngine):
 
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
-        query = packet.query
         catalog = self.engine.sm.catalog
-        lkey = plan.left.output_schema(catalog).projector([plan.left_key])
-        rkey = plan.right.output_schema(catalog).projector([plan.right_key])
+        lschema = plan.left.output_schema(catalog)
+        rschema = plan.right.output_schema(catalog)
+        insert = compile.hash_build(plan.left_key, lschema)
+        probe = compile.hash_probe(plan.right_key, rschema, "inner")
         left_in, right_in = packet.inputs
 
         packet.phase = "build"
@@ -45,10 +46,13 @@ class HashJoinEngine(MicroEngine):
                 continue
             yield from self.charge(packet, len(batch))
             count += len(batch)
-            for row in batch:
-                table.setdefault(lkey(row), []).append(row)
-        if count > query.work_mem_tuples:
-            yield from self._grace_join(packet, table, lkey, rkey, right_in)
+            insert(table, batch)
+        if count > packet.query.work_mem_tuples:
+            lsplit = compile.partition(plan.left_key, lschema)
+            rsplit = compile.partition(plan.right_key, rschema)
+            yield from self._grace_join(
+                packet, table, insert, probe, lsplit, rsplit
+            )
             return
 
         packet.phase = "probe"
@@ -59,28 +63,24 @@ class HashJoinEngine(MicroEngine):
             if batch is SEGMENT_BOUNDARY:
                 continue
             yield from self.charge(packet, len(batch))
-            pending: List[tuple] = []
-            for rrow in batch:
-                for lrow in table.get(rkey(rrow), ()):
-                    pending.append(lrow + rrow)
+            pending = probe(table, batch)
             # Pipelined: matches ship as soon as they are produced, so
             # the probe phase's step window closes honestly.
             if pending:
                 yield from packet.output.put(pending)
 
-    def _grace_join(self, packet, table, lkey, rkey, right_in) -> Generator:
+    def _grace_join(
+        self, packet, table, insert, probe, lsplit, rsplit
+    ) -> Generator:
         """Partitioned fallback when the build side overflows memory."""
         query = packet.query
         sm = self.engine.sm
         packet.phase = "partition"
         lrows = [row for rows in table.values() for row in rows]
-        rrows = yield from right_in.drain()
+        rrows = yield from packet.inputs[1].drain()
         nparts = max(2, -(-len(lrows) // max(1, query.work_mem_tuples // 2)))
 
-        def spill(rows, key, label, parts):
-            buckets: List[List[tuple]] = [[] for _ in range(nparts)]
-            for row in rows:
-                buckets[hash(key(row)) % nparts].append(row)
+        def spill(buckets, label, parts):
             for bucket in buckets:
                 part = sm.create_temp_file(64, label=label)
                 # Registered before the (interruptible) write so the
@@ -92,8 +92,8 @@ class HashJoinEngine(MicroEngine):
         lparts: List = []
         rparts: List = []
         try:
-            yield from spill(lrows, lkey, "hjL", lparts)
-            yield from spill(rrows, rkey, "hjR", rparts)
+            yield from spill(lsplit(lrows, nparts), "hjL", lparts)
+            yield from spill(rsplit(rrows, nparts), "hjR", rparts)
 
             packet.phase = "probe"
             for p in range(nparts):
@@ -102,16 +102,13 @@ class HashJoinEngine(MicroEngine):
                     page = yield from sm.read_temp_page(lparts[p], block)
                     lpart_rows.extend(page.rows())
                 sub: Dict = {}
-                for row in lpart_rows:
-                    sub.setdefault(lkey(row), []).append(row)
+                insert(sub, lpart_rows)
                 pending: List[tuple] = []
                 for block in range(rparts[p].num_pages):
                     page = yield from sm.read_temp_page(rparts[p], block)
                     rows = page.rows()
                     yield from self.charge(packet, len(rows))
-                    for rrow in rows:
-                        for lrow in sub.get(rkey(rrow), ()):
-                            pending.append(lrow + rrow)
+                    pending += probe(sub, rows)
                 if pending:
                     yield from packet.output.put(pending)
         finally:
@@ -154,8 +151,8 @@ class MergeJoinEngine(MicroEngine):
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
         catalog = self.engine.sm.catalog
-        lkey = plan.left.output_schema(catalog).projector([plan.left_key])
-        rkey = plan.right.output_schema(catalog).projector([plan.right_key])
+        lkey = plan.left.output_schema(catalog).key_of([plan.left_key])
+        rkey = plan.right.output_schema(catalog).key_of([plan.right_key])
         left = _Cursor(packet.inputs[0])
         right = _Cursor(packet.inputs[1])
 
@@ -237,11 +234,15 @@ class SemiJoinEngine(MicroEngine):
         from repro.relational.plans import AntiJoin
 
         plan = packet.plan
-        query = packet.query
         catalog = self.engine.sm.catalog
-        lkey = plan.left.output_schema(catalog).projector([plan.left_key])
-        rkey = plan.right.output_schema(catalog).projector([plan.right_key])
-        anti = isinstance(plan, AntiJoin)
+        insert = compile.key_set(
+            plan.right_key, plan.right.output_schema(catalog)
+        )
+        probe = compile.hash_probe(
+            plan.left_key,
+            plan.left.output_schema(catalog),
+            "anti" if isinstance(plan, AntiJoin) else "semi",
+        )
         left_in, right_in = packet.inputs
 
         packet.phase = "build"
@@ -253,8 +254,7 @@ class SemiJoinEngine(MicroEngine):
             if batch is SEGMENT_BOUNDARY:
                 continue
             yield from self.charge(packet, len(batch))
-            for row in batch:
-                keys.add(rkey(row))
+            insert(keys, batch)
 
         packet.phase = "probe"
         while True:
@@ -264,10 +264,7 @@ class SemiJoinEngine(MicroEngine):
             if batch is SEGMENT_BOUNDARY:
                 continue
             yield from self.charge(packet, len(batch))
-            if anti:
-                kept = [r for r in batch if lkey(r) not in keys]
-            else:
-                kept = [r for r in batch if lkey(r) in keys]
+            kept = probe(keys, batch)
             if kept:
                 yield from packet.output.put(kept)
 
@@ -280,11 +277,15 @@ class OuterJoinEngine(MicroEngine):
 
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
-        query = packet.query
         catalog = self.engine.sm.catalog
-        lkey = plan.left.output_schema(catalog).projector([plan.left_key])
-        rkey = plan.right.output_schema(catalog).projector([plan.right_key])
-        pad = (None,) * len(plan.right.output_schema(catalog))
+        rschema = plan.right.output_schema(catalog)
+        insert = compile.hash_build(plan.right_key, rschema)
+        probe = compile.hash_probe(
+            plan.left_key,
+            plan.left.output_schema(catalog),
+            "outer",
+            pad=len(rschema),
+        )
         left_in, right_in = packet.inputs
 
         packet.phase = "build"
@@ -296,8 +297,7 @@ class OuterJoinEngine(MicroEngine):
             if batch is SEGMENT_BOUNDARY:
                 continue
             yield from self.charge(packet, len(batch))
-            for row in batch:
-                table.setdefault(rkey(row), []).append(row)
+            insert(table, batch)
 
         packet.phase = "probe"
         while True:
@@ -307,14 +307,7 @@ class OuterJoinEngine(MicroEngine):
             if batch is SEGMENT_BOUNDARY:
                 continue
             yield from self.charge(packet, len(batch))
-            pending: List[tuple] = []
-            for lrow in batch:
-                matches = table.get(lkey(lrow))
-                if matches:
-                    for rrow in matches:
-                        pending.append(lrow + rrow)
-                else:
-                    pending.append(lrow + pad)
+            pending = probe(table, batch)
             if pending:
                 yield from packet.output.put(pending)
 

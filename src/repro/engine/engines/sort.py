@@ -29,7 +29,7 @@ class SortEngine(MicroEngine):
         query = packet.query
         sm = self.engine.sm
         child_schema = plan.child.output_schema(sm.catalog)
-        key = child_schema.projector(plan.keys)
+        key = child_schema.key_of(plan.keys)
         reverse = plan.descending
 
         packet.phase = "sort"

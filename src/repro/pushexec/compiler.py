@@ -27,10 +27,9 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import count
-from operator import itemgetter
 from typing import Any, Callable, Dict, Generator, List, Tuple
 
-from repro.baseline.operators import ExecContext, SortOp, _Neg
+from repro.baseline.operators import ExecContext, SortOp, _merge_rank
 from repro.pushexec import fusion
 from repro.relational import compile
 from repro.relational.plans import (
@@ -273,8 +272,9 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
 # Breakers (SortOp / joins / aggregation transliterations)
 # ---------------------------------------------------------------------------
 def _sort_source(ctx, plan: Sort, child_factory, schema) -> Callable:
-    key = schema.projector(plan.keys)
+    key = schema.key_of(plan.keys)
     descending = plan.descending
+    rank = _merge_rank(key, len(plan.keys), descending)
     row_width = schema.row_width
     sort_factor = ctx.host.config.sort_cpu_factor
 
@@ -297,27 +297,20 @@ def _sort_source(ctx, plan: Sort, child_factory, schema) -> Callable:
             for row in page.rows():
                 yield ("row", row)
 
-    def rank(row, sign):
-        k = key(row)
-        if sign == 1:
-            return k
-        return tuple(_Neg(part) for part in k)
-
     def merged_rows(runs):
-        sign = -1 if descending else 1
         readers = [run_reader(run_file) for run_file in runs]
         heads: List = []
         for i, reader in enumerate(readers):
             row = yield from SortOp._advance(reader)
             if row is not None:
-                heads.append((rank(row, sign), i, row))
+                heads.append((rank(row), i, row))
         heapq.heapify(heads)
         while heads:
             _r, i, row = heapq.heappop(heads)
             yield ("row", row)
             nxt = yield from SortOp._advance(readers[i])
             if nxt is not None:
-                heapq.heappush(heads, (rank(nxt, sign), i, nxt))
+                heapq.heappush(heads, (rank(nxt), i, nxt))
 
     def run():
         budget = ctx.work_mem_tuples
@@ -361,11 +354,9 @@ def _sort_source(ctx, plan: Sort, child_factory, schema) -> Callable:
     return run
 
 
-def _partition(ctx, rows, key, nparts, label):
+def _partition(ctx, rows, split, nparts, label):
     """HashJoinOp._partition transliteration (shared by both sides)."""
-    buckets: List[List[tuple]] = [[] for _ in range(nparts)]
-    for row in rows:
-        buckets[hash(key(row)) % nparts].append(row)
+    buckets = split(rows, nparts)
     yield from ctx.cpu(len(rows))
     parts = []
     for bucket in buckets:
@@ -383,24 +374,13 @@ def _read_part(ctx, part):
     return rows
 
 
-def _join_key(schema, col):
-    """Bare-column join key.  The projector's 1-tuple wrapping only
-    matters where keys reach output rows, which join keys never do;
-    a scalar groups and compares identically at C speed."""
-    return itemgetter(schema.index_of(col))
-
-
 def _hashjoin_source(
     ctx, plan: HashJoin, left_factory, right_factory, lschema, rschema
 ) -> Callable:
-    lkey = _join_key(lschema, plan.left_key)
-    rkey = _join_key(rschema, plan.right_key)
-    # Partition fan-out IS simulated behavior (it decides temp-file
-    # page counts), so the grace path hashes the same 1-tuple keys the
-    # iterator hashes; the bare-column keys above only ever feed
-    # host-side dict lookups.
-    lkey_part = lschema.projector([plan.left_key])
-    rkey_part = rschema.projector([plan.right_key])
+    insert = compile.hash_build(plan.left_key, lschema)
+    probe = compile.hash_probe(plan.right_key, rschema, "inner")
+    lsplit = compile.partition(plan.left_key, lschema)
+    rsplit = compile.partition(plan.right_key, rschema)
 
     def run():
         budget = ctx.work_mem_tuples
@@ -420,8 +400,7 @@ def _hashjoin_source(
             if partitioned:
                 overflow.extend(batch)
             else:
-                for row in batch:
-                    table.setdefault(lkey(row), []).append(row)
+                insert(table, batch)
         right = right_factory()
         if not partitioned:
             while True:
@@ -429,10 +408,7 @@ def _hashjoin_source(
                 if batch is None:
                     return
                 yield from ctx.cpu(len(batch))
-                out: List[tuple] = []
-                for rrow in batch:
-                    for lrow in table.get(rkey(rrow), ()):
-                        out.append(lrow + rrow)
+                out = probe(table, batch)
                 if out:
                     yield (_BATCH, out)
         # Grace path: spill both sides, join partition pairs in memory.
@@ -441,25 +417,21 @@ def _hashjoin_source(
         nparts = max(
             2, -(-len(all_rows) // max(1, ctx.work_mem_tuples // 2))
         )
-        lparts = yield from _partition(ctx, all_rows, lkey_part, nparts, "hjL")
+        lparts = yield from _partition(ctx, all_rows, lsplit, nparts, "hjL")
         rrows: List[tuple] = []
         while True:
             batch = yield from pull_batch(right)
             if batch is None:
                 break
             rrows.extend(batch)
-        rparts = yield from _partition(ctx, rrows, rkey_part, nparts, "hjR")
+        rparts = yield from _partition(ctx, rrows, rsplit, nparts, "hjR")
         for p in range(nparts):
             lrows = yield from _read_part(ctx, lparts[p])
             prows = yield from _read_part(ctx, rparts[p])
             yield from ctx.cpu(len(lrows) + len(prows))
             ptable: Dict[Any, List[tuple]] = {}
-            for row in lrows:
-                ptable.setdefault(lkey(row), []).append(row)
-            pending: List[tuple] = []
-            for rrow in prows:
-                for lrow in ptable.get(rkey(rrow), ()):
-                    pending.append(lrow + rrow)
+            insert(ptable, lrows)
+            pending = probe(ptable, prows)
             for i in range(0, len(pending), 1024):
                 yield (_BATCH, pending[i : i + 1024])
         for part in lparts + rparts:
@@ -471,8 +443,8 @@ def _hashjoin_source(
 def _mergejoin_source(
     ctx, plan: MergeJoin, left_factory, right_factory, lschema, rschema
 ) -> Callable:
-    lkey = _join_key(lschema, plan.left_key)
-    rkey = _join_key(rschema, plan.right_key)
+    lkey = lschema.key_of([plan.left_key])
+    rkey = rschema.key_of([plan.right_key])
 
     def run():
         gens = {"l": left_factory(), "r": right_factory()}
@@ -615,32 +587,18 @@ def _groupby_source(ctx, plan: GroupBy, child_factory, in_schema) -> Callable:
 # ---------------------------------------------------------------------------
 # Probe-side builds (preludes fused into the left pipeline)
 # ---------------------------------------------------------------------------
-def _semi_build(ctx, right_factory, rkey, stage: fusion.SemiProbeStage):
+def _probe_build(ctx, right_factory, insert, state):
+    """The build half of a fused semi/anti/outer probe stage: *insert*
+    is the build kernel, *state* the stage's key set or hash table."""
+
     def build():
-        keys = stage.keys
         right = right_factory()
         while True:
             batch = yield from pull_batch(right)
             if batch is None:
                 return
             yield from ctx.cpu(len(batch))
-            for row in batch:
-                keys.add(rkey(row))
-
-    return build
-
-
-def _outer_build(ctx, right_factory, rkey, stage: fusion.OuterProbeStage):
-    def build():
-        table = stage.table
-        right = right_factory()
-        while True:
-            batch = yield from pull_batch(right)
-            if batch is None:
-                return
-            yield from ctx.cpu(len(batch))
-            for row in batch:
-                table.setdefault(rkey(row), []).append(row)
+            insert(state, batch)
 
     return build
 
@@ -773,10 +731,11 @@ def compile_plan(plan: PlanNode, ctx: ExecContext) -> Pipeline:
     if isinstance(plan, (SemiJoin, AntiJoin)):
         left = compile_plan(plan.left, ctx)
         right = compile_plan(plan.right, ctx)
-        lkey = _join_key(left.schema, plan.left_key)
-        rkey = _join_key(right.schema, plan.right_key)
-        stage = fusion.SemiProbeStage(lkey, anti=isinstance(plan, AntiJoin))
-        build = _semi_build(ctx, right.generator, rkey, stage)
+        stage = fusion.SemiProbeStage(
+            plan.left_key, left.schema, anti=isinstance(plan, AntiJoin)
+        )
+        insert = compile.key_set(plan.right_key, right.schema)
+        build = _probe_build(ctx, right.generator, insert, stage.keys)
         # The iterator builds the key set at the *root's* first pull,
         # before anything below the left input runs: outer preludes
         # precede inner ones.
@@ -790,10 +749,11 @@ def compile_plan(plan: PlanNode, ctx: ExecContext) -> Pipeline:
     if isinstance(plan, LeftOuterJoin):
         left = compile_plan(plan.left, ctx)
         right = compile_plan(plan.right, ctx)
-        lkey = _join_key(left.schema, plan.left_key)
-        rkey = _join_key(right.schema, plan.right_key)
-        stage = fusion.OuterProbeStage(lkey, len(right.schema))
-        build = _outer_build(ctx, right.generator, rkey, stage)
+        stage = fusion.OuterProbeStage(
+            plan.left_key, left.schema, len(right.schema)
+        )
+        insert = compile.hash_build(plan.right_key, right.schema)
+        build = _probe_build(ctx, right.generator, insert, stage.table)
         return Pipeline(
             ctx,
             left.source_factory,

@@ -18,6 +18,7 @@ so the simulated schedule is *independent* of how ``apply`` is built.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, List, Optional, Sequence
 
 from repro.relational import compile
@@ -142,22 +143,16 @@ class SemiProbeStage(Stage):
     """Probe half of a semi/anti join, fused into the left pipeline.
 
     ``keys`` is filled by a build prelude (compiler) before the first
-    batch arrives; the stage itself is a pure membership filter, exactly
-    SemiJoinOp's probe loop.
+    batch arrives; ``apply`` is the membership-filter kernel bound to
+    it, exactly SemiJoinOp's probe.
     """
 
-    __slots__ = ("keys", "key_fn", "anti")
+    __slots__ = ("keys", "apply")
 
-    def __init__(self, key_fn, anti: bool):
+    def __init__(self, key: str, schema: Schema, anti: bool):
         self.keys = set()
-        self.key_fn = key_fn
-        self.anti = anti
-
-    def apply(self, batch):
-        keys, key_fn = self.keys, self.key_fn
-        if self.anti:
-            return [row for row in batch if key_fn(row) not in keys]
-        return [row for row in batch if key_fn(row) in keys]
+        probe = compile.hash_probe(key, schema, "anti" if anti else "semi")
+        self.apply = partial(probe, self.keys)
 
 
 class OuterProbeStage(Stage):
@@ -165,24 +160,12 @@ class OuterProbeStage(Stage):
     pipeline; ``table`` is filled by a build prelude.  Unmatched left
     rows pad the right side with Nones (LeftOuterJoinOp)."""
 
-    __slots__ = ("table", "key_fn", "pad")
+    __slots__ = ("table", "apply")
 
-    def __init__(self, key_fn, right_width: int):
+    def __init__(self, key: str, schema: Schema, right_width: int):
         self.table = {}
-        self.key_fn = key_fn
-        self.pad = (None,) * right_width
-
-    def apply(self, batch):
-        table, key_fn, pad = self.table, self.key_fn, self.pad
-        out = []
-        for lrow in batch:
-            matches = table.get(key_fn(lrow))
-            if matches:
-                for rrow in matches:
-                    out.append(lrow + rrow)
-            else:
-                out.append(lrow + pad)
-        return out
+        probe = compile.hash_probe(key, schema, "outer", pad=right_width)
+        self.apply = partial(probe, self.table)
 
 
 # ---------------------------------------------------------------------------

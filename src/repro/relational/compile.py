@@ -6,7 +6,9 @@ variable ``row`` (column refs become ``row[i]`` tuple indexing) and the
 entry points wrap that source in one loop per *batch* -- a list
 comprehension for filters and projections, a single ``for`` for
 aggregate folds -- so the inner loop of a scan crosses no Python call
-per row.
+per row.  The hash-family operator bodies (join build and probe, Grace
+partition, the group-by split) are kernels here too: each engine keeps
+only its scheduling, its CPU charges and its temp-file I/O.
 
 Constants are never spelled into the source.  Each becomes a parameter
 ``c0, c1, ...`` of a generated *factory* whose body defines the kernel,
@@ -54,6 +56,10 @@ __all__ = [
     "scan",
     "agg_update",
     "group_update",
+    "hash_build",
+    "key_set",
+    "hash_probe",
+    "partition",
 ]
 
 #: Factory source -> factory.  Keyed by expression shape (constants are
@@ -235,16 +241,22 @@ def group_update(
 
     The batch is split by key first (rows keep encounter order, so each
     state sees the value sequence a per-row loop would feed it) and each
-    part runs through the :func:`agg_update` kernel.
+    part runs through the :func:`agg_update` kernel.  The key stays a
+    tuple: it reaches the output rows.
     """
     specs = list(specs)
-    keys = project(group_cols, schema)
-    fold = agg_update(specs, schema)
-
-    def update(groups: dict, rows: list) -> None:
-        parts: Dict[tuple, list] = {}
-        for key, row in zip(keys(rows), rows):
-            part = parts.get(key)
+    src = _Source(schema)
+    key = src.tuple_of(group_cols)
+    # The fold and the spec list ride in as constants, so the source is
+    # keyed by the group columns alone.
+    fold, specs_ = src.const(agg_update(specs, schema)), src.const(specs)
+    return src.close(f"""\
+    def update(groups, rows):
+        parts = {{}}
+        get = parts.get
+        for row in rows:
+            key = {key}
+            part = get(key)
             if part is None:
                 parts[key] = [row]
             else:
@@ -252,7 +264,77 @@ def group_update(
         for key, part in parts.items():
             states = groups.get(key)
             if states is None:
-                states = groups[key] = [spec.make_state() for spec in specs]
-            fold(states, part)
+                states = groups[key] = [s.make_state() for s in {specs_}]
+            {fold}(states, part)
+    return update""")
 
-    return update
+
+def hash_build(key: str, schema: Schema) -> Callable:
+    """``build(table, rows)``: file each row under its bare *key* column
+    value, in arrival order within a key."""
+    src = _Source(schema)
+    return src.close(f"""\
+    def build(table, rows):
+        slot = table.setdefault
+        for row in rows:
+            slot({src.expr(Col(key))}, []).append(row)
+    return build""")
+
+
+def key_set(key: str, schema: Schema) -> Callable:
+    """``add(keys, rows)``: the semi/anti-join build, a set of bare
+    *key* column values."""
+    src = _Source(schema)
+    return src.close(
+        f"    return lambda keys, rows: "
+        f"keys.update([{src.expr(Col(key))} for row in rows])"
+    )
+
+
+def hash_probe(key: str, schema: Schema, kind: str, pad: int = 0) -> Callable:
+    """The probe of a :func:`hash_build` table or :func:`key_set` set
+    with a batch, one comprehension per batch.
+
+    ``inner``: ``probe(table, rows)``, ``match + row`` per match, in
+    probe order then build order.  ``outer``: ``row + match``, an
+    unmatched row padded with *pad* Nones.  ``semi`` / ``anti``:
+    ``probe(keys, rows)``, the rows whose key is / is not in the set.
+    """
+    src = _Source(schema)
+    k = src.expr(Col(key))
+    if kind in ("semi", "anti"):
+        test = "in" if kind == "semi" else "not in"
+        return src.close(
+            f"    return lambda keys, rows: "
+            f"[row for row in rows if {k} {test} keys]"
+        )
+    if kind == "inner":
+        out = f"[match + row for row in rows for match in get({k}, ())]"
+    elif kind == "outer":
+        # Lists in the table are never empty, so `or` means "missing".
+        pad1 = src.const(((None,) * pad,))
+        out = f"[row + match for row in rows for match in (get({k}) or {pad1})]"
+    else:
+        raise ValueError(f"unknown probe kind {kind!r}")
+    return src.close(f"""\
+    def probe(table, rows):
+        get = table.get
+        return {out}
+    return probe""")
+
+
+def partition(key: str, schema: Schema) -> Callable:
+    """``split(rows, nparts)``: Grace partitioning into *nparts* buckets.
+
+    Hashes the 1-tuple ``(value,)``, not the bare value: bucket sizes
+    decide temp-file page counts, so the fan-out is simulated behaviour
+    and stays the one the goldens were recorded with.
+    """
+    src = _Source(schema)
+    return src.close(f"""\
+    def split(rows, nparts):
+        buckets = [[] for _ in range(nparts)]
+        for row in rows:
+            buckets[hash(({src.expr(Col(key))},)) % nparts].append(row)
+        return buckets
+    return split""")

@@ -121,15 +121,11 @@ class Schema:
         """Schema of a join output: this side's columns then the other's."""
         return Schema(self.columns + other.columns)
 
-    def projector(self, names: Sequence[str]):
-        """A fast row -> row function selecting *names* in order."""
-        idxs = [self.index_of(name) for name in names]
-        if len(idxs) == 1:
-            get = operator.itemgetter(idxs[0])
-            return lambda row: (get(row),)
-        # itemgetter with several indices returns the tuple directly,
-        # without a per-row generator expression.
-        return operator.itemgetter(*idxs)
+    def key_of(self, names: Sequence[str]):
+        """A row -> sort/merge key function at C speed: the bare column
+        for one name, the tuple of *names* in order for several (the two
+        order identically)."""
+        return operator.itemgetter(*[self.index_of(name) for name in names])
 
     def signature(self) -> str:
         return ",".join(f"{c.name}:{c.type}" for c in self.columns)

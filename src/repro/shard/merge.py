@@ -11,8 +11,8 @@ the reference operators in :mod:`repro.baseline.operators`:
   order (float accumulation is order-sensitive -- this is where byte
   identity is won or lost);
 * GroupBy emits ``sorted(groups.items())``;
-* hash joins build left-to-right with ``setdefault`` and emit in probe
-  order (``lrow + rrow``), matching the in-memory join path;
+* hash joins build left-to-right and emit in probe order
+  (``lrow + rrow``) through the same kernels as the in-memory join path;
 * every operator charges the host CPU with the reference operator's
   tuple counts and factors.
 
@@ -73,18 +73,11 @@ def hash_join_rows(
     callers must assemble both in global (shard-order) sequence for the
     output to match the single-host join byte for byte.
     """
-    lkey = lschema.projector([plan.left_key])
-    rkey = rschema.projector([plan.right_key])
     yield from ctx.cpu(len(lrows))
-    table: Dict[tuple, List[tuple]] = {}
-    for row in lrows:
-        table.setdefault(lkey(row), []).append(row)
+    table: Dict = {}
+    compile.hash_build(plan.left_key, lschema)(table, lrows)
     yield from ctx.cpu(len(rrows))
-    out: List[tuple] = []
-    for rrow in rrows:
-        for lrow in table.get(rkey(rrow), ()):
-            out.append(lrow + rrow)
-    return out
+    return compile.hash_probe(plan.right_key, rschema, "inner")(table, rrows)
 
 
 def _apply_one(
@@ -105,7 +98,7 @@ def _apply_one(
             int(comparisons), factor=ctx.host.config.sort_cpu_factor
         )
         out = list(rows)
-        out.sort(key=schema.projector(op.keys), reverse=op.descending)
+        out.sort(key=schema.key_of(op.keys), reverse=op.descending)
         return out
     if isinstance(op, Aggregate):
         states = [spec.make_state() for spec in op.aggs]

@@ -66,3 +66,72 @@ def eval_expr(expr, row, schema):
             return eval_expr(expr.then, row, schema)
         return eval_expr(expr.otherwise, row, schema)
     raise TypeError(f"cannot interpret expression {expr!r}")
+
+
+# ---------------------------------------------------------------------------
+# The hash-family operator bodies as the engines wrote them out per row,
+# before they became kernels: the loops below are the deleted bodies,
+# moved here verbatim, over the 1-tuple keys ``Schema.projector`` made.
+# ---------------------------------------------------------------------------
+def projector(schema, names):
+    """The old ``Schema.projector``: a row -> key-tuple function."""
+    idxs = [schema.index_of(name) for name in names]
+    if len(idxs) == 1:
+        get = operator.itemgetter(idxs[0])
+        return lambda row: (get(row),)
+    return operator.itemgetter(*idxs)
+
+
+def hash_build(table, rows, key):
+    for row in rows:
+        table.setdefault(key(row), []).append(row)
+
+
+def probe_inner(table, batch, rkey):
+    out = []
+    for rrow in batch:
+        for lrow in table.get(rkey(rrow), ()):
+            out.append(lrow + rrow)
+    return out
+
+
+def probe_outer(table, batch, lkey, pad):
+    out = []
+    for lrow in batch:
+        matches = table.get(lkey(lrow))
+        if matches:
+            for rrow in matches:
+                out.append(lrow + rrow)
+        else:
+            out.append(lrow + pad)
+    return out
+
+
+def key_set(keys, rows, rkey):
+    for row in rows:
+        keys.add(rkey(row))
+
+
+def probe_semi(keys, batch, lkey, anti):
+    if anti:
+        return [r for r in batch if lkey(r) not in keys]
+    return [r for r in batch if lkey(r) in keys]
+
+
+def partition(rows, key, nparts):
+    buckets = [[] for _ in range(nparts)]
+    for row in rows:
+        buckets[hash(key(row)) % nparts].append(row)
+    return buckets
+
+
+def group_split(rows, key):
+    """The batch split ``compile.group_update`` looped in Python."""
+    parts = {}
+    for k, row in zip([key(row) for row in rows], rows):
+        part = parts.get(k)
+        if part is None:
+            parts[k] = [row]
+        else:
+            part.append(row)
+    return parts

@@ -4,7 +4,14 @@ The simulator is deterministic, so the number of kernel entries a fixed
 scenario schedules is a constant of the code -- a golden, like a figure.
 Pinning it turns "somebody re-introduced a hop per device service" into
 a reviewed one-line diff instead of a few percent of host noise.
+
+The second budget is the same idea one layer up: the Python calls a
+join-under-group-by plan makes into ``repro.relational`` are O(batches),
+and pinned, so a per-row callable in an operator body is a test failure.
 """
+
+import os
+import sys
 
 import pytest
 
@@ -13,7 +20,7 @@ from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.hw.host import Host, HostConfig
 from repro.pushexec import PushEngine
 from repro.relational.expressions import AggSpec, Col
-from repro.relational.plans import Aggregate, TableScan
+from repro.relational.plans import Aggregate, GroupBy, HashJoin, TableScan
 from repro.storage.manager import StorageManager
 
 import tests.conftest as cf
@@ -68,3 +75,67 @@ def test_three_staggered_scans_cost_exactly_this_many_kernel_entries(name):
     assert host.disk.stats.blocks_read >= 40
     # sim._seq counts Simulator.schedule calls: every kernel entry.
     assert (sim._seq, sim.process_count) == BUDGET[name]
+
+
+# ---------------------------------------------------------------------------
+# Python calls into repro.relational: O(batches), not O(rows)
+# ---------------------------------------------------------------------------
+JOIN_ROWS = (3_410, 2_000)  # r: 10 pages, s: 3 pages
+
+#: engine -> Python calls into src/repro/relational/ and its generated
+#: kernels for one HashJoin-under-GroupBy query, code cache warm.  With
+#: per-row key lambdas the iterator and packet engines made ~5,500.
+RELATIONAL_CALLS = {
+    "packets": 211,
+    "iterator": 172,
+    "pushed": 172,
+}
+
+#: Comprehension frames exist only before Python 3.12 (PEP 709).
+_COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+_RELATIONAL = os.sep + os.path.join("repro", "relational") + os.sep
+
+
+def relational_calls(fn):
+    """``(calls into repro.relational while fn() ran, fn())``."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name not in _COMPREHENSIONS and (
+            _RELATIONAL in code.co_filename
+            or code.co_filename.startswith("<relational.compile")
+        ):
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+def join_under_group_by(name):
+    host = Host(HostConfig())
+    sm = StorageManager(host, buffer_pages=POOL_PAGES)
+    sm.create_table("r", cf.R_SCHEMA, clustered_on=["id"])
+    sm.load_table("r", cf.make_r_rows(n=JOIN_ROWS[0]))
+    sm.create_table("s", cf.S_SCHEMA)
+    sm.load_table("s", cf.make_s_rows(n=JOIN_ROWS[1], r_n=JOIN_ROWS[0]))
+    plan = GroupBy(
+        HashJoin(TableScan("r"), TableScan("s"), "id", "rid"),
+        ["grp"],
+        [AggSpec("sum", Col("w"), "sw")],
+    )
+    return lambda: ENGINES[name](sm).run_query(plan)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_join_under_group_by_calls_relational_per_batch_not_per_row(name):
+    join_under_group_by(name)()  # every kernel shape compiled once
+    calls, rows = relational_calls(join_under_group_by(name))
+    assert len(rows) == 7
+    assert calls == RELATIONAL_CALLS[name]
+    assert calls < min(JOIN_ROWS) // 5

@@ -5,6 +5,10 @@
   every batch entry point.
 * ``agg_update`` / ``group_update`` are checked against the per-row
   ``AggState.add`` loop under varying batch boundaries.
+* The hash-family kernels (join build, the four probes, Grace partition,
+  the group split) return what the per-row bodies they replaced return,
+  in the same order, over keys a dict treats specially (None, NaN, ±0.0,
+  ``1 == 1.0 == True``).
 * The code cache is keyed by expression shape: constants never add
   entries, and each closure still sees its own.
 * Float SUM/AVG equals the plain ``+=`` left fold on all three engines
@@ -51,6 +55,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import Schema
 
+from tests import expr_oracle as oracle
 from tests.expr_oracle import eval_expr
 
 SCHEMA = Schema.of("id:int", "grp:int", "val:float", "name:str:8")
@@ -297,6 +302,132 @@ def test_group_update_matches_per_row_add(specs, seed, keys):
 
 
 # ---------------------------------------------------------------------------
+# Hash-family kernels against the per-row bodies they replaced
+# ---------------------------------------------------------------------------
+LEFT = Schema.of("lk:int", "lv:str:4")  # key first
+RIGHT = Schema.of("rv:str:4", "rk:int")  # key last
+#: Keys a dict treats specially, from a domain small enough that most
+#: lists are heavy with duplicates.  NAN is one object on both sides (a
+#: dict finds it by identity); the built floats are fresh NaNs (never
+#: found).
+join_keys = st.one_of(
+    st.sampled_from(
+        [None, NAN, 0.0, -0.0, 0, False, 1, 1.0, True, 2, 7, "a", "b", ""]
+    ),
+    st.builds(float, st.just("nan")),
+)
+key_lists = st.lists(join_keys, max_size=40)
+
+
+def same_rows(got, want) -> bool:
+    return same(tuple(got), tuple(want))
+
+
+def same_table(got: dict, want: dict) -> bool:
+    """*got* keyed by bare values, *want* by the old 1-tuples: the same
+    keys first seen in the same order, the same row lists."""
+    return same(
+        tuple((key, tuple(rows)) for key, rows in got.items()),
+        tuple((key[0], tuple(rows)) for key, rows in want.items()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(lkeys=key_lists, rkeys=key_lists, size=st.sampled_from(BATCH_SIZES))
+def test_hash_join_kernels_match_the_per_row_bodies(lkeys, rkeys, size):
+    lrows = [(key, f"l{i}") for i, key in enumerate(lkeys)]
+    rrows = [(f"r{i}", key) for i, key in enumerate(rkeys)]
+    lkey = oracle.projector(LEFT, ["lk"])
+    rkey = oracle.projector(RIGHT, ["rk"])
+
+    def built(kernel, reference, key, rows, make):
+        got, want = make(), make()
+        for batch in slice_batches(rows, size):
+            kernel(got, batch)
+            reference(want, batch, key)
+        return got, want
+
+    # Inner: build left, probe right, lrow + rrow.
+    got, want = built(compile.hash_build("lk", LEFT), oracle.hash_build,
+                      lkey, lrows, dict)
+    assert same_table(got, want)
+    probe = compile.hash_probe("rk", RIGHT, "inner")
+    for batch in slice_batches(rrows, size):
+        assert same_rows(probe(got, batch),
+                         oracle.probe_inner(want, batch, rkey))
+
+    # Outer: build right, probe left, misses padded to the right width.
+    got, want = built(compile.hash_build("rk", RIGHT), oracle.hash_build,
+                      rkey, rrows, dict)
+    assert same_table(got, want)
+    probe = compile.hash_probe("lk", LEFT, "outer", pad=len(RIGHT))
+    for batch in slice_batches(lrows, size):
+        assert same_rows(probe(got, batch),
+                         oracle.probe_outer(want, batch, lkey, (None, None)))
+
+    # Semi / anti: a key set from the right, a filter over the left.
+    got, want = built(compile.key_set("rk", RIGHT), oracle.key_set,
+                      rkey, rrows, set)
+    assert len(got) == len(want)
+    for kind in ("semi", "anti"):
+        probe = compile.hash_probe("lk", LEFT, kind)
+        for batch in slice_batches(lrows, size):
+            assert same_rows(
+                probe(got, batch),
+                oracle.probe_semi(want, batch, lkey, anti=kind == "anti"),
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=key_lists, nparts=st.sampled_from([1, 2, 3, 8]))
+def test_partition_routes_by_the_one_tuple_hash(keys, nparts):
+    rows = [(f"r{i}", key) for i, key in enumerate(keys)]
+    buckets = compile.partition("rk", RIGHT)(rows, nparts)
+    assert len(buckets) == nparts
+    for b, bucket in enumerate(buckets):
+        assert all(hash((row[1],)) % nparts == b for row in bucket)
+    reference = oracle.partition(rows, oracle.projector(RIGHT, ["rk"]), nparts)
+    assert all(map(same_rows, buckets, reference))
+
+
+def test_unknown_probe_kind_is_rejected():
+    with pytest.raises(ValueError):
+        compile.hash_probe("lk", LEFT, "full")
+
+
+KEYED = Schema.of("id:int", "grp:int", "val:float", "k:int")
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=agg_specs, keys=key_lists, seed=st.integers(0, 1000),
+       cols=st.sampled_from([["k"], ["grp", "k"], []]))
+def test_group_split_matches_the_python_split(specs, keys, seed, cols):
+    rng = random.Random(seed)
+    rows = [(i, rng.randrange(3), round(rng.uniform(-50, 50), 3), key)
+            for i, key in enumerate(keys)]
+    key_fn = oracle.projector(KEYED, cols) if cols else (lambda row: ())
+    for size in BATCH_SIZES:
+        want = {}
+        for batch in slice_batches(rows, size):
+            for key, part in oracle.group_split(batch, key_fn).items():
+                states = want.get(key)
+                if states is None:
+                    states = want[key] = [s.make_state() for s in specs]
+                for row in part:
+                    for state, spec in zip(states, specs):
+                        state.add(1 if spec.expr is None
+                                  else eval_expr(spec.expr, row, KEYED))
+        update = compile.group_update(specs, cols, KEYED)
+        got = {}
+        for batch in slice_batches(rows, size):
+            update(got, batch)
+        # Same group keys, first seen in the same order, same states.
+        assert same(tuple(got), tuple(want))
+        for g, w in zip(got.values(), want.values()):
+            assert same(tuple(snapshot(g)), tuple(snapshot(w)))
+
+
+# ---------------------------------------------------------------------------
 # The code cache is keyed by shape
 # ---------------------------------------------------------------------------
 def test_constants_do_not_grow_the_code_cache():
@@ -328,6 +459,33 @@ def test_one_more_shape_is_one_more_entry():
             If(Col("grp") == value, Col("id") * -1, Col("val") / 3), SCHEMA
         )
     assert len(compile._code_cache) <= before + 1
+
+
+def test_hash_kernels_are_cached_by_key_position():
+    """A hundred joins on a hundred tables with the key in the same
+    place compile each kernel once."""
+
+    def kernels(i):
+        schema = Schema.of(f"a{i}:int", f"k{i}:int", f"x{i}:float")
+        key = f"k{i}"
+        return [
+            compile.hash_build(key, schema),
+            compile.key_set(key, schema),
+            compile.partition(key, schema),
+            compile.hash_probe(key, schema, "outer", pad=i),
+            *(compile.hash_probe(key, schema, kind)
+              for kind in ("inner", "semi", "anti")),
+            compile.group_update(
+                [AggSpec("sum", Col(f"x{i}"), "s")], [key], schema
+            ),
+        ]
+
+    kernels(0)  # each shape's one compile
+    before = len(compile._code_cache)
+    every = [kernels(i) for i in range(1, 100)]
+    assert len(compile._code_cache) == before
+    # Each closure still sees its own constant: the pad width.
+    assert every[2][3]({}, [(0, 1, 2.0)]) == [(0, 1, 2.0, None, None, None)]
 
 
 # ---------------------------------------------------------------------------

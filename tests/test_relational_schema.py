@@ -59,10 +59,11 @@ def test_concat_for_join_output():
     assert left.concat(right).names == ["a", "b"]
 
 
-def test_projector_function():
+def test_key_function():
     schema = Schema.of("a:int", "b:int", "c:int")
-    fn = schema.projector(["c", "a"])
-    assert fn((1, 2, 3)) == (3, 1)
+    assert schema.key_of(["c", "a"])((1, 2, 3)) == (3, 1)
+    # One name yields the bare column, which orders like its 1-tuple.
+    assert schema.key_of(["b"])((1, 2, 3)) == 2
 
 
 def test_equality_and_hash():
