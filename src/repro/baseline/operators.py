@@ -163,6 +163,7 @@ class IndexScanOp(Operator):
         info = ctx.sm.catalog.index(plan.table, plan.index)
         self._clustered = info.clustered
         self._key_fn = ctx.sm._key_fn(base, info.key_columns)
+        self._keep = compile.key_range(info.key_columns, base)
         self._post = compile.scan(plan.predicate, plan.project, base)
         self._rids: Optional[List] = None
         self._page_no: Optional[int] = None
@@ -199,14 +200,7 @@ class IndexScanOp(Operator):
             if plan.hi is not None and rows and self._key_fn(rows[0]) > plan.hi:
                 self._stopped = True
                 return None
-            if plan.lo is not None or plan.hi is not None:
-                rows = [
-                    row
-                    for row in rows
-                    if (plan.lo is None or self._key_fn(row) >= plan.lo)
-                    and (plan.hi is None or self._key_fn(row) <= plan.hi)
-                ]
-            rows = self._post(rows)
+            rows = self._post(self._keep(rows, plan.lo, plan.hi))
             if rows:
                 return rows
         return None
@@ -929,7 +923,7 @@ class UpdateOp(Operator):
             info = self.ctx.sm.catalog.table(table)
             for block in range(info.num_pages):
                 page = yield from self.ctx.sm.read_table_page(table, block)
-                for slot, row in matching(page.items()):
+                for slot, row in matching(page.slots()):
                     yield from self.ctx.sm.update_row(
                         table, RID(block, slot), self.plan.apply(row)
                     )
@@ -962,7 +956,7 @@ class DeleteOp(Operator):
             info = self.ctx.sm.catalog.table(table)
             for block in range(info.num_pages):
                 page = yield from self.ctx.sm.read_table_page(table, block)
-                for slot, row in matching(page.items()):
+                for slot, row in matching(page.slots()):
                     yield from self.ctx.sm.delete_row(table, RID(block, slot))
                     removed += 1
         finally:

@@ -162,52 +162,42 @@ class TupleBuffer:
         batch = self._consume_skip(batch)
         if not batch:
             return True
-        capacity = self._channel.capacity
-        if capacity != float("inf") and len(batch) > capacity:
-            step = max(1, int(capacity))
-            delivered = yield from self._put_chunk_with_patience(
-                batch[:step], patience
-            )
-            if not delivered:
-                return False
-            yield from self.put(batch[step:])
-            return True
-        delivered = yield from self._put_chunk_with_patience(batch, patience)
-        return delivered
-
-    def _put_chunk_with_patience(
-        self, batch: List[tuple], patience: float
-    ) -> Generator:
-        """Coroutine: offer one capacity-sized chunk, withdrawing on timeout.
-
-        Exactly-once under the deadline/accept race: ``accept.triggered``
-        is set synchronously when the channel takes the chunk, so if both
-        the patience deadline and the accept land on the same timestamp
-        the chunk is either counted (accepted first) or withdrawn before
-        it can be accepted -- never both.
-        """
-        accept = self._channel.put(batch, size=len(batch), owner=self.producer)
-        if not accept.triggered:
-            deadline = self.sim.timeout(patience)
-            try:
-                yield AnyOf(self.sim, [accept, deadline])
-            except Interrupted:
-                # A crashed scanner must not leave its page pending in
-                # the channel: withdraw it (or count it if it slipped in)
-                # so restart-time delivery stays exactly-once.
-                if (
-                    not self._channel.cancel_put(accept)
-                    and accept.triggered
-                    and accept.ok
-                ):
-                    self.tuples_in += len(batch)
-                raise
+        channel = self._channel
+        rest = None
+        if channel.capacity != float("inf") and len(batch) > channel.capacity:
+            step = max(1, int(channel.capacity))
+            batch, rest = batch[:step], batch[step:]
+        # Exactly-once under the deadline/accept race: the channel takes
+        # the chunk synchronously (``try_put`` returns True, or
+        # ``accept.triggered`` is set), so if the patience deadline and
+        # the accept land on the same timestamp the chunk is either
+        # counted (accepted first) or withdrawn before it can be accepted
+        # -- never both.  An accept nobody will wait on is never built.
+        if not channel.try_put(batch, len(batch)):
+            accept = channel.put(batch, size=len(batch), owner=self.producer)
             if not accept.triggered:
-                self._channel.cancel_put(accept)
-                return False
-        if not accept.ok:
-            raise accept.value
+                deadline = self.sim.timeout(patience)
+                try:
+                    yield AnyOf(self.sim, [accept, deadline])
+                except Interrupted:
+                    # A crashed scanner must not leave its page pending in
+                    # the channel: withdraw it (or count it if it slipped
+                    # in) so restart-time delivery stays exactly-once.
+                    if (
+                        not channel.cancel_put(accept)
+                        and accept.triggered
+                        and accept.ok
+                    ):
+                        self.tuples_in += len(batch)
+                    raise
+                if not accept.triggered:
+                    channel.cancel_put(accept)
+                    return False
+            if not accept.ok:
+                raise accept.value
         self.tuples_in += len(batch)
+        if rest:
+            yield from self.put(rest)
         return True
 
     def close(self) -> None:
@@ -256,6 +246,10 @@ class TupleBuffer:
     @property
     def capacity(self) -> float:
         return self._channel.capacity
+
+    @property
+    def producer_blocked(self) -> bool:
+        return self._channel.producer_blocked
 
     def blocked_producers(self) -> list:
         return self._channel.blocked_producers()

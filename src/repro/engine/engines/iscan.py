@@ -59,21 +59,15 @@ class IScanEngine(MicroEngine):
     # Clustered path
     # ------------------------------------------------------------------
     def _serve_clustered(self, packet: Packet, info) -> Generator:
-        sm = self.engine.sm
-        plan = packet.plan
         post = self._post(packet)
-        base = sm.catalog.table_schema(plan.table)
-        key_fn = sm._key_fn(base, info.key_columns)
-
         packet.phase = "rid_list"
         start_page = yield from self._locate_start_page(packet, info)
         packet.artifacts["kind"] = "clustered"
         packet.artifacts["start_page"] = start_page
         packet.artifacts["cursor"] = start_page
-        packet.artifacts["key_fn"] = key_fn
         packet.phase = "fetch"
         yield from self._fetch_clustered(
-            packet, start_page, None, post, key_fn,
+            packet, start_page, None, post,
             output=packet.output, track_cursor=True,
         )
 
@@ -92,7 +86,6 @@ class IScanEngine(MicroEngine):
         start_page: int,
         stop_page,
         post,
-        key_fn,
         output,
         track_cursor: bool,
     ) -> Generator:
@@ -102,6 +95,10 @@ class IScanEngine(MicroEngine):
         plan = packet.plan
         num_pages = sm.num_pages(plan.table)
         end = num_pages if stop_page is None else stop_page
+        base = sm.catalog.table_schema(plan.table)
+        key_columns = sm.catalog.index(plan.table, plan.index).key_columns
+        key_fn = sm._key_fn(base, key_columns)
+        keep = compile.key_range(key_columns, base)
         page_no = start_page
         while page_no < end:
             page = yield from sm.read_table_page(
@@ -111,14 +108,7 @@ class IScanEngine(MicroEngine):
             yield from self.charge(packet, len(rows))
             if plan.hi is not None and rows and key_fn(rows[0]) > plan.hi:
                 break
-            if plan.lo is not None or plan.hi is not None:
-                rows = [
-                    row
-                    for row in rows
-                    if (plan.lo is None or key_fn(row) >= plan.lo)
-                    and (plan.hi is None or key_fn(row) <= plan.hi)
-                ]
-            rows = post(rows)
+            rows = post(keep(rows, plan.lo, plan.hi))
             if rows:
                 yield from output.put(rows)
             page_no += 1
@@ -278,7 +268,6 @@ class IScanEngine(MicroEngine):
             boundary["cursor"] = host.artifacts.get("cursor", 0)
             boundary["pairs"] = host.artifacts.get("pairs")
             boundary["start_page"] = host.artifacts.get("start_page", 0)
-            boundary["key_fn"] = host.artifacts.get("key_fn")
 
         yield from host.output.attach(seg_a, replay=False, on_attached=capture)
         out = packet.primary_output
@@ -296,7 +285,6 @@ class IScanEngine(MicroEngine):
                     boundary["start_page"],
                     boundary["cursor"],
                     post,
-                    boundary["key_fn"],
                     output=out,
                     track_cursor=False,
                 )

@@ -160,7 +160,7 @@ class UpdateEngine(MicroEngine):
             info = sm.catalog.table(plan.table)
             for block in range(info.num_pages):
                 page = yield from sm.read_table_page(plan.table, block)
-                for slot, row in matching(page.items()):
+                for slot, row in matching(page.slots()):
                     yield from sm.delete_row(plan.table, RID(block, slot))
                     removed += 1
         finally:
@@ -180,7 +180,7 @@ class UpdateEngine(MicroEngine):
             info = sm.catalog.table(plan.table)
             for block in range(info.num_pages):
                 page = yield from sm.read_table_page(plan.table, block)
-                for slot, row in matching(page.items()):
+                for slot, row in matching(page.slots()):
                     yield from sm.update_row(
                         plan.table, RID(block, slot), plan.apply(row)
                     )

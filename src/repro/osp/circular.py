@@ -201,7 +201,11 @@ class CircularScanManager:
             del self.scans[scan.table]
 
     def _scan_loop(self, scan: CircularScan) -> Generator:
+        """Coroutine: read page after page, delivering each to every
+        attached consumer -- filtered and projected per consumer -- in
+        one loop body."""
         sm = self.sm
+        charge = self.engine.engines["fscan"].charge
         while scan.consumers:
             page = yield from sm.read_table_page(
                 scan.table, scan.current_page, scan=True, stream=scan.stream
@@ -213,20 +217,42 @@ class CircularScanManager:
                 self.engine.osp_stats.shared_page_deliveries += (
                     shared_consumers - 1
                 )
+            patience = self._patience
             for consumer in list(scan.consumers):
                 if consumer.done.triggered:
                     continue
                 if consumer.last_visit == scan.visit_seq:
                     continue  # delivered before a mid-page scanner crash
-                status = yield from self._deliver(consumer, rows, scan)
-                if status == "gone":
-                    self._finish(scan, consumer)
+                packet = consumer.packet
+                if packet.output.closed or packet.query.aborted:
+                    self._finish(scan, consumer)  # the consumer went away
                     continue
-                if status == "stalled":
-                    # Section 3.3: do not hold everyone to the slowest
-                    # consumer forever -- cut it loose.
-                    self._detach(scan, consumer)
-                    continue
+                yield from charge(packet, len(rows))
+                out = consumer.post(rows)
+                consumer.last_out = len(out)
+                if out:
+                    output = packet.primary_output
+                    before = output.tuples_in
+                    try:
+                        accepted = yield from output.put_with_patience(
+                            out, patience
+                        )
+                    except ChannelClosed:
+                        self._finish(scan, consumer)
+                        continue
+                    except Interrupted:
+                        # The scanner was killed mid-put.  If the batch
+                        # slipped in before the interrupt landed, record
+                        # the delivery so the restarted scanner skips this
+                        # consumer for this page.
+                        if output.tuples_in > before:
+                            self._mark_delivered(scan, consumer)
+                        raise
+                    if not accepted:
+                        # Section 3.3: do not hold everyone to the slowest
+                        # consumer forever -- cut it loose.
+                        self._detach(scan, consumer)
+                        continue
                 self._mark_delivered(scan, consumer)
                 if consumer.pages_remaining <= 0:
                     self._finish(scan, consumer)
@@ -264,37 +290,6 @@ class CircularScanManager:
             return configured
         disk = self.engine.host.config
         return 5.0 * (disk.disk_seek_time + disk.disk_transfer_time)
-
-    def _deliver(self, consumer: ScanConsumer, rows, scan: CircularScan) -> Generator:
-        """Coroutine: filter/project *rows* for one consumer and push them.
-
-        Returns "gone" when the consumer went away, "stalled" when it
-        timed out (caller detaches it), "ok" otherwise.
-        """
-        packet = consumer.packet
-        if packet.output.closed or packet.query.aborted:
-            return "gone"
-        yield from self.engine.engines["fscan"].charge(packet, len(rows))
-        out = consumer.post(rows)
-        consumer.last_out = len(out)
-        if out:
-            before = packet.primary_output.tuples_in
-            try:
-                accepted = yield from packet.primary_output.put_with_patience(
-                    out, self._patience
-                )
-            except ChannelClosed:
-                return "gone"
-            except Interrupted:
-                # The scanner was killed mid-put.  If the batch slipped
-                # in before the interrupt landed, record the delivery so
-                # the restarted scanner skips this consumer for this page.
-                if packet.primary_output.tuples_in > before:
-                    self._mark_delivered(scan, consumer)
-                raise
-            if not accepted:
-                return "stalled"
-        return "ok"
 
     def _detach(self, scan: CircularScan, consumer: ScanConsumer) -> None:
         """Cut a stalled consumer loose with a private catch-up scan."""

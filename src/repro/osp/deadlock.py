@@ -52,11 +52,14 @@ class DeadlockDetector:
     def check_once(self) -> Optional[List[TupleBuffer]]:
         """One detection pass; returns the cycle's buffers if one was
         found (after resolving it), else None."""
-        buffers = [
-            buf
-            for buf in self.engine.live_buffers()
-            if not buf.closed
-        ]
+        buffers = self.engine.live_buffers()
+        for buf in buffers:
+            if buf.producer_blocked:
+                break
+        else:
+            # The common sweep: nothing to materialise (see below), so no
+            # graph is built at all.
+            return None
         # Build the waits-for graph over packet nodes.
         edges: Dict[object, Set[object]] = {}
         blocking_buffer: Dict[tuple, TupleBuffer] = {}

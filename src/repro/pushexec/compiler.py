@@ -196,6 +196,7 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
     base = ctx.sm.catalog.table_schema(plan.table)
     info = ctx.sm.catalog.index(plan.table, plan.index)
     key_fn = ctx.sm._key_fn(base, info.key_columns)
+    keep = compile.key_range(info.key_columns, base)
     # Post-processing runs after the key-range filter.
     post = compile.scan(plan.predicate, plan.project, base)
 
@@ -221,14 +222,7 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
                     and key_fn(rows[0]) > plan.hi
                 ):
                     return
-                if plan.lo is not None or plan.hi is not None:
-                    rows = [
-                        row
-                        for row in rows
-                        if (plan.lo is None or key_fn(row) >= plan.lo)
-                        and (plan.hi is None or key_fn(row) <= plan.hi)
-                    ]
-                rows = post(rows)
+                rows = post(keep(rows, plan.lo, plan.hi))
                 if rows:
                     yield (_BATCH, rows)
                     # The iterator re-reads the page count at each batch
@@ -632,7 +626,7 @@ def _update_source(ctx, plan: UpdateRows) -> Callable:
             info = ctx.sm.catalog.table(table)
             for block in range(info.num_pages):
                 page = yield from ctx.sm.read_table_page(table, block)
-                for slot, row in matching(page.items()):
+                for slot, row in matching(page.slots()):
                     yield from ctx.sm.update_row(
                         table, RID(block, slot), plan.apply(row)
                     )
@@ -656,7 +650,7 @@ def _delete_source(ctx, plan: DeleteRows) -> Callable:
             info = ctx.sm.catalog.table(table)
             for block in range(info.num_pages):
                 page = yield from ctx.sm.read_table_page(table, block)
-                for slot, row in matching(page.items()):
+                for slot, row in matching(page.slots()):
                     yield from ctx.sm.delete_row(table, RID(block, slot))
                     removed += 1
         finally:

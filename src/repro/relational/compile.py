@@ -52,6 +52,7 @@ __all__ = [
     "row_fn",
     "filter",
     "filter_items",
+    "key_range",
     "project",
     "scan",
     "agg_update",
@@ -160,14 +161,40 @@ def filter(predicate: Expr, schema: Schema) -> Callable:
 
 
 def filter_items(predicate: Optional[Expr], schema: Schema) -> Callable:
-    """``(slot, row) pairs -> list of the pairs whose row matches``: the
-    DML page filter (None matches every row)."""
+    """``page slot list -> [(slot, row)] of the live rows that match``:
+    the DML page filter (a None slot is a tombstone; a None predicate
+    matches every row)."""
     src = _Source(schema)
-    test = "" if predicate is None else f" if {src.expr(predicate, True)}"
+    test = "" if predicate is None else f" and {src.expr(predicate, True)}"
     return src.close(
-        f"    return lambda items: "
-        f"[(slot, row) for slot, row in items{test}]"
+        f"    return lambda slots: [(slot, row) "
+        f"for slot, row in enumerate(slots) if row is not None{test}]"
     )
+
+
+def key_range(key_columns: Sequence[str], schema: Schema) -> Callable:
+    """``keep(rows, lo, hi)``: the rows whose index key lies in the
+    closed range, in order -- the clustered index scan's page filter.
+
+    The key is the bare column for one key column and the tuple for
+    several, as the index stores it; a None bound is open, and with both
+    open *rows* itself comes back.
+    """
+    src = _Source(schema)
+    key = (
+        src.expr(Col(key_columns[0])) if len(key_columns) == 1
+        else src.tuple_of(key_columns)
+    )
+    return src.close(f"""\
+    def keep(rows, lo, hi):
+        if lo is None:
+            if hi is None:
+                return rows
+            return [row for row in rows if {key} <= hi]
+        if hi is None:
+            return [row for row in rows if {key} >= lo]
+        return [row for row in rows if {key} >= lo and {key} <= hi]
+    return keep""")
 
 
 def project(items: Sequence[Union[Expr, str]], schema: Schema) -> Callable:

@@ -108,10 +108,11 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering *value* to waiters."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._value = value
-        self.sim._schedule_event(self)
+        sim = self.sim
+        sim.schedule(0.0, sim._flush_event, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -122,7 +123,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        self.sim._schedule_event(self)
+        self.sim.schedule(0.0, self.sim._flush_event, self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -156,7 +157,13 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
+        # Event.__init__ written out: one is built per buffer-pool hit.
+        self.sim = sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self.abandoned = False
+        self.describe = None
         self.delay = delay
         self._payload = value if value is not None else delay
         # Bypass succeed(): schedule the callback flush directly at now+delay.
@@ -252,7 +259,7 @@ class Process(Event):
     aborts if nobody is waiting on it, so bugs do not pass silently).
     """
 
-    __slots__ = ("name", "generator", "_target", "_interrupts")
+    __slots__ = ("name", "generator", "_target", "_interrupts", "_wake")
 
     def __init__(
         self,
@@ -269,7 +276,10 @@ class Process(Event):
         self.generator = generator
         self._target: Optional[Event] = None
         self._interrupts: list = []
-        sim.schedule(0.0, self._resume, None)
+        #: The one callback this process ever registers: ``_resume`` bound
+        #: once, not once per step.
+        self._wake = self._resume
+        sim.schedule(0.0, self._wake, None)
 
     @property
     def alive(self) -> bool:
@@ -289,7 +299,7 @@ class Process(Event):
         self.sim.tracer.proc("interrupt", self.name)
         self._interrupts.append(Interrupted(cause))
         if self._target is not None:
-            self._target.remove_callback(self._resume)
+            self._target.remove_callback(self._wake)
             self._target = None
             self.sim.schedule(0.0, self._deliver_interrupt, priority=URGENT)
 
@@ -336,9 +346,9 @@ class Process(Event):
             self._target = target
             callbacks = target.callbacks
             if callbacks is not None:
-                callbacks.append(self._resume)
+                callbacks.append(self._wake)
             else:
-                sim.schedule(0.0, self._resume, target)
+                sim.schedule(0.0, self._wake, target)
         else:
             self._bad_yield(target)
 
@@ -356,7 +366,7 @@ class Process(Event):
         sim.active_process = prev
         if isinstance(target, Event) and target.sim is sim:
             self._target = target
-            target.add_callback(self._resume)
+            target.add_callback(self._wake)
         else:
             self._bad_yield(target)
 
@@ -369,7 +379,7 @@ class Process(Event):
             # the process event succeeds with None rather than failing.
             self._ok = True
             self._value = None
-            self.sim._schedule_event(self)
+            self.sim.schedule(0.0, self.sim._flush_event, self)
         else:
             self.fail(exc)
             self.sim._register_crash(self, exc)
@@ -490,10 +500,6 @@ class Simulator:
         self._now_queue.clear()
         self._now_queue.extend(live)
         self._dead = 0
-
-    def _schedule_event(self, event: Event) -> None:
-        """Queue an already-triggered event's callback flush."""
-        self.schedule(0.0, self._flush_event, event)
 
     @staticmethod
     def _flush_event(event: Event) -> None:

@@ -34,6 +34,20 @@ class ChannelClosed(SimulationError):
     """Raised by a drained ``get`` (or any ``put``) on a closed channel."""
 
 
+class _Parked:
+    """What a party blocked on a channel waits for, as ``Event.describe``:
+    built once per channel and side, formatted only by diagnostics."""
+
+    __slots__ = ("_side", "_channel")
+
+    def __init__(self, side: str, channel: "Channel"):
+        self._side = side
+        self._channel = channel
+
+    def __str__(self) -> str:
+        return f"{self._side} on channel {self._channel.name}"
+
+
 class Channel:
     """A bounded FIFO queue of items, each with a size in abstract units.
 
@@ -53,12 +67,15 @@ class Channel:
     item and no queued consumers -- the transfer completes immediately
     without entering the :meth:`_balance` matching loop.  The returned
     event is triggered with the same sequence number `_balance` would
-    have assigned, so wakeup order is byte-identical either way.
+    have assigned, so wakeup order is byte-identical either way.  An item
+    offered while consumers are parked (the buffer is then empty) goes
+    straight to the longest-parked live one, as `_balance` would move it.
     """
 
     __slots__ = (
         "sim", "capacity", "name", "_items", "_used", "_putters",
         "_getters", "_closed", "_fast", "total_put", "total_got",
+        "_put_wait", "_get_wait",
     )
 
     def __init__(self, sim: Simulator, capacity: float, name: str = "chan"):
@@ -73,6 +90,8 @@ class Channel:
         self._getters: deque = deque()  # (event, owner)
         self._closed = False
         self._fast = fast_paths_enabled()
+        self._put_wait = _Parked("put", self)
+        self._get_wait = _Parked("get", self)
         # Cumulative statistics for the harness.
         self.total_put = 0
         self.total_got = 0
@@ -94,6 +113,11 @@ class Channel:
     def level(self) -> float:
         return self._used
 
+    @property
+    def producer_blocked(self) -> bool:
+        """A producer is parked here because the channel is full."""
+        return bool(self._putters) and self._used >= self.capacity
+
     def blocked_producers(self) -> list:
         return [owner for (_e, _i, _s, owner) in self._putters]
 
@@ -104,7 +128,7 @@ class Channel:
     def put(self, item: Any, size: float = 1.0, owner: Any = None) -> Event:
         """Enqueue *item*; the returned event fires once accepted."""
         event = Event(self.sim)
-        event.describe = f"put on channel {self.name}"
+        event.describe = self._put_wait
         if self._closed:
             event.fail(ChannelClosed(f"put on closed channel {self.name}"))
             return event
@@ -123,14 +147,13 @@ class Channel:
         ):
             # Fast path: space is free and nobody is queued ahead, so
             # `_balance` would accept this put first thing.  Succeed in the
-            # same order it would have: accept the item, then serve any
+            # same order it would have: accept the item, then serve the
             # blocked consumer the new item unblocks.
-            self._items.append((item, size))
-            self._used += size
-            self.total_put += 1
             event.succeed()
-            if self._getters:
-                self._balance()
+            if not (self._getters and self._hand_off(item)):
+                self._items.append((item, size))
+                self._used += size
+                self.total_put += 1
             return event
         self._putters.append((event, item, size, owner))
         self._balance()
@@ -139,7 +162,7 @@ class Channel:
     def get(self, owner: Any = None) -> Event:
         """Dequeue the next item; the returned event fires with it."""
         event = Event(self.sim)
-        event.describe = f"get on channel {self.name}"
+        event.describe = self._get_wait
         if self._fast and self._items and not self._getters:
             # Fast path: an item is ready and no consumer is queued ahead,
             # so `_balance` would serve this get immediately.  Freed space
@@ -152,7 +175,8 @@ class Channel:
                 self._balance()
             return event
         self._getters.append((event, owner))
-        self._balance()
+        if self._items or self._putters or self._closed:
+            self._balance()  # else parking on an empty buffer moves nothing
         return event
 
     def cancel_put(self, event: Event) -> bool:
@@ -166,6 +190,8 @@ class Channel:
         for entry in self._putters:
             if entry[0] is event:
                 self._putters.remove(entry)
+                # A smaller put queued behind the withdrawn one may fit now.
+                self._balance()
                 return True
         return False
 
@@ -173,11 +199,10 @@ class Channel:
         """Non-blocking put; returns False instead of waiting."""
         if self._closed or self._used + size > self.capacity or self._putters:
             return False
-        self._items.append((item, size))
-        self._used += size
-        self.total_put += 1
-        if self._getters:
-            self._balance()
+        if not (self._getters and self._hand_off(item)):
+            self._items.append((item, size))
+            self._used += size
+            self.total_put += 1
         return True
 
     def close(self) -> None:
@@ -204,6 +229,22 @@ class Channel:
         self._balance()
 
     # -- internal ---------------------------------------------------------
+    def _hand_off(self, item: Any) -> bool:
+        """Give an accepted *item* to the longest-parked live consumer.
+
+        Consumers park only on an empty buffer, so this is the item
+        `_balance` would append and at once pop for that consumer.
+        """
+        getters = self._getters
+        while getters:
+            event, _owner = getters.popleft()
+            if event._value is PENDING and not event.abandoned:
+                self.total_put += 1
+                self.total_got += 1
+                event.succeed(item)
+                return True
+        return False
+
     def _balance(self) -> None:
         """Match blocked producers/consumers against the buffer state."""
         progress = True
@@ -373,24 +414,31 @@ class Resource:
         """
         event = _Hold(self, duration)
         if self._in_use < self.capacity and not self._waiters:
-            self._account()
+            # _account() written out: an uncontended grant is
+            # `hold -> schedule` and nothing else.
+            sim = self.sim
+            now = sim._now
+            self.busy_time += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use += 1
             self.total_acquisitions += 1
-            self._serve(event)
+            if callable(duration):
+                duration = event._duration = duration()
+            event._entry = sim.schedule(duration, self._complete, event)
         else:
             self._waiters.append(event)
         return event
 
-    def _serve(self, event: _Hold) -> None:
-        """Start a granted hold's service: its one kernel entry."""
-        duration = event._duration
-        if callable(duration):
-            duration = event._duration = duration()
-        event._entry = self.sim.schedule(duration, self._complete, event)
-
     def _complete(self, event: _Hold) -> None:
         event._entry = None
-        self.release()
+        if self._waiters or self._in_use <= 0:
+            self.release()
+        else:
+            # release() with nobody queued, written out.
+            now = self.sim._now
+            self.busy_time += self._in_use * (now - self._last_change)
+            self._last_change = now
+            self._in_use -= 1
         event._value = event._duration
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
@@ -404,12 +452,18 @@ class Resource:
         self._in_use -= 1
         while self._waiters:
             event = self._waiters.popleft()
-            if _abandoned(event):  # waiter was interrupted and gave up
-                continue
+            if event._value is not PENDING or event.abandoned:
+                continue  # waiter was interrupted and gave up
             self._in_use += 1
             self.total_acquisitions += 1
             if event.__class__ is _Hold:
-                self._serve(event)
+                # A queued hold's service starts now: its one kernel entry.
+                duration = event._duration
+                if callable(duration):
+                    duration = event._duration = duration()
+                event._entry = self.sim.schedule(
+                    duration, self._complete, event
+                )
             else:
                 event.succeed(self)
             break
@@ -465,6 +519,9 @@ class Semaphore:
 
     __slots__ = ("sim", "_value", "_waiters")
 
+    #: ``Event.describe`` of a blocked acquire.
+    _WAIT = "semaphore"
+
     def __init__(self, sim: Simulator, value: int = 1):
         if value < 0:
             raise ValueError(f"semaphore value must be >= 0: {value}")
@@ -478,7 +535,7 @@ class Semaphore:
 
     def acquire(self) -> Event:
         event = Event(self.sim)
-        event.describe = f"{type(self).__name__.lower()}"
+        event.describe = self._WAIT
         if self._value > 0 and not self._waiters:
             self._value -= 1
             event.succeed()
@@ -500,6 +557,8 @@ class Lock(Semaphore):
     """A mutex (binary semaphore)."""
 
     __slots__ = ()
+
+    _WAIT = "lock"
 
     def __init__(self, sim: Simulator):
         super().__init__(sim, value=1)

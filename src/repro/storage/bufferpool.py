@@ -19,7 +19,7 @@ from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.faults.errors import FaultError
 from repro.hw.disk import Disk
-from repro.sim import Event, SimulationError, Simulator
+from repro.sim import Event, SimulationError, Simulator, Timeout
 from repro.sim.errors import Interrupted
 from repro.storage.file import BlockStore
 from repro.storage.replacement import ReplacementPolicy, make_policy
@@ -93,7 +93,10 @@ class BufferPool:
             self.policy = make_policy(self.policy_name, self.capacity)
         self._frames: Dict[Key, Any] = {}
         self._pins: Dict[Key, int] = {}
-        self._in_flight: Dict[Key, Event] = {}
+        #: Pages being read right now.  The value is the event the
+        #: piggybackers wait on, created by the first of them: a read
+        #: nobody joins (None) costs no kernel entry to announce.
+        self._in_flight: Dict[Key, Optional[Event]] = {}
         from collections import OrderedDict
 
         self._scan_ring: "OrderedDict[Key, bool]" = OrderedDict()
@@ -155,7 +158,7 @@ class BufferPool:
                     self._pins[key] = self._pins.get(key, 0) + 1
                     self.sim.tracer.pool("pin", file_id, block_no)
                 try:
-                    yield self.sim.timeout(self.page_hit_cost)
+                    yield Timeout(self.sim, self.page_hit_cost)
                 except Interrupted:
                     # The requester died mid-hit: give back the pin it
                     # will never release.
@@ -164,11 +167,13 @@ class BufferPool:
                     raise
                 return payload
 
-        pending = self._in_flight.get(key)
-        if pending is not None:
+        if key in self._in_flight:
             # Someone else is already reading this page: piggyback.
             self.stats.coalesced += 1
             self.sim.tracer.pool("coalesced", file_id, block_no)
+            pending = self._in_flight[key]
+            if pending is None:
+                pending = self._in_flight[key] = Event(self.sim)
             yield pending
             payload = self._frames.get(key)
             if payload is None:
@@ -188,8 +193,7 @@ class BufferPool:
         # Genuine miss: this process performs the read.
         self.stats.misses += 1
         self.sim.tracer.pool("miss", file_id, block_no)
-        done = self.sim.event()
-        self._in_flight[key] = done
+        self._in_flight[key] = None
         try:
             if key not in self._frames:
                 self._make_room()
@@ -203,8 +207,9 @@ class BufferPool:
                 self._scan_ring.pop(key, None)
                 self.policy.on_insert(key)
         finally:
-            del self._in_flight[key]
-            done.succeed()
+            done = self._in_flight.pop(key)
+            if done is not None:
+                done.succeed()
         if pin:
             self._pins[key] = self._pins.get(key, 0) + 1
             self.sim.tracer.pool("pin", file_id, block_no)

@@ -39,15 +39,22 @@ class Page:
     Deleted slots become ``None`` tombstones so that live RIDs never move
     (no slot compaction), matching the stability guarantees a storage
     manager must give its indexes.
+
+    Every write *replaces* the slot list instead of mutating it, so the
+    lists :meth:`rows` and :meth:`slots` hand out are snapshots for free:
+    a reader may hold one across a simulated wait while writers change
+    the page.
     """
 
-    __slots__ = ("capacity", "_slots")
+    __slots__ = ("capacity", "_slots", "_live")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"page capacity must be >= 1: {capacity}")
         self.capacity = capacity
         self._slots: List[Optional[tuple]] = []
+        #: What :meth:`rows` returned since the last write, if anything.
+        self._live: Optional[List[tuple]] = None
 
     @property
     def num_slots(self) -> int:
@@ -56,11 +63,18 @@ class Page:
 
     @property
     def num_live(self) -> int:
-        return sum(1 for row in self._slots if row is not None)
+        return len(self.rows())
 
     @property
     def full(self) -> bool:
         return len(self._slots) >= self.capacity
+
+    def _store(self, slot: int, value: Optional[tuple]) -> None:
+        """Write one slot into a *new* slot list (replace-on-write)."""
+        slots = self._slots[:]
+        slots[slot] = value
+        self._slots = slots
+        self._live = None
 
     def insert(self, row: tuple) -> int:
         """Append *row*; returns the slot number.
@@ -69,7 +83,8 @@ class Page:
         """
         if self.full:
             raise ValueError("page is full")
-        self._slots.append(row)
+        self._slots = [*self._slots, row]
+        self._live = None
         return len(self._slots) - 1
 
     def get(self, slot: int) -> Optional[tuple]:
@@ -83,13 +98,13 @@ class Page:
             raise IndexError(f"slot {slot} out of range")
         if self._slots[slot] is None:
             raise ValueError(f"slot {slot} is a tombstone")
-        self._slots[slot] = row
+        self._store(slot, row)
 
     def delete(self, slot: int) -> None:
         """Tombstone the row at *slot*."""
         if not 0 <= slot < len(self._slots):
             raise IndexError(f"slot {slot} out of range")
-        self._slots[slot] = None
+        self._store(slot, None)
 
     def restore(self, slot: int, row: tuple) -> None:
         """Un-tombstone *slot* (transaction rollback of a delete)."""
@@ -97,7 +112,7 @@ class Page:
             raise IndexError(f"slot {slot} out of range")
         if self._slots[slot] is not None:
             raise ValueError(f"slot {slot} is occupied")
-        self._slots[slot] = row
+        self._store(slot, row)
 
     def extend(self, rows: List[tuple]) -> int:
         """Bulk-append up to the remaining capacity; returns rows taken.
@@ -109,12 +124,29 @@ class Page:
         if free <= 0:
             return 0
         taken = rows[:free]
-        self._slots.extend(taken)
+        self._slots = [*self._slots, *taken]
+        self._live = None
         return len(taken)
 
     def rows(self) -> List[tuple]:
-        """All live rows in slot order."""
-        return [row for row in self._slots if row is not None]
+        """All live rows in slot order; never changed by a later write.
+
+        The list is shared with the page (a page without tombstones
+        hands out its slot list itself): read it, never mutate it.
+        """
+        live = self._live
+        if live is None:
+            live = self._slots
+            if None in live:
+                live = [row for row in live if row is not None]
+            self._live = live
+        return live
+
+    def slots(self) -> List[Optional[tuple]]:
+        """Every slot in order, tombstones as None; never changed by a
+        later write, and not to be mutated.  ``enumerate`` it for
+        (slot, row) pairs in bulk."""
+        return self._slots
 
     def items(self) -> Iterator[Tuple[int, tuple]]:
         """(slot, row) pairs for live rows."""

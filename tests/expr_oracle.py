@@ -118,6 +118,19 @@ def probe_semi(keys, batch, lkey, anti):
     return [r for r in batch if lkey(r) in keys]
 
 
+def key_range(rows, key_fn, lo, hi):
+    """The clustered ``IndexScan`` page filter, as each engine wrote it
+    out; *key_fn* is ``StorageManager._key_fn``'s itemgetter."""
+    if lo is not None or hi is not None:
+        rows = [
+            row
+            for row in rows
+            if (lo is None or key_fn(row) >= lo)
+            and (hi is None or key_fn(row) <= hi)
+        ]
+    return rows
+
+
 def partition(rows, key, nparts):
     buckets = [[] for _ in range(nparts)]
     for row in rows:

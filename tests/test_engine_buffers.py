@@ -148,6 +148,50 @@ def test_put_with_patience_succeeds_when_space_frees():
     assert log == [(True, 3.0)]
 
 
+def test_patient_put_accepted_on_the_spot_schedules_nothing():
+    """Room in the buffer: no accept event, no deadline, no AnyOf -- the
+    only kernel entries are the producer's own start and exit, and the
+    wake-up of a consumer parked on the empty buffer."""
+    sim = Simulator()
+    buf = TupleBuffer(sim, 4)
+
+    def producer():
+        ok = yield from buf.put_with_patience([(1,), (2,)], patience=5.0)
+        return ok, sim.now
+
+    assert drive(sim, producer()) == (True, 0.0)
+    assert buf.tuples_in == 2 and buf.level == 2
+    assert sim._seq == 2
+
+    parked = sim.spawn(buf.get())
+    sim.run()
+    assert parked.value == [(1,), (2,)]
+    parked = sim.spawn(buf.get())  # now parked on an empty buffer
+    sim.run()
+    before = sim._seq
+    assert drive(sim, producer()) == (True, 0.0)
+    assert parked.value == [(1,), (2,)] and buf.level == 0
+    assert buf.tuples_in == 4 and buf.tuples_out == 4
+    # producer start + exit, the hand-off, the consumer's exit
+    assert sim._seq - before == 4
+
+
+def test_patient_put_on_closed_buffer_raises_channel_closed():
+    sim = Simulator()
+    buf = TupleBuffer(sim, 4)
+    buf.close()
+
+    def producer():
+        try:
+            yield from buf.put_with_patience([(1,)], patience=5.0)
+        except ChannelClosed as exc:
+            return str(exc), sim.now
+        return "accepted"
+
+    assert drive(sim, producer()) == ("put on closed channel buf", 0.0)
+    assert buf.tuples_in == 0
+
+
 def _run_patience_race(batch_size, consume_at, spawn_consumer_first):
     """One deadline/accept race; returns (ok, delivered rows, buffer).
 

@@ -9,6 +9,8 @@
   the group split) return what the per-row bodies they replaced return,
   in the same order, over keys a dict treats specially (None, NaN, ±0.0,
   ``1 == 1.0 == True``).
+* ``key_range`` keeps the rows the clustered ``IndexScan`` loop kept, or
+  raises what it raised, for bare and tuple keys and open bounds.
 * The code cache is keyed by expression shape: constants never add
   entries, and each closure still sees its own.
 * Float SUM/AVG equals the plain ``+=`` left fold on all three engines
@@ -194,12 +196,14 @@ def test_batch_kernels_match_oracle(pred, items, seed):
     for kernel, reference in checks:
         assert same_outcome(outcome(kernel, rows), outcome(reference, rows))
 
-    slots = list(enumerate(rows))
-    got = outcome(compile.filter_items(pred, SCHEMA), iter(slots))
-    want = outcome(lambda: [(s, r) for s, r in slots
+    # A page's slot list: every third row a tombstone, never evaluated.
+    slots = [None if i % 3 == 1 else r for i, r in enumerate(rows)]
+    live = [(s, r) for s, r in enumerate(slots) if r is not None]
+    got = outcome(compile.filter_items(pred, SCHEMA), slots)
+    want = outcome(lambda: [(s, r) for s, r in live
                             if eval_expr(pred, r, SCHEMA)])
     assert same_outcome(got, want)
-    assert compile.filter_items(None, SCHEMA)(iter(slots)) == slots
+    assert compile.filter_items(None, SCHEMA)(slots) == live
 
 
 def test_and_or_are_bool_in_value_position():
@@ -388,6 +392,38 @@ def test_partition_routes_by_the_one_tuple_hash(keys, nparts):
         assert all(hash((row[1],)) % nparts == b for row in bucket)
     reference = oracle.partition(rows, oracle.projector(RIGHT, ["rk"]), nparts)
     assert all(map(same_rows, buckets, reference))
+
+
+#: Index keys and bounds: numbers that compare across types, NaN (never
+#: inside any range), and None / a string among them (an ordering
+#: TypeError, which kernel and loop must raise alike).
+range_keys = st.sampled_from(
+    [-3, -0.0, 0, False, 1, 1.0, True, 2, 2.5, 7, NAN, float("inf")]
+)
+odd_keys = st.one_of(range_keys, st.sampled_from([None, "a"]))
+bounds = st.one_of(st.none(), odd_keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(st.tuples(odd_keys, range_keys), max_size=30),
+       lo=bounds, hi=bounds, lo2=range_keys, hi2=range_keys)
+def test_key_range_matches_the_loop_the_engines_wrote_out(
+    keys, lo, hi, lo2, hi2
+):
+    schema = Schema.of("pad:str:4", "k1:int", "k2:int")
+    rows = [(f"r{i}", k1, k2) for i, (k1, k2) in enumerate(keys)]
+    for columns, lo_, hi_ in (
+        (["k1"], lo, hi),  # one key column: the bare value
+        (["k2", "k1"], None if lo is None else (lo2, lo),
+         None if hi is None else (hi2, hi)),  # several: the tuple
+    ):
+        keep = compile.key_range(columns, schema)
+        key_fn = StorageManager._key_fn(schema, columns)
+        got = outcome(keep, rows, lo_, hi_)
+        want = outcome(oracle.key_range, rows, key_fn, lo_, hi_)
+        assert same_outcome(got, want), (columns, lo_, hi_, got, want)
+        if lo_ is None and hi_ is None:
+            assert got[1] is rows  # open on both sides: no copy
 
 
 def test_unknown_probe_kind_is_rejected():

@@ -9,16 +9,29 @@ Three layers of evidence (DESIGN.md section 10):
   disabled vs. enabled, asserting byte-identical JSONL traces and equal
   metrics;
 * a bound on queue growth under cancel-heavy workloads (the lazy-
-  deletion leak fix).
+  deletion leak fix);
+* a hypothesis differential over random channel programs: the direct
+  hand-off of an offered item to a parked consumer (dead consumers at
+  the head of the queue included) wakes everyone in the order the
+  ``_balance`` matching loop does with fast paths off.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.harness.config import SMOKE, build_tpch_system, with_overrides
 from repro.obs import Tracer, jsonl_dumps
-from repro.sim import Simulator, fast_paths_enabled, set_fast_paths
+from repro.sim import (
+    Channel,
+    ChannelClosed,
+    Interrupted,
+    Simulator,
+    fast_paths_enabled,
+    set_fast_paths,
+)
 from repro.workloads.clients import ClosedLoopClient, run_workload
 from repro.workloads.tpch import queries as Q
 
@@ -84,6 +97,80 @@ def record_execution_order(seed, fast):
 def test_same_timestamp_ordering_matches_pure_heap(seed):
     assert record_execution_order(seed, fast=True) == \
         record_execution_order(seed, fast=False)
+
+
+def run_channel_program(ops, capacity, fast):
+    """One channel, one op per step; returns the wake-order log.
+
+    Each op is ``(delay, kind, n)``: *delay* 0 keeps it on the previous
+    op's timestamp.  ``get`` and ``put`` spawn a party that may park;
+    ``kill`` interrupts the n-th party spawned so far (a parked getter
+    becomes an abandoned entry at the head of the queue); ``try_put``
+    and ``close`` act inline.
+    """
+    previous = set_fast_paths(fast)
+    try:
+        sim = Simulator()
+        ch = Channel(sim, capacity=capacity)
+        log = []
+        parties = []
+
+        def getter(tag):
+            try:
+                log.append((sim.now, tag, "got", (yield ch.get(owner=tag))))
+            except (ChannelClosed, Interrupted) as exc:
+                log.append((sim.now, tag, type(exc).__name__))
+
+        def putter(tag, size):
+            try:
+                yield ch.put(tag, size=size, owner=tag)
+                log.append((sim.now, tag, "accepted"))
+            except (ChannelClosed, Interrupted) as exc:
+                log.append((sim.now, tag, type(exc).__name__))
+
+        def driver():
+            for step, (delay, kind, n) in enumerate(ops):
+                if delay:
+                    yield sim.timeout(delay)
+                tag = f"{kind}{step}"
+                if kind == "get":
+                    parties.append(sim.spawn(getter(tag)))
+                elif kind == "put":
+                    parties.append(sim.spawn(putter(tag, 1 + n % capacity)))
+                elif kind == "try_put":
+                    log.append((sim.now, tag, ch.try_put(tag, 1 + n % 2)))
+                elif kind == "kill" and parties:
+                    parties[n % len(parties)].interrupt(tag)
+                elif kind == "close":
+                    ch.close()
+                log.append((sim.now, tag, ch.level, ch.blocked_consumers(),
+                            ch.blocked_producers()))
+
+        sim.spawn(driver())
+        sim.run()
+        log.append((sim.now, sim._seq, ch.total_put, ch.total_got, ch.level))
+        return log
+    finally:
+        set_fast_paths(previous)
+
+
+_CHANNEL_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 1]),
+        st.sampled_from(
+            ["get", "get", "get", "put", "put", "try_put", "kill", "close"]
+        ),
+        st.integers(0, 7),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_CHANNEL_OPS, capacity=st.integers(1, 3))
+def test_channel_hand_off_wakes_in_slow_path_order(ops, capacity):
+    assert run_channel_program(ops, capacity, fast=True) == \
+        run_channel_program(ops, capacity, fast=False)
 
 
 def test_set_fast_paths_round_trip():

@@ -11,6 +11,7 @@ from repro.sim import (
     Resource,
     Semaphore,
     Simulator,
+    StarvationError,
 )
 
 
@@ -197,6 +198,73 @@ def test_channel_try_put():
     sim.spawn(consumer())
     sim.run()
     assert got == ["a"]
+
+
+def test_channel_cancel_put_admits_the_smaller_put_queued_behind():
+    """Withdrawing the head-of-line putter re-runs the matcher: the put
+    behind it fits now and must not wait for an unrelated get."""
+    sim = Simulator()
+    ch = Channel(sim, capacity=10)
+    assert ch.try_put("pre", size=8)
+    accepted = []
+
+    def big():
+        accept = ch.put("A", size=5)
+        yield sim.timeout(1)
+        assert ch.cancel_put(accept) is True
+        assert ch.cancel_put(accept) is False  # already withdrawn
+
+    def small():
+        yield ch.put("B", size=2)
+        accepted.append(sim.now)
+
+    def unrelated_get():
+        yield sim.timeout(50)
+        yield ch.get()
+
+    sim.spawn(big())
+    sim.spawn(small())
+    sim.spawn(unrelated_get())
+    sim.run()
+    assert accepted == [1.0]
+    assert ch.blocked_producers() == [] and not ch.producer_blocked
+
+
+def test_channel_hands_an_offered_item_past_abandoned_getters():
+    """A put or try_put while consumers are parked goes straight to the
+    longest-parked *live* one; dead entries at the head are dropped."""
+    sim = Simulator()
+    ch = Channel(sim, capacity=2)
+    got = []
+
+    def consumer(name):
+        got.append((name, (yield ch.get()), sim.now))
+
+    dead = sim.spawn(consumer("dead"))
+    sim.spawn(consumer("first"))
+    sim.spawn(consumer("second"))
+
+    def producer():
+        yield sim.timeout(1)
+        dead.interrupt("killed")
+        yield sim.timeout(1)
+        assert ch.try_put("x") is True
+        yield ch.put("y")
+        assert ch.level == 0 and ch.empty
+
+    sim.spawn(producer())
+    sim.run()
+    assert got == [("first", "x", 2.0), ("second", "y", 2.0)]
+    assert (ch.total_put, ch.total_got) == (2, 2)
+    assert ch.blocked_consumers() == []
+
+    # Only abandoned getters parked: the item is buffered, not lost.
+    lone = sim.spawn(consumer("lone"))
+    sim.run()
+    lone.interrupt("killed")
+    sim.run()
+    assert ch.try_put("z") is True
+    assert ch.level == 1 and ch.blocked_consumers() == []
 
 
 def test_channel_force_capacity_releases_blocked_producer():
@@ -415,3 +483,38 @@ def test_condition_notify_one():
     sim.spawn(notifier())
     sim.run(until=100)
     assert woke == ["a"]
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics: what a parked party waits on, formatted only on demand
+# ---------------------------------------------------------------------------
+def test_starvation_text_of_every_primitive_is_unchanged():
+    sim = Simulator()
+    ch = Channel(sim, capacity=1, name="pipe")
+    sem, lock = Semaphore(sim, 0), Lock(sim)
+
+    def producer():
+        yield ch.put("a")
+        yield ch.put("b")
+
+    def locker():
+        yield lock.acquire()
+        yield lock.acquire()
+
+    def waiter():
+        yield sem.acquire()
+
+    procs = [
+        sim.spawn(producer(), name="p"),
+        sim.spawn(locker(), name="l"),
+        sim.spawn(waiter(), name="w"),
+    ]
+    with pytest.raises(StarvationError) as exc:
+        sim.run_until_done(procs)
+    assert str(exc.value) == (
+        "simulation drained at t=0.000 with 3 live process(es): "
+        "p#1 waiting on put on channel pipe; l#2 waiting on lock; "
+        "w#3 waiting on semaphore"
+    )
+    ch.name = "renamed"  # formatted at report time, from the channel
+    assert str(ch.put("c").describe) == "put on channel renamed"

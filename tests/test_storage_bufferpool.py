@@ -80,6 +80,52 @@ def test_concurrent_miss_coalesces_to_one_read():
     assert done[0][1] == done[1][1]  # both complete together
 
 
+def test_miss_nobody_joins_announces_itself_to_nobody():
+    """The in-flight marker is an event only once a second requester
+    piggybacks: a lone miss costs the process start, the disk service
+    and the process exit -- no kernel entry that wakes nobody."""
+    sim, disk, pool, fid = make_pool()
+    sim.spawn(pool.get_page(fid, 0))
+    sim.run(until=1.0)  # mid-read
+    assert pool._in_flight == {(fid, 0): None}
+    sim.run()
+    assert pool._in_flight == {}
+    assert sim._seq == 3
+
+
+def test_reader_interrupted_mid_read_wakes_its_piggybacker_to_retry():
+    sim, disk, pool, fid = make_pool()
+    got = []
+
+    def follower():
+        yield sim.timeout(0.5)
+        got.append(((yield from pool.get_page(fid, 0)), sim.now))
+
+    reader = sim.spawn(pool.get_page(fid, 0))
+    sim.spawn(follower())
+    sim.schedule(1.0, reader.interrupt, "crash")
+    sim.run()
+    # Woken at the interrupt instant, the follower finds no frame and
+    # performs the read itself: 1.0 + seek + transfer.
+    assert got == [("payload0", 4.0)]
+    assert pool.stats.misses == 2 and pool.stats.coalesced == 1
+    assert disk.stats.blocks_read == 1  # the abandoned service is not one
+    assert pool._in_flight == {}
+    assert pool.contains(fid, 0)
+
+
+def test_reader_interrupted_mid_read_alone_leaks_no_in_flight_marker():
+    sim, disk, pool, fid = make_pool()
+    reader = sim.spawn(pool.get_page(fid, 0))
+    sim.schedule(1.0, reader.interrupt, "crash")
+    sim.run()
+    assert pool._in_flight == {}
+    assert not pool.contains(fid, 0)
+    # The page is readable afterwards, by a genuine miss.
+    assert drive(sim, pool.get_page(fid, 0)) == "payload0"
+    assert pool.stats.misses == 2 and pool.stats.coalesced == 0
+
+
 def test_eviction_at_capacity():
     sim, disk, pool, fid = make_pool(capacity=2)
 

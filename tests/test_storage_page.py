@@ -1,6 +1,8 @@
 """Unit tests for pages, slots, RIDs, and heap files."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.file import BlockStore, HeapFile
 from repro.storage.page import PAGE_SIZE, Page, RID, rows_per_page
@@ -50,6 +52,65 @@ def test_page_update_rejects_tombstone():
     page.delete(0)
     with pytest.raises(ValueError):
         page.update(0, (9,))
+
+
+_WRITES = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "update", "delete", "restore", "extend"]),
+        st.integers(0, 7),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(writes=_WRITES)
+def test_lists_handed_out_never_change_under_later_writes(writes):
+    """Replace-on-write: readers hold ``rows()`` across simulated waits,
+    so no later write may reach a list the page already handed out."""
+    page = Page(capacity=8)
+    model = []  # the slot list, kept independently
+    handed_out = []  # (the list a reader got, what it held at that time)
+    for serial, (op, slot) in enumerate(writes):
+        row = (serial,)
+        if op == "insert" and len(model) < 8:
+            assert page.insert(row) == len(model)
+            model.append(row)
+        elif op == "extend":
+            batch = [(serial, i) for i in range(slot % 3 + 1)]
+            taken = page.extend(batch)
+            assert taken == min(len(batch), 8 - len(model))
+            model.extend(batch[:taken])
+        elif slot < len(model):
+            if op == "update" and model[slot] is not None:
+                page.update(slot, row)
+                model[slot] = row
+            elif op == "delete":
+                page.delete(slot)
+                model[slot] = None
+            elif op == "restore" and model[slot] is None:
+                page.restore(slot, row)
+                model[slot] = row
+        live = [r for r in model if r is not None]
+        assert page.rows() == live
+        assert page.rows() is page.rows()  # built once per write, not per read
+        assert page.slots() == model
+        assert page.num_live == len(page) == len(live)
+        assert list(page.items()) == [
+            (i, r) for i, r in enumerate(model) if r is not None
+        ]
+        handed_out.append((page.rows(), list(live)))
+        handed_out.append((page.slots(), list(model)))
+        for held, snapshot in handed_out:
+            assert held == snapshot
+
+
+def test_page_without_tombstones_hands_out_its_slot_list_uncopied():
+    page = Page(capacity=4)
+    page.extend([(1,), (2,)])
+    assert page.rows() is page.slots()
+    page.delete(0)
+    assert page.rows() == [(2,)] and page.slots() == [None, (2,)]
 
 
 def test_page_slot_bounds_checked():
