@@ -163,7 +163,7 @@ class IndexScanOp(Operator):
         info = ctx.sm.catalog.index(plan.table, plan.index)
         self._clustered = info.clustered
         self._key_fn = ctx.sm._key_fn(base, info.key_columns)
-        self._keep = compile.key_range(info.key_columns, base)
+        self._keep = info.key_range
         self._post = compile.scan(plan.predicate, plan.project, base)
         self._rids: Optional[List] = None
         self._page_no: Optional[int] = None

@@ -95,10 +95,9 @@ class IScanEngine(MicroEngine):
         plan = packet.plan
         num_pages = sm.num_pages(plan.table)
         end = num_pages if stop_page is None else stop_page
-        base = sm.catalog.table_schema(plan.table)
-        key_columns = sm.catalog.index(plan.table, plan.index).key_columns
-        key_fn = sm._key_fn(base, key_columns)
-        keep = compile.key_range(key_columns, base)
+        info = sm.catalog.index(plan.table, plan.index)
+        key_fn = sm._key_fn(info.schema, info.key_columns)
+        keep = info.key_range
         page_no = start_page
         while page_no < end:
             page = yield from sm.read_table_page(

@@ -196,7 +196,7 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
     base = ctx.sm.catalog.table_schema(plan.table)
     info = ctx.sm.catalog.index(plan.table, plan.index)
     key_fn = ctx.sm._key_fn(base, info.key_columns)
-    keep = compile.key_range(info.key_columns, base)
+    keep = info.key_range
     # Post-processing runs after the key-range filter.
     post = compile.scan(plan.predicate, plan.project, base)
 

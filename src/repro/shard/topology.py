@@ -20,6 +20,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.hw.host import Cluster, Host
 from repro.relational.schema import Schema
+from repro.storage.image import SameRows, load_once
 from repro.storage.manager import StorageManager
 from repro.storage.partition import PartitionInfo, partition_rows
 
@@ -103,19 +104,32 @@ class ShardedSystem:
         order -- the byte-identity-preserving default), ``hash``
         (bucketed on *column* via the stable row hash), or
         ``replicated`` (every shard loads all rows).
+
+        Splitting and loading happen once per process for the same row
+        objects split the same way (the shard count and each partition's
+        index are the managers' positions); after that every shard
+        adopts its slice's image (:func:`repro.storage.image.load_once`).
         """
         count = len(self.shards)
-        slices = partition_rows(rows, schema, scheme, count, column=column)
-        for shard, part in zip(self.shards, slices):
-            shard.sm.create_table(
-                name,
-                schema,
-                clustered_on=clustered_on,
-                partitioning=PartitionInfo(
-                    scheme, count, shard.index, column=column
-                ),
-            )
-            shard.sm.load_table(name, part)
+
+        def load() -> None:
+            slices = partition_rows(rows, schema, scheme, count, column=column)
+            for shard, part in zip(self.shards, slices):
+                shard.sm.create_table(
+                    name,
+                    schema,
+                    clustered_on=clustered_on,
+                    partitioning=PartitionInfo(
+                        scheme, count, shard.index, column=column
+                    ),
+                )
+                shard.sm.load_table(name, part)
+
+        key = (
+            "sharded", name, schema, scheme, column,
+            tuple(clustered_on or ()), SameRows(rows),
+        )
+        load_once(key, [shard.sm for shard in self.shards], load)
 
     def create_replicated_table(
         self,

@@ -15,12 +15,15 @@ package implements those pieces from scratch:
 * :mod:`repro.storage.locks` -- table-level shared/exclusive locks
   (section 4.3.4: updates route through locking).
 * :mod:`repro.storage.manager` -- the facade the engines program against.
+* :mod:`repro.storage.image` -- loaded tables as shareable images, and
+  the memo that builds each database once per process.
 """
 
 from repro.storage.bufferpool import BufferPool
 from repro.storage.btree import BPlusTree
 from repro.storage.catalog import Catalog, IndexInfo, TableInfo
 from repro.storage.file import BlockStore, HeapFile
+from repro.storage.image import StorageImage, load_once
 from repro.storage.locks import LockManager, LockMode
 from repro.storage.manager import StorageManager
 from repro.storage.page import RID, Page
@@ -70,9 +73,11 @@ __all__ = [
     "PartitionInfo",
     "RID",
     "ReplacementPolicy",
+    "StorageImage",
     "StorageManager",
     "TableInfo",
     "hash_partition",
+    "load_once",
     "partition_rows",
     "range_partition",
     "stable_hash",

@@ -11,19 +11,20 @@ what a secondary index over a foreign key needs (e.g. ORDERS.o_custkey).
 Deletion is lazy: the (key, value) pair is removed from its leaf but
 nodes are never merged.  The read-mostly workloads of the paper never
 stress underflow, and the invariant checker accounts for it.
+
+A key's value list (its *bucket*) is replace-on-write, like a page's
+slot list: insert and delete put a new list in the leaf instead of
+changing the old one.  That is what lets the trees adopted from one
+:class:`TreeImage` share every bucket while each owns its nodes.
 """
 
 from __future__ import annotations
 
 import bisect
 from itertools import groupby
-from operator import itemgetter
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, NamedTuple, Tuple
 
 from repro.storage.file import BlockStore
-
-#: groupby key for (key, value) pairs.
-_pair_key = itemgetter(0)
 
 NO_NODE = -1
 
@@ -34,6 +35,16 @@ def _new_leaf() -> dict:
 
 def _new_internal() -> dict:
     return {"leaf": False, "keys": [], "children": []}
+
+
+def _copy_node(node: dict) -> dict:
+    """A node for another tree to own: its own dict and key, bucket and
+    child lists, over the same keys and (replace-on-write) buckets."""
+    copy = dict(node)
+    copy["keys"] = node["keys"][:]
+    part = "vals" if node["leaf"] else "children"
+    copy[part] = node[part][:]
+    return copy
 
 
 class BPlusTree:
@@ -103,7 +114,7 @@ class BPlusTree:
         node = self.node(block)
         idx = bisect.bisect_left(node["keys"], key)
         if idx < len(node["keys"]) and node["keys"][idx] == key:
-            node["vals"][idx].append(value)
+            node["vals"][idx] = [*node["vals"][idx], value]
             self.num_entries += 1
             return
         node["keys"].insert(idx, key)
@@ -133,12 +144,14 @@ class BPlusTree:
         values = node["vals"][idx]
         if value not in values:
             return False
-        values.remove(value)
         self.num_entries -= 1
-        if not values:
+        if len(values) == 1:
             del node["keys"][idx]
             del node["vals"][idx]
             self.num_keys -= 1
+        else:
+            at = values.index(value)
+            node["vals"][idx] = values[:at] + values[at + 1:]
         return True
 
     def range_scan(
@@ -181,30 +194,31 @@ class BPlusTree:
             node = self.node(block)
         return block
 
-    def bulk_build(self, pairs: Iterator[Tuple[Any, Any]]) -> None:
-        """Bottom-up build from *pairs* sorted by key (duplicates adjacent).
+    def bulk_build(self, sorted_keys: List[Any], values: List[Any]) -> None:
+        """Bottom-up build from parallel lists: ``values[i]`` goes under
+        ``sorted_keys[i]`` (ascending, duplicates adjacent).
 
         Replaces the current (expected empty) contents.
         """
         if self.num_keys:
             raise ValueError("bulk_build requires an empty tree")
-        # Group duplicates (C-speed: groupby on already-adjacent keys).
-        # The sortedness check moves from per pair to per group, which
-        # catches exactly the same inputs: equal keys are never split
-        # across groups, so any out-of-order pair surfaces as an
-        # out-of-order group key.
+        # Group the key list once: a run of equal keys is one bucket,
+        # sliced out of the value list.  Checking order per run catches
+        # the same inputs as checking it per entry: equal keys are never
+        # split across runs, so any out-of-order entry surfaces as an
+        # out-of-order run key.
         keys: List[Any] = []
         vals: List[List[Any]] = []
-        entries = 0
-        for key, group in groupby(pairs, key=_pair_key):
+        start = 0
+        for key, run in groupby(sorted_keys):
             if keys and key < keys[-1]:
                 raise ValueError("bulk_build input is not sorted")
-            bucket = [value for _k, value in group]
+            end = start + len(list(run))
             keys.append(key)
-            vals.append(bucket)
-            entries += len(bucket)
+            vals.append(values[start:end])
+            start = end
         self.num_keys = len(keys)
-        self.num_entries = entries
+        self.num_entries = len(values)
         if not keys:
             return
 
@@ -241,6 +255,21 @@ class BPlusTree:
             height += 1
         self.root_block = level_blocks[0]
         self.height = height
+
+    # ------------------------------------------------------------------
+    # Images (see repro.storage.image)
+    # ------------------------------------------------------------------
+    def capture(self) -> "TreeImage":
+        blocks = range(self.store.num_blocks(self.file_id))
+        return TreeImage(
+            self.name,
+            self.order,
+            self.root_block,
+            self.height,
+            self.num_keys,
+            self.num_entries,
+            tuple(_copy_node(self.node(block)) for block in blocks),
+        )
 
     # ------------------------------------------------------------------
     # Split machinery
@@ -334,3 +363,35 @@ class BPlusTree:
             f"<BPlusTree {self.name}: {self.num_keys} keys, "
             f"{self.num_entries} entries, height {self.height}>"
         )
+
+
+class TreeImage(NamedTuple):
+    """A B+tree's content at one instant, shareable between systems.
+
+    Nodes are mutated in place (and the buffer pool holds on to them),
+    so the image keeps private copies and every adopting tree copies
+    them again -- per node, not per entry: the buckets are shared.
+    """
+
+    name: str
+    order: int
+    root_block: int
+    height: int
+    num_keys: int
+    num_entries: int
+    #: One node per block, garbage blocks included (block numbers are
+    #: part of what a system's disk model sees).
+    nodes: Tuple[dict, ...]
+
+    def adopt(self, store: BlockStore) -> BPlusTree:
+        """A new tree in *store* with this content."""
+        tree = BPlusTree(store, self.name, self.order)
+        nodes = [_copy_node(node) for node in self.nodes]
+        # Block 0 exists already: the constructor's empty root leaf.
+        store.write_block(tree.file_id, 0, nodes[0])
+        store.extend_file(tree.file_id, nodes[1:])
+        tree.root_block = self.root_block
+        tree.height = self.height
+        tree.num_keys = self.num_keys
+        tree.num_entries = self.num_entries
+        return tree

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Callable, Dict, List, Optional
 
+from repro.relational import compile
 from repro.relational.schema import Schema
 from repro.storage.btree import BPlusTree
 from repro.storage.file import HeapFile
@@ -24,7 +26,16 @@ class IndexInfo:
     table: str
     key_columns: List[str]
     tree: BPlusTree
+    #: The indexed table's schema (what ``key_columns`` name into).
+    schema: Schema
     clustered: bool = False
+
+    @cached_property
+    def key_range(self) -> Callable:
+        """``keep(rows, lo, hi)``, the clustered scan's page filter (see
+        :func:`repro.relational.compile.key_range`): rendered on first
+        use, once per index instead of once per scan."""
+        return compile.key_range(self.key_columns, self.schema)
 
 
 @dataclass
@@ -89,6 +100,10 @@ class Catalog:
 
     def tables(self) -> List[str]:
         return sorted(self._tables)
+
+    def infos(self) -> List[TableInfo]:
+        """Every table's metadata, in creation order."""
+        return list(self._tables.values())
 
     def __contains__(self, name: str) -> bool:
         return name in self._tables

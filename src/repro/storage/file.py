@@ -11,7 +11,16 @@ anything page-shaped).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.faults.errors import PageCorruptError
 from repro.storage.page import Page, RID
@@ -45,6 +54,11 @@ class BlockStore:
         self._names[file_id] = name
         return file_id
 
+    @property
+    def next_file_id(self) -> int:
+        """The id the next :meth:`create_file` will return."""
+        return self._next_id
+
     def drop_file(self, file_id: int) -> None:
         self._files.pop(file_id, None)
         self._names.pop(file_id, None)
@@ -59,6 +73,10 @@ class BlockStore:
         blocks = self._files[file_id]
         blocks.append(payload)
         return len(blocks) - 1
+
+    def extend_file(self, file_id: int, payloads: Iterable[Any]) -> None:
+        """Append many blocks at once."""
+        self._files[file_id].extend(payloads)
 
     def read_block(self, file_id: int, block_no: int) -> Any:
         blocks = self._files[file_id]
@@ -164,6 +182,26 @@ class HeapFile:
         self._row_count += total
         return total
 
+    # -- tombstones (untimed; the storage manager charges the write) -----
+    def tombstone_row(self, rid: RID) -> None:
+        """Tombstone the live row at *rid*."""
+        self.page(rid.block_no).delete(rid.slot)
+        self._row_count -= 1
+
+    def restore_row(self, rid: RID, row: tuple) -> None:
+        """Un-tombstone *rid* (transaction rollback of a delete)."""
+        self.page(rid.block_no).restore(rid.slot, row)
+        self._row_count += 1
+
+    # -- images (see repro.storage.image) --------------------------------
+    def capture(self) -> "HeapImage":
+        return HeapImage(
+            self.name,
+            self.rows_per_page,
+            self._row_count,
+            tuple(self.page(b).slots() for b in range(self.num_pages)),
+        )
+
     # -- direct (untimed) access, used by loaders and tests --------------
     def page(self, block_no: int) -> Page:
         return self.store.read_block(self.file_id, block_no)
@@ -188,3 +226,29 @@ class HeapFile:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<HeapFile {self.name}: {self.num_rows} rows, {self.num_pages} pages>"
+
+
+class HeapImage(NamedTuple):
+    """A heap file's content at one instant, shareable between systems.
+
+    It holds the page *slot lists*, which no write ever mutates (see
+    :class:`~repro.storage.page.Page`), never the pages: each adopting
+    system gets fresh ``Page`` objects, its own block list and its own
+    row count.
+    """
+
+    name: str
+    rows_per_page: int
+    num_rows: int
+    #: One slot list per block.
+    pages: Tuple[List[Optional[tuple]], ...]
+
+    def adopt(self, store: BlockStore) -> HeapFile:
+        """A new heap file in *store* with this content."""
+        heap = HeapFile(store, self.name, self.rows_per_page)
+        per = self.rows_per_page
+        store.extend_file(
+            heap.file_id, [Page.over(per, slots) for slots in self.pages]
+        )
+        heap._row_count = self.num_rows
+        return heap

@@ -7,7 +7,9 @@ Everything engines need from storage goes through here:
 * timed index traversals (root-to-leaf, then leaf chain),
 * timed inserts/updates/deletes with index maintenance,
 * temp files for sort runs and OSP materialisations,
-* the table lock manager.
+* the table lock manager,
+* whole loaded tables as shareable images (``capture`` / ``adopt``; see
+  :mod:`repro.storage.image`).
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ from repro.storage.btree import BPlusTree
 from repro.storage.bufferpool import BufferPool
 from repro.storage.catalog import Catalog, IndexInfo, TableInfo
 from repro.storage.file import BlockStore, HeapFile
+from repro.storage.image import IndexImage, StorageImage, TableImage
 from repro.storage.locks import LockManager
-from repro.storage.page import RID, Page, rows_per_page
+from repro.storage.page import RID, page_rids, rows_per_page
 from repro.storage.partition import PartitionInfo
-
-#: Sort key for (key, rid) pairs: the key alone (see _build_index).
-_pair_key = itemgetter(0)
 
 
 class StorageManager:
@@ -129,6 +129,7 @@ class StorageManager:
             table=table,
             key_columns=columns,
             tree=tree,
+            schema=info.schema,
             clustered=clustered,
         )
         info.indexes[name] = index
@@ -138,25 +139,34 @@ class StorageManager:
 
     def _build_index(self, info: TableInfo, index: IndexInfo) -> None:
         key = self._key_fn(info.schema, index.key_columns)
-        # Page-wise pair building (no per-row generator resume), then a
-        # stable sort on the key alone: the heap iterates in ascending
-        # RID order, so ties keep that order -- the same key-then-RID
-        # ordering as sorting full (key, rid) tuples, without any of the
-        # RID.__lt__ tie-break calls (index builds dominate bulk-load
-        # host time).
+        # Keys and RIDs as parallel lists, page by page and all at C
+        # level (no frame and no pair tuple per row: an index build is
+        # mostly allocation, and the collector's work is proportional to
+        # it), then a stable sort of the *positions* on the key alone.
+        # The heap iterates in ascending RID order, so ties keep that
+        # order -- the same key-then-RID ordering as sorting (key, rid)
+        # tuples, without any of the RID.__lt__ tie-break calls.
         heap = info.heap
-        pairs: List[Tuple[Any, RID]] = []
+        keys: List[Any] = []
+        rids: List[RID] = []
         for block_no in range(heap.num_pages):
-            pairs += [
-                (key(row), RID(block_no, slot))
-                for slot, row in heap.page(block_no).items()
-            ]
-        pairs.sort(key=_pair_key)
+            page = heap.page(block_no)
+            rows, slots = page.rows(), page.slots()
+            live = (
+                range(len(slots)) if len(rows) == len(slots)
+                else [slot for slot, row in enumerate(slots) if row is not None]
+            )
+            keys += map(key, rows)
+            rids += page_rids(block_no, live)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
         if index.tree.num_keys:
             # Rebuild from scratch (load after create_index).
             index.tree = BPlusTree(self.store, index.name, self.index_order)
             info.indexes[index.name] = index
-        index.tree.bulk_build(iter(pairs))
+        index.tree.bulk_build(
+            list(map(keys.__getitem__, order)),
+            list(map(rids.__getitem__, order)),
+        )
 
     @staticmethod
     def _key_fn(schema: Schema, columns: Sequence[str]):
@@ -164,6 +174,82 @@ class StorageManager:
         # yields the bare column, several yield the tuple.
         idxs = [schema.index_of(c) for c in columns]
         return itemgetter(*idxs)
+
+    # ------------------------------------------------------------------
+    # Images (untimed, like loading)
+    # ------------------------------------------------------------------
+    def capture(self, since: int = 0) -> StorageImage:
+        """An image of every file created from file id *since* on.
+
+        Those files must be exactly the heaps and index trees of whole
+        tables (no temp file, no index on an older table): an image is
+        adopted as a unit, file id for file id.
+        """
+        files = {}
+        tables = []
+        for info in self.catalog.infos():
+            if info.heap.file_id < since:
+                continue
+            files[info.heap.file_id] = info.heap.capture()
+            for index in info.indexes.values():
+                files[index.tree.file_id] = index.tree.capture()
+            tables.append(TableImage(
+                info.name,
+                info.schema,
+                tuple(info.clustered_on) if info.clustered_on else None,
+                info.partitioning,
+                info.heap.file_id - since,
+                tuple(
+                    IndexImage(
+                        index.name, tuple(index.key_columns),
+                        index.clustered, index.tree.file_id - since,
+                    )
+                    for index in info.indexes.values()
+                ),
+            ))
+        wanted = range(since, self.store.next_file_id)
+        if sorted(files) != list(wanted):
+            raise ValueError(
+                f"files {wanted.start}..{wanted.stop - 1} are not exactly "
+                f"the files of whole tables (those are {sorted(files)})"
+            )
+        return StorageImage(
+            since, tuple(files[file_id] for file_id in wanted), tuple(tables)
+        )
+
+    def adopt(self, image: StorageImage) -> None:
+        """Create the image's tables here, in the state they were
+        captured in: same file ids, block numbers, counts and catalog
+        order as loading them would have produced."""
+        if self.store.next_file_id != image.first_file_id:
+            raise ValueError(
+                f"image starts at file id {image.first_file_id}, this "
+                f"store is at {self.store.next_file_id}"
+            )
+        for table in image.tables:
+            if table.name in self.catalog:
+                raise ValueError(f"table {table.name!r} already exists")
+        files = [file.adopt(self.store) for file in image.files]
+        for table in image.tables:
+            info = TableInfo(
+                name=table.name,
+                schema=table.schema,
+                heap=files[table.heap],
+                clustered_on=(
+                    list(table.clustered_on) if table.clustered_on else None
+                ),
+                partitioning=table.partitioning,
+            )
+            for index in table.indexes:
+                info.indexes[index.name] = IndexInfo(
+                    name=index.name,
+                    table=table.name,
+                    key_columns=list(index.key_columns),
+                    tree=files[index.tree],
+                    schema=table.schema,
+                    clustered=index.clustered,
+                )
+            self.catalog.add_table(info)
 
     # ------------------------------------------------------------------
     # Timed reads
@@ -286,8 +372,7 @@ class StorageManager:
         row = page.get(rid.slot)
         if row is None:
             return False
-        page.delete(rid.slot)
-        info.heap._row_count -= 1
+        info.heap.tombstone_row(rid)
         yield from self.pool.write_page(info.heap.file_id, rid.block_no)
         for index in info.indexes.values():
             key = self._key_fn(info.schema, index.key_columns)(row)

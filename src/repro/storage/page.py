@@ -8,7 +8,9 @@ proportional to the paper's datasets.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from functools import partial
+from itertools import repeat
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 #: Simulated page size in bytes (BerkeleyDB's common default).
 PAGE_SIZE = 8192
@@ -33,6 +35,17 @@ class RID(NamedTuple):
         return f"RID({self.block_no},{self.slot})"
 
 
+#: ``RID(*pair)`` without the namedtuple's Python-level ``__new__``.
+_rid_of_pair = partial(tuple.__new__, RID)
+
+
+def page_rids(block_no: int, slots: Iterable[int]) -> Iterator[RID]:
+    """The RIDs of *slots* on one page, in order -- built at C level: an
+    index build makes one per row, and ``RID(block_no, slot)`` is a
+    Python frame each."""
+    return map(_rid_of_pair, zip(repeat(block_no), slots))
+
+
 class Page:
     """A slotted page of rows.
 
@@ -55,6 +68,19 @@ class Page:
         self._slots: List[Optional[tuple]] = []
         #: What :meth:`rows` returned since the last write, if anything.
         self._live: Optional[List[tuple]] = None
+
+    @classmethod
+    def over(cls, capacity: int, slots: List[Optional[tuple]]) -> "Page":
+        """A fresh page whose content is the slot list *slots* itself.
+
+        This is how a :class:`~repro.storage.image.StorageImage` is
+        adopted: every write replaces the list, so pages of any number
+        of systems may start out over one list and none ever sees
+        another's write.
+        """
+        page = cls(capacity)
+        page._slots = slots
+        return page
 
     @property
     def num_slots(self) -> int:

@@ -239,11 +239,8 @@ class TransactionManager:
 
     def _undelete(self, record: LogRecord) -> Generator:
         info = self.sm.catalog.table(record.table)
-        page = yield from self.sm.read_table_page(
-            record.table, record.rid.block_no
-        )
-        page.restore(record.rid.slot, record.before)
-        info.heap._row_count += 1
+        yield from self.sm.read_table_page(record.table, record.rid.block_no)
+        info.heap.restore_row(record.rid, record.before)
         yield from self.sm.pool.write_page(
             info.heap.file_id, record.rid.block_no
         )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.relational.schema import Schema
+from repro.storage.image import load_once
 from repro.storage.manager import StorageManager
 
 WISCONSIN_SCHEMA = Schema.of(
@@ -110,9 +111,17 @@ def generate_wisconsin(
 def load_wisconsin(
     sm: StorageManager, scale: WisconsinScale, seed: int = 5
 ) -> Dict[str, List[tuple]]:
-    """Create and load BIG1, BIG2, SMALL; returns the raw rows."""
+    """Create and load BIG1, BIG2, SMALL; returns the raw rows.
+
+    Built once per ``(scale, seed)`` and process, adopted after (see
+    :func:`repro.storage.image.load_once`).
+    """
     tables = generate_wisconsin(scale, seed=seed)
-    for name, rows in tables.items():
-        sm.create_table(name, WISCONSIN_SCHEMA)
-        sm.load_table(name, rows)
+
+    def load() -> None:
+        for name, rows in tables.items():
+            sm.create_table(name, WISCONSIN_SCHEMA)
+            sm.load_table(name, rows)
+
+    load_once(("wisconsin", scale, seed, WISCONSIN_SCHEMA), [sm], load)
     return tables

@@ -12,6 +12,9 @@ and pinned, so a per-row callable in an operator body is a test failure.
 The third prices the transfer path: the Python calls the scan scenario
 makes into ``repro.sim`` per kernel entry, so a helper frame that comes
 back under ``hold``, ``put`` or ``get`` is a reviewed one-line diff too.
+
+The fourth pins a kernel that is rendered once per index, not once per
+lookup: the clustered index scan's key-range filter.
 """
 
 import os
@@ -24,7 +27,13 @@ from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.hw.host import Host, HostConfig
 from repro.pushexec import PushEngine
 from repro.relational.expressions import AggSpec, Col
-from repro.relational.plans import Aggregate, GroupBy, HashJoin, TableScan
+from repro.relational.plans import (
+    Aggregate,
+    GroupBy,
+    HashJoin,
+    IndexScan,
+    TableScan,
+)
 from repro.storage.manager import StorageManager
 
 import tests.conftest as cf
@@ -178,3 +187,47 @@ def test_join_under_group_by_calls_relational_per_batch_not_per_row(name):
     assert len(rows) == 7
     assert calls == RELATIONAL_CALLS[name]
     assert calls < min(JOIN_ROWS) // 5
+
+
+# ---------------------------------------------------------------------------
+# Index lookups: the key-range kernel belongs to the index, not the scan
+# ---------------------------------------------------------------------------
+LOOKUPS = 25
+
+#: engine -> Python calls into src/repro/relational/ and its generated
+#: kernels for 25 clustered index lookups on one fresh system.  While
+#: every IndexScan rendered ``compile.key_range`` for itself (8 frames:
+#: a ``_Source``, the key expression, ``close``) the same lookups made
+#:   packets 554    iterator 379    pushed 379
+#: i.e. 24 x 8 more: only the first lookup on an index builds it now
+#: (``IndexInfo.key_range``).
+LOOKUP_CALLS = {
+    "packets": 362,
+    "iterator": 187,
+    "pushed": 187,
+}
+
+
+def index_lookups(name):
+    host = Host(HostConfig())
+    sm = StorageManager(host, buffer_pages=POOL_PAGES)
+    sm.create_table("r", cf.R_SCHEMA, clustered_on=["id"])
+    sm.load_table("r", cf.make_r_rows(n=JOIN_ROWS[0]))
+    sm.create_index("r", ["id"], name="r_id", clustered=True)
+    engine = ENGINES[name](sm)
+    return lambda: [
+        engine.run_query(
+            IndexScan("r", "r_id", lo=100 * i, hi=100 * i + 40, ordered=True)
+        )
+        for i in range(LOOKUPS)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_index_lookups_render_the_range_filter_once_per_index(name):
+    index_lookups(name)()  # the kernel's shape compiled once
+    calls, results = python_calls(
+        index_lookups(name), _RELATIONAL, "<relational.compile"
+    )
+    assert [len(rows) for rows in results] == [41] * LOOKUPS
+    assert calls == LOOKUP_CALLS[name]

@@ -13,6 +13,12 @@ def make_tree(order=4):
     return BPlusTree(BlockStore(), "idx", order=order)
 
 
+def bulk_build(tree, pairs):
+    """``tree.bulk_build`` from (key, value) pairs: it takes the two
+    columns as parallel lists."""
+    tree.bulk_build([k for k, _v in pairs], [v for _k, v in pairs])
+
+
 def test_empty_tree_search():
     tree = make_tree()
     assert tree.search(42) == []
@@ -103,7 +109,7 @@ def test_delete_whole_key():
 def test_bulk_build_matches_inserts():
     pairs = [(k, k * 2) for k in range(200)]
     bulk = make_tree(order=8)
-    bulk.bulk_build(iter(pairs))
+    bulk_build(bulk, pairs)
     bulk.check_invariants()
     assert [kv for kv in bulk.range_scan()] == pairs
     assert bulk.height > 1
@@ -112,7 +118,7 @@ def test_bulk_build_matches_inserts():
 def test_bulk_build_with_duplicates():
     pairs = [(1, "a"), (1, "b"), (2, "c")]
     tree = make_tree()
-    tree.bulk_build(iter(pairs))
+    bulk_build(tree, pairs)
     assert tree.search(1) == ["a", "b"]
     assert tree.num_keys == 2
     assert tree.num_entries == 3
@@ -121,19 +127,19 @@ def test_bulk_build_with_duplicates():
 def test_bulk_build_rejects_unsorted():
     tree = make_tree()
     with pytest.raises(ValueError):
-        tree.bulk_build(iter([(2, "a"), (1, "b")]))
+        bulk_build(tree, [(2, "a"), (1, "b")])
 
 
 def test_bulk_build_rejects_nonempty():
     tree = make_tree()
     tree.insert(1, "a")
     with pytest.raises(ValueError):
-        tree.bulk_build(iter([(2, "b")]))
+        bulk_build(tree, [(2, "b")])
 
 
 def test_insert_after_bulk_build():
     tree = make_tree(order=6)
-    tree.bulk_build(iter((k, k) for k in range(0, 100, 2)))
+    bulk_build(tree, [(k, k) for k in range(0, 100, 2)])
     for key in range(1, 100, 2):
         tree.insert(key, key)
     tree.check_invariants()
@@ -190,7 +196,7 @@ def test_property_range_scan_agrees_with_filter(keys, order, data):
 def test_property_bulk_build_equals_incremental(keys, order):
     pairs = sorted((k, i) for i, k in enumerate(keys))
     bulk = BPlusTree(BlockStore(), "b", order=order)
-    bulk.bulk_build(iter(pairs))
+    bulk_build(bulk, pairs)
     incr = BPlusTree(BlockStore(), "i", order=order)
     for key, value in pairs:
         incr.insert(key, value)
