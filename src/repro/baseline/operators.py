@@ -4,6 +4,14 @@ Every operator exposes one coroutine, ``next_batch()``, which yields
 simulation events (disk reads, CPU bursts) and returns either a non-empty
 list of rows or ``None`` at end-of-stream.  Pull-based: the parent drives.
 
+This is the one operator library under both tree engines.  Leaves and
+pipeline breakers (scans, sort, the joins, aggregation, DML) are the
+classes below; streaming operators are stages
+(:mod:`repro.baseline.stages`) run by :class:`ChainOp`.  The iterator
+engine builds one operator per plan node (:func:`build_operator`); the
+pushed engine builds the same tree with adjacent streaming nodes fused
+into one chain (:func:`repro.pushexec.compile_plan`).
+
 These operators double as the *correctness reference* for the QPipe
 micro-engines -- the integration tests require both engines to produce
 identical result sets for the same plans.
@@ -15,25 +23,25 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
+from repro.baseline.stages import (
+    STREAMING,
+    LimitStage,
+    ProbeStage,
+    Stage,
+    build_stage,
+)
 from repro.hw.host import Host
-from repro.relational import compile
+from repro.relational import BATCH_ROWS, compile
 from repro.relational.plans import (
     Aggregate,
-    AntiJoin,
     DeleteRows,
-    Distinct,
-    Filter,
     GroupBy,
     HashJoin,
     IndexScan,
     InsertRows,
-    LeftOuterJoin,
-    Limit,
     MergeJoin,
     NLJoin,
     PlanNode,
-    Project,
-    SemiJoin,
     Sort,
     TableScan,
     UpdateRows,
@@ -233,41 +241,70 @@ class IndexScanOp(Operator):
         return out or None
 
 
-class FilterOp(Operator):
-    """Residual predicate filter."""
+class ChainOp(Operator):
+    """A run of streaming operators over one source, in one frame.
 
-    def __init__(self, ctx: ExecContext, plan: Filter, child: Operator):
-        super().__init__(plan.output_schema(ctx.sm.catalog))
+    Per source batch: each stage's CPU charge, then its transformation
+    (:mod:`repro.baseline.stages`), re-pulling the source when a batch
+    empties and never again once a LIMIT is satisfied.  That is also the
+    schedule of the same stages stacked as one-stage chains -- an upper
+    operator is charged only for batches that reach it -- so how many
+    nodes share a chain moves no simulated event.  The iterator engine
+    gives every streaming node its own chain; the pushed engine fuses
+    each maximal run into one.
+    """
+
+    def __init__(self, ctx: ExecContext, source: Operator, plans, build):
+        """*plans*: the streaming plan nodes over *source*, innermost
+        first.  *build* compiles a probe node's right input."""
         self.ctx = ctx
-        self.child = child
-        self._matching = compile.filter(plan.predicate, child.schema)
+        self.source = source
+        self.stages: List[Stage] = []
+        schema = source.schema
+        for plan in plans:
+            self.stages.append(build_stage(plan, schema, ctx, build))
+            schema = plan.output_schema(ctx.sm.catalog)
+        super().__init__(schema)
+        self._limits = [s for s in self.stages if isinstance(s, LimitStage)]
+        self._opened = False
+
+    def _open(self):
+        """Coroutine, first pull only: the way down a stack of one-stage
+        chains, outermost stage first.  A LIMIT satisfied before it has
+        emitted anything (``LIMIT 0``) stops the descent, so nothing
+        below it runs; a probe stage drains its right input into its
+        key set or hash table."""
+        for stage in reversed(self.stages):
+            if stage.finished:
+                return
+            if isinstance(stage, ProbeStage):
+                while True:
+                    batch = yield from stage.right.next_batch()
+                    if batch is None:
+                        break
+                    yield from self.ctx.cpu(len(batch))
+                    stage.build(batch)
 
     def next_batch(self):
+        if not self._opened:
+            self._opened = True
+            yield from self._open()
+        ctx = self.ctx
         while True:
-            batch = yield from self.child.next_batch()
+            for limit in self._limits:
+                if limit.finished:
+                    return None
+            batch = yield from self.source.next_batch()
             if batch is None:
                 return None
-            yield from self.ctx.cpu(len(batch))
-            kept = self._matching(batch)
-            if kept:
-                return kept
-
-
-class ProjectOp(Operator):
-    def __init__(self, ctx: ExecContext, plan: Project, child: Operator):
-        super().__init__(plan.output_schema(ctx.sm.catalog))
-        self.ctx = ctx
-        self.child = child
-        self._project = compile.project(
-            plan.names if plan.exprs is None else plan.exprs, child.schema
-        )
-
-    def next_batch(self):
-        batch = yield from self.child.next_batch()
-        if batch is None:
-            return None
-        yield from self.ctx.cpu(len(batch))
-        return self._project(batch)
+            for stage in self.stages:
+                if stage.charged:
+                    yield from ctx.cpu(len(batch))
+                batch = stage.apply(batch)
+                if not batch:
+                    break
+            else:
+                return batch
 
 
 class SortOp(Operator):
@@ -384,7 +421,7 @@ class SortOp(Operator):
                 self.ctx.drop_temp(run)
             return self._sorted or None
         out: List[tuple] = []
-        while len(out) < 1024:
+        while len(out) < BATCH_ROWS:
             row = yield from self._advance(self._merge)
             if row is None:
                 self._done = True
@@ -447,7 +484,7 @@ class HashJoinOp(Operator):
         self._lparts: List = []
         self._rparts: List = []
         self._part_iter = None
-        self._pending = iter(())  # 1024-row slices of a partition's join
+        self._pending = iter(())  # BATCH_ROWS slices of a partition's join
         self._done = False
 
     def _build(self):
@@ -539,7 +576,8 @@ class HashJoinOp(Operator):
             self._hash_insert(table, lrows)
             joined = self._hash_probe(table, rrows)
             self._pending = (
-                joined[i:i + 1024] for i in range(0, len(joined), 1024)
+                joined[i:i + BATCH_ROWS]
+                for i in range(0, len(joined), BATCH_ROWS)
             )
 
 
@@ -671,134 +709,6 @@ class NLJoinOp(Operator):
                 return out
 
 
-class LimitOp(Operator):
-    """LIMIT/OFFSET: stop pulling once satisfied."""
-
-    def __init__(self, ctx: ExecContext, plan: Limit, child: Operator):
-        super().__init__(plan.output_schema(ctx.sm.catalog))
-        self.ctx = ctx
-        self.child = child
-        self._to_skip = plan.offset
-        self._remaining = plan.count
-
-    def next_batch(self):
-        while self._remaining > 0:
-            batch = yield from self.child.next_batch()
-            if batch is None:
-                return None
-            if self._to_skip:
-                drop = min(self._to_skip, len(batch))
-                batch = batch[drop:]
-                self._to_skip -= drop
-            if not batch:
-                continue
-            batch = batch[: self._remaining]
-            self._remaining -= len(batch)
-            return batch
-        return None
-
-
-class DistinctOp(Operator):
-    """Streaming duplicate elimination (first occurrence wins)."""
-
-    def __init__(self, ctx: ExecContext, plan: Distinct, child: Operator):
-        super().__init__(plan.output_schema(ctx.sm.catalog))
-        self.ctx = ctx
-        self.child = child
-        self._seen = set()
-
-    def next_batch(self):
-        while True:
-            batch = yield from self.child.next_batch()
-            if batch is None:
-                return None
-            yield from self.ctx.cpu(len(batch))
-            fresh = []
-            for row in batch:
-                if row not in self._seen:
-                    self._seen.add(row)
-                    fresh.append(row)
-            if fresh:
-                return fresh
-
-
-class SemiJoinOp(Operator):
-    """EXISTS / NOT EXISTS: stream left rows by membership of their key
-    in the right input's key set."""
-
-    def __init__(self, ctx: ExecContext, plan, left: Operator,
-                 right: Operator, anti: bool = False):
-        super().__init__(plan.output_schema(ctx.sm.catalog))
-        self.ctx = ctx
-        self.left = left
-        self.right = right
-        self._hash_insert = compile.key_set(plan.right_key, right.schema)
-        self._hash_probe = compile.hash_probe(
-            plan.left_key, left.schema, "anti" if anti else "semi"
-        )
-        self._keys = None
-
-    def _build(self):
-        keys = set()
-        while True:
-            batch = yield from self.right.next_batch()
-            if batch is None:
-                break
-            yield from self.ctx.cpu(len(batch))
-            self._hash_insert(keys, batch)
-        self._keys = keys
-
-    def next_batch(self):
-        if self._keys is None:
-            yield from self._build()
-        while True:
-            batch = yield from self.left.next_batch()
-            if batch is None:
-                return None
-            yield from self.ctx.cpu(len(batch))
-            kept = self._hash_probe(self._keys, batch)
-            if kept:
-                return kept
-
-
-class LeftOuterJoinOp(Operator):
-    """Hash left-outer join: build the right side, pad misses with None."""
-
-    def __init__(self, ctx: ExecContext, plan: LeftOuterJoin,
-                 left: Operator, right: Operator):
-        super().__init__(plan.output_schema(ctx.sm.catalog))
-        self.ctx = ctx
-        self.left = left
-        self.right = right
-        self._hash_insert = compile.hash_build(plan.right_key, right.schema)
-        self._hash_probe = compile.hash_probe(
-            plan.left_key, left.schema, "outer", pad=len(right.schema)
-        )
-        self._table = None
-
-    def _build(self):
-        table: Dict[Any, List[tuple]] = {}
-        while True:
-            batch = yield from self.right.next_batch()
-            if batch is None:
-                break
-            yield from self.ctx.cpu(len(batch))
-            self._hash_insert(table, batch)
-        self._table = table
-
-    def next_batch(self):
-        if self._table is None:
-            yield from self._build()
-        while True:
-            batch = yield from self.left.next_batch()
-            if batch is None:
-                return None
-            yield from self.ctx.cpu(len(batch))
-            out = self._hash_probe(self._table, batch)
-            if out:
-                return out
-
-
 class AggregateOp(Operator):
     """Single-group aggregation: drains the child, emits one row."""
 
@@ -870,7 +780,7 @@ class GroupByOp(Operator):
             yield from self._consume()
         if self._cursor >= len(self._result):
             return None
-        out = self._result[self._cursor:self._cursor + 1024]
+        out = self._result[self._cursor:self._cursor + BATCH_ROWS]
         self._cursor += len(out)
         return out
 
@@ -888,7 +798,7 @@ class InsertOp(Operator):
         if self._done:
             return None
         self._done = True
-        owner = self.ctx.owner or id(self)
+        owner = self.ctx.owner or next_stream()
         yield self.ctx.sm.locks.acquire(
             owner, self.plan.table, LockMode.EXCLUSIVE
         )
@@ -913,7 +823,7 @@ class UpdateOp(Operator):
         if self._done:
             return None
         self._done = True
-        owner = self.ctx.owner or id(self)
+        owner = self.ctx.owner or next_stream()
         table = self.plan.table
         schema = self.ctx.sm.catalog.table_schema(table)
         matching = compile.filter_items(self.plan.predicate, schema)
@@ -946,7 +856,7 @@ class DeleteOp(Operator):
         if self._done:
             return None
         self._done = True
-        owner = self.ctx.owner or id(self)
+        owner = self.ctx.owner or next_stream()
         table = self.plan.table
         schema = self.ctx.sm.catalog.table_schema(table)
         matching = compile.filter_items(self.plan.predicate, schema)
@@ -964,64 +874,31 @@ class DeleteOp(Operator):
         return [(removed,)]
 
 
-def build_operator(plan: PlanNode, ctx: ExecContext) -> Operator:
-    """Compile a logical plan tree into an iterator operator tree."""
+def build_breaker(plan: PlanNode, ctx: ExecContext, build) -> Operator:
+    """The operator for one leaf or pipeline breaker, over inputs
+    compiled by *build* (the caller's own recursion)."""
     if isinstance(plan, TableScan):
         return ScanOp(ctx, plan)
     if isinstance(plan, IndexScan):
         return IndexScanOp(ctx, plan)
-    if isinstance(plan, Filter):
-        return FilterOp(ctx, plan, build_operator(plan.child, ctx))
-    if isinstance(plan, Project):
-        return ProjectOp(ctx, plan, build_operator(plan.child, ctx))
     if isinstance(plan, Sort):
-        return SortOp(ctx, plan, build_operator(plan.child, ctx))
+        return SortOp(ctx, plan, build(plan.child, ctx))
     if isinstance(plan, HashJoin):
         return HashJoinOp(
-            ctx, plan,
-            build_operator(plan.left, ctx),
-            build_operator(plan.right, ctx),
+            ctx, plan, build(plan.left, ctx), build(plan.right, ctx)
         )
     if isinstance(plan, MergeJoin):
         return MergeJoinOp(
-            ctx, plan,
-            build_operator(plan.left, ctx),
-            build_operator(plan.right, ctx),
+            ctx, plan, build(plan.left, ctx), build(plan.right, ctx)
         )
     if isinstance(plan, NLJoin):
         return NLJoinOp(
-            ctx, plan,
-            build_operator(plan.left, ctx),
-            build_operator(plan.right, ctx),
-        )
-    if isinstance(plan, Limit):
-        return LimitOp(ctx, plan, build_operator(plan.child, ctx))
-    if isinstance(plan, Distinct):
-        return DistinctOp(ctx, plan, build_operator(plan.child, ctx))
-    if isinstance(plan, SemiJoin):
-        return SemiJoinOp(
-            ctx, plan,
-            build_operator(plan.left, ctx),
-            build_operator(plan.right, ctx),
-            anti=False,
-        )
-    if isinstance(plan, AntiJoin):
-        return SemiJoinOp(
-            ctx, plan,
-            build_operator(plan.left, ctx),
-            build_operator(plan.right, ctx),
-            anti=True,
-        )
-    if isinstance(plan, LeftOuterJoin):
-        return LeftOuterJoinOp(
-            ctx, plan,
-            build_operator(plan.left, ctx),
-            build_operator(plan.right, ctx),
+            ctx, plan, build(plan.left, ctx), build(plan.right, ctx)
         )
     if isinstance(plan, Aggregate):
-        return AggregateOp(ctx, plan, build_operator(plan.child, ctx))
+        return AggregateOp(ctx, plan, build(plan.child, ctx))
     if isinstance(plan, GroupBy):
-        return GroupByOp(ctx, plan, build_operator(plan.child, ctx))
+        return GroupByOp(ctx, plan, build(plan.child, ctx))
     if isinstance(plan, InsertRows):
         return InsertOp(ctx, plan)
     if isinstance(plan, UpdateRows):
@@ -1029,3 +906,12 @@ def build_operator(plan: PlanNode, ctx: ExecContext) -> Operator:
     if isinstance(plan, DeleteRows):
         return DeleteOp(ctx, plan)
     raise TypeError(f"no iterator operator for {type(plan).__name__}")
+
+
+def build_operator(plan: PlanNode, ctx: ExecContext) -> Operator:
+    """Compile a logical plan tree into an iterator operator tree: one
+    operator per plan node, a streaming node being a one-stage chain."""
+    if isinstance(plan, STREAMING):
+        source = build_operator(plan.children[0], ctx)
+        return ChainOp(ctx, source, [plan], build_operator)
+    return build_breaker(plan, ctx, build_operator)

@@ -16,9 +16,7 @@ from typing import Dict, Generator, List
 from repro.engine.buffers import SEGMENT_BOUNDARY
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
-from repro.relational import compile
-
-OUT_BATCH = 1024
+from repro.relational import BATCH_ROWS, compile
 
 #: How many consumed input batches between lineage checkpoints of the
 #: accumulator state (one batch per delivered scan page upstream).
@@ -155,5 +153,5 @@ class GroupByEngine(MicroEngine):
             key + tuple(state.result() for state in states)
             for key, states in sorted(groups.items())
         ]
-        for start in range(0, len(result), OUT_BATCH):
-            yield from packet.output.put(result[start:start + OUT_BATCH])
+        for start in range(0, len(result), BATCH_ROWS):
+            yield from packet.output.put(result[start:start + BATCH_ROWS])

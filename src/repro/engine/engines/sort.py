@@ -16,8 +16,7 @@ from typing import Generator, List
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet, PacketState
 from repro.faults.errors import FaultError
-
-EMIT_BATCH = 1024
+from repro.relational import BATCH_ROWS
 
 
 class SortEngine(MicroEngine):
@@ -71,8 +70,8 @@ class SortEngine(MicroEngine):
         # satellites while this packet is active.
         packet.artifacts["sorted_result"] = result
         packet.phase = "emit"
-        for start in range(0, len(result), EMIT_BATCH):
-            yield from packet.output.put(result[start:start + EMIT_BATCH])
+        for start in range(0, len(result), BATCH_ROWS):
+            yield from packet.output.put(result[start:start + BATCH_ROWS])
 
     def _sort_cpu(self, packet: Packet, n: int) -> Generator:
         if n <= 0:
@@ -176,8 +175,8 @@ class SortEngine(MicroEngine):
         out = packet.primary_output
         try:
             yield from self.charge(packet, len(result))
-            for start in range(0, len(result), EMIT_BATCH):
-                yield from out.put(result[start:start + EMIT_BATCH])
+            for start in range(0, len(result), BATCH_ROWS):
+                yield from out.put(result[start:start + BATCH_ROWS])
         except FaultError as exc:
             if not packet.query.aborted:
                 self.engine.abort_query(packet.query, str(exc), exc)

@@ -1858,9 +1858,8 @@ def recovery_cell(spec: CellSpec) -> Dict[str, Any]:
     tracer = Tracer(host.sim)
     fault_plan = FaultPlan()
     if scenario == "iterator":
-        # The iterator engine has no server-side abort channel; the
-        # fault is a client disconnect, and recovery doubles as the
-        # reconnect path.
+        # This scenario covers the disconnect path: the fault is a
+        # client disconnect, and recovery doubles as the reconnect path.
         fault_plan.disconnect(at=crash_at, target=0)
     elif pair:
         # Two active queries, sorted by id: target=1 crashes the later

@@ -2,19 +2,20 @@
 
 The third engine, next to the pull-based
 :class:`~repro.baseline.engine.IteratorEngine` and the packet-based
-:class:`~repro.engine.qpipe.QPipeEngine`.  Operator chains are compiled
-into fused push pipelines (:mod:`repro.pushexec.fusion`,
-:mod:`repro.pushexec.compiler`) that move whole tuple batches between
-pipeline breakers in a single coroutine frame, instead of pulling every
-batch through a stack of nested ``yield from`` iterators or routing it
-through per-operator packet channels.
+:class:`~repro.engine.qpipe.QPipeEngine`.  It is the iterator engine's
+operator library and query driver under a different schedule of Python
+frames: :func:`compile_plan` fuses every run of adjacent streaming
+operators into one chain operator, so a batch moves between pipeline
+breakers in a single coroutine frame instead of one nested ``yield
+from`` per operator.
 
 The backend's load-bearing property is *virtual-cost equivalence*: a
-compiled pipeline issues the exact storage-manager calls and CPU
-charges, in the exact order, that the iterator reference issues for the
-same plan (see :mod:`repro.pushexec.compiler`).  Every figure value the
-iterator engine produces is therefore reproduced bit-for-bit; only the
-host wall-clock spent simulating it shrinks.
+compiled tree issues the exact storage-manager calls and CPU charges, in
+the exact order, that the iterator tree issues for the same plan -- by
+construction, since both run the same operator bodies (see
+:mod:`repro.pushexec.compiler`).  Every figure value the iterator engine
+produces is therefore reproduced bit-for-bit; only the host wall-clock
+spent simulating it differs.
 """
 
 from repro.pushexec.engine import PushEngine

@@ -45,12 +45,18 @@ from repro.relational.plans import (
 )
 from repro.relational.schema import Column, Schema
 
+#: Rows per output batch wherever an operator slices a materialised
+#: result (sorted runs, group-by output, Grace partition joins, exchange
+#: frames) -- one decision, so batch boundaries agree across engines.
+BATCH_ROWS = 1024
+
 __all__ = [
     "AggSpec",
     "Aggregate",
     "And",
     "AntiJoin",
     "Arith",
+    "BATCH_ROWS",
     "Between",
     "Col",
     "Cmp",

@@ -20,11 +20,12 @@ from __future__ import annotations
 from typing import Generator, Sequence
 
 from repro.hw.net import Network
+from repro.relational import BATCH_ROWS
 
 #: Rows per network message.  At the Wisconsin row width (~200 bytes)
 #: this is ~25 frames per message -- big enough to amortise latency,
 #: small enough that concurrent streams share the NICs fairly.
-DEFAULT_BATCH_ROWS = 1024
+DEFAULT_BATCH_ROWS = BATCH_ROWS
 
 
 def ship(

@@ -433,7 +433,7 @@ class Simulator:
         self.process_count = 0
         #: The process whose generator is currently being stepped (None
         #: between steps).  Lets coroutine-shaped engine entry points
-        #: (e.g. PushEngine.execute) learn their own driving process so
+        #: (e.g. IteratorEngine.execute) learn their own driving process so
         #: an abort can interrupt it.
         self.active_process = None
         #: Observability hook; replaced by :class:`repro.obs.Tracer` when

@@ -665,27 +665,10 @@ def plan(sql: str, catalog) -> PlanNode:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline cost rule (the push backend's planner hook)
+# Cardinality estimation
 # ---------------------------------------------------------------------------
 #: Fallback selectivity for predicate shapes the estimator cannot grade.
 _DEFAULT_SELECTIVITY = 0.5
-
-
-@dataclass(frozen=True)
-class PipelineChoice:
-    """One per-node decision from :func:`plan_pipelines`.
-
-    ``materialize`` predicts that a sort/hash-join input exceeds work
-    memory and will take the external (spilling) path.  It is a
-    prediction only -- runtime guards on actual row counts make every
-    spill decision, so simulated behaviour is identical when the
-    estimate is wrong.
-    """
-
-    op: str
-    input_rows: int
-    materialize: bool
-    reason: str
 
 
 def _expr_selectivity(expr) -> float:
@@ -761,52 +744,6 @@ def estimate_rows(plan_node: PlanNode, catalog) -> int:
     if isinstance(node, (InsertRows, UpdateRows, DeleteRows)):
         return 1
     return 0
-
-
-def plan_pipelines(
-    plan_node: PlanNode, catalog, work_mem_tuples: int = 50_000
-) -> Dict[PlanNode, PipelineChoice]:
-    """Predict in-memory vs materialize per memory-sensitive breaker.
-
-    Returns a mapping from plan node to :class:`PipelineChoice`, keyed
-    by node identity, covering every sort and hash join.  There is no
-    per-stage compilation choice: every expression goes through
-    :mod:`repro.relational.compile`, whose shape-keyed cache leaves no
-    per-parameter-set compile cost for small inputs to dodge.
-    """
-    choices: Dict[PlanNode, PipelineChoice] = {}
-
-    def visit(node: PlanNode) -> None:
-        if isinstance(node, Sort):
-            input_rows = estimate_rows(node.child, catalog)
-            materialize = input_rows > work_mem_tuples
-            choices[node] = PipelineChoice(
-                op=node.op_name,
-                input_rows=input_rows,
-                materialize=materialize,
-                reason=(
-                    f"~{input_rows} rows vs {work_mem_tuples} work mem: "
-                    f"{'external runs' if materialize else 'in-memory sort'}"
-                ),
-            )
-        elif isinstance(node, HashJoin):
-            input_rows = estimate_rows(node.left, catalog)
-            materialize = input_rows > work_mem_tuples
-            choices[node] = PipelineChoice(
-                op=node.op_name,
-                input_rows=input_rows,
-                materialize=materialize,
-                reason=(
-                    f"~{input_rows} build rows vs {work_mem_tuples} "
-                    f"work mem: "
-                    f"{'grace partitions' if materialize else 'in-memory build'}"
-                ),
-            )
-        for child in node.children:
-            visit(child)
-
-    visit(plan_node)
-    return choices
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.relational.plans import (
     HashJoin,
     IndexScan,
     LeftOuterJoin,
+    Limit,
     MergeJoin,
     NLJoin,
     Project,
@@ -188,6 +189,49 @@ def test_engines_agree_under_memory_pressure(seed, hash_family):
     assert set(sm3.store.files()) == files
 
 
+def satisfied_limit_plans():
+    """``LIMIT 0`` over, under and inside streaming chains and breakers."""
+    scan = TableScan("r", predicate=Col("grp") < 5)
+    return {
+        "bare": Limit(TableScan("r"), 0),
+        "over-chain": Limit(
+            Project(Filter(scan, Col("val") > 20.0), ["id", "val"]), 0
+        ),
+        "inside-chain": Project(
+            Limit(Filter(scan, Col("val") > 20.0), 0), ["id"]
+        ),
+        "over-probe": Limit(SemiJoin(scan, TableScan("s"), "id", "rid"), 0),
+        "under-probe": SemiJoin(
+            Limit(scan, 0), TableScan("s"), "id", "rid"
+        ),
+        "under-breaker": Sort(Limit(scan, 0), keys=["val"]),
+        "over-breaker": Limit(Sort(scan, keys=["val"]), 0, offset=3),
+    }
+
+
+def test_satisfied_limit_never_pulls_its_input():
+    """A LIMIT that is satisfied before it has emitted a row must not
+    pull below itself -- not even once.  The iterator and pushed engines
+    agree on rows, virtual clock and disk reads: no block at t = 0,
+    except that a probe *above* the satisfied limit builds from its
+    right input first, on both."""
+    for name, plan in satisfied_limit_plans().items():
+        host, sm = build_db()
+        assert IteratorEngine(sm).run_query(plan) == [], name
+        host2, sm2 = build_db()
+        assert PushEngine(sm2).run_query(plan) == [], name
+        assert host2.sim.now == host.sim.now, name
+        assert (
+            host2.disk.stats.blocks_read == host.disk.stats.blocks_read
+        ), name
+        idle = name != "under-probe"
+        assert (host.sim.now == 0.0) == idle, name
+        assert (host.disk.stats.blocks_read == 0) == idle, name
+        host3, sm3 = build_db()
+        qpipe = QPipeEngine(sm3, QPipeConfig(osp_enabled=True))
+        assert qpipe.run_query(plan) == [], name
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_osp_on_off_agree_on_random_plans(seed):
@@ -227,6 +271,9 @@ def random_wisconsin_sql(seed: int) -> str:
     a = rng.randrange(0, 150)
     b = a + rng.randrange(20, 120)
     d = rng.randrange(10)
+    # Every other LIMIT asks for no rows at all: an engine must then not
+    # pull (and pay for) the sort below it.
+    limit = 10 * (d % 2)
     templates = [
         f"SELECT onepercent, COUNT(*) AS n, SUM(unique1) AS s FROM {big} "
         f"WHERE unique1 < {k} GROUP BY onepercent ORDER BY onepercent",
@@ -239,7 +286,7 @@ def random_wisconsin_sql(seed: int) -> str:
         f"SELECT four, MIN(unique1) AS lo, MAX(unique1) AS hi FROM {big} "
         f"WHERE unique1 >= {a} GROUP BY four ORDER BY four",
         f"SELECT unique2 FROM small WHERE tenpercent = {d} "
-        f"ORDER BY unique2 LIMIT 10",
+        f"ORDER BY unique2 LIMIT {limit}",
     ]
     return templates[rng.randrange(len(templates))]
 

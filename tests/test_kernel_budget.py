@@ -15,6 +15,11 @@ back under ``hold``, ``put`` or ``get`` is a reviewed one-line diff too.
 
 The fourth pins a kernel that is rendered once per index, not once per
 lookup: the clustered index scan's key-range filter.
+
+The fifth is what keeps fusion honest.  The iterator and pushed engines
+run the same operators and differ only in whether adjacent streaming
+operators share a frame, so the Python calls a streaming chain makes
+into the operator library are the one place that difference shows.
 """
 
 import os
@@ -29,9 +34,12 @@ from repro.pushexec import PushEngine
 from repro.relational.expressions import AggSpec, Col
 from repro.relational.plans import (
     Aggregate,
+    Filter,
     GroupBy,
     HashJoin,
     IndexScan,
+    Limit,
+    Project,
     TableScan,
 )
 from repro.storage.manager import StorageManager
@@ -42,6 +50,10 @@ import tests.conftest as cf
 _COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 _SIM = os.sep + os.path.join("repro", "sim") + os.sep
 _RELATIONAL = os.sep + os.path.join("repro", "relational") + os.sep
+_TREE_ENGINES = (
+    os.sep + os.path.join("repro", "baseline") + os.sep,
+    os.sep + os.path.join("repro", "pushexec") + os.sep,
+)
 
 ROWS = 13_600  # 341 rows/page -> a 40-page table
 POOL_PAGES = 16  # smaller than the table: every scan goes to disk
@@ -231,3 +243,44 @@ def test_index_lookups_render_the_range_filter_once_per_index(name):
     )
     assert [len(rows) for rows in results] == [41] * LOOKUPS
     assert calls == LOOKUP_CALLS[name]
+
+
+# ---------------------------------------------------------------------------
+# Fusion: adjacent streaming operators share a frame on the pushed engine
+# ---------------------------------------------------------------------------
+LIMIT_ROWS = 9_000  # of the 9,715 rows the filter keeps: met on page 37 of 40
+
+#: engine -> Python calls into src/repro/baseline/ + src/repro/pushexec/
+#: for one Limit(Project(Filter(TableScan))) over the 40-page table.  Per
+#: source batch the iterator enters three one-stage chains where the
+#: pushed engine enters one chain of three stages.  While the pushed
+#: engine was a transliterated second operator library
+#: (``_scan_source`` / ``_drive`` / ``pull_batch`` over ``(_BATCH,
+#: rows)`` markers) the same query made
+#:   iterator 909    pushed 1139
+#: i.e. fusing cost more frames than it saved.
+CHAIN_CALLS = {
+    "iterator": 957,
+    "pushed": 615,
+}
+
+
+def streaming_chain(name):
+    host = Host(HostConfig())
+    sm = StorageManager(host, buffer_pages=POOL_PAGES)
+    sm.create_table("r", cf.R_SCHEMA, clustered_on=["id"])
+    sm.load_table("r", cf.make_r_rows(n=ROWS))
+    plan = Limit(
+        Project(Filter(TableScan("r"), Col("grp") < 5), ["id", "val"]),
+        LIMIT_ROWS,
+    )
+    return lambda: ENGINES[name](sm).run_query(plan)
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CALLS))
+def test_streaming_chain_enters_the_operator_library_exactly_this_often(name):
+    streaming_chain(name)()  # every kernel shape compiled once
+    calls, rows = python_calls(streaming_chain(name), *_TREE_ENGINES)
+    assert len(rows) == LIMIT_ROWS
+    assert calls == CHAIN_CALLS[name]
+    assert CHAIN_CALLS["pushed"] < CHAIN_CALLS["iterator"]

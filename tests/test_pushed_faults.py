@@ -1,26 +1,28 @@
-"""Fault teardown on the push-based fused backend.
+"""Fault teardown on the two tree engines (iterator and pushed).
 
-A crashed pushed query unwinds compiled pipeline generators rather than
-operator objects, so the teardown path is different from both the
-packet engine (packet chains) and the iterator engine (operator close
-methods): the engine must close the generator stack, drop any live
-spill files, release every buffer pin, and sweep the query's locks.
-These tests pin that balance after faults land mid-sort-spill and
-mid-join-partitioning, and that the engine stays usable afterwards.
+Both run one query driver (``IteratorEngine.execute``), so a crashed or
+disconnected query unwinds the same way on either: the interrupt leaves
+the operator tree through ``execute``'s ``finally``, which must drop any
+live spill files, leave every buffer pin released, and sweep the query's
+locks.  These tests pin that balance after faults land mid-sort-spill
+and mid-join-partitioning, and that the engine stays usable afterwards.
 """
 
 import pytest
 
+from repro.baseline.engine import IteratorEngine
 from repro.faults import FaultInjector, FaultPlan, QueryAborted
 from repro.faults.errors import FaultError
 from repro.pushexec import PushEngine
 from repro.relational.plans import HashJoin, Sort, TableScan
 
 
-def make_engine(sm):
+@pytest.fixture(params=[IteratorEngine, PushEngine],
+                ids=["iterator", "pushed"])
+def make_engine(request):
     # A tiny memory budget so sorts spill runs and hash joins partition
     # to temp files -- teardown has real satellites to clean up.
-    return PushEngine(sm, work_mem_tuples=500)
+    return lambda sm: request.param(sm, work_mem_tuples=500)
 
 
 def spawn_catching(host, engine, plan, name="client"):
@@ -57,7 +59,7 @@ def join_plan():
 
 @pytest.mark.parametrize("plan_fn", [sort_plan, join_plan],
                          ids=["sort-spill", "hash-partition"])
-def test_crash_mid_spill_releases_everything(big_db, plan_fn):
+def test_crash_mid_spill_releases_everything(big_db, make_engine, plan_fn):
     host, sm, _, _ = big_db
     engine = make_engine(sm)
     files_before = len(sm.store._files)
@@ -72,9 +74,9 @@ def test_crash_mid_spill_releases_everything(big_db, plan_fn):
     assert injector.fired
 
 
-def test_client_interrupt_runs_pipeline_finalizers(big_db):
+def test_client_interrupt_runs_pipeline_finalizers(big_db, make_engine):
     """A raw process interrupt (client disconnect, no abort_query call)
-    must still unwind the generator stack and drop spill files."""
+    must still unwind the operator tree and drop spill files."""
     host, sm, _, _ = big_db
     engine = make_engine(sm)
     files_before = len(sm.store._files)
@@ -94,7 +96,7 @@ def test_client_interrupt_runs_pipeline_finalizers(big_db):
     assert_balanced(sm, engine, files_before)
 
 
-def test_engine_survives_repeated_crashes(big_db):
+def test_engine_survives_repeated_crashes(big_db, make_engine):
     """Crash several spilling queries back to back, then run one clean:
     no residue from the crashed runs may leak into the survivor."""
     host, sm, r_rows, _ = big_db

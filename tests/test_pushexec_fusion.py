@@ -1,13 +1,17 @@
-"""Property tests for the fused stage compiler.
+"""Property tests for the chain operator and its stages.
 
-Two independent axes of the push backend's compilation are checked
-against reference semantics, on random operator chains over random rows:
+Three independent axes are checked against reference semantics, on
+random streaming-operator chains over random rows, by driving the real
+:class:`~repro.baseline.operators.ChainOp` over a list-backed source:
 
-* **compilation**: a compiled chain must produce row-identical output
-  to a row-at-a-time walk of the same operators with the tree-walking
+* **compilation**: a chain must produce row-identical output to a
+  row-at-a-time walk of the same operators with the tree-walking
   expression interpreter (``tests/expr_oracle.py``);
 * **batching**: the output must not depend on where batch boundaries
-  fall -- batch sizes 1, 7, 64 and whole-table must agree.
+  fall -- batch sizes 1, 7, 64 and whole-table must agree;
+* **fusion**: one chain over the whole run (the pushed engine) and a
+  stack of one-stage chains (the iterator engine) return the same rows
+  at the same virtual time.
 """
 
 import random
@@ -16,14 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pushexec.fusion import (
-    chain_output_schema,
-    compile_chain,
-    push_batches,
-)
+from repro.baseline.operators import ChainOp, ExecContext, Operator
+from repro.hw.host import Host, HostConfig
 from repro.relational.expressions import Between, Col, Const, If, InList, Like
-from repro.relational.plans import Distinct, Filter, Limit, Project
+from repro.relational.plans import Distinct, Filter, Limit, PlanNode, Project
 from repro.relational.schema import Column, Schema
+from repro.storage.manager import StorageManager
 
 from tests.expr_oracle import eval_expr
 
@@ -37,6 +39,28 @@ SCHEMA = Schema(
 )
 
 BATCH_SIZES = (1, 7, 64, None)  # None = whole table in one batch
+
+
+class Rows(PlanNode):
+    """The plan leaf under every test chain: rows of SCHEMA."""
+
+    def __init__(self):
+        super().__init__([])
+
+    def output_schema(self, catalog):
+        return SCHEMA
+
+
+class ListSource(Operator):
+    """A source operator over pre-sliced batches, free in virtual time."""
+
+    def __init__(self, batches):
+        super().__init__(SCHEMA)
+        self._batches = iter([batch for batch in batches if batch])
+
+    def next_batch(self):
+        return next(self._batches, None)
+        yield  # a coroutine, like every next_batch
 
 
 def make_rows(rng: random.Random, n: int):
@@ -80,26 +104,30 @@ def random_predicate(rng: random.Random, schema: Schema = SCHEMA):
     return rng.choice(atoms)
 
 
+def below(ops):
+    """The child for the next node stacked on *ops*."""
+    return ops[-1] if ops else Rows()
+
+
 def random_chain(rng: random.Random):
-    """A random run of streaming operators (the child slot of each plan
-    node is a placeholder -- compile_chain only reads the op's own
-    attributes)."""
+    """A random run of streaming plan nodes over a ``Rows`` leaf,
+    innermost first."""
     ops = []
     schema = SCHEMA
     for _ in range(rng.randrange(1, 5)):
         kind = rng.randrange(4)
         if kind == 0:
-            ops.append(Filter(None, random_predicate(rng, schema)))
+            ops.append(Filter(below(ops), random_predicate(rng, schema)))
         elif kind == 1 and len(schema.names) > 1:
             keep = [
                 n for n in schema.names if rng.random() < 0.7
             ] or [schema.names[0]]
-            ops.append(Project(None, keep))
+            ops.append(Project(below(ops), keep))
             schema = schema.project(keep)
         elif kind == 2 and "val" in schema.names:
             ops.append(
                 Project(
-                    None,
+                    below(ops),
                     ["twice", "flag"],
                     exprs=[
                         Col("val") * 2,
@@ -111,12 +139,12 @@ def random_chain(rng: random.Random):
                 [Column("twice", "float"), Column("flag", "float")]
             )
         elif kind == 3:
-            ops.append(Limit(None, rng.randrange(1, 40),
+            ops.append(Limit(below(ops), rng.randrange(0, 40),
                              offset=rng.randrange(0, 5)))
         else:
-            ops.append(Distinct(None))
+            ops.append(Distinct(below(ops)))
     if rng.random() < 0.3:
-        ops.append(Distinct(None))
+        ops.append(Distinct(below(ops)))
     return ops
 
 
@@ -126,12 +154,23 @@ def slice_batches(rows, size):
     return [rows[i:i + size] for i in range(0, len(rows), size)]
 
 
-def run_chain(ops, rows, batch_size):
-    # Stages are stateful (limit counters, distinct sets): compile a
-    # fresh chain per run.
-    return push_batches(
-        compile_chain(ops, SCHEMA), slice_batches(rows, batch_size)
-    )
+def new_ctx():
+    host = Host(HostConfig())
+    return ExecContext(sm=StorageManager(host, buffer_pages=4), host=host)
+
+
+def run_chain(ops, rows, batch_size, fused=True):
+    """``(rows out, virtual finish time)`` of *ops* over *rows*: as one
+    chain, or as a stack of one-stage chains.  Stages are stateful
+    (limit counters, distinct sets), so every run builds its own."""
+    ctx = new_ctx()
+    host = ctx.host
+    root = ListSource(slice_batches(rows, batch_size))
+    for run in [ops] if fused else [[op] for op in ops]:
+        root = ChainOp(ctx, root, run, None)
+    proc = host.sim.spawn(root.drain(), name="chain")
+    host.sim.run()
+    return proc.value, host.sim.now
 
 
 def interpret_chain(ops, rows):
@@ -150,7 +189,7 @@ def interpret_chain(ops, rows):
             rows = rows[op.offset:op.offset + op.count]
         else:
             rows = list(dict.fromkeys(rows))  # Distinct: first wins
-        schema = chain_output_schema([op], schema)
+        schema = op.output_schema(None)
     return rows
 
 
@@ -163,33 +202,31 @@ def test_compiled_matches_interpreted_at_every_batch_size(seed):
 
     reference = interpret_chain(ops, rows)
     for size in BATCH_SIZES:
-        assert run_chain(ops, rows, size) == reference, (
-            f"mismatch at batch_size={size} for {ops}"
-        )
+        got, finished_at = run_chain(ops, rows, size)
+        assert got == reference, f"mismatch at batch_size={size} for {ops}"
+        assert run_chain(ops, rows, size, fused=False) == (got, finished_at)
 
 
 def test_limit_state_is_per_compilation():
-    """A LIMIT chain stops the driver once satisfied, and recompiling
+    """A LIMIT chain stops pulling once satisfied, and rebuilding
     resets its counters (stages are per-execution state)."""
     rows = make_rows(random.Random(1), 100)
-    ops = [Limit(None, 10, offset=3)]
-    first = run_chain(ops, rows, 7)
-    second = run_chain(ops, rows, 7)
+    ops = [Limit(Rows(), 10, offset=3)]
+    first, _ = run_chain(ops, rows, 7)
+    second, _ = run_chain(ops, rows, 7)
     assert first == second == rows[3:13]
 
 
 def test_chain_output_schema_tracks_projections():
-    ops = [
-        Filter(None, Col("val") > 0),
-        Project(None, ["grp", "val"]),
-        Project(None, ["double"], exprs=[Col("val") * 2]),
-    ]
-    out = chain_output_schema(ops, SCHEMA)
-    assert out.names == ["double"]
+    ops = [Filter(Rows(), Col("val") > 0)]
+    ops.append(Project(ops[-1], ["grp", "val"]))
+    ops.append(Project(ops[-1], ["double"], exprs=[Col("val") * 2]))
+    chain = ChainOp(new_ctx(), ListSource([]), ops, None)
+    assert chain.schema.names == ["double"]
 
 
 def test_build_stage_rejects_breakers():
     from repro.relational.plans import Sort
 
     with pytest.raises(TypeError):
-        compile_chain([Sort(None, keys=["val"])], SCHEMA)
+        ChainOp(new_ctx(), ListSource([]), [Sort(Rows(), keys=["val"])], None)
