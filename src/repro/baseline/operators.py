@@ -7,10 +7,16 @@ list of rows or ``None`` at end-of-stream.  Pull-based: the parent drives.
 This is the one operator library under both tree engines.  Leaves and
 pipeline breakers (scans, sort, the joins, aggregation, DML) are the
 classes below; streaming operators are stages
-(:mod:`repro.baseline.stages`) run by :class:`ChainOp`.  The iterator
+(:mod:`repro.relational.stages`) run by :class:`ChainOp`.  The iterator
 engine builds one operator per plan node (:func:`build_operator`); the
 pushed engine builds the same tree with adjacent streaming nodes fused
 into one chain (:func:`repro.pushexec.compile_plan`).
+
+An operator here is a *schedule*: when it pulls, which page it reads,
+what it charges.  The row work -- expression kernels, the run merge,
+the merge-join cursors, RID runs, the DML page loop -- lives in
+sim-free bodies (:mod:`repro.relational`, :mod:`repro.storage`) that the
+packet micro-engines drive too.
 
 These operators double as the *correctness reference* for the QPipe
 micro-engines -- the integration tests require both engines to produce
@@ -19,19 +25,12 @@ identical result sets for the same plans.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.baseline.stages import (
-    STREAMING,
-    LimitStage,
-    ProbeStage,
-    Stage,
-    build_stage,
-)
 from repro.hw.host import Host
 from repro.relational import BATCH_ROWS, compile
+from repro.relational.joins import MergeCursor, cross, next_match
 from repro.relational.plans import (
     Aggregate,
     DeleteRows,
@@ -47,9 +46,16 @@ from repro.relational.plans import (
     UpdateRows,
 )
 from repro.relational.schema import Schema
-from repro.storage.locks import LockMode
+from repro.relational.sort import RunMerge, sort_comparisons
+from repro.relational.stages import (
+    PROBES,
+    STREAMING,
+    LimitStage,
+    Stage,
+    build_stage,
+)
 from repro.storage.manager import StorageManager
-from repro.storage.page import RID
+from repro.storage.page import rid_runs
 from repro.storage.streams import next_stream
 
 
@@ -167,26 +173,14 @@ class IndexScanOp(Operator):
         super().__init__(plan.output_schema(ctx.sm.catalog))
         self.ctx = ctx
         self.plan = plan
-        base = ctx.sm.catalog.table_schema(plan.table)
-        info = ctx.sm.catalog.index(plan.table, plan.index)
-        self._clustered = info.clustered
-        self._key_fn = ctx.sm._key_fn(base, info.key_columns)
-        self._keep = info.key_range
-        self._post = compile.scan(plan.predicate, plan.project, base)
-        self._rids: Optional[List] = None
-        self._page_no: Optional[int] = None
-        self._stopped = False
-        self._cursor = 0
-        self._stream = next_stream()
-
-    def _probe(self):
-        pairs = yield from self.ctx.sm.index_range(
-            self.plan.table, self.plan.index, self.plan.lo, self.plan.hi
+        self._info = ctx.sm.catalog.index(plan.table, plan.index)
+        self._post = compile.scan(
+            plan.predicate, plan.project, self._info.schema
         )
-        rids = [rid for _key, rid in pairs]
-        if not self.plan.ordered:
-            rids.sort()  # ascending page number: one visit per page
-        self._rids = rids
+        self._runs = None  # unclustered: the RID list's page visits
+        self._page_no: Optional[int] = None  # clustered: next heap page
+        self._stopped = False
+        self._stream = next_stream()
 
     def _next_clustered_batch(self):
         """Clustered path: one tree descent, then a sequential, key-
@@ -205,47 +199,46 @@ class IndexScanOp(Operator):
             self._page_no += 1
             rows = page.rows()
             yield from self.ctx.cpu(len(rows))
-            if plan.hi is not None and rows and self._key_fn(rows[0]) > plan.hi:
+            rows = self._info.clip(rows, plan.lo, plan.hi)
+            if rows is None:
                 self._stopped = True
                 return None
-            rows = self._post(self._keep(rows, plan.lo, plan.hi))
+            rows = self._post(rows)
             if rows:
                 return rows
         return None
 
     def next_batch(self):
-        if self._clustered:
+        plan = self.plan
+        sm = self.ctx.sm
+        if self._info.clustered:
             batch = yield from self._next_clustered_batch()
             return batch
-        if self._rids is None:
-            yield from self._probe()
-        rids = self._rids
-        out: List[tuple] = []
-        while self._cursor < len(rids) and not out:
-            # Group consecutive RIDs on the same page into one fetch.
-            block = rids[self._cursor].block_no
-            page = yield from self.ctx.sm.read_table_page(
-                self.plan.table, block, scan=True, stream=self._stream
+        if self._runs is None:
+            pairs = yield from sm.index_range(
+                plan.table, plan.index, plan.lo, plan.hi
             )
-            group: List[tuple] = []
-            while (
-                self._cursor < len(rids)
-                and rids[self._cursor].block_no == block
-            ):
-                row = page.get(rids[self._cursor].slot)
-                if row is not None:
-                    group.append(row)
-                self._cursor += 1
+            rids = [rid for _key, rid in pairs]
+            if not plan.ordered:
+                rids.sort()  # ascending page number: one visit per page
+            self._runs = rid_runs(rids, 0, len(rids))
+        for block, slots, _end in self._runs:
+            page = yield from sm.read_table_page(
+                plan.table, block, scan=True, stream=self._stream
+            )
+            group = page.live(slots)
             yield from self.ctx.cpu(len(group))
-            out.extend(self._post(group))
-        return out or None
+            out = self._post(group)
+            if out:
+                return out
+        return None
 
 
 class ChainOp(Operator):
     """A run of streaming operators over one source, in one frame.
 
     Per source batch: each stage's CPU charge, then its transformation
-    (:mod:`repro.baseline.stages`), re-pulling the source when a batch
+    (:mod:`repro.relational.stages`), re-pulling the source when a batch
     empties and never again once a LIMIT is satisfied.  That is also the
     schedule of the same stages stacked as one-stage chains -- an upper
     operator is charged only for batches that reach it -- so how many
@@ -260,9 +253,15 @@ class ChainOp(Operator):
         self.ctx = ctx
         self.source = source
         self.stages: List[Stage] = []
+        #: Per stage, a probe's right-input operator (None otherwise).
+        self._rights: List[Optional[Operator]] = []
         schema = source.schema
         for plan in plans:
-            self.stages.append(build_stage(plan, schema, ctx, build))
+            right = build(plan.right, ctx) if isinstance(plan, PROBES) else None
+            self.stages.append(
+                build_stage(plan, schema, right.schema if right else None)
+            )
+            self._rights.append(right)
             schema = plan.output_schema(ctx.sm.catalog)
         super().__init__(schema)
         self._limits = [s for s in self.stages if isinstance(s, LimitStage)]
@@ -274,12 +273,12 @@ class ChainOp(Operator):
         emitted anything (``LIMIT 0``) stops the descent, so nothing
         below it runs; a probe stage drains its right input into its
         key set or hash table."""
-        for stage in reversed(self.stages):
+        for stage, right in zip(reversed(self.stages), reversed(self._rights)):
             if stage.finished:
                 return
-            if isinstance(stage, ProbeStage):
+            if right is not None:
                 while True:
-                    batch = yield from stage.right.next_batch()
+                    batch = yield from right.next_batch()
                     if batch is None:
                         break
                     yield from self.ctx.cpu(len(batch))
@@ -311,8 +310,9 @@ class SortOp(Operator):
     """External merge sort with a work-memory budget.
 
     Runs of ``work_mem_tuples`` rows are sorted in memory and spilled to
-    temp files; a final k-way merge streams the result.  When the input
-    fits in memory no temp I/O is charged.
+    temp files; a final k-way merge (:class:`RunMerge`) streams the
+    result a batch at a time, charged per batch.  When the input fits in
+    memory no temp I/O is charged and the result is one batch.
     """
 
     def __init__(self, ctx: ExecContext, plan: Sort, child: Operator):
@@ -322,19 +322,17 @@ class SortOp(Operator):
         self.keys = plan.keys
         self.descending = plan.descending
         self._key = child.schema.key_of(plan.keys)
-        self._rank = _merge_rank(self._key, len(plan.keys), plan.descending)
         self._sorted: Optional[List[tuple]] = None  # in-memory path
-        self._merge: Optional[Generator] = None  # external path
+        self._merge: Optional[RunMerge] = None  # external path
         self._runs: List = []
         self._done = False
 
-    def _sort_cost(self, n: int) -> Generator:
-        import math
-
-        comparisons = n * max(1.0, math.log2(max(2, n)))
+    def _sort(self, rows: List[tuple]) -> Generator:
         yield from self.ctx.cpu(
-            int(comparisons), factor=self.ctx.host.config.sort_cpu_factor
+            sort_comparisons(len(rows)),
+            factor=self.ctx.host.config.sort_cpu_factor,
         )
+        rows.sort(key=self._key, reverse=self.descending)
 
     def _build(self):
         budget = self.ctx.work_mem_tuples
@@ -348,16 +346,17 @@ class SortOp(Operator):
                 yield from self._spill(buffer)
                 buffer = []
         if not self._runs:
-            yield from self._sort_cost(len(buffer))
-            buffer.sort(key=self._key, reverse=self.descending)
+            yield from self._sort(buffer)
             self._sorted = buffer
             return
         if buffer:
             yield from self._spill(buffer)
+        self._merge = RunMerge(
+            [run.num_pages for run in self._runs], self._key, self.descending
+        )
 
     def _spill(self, rows: List[tuple]):
-        yield from self._sort_cost(len(rows))
-        rows.sort(key=self._key, reverse=self.descending)
+        yield from self._sort(rows)
         # Born tracked: an interrupt landing inside write_run must leave
         # the run visible to the fault-teardown sweep.
         run = self.ctx.track_temp(
@@ -368,95 +367,24 @@ class SortOp(Operator):
         yield from self.ctx.sm.write_run(run, rows)
         self._runs.append(run)
 
-    def _run_reader(self, run):
-        """Sub-coroutine factory: stream one run's rows page by page."""
-        for block in range(run.num_pages):
-            page = yield from self.ctx.sm.read_temp_page(run, block)
-            for row in page.rows():
-                yield ("row", row)
-
-    def _merged_rows(self):
-        """Coroutine: k-way merge over spilled runs, yielding ('row', r)."""
-        readers = [self._run_reader(run) for run in self._runs]
-        heads: List = []
-        for i, reader in enumerate(readers):
-            row = yield from self._advance(reader)
-            if row is not None:
-                heads.append((self._rank(row), i, row))
-        heapq.heapify(heads)
-        while heads:
-            _rank, i, row = heapq.heappop(heads)
-            yield ("row", row)
-            nxt = yield from self._advance(readers[i])
-            if nxt is not None:
-                heapq.heappush(heads, (self._rank(nxt), i, nxt))
-
-    @staticmethod
-    def _advance(reader):
-        """Pull the next ('row', r) from a sub-coroutine, forwarding sim
-        events; returns the row or None at exhaustion."""
-        try:
-            item = next(reader)
-        except StopIteration:
-            return None
-        while True:
-            if isinstance(item, tuple) and item and item[0] == "row":
-                return item[1]
-            value = yield item
-            try:
-                item = reader.send(value)
-            except StopIteration:
-                return None
-
     def next_batch(self):
         if self._done:
             return None
         if self._sorted is None and self._merge is None:
             yield from self._build()
-            if self._runs:
-                self._merge = self._merged_rows()
         if self._sorted is not None:
+            self._done = True
+            return self._sorted or None
+        out = yield from self._merge.pull(
+            self.ctx.sm.read_temp_page, self._runs, BATCH_ROWS
+        )
+        if len(out) < BATCH_ROWS:
             self._done = True
             for run in self._runs:
                 self.ctx.drop_temp(run)
-            return self._sorted or None
-        out: List[tuple] = []
-        while len(out) < BATCH_ROWS:
-            row = yield from self._advance(self._merge)
-            if row is None:
-                self._done = True
-                for run in self._runs:
-                    self.ctx.drop_temp(run)
-                break
-            out.append(row)
         if out:
             yield from self.ctx.cpu(len(out))
         return out or None
-
-
-class _Neg:
-    """Ordering inverter for descending sort keys in heap merges."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return other.value < self.value
-
-    def __eq__(self, other):
-        return other.value == self.value
-
-
-def _merge_rank(key, arity: int, descending: bool):
-    """Heap rank of a row in a k-way run merge: its sort key, inverted
-    column by column for a descending sort."""
-    if not descending:
-        return key
-    if arity == 1:
-        return lambda row: _Neg(key(row))
-    return lambda row: tuple(_Neg(part) for part in key(row))
 
 
 class HashJoinOp(Operator):
@@ -582,80 +510,31 @@ class HashJoinOp(Operator):
 
 
 class MergeJoinOp(Operator):
-    """Merge join over inputs already sorted on the join keys."""
+    """Merge join over inputs already sorted on the join keys: one
+    matched pair of duplicate groups per batch."""
 
     def __init__(self, ctx: ExecContext, plan: MergeJoin,
                  left: Operator, right: Operator):
         super().__init__(plan.output_schema(ctx.sm.catalog))
         self.ctx = ctx
-        self.left = left
-        self.right = right
-        self._lkey = left.schema.key_of([plan.left_key])
-        self._rkey = right.schema.key_of([plan.right_key])
-        self._lbuf: List[tuple] = []
-        self._rbuf: List[tuple] = []
-        self._lend = False
-        self._rend = False
+        self._left = MergeCursor(
+            left.next_batch, left.schema.key_of([plan.left_key])
+        )
+        self._right = MergeCursor(
+            right.next_batch, right.schema.key_of([plan.right_key])
+        )
         self._done = False
-
-    def _fill_left(self):
-        while not self._lbuf and not self._lend:
-            batch = yield from self.left.next_batch()
-            if batch is None:
-                self._lend = True
-            else:
-                self._lbuf.extend(batch)
-
-    def _fill_right(self):
-        while not self._rbuf and not self._rend:
-            batch = yield from self.right.next_batch()
-            if batch is None:
-                self._rend = True
-            else:
-                self._rbuf.extend(batch)
 
     def next_batch(self):
         if self._done:
             return None
-        out: List[tuple] = []
-        while not out:
-            yield from self._fill_left()
-            yield from self._fill_right()
-            if (self._lend and not self._lbuf) or (
-                self._rend and not self._rbuf
-            ):
-                self._done = True
-                return None
-            lkey = self._lkey(self._lbuf[0])
-            rkey = self._rkey(self._rbuf[0])
-            if lkey < rkey:
-                self._lbuf.pop(0)
-            elif rkey < lkey:
-                self._rbuf.pop(0)
-            else:
-                # Gather the full duplicate groups on both sides.
-                lgroup = yield from self._take_group(
-                    self._lbuf, self._lkey, lkey, self._fill_left, "_lend"
-                )
-                rgroup = yield from self._take_group(
-                    self._rbuf, self._rkey, rkey, self._fill_right, "_rend"
-                )
-                yield from self.ctx.cpu(len(lgroup) * len(rgroup))
-                for lrow in lgroup:
-                    for rrow in rgroup:
-                        out.append(lrow + rrow)
-        return out
-
-    def _take_group(self, buf, key, value, fill, end_attr):
-        group: List[tuple] = []
-        while True:
-            while buf and key(buf[0]) == value:
-                group.append(buf.pop(0))
-            if buf or getattr(self, end_attr):
-                return group
-            yield from fill()
-            if not buf:
-                return group
+        match = yield from next_match(self._left, self._right)
+        if match is None:
+            self._done = True
+            return None
+        lgroup, rgroup = match
+        yield from self.ctx.cpu(len(lgroup) * len(rgroup))
+        return cross(lgroup, rgroup)
 
 
 class NLJoinOp(Operator):
@@ -702,9 +581,7 @@ class NLJoinOp(Operator):
                 )
                 rrows = page.rows()
                 yield from self.ctx.cpu(len(batch) * len(rrows))
-                out += self._matching(
-                    [lrow + rrow for lrow in batch for rrow in rrows]
-                )
+                out += self._matching(cross(batch, rrows))
             if out:
                 return out
 
@@ -785,10 +662,11 @@ class GroupByOp(Operator):
         return out
 
 
-class InsertOp(Operator):
-    """Insert rows under an exclusive table lock (section 4.3.4)."""
+class DmlOp(Operator):
+    """INSERT / UPDATE / DELETE under an exclusive table lock (section
+    4.3.4): one row, the count of rows affected."""
 
-    def __init__(self, ctx: ExecContext, plan: InsertRows):
+    def __init__(self, ctx: ExecContext, plan: PlanNode):
         super().__init__(plan.output_schema(ctx.sm.catalog))
         self.ctx = ctx
         self.plan = plan
@@ -798,80 +676,10 @@ class InsertOp(Operator):
         if self._done:
             return None
         self._done = True
-        owner = self.ctx.owner or next_stream()
-        yield self.ctx.sm.locks.acquire(
-            owner, self.plan.table, LockMode.EXCLUSIVE
+        affected = yield from self.ctx.sm.apply_dml(
+            self.plan, self.ctx.owner or next_stream()
         )
-        try:
-            for row in self.plan.rows:
-                yield from self.ctx.sm.insert_row(self.plan.table, row)
-        finally:
-            self.ctx.sm.locks.release(owner, self.plan.table)
-        return [(len(self.plan.rows),)]
-
-
-class UpdateOp(Operator):
-    """Predicate update under an exclusive table lock."""
-
-    def __init__(self, ctx: ExecContext, plan: UpdateRows):
-        super().__init__(plan.output_schema(ctx.sm.catalog))
-        self.ctx = ctx
-        self.plan = plan
-        self._done = False
-
-    def next_batch(self):
-        if self._done:
-            return None
-        self._done = True
-        owner = self.ctx.owner or next_stream()
-        table = self.plan.table
-        schema = self.ctx.sm.catalog.table_schema(table)
-        matching = compile.filter_items(self.plan.predicate, schema)
-        yield self.ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
-        changed = 0
-        try:
-            info = self.ctx.sm.catalog.table(table)
-            for block in range(info.num_pages):
-                page = yield from self.ctx.sm.read_table_page(table, block)
-                for slot, row in matching(page.slots()):
-                    yield from self.ctx.sm.update_row(
-                        table, RID(block, slot), self.plan.apply(row)
-                    )
-                    changed += 1
-        finally:
-            self.ctx.sm.locks.release(owner, table)
-        return [(changed,)]
-
-
-class DeleteOp(Operator):
-    """Predicate delete under an exclusive table lock."""
-
-    def __init__(self, ctx: ExecContext, plan: DeleteRows):
-        super().__init__(plan.output_schema(ctx.sm.catalog))
-        self.ctx = ctx
-        self.plan = plan
-        self._done = False
-
-    def next_batch(self):
-        if self._done:
-            return None
-        self._done = True
-        owner = self.ctx.owner or next_stream()
-        table = self.plan.table
-        schema = self.ctx.sm.catalog.table_schema(table)
-        matching = compile.filter_items(self.plan.predicate, schema)
-        yield self.ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
-        removed = 0
-        try:
-            info = self.ctx.sm.catalog.table(table)
-            for block in range(info.num_pages):
-                page = yield from self.ctx.sm.read_table_page(table, block)
-                for slot, row in matching(page.slots()):
-                    yield from self.ctx.sm.delete_row(table, RID(block, slot))
-                    removed += 1
-        finally:
-            self.ctx.sm.locks.release(owner, table)
-        return [(removed,)]
+        return [(affected,)]
 
 
 def build_breaker(plan: PlanNode, ctx: ExecContext, build) -> Operator:
@@ -899,12 +707,8 @@ def build_breaker(plan: PlanNode, ctx: ExecContext, build) -> Operator:
         return AggregateOp(ctx, plan, build(plan.child, ctx))
     if isinstance(plan, GroupBy):
         return GroupByOp(ctx, plan, build(plan.child, ctx))
-    if isinstance(plan, InsertRows):
-        return InsertOp(ctx, plan)
-    if isinstance(plan, UpdateRows):
-        return UpdateOp(ctx, plan)
-    if isinstance(plan, DeleteRows):
-        return DeleteOp(ctx, plan)
+    if isinstance(plan, (InsertRows, UpdateRows, DeleteRows)):
+        return DmlOp(ctx, plan)
     raise TypeError(f"no iterator operator for {type(plan).__name__}")
 
 

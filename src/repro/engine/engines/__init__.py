@@ -6,13 +6,12 @@ from repro.engine.engines.joins import (
     HashJoinEngine,
     MergeJoinEngine,
     NLJoinEngine,
-    OuterJoinEngine,
-    SemiJoinEngine,
 )
 from repro.engine.engines.misc import (
     DistinctEngine,
     FilterEngine,
     LimitEngine,
+    ProbeEngine,
     ProjectEngine,
     UpdateEngine,
 )
@@ -30,9 +29,8 @@ __all__ = [
     "MergeJoinEngine",
     "LimitEngine",
     "NLJoinEngine",
-    "OuterJoinEngine",
+    "ProbeEngine",
     "ProjectEngine",
-    "SemiJoinEngine",
     "SortEngine",
     "UpdateEngine",
 ]
@@ -50,9 +48,9 @@ def build_engines(engine, workers: int):
         "hashjoin": HashJoinEngine("hashjoin", engine, workers=workers),
         "mergejoin": MergeJoinEngine("mergejoin", engine, workers=workers),
         "nljoin": NLJoinEngine("nljoin", engine, workers=workers),
-        "semijoin": SemiJoinEngine("semijoin", engine, workers=workers),
-        "antijoin": SemiJoinEngine("antijoin", engine, workers=workers),
-        "outerjoin": OuterJoinEngine("outerjoin", engine, workers=workers),
+        "semijoin": ProbeEngine("semijoin", engine, workers=workers),
+        "antijoin": ProbeEngine("antijoin", engine, workers=workers),
+        "outerjoin": ProbeEngine("outerjoin", engine, workers=workers),
         "limit": LimitEngine("limit", engine, workers=workers),
         "distinct": DistinctEngine("distinct", engine, workers=workers),
         "project": ProjectEngine("project", engine, workers=workers),

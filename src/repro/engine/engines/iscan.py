@@ -22,7 +22,7 @@ check -- the non-shared relation is read twice -- gates the manoeuvre.
 
 from __future__ import annotations
 
-from typing import Generator, List, Tuple
+from typing import Generator, List
 
 from repro.engine.buffers import TupleBuffer
 from repro.engine.micro_engine import MicroEngine
@@ -30,10 +30,7 @@ from repro.engine.packets import Packet, PacketState
 from repro.faults.errors import FaultError
 from repro.relational import compile
 from repro.sim import ChannelClosed
-
-
-def _count_pages(pairs: List[Tuple]) -> int:
-    return len({rid.block_no for _key, rid in pairs})
+from repro.storage.page import RID, rid_runs
 
 
 class IScanEngine(MicroEngine):
@@ -44,7 +41,7 @@ class IScanEngine(MicroEngine):
         info = self.engine.sm.catalog.index(packet.plan.table,
                                             packet.plan.index)
         if info.clustered:
-            yield from self._serve_clustered(packet, info)
+            yield from self._serve_clustered(packet)
         else:
             yield from self._serve_unclustered(packet)
 
@@ -58,10 +55,15 @@ class IScanEngine(MicroEngine):
     # ------------------------------------------------------------------
     # Clustered path
     # ------------------------------------------------------------------
-    def _serve_clustered(self, packet: Packet, info) -> Generator:
+    def _serve_clustered(self, packet: Packet) -> Generator:
+        plan = packet.plan
         post = self._post(packet)
         packet.phase = "rid_list"
-        start_page = yield from self._locate_start_page(packet, info)
+        # One tree descent for ``lo``: the heap page where the range
+        # begins (0 for an unbounded scan).
+        start_page = yield from self.engine.sm.clustered_start_page(
+            plan.table, plan.index, plan.lo
+        )
         packet.artifacts["kind"] = "clustered"
         packet.artifacts["start_page"] = start_page
         packet.artifacts["cursor"] = start_page
@@ -70,15 +72,6 @@ class IScanEngine(MicroEngine):
             packet, start_page, None, post,
             output=packet.output, track_cursor=True,
         )
-
-    def _locate_start_page(self, packet: Packet, info) -> Generator:
-        """Coroutine: descend the tree for ``lo``; returns the heap page
-        where the range begins (0 for an unbounded scan)."""
-        plan = packet.plan
-        start = yield from self.engine.sm.clustered_start_page(
-            plan.table, plan.index, plan.lo
-        )
-        return start
 
     def _fetch_clustered(
         self,
@@ -96,8 +89,6 @@ class IScanEngine(MicroEngine):
         num_pages = sm.num_pages(plan.table)
         end = num_pages if stop_page is None else stop_page
         info = sm.catalog.index(plan.table, plan.index)
-        key_fn = sm._key_fn(info.schema, info.key_columns)
-        keep = info.key_range
         page_no = start_page
         while page_no < end:
             page = yield from sm.read_table_page(
@@ -105,9 +96,10 @@ class IScanEngine(MicroEngine):
             )
             rows = page.rows()
             yield from self.charge(packet, len(rows))
-            if plan.hi is not None and rows and key_fn(rows[0]) > plan.hi:
+            rows = info.clip(rows, plan.lo, plan.hi)
+            if rows is None:
                 break
-            rows = post(keep(rows, plan.lo, plan.hi))
+            rows = post(rows)
             if rows:
                 yield from output.put(rows)
             page_no += 1
@@ -125,29 +117,30 @@ class IScanEngine(MicroEngine):
         pairs = yield from sm.index_range(
             plan.table, plan.index, plan.lo, plan.hi
         )
+        rids = [rid for _key, rid in pairs]
         if not plan.ordered:
-            pairs = sorted(pairs, key=lambda kv: kv[1])  # by page number
+            rids.sort()  # ascending page number: one visit per page
         packet.artifacts["kind"] = "rids"
-        packet.artifacts["pairs"] = pairs
+        packet.artifacts["rids"] = rids
         packet.artifacts["cursor"] = 0
         packet.phase = "fetch"
         yield from self._fetch_rids(
-            packet, pairs, 0, len(pairs), post,
+            packet, rids, 0, len(rids), post,
             output=packet.output, track_cursor=True,
         )
 
     def _fetch_rids(
         self,
         packet: Packet,
-        pairs: List[Tuple],
+        rids: List[RID],
         start: int,
         stop: int,
         post,
         output,
         track_cursor: bool = False,
     ) -> Generator:
-        """Coroutine: fetch rows for ``pairs[start:stop]``, grouping
-        consecutive same-page RIDs into one page visit.
+        """Coroutine: fetch rows for ``rids[start:stop]``, one page
+        visit per run of consecutive same-page RIDs.
 
         With ``track_cursor`` the cursor advances *after* each delivered
         group -- the invariant the 4.3.2 attach relies on to bound its
@@ -155,26 +148,17 @@ class IScanEngine(MicroEngine):
         """
         sm = self.engine.sm
         table = packet.plan.table
-        i = start
-        while i < stop:
-            block = pairs[i][1].block_no
+        for block, slots, end in rid_runs(rids, start, stop):
             page = yield from sm.read_table_page(
                 table, block, scan=True, stream=packet.stream
             )
-            group: List[tuple] = []
-            j = i
-            while j < stop and pairs[j][1].block_no == block:
-                row = page.get(pairs[j][1].slot)
-                if row is not None:
-                    group.append(row)
-                j += 1
+            group = page.live(slots)
             yield from self.charge(packet, len(group))
             group = post(group)
             if group:
                 yield from output.put(group)
-            i = j
             if track_cursor:
-                packet.artifacts["cursor"] = i
+                packet.artifacts["cursor"] = end
 
     # ------------------------------------------------------------------
     # OSP: generic sharing plus the order-sensitive split
@@ -191,7 +175,8 @@ class IScanEngine(MicroEngine):
             total = self.engine.sm.num_pages(host.plan.table)
             return max(0, total - cursor)
         if kind == "rids":
-            return _count_pages(host.artifacts["pairs"][cursor:])
+            rids = host.artifacts["rids"]
+            return len({rid.block_no for rid in rids[cursor:]})
         return 0
 
     def _try_split_share(self, packet: Packet) -> bool:
@@ -265,7 +250,7 @@ class IScanEngine(MicroEngine):
         def capture():
             boundary["kind"] = host.artifacts.get("kind")
             boundary["cursor"] = host.artifacts.get("cursor", 0)
-            boundary["pairs"] = host.artifacts.get("pairs")
+            boundary["rids"] = host.artifacts.get("rids")
             boundary["start_page"] = host.artifacts.get("start_page", 0)
 
         yield from host.output.attach(seg_a, replay=False, on_attached=capture)
@@ -290,7 +275,7 @@ class IScanEngine(MicroEngine):
             else:
                 yield from self._fetch_rids(
                     packet,
-                    boundary["pairs"],
+                    boundary["rids"],
                     0,
                     boundary["cursor"],
                     post,

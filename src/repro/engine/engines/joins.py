@@ -12,15 +12,13 @@ Overlap classes (section 3.2):
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Generator, List
 
 from repro.engine.buffers import SEGMENT_BOUNDARY, TupleBuffer
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
 from repro.relational import compile
-
-OUT_BATCH = 256
+from repro.relational.joins import MergeCursor, cross, next_match
 
 
 class HashJoinEngine(MicroEngine):
@@ -116,33 +114,34 @@ class HashJoinEngine(MicroEngine):
                 sm.drop_temp_file(part)
 
 
-class _Cursor:
-    """Batch-buffered reader over one merge-join input stream."""
+class _Input:
+    """One merge-join input buffer as a :class:`MergeCursor`.
 
-    def __init__(self, buffer: TupleBuffer):
+    Section 4.3.2: a SEGMENT_BOUNDARY ends the cursor's *segment*
+    (``cursor.ended`` with ``eos`` still False), None ends the stream.
+    """
+
+    def __init__(self, buffer: TupleBuffer, row_key):
         self.buffer = buffer
-        self.rows: deque = deque()
         self.eos = False
-        self.segment_ended = False
+        self.cursor = MergeCursor(self._pull, row_key)
 
-    def begin_next_segment(self) -> None:
-        self.segment_ended = False
-
-    def refill(self) -> Generator:
-        """Coroutine: ensure a row is available or a segment/stream end
-        is flagged."""
-        while not self.rows and not self.eos and not self.segment_ended:
-            batch = yield from self.buffer.get()
-            if batch is None:
-                self.eos = True
-            elif batch is SEGMENT_BOUNDARY:
-                self.segment_ended = True
-            else:
-                self.rows.extend(batch)
+    def _pull(self) -> Generator:
+        batch = yield from self.buffer.get()
+        if batch is SEGMENT_BOUNDARY:
+            return None
+        self.eos = batch is None
+        return batch
 
     @property
-    def exhausted(self) -> bool:
-        return not self.rows and (self.eos or self.segment_ended)
+    def segment_ended(self) -> bool:
+        return self.cursor.ended and not self.eos
+
+    def abandon(self) -> None:
+        """Stop reading a pass's leftover input; closing the buffer lets
+        its producer detach and finish without blocking."""
+        self.cursor.rows.clear()
+        self.buffer.close()
 
 
 class MergeJoinEngine(MicroEngine):
@@ -153,163 +152,38 @@ class MergeJoinEngine(MicroEngine):
         catalog = self.engine.sm.catalog
         lkey = plan.left.output_schema(catalog).key_of([plan.left_key])
         rkey = plan.right.output_schema(catalog).key_of([plan.right_key])
-        left = _Cursor(packet.inputs[0])
-        right = _Cursor(packet.inputs[1])
+        left = _Input(packet.inputs[0], lkey)
+        right = _Input(packet.inputs[1], rkey)
 
         packet.phase = "merge"
         while True:
-            yield from self._merge_pass(packet, left, right, lkey, rkey)
-            if left.segment_ended and not left.eos:
+            # One pass; pipelined: each matched group ships immediately.
+            while True:
+                match = yield from next_match(left.cursor, right.cursor)
+                if match is None:
+                    break
+                lgroup, rgroup = match
+                yield from self.charge(packet, len(lgroup) * len(rgroup))
+                yield from packet.output.put(cross(lgroup, rgroup))
+            if left.segment_ended:
                 # Section 4.3.2: the left input delivered an out-of-order
                 # segment pair; restart the right subtree and join again.
-                self._abandon(right)
-                right = yield from self._restart(packet, plan.right)
-                left.begin_next_segment()
-            elif right.segment_ended and not right.eos:
-                self._abandon(left)
-                left = yield from self._restart(packet, plan.left)
-                right.begin_next_segment()
+                right.abandon()
+                right = _Input(self._restart(packet, plan.right), rkey)
+                left.cursor.ended = False
+            elif right.segment_ended:
+                left.abandon()
+                left = _Input(self._restart(packet, plan.left), lkey)
+                right.cursor.ended = False
             else:
                 break
 
-    @staticmethod
-    def _abandon(cursor: _Cursor) -> None:
-        """Stop reading a pass's leftover input; closing the buffer lets
-        its producer detach and finish without blocking."""
-        cursor.rows.clear()
-        cursor.buffer.close()
-
-    def _restart(self, packet: Packet, child_plan) -> Generator:
+    def _restart(self, packet: Packet, child_plan) -> TupleBuffer:
         buffer = self.engine.dispatcher.dispatch_subtree(
             packet.query, child_plan
         )
         packet.query.bump("mj_restarts")
-        return _Cursor(buffer)
-        yield  # pragma: no cover - coroutine signature consistency
-
-    def _merge_pass(self, packet, left, right, lkey, rkey) -> Generator:
-        query = packet.query
-        pending: List[tuple] = []
-        while True:
-            yield from left.refill()
-            yield from right.refill()
-            if left.exhausted or right.exhausted:
-                break
-            lk, rk = lkey(left.rows[0]), rkey(right.rows[0])
-            if lk < rk:
-                left.rows.popleft()
-            elif rk < lk:
-                right.rows.popleft()
-            else:
-                lgroup = yield from self._take_group(left, lkey, lk)
-                rgroup = yield from self._take_group(right, rkey, rk)
-                yield from self.charge(packet, len(lgroup) * len(rgroup))
-                for lrow in lgroup:
-                    for rrow in rgroup:
-                        pending.append(lrow + rrow)
-                # Pipelined: each matched group ships immediately.
-                if pending:
-                    yield from packet.output.put(pending)
-                    pending = []
-
-    def _take_group(self, cursor: _Cursor, key, value) -> Generator:
-        group: List[tuple] = []
-        while True:
-            while cursor.rows and key(cursor.rows[0]) == value:
-                group.append(cursor.rows.popleft())
-            if cursor.rows:
-                return group
-            yield from cursor.refill()
-            if not cursor.rows:
-                return group
-
-
-class SemiJoinEngine(MicroEngine):
-    """EXISTS / NOT EXISTS: *full* overlap while the right key set builds,
-    *step* once left rows start flowing out."""
-
-    overlap_class = "full"
-
-    def serve(self, packet: Packet) -> Generator:
-        from repro.relational.plans import AntiJoin
-
-        plan = packet.plan
-        catalog = self.engine.sm.catalog
-        insert = compile.key_set(
-            plan.right_key, plan.right.output_schema(catalog)
-        )
-        probe = compile.hash_probe(
-            plan.left_key,
-            plan.left.output_schema(catalog),
-            "anti" if isinstance(plan, AntiJoin) else "semi",
-        )
-        left_in, right_in = packet.inputs
-
-        packet.phase = "build"
-        keys = set()
-        while True:
-            batch = yield from right_in.get()
-            if batch is None:
-                break
-            if batch is SEGMENT_BOUNDARY:
-                continue
-            yield from self.charge(packet, len(batch))
-            insert(keys, batch)
-
-        packet.phase = "probe"
-        while True:
-            batch = yield from left_in.get()
-            if batch is None:
-                break
-            if batch is SEGMENT_BOUNDARY:
-                continue
-            yield from self.charge(packet, len(batch))
-            kept = probe(keys, batch)
-            if kept:
-                yield from packet.output.put(kept)
-
-
-class OuterJoinEngine(MicroEngine):
-    """Hash left-outer join: build right (*full*), probe left (*step*),
-    padding unmatched left rows with NULLs."""
-
-    overlap_class = "full"
-
-    def serve(self, packet: Packet) -> Generator:
-        plan = packet.plan
-        catalog = self.engine.sm.catalog
-        rschema = plan.right.output_schema(catalog)
-        insert = compile.hash_build(plan.right_key, rschema)
-        probe = compile.hash_probe(
-            plan.left_key,
-            plan.left.output_schema(catalog),
-            "outer",
-            pad=len(rschema),
-        )
-        left_in, right_in = packet.inputs
-
-        packet.phase = "build"
-        table: Dict = {}
-        while True:
-            batch = yield from right_in.get()
-            if batch is None:
-                break
-            if batch is SEGMENT_BOUNDARY:
-                continue
-            yield from self.charge(packet, len(batch))
-            insert(table, batch)
-
-        packet.phase = "probe"
-        while True:
-            batch = yield from left_in.get()
-            if batch is None:
-                break
-            if batch is SEGMENT_BOUNDARY:
-                continue
-            yield from self.charge(packet, len(batch))
-            pending = probe(table, batch)
-            if pending:
-                yield from packet.output.put(pending)
+        return buffer
 
 
 class NLJoinEngine(MicroEngine):
@@ -317,7 +191,6 @@ class NLJoinEngine(MicroEngine):
 
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
-        query = packet.query
         sm = self.engine.sm
         schema = plan.output_schema(sm.catalog)
         matching = compile.filter(plan.predicate, schema)
@@ -342,9 +215,7 @@ class NLJoinEngine(MicroEngine):
                     page = yield from sm.read_temp_page(mat, block)
                     rows = page.rows()
                     yield from self.charge(packet, len(batch) * len(rows))
-                    pending += matching(
-                        [lrow + rrow for lrow in batch for rrow in rows]
-                    )
+                    pending += matching(cross(batch, rows))
                 if pending:
                     yield from packet.output.put(pending)
         finally:

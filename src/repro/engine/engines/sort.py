@@ -10,13 +10,13 @@ the window entirely.
 
 from __future__ import annotations
 
-from math import log2
 from typing import Generator, List
 
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet, PacketState
 from repro.faults.errors import FaultError
 from repro.relational import BATCH_ROWS
+from repro.relational.sort import RunMerge, sort_comparisons
 
 
 class SortEngine(MicroEngine):
@@ -52,18 +52,19 @@ class SortEngine(MicroEngine):
                     yield from self._spill(
                         packet, buffer, key, reverse, runs
                     )
-                result = yield from self._merge_runs(
-                    packet, runs, key, reverse
+                merge = RunMerge(
+                    [run.num_pages for run in runs], key, reverse
                 )
+                result = yield from merge.pull(sm.read_temp_page, runs)
+                # Materialised, so the merged rows are charged once.
+                yield from self.charge(packet, len(result))
         finally:
             # Sweeps the spilled runs on faults too; on the normal path
-            # this fires right after _merge_runs returns, the same point
-            # the drop loop used to live.
+            # this fires right after the merge.
             for run in runs:
                 sm.drop_temp_file(run)
         if not runs:
-            yield from self._sort_cpu(packet, len(buffer))
-            buffer.sort(key=key, reverse=reverse)
+            yield from self._sort(packet, buffer, key, reverse)
             result = buffer
 
         # Materialisation function: retain the sorted result for late
@@ -73,71 +74,21 @@ class SortEngine(MicroEngine):
         for start in range(0, len(result), BATCH_ROWS):
             yield from packet.output.put(result[start:start + BATCH_ROWS])
 
-    def _sort_cpu(self, packet: Packet, n: int) -> Generator:
-        if n <= 0:
-            return
-        comparisons = int(n * max(1.0, log2(max(2, n))))
-        yield from self.charge(packet, 
-            comparisons, factor=self.engine.host.config.sort_cpu_factor
+    def _sort(self, packet: Packet, rows, key, reverse) -> Generator:
+        yield from self.charge(
+            packet, sort_comparisons(len(rows)),
+            factor=self.engine.host.config.sort_cpu_factor,
         )
+        rows.sort(key=key, reverse=reverse)
 
     def _spill(self, packet, rows, key, reverse, runs) -> Generator:
-        yield from self._sort_cpu(packet, len(rows))
-        rows.sort(key=key, reverse=reverse)
+        yield from self._sort(packet, rows, key, reverse)
         schema = packet.plan.output_schema(self.engine.sm.catalog)
         run = self.engine.sm.create_temp_file(schema.row_width, "sortrun")
         # Registered before the (interruptible) write so the caller's
         # fault sweep sees a half-written run.
         runs.append(run)
         yield from self.engine.sm.write_run(run, rows)
-
-    def _merge_runs(self, packet, runs, key, reverse) -> Generator:
-        """Coroutine: k-way merge of spilled runs, charging page reads."""
-        sm = self.engine.sm
-        cursors = []
-        for run in runs:
-            cursors.append({"run": run, "block": 0, "rows": [], "idx": 0})
-
-        def exhausted(cursor):
-            return (
-                cursor["idx"] >= len(cursor["rows"])
-                and cursor["block"] >= cursor["run"].num_pages
-            )
-
-        result: List[tuple] = []
-        for cursor in cursors:
-            if cursor["run"].num_pages:
-                page = yield from sm.read_temp_page(cursor["run"], 0)
-                cursor["rows"] = page.rows()
-                cursor["block"] = 1
-        while True:
-            best = None
-            for cursor in cursors:
-                if cursor["idx"] >= len(cursor["rows"]):
-                    if cursor["block"] < cursor["run"].num_pages:
-                        page = yield from sm.read_temp_page(
-                            cursor["run"], cursor["block"]
-                        )
-                        cursor["rows"] = page.rows()
-                        cursor["idx"] = 0
-                        cursor["block"] += 1
-                    else:
-                        continue
-                row = cursor["rows"][cursor["idx"]]
-                rank = key(row)
-                better = (
-                    best is None
-                    or (rank > best[0] if reverse else rank < best[0])
-                )
-                if better:
-                    best = (rank, cursor)
-            if best is None:
-                break
-            cursor = best[1]
-            result.append(cursor["rows"][cursor["idx"]])
-            cursor["idx"] += 1
-        yield from self.charge(packet, len(result))
-        return result
 
     # ------------------------------------------------------------------
     # OSP: generic full/step sharing plus materialised re-emission

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.engine.buffers import FanOut, TupleBuffer
 from repro.engine.packets import Packet, PacketState
 from repro.faults.errors import FaultError
 from repro.sim import Channel, ChannelClosed, Interrupted
@@ -263,11 +262,6 @@ class MicroEngine:
         return self.cpu.burst(
             tuples * self.engine.host.config.cpu_per_tuple * factor
         )
-
-    @staticmethod
-    def get_batch(buffer: TupleBuffer) -> Generator:
-        batch = yield from buffer.get()
-        return batch
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<µEngine {self.name} active={len(self.active)}>"

@@ -26,8 +26,8 @@ from repro.baseline.operators import (
     Operator,
     build_breaker,
 )
-from repro.baseline.stages import STREAMING
 from repro.relational.plans import PlanNode
+from repro.relational.stages import STREAMING
 
 __all__ = ["compile_plan"]
 

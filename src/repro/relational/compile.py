@@ -350,18 +350,28 @@ def hash_probe(key: str, schema: Schema, kind: str, pad: int = 0) -> Callable:
     return probe""")
 
 
-def partition(key: str, schema: Schema) -> Callable:
-    """``split(rows, nparts)``: Grace partitioning into *nparts* buckets.
+def partition(
+    key: str, schema: Schema, bucket_hash: Optional[Callable] = None
+) -> Callable:
+    """``split(rows, nparts)``: *nparts* buckets by the hash of the
+    *key* column, rows keeping their order within a bucket.
 
-    Hashes the 1-tuple ``(value,)``, not the bare value: bucket sizes
-    decide temp-file page counts, so the fan-out is simulated behaviour
-    and stays the one the goldens were recorded with.
+    Without *bucket_hash* this is Grace partitioning, which hashes the
+    1-tuple ``(value,)``, not the bare value: bucket sizes decide
+    temp-file page counts, so the fan-out is simulated behaviour and
+    stays the one the goldens were recorded with.  Routing between
+    shards passes its process-independent hash of the bare value.
     """
     src = _Source(schema)
+    value = src.expr(Col(key))
+    hashed = (
+        f"hash(({value},))" if bucket_hash is None
+        else f"{src.const(bucket_hash)}({value})"
+    )
     return src.close(f"""\
     def split(rows, nparts):
         buckets = [[] for _ in range(nparts)]
         for row in rows:
-            buckets[hash(({src.expr(Col(key))},)) % nparts].append(row)
+            buckets[{hashed} % nparts].append(row)
         return buckets
     return split""")

@@ -1,20 +1,24 @@
-"""Streaming operator bodies: the stages of a chain.
+"""Streaming operator bodies: the stages every engine runs.
 
 A streaming plan node -- filter, project, limit, distinct, or the probe
 side of a semi/anti/left-outer join -- is one *stage*, and a stage is
 the whole operator body:
 
-* ``charged``      -- whether the operator charges the simulated CPU one
-  tuple per input row before it runs (every one but LIMIT does), and
+* ``charged``      -- whether the operator costs one tuple of simulated
+  CPU per *input* row, paid before it runs (every one but LIMIT), and
 * ``apply(batch)`` -- the batch transformation itself; predicates,
   projections and probes are whole-batch kernels from
   :mod:`repro.relational.compile`.
 
-:class:`~repro.baseline.operators.ChainOp` interleaves the two over a
-source operator.  The iterator engine builds one chain per streaming
-node and the pushed engine one per maximal run of them; the simulated
-schedule is the same either way, and *independent* of how ``apply`` is
-built.
+What a stage never decides is the *schedule*: who pulls the batch, where
+the charge is paid, how the result ships.  The tree engines interleave
+the two over a source operator
+(:class:`~repro.baseline.operators.ChainOp`, one chain per streaming
+node on the iterator engine, one per maximal run on the pushed one);
+the packet engine runs one stage per packet between a ``get`` and a
+``put`` (:class:`~repro.engine.engines.misc.StreamEngine`); the
+distributed coordinator applies one to the gathered stream
+(:mod:`repro.shard.merge`).
 """
 
 from __future__ import annotations
@@ -36,10 +40,12 @@ from repro.relational.plans import (
 )
 from repro.relational.schema import Schema
 
+#: Streaming nodes over one input, and those with a second (right)
+#: input that is built before the first left batch is probed.
+UNARY = (Filter, Project, Limit, Distinct)
+PROBES = (SemiJoin, AntiJoin, LeftOuterJoin)
 #: The plan nodes that stream: one stage each, never a pipeline breaker.
-STREAMING = (
-    Filter, Project, Limit, Distinct, SemiJoin, AntiJoin, LeftOuterJoin,
-)
+STREAMING = UNARY + PROBES
 
 
 class Stage:
@@ -134,26 +140,26 @@ class ProbeStage(Stage):
     """Probe half of a semi, anti or left-outer hash join, streaming
     over the left input.
 
-    The chain drains ``right`` through ``build`` before the first left
-    batch arrives.  Semi/anti (EXISTS / NOT EXISTS) keep left rows by
-    membership of their key in the right input's key set; left-outer
-    pads unmatched left rows with Nones.  ``build`` and ``apply`` are
-    the compiled kernels bound to that state.
+    The engine drains the right input (rows of *right*) through
+    ``build`` before the first left batch arrives.  Semi/anti (EXISTS /
+    NOT EXISTS) keep left rows by membership of their key in the right
+    input's key set; left-outer pads unmatched left rows with Nones.
+    ``build`` and ``apply`` are the compiled kernels bound to that
+    state.
     """
 
-    __slots__ = ("right", "build", "apply")
+    __slots__ = ("build", "apply")
 
-    def __init__(self, plan: PlanNode, schema: Schema, right):
-        self.right = right
+    def __init__(self, plan: PlanNode, schema: Schema, right: Schema):
         if isinstance(plan, LeftOuterJoin):
             state: object = {}
-            insert = compile.hash_build(plan.right_key, right.schema)
+            insert = compile.hash_build(plan.right_key, right)
             probe = compile.hash_probe(
-                plan.left_key, schema, "outer", pad=len(right.schema)
+                plan.left_key, schema, "outer", pad=len(right)
             )
         else:
             state = set()
-            insert = compile.key_set(plan.right_key, right.schema)
+            insert = compile.key_set(plan.right_key, right)
             probe = compile.hash_probe(
                 plan.left_key, schema,
                 "anti" if isinstance(plan, AntiJoin) else "semi",
@@ -162,10 +168,11 @@ class ProbeStage(Stage):
         self.apply = partial(probe, state)
 
 
-def build_stage(plan: PlanNode, schema: Schema, ctx, build) -> Stage:
+def build_stage(
+    plan: PlanNode, schema: Schema, right: Optional[Schema] = None
+) -> Stage:
     """The stage for one streaming *plan* node over a left (or only)
-    input of *schema*; ``build(plan, ctx)`` compiles a probe's right
-    input into an operator."""
+    input of *schema*; a probe node also needs its *right* input's."""
     if isinstance(plan, Filter):
         return FilterStage(plan.predicate, schema)
     if isinstance(plan, Project):
@@ -174,6 +181,6 @@ def build_stage(plan: PlanNode, schema: Schema, ctx, build) -> Stage:
         return LimitStage(plan.count, plan.offset)
     if isinstance(plan, Distinct):
         return DistinctStage()
-    if isinstance(plan, (SemiJoin, AntiJoin, LeftOuterJoin)):
-        return ProbeStage(plan, schema, build(plan.right, ctx))
+    if isinstance(plan, PROBES):
+        return ProbeStage(plan, schema, right)
     raise TypeError(f"{type(plan).__name__} is not a streaming operator")

@@ -37,7 +37,7 @@ from repro.shard.exchange import DEFAULT_BATCH_ROWS, ship
 from repro.shard.merge import apply_suffix, group_rows, hash_join_rows
 from repro.shard.topology import Shard, ShardedSystem
 from repro.sql.planner import DistributedPlan, plan_distributed
-from repro.storage.partition import stable_hash
+from repro.storage.partition import hash_partition
 
 
 @dataclass
@@ -168,7 +168,6 @@ class ShardedExecutor:
         count = len(shards)
         schema = dist.fragment.output_schema(self.catalog)
         width = schema.row_width
-        key_index = schema.index_of(dist.shuffle_key)
         tracer = self.sim.tracer
         tracer.exchange(
             "start", query=query_id, kind="shuffle", shards=count
@@ -183,9 +182,7 @@ class ShardedExecutor:
             rows = yield from self._run_fragment(
                 shard, dist.fragment, query_id
             )
-            buckets: List[List[tuple]] = [[] for _ in range(count)]
-            for row in rows:
-                buckets[stable_hash(row[key_index]) % count].append(row)
+            buckets = hash_partition(rows, schema, dist.shuffle_key, count)
             for dst in range(count):
                 inboxes[dst][shard.index] = buckets[dst]
                 yield from self._ship(

@@ -13,6 +13,8 @@ the reference operators in :mod:`repro.baseline.operators`:
 * GroupBy emits ``sorted(groups.items())``;
 * hash joins build left-to-right and emit in probe order
   (``lrow + rrow``) through the same kernels as the in-memory join path;
+* filter, project, limit and distinct are the operators' own stages
+  (:mod:`repro.relational.stages`), applied to the stream as one batch;
 * every operator charges the host CPU with the reference operator's
   tuple counts and factors.
 
@@ -24,23 +26,20 @@ suffixes, the owning shard for shuffle-stage grouping).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Generator, List, Sequence
 
 from repro.baseline.operators import ExecContext
 from repro.relational import compile
 from repro.relational.plans import (
     Aggregate,
-    Distinct,
-    Filter,
     GroupBy,
     HashJoin,
-    Limit,
     PlanNode,
-    Project,
     Sort,
 )
 from repro.relational.schema import Schema
+from repro.relational.sort import sort_comparisons
+from repro.relational.stages import UNARY, build_stage
 
 
 def group_rows(
@@ -84,18 +83,17 @@ def _apply_one(
     op: PlanNode, rows: List[tuple], catalog, ctx: ExecContext
 ) -> Generator:
     schema = op.children[0].output_schema(catalog)
-    if isinstance(op, Filter):
-        yield from ctx.cpu(len(rows))
-        return compile.filter(op.predicate, schema)(rows)
-    if isinstance(op, Project):
-        yield from ctx.cpu(len(rows))
-        items = op.names if op.exprs is None else op.exprs
-        return compile.project(items, schema)(rows)
+    if isinstance(op, UNARY):
+        # The whole stream as one batch of the operator's stage; a probe
+        # has a second input and is never peeled into a suffix.
+        stage = build_stage(op, schema)
+        if stage.charged:
+            yield from ctx.cpu(len(rows))
+        return stage.apply(rows)
     if isinstance(op, Sort):
-        n = len(rows)
-        comparisons = n * max(1.0, math.log2(max(2, n)))
         yield from ctx.cpu(
-            int(comparisons), factor=ctx.host.config.sort_cpu_factor
+            sort_comparisons(len(rows)),
+            factor=ctx.host.config.sort_cpu_factor,
         )
         out = list(rows)
         out.sort(key=schema.key_of(op.keys), reverse=op.descending)
@@ -107,17 +105,6 @@ def _apply_one(
         return [tuple(state.result() for state in states)]
     if isinstance(op, GroupBy):
         out = yield from group_rows(op, rows, schema, ctx)
-        return out
-    if isinstance(op, Limit):
-        return list(rows[op.offset:op.offset + op.count])
-    if isinstance(op, Distinct):
-        yield from ctx.cpu(len(rows))
-        seen = set()
-        out = []
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
         return out
     raise TypeError(f"no merge evaluator for {type(op).__name__}")
 

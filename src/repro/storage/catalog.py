@@ -31,11 +31,24 @@ class IndexInfo:
     clustered: bool = False
 
     @cached_property
+    def key_of(self) -> Callable:
+        """``row -> index key``: the bare column for one key column, the
+        tuple for several, as the tree stores it."""
+        return self.schema.key_of(self.key_columns)
+
+    @cached_property
     def key_range(self) -> Callable:
         """``keep(rows, lo, hi)``, the clustered scan's page filter (see
         :func:`repro.relational.compile.key_range`): rendered on first
         use, once per index instead of once per scan."""
         return compile.key_range(self.key_columns, self.schema)
+
+    def clip(self, rows: List[tuple], lo, hi) -> Optional[List[tuple]]:
+        """One clustered heap page's rows inside ``[lo, hi]``, or None
+        when the page starts past *hi*: the key-ordered scan is over."""
+        if hi is not None and rows and self.key_of(rows[0]) > hi:
+            return None
+        return self.key_range(rows, lo, hi)
 
 
 @dataclass

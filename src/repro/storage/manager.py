@@ -14,17 +14,18 @@ Everything engines need from storage goes through here:
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.hw.host import Host
+from repro.relational import compile
+from repro.relational.plans import DeleteRows, InsertRows, PlanNode, UpdateRows
 from repro.relational.schema import Schema
 from repro.storage.btree import BPlusTree
 from repro.storage.bufferpool import BufferPool
 from repro.storage.catalog import Catalog, IndexInfo, TableInfo
 from repro.storage.file import BlockStore, HeapFile
 from repro.storage.image import IndexImage, StorageImage, TableImage
-from repro.storage.locks import LockManager
+from repro.storage.locks import LockManager, LockMode
 from repro.storage.page import RID, page_rids, rows_per_page
 from repro.storage.partition import PartitionInfo
 
@@ -96,8 +97,7 @@ class StorageManager:
         if info.num_rows:
             raise ValueError(f"table {name!r} is already loaded")
         if info.clustered_on:
-            key = self._key_fn(info.schema, info.clustered_on)
-            rows = sorted(rows, key=key)
+            rows = sorted(rows, key=info.schema.key_of(info.clustered_on))
         count = info.heap.bulk_load(rows)
         # Any pre-existing indexes must be (re)built over the new data.
         for index in info.indexes.values():
@@ -138,7 +138,7 @@ class StorageManager:
         return index
 
     def _build_index(self, info: TableInfo, index: IndexInfo) -> None:
-        key = self._key_fn(info.schema, index.key_columns)
+        key = index.key_of
         # Keys and RIDs as parallel lists, page by page and all at C
         # level (no frame and no pair tuple per row: an index build is
         # mostly allocation, and the collector's work is proportional to
@@ -167,13 +167,6 @@ class StorageManager:
             list(map(keys.__getitem__, order)),
             list(map(rids.__getitem__, order)),
         )
-
-    @staticmethod
-    def _key_fn(schema: Schema, columns: Sequence[str]):
-        # itemgetter matches the old lambdas value for value: one index
-        # yields the bare column, several yield the tuple.
-        idxs = [schema.index_of(c) for c in columns]
-        return itemgetter(*idxs)
 
     # ------------------------------------------------------------------
     # Images (untimed, like loading)
@@ -359,8 +352,7 @@ class StorageManager:
         rid = info.heap.append_row(row)
         yield from self.pool.write_page(info.heap.file_id, rid.block_no)
         for index in info.indexes.values():
-            key = self._key_fn(info.schema, index.key_columns)(row)
-            index.tree.insert(key, rid)
+            index.tree.insert(index.key_of(row), rid)
             # Charge one leaf write per maintained index.
             yield from self.host.disk.write(index.tree.file_id, 0)
         return rid
@@ -375,8 +367,7 @@ class StorageManager:
         info.heap.tombstone_row(rid)
         yield from self.pool.write_page(info.heap.file_id, rid.block_no)
         for index in info.indexes.values():
-            key = self._key_fn(info.schema, index.key_columns)(row)
-            index.tree.delete(key, rid)
+            index.tree.delete(index.key_of(row), rid)
             yield from self.host.disk.write(index.tree.file_id, 0)
         return True
 
@@ -390,13 +381,42 @@ class StorageManager:
         page.update(rid.slot, new_row)
         yield from self.pool.write_page(info.heap.file_id, rid.block_no)
         for index in info.indexes.values():
-            key_fn = self._key_fn(info.schema, index.key_columns)
-            old_key, new_key = key_fn(old_row), key_fn(new_row)
+            old_key, new_key = index.key_of(old_row), index.key_of(new_row)
             if old_key != new_key:
                 index.tree.delete(old_key, rid)
                 index.tree.insert(new_key, rid)
                 yield from self.host.disk.write(index.tree.file_id, 0)
         return True
+
+    def apply_dml(self, plan: PlanNode, owner: Any) -> Generator:
+        """Coroutine: run one INSERT / UPDATE / DELETE plan node under
+        *owner*'s exclusive table lock (section 4.3.4); returns the rows
+        affected.  The release is tolerant: an abort's lock sweep may
+        get there before the interrupted writer unwinds."""
+        if not isinstance(plan, (InsertRows, UpdateRows, DeleteRows)):
+            raise TypeError(f"{type(plan).__name__} is not a DML plan")
+        table = plan.table
+        yield self.locks.acquire(owner, table, LockMode.EXCLUSIVE)
+        try:
+            if isinstance(plan, InsertRows):
+                for row in plan.rows:
+                    yield from self.insert_row(table, row)
+                return len(plan.rows)
+            info = self.catalog.table(table)
+            matching = compile.filter_items(plan.predicate, info.schema)
+            affected = 0
+            for block in range(info.num_pages):
+                page = yield from self.read_table_page(table, block)
+                for slot, row in matching(page.slots()):
+                    rid = RID(block, slot)
+                    if isinstance(plan, UpdateRows):
+                        yield from self.update_row(table, rid, plan.apply(row))
+                    else:
+                        yield from self.delete_row(table, rid)
+                    affected += 1
+            return affected
+        finally:
+            self.locks.release_if_held(owner, table)
 
     # ------------------------------------------------------------------
     # Temp files (sort runs, OSP materialisations)

@@ -9,8 +9,11 @@ proportional to the paper's datasets.
 from __future__ import annotations
 
 from functools import partial
-from itertools import repeat
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import (
+    Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 #: Simulated page size in bytes (BerkeleyDB's common default).
 PAGE_SIZE = 8192
@@ -44,6 +47,21 @@ def page_rids(block_no: int, slots: Iterable[int]) -> Iterator[RID]:
     index build makes one per row, and ``RID(block_no, slot)`` is a
     Python frame each."""
     return map(_rid_of_pair, zip(repeat(block_no), slots))
+
+
+def rid_runs(
+    rids: Sequence[RID], start: int, stop: int
+) -> Iterator[Tuple[int, List[int], int]]:
+    """``(block_no, slots, end)`` for each maximal run of consecutive
+    RIDs of ``rids[start:stop]`` on one page -- one page visit per run,
+    ``end`` being the position after it.  The unclustered index scan's
+    fetch loop: a page-sorted RID list visits every page once, a
+    key-ordered one as often as the keys hop between pages."""
+    end = start
+    for block_no, run in groupby(rids[start:stop], key=itemgetter(0)):
+        slots = [slot for _block_no, slot in run]
+        end += len(slots)
+        yield block_no, slots, end
 
 
 class Page:
@@ -118,6 +136,13 @@ class Page:
         if not 0 <= slot < len(self._slots):
             raise IndexError(f"slot {slot} out of range 0..{len(self._slots)-1}")
         return self._slots[slot]
+
+    def live(self, slots: Iterable[int]) -> List[tuple]:
+        """The rows at *slots*, in that order, tombstones skipped."""
+        return [
+            row for row in map(self._slots.__getitem__, slots)
+            if row is not None
+        ]
 
     def update(self, slot: int, row: tuple) -> None:
         if not 0 <= slot < len(self._slots):

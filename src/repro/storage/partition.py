@@ -25,6 +25,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
+from repro.relational import compile
 from repro.relational.schema import Schema
 
 SCHEMES = ("range", "hash", "replicated")
@@ -109,11 +110,7 @@ def hash_partition(
     """
     if count < 1:
         raise ValueError(f"partition count must be >= 1: {count}")
-    idx = schema.index_of(column)
-    parts: List[List[tuple]] = [[] for _ in range(count)]
-    for row in rows:
-        parts[stable_hash(row[idx]) % count].append(row)
-    return parts
+    return compile.partition(column, schema, stable_hash)(rows, count)
 
 
 def partition_rows(

@@ -245,10 +245,7 @@ class TransactionManager:
             info.heap.file_id, record.rid.block_no
         )
         for index in info.indexes.values():
-            key = self.sm._key_fn(info.schema, index.key_columns)(
-                record.before
-            )
-            index.tree.insert(key, record.rid)
+            index.tree.insert(index.key_of(record.before), record.rid)
             yield from self.sm.host.disk.write(index.tree.file_id, 0)
 
     # ------------------------------------------------------------------

@@ -120,7 +120,7 @@ def probe_semi(keys, batch, lkey, anti):
 
 def key_range(rows, key_fn, lo, hi):
     """The clustered ``IndexScan`` page filter, as each engine wrote it
-    out; *key_fn* is ``StorageManager._key_fn``'s itemgetter."""
+    out; *key_fn* is ``IndexInfo.key_of``'s itemgetter."""
     if lo is not None or hi is not None:
         rows = [
             row

@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.engine.buffers import FanOut, TupleBuffer
+from repro.engine.buffers import SEGMENT_BOUNDARY, FanOut, TupleBuffer
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet, PacketState, QueryContext
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.relational.expressions import AggSpec, Col
-from repro.relational.plans import Aggregate, TableScan
+from repro.relational.plans import (
+    Aggregate,
+    Distinct,
+    Filter,
+    Limit,
+    Project,
+    TableScan,
+)
 
 
 def make_engine(db, **kwargs):
@@ -155,3 +162,57 @@ def test_release_inputs_cancels_orphan_children(db):
     assert len(rows) == 3
     # The scan child must not be left running or queued.
     assert engine.engines["fscan"].active == []
+
+
+# ---------------------------------------------------------------------------
+# The one streaming serve: a stage between a get and a put
+# ---------------------------------------------------------------------------
+#: micro-engine -> (plan, forwards markers?, output per input segment)
+STREAMS = {
+    "filter": (lambda: Filter(TableScan("r"), Col("grp") < 2), True,
+               [[(1, 0), (2, 1)], [(7, 0), (8, 1), (2, 1)]]),
+    "project": (lambda: Project(TableScan("r"), ["id"]), True,
+                [[(1,), (2,), (3,)], [(7,), (8,), (2,)]]),
+    "distinct": (lambda: Distinct(TableScan("r")), False,
+                 [[(1, 0), (2, 1), (3, 2)], [(7, 0), (8, 1)]]),
+    "limit": (lambda: Limit(TableScan("r"), 4, offset=1), False,
+              [[(2, 1), (3, 2)], [(7, 0), (8, 1)]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_stream_serve_forwards_or_swallows_a_segment_boundary(db, name):
+    """Section 4.3.2: filter and project keep the segment structure for
+    a merge join above them; distinct and limit end it."""
+    make_plan, forwards, want = STREAMS[name]
+    engine = make_engine(db, osp_enabled=False)
+    packet = make_packet(engine, make_plan())
+    micro = engine.engines[name]
+    assert micro.forwards_markers is forwards
+    source = packet.inputs[0]
+    # Rows only as wide as the test needs; id and grp lead R_SCHEMA.
+    segments = [[(1, 0), (2, 1), (3, 2)], [(7, 0), (8, 1), (2, 1)]]
+
+    def producer():
+        yield from source.put(segments[0])
+        yield from source.put_marker()
+        yield from source.put(segments[1])
+        source.close()
+
+    got = []
+
+    def reader():
+        while True:
+            batch = yield from packet.primary_output.get()
+            if batch is None:
+                return
+            got.append(batch)
+
+    micro.enqueue(packet)
+    engine.sim.spawn(producer())
+    engine.sim.spawn(reader())
+    engine.sim.run()
+    assert packet.state is PacketState.DONE
+    assert got == (
+        [want[0], SEGMENT_BOUNDARY, want[1]] if forwards else want
+    )

@@ -418,7 +418,7 @@ def test_key_range_matches_the_loop_the_engines_wrote_out(
          None if hi is None else (hi2, hi)),  # several: the tuple
     ):
         keep = compile.key_range(columns, schema)
-        key_fn = StorageManager._key_fn(schema, columns)
+        key_fn = schema.key_of(columns)  # what IndexInfo.key_of is
         got = outcome(keep, rows, lo_, hi_)
         want = outcome(oracle.key_range, rows, key_fn, lo_, hi_)
         assert same_outcome(got, want), (columns, lo_, hi_, got, want)

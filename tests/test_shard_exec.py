@@ -196,3 +196,38 @@ def test_planner_rejects_unshardable_shapes():
     # Explicit exchange operators belong to the planner, not user plans.
     with pytest.raises(UnshardablePlan):
         plan_distributed(Gather(TableScan("big1")), catalog)
+
+
+# ---------------------------------------------------------------------------
+# The coordinator's suffix: the streaming operators' own stages
+# ---------------------------------------------------------------------------
+def test_suffix_runs_the_engines_stages_and_still_refuses_a_probe(db):
+    from repro.baseline.engine import IteratorEngine
+    from repro.baseline.operators import ExecContext
+    from repro.relational.plans import Distinct, Filter, Project, SemiJoin
+    from repro.shard.merge import apply_suffix
+
+    host, sm, r_rows, _s_rows = db
+    scan = TableScan("r")
+    kept = Filter(scan, Col("grp") < 3)
+    cols = Project(kept, ["grp", "tag"])
+    once = Distinct(cols)
+    some = Limit(once, 5, offset=2)
+    ctx = ExecContext(sm=sm, host=host)
+
+    def suffix_of(ops):
+        proc = host.sim.spawn(apply_suffix(ops, r_rows, sm.catalog, ctx))
+        host.sim.run()
+        return proc.value
+
+    before = host.cpu.total_bursts
+    rows = suffix_of([kept, cols, once, some])
+    # Filter, project and distinct charge per input row; LIMIT nothing.
+    assert host.cpu.total_bursts - before == 3
+    assert rows == IteratorEngine(sm).run_query(some)
+    assert suffix_of([Limit(scan, 0)]) == []
+    # A probe has a second input: the planner never peels one, and the
+    # evaluator refuses rather than guess.
+    probe = SemiJoin(scan, TableScan("s"), "id", "rid")
+    with pytest.raises(TypeError, match="no merge evaluator for SemiJoin"):
+        next(apply_suffix([probe], r_rows, sm.catalog, ctx))
