@@ -4,6 +4,11 @@ Every experiment builds fresh, seeded systems per configuration point,
 runs the workload on the simulated host, and returns a structured
 :class:`~repro.harness.report.Series` whose ``render()`` prints the same
 rows the paper plots.  EXPERIMENTS.md records paper-vs-measured shapes.
+
+Importing the package, and so :mod:`repro.harness.config` -- all that
+building a system needs -- loads the presets and builders only.  The
+figure registry (and under it the cell pool and the linter's import
+graph) is imported the first time one of its names is used.
 """
 
 from repro.harness.config import (
@@ -13,29 +18,6 @@ from repro.harness.config import (
     collected_tracers,
     disable_tracing,
     enable_tracing,
-)
-from repro.harness.experiments import (
-    FIGURES,
-    Figure,
-    chaos,
-    render_chaos,
-    recovery,
-    render_recovery,
-    fig1a_breakdown,
-    fig1b_throughput,
-    fig4_wop,
-    fig8_scan_sharing,
-    fig9_ordered_scans,
-    fig10_sort_merge,
-    fig11_hash_join,
-    fig12_throughput,
-    fig13_think_time,
-    osp_overhead,
-    scaleout,
-    ablation_circular_wraparound,
-    ablation_late_activation,
-    ablation_replacement_policies,
-    ablation_replay_ring,
 )
 from repro.harness.report import Series
 
@@ -69,3 +51,17 @@ __all__ = [
     "osp_overhead",
     "scaleout",
 ]
+
+
+def __getattr__(name: str):
+    """A figure-registry name, on first use (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.harness import experiments
+
+    value = globals()[name] = getattr(experiments, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

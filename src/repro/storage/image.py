@@ -105,7 +105,7 @@ class SameRows:
 #: Memo of captured loads.  A deterministic one: an entry is a pure
 #: function of its key and eviction follows insertion order, so nothing
 #: a cell computes can depend on whether a load hit (the twin of
-#: ``dbgen._GENERATED_CACHE``, one level down).
+#: ``repro.workloads.memo_tables``, one level down).
 _IMAGES: Dict[tuple, List[StorageImage]] = {}
 _IMAGES_MAX = 8
 

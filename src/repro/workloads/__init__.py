@@ -12,12 +12,43 @@ schemas and the value distributions the evaluated queries depend on.
 Scale knobs live in :mod:`repro.harness.config`.
 """
 
+from typing import Callable, Dict, List
+
 from repro.workloads.clients import ClosedLoopClient, mixed_tpch_factory, run_workload
 from repro.workloads.metrics import WorkloadMetrics
 
 __all__ = [
     "ClosedLoopClient",
     "WorkloadMetrics",
+    "memo_tables",
     "mixed_tpch_factory",
     "run_workload",
 ]
+
+Tables = Dict[str, List[tuple]]
+
+#: Memo for generated datasets, one bounded map per generator (a key's
+#: first element names it).  Generation is a pure function of the key,
+#: and regenerating identical tables for every experiment data point
+#: dominated macro wall-clock (DESIGN.md section 10).
+_GENERATED: Dict[str, Dict[tuple, Tables]] = {"tpch": {}, "wisconsin": {}}
+_GENERATED_MAX = 8
+
+
+def memo_tables(key: tuple, build: Callable[[], Tables]) -> Tables:
+    """``build()``'s tables, built once per *key*.
+
+    Rows are immutable tuples; callers get fresh list copies so loaded
+    tables stay independent of the memo.
+    """
+    cache = _GENERATED[key[0]]
+    cached = cache.get(key)
+    if cached is None:
+        cached = build()
+        # Deterministic memo: the value is a pure function of the key
+        # and eviction follows insertion order, so cell payloads cannot
+        # observe whether the cache was warm.
+        if len(cache) >= _GENERATED_MAX:
+            cache.pop(next(iter(cache)))  # simlint: disable=IPR201
+        cache[key] = cached  # simlint: disable=IPR201
+    return {name: list(rows) for name, rows in cached.items()}

@@ -15,6 +15,7 @@ from typing import Dict, List
 
 from repro.storage.image import load_once
 from repro.storage.manager import StorageManager
+from repro.workloads import memo_tables
 from repro.workloads.tpch import schema as S
 
 
@@ -22,8 +23,9 @@ from repro.workloads.tpch import schema as S
 class TpchScale:
     """Row counts per table; ``factor`` multiplies all of them.
 
-    ``factor=1.0`` is the harness default (~60k lineitem rows, the
-    geometry DESIGN.md section 5 describes); tests use much less.
+    ``factor=1.0`` is ~60k lineitem rows, the geometry DESIGN.md
+    section 5 describes; the harness default is 0.25
+    (``repro.harness.config.Scale``) and tests use much less.
     """
 
     factor: float = 1.0
@@ -45,30 +47,26 @@ class TpchScale:
         return max(3, int(100 * self.factor))
 
 
-#: Memo for generated datasets, keyed by (factor, seed).  Generation is a
-#: pure function of those two values, and regenerating identical tables
-#: for every experiment data point dominated macro wall-clock (DESIGN.md
-#: section 10).  Rows are immutable tuples; callers get fresh list copies
-#: so loaded tables stay independent of the cache.
-_GENERATED_CACHE: Dict[tuple, Dict[str, List[tuple]]] = {}
-_GENERATED_CACHE_MAX = 8
-
-
 def generate_tpch(scale: TpchScale, seed: int = 1) -> Dict[str, List[tuple]]:
     """All eight tables as row lists, keyed by table name."""
-    key = (scale.factor, seed)
-    cached = _GENERATED_CACHE.get(key)
-    if cached is None:
-        cached = _generate_tpch(scale, seed)
-        if len(_GENERATED_CACHE) >= _GENERATED_CACHE_MAX:
-            _GENERATED_CACHE.pop(next(iter(_GENERATED_CACHE)))
-        _GENERATED_CACHE[key] = cached
-    return {name: list(rows) for name, rows in cached.items()}
+    return memo_tables(
+        ("tpch", scale.factor, seed), lambda: _generate_tpch(scale, seed)
+    )
 
 
 def _generate_tpch(scale: TpchScale, seed: int) -> Dict[str, List[tuple]]:
     rng = random.Random(seed)
     tables: Dict[str, List[tuple]] = {}
+    # One object per distinct stored value (DESIGN.md section 10): a
+    # small-domain draw indexes the table of its domain instead of
+    # making a fresh int or float, so 36k line items do not each own a
+    # private 0.05 -- the duplicates never exist.  Indexing cannot
+    # change a value's type or sign the way an equality-keyed pool
+    # could (1 == 1.0 == True).  Unique columns (prices, order keys,
+    # names) are left alone.
+    ints = list(range(max(S.END_DATE, scale.parts, scale.customers) + 1))
+    quantities = [float(q) for q in range(51)]
+    hundredths = [round(h / 100.0, 2) for h in range(11)]
 
     tables["region"] = [
         (i, name) for i, name in enumerate(S.REGIONS)
@@ -119,8 +117,8 @@ def _generate_tpch(scale: TpchScale, seed: int) -> Dict[str, List[tuple]]:
 
     tables["partsupp"] = [
         (
-            p + 1,
-            rng.randrange(scale.suppliers) + 1,
+            ints[p + 1],
+            ints[rng.randrange(scale.suppliers) + 1],
             rng.randrange(1, 10000),
             round(rng.uniform(1.0, 1000.0), 2),
         )
@@ -132,24 +130,24 @@ def _generate_tpch(scale: TpchScale, seed: int) -> Dict[str, List[tuple]]:
     lineitems: List[tuple] = []
     for i in range(scale.orders):
         orderkey = i + 1
-        custkey = rng.randrange(scale.customers) + 1
-        orderdate = rng.randrange(S.START_DATE, S.END_DATE - 151)
-        year = 1970 + orderdate // 365  # close enough for grouping
+        custkey = ints[rng.randrange(scale.customers) + 1]
+        orderdate = ints[rng.randrange(S.START_DATE, S.END_DATE - 151)]
+        year = ints[1970 + orderdate // 365]  # close enough for grouping
         priority = rng.choice(S.PRIORITIES)
         prioclass = 1 if priority[0] in "12" else 0
         n_lines = rng.randrange(1, 8)
         total = 0.0
         all_f = True
         for line_no in range(1, n_lines + 1):
-            partkey = rng.randrange(scale.parts) + 1
-            suppkey = rng.randrange(scale.suppliers) + 1
-            quantity = float(rng.randrange(1, 51))
+            partkey = ints[rng.randrange(scale.parts) + 1]
+            suppkey = ints[rng.randrange(scale.suppliers) + 1]
+            quantity = quantities[rng.randrange(1, 51)]
             price = round(quantity * parts[partkey - 1][7], 2)
-            discount = round(rng.randrange(0, 11) / 100.0, 2)
-            tax = round(rng.randrange(0, 9) / 100.0, 2)
-            shipdate = orderdate + rng.randrange(1, 122)
-            commitdate = orderdate + rng.randrange(30, 91)
-            receiptdate = shipdate + rng.randrange(1, 31)
+            discount = hundredths[rng.randrange(0, 11)]
+            tax = hundredths[rng.randrange(0, 9)]
+            shipdate = ints[orderdate + rng.randrange(1, 122)]
+            commitdate = ints[orderdate + rng.randrange(30, 91)]
+            receiptdate = ints[shipdate + rng.randrange(1, 31)]
             current = S.END_DATE - 100
             if receiptdate <= current:
                 returnflag = rng.choice(("R", "A"))

@@ -19,6 +19,7 @@ from typing import Dict, List
 from repro.relational.schema import Schema
 from repro.storage.image import load_once
 from repro.storage.manager import StorageManager
+from repro.workloads import memo_tables
 
 WISCONSIN_SCHEMA = Schema.of(
     "unique1:int",
@@ -53,59 +54,55 @@ class WisconsinScale:
 _STRING4 = ("AAAAxxxx", "HHHHxxxx", "OOOOxxxx", "VVVVxxxx")
 
 
-def _rows(n: int, rng: random.Random) -> List[tuple]:
-    unique1 = list(range(n))
+def _rows(
+    n: int, rng: random.Random, ints: List[int], stringu1: List[str],
+    stringu2: List[str],
+) -> List[tuple]:
+    unique1 = ints[:n]
     rng.shuffle(unique1)
-    rows = []
-    for unique2, u1 in enumerate(unique1):
-        rows.append(
-            (
-                u1,
-                unique2,
-                u1 % 2,
-                u1 % 4,
-                u1 % 10,
-                u1 % 20,
-                u1 % 100,
-                u1 % 10,
-                u1 % 5,
-                u1 % 2,
-                u1,
-                (u1 % 100) * 2,
-                (u1 % 100) * 2 + 1,
-                f"A{u1:07d}" + "x" * 8,
-                f"B{unique2:07d}" + "x" * 8,
-                _STRING4[unique2 % 4],
-            )
+    return [
+        (
+            u1,
+            unique2,
+            u1 % 2,
+            u1 % 4,
+            u1 % 10,
+            u1 % 20,
+            u1 % 100,
+            u1 % 10,
+            u1 % 5,
+            u1 % 2,
+            u1,
+            (u1 % 100) * 2,
+            (u1 % 100) * 2 + 1,
+            stringu1[u1],
+            stringu2[unique2],
+            _STRING4[unique2 % 4],
         )
-    return rows
-
-
-#: Memo keyed by (big_rows, seed) -- generation is a pure function of
-#: them (see the TPC-H twin in :mod:`repro.workloads.tpch.dbgen`).
-_GENERATED_CACHE: Dict[tuple, Dict[str, List[tuple]]] = {}
-_GENERATED_CACHE_MAX = 8
+        for unique2, u1 in zip(ints, unique1)
+    ]
 
 
 def generate_wisconsin(
     scale: WisconsinScale, seed: int = 5
 ) -> Dict[str, List[tuple]]:
-    key = (scale.big_rows, seed)
-    cached = _GENERATED_CACHE.get(key)
-    if cached is None:
+    def build() -> Dict[str, List[tuple]]:
         rng = random.Random(seed)
-        cached = {
-            "big1": _rows(scale.big_rows, rng),
-            "big2": _rows(scale.big_rows, rng),
-            "small": _rows(scale.small_rows, rng),
+        # One object per distinct key and string, shared by the three
+        # tables (DESIGN.md section 10): every row indexes these.
+        ints = list(range(max(scale.big_rows, scale.small_rows)))
+        domains = (
+            ints,
+            [f"A{i:07d}" + "x" * 8 for i in ints],
+            [f"B{i:07d}" + "x" * 8 for i in ints],
+        )
+        return {
+            "big1": _rows(scale.big_rows, rng, *domains),
+            "big2": _rows(scale.big_rows, rng, *domains),
+            "small": _rows(scale.small_rows, rng, *domains),
         }
-        # Deterministic memo: the value is a pure function of the key
-        # and eviction follows insertion order, so cell payloads cannot
-        # observe whether the cache was warm.
-        if len(_GENERATED_CACHE) >= _GENERATED_CACHE_MAX:
-            _GENERATED_CACHE.pop(next(iter(_GENERATED_CACHE)))  # simlint: disable=IPR201
-        _GENERATED_CACHE[key] = cached  # simlint: disable=IPR201
-    return {name: list(rows) for name, rows in cached.items()}
+
+    return memo_tables(("wisconsin", scale.big_rows, seed), build)
 
 
 def load_wisconsin(

@@ -16,15 +16,34 @@ since.  Like ``SCHEDULE`` in ``tests/test_operator_schedule.py`` they
 are constants of the code: a change that moves one changes every stored
 byte and says so.  To re-record, run this file as a module
 (``PYTHONPATH=src python -m tests.test_workload_values``).
+
+What that PR changed is how many *objects* hold those rows: a
+small-domain draw (a quantity, a discount, a day number, a foreign key,
+a Wisconsin key or string) now indexes a table of its domain, so every
+row holding the value holds the same object.  The object counts below
+pin that exactly -- ``id`` of a live object is not a measurement -- and
+a property over drawn scales and seeds states the rule: in the shared
+columns there is one object per distinct ``(type, repr)``, and every
+field has exactly its column's declared type.  The generators have no
+canonicalising helper to test in isolation, by design: nothing is
+looked up by equality, so ``1`` / ``1.0`` / ``True`` or ``0.0`` /
+``-0.0`` cannot be taken for one another; a table is indexed by the
+integer that was drawn.
 """
 
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.harness.config import DEFAULT, SMOKE
-from repro.workloads.tpch import TpchScale, generate_tpch
-from repro.workloads.wisconsin import WisconsinScale, generate_wisconsin
+from repro.workloads.tpch import TPCH_SCHEMAS, TpchScale, generate_tpch
+from repro.workloads.wisconsin import (
+    WISCONSIN_SCHEMA,
+    WisconsinScale,
+    generate_wisconsin,
+)
 
 TPCH_FACTORS = (0.08, 0.25, 0.6, 1.0)  # SMOKE, DEFAULT, perf/, perf/ dml_mix
 WISCONSIN_ROWS = (1_500, 4_000, 32_000)  # SMOKE, DEFAULT, perf/ scaleout_4h
@@ -70,9 +89,25 @@ ROWS_DIGEST = {
         '9f2fd9ba00b54f31b7ce0600a135bb3b870be094d8792ad2278908c44ca3f504',
 }
 
-#: Distinct objects among the field values at SMOKE scale.
-LINEITEM_OBJECTS = 35_282
-BIG_OBJECTS = 11_233
+#: Distinct objects among the field values at SMOKE scale: LINEITEM's
+#: 4,796 rows x 15 fields (35,282 at the parent, where every float, day
+#: number and key above 256 was its own object) and BIG1 + BIG2 (11,233
+#: at the parent; now 1,500 keys + 2 x 1,500 strings + 4, held by both).
+LINEITEM_OBJECTS = 8_483
+BIG_OBJECTS = 4_504
+
+#: The columns whose values come from a small domain.
+SHARED = {
+    "lineitem": (
+        "l_partkey", "l_suppkey", "l_quantity", "l_discount", "l_tax",
+        "l_shipdate", "l_commitdate", "l_receiptdate",
+    ),
+    "orders": ("o_custkey", "o_orderdate", "o_year"),
+    "partsupp": ("ps_partkey", "ps_suppkey"),
+    "big1": ("unique1", "unique2", "unique3", "stringu1", "stringu2"),
+}
+SHARED["big2"] = SHARED["small"] = SHARED["big1"]
+PYTHON_TYPE = {"int": int, "date": int, "float": float, "str": str}
 
 
 def generate(dataset, size, seed):
@@ -123,7 +158,8 @@ KEYS = [
 
 @pytest.mark.parametrize("dataset,size,seed", KEYS)
 def test_every_generated_row_is_the_recorded_one(dataset, size, seed):
-    assert tables_digest(generate(dataset, size, seed)) == TABLES[dataset, size, seed]
+    tables = generate(dataset, size, seed)
+    assert tables_digest(tables) == TABLES[dataset, size, seed]
 
 
 @pytest.mark.parametrize("workload_name", sorted(ROWS_DIGEST))
@@ -134,6 +170,34 @@ def test_a_perf_repeat_returns_the_recorded_rows(workload_name):
 def test_distinct_field_objects_are_exactly_the_recorded_count():
     assert distinct_objects(smoke_lineitem()) == LINEITEM_OBJECTS
     assert distinct_objects(*smoke_bigs()) == BIG_OBJECTS
+
+
+def check_shared_and_typed(tables, schemas):
+    shared = []
+    for name, rows in tables.items():
+        schema = schemas[name]
+        types = [PYTHON_TYPE[column.type] for column in schema.columns]
+        for row in rows:
+            # ``is``, not isinstance: a bool is not an int here.
+            assert [type(v) for v in row] == types, (name, row)
+        columns = [schema.index_of(c) for c in SHARED.get(name, ())]
+        shared += [row[c] for row in rows for c in columns]
+    values = {(type(v), repr(v)) for v in shared}
+    assert len({id(v) for v in shared}) == len(values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32))
+def test_tpch_shares_one_typed_object_per_distinct_value(thousandths, seed):
+    tables = generate("tpch", thousandths / 1000.0, seed)
+    check_shared_and_typed(tables, TPCH_SCHEMAS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 600), st.integers(0, 2**32))
+def test_wisconsin_shares_one_typed_object_per_distinct_value(big_rows, seed):
+    tables = generate("wisconsin", big_rows, seed)
+    check_shared_and_typed(tables, dict.fromkeys(tables, WISCONSIN_SCHEMA))
 
 
 if __name__ == "__main__":
