@@ -124,11 +124,13 @@ class _Input:
     def __init__(self, buffer: TupleBuffer, row_key):
         self.buffer = buffer
         self.eos = False
+        self.boundary_seen = False
         self.cursor = MergeCursor(self._pull, row_key)
 
     def _pull(self) -> Generator:
         batch = yield from self.buffer.get()
         if batch is SEGMENT_BOUNDARY:
+            self.boundary_seen = True
             return None
         self.eos = batch is None
         return batch
@@ -136,6 +138,25 @@ class _Input:
     @property
     def segment_ended(self) -> bool:
         return self.cursor.ended and not self.eos
+
+    def finish_segment(self) -> Generator:
+        """Coroutine: when this input is a split satellite still inside
+        its first segment, read on to the boundary.  The other input ran
+        dry first, so the rest of the segment matches nothing -- but the
+        pass over the missed prefix is still owed.  An unsplit input is
+        left where it is: draining it would read its table to the end."""
+        producer = self.buffer.producer
+        if (
+            self.boundary_seen
+            or self.eos
+            or not getattr(producer, "self_serving", False)
+            or "mj_split" not in producer.artifacts
+        ):
+            return
+        while (yield from self._pull()) is not None:
+            pass
+        self.cursor.rows.clear()
+        self.cursor.ended = True
 
     def abandon(self) -> None:
         """Stop reading a pass's leftover input; closing the buffer lets
@@ -165,6 +186,8 @@ class MergeJoinEngine(MicroEngine):
                 lgroup, rgroup = match
                 yield from self.charge(packet, len(lgroup) * len(rgroup))
                 yield from packet.output.put(cross(lgroup, rgroup))
+            yield from left.finish_segment()
+            yield from right.finish_segment()
             if left.segment_ended:
                 # Section 4.3.2: the left input delivered an out-of-order
                 # segment pair; restart the right subtree and join again.

@@ -42,7 +42,7 @@ RENDERS = {
     'fig8':
         '44429af314fadf638b3c6ad2a3ba05fdcac21b6013e5f11f5a587d2d742b71cf',
     'fig9':
-        'cd1c49fd42634f8556898bc2c6b82ad9d45f8a8e66c16a63fc167b019f4000df',
+        '886738ef9ed8192816bb60d06bc57a3b398551d2fa011c427c8e27bc88608504',
     'fig10':
         'f2e2e5afde69b919996820483786095f582fbacb7fa3a5630016559d51e4c20e',
     'fig11':

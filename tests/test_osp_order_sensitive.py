@@ -199,14 +199,6 @@ def test_split_speeds_up_late_arrival(big_db):
     assert makespan(True) < makespan(False)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="latent since the split was written (found while moving the "
-    "merge cursors, PR 21; ROADMAP item 1): when the non-split input "
-    "ends while the split input is still inside its first segment, "
-    "MergeJoinEngine takes that for the end of the join and never "
-    "runs the pass over the missed prefix",
-)
 def test_split_join_survives_the_other_input_ending_first():
     """s.rid covers only the lower half of r.id, so the s side runs dry
     while the late query is still piggybacking on [P..EOF] of r."""
