@@ -1,19 +1,15 @@
 """Ablations for DESIGN.md's design decisions."""
 
 from benchmarks.conftest import run_once
-from repro.harness import (
-    SMOKE,
-    ablation_replacement_policies,
-    ablation_replay_ring,
-)
+from repro.harness import FIGURES, SMOKE
 
 
 def test_ablation_replacement_policies(benchmark, figure_sink):
     series = run_once(
         benchmark,
-        lambda: ablation_replacement_policies(
+        lambda: FIGURES["ablation-policies"].run(
             SMOKE,
-            policies=("lru", "mru", "clock", "lru-k", "2q", "arc"),
+            policy=("lru", "mru", "clock", "lru-k", "2q", "arc"),
             clients=4,
             interarrival=20.0,
         ),
@@ -26,8 +22,8 @@ def test_ablation_replacement_policies(benchmark, figure_sink):
 def test_ablation_replay_ring(benchmark, figure_sink):
     series = run_once(
         benchmark,
-        lambda: ablation_replay_ring(
-            SMOKE, ring_sizes=(16, 256, 4096, 65536), interarrival=40.0
+        lambda: FIGURES["ablation-replay"].run(
+            SMOKE, ring=(16, 256, 4096, 65536), interarrival=40.0
         ),
     )
     figure_sink("ablation_replay_ring", series.render())
@@ -36,12 +32,10 @@ def test_ablation_replay_ring(benchmark, figure_sink):
 
 
 def test_ablation_circular_wraparound(benchmark, figure_sink):
-    from repro.harness import ablation_circular_wraparound
-
     series = run_once(
         benchmark,
-        lambda: ablation_circular_wraparound(
-            SMOKE, clients=4, interarrivals=(0, 20, 60, 100)
+        lambda: FIGURES["ablation-wraparound"].run(
+            SMOKE, clients=4, gap=(0, 20, 60, 100)
         ),
     )
     figure_sink("ablation_wraparound", series.render())
@@ -54,10 +48,9 @@ def test_ablation_circular_wraparound(benchmark, figure_sink):
 
 
 def test_ablation_late_activation(benchmark, figure_sink):
-    from repro.harness import ablation_late_activation
-
     series = run_once(
-        benchmark, lambda: ablation_late_activation(SMOKE, clients=4)
+        benchmark,
+        lambda: FIGURES["ablation-late-activation"].run(SMOKE, clients=4),
     )
     figure_sink("ablation_late_activation", series.render())
     on = series.curve("late-activation on")

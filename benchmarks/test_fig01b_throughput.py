@@ -1,15 +1,14 @@
 """Figure 1b: TPC-H throughput, QPipe vs DBMS X (the intro figure)."""
 
 from benchmarks.conftest import run_once
-from repro.harness import SMOKE
-from repro.harness.experiments import fig1b_throughput
+from repro.harness import FIGURES, SMOKE
 
 CLIENTS = (1, 4, 8, 12)
 
 
 def test_fig01b_throughput(benchmark, figure_sink, invariant_tracing):
     series = run_once(
-        benchmark, lambda: fig1b_throughput(SMOKE, client_counts=CLIENTS)
+        benchmark, lambda: FIGURES["fig1b"].run(SMOKE, count=CLIENTS)
     )
     figure_sink("fig01b_throughput", series.render())
     qpipe, dbmsx = series.curve("QPipe w/OSP"), series.curve("DBMS X")

@@ -1,7 +1,7 @@
 """Figure 8: disk blocks read vs interarrival, 2/4/8 Q6 clients."""
 
 from benchmarks.conftest import run_once
-from repro.harness import SMOKE, fig8_scan_sharing
+from repro.harness import FIGURES, SMOKE
 
 GAPS = (0, 10, 20, 40, 60, 80, 100)
 
@@ -9,8 +9,7 @@ GAPS = (0, 10, 20, 40, 60, 80, 100)
 def test_fig08_scan_sharing(benchmark, figure_sink, invariant_tracing):
     out = run_once(
         benchmark,
-        lambda: fig8_scan_sharing(SMOKE, client_counts=(2, 4, 8),
-                                  interarrivals=GAPS),
+        lambda: FIGURES["fig8"].run(SMOKE, count=(2, 4, 8), gap=GAPS),
     )
     text = "\n\n".join(out[n].render() for n in (2, 4, 8))
     figure_sink("fig08_scan_sharing", text)

@@ -1,14 +1,14 @@
 """Figure 9: order-sensitive clustered index scans under merge-join."""
 
 from benchmarks.conftest import run_once
-from repro.harness import SMOKE, fig9_ordered_scans
+from repro.harness import FIGURES, SMOKE
 
 GAPS = (0, 20, 40, 60, 80, 100, 120, 140)
 
 
 def test_fig09_ordered_scans(benchmark, figure_sink):
     series = run_once(
-        benchmark, lambda: fig9_ordered_scans(SMOKE, interarrivals=GAPS)
+        benchmark, lambda: FIGURES["fig9"].run(SMOKE, gap=GAPS)
     )
     figure_sink("fig09_ordered_scans", series.render())
     qpipe = series.curve("QPipe w/OSP")

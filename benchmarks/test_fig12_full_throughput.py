@@ -1,14 +1,14 @@
 """Figure 12: TPC-H mix throughput, three systems, 1-12 clients."""
 
 from benchmarks.conftest import run_once
-from repro.harness import SMOKE, fig12_throughput
+from repro.harness import FIGURES, SMOKE
 
 CLIENTS = (1, 2, 4, 6, 8, 10, 12)
 
 
 def test_fig12_full_throughput(benchmark, figure_sink, invariant_tracing):
     series = run_once(
-        benchmark, lambda: fig12_throughput(SMOKE, client_counts=CLIENTS)
+        benchmark, lambda: FIGURES["fig12"].run(SMOKE, count=CLIENTS)
     )
     figure_sink("fig12_full_throughput", series.render())
     qpipe = series.curve("QPipe w/OSP")

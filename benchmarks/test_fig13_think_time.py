@@ -1,7 +1,7 @@
 """Figure 13: average response time vs think time, 10 clients."""
 
 from benchmarks.conftest import run_once
-from repro.harness import SMOKE, fig13_think_time
+from repro.harness import FIGURES, SMOKE
 
 THINK = (0, 20, 40, 60, 240)
 
@@ -9,7 +9,7 @@ THINK = (0, 20, 40, 60, 240)
 def test_fig13_think_time(benchmark, figure_sink):
     series = run_once(
         benchmark,
-        lambda: fig13_think_time(SMOKE, think_times=THINK, clients=10),
+        lambda: FIGURES["fig13"].run(SMOKE, think=THINK, clients=10),
     )
     figure_sink("fig13_think_time", series.render())
     qpipe = series.curve("QPipe w/OSP")

@@ -2,16 +2,11 @@
 queries present no sharing opportunities."""
 
 from benchmarks.conftest import run_once
-from repro.harness import SMOKE, osp_overhead
+from repro.harness import FIGURES, SMOKE
 
 
 def test_osp_overhead(benchmark, figure_sink):
-    result = run_once(benchmark, lambda: osp_overhead(SMOKE, queries=6))
-    text = (
-        "OSP coordinator overhead (no sharing opportunities):\n"
-        f"  makespan OSP on : {result['makespan_osp_on']:.1f} s\n"
-        f"  makespan OSP off: {result['makespan_osp_off']:.1f} s\n"
-        f"  ratio           : {result['overhead_ratio']:.4f}"
-    )
-    figure_sink("osp_overhead", text)
+    figure = FIGURES["overhead"]
+    result = run_once(benchmark, lambda: figure.run(SMOKE, queries=6))
+    figure_sink("osp_overhead", figure.render(result))
     assert abs(result["overhead_ratio"] - 1.0) < 0.05

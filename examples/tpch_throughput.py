@@ -12,7 +12,7 @@ a few client counts on all three systems:
 Run:  python examples/tpch_throughput.py         (about a minute)
 """
 
-from repro.harness import SMOKE, fig12_throughput
+from repro.harness import FIGURES, SMOKE
 from repro.harness.config import with_overrides
 
 CLIENTS = (1, 4, 8, 12)
@@ -25,7 +25,7 @@ def main() -> None:
         f"~{int(15000 * scale.tpch_factor * 4):,} lineitem rows, "
         f"{scale.buffer_pages}-page pool)\n"
     )
-    series = fig12_throughput(scale, client_counts=CLIENTS)
+    series = FIGURES["fig12"].run(scale, count=CLIENTS)
     print(series.render())
     qpipe = series.curve("QPipe w/OSP")
     dbmsx = series.curve("DBMS X")

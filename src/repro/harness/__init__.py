@@ -28,28 +28,12 @@ __all__ = [
     "SMOKE",
     "Scale",
     "Series",
-    "ablation_circular_wraparound",
-    "ablation_late_activation",
-    "ablation_replacement_policies",
-    "ablation_replay_ring",
     "chaos",
     "render_chaos",
-    "recovery",
     "render_recovery",
     "collected_tracers",
     "disable_tracing",
     "enable_tracing",
-    "fig10_sort_merge",
-    "fig11_hash_join",
-    "fig12_throughput",
-    "fig13_think_time",
-    "fig1a_breakdown",
-    "fig1b_throughput",
-    "fig4_wop",
-    "fig8_scan_sharing",
-    "fig9_ordered_scans",
-    "osp_overhead",
-    "scaleout",
 ]
 
 

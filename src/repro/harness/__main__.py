@@ -7,10 +7,12 @@ Examples::
     python -m repro.harness fig12 --scale default
     python -m repro.harness all --scale smoke --jobs 4 --cache
 
-Figures are declarative cell lists (:mod:`repro.harness.experiments`),
-so ``--jobs N`` executes their cells on a process pool and ``--cache``
-serves previously computed cells from the content-addressed cache --
-both without changing a byte of the rendered output.
+Figures are entries of one table (:data:`repro.harness.experiments.FIGURES`),
+each a grid of pure cells, so ``--jobs N`` executes the cells on a process
+pool and ``--cache`` serves previously computed ones from the
+content-addressed cache -- both without changing a byte of the rendered
+output.  This module is the one place under ``src/`` that reads the host
+clock (the ``[... wall]`` lines).
 """
 
 from __future__ import annotations
@@ -20,15 +22,7 @@ import os
 import sys
 import time
 
-from repro.harness import (
-    DEFAULT,
-    FIGURES,
-    SMOKE,
-    chaos,
-    render_chaos,
-    render_recovery,
-)
-from repro.harness.experiments import substitute_engine
+from repro.harness import DEFAULT, FIGURES, SMOKE, chaos, render_chaos
 from repro.parallel import CellCache, CellError, PoolRunner
 from repro.parallel.cache import DEFAULT_DIR as CACHE_DIR
 
@@ -140,13 +134,10 @@ def main(argv=None) -> int:
         for name in FIGURES:
             print(f"  {name}")
         print("  chaos     (supports --fault-seed N, --recovery)")
-        print("  recovery  (supports --fault-seed N, --jobs N)")
         return 0
 
     if args.figure == "chaos":
         return _run_chaos(args)
-    if args.figure == "recovery":
-        return _run_recovery(args)
 
     names = list(FIGURES) if args.figure == "all" else [args.figure]
     unknown = [n for n in names if n not in FIGURES]
@@ -161,27 +152,29 @@ def main(argv=None) -> int:
 
     scale = SCALES[args.scale]
     tracing = args.trace is not None
+    failed = False
     try:
-        with PoolRunner(jobs=args.jobs, cache=cache, trace=tracing) as runner:
+        with PoolRunner(jobs=args.jobs, cache=cache, trace=tracing) as pool:
             for name in names:
+                figure = FIGURES[name]
+                sweep = {}
+                if args.hosts is not None and "hosts" in figure.axes:
+                    sweep["hosts"] = tuple(
+                        h for h in figure.axes["hosts"] if h <= args.hosts
+                    )
+                if "fault_seed" in figure.fixed:
+                    sweep["fault_seed"] = args.fault_seed
+                runner = _KeepLast(pool)
                 # Wall-clock here measures the *host*, never sim behaviour.
                 start = time.time()  # simlint: disable=DET001
-                specs = substitute_engine(
-                    FIGURES[name].cells(scale), args.engine
-                )
-                if args.hosts is not None:
-                    specs = [
-                        s for s in specs
-                        if s.coord.get("hosts", 1) <= args.hosts
-                    ]
-                results = runner.run(specs)
-                payloads = {s: r.payload for s, r in results.items()}
-                print(FIGURES[name].render(specs, payloads))
+                value = figure.run(scale, runner, engine=args.engine, **sweep)
+                print(figure.render(value))
                 elapsed = time.time() - start  # simlint: disable=DET001
                 print(f"[{name} @ {scale.name}: {elapsed:.1f}s wall]\n")
                 if tracing:
-                    _dump_cell_traces(args.trace, name, specs, results)
-            stats = runner.stats
+                    _dump_cell_traces(args.trace, name, *runner.last)
+                failed = failed or figure.failed(value)
+            stats = pool.stats
     except KeyboardInterrupt:
         print("[interrupted: outstanding cells cancelled]", file=sys.stderr)
         return 130
@@ -193,7 +186,21 @@ def main(argv=None) -> int:
         f"cache-hits={stats.cache_hits} "
         f"hit-rate={stats.hit_rate * 100:.0f}%]"
     )
-    return 0
+    return 1 if failed else 0
+
+
+class _KeepLast:
+    """The pool as a figure runs on it, keeping the last grid's specs and
+    results (per-cell traces ride on the results) for ``--trace``."""
+
+    def __init__(self, pool: PoolRunner):
+        self.pool = pool
+        self.last = None
+
+    def run(self, specs):
+        results = self.pool.run(specs)
+        self.last = (specs, results)
+        return results
 
 
 def _run_chaos(args) -> int:
@@ -221,36 +228,7 @@ def _run_chaos(args) -> int:
     return 1 if result["violations"] else 0
 
 
-def _run_recovery(args) -> int:
-    """Recovery is cell-based (one cell per crash scenario), so it runs
-    on the same pool/cache machinery as the figures and its output is
-    byte-identical for every ``--jobs`` value."""
-    from repro.harness.experiments import recovery_cells, recovery_merge
-
-    scale = SCALES[args.scale]
-    cache = None
-    if args.cache_clear:
-        CellCache(args.cache_dir).clear()
-    if args.cache:
-        cache = CellCache(args.cache_dir)
-    # Wall-clock here measures the *host*, never sim behaviour.
-    start = time.time()  # simlint: disable=DET001
-    specs = recovery_cells(scale, fault_seed=args.fault_seed)
-    with PoolRunner(jobs=args.jobs, cache=cache) as runner:
-        results = runner.run(specs)
-    payloads = {s: r.payload for s, r in results.items()}
-    result = recovery_merge(specs, payloads)
-    print(render_recovery(result))
-    elapsed = time.time() - start  # simlint: disable=DET001
-    print(f"[recovery @ {scale.name}: {elapsed:.1f}s wall]")
-    clean = all(
-        p["outcome"] == "ok" and p["byte_identical"] and not p["violations"]
-        for p in result.values()
-    )
-    return 0 if clean else 1
-
-
-def _dump_cell_traces(directory: str, figure: str, specs, results) -> None:
+def _dump_cell_traces(directory: str, figure: str, specs, ran) -> None:
     """Write each cell's per-host traces, plus one merged figure JSONL.
 
     Files are named by cell slug (not completion order), and the merge
@@ -263,7 +241,7 @@ def _dump_cell_traces(directory: str, figure: str, specs, results) -> None:
     merged = []
     cells = 0
     for spec in specs:
-        traces = results[spec].traces or []
+        traces = ran[spec].traces or []
         for j, events in enumerate(traces):
             stem = os.path.join(directory, f"{figure}-{spec.slug()}-h{j:02d}")
             write_jsonl(events, f"{stem}.jsonl")

@@ -1,30 +1,30 @@
-"""One experiment per figure, decomposed into *cells*.
+"""One experiment per figure: a *cell* function and one ``FIGURES`` entry.
 
-Every figure is a declarative list of :class:`~repro.parallel.cells.CellSpec`
-grid points plus a deterministic merge step (DESIGN.md section 11):
+Every figure is declared once (DESIGN.md section 11):
 
 * a **cell function** (registered with :func:`repro.parallel.cells.cell`)
   builds a fresh seeded system for one data point and returns a
   JSON-serialisable payload -- cells are pure, so they can run in any
   order, in any process, and be cached by content address;
-* a ``figN_cells(scale, ...)`` builder lists the figure's specs in the
-  paper's sweep order;
-* a ``figN_merge(specs, payloads)`` step folds ``{spec: payload}`` back
-  into :class:`~repro.harness.report.Series` rows, ordered by the spec
-  list alone -- never by completion order -- so serial and parallel runs
-  render byte-identically.
+* a :class:`Figure` entry in :data:`FIGURES` names that function, the
+  default sweep axes, the scale regime and seeds its specs carry, a
+  ``reduce(specs, payloads)`` to the structured value tests read
+  (ordered by the spec list alone -- never by completion order -- so
+  serial and parallel runs render byte-identically) and a
+  ``render(value)``.
 
-The public ``figN_*`` functions keep their historical signatures and run
-the cells serially in-process; ``python -m repro.harness --jobs N``
-feeds the same specs through :class:`~repro.parallel.pool.PoolRunner`.
+``FIGURES[name].run(scale, **axes)`` runs the cells serially in-process;
+``python -m repro.harness --jobs N`` hands the same call its
+:class:`~repro.parallel.pool.PoolRunner`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.harness.config import (
@@ -74,9 +74,9 @@ def _run_staggered(host, engine, plans: Sequence, delays: Sequence[float]):
     return [p.value for p in procs]
 
 
-def _makespan(results) -> float:
-    return max(r.finished_at for r in results) - min(
-        r.submitted_at for r in results
+def _makespan(queries) -> float:
+    return max(q.finished_at for q in queries) - min(
+        q.submitted_at for q in queries
     )
 
 
@@ -93,11 +93,119 @@ def _limited_buffers(scale: Scale) -> Scale:
     )
 
 
-def _payloads(specs: Sequence[CellSpec], results: Optional[Payloads]) -> Payloads:
-    """Serial in-process execution unless the caller supplies results."""
-    if results is not None:
-        return results
-    return run_cells_serial(specs)
+# ---------------------------------------------------------------------------
+# The figure table's row type and the reducers most rows share
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Figure:
+    """One experiment, declared once.
+
+    Attributes:
+        name: the CLI name (``fig8``, ``ablation-replay``...).
+        cell: the ``@cell`` function every grid point runs.
+        axes: the default sweep, ``{coordinate: values}``; the grid is
+            their product in declared order (the last axis varies
+            fastest).  A value that is a dict sets several coordinates
+            that move together (the wrap-around ablation's mode/wrap).
+        reduce: ``(specs, payloads) -> value``, the structured result.
+        render: ``value -> str``, what the CLI prints.
+        fixed: coordinates every point carries (``clients=10``).
+        also: extra points appended after the grid (a reference run).
+        seeds: the seed tuple the specs record, or ``(scale, point) ->
+            tuple`` when it depends on the grid point.
+        regime: the scale transform the cells run under.
+        figure: the ``CellSpec.figure`` id when it is not ``name`` (fig1b
+            is fig12's cells, so the two share cache entries).
+        failed: ``value -> bool``; True makes the CLI exit non-zero.
+    """
+
+    name: str
+    cell: Callable[[CellSpec], Any]
+    axes: Mapping[str, Sequence]
+    reduce: Callable[[Sequence[CellSpec], Payloads], Any]
+    render: Callable[[Any], str] = Series.render
+    fixed: Mapping[str, Any] = field(default_factory=dict)
+    also: Sequence[Mapping[str, Any]] = ()
+    seeds: Any = ()
+    regime: Callable[[Scale], Scale] = lambda scale: scale
+    figure: Optional[str] = None
+    failed: Callable[[Any], bool] = lambda value: False
+
+    def specs(self, scale: Scale = SMOKE, **sweep) -> List[CellSpec]:
+        """The grid in sweep order; *sweep* replaces an axis's values or
+        a fixed coordinate's value by name."""
+        unknown = set(sweep) - set(self.axes) - set(self.fixed)
+        if unknown:
+            raise TypeError(f"{self.name} has no axis {sorted(unknown)[0]!r}")
+        fixed = {name: sweep.get(name, v) for name, v in self.fixed.items()}
+        points = []
+        for combo in itertools.product(
+            *(sweep.get(name, values) for name, values in self.axes.items())
+        ):
+            point = dict(fixed)
+            for name, value in zip(self.axes, combo):
+                point.update(value if isinstance(value, dict) else {name: value})
+            points.append(point)
+        points += [{**fixed, **extra} for extra in self.also]
+        scale = self.regime(scale)
+        return [
+            CellSpec(
+                self.figure or self.name, fn_key(self.cell), scale,
+                coords(**point),
+                seeds=(
+                    self.seeds(scale, point) if callable(self.seeds)
+                    else self.seeds
+                ),
+            )
+            for point in points
+        ]
+
+    def run(self, scale: Scale = SMOKE, runner=None,
+            engine: str = "packets", **sweep):
+        """Execute the grid and reduce it: serially in-process, or on
+        *runner* (a :class:`~repro.parallel.pool.PoolRunner`)."""
+        specs = substitute_engine(self.specs(scale, **sweep), engine)
+        if runner is None:
+            payloads = run_cells_serial(specs)
+        else:
+            payloads = {s: r.payload for s, r in runner.run(specs).items()}
+        return self.reduce(specs, payloads)
+
+
+SYSTEM_LABELS = {
+    "qpipe": "QPipe w/OSP",
+    "baseline": "Baseline",
+    "dbmsx": "DBMS X",
+}
+
+
+def _series(title: str, x_label: str, y_label: str, x: Optional[str],
+            curve=lambda c: SYSTEM_LABELS[c["system"]]):
+    """The common reducer: one :class:`Series`, each cell a point at
+    coordinate *x* on the curve ``curve(coord)`` names.  The title may
+    quote fixed coordinates (``{clients}``); with ``x=None`` a payload is
+    a list of ``[x, y]`` points."""
+
+    def reduce(specs: Sequence[CellSpec], payloads: Payloads) -> Series:
+        series = Series(
+            title.format(**specs[0].coord) if specs else title,
+            x_label, y_label,
+        )
+        for spec in specs:
+            c = spec.coord
+            points = payloads[spec] if x is None else [(c[x], payloads[spec])]
+            for px, py in points:
+                series.add_point(curve(c), px, py)
+        return series
+
+    return reduce
+
+
+def _keyed(axis: str):
+    """Reducer: ``{coordinate value: payload}`` in sweep order."""
+    return lambda specs, payloads: {
+        spec.coord[axis]: payloads[spec] for spec in specs
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -130,37 +238,6 @@ def fig1a_cell(spec: CellSpec) -> Dict[str, float]:
         else:
             fractions["other"] += time / total
     return fractions
-
-
-def fig1a_cells(scale: Scale = SMOKE) -> List[CellSpec]:
-    return [
-        CellSpec(
-            "fig1a", fn_key(fig1a_cell), scale,
-            coords(query=name),
-            seeds=(("FIG_QUERY_SEED", FIG_QUERY_SEED),),
-        )
-        for name in FIG1A_QUERIES
-    ]
-
-
-def fig1a_merge(specs: Sequence[CellSpec], payloads: Payloads):
-    rows = {spec.coord["query"]: payloads[spec] for spec in specs}
-    rendered = render_breakdown(
-        "Figure 1a: per-table share of disk read time",
-        rows,
-        list(FIG1A_TRACKED) + ["other"],
-    )
-    return rows, rendered
-
-
-def fig1a_breakdown(scale: Scale = SMOKE, results: Optional[Payloads] = None):
-    """Fraction of disk-read time per table for Q8, Q12, Q13, Q14, Q19.
-
-    Reproduces Figure 1a's observation: despite disjoint computation,
-    the queries overlap heavily on LINEITEM/ORDERS/PART reads.
-    """
-    specs = fig1a_cells(scale)
-    return fig1a_merge(specs, _payloads(specs, results))
 
 
 # ---------------------------------------------------------------------------
@@ -240,44 +317,6 @@ def fig4_cell(spec: CellSpec) -> List[List[float]]:
     return points
 
 
-def fig4_cells(
-    scale: Scale = SMOKE,
-    progress_points: Sequence[float] = FIG4_POINTS,
-) -> List[CellSpec]:
-    limited = _limited_buffers(scale)
-    return [
-        CellSpec(
-            "fig4", fn_key(fig4_cell), limited,
-            coords(klass=label, progress_points=tuple(progress_points)),
-        )
-        for label in FIG4_CLASSES
-    ]
-
-
-def fig4_merge(specs: Sequence[CellSpec], payloads: Payloads) -> Series:
-    series = Series(
-        title="Figure 4 (measured): Q2 cost saving vs Q1 progress",
-        x_label="Q1 progress",
-        y_label="fraction of Q2's disk blocks eliminated",
-    )
-    for spec in specs:
-        label = spec.coord["klass"]
-        for progress, gain in payloads[spec]:
-            series.add_point(label, progress, gain)
-    return series
-
-
-def fig4_wop(
-    scale: Scale = SMOKE,
-    progress_points: Sequence[float] = FIG4_POINTS,
-    results: Optional[Payloads] = None,
-) -> Series:
-    """Measured Q2 I/O savings vs Q1 progress, one curve per overlap
-    class (linear / step / full / spike), mirroring Figure 4a."""
-    specs = fig4_cells(scale, progress_points)
-    return fig4_merge(specs, _payloads(specs, results))
-
-
 # ---------------------------------------------------------------------------
 # Figure 8: disk blocks read vs interarrival time (2/4/8 clients of Q6)
 # ---------------------------------------------------------------------------
@@ -296,197 +335,87 @@ def fig8_cell(spec: CellSpec) -> int:
     return host.disk.stats.blocks_read
 
 
-def fig8_cells(
-    scale: Scale = SMOKE,
-    client_counts: Sequence[int] = (2, 4, 8),
-    interarrivals: Optional[Sequence[float]] = None,
-) -> List[CellSpec]:
-    if interarrivals is None:
-        interarrivals = FIG8_INTERARRIVALS
-    return [
-        CellSpec(
-            "fig8", fn_key(fig8_cell), scale,
-            coords(count=count, system=system, gap=gap),
-            seeds=(("CLIENT_SEED_BASE", CLIENT_SEED_BASE),),
-        )
-        for count in client_counts
-        for system in ("baseline", "qpipe")
-        for gap in interarrivals
-    ]
-
-
-def fig8_merge(
+def _fig8_series(
     specs: Sequence[CellSpec], payloads: Payloads
 ) -> Dict[int, Series]:
-    out: Dict[int, Series] = {}
-    for spec in specs:
-        c = spec.coord
-        series = out.get(c["count"])
-        if series is None:
-            series = out[c["count"]] = Series(
-                title=f"Figure 8 ({c['count']} clients): disk blocks read",
-                x_label="interarrival (s)",
-                y_label="total disk blocks read",
-            )
-        series.add_point(
-            "QPipe w/OSP" if c["system"] == "qpipe" else "Baseline",
-            c["gap"],
-            payloads[spec],
+    """``{client count: Series}``, counts in sweep order."""
+    reduce = _series(
+        "Figure 8 ({count} clients): disk blocks read",
+        "interarrival (s)", "total disk blocks read", x="gap",
+    )
+    counts = dict.fromkeys(spec.coord["count"] for spec in specs)
+    return {
+        count: reduce(
+            [s for s in specs if s.coord["count"] == count], payloads
         )
-    return out
-
-
-def fig8_scan_sharing(
-    scale: Scale = SMOKE,
-    client_counts: Sequence[int] = (2, 4, 8),
-    interarrivals: Optional[Sequence[float]] = None,
-    results: Optional[Payloads] = None,
-) -> Dict[int, Series]:
-    """Total disk blocks read by N staggered Q6 clients, Baseline vs
-    QPipe w/OSP."""
-    specs = fig8_cells(scale, client_counts, interarrivals)
-    return fig8_merge(specs, _payloads(specs, results))
+        for count in counts
+    }
 
 
 # ---------------------------------------------------------------------------
 # Figures 9-11: two staggered queries, total response time
 # ---------------------------------------------------------------------------
-def _two_query_makespan(scale: Scale, system: str, gap: float,
-                        build_system, make_plans) -> float:
-    host, sm, engine = build_system(scale, system)
-    plans = make_plans()
-    results = _run_staggered(host, engine, plans, [0.0, gap])
-    return round(_makespan(results), 1)
+def _big_range(scale: Scale) -> int:
+    return max(100, scale.wisconsin_big_rows // 2)
+
+
+#: Per figure: the system builder and the two queries (by scale).
+TWO_QUERY = {
+    "fig9": (build_tpch_system, lambda scale: [
+        Q.q4_merge(random.Random(SHARED_PARAM_SEED), flavor="count"),
+        Q.q4_merge(random.Random(SHARED_PARAM_SEED), flavor="sum"),
+    ]),
+    "fig10": (build_wisconsin_system, lambda scale: [
+        three_way_join(_big_range(scale), Col("onepercent") < 50),
+        three_way_join(_big_range(scale), Col("onepercent") >= 50),
+    ]),
+    "fig11": (build_tpch_system, lambda scale: [
+        Q.q4_hash(random.Random(SHARED_PARAM_SEED), flavor="count"),
+        Q.q4_hash(random.Random(SHARED_PARAM_SEED), flavor="sum"),
+    ]),
+}
+
+
+def two_query_results(spec: CellSpec) -> List:
+    """The two staggered queries' results at one fig9-11 grid point (the
+    cells keep the makespan; the row-agreement test compares the rows)."""
+    c = spec.coord
+    build_system, make_plans = TWO_QUERY[spec.figure]
+    host, sm, engine = build_system(spec.scale, c["system"])
+    return _run_staggered(
+        host, engine, make_plans(spec.scale), [0.0, c["gap"]]
+    )
+
+
+def _two_query_makespan(spec: CellSpec) -> float:
+    return round(_makespan(two_query_results(spec)), 1)
 
 
 @cell
 def fig9_cell(spec: CellSpec) -> float:
     """Two TPC-H Q4 instances with merge-joins over clustered index
     scans: order-sensitive scan sharing via the 4.3.2 two-pass split."""
-    c = spec.coord
-    return _two_query_makespan(
-        spec.scale, c["system"], c["gap"], build_tpch_system,
-        lambda: [
-            Q.q4_merge(random.Random(SHARED_PARAM_SEED), flavor="count"),
-            Q.q4_merge(random.Random(SHARED_PARAM_SEED), flavor="sum"),
-        ],
-    )
+    return _two_query_makespan(spec)
 
 
 @cell
 def fig10_cell(spec: CellSpec) -> float:
     """Two Wisconsin 3-way sort-merge joins sharing the BIG1/BIG2 sort
     (full overlap) and merge (step overlap) subtrees."""
-    c = spec.coord
-    big_range = max(100, spec.scale.wisconsin_big_rows // 2)
-    return _two_query_makespan(
-        spec.scale, c["system"], c["gap"], build_wisconsin_system,
-        lambda: [
-            three_way_join(big_range, Col("onepercent") < 50),
-            three_way_join(big_range, Col("onepercent") >= 50),
-        ],
-    )
+    return _two_query_makespan(spec)
 
 
 @cell
 def fig11_cell(spec: CellSpec) -> float:
     """Two TPC-H Q4 instances with hybrid hash joins: build-phase
     sharing first, then scan-only sharing once probing starts."""
-    c = spec.coord
-    return _two_query_makespan(
-        spec.scale, c["system"], c["gap"], build_tpch_system,
-        lambda: [
-            Q.q4_hash(random.Random(SHARED_PARAM_SEED), flavor="count"),
-            Q.q4_hash(random.Random(SHARED_PARAM_SEED), flavor="sum"),
-        ],
-    )
-
-
-def _two_query_cells(
-    figure: str, cell_fn, scale: Scale, interarrivals: Sequence[float]
-) -> List[CellSpec]:
-    limited = _limited_buffers(scale)
-    return [
-        CellSpec(
-            figure, fn_key(cell_fn), limited,
-            coords(system=system, gap=gap),
-            seeds=(("SHARED_PARAM_SEED", SHARED_PARAM_SEED),),
-        )
-        for system in ("baseline", "qpipe")
-        for gap in interarrivals
-    ]
-
-
-def _two_query_merge(title: str, specs: Sequence[CellSpec],
-                     payloads: Payloads) -> Series:
-    series = Series(
-        title=title,
-        x_label="interarrival (s)",
-        y_label="total response time (s)",
-    )
-    for spec in specs:
-        c = spec.coord
-        label = "QPipe w/OSP" if c["system"] == "qpipe" else "Baseline"
-        series.add_point(label, c["gap"], payloads[spec])
-    return series
-
-
-FIG9_TITLE = "Figure 9: order-sensitive clustered index scans (Q4, merge-join)"
-FIG10_TITLE = "Figure 10: Wisconsin 3-way sort-merge join sharing"
-FIG11_TITLE = "Figure 11: hash-join build sharing (Q4, hash-join)"
-
-
-def fig9_cells(scale: Scale = SMOKE,
-               interarrivals: Sequence[float] = INTERARRIVALS):
-    return _two_query_cells("fig9", fig9_cell, scale, interarrivals)
-
-
-def fig10_cells(scale: Scale = SMOKE,
-                interarrivals: Sequence[float] = INTERARRIVALS):
-    return _two_query_cells("fig10", fig10_cell, scale, interarrivals)
-
-
-def fig11_cells(scale: Scale = SMOKE,
-                interarrivals: Sequence[float] = INTERARRIVALS):
-    return _two_query_cells("fig11", fig11_cell, scale, interarrivals)
-
-
-def fig9_ordered_scans(
-    scale: Scale = SMOKE,
-    interarrivals: Sequence[float] = INTERARRIVALS,
-    results: Optional[Payloads] = None,
-) -> Series:
-    specs = fig9_cells(scale, interarrivals)
-    return _two_query_merge(FIG9_TITLE, specs, _payloads(specs, results))
-
-
-def fig10_sort_merge(
-    scale: Scale = SMOKE,
-    interarrivals: Sequence[float] = INTERARRIVALS,
-    results: Optional[Payloads] = None,
-) -> Series:
-    specs = fig10_cells(scale, interarrivals)
-    return _two_query_merge(FIG10_TITLE, specs, _payloads(specs, results))
-
-
-def fig11_hash_join(
-    scale: Scale = SMOKE,
-    interarrivals: Sequence[float] = INTERARRIVALS,
-    results: Optional[Payloads] = None,
-) -> Series:
-    specs = fig11_cells(scale, interarrivals)
-    return _two_query_merge(FIG11_TITLE, specs, _payloads(specs, results))
+    return _two_query_makespan(spec)
 
 
 # ---------------------------------------------------------------------------
 # Figures 1b/12: throughput vs number of clients, three systems
 # ---------------------------------------------------------------------------
 FIG12_SYSTEMS = ("qpipe", "baseline", "dbmsx")
-FIG12_LABELS = {
-    "qpipe": "QPipe w/OSP",
-    "baseline": "Baseline",
-    "dbmsx": "DBMS X",
-}
 
 
 @cell
@@ -511,69 +440,6 @@ def fig12_cell(spec: CellSpec) -> float:
     ]
     metrics = run_workload(engine, clients, seed=scale.seed + c["count"])
     return round(metrics.throughput_qph, 1)
-
-
-def fig12_cells(
-    scale: Scale = SMOKE,
-    client_counts: Sequence[int] = tuple(range(1, 13)),
-    systems: Sequence[str] = FIG12_SYSTEMS,
-) -> List[CellSpec]:
-    # fig1b is fig12 restricted to two systems, so its specs carry the
-    # owning figure id "fig12" and the two figures share cache entries.
-    return [
-        CellSpec(
-            "fig12", fn_key(fig12_cell), scale,
-            coords(system=system, count=count),
-            seeds=(("workload_seed", scale.seed + count),),
-        )
-        for system in systems
-        for count in client_counts
-    ]
-
-
-def fig12_merge(specs: Sequence[CellSpec], payloads: Payloads) -> Series:
-    series = Series(
-        title="Figure 12: TPC-H throughput vs concurrent clients",
-        x_label="clients",
-        y_label="throughput (queries/hour)",
-    )
-    for spec in specs:
-        c = spec.coord
-        series.add_point(FIG12_LABELS[c["system"]], c["count"], payloads[spec])
-    return series
-
-
-def fig12_throughput(
-    scale: Scale = SMOKE,
-    client_counts: Sequence[int] = tuple(range(1, 13)),
-    systems: Sequence[str] = FIG12_SYSTEMS,
-    results: Optional[Payloads] = None,
-) -> Series:
-    """TPC-H mix throughput (queries/hour), zero think time.
-
-    Figure 1b is this figure restricted to QPipe and DBMS X.
-    """
-    specs = fig12_cells(scale, client_counts, systems)
-    return fig12_merge(specs, _payloads(specs, results))
-
-
-def fig1b_cells(
-    scale: Scale = SMOKE,
-    client_counts: Sequence[int] = tuple(range(1, 13)),
-) -> List[CellSpec]:
-    return fig12_cells(scale, client_counts, ("qpipe", "dbmsx"))
-
-
-def fig1b_throughput(
-    scale: Scale = SMOKE,
-    client_counts: Sequence[int] = tuple(range(1, 13)),
-    results: Optional[Payloads] = None,
-) -> Series:
-    """Figure 1b: the introduction's QPipe-vs-DBMS X throughput curve."""
-    specs = fig1b_cells(scale, client_counts)
-    series = fig12_merge(specs, _payloads(specs, results))
-    series.title = "Figure 1b: TPC-H throughput, QPipe vs DBMS X"
-    return series
 
 
 # ---------------------------------------------------------------------------
@@ -603,49 +469,6 @@ def fig13_cell(spec: CellSpec) -> float:
     return round(metrics.avg_response_time, 1)
 
 
-def fig13_cells(
-    scale: Scale = SMOKE,
-    think_times: Sequence[float] = (0, 20, 40, 60, 240),
-    clients: int = 10,
-) -> List[CellSpec]:
-    return [
-        CellSpec(
-            "fig13", fn_key(fig13_cell), scale,
-            coords(system=system, think=think, clients=clients),
-            seeds=(("workload_seed", scale.seed),),
-        )
-        for system in ("baseline", "qpipe")
-        for think in think_times
-    ]
-
-
-def fig13_merge(specs: Sequence[CellSpec], payloads: Payloads) -> Series:
-    clients = specs[0].coord["clients"] if specs else 10
-    series = Series(
-        title=f"Figure 13: average response time vs think time "
-        f"({clients} clients)",
-        x_label="think time (s)",
-        y_label="average response time (s)",
-    )
-    for spec in specs:
-        c = spec.coord
-        label = "QPipe w/OSP" if c["system"] == "qpipe" else "Baseline"
-        series.add_point(label, c["think"], payloads[spec])
-    return series
-
-
-def fig13_think_time(
-    scale: Scale = SMOKE,
-    think_times: Sequence[float] = (0, 20, 40, 60, 240),
-    clients: int = 10,
-    results: Optional[Payloads] = None,
-) -> Series:
-    """Average response time of the TPC-H mix under varying think time
-    (low think time = high load), QPipe w/OSP vs Baseline."""
-    specs = fig13_cells(scale, think_times, clients)
-    return fig13_merge(specs, _payloads(specs, results))
-
-
 # ---------------------------------------------------------------------------
 # Section 5 claim: negligible OSP coordinator overhead
 # ---------------------------------------------------------------------------
@@ -663,21 +486,8 @@ def osp_overhead_cell(spec: CellSpec) -> float:
     return metrics.makespan
 
 
-def osp_overhead_cells(scale: Scale = SMOKE, queries: int = 6) -> List[CellSpec]:
-    return [
-        CellSpec(
-            "overhead", fn_key(osp_overhead_cell), scale,
-            coords(system=system, queries=queries),
-            seeds=(("workload_seed", scale.seed),),
-        )
-        for system in ("qpipe", "baseline")
-    ]
-
-
-def osp_overhead_merge(
-    specs: Sequence[CellSpec], payloads: Payloads
-) -> Dict[str, float]:
-    by_system = {spec.coord["system"]: payloads[spec] for spec in specs}
+def _overhead(specs: Sequence[CellSpec], payloads: Payloads) -> Dict[str, float]:
+    by_system = _keyed("system")(specs, payloads)
     with_osp = by_system["qpipe"]
     without = by_system["baseline"]
     return {
@@ -687,17 +497,13 @@ def osp_overhead_merge(
     }
 
 
-def osp_overhead(
-    scale: Scale = SMOKE, queries: int = 6,
-    results: Optional[Payloads] = None,
-) -> Dict[str, float]:
-    """Back-to-back (zero-concurrency) mixed queries with OSP on vs off.
-
-    With no sharing opportunities the two runs must take essentially the
-    same time; the paper reports the overhead as negligible.
-    """
-    specs = osp_overhead_cells(scale, queries)
-    return osp_overhead_merge(specs, _payloads(specs, results))
+def _render_overhead(result: Dict[str, float]) -> str:
+    return (
+        "OSP coordinator overhead (no sharing opportunities):\n"
+        f"  makespan OSP on : {result['makespan_osp_on']:.1f} s\n"
+        f"  makespan OSP off: {result['makespan_osp_off']:.1f} s\n"
+        f"  ratio           : {result['overhead_ratio']:.4f}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -732,69 +538,22 @@ def ablation_policy_cell(spec: CellSpec) -> int:
     return host.disk.stats.blocks_read
 
 
-def ablation_policies_cells(
-    scale: Scale = SMOKE,
-    policies: Sequence[str] = ("lru", "mru", "clock", "lru-k", "2q", "arc"),
-    clients: int = 4,
-    interarrival: float = 20.0,
-) -> List[CellSpec]:
-    specs = [
-        CellSpec(
-            "ablation-policies", fn_key(ablation_policy_cell), scale,
-            coords(kind="policy", policy=policy, clients=clients,
-                   interarrival=interarrival),
-            seeds=(("CLIENT_SEED_BASE", CLIENT_SEED_BASE),),
-        )
-        for policy in policies
-    ]
-    specs.append(
-        CellSpec(
-            "ablation-policies", fn_key(ablation_policy_cell), scale,
-            coords(kind="reference", policy="lru", clients=clients,
-                   interarrival=interarrival),
-            seeds=(("CLIENT_SEED_BASE", CLIENT_SEED_BASE),),
-        )
-    )
-    return specs
-
-
-def ablation_policies_merge(
-    specs: Sequence[CellSpec], payloads: Payloads
-) -> Series:
+def _policies_series(specs: Sequence[CellSpec], payloads: Payloads) -> Series:
+    """The policy grid as one Baseline curve; the QPipe w/OSP reference
+    run is recorded as a note."""
     grid = [s for s in specs if s.coord["kind"] == "policy"]
-    clients = grid[0].coord["clients"]
-    interarrival = grid[0].coord["interarrival"]
-    series = Series(
-        title="Ablation: buffer replacement policy vs blocks read "
-        f"({clients} Q6 clients, {interarrival:.0f}s apart)",
-        x_label="policy",
-        y_label="total disk blocks read",
-    )
-    for spec in grid:
-        series.add_point("Baseline", spec.coord["policy"], payloads[spec])
+    series = _series(
+        "Ablation: buffer replacement policy vs blocks read "
+        "({clients} Q6 clients, {interarrival:.0f}s apart)",
+        "policy", "total disk blocks read", x="policy",
+        curve=lambda c: "Baseline",
+    )(grid, payloads)
     for spec in specs:
         if spec.coord["kind"] == "reference":
             series.notes.append(
                 f"QPipe w/OSP (lru) reads {payloads[spec]} blocks"
             )
     return series
-
-
-def ablation_replacement_policies(
-    scale: Scale = SMOKE,
-    policies: Sequence[str] = ("lru", "mru", "clock", "lru-k", "2q", "arc"),
-    clients: int = 4,
-    interarrival: float = 20.0,
-    results: Optional[Payloads] = None,
-) -> Series:
-    """Figure 8's Baseline point under every replacement policy: how much
-    of QPipe's sharing can a smarter pool recover on its own?
-
-    Scan pages go through the policy itself here (no scan ring), so the
-    policies' scan handling is what is actually being compared.
-    """
-    specs = ablation_policies_cells(scale, policies, clients, interarrival)
-    return ablation_policies_merge(specs, _payloads(specs, results))
 
 
 @cell
@@ -809,53 +568,6 @@ def ablation_wraparound_cell(spec: CellSpec) -> int:
     delays = [i * c["gap"] for i in range(c["clients"])]
     _run_staggered(host, engine, plans, delays)
     return host.disk.stats.blocks_read
-
-
-def ablation_wraparound_cells(
-    scale: Scale = SMOKE,
-    clients: int = 4,
-    interarrivals: Sequence[float] = (0, 20, 60, 100),
-) -> List[CellSpec]:
-    return [
-        CellSpec(
-            "ablation-wraparound", fn_key(ablation_wraparound_cell), scale,
-            coords(mode=label, wrap=wrap, gap=gap, clients=clients),
-            seeds=(("CLIENT_SEED_BASE", CLIENT_SEED_BASE),),
-        )
-        for label, wrap in (("circular", True), ("attach-at-start", False))
-        for gap in interarrivals
-    ]
-
-
-def ablation_wraparound_merge(
-    specs: Sequence[CellSpec], payloads: Payloads
-) -> Series:
-    series = Series(
-        title="Ablation: circular wrap-around vs naive scan sharing",
-        x_label="interarrival (s)",
-        y_label="total disk blocks read",
-    )
-    for spec in specs:
-        c = spec.coord
-        series.add_point(c["mode"], c["gap"], payloads[spec])
-    return series
-
-
-def ablation_circular_wraparound(
-    scale: Scale = SMOKE,
-    clients: int = 4,
-    interarrivals: Sequence[float] = (0, 20, 60, 100),
-    results: Optional[Payloads] = None,
-) -> Series:
-    """What wrap-around adds over naive attach-at-start scan sharing.
-
-    "When the scanner thread reaches the end-of-file for the first time,
-    it will keep scanning the relation from the beginning, to serve the
-    unread pages" (section 4.3.1).  Without the wrap, a late scan can
-    share only if it happens to arrive while the scanner sits at page 0.
-    """
-    specs = ablation_wraparound_cells(scale, clients, interarrivals)
-    return ablation_wraparound_merge(specs, _payloads(specs, results))
 
 
 @cell
@@ -877,21 +589,7 @@ def ablation_late_activation_cell(spec: CellSpec) -> Dict[str, float]:
     }
 
 
-def ablation_late_activation_cells(
-    scale: Scale = SMOKE, clients: int = 4
-) -> List[CellSpec]:
-    return [
-        CellSpec(
-            "ablation-late-activation",
-            fn_key(ablation_late_activation_cell), scale,
-            coords(label=label, late=late, clients=clients),
-            seeds=(("SHARED_PARAM_SEED", SHARED_PARAM_SEED),),
-        )
-        for label, late in (("on", True), ("off", False))
-    ]
-
-
-def ablation_late_activation_merge(
+def _late_activation_series(
     specs: Sequence[CellSpec], payloads: Payloads
 ) -> Series:
     series = Series(
@@ -908,22 +606,6 @@ def ablation_late_activation_merge(
     return series
 
 
-def ablation_late_activation(
-    scale: Scale = SMOKE,
-    clients: int = 4,
-    results: Optional[Payloads] = None,
-) -> Series:
-    """Section 4.3.1's late activation policy, on vs off.
-
-    Without it, probe-side scans attach to the shared scanner before
-    their joins are ready to consume; the filled buffers stall the
-    scanner (until detach-on-stall cuts them loose), costing extra time
-    and I/O for everyone.
-    """
-    specs = ablation_late_activation_cells(scale, clients)
-    return ablation_late_activation_merge(specs, _payloads(specs, results))
-
-
 @cell
 def ablation_replay_cell(spec: CellSpec) -> int:
     """Hash-join attaches at one fan-out replay ring size."""
@@ -938,46 +620,6 @@ def ablation_replay_cell(spec: CellSpec) -> int:
     ]
     _run_staggered(host, engine, plans, [0.0, c["interarrival"]])
     return engine.osp_stats.attaches["hashjoin"]
-
-
-def ablation_replay_cells(
-    scale: Scale = SMOKE,
-    ring_sizes: Sequence[int] = (16, 256, 4096, 65536),
-    interarrival: float = 40.0,
-) -> List[CellSpec]:
-    return [
-        CellSpec(
-            "ablation-replay", fn_key(ablation_replay_cell), scale,
-            coords(ring=size, interarrival=interarrival),
-            seeds=(("SHARED_PARAM_SEED", SHARED_PARAM_SEED),),
-        )
-        for size in ring_sizes
-    ]
-
-
-def ablation_replay_merge(
-    specs: Sequence[CellSpec], payloads: Payloads
-) -> Series:
-    series = Series(
-        title="Ablation: fan-out replay ring size vs join sharing",
-        x_label="replay ring (tuples)",
-        y_label="hash-join attaches",
-    )
-    for spec in specs:
-        series.add_point("attaches", spec.coord["ring"], payloads[spec])
-    return series
-
-
-def ablation_replay_ring(
-    scale: Scale = SMOKE,
-    ring_sizes: Sequence[int] = (16, 256, 4096, 65536),
-    interarrival: float = 40.0,
-    results: Optional[Payloads] = None,
-) -> Series:
-    """The Figure 4b buffering enhancement: a larger fan-out replay ring
-    widens the hash-join step window, so later arrivals still attach."""
-    specs = ablation_replay_cells(scale, ring_sizes, interarrival)
-    return ablation_replay_merge(specs, _payloads(specs, results))
 
 
 # ---------------------------------------------------------------------------
@@ -1043,22 +685,6 @@ def substitute_engine(
         return list(specs)
     return [
         _with_engine(s, backend) if _engine_invariant(s) else s
-        for s in specs
-    ]
-
-
-def force_engine(specs: Sequence[CellSpec], backend: str) -> List[CellSpec]:
-    """Rewrite *every* engine-aware slot of *specs* to run on *backend*.
-
-    For wall-clock benchmarking (``repro.bench``'s ``*_pushed`` macros),
-    where the point is to time the backend on the full grid and figure
-    fidelity is out of scope.  Slots whose cell function ignores the
-    engine coordinate are left alone rather than silently mislabelled.
-    """
-    if backend == "packets":
-        return list(specs)
-    return [
-        _with_engine(s, backend) if s.fn in _ENGINE_AWARE_FNS else s
         for s in specs
     ]
 
@@ -1145,27 +771,7 @@ def fold_cell(spec: CellSpec) -> Dict[str, Any]:
     }
 
 
-def fold_cells(
-    scale: Scale = SMOKE,
-    counts: Sequence[int] = (4, 6),
-    similarities: Sequence[float] = (0.0, 0.5, 1.0),
-    stagger: float = FOLD_STAGGER,
-) -> List[CellSpec]:
-    return [
-        CellSpec(
-            "fold",
-            fn_key(fold_cell), scale,
-            coords(count=count, similarity=sim, stagger=stagger,
-                   folded=folded),
-            seeds=(("FOLD_QUERY_SEED", FOLD_QUERY_SEED),),
-        )
-        for count in counts
-        for sim in similarities
-        for folded in (False, True)
-    ]
-
-
-def fold_merge(
+def _fold_reduce(
     specs: Sequence[CellSpec], payloads: Payloads
 ) -> Tuple[Series, Series, List[str]]:
     """(throughput series, sharing-metrics table, invariance lines)."""
@@ -1214,8 +820,8 @@ def fold_merge(
     return series, sharing, lines
 
 
-def _render_fold(specs, payloads) -> str:
-    series, sharing, lines = fold_merge(specs, payloads)
+def _render_fold(value: Tuple[Series, Series, List[str]]) -> str:
+    series, sharing, lines = value
     return "\n\n".join(
         [
             series.render(),
@@ -1224,17 +830,6 @@ def _render_fold(specs, payloads) -> str:
             + "\n".join(lines),
         ]
     )
-
-
-def fold_sharing(
-    scale: Scale = SMOKE,
-    counts: Sequence[int] = (4, 6),
-    similarities: Sequence[float] = (0.0, 0.5, 1.0),
-    results: Optional[Payloads] = None,
-) -> Tuple[Series, Series, List[str]]:
-    """The fold experiment, serial in-process (tests and repro.bench)."""
-    specs = fold_cells(scale, counts, similarities)
-    return fold_merge(specs, _payloads(specs, results))
 
 
 # ---------------------------------------------------------------------------
@@ -1367,22 +962,7 @@ def scaleout_cell(spec: CellSpec) -> Dict:
     }
 
 
-def scaleout_cells(
-    scale: Scale = SMOKE,
-    host_counts: Sequence[int] = SCALEOUT_HOSTS,
-    workloads: Sequence[str] = ("scan", "join"),
-) -> List[CellSpec]:
-    return [
-        CellSpec(
-            "scaleout", fn_key(scaleout_cell), scale,
-            coords(hosts=hosts, workload=workload, system="qpipe"),
-        )
-        for workload in workloads
-        for hosts in host_counts
-    ]
-
-
-def scaleout_merge(
+def _scaleout_reduce(
     specs: Sequence[CellSpec], payloads: Payloads
 ) -> Tuple[Dict[str, Series], List[str]]:
     """Per-workload speedup series plus the CI verdict lines.
@@ -1450,93 +1030,11 @@ def scaleout_merge(
     return series, verdicts
 
 
-def _render_scaleout(specs, payloads) -> str:
-    series, verdicts = scaleout_merge(specs, payloads)
+def _render_scaleout(value: Tuple[Dict[str, Series], List[str]]) -> str:
+    series, verdicts = value
     blocks = [series[w].render() for w in sorted(series)]
     blocks.append("\n".join(verdicts))
     return "\n\n".join(blocks)
-
-
-def scaleout(
-    scale: Scale = SMOKE,
-    host_counts: Sequence[int] = SCALEOUT_HOSTS,
-    workloads: Sequence[str] = ("scan", "join"),
-    results: Optional[Payloads] = None,
-) -> Tuple[Dict[str, Series], List[str]]:
-    """The scale-out experiment, serial in-process (tests, repro.bench)."""
-    specs = scaleout_cells(scale, host_counts, workloads)
-    return scaleout_merge(specs, _payloads(specs, results))
-
-
-# ---------------------------------------------------------------------------
-# The figure catalogue the CLI runs (cells + render, per figure)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class Figure:
-    """One CLI figure: a declarative cell list plus a render step."""
-
-    name: str
-    cells: Callable[[Scale], List[CellSpec]]
-    render: Callable[[Sequence[CellSpec], Payloads], str]
-
-
-def _render_fig1a(specs, payloads) -> str:
-    _rows, rendered = fig1a_merge(specs, payloads)
-    return rendered
-
-
-def _render_fig1b(specs, payloads) -> str:
-    series = fig12_merge(specs, payloads)
-    series.title = "Figure 1b: TPC-H throughput, QPipe vs DBMS X"
-    return series.render()
-
-
-def _render_fig8(specs, payloads) -> str:
-    out = fig8_merge(specs, payloads)
-    return "\n\n".join(out[n].render() for n in sorted(out))
-
-
-def _render_overhead(specs, payloads) -> str:
-    result = osp_overhead_merge(specs, payloads)
-    return (
-        "OSP coordinator overhead (no sharing opportunities):\n"
-        f"  makespan OSP on : {result['makespan_osp_on']:.1f} s\n"
-        f"  makespan OSP off: {result['makespan_osp_off']:.1f} s\n"
-        f"  ratio           : {result['overhead_ratio']:.4f}"
-    )
-
-
-FIGURES: Dict[str, Figure] = {
-    fig.name: fig
-    for fig in (
-        Figure("fig1a", fig1a_cells, _render_fig1a),
-        Figure("fig1b", fig1b_cells, _render_fig1b),
-        Figure("fig4", fig4_cells,
-               lambda s, p: fig4_merge(s, p).render()),
-        Figure("fig8", fig8_cells, _render_fig8),
-        Figure("fig9", fig9_cells,
-               lambda s, p: _two_query_merge(FIG9_TITLE, s, p).render()),
-        Figure("fig10", fig10_cells,
-               lambda s, p: _two_query_merge(FIG10_TITLE, s, p).render()),
-        Figure("fig11", fig11_cells,
-               lambda s, p: _two_query_merge(FIG11_TITLE, s, p).render()),
-        Figure("fig12", fig12_cells,
-               lambda s, p: fig12_merge(s, p).render()),
-        Figure("fig13", fig13_cells,
-               lambda s, p: fig13_merge(s, p).render()),
-        Figure("overhead", osp_overhead_cells, _render_overhead),
-        Figure("fold", fold_cells, _render_fold),
-        Figure("ablation-policies", ablation_policies_cells,
-               lambda s, p: ablation_policies_merge(s, p).render()),
-        Figure("ablation-replay", ablation_replay_cells,
-               lambda s, p: ablation_replay_merge(s, p).render()),
-        Figure("ablation-wraparound", ablation_wraparound_cells,
-               lambda s, p: ablation_wraparound_merge(s, p).render()),
-        Figure("ablation-late-activation", ablation_late_activation_cells,
-               lambda s, p: ablation_late_activation_merge(s, p).render()),
-        Figure("scaleout", scaleout_cells, _render_scaleout),
-    )
-}
 
 
 # ---------------------------------------------------------------------------
@@ -1942,32 +1440,13 @@ def recovery_cell(spec: CellSpec) -> Dict[str, Any]:
     }
 
 
-def recovery_cells(
-    scale: Scale = SMOKE, fault_seed: int = 1
-) -> List[CellSpec]:
-    return [
-        CellSpec(
-            "recovery", fn_key(recovery_cell), scale,
-            coords(scenario=scenario, fault_seed=fault_seed),
-        )
-        for scenario in RECOVERY_SCENARIOS
-    ]
-
-
-def recovery_merge(
-    specs: Sequence[CellSpec], payloads: Payloads
-) -> Dict[str, Dict[str, Any]]:
-    return {spec.coord["scenario"]: payloads[spec] for spec in specs}
-
-
-def recovery(
-    scale: Scale = SMOKE,
-    fault_seed: int = 1,
-    results: Optional[Payloads] = None,
-) -> Dict[str, Dict[str, Any]]:
-    """Run every recovery scenario; returns ``{scenario: payload}``."""
-    specs = recovery_cells(scale, fault_seed)
-    return recovery_merge(specs, _payloads(specs, results))
+def recovery_failed(result: Dict[str, Dict[str, Any]]) -> bool:
+    """True unless every scenario recovered exact rows with no violation
+    (the CLI's exit code)."""
+    return not all(
+        p["outcome"] == "ok" and p["byte_identical"] and not p["violations"]
+        for p in result.values()
+    )
 
 
 def render_recovery(result: Dict[str, Dict[str, Any]]) -> str:
@@ -1978,7 +1457,6 @@ def render_recovery(result: Dict[str, Dict[str, Any]]) -> str:
     )
     lines.append(header)
     total_saved = 0
-    clean = True
     for scenario, p in result.items():
         rows = "exact" if p["byte_identical"] else "WRONG"
         saved = p["pages_saved"]
@@ -1988,16 +1466,227 @@ def render_recovery(result: Dict[str, Dict[str, Any]]) -> str:
             f"{saved:>5}/{p['pages_total']:<5} {p['recoveries']:>7} "
             f"{p['clean_restarts']:>8}"
         )
-        if p["violations"] or not p["byte_identical"] or p["outcome"] != "ok":
-            clean = False
-            for violation in p["violations"]:
-                lines.append(f"    VIOLATION: {violation}")
+        for violation in p["violations"]:
+            lines.append(f"    VIOLATION: {violation}")
     lines.append(
         f"  total rescanning saved: {total_saved} pages across "
         f"{len(result)} crash scenarios"
     )
     lines.append(
-        "  all scenarios clean" if clean
-        else "  SOME SCENARIOS FAILED (see above)"
+        "  SOME SCENARIOS FAILED (see above)" if recovery_failed(result)
+        else "  all scenarios clean"
     )
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The figure table: every cell-based experiment, declared once
+# ---------------------------------------------------------------------------
+_CLIENT_SEED = (("CLIENT_SEED_BASE", CLIENT_SEED_BASE),)
+_SHARED_SEED = (("SHARED_PARAM_SEED", SHARED_PARAM_SEED),)
+_TWO_SYSTEMS = ("baseline", "qpipe")
+_CLIENT_COUNTS = tuple(range(1, 13))
+_INTERARRIVAL = ("interarrival (s)", "total response time (s)")
+_THROUGHPUT = ("clients", "throughput (queries/hour)")
+
+
+def _mix_seed(scale: Scale, point: Mapping[str, Any]):
+    return (("workload_seed", scale.seed + point["count"]),)
+
+
+def _scale_seed(scale: Scale, point: Mapping[str, Any]):
+    return (("workload_seed", scale.seed),)
+
+
+FIGURES: Dict[str, Figure] = {
+    fig.name: fig
+    for fig in (
+        # Fraction of disk-read time per table for Q8, Q12, Q13, Q14, Q19.
+        # Reproduces Figure 1a's observation: despite disjoint computation,
+        # the queries overlap heavily on LINEITEM/ORDERS/PART reads.
+        Figure(
+            "fig1a", fig1a_cell, {"query": FIG1A_QUERIES},
+            reduce=_keyed("query"),
+            render=lambda rows: render_breakdown(
+                "Figure 1a: per-table share of disk read time",
+                rows, list(FIG1A_TRACKED) + ["other"],
+            ),
+            seeds=(("FIG_QUERY_SEED", FIG_QUERY_SEED),),
+        ),
+        # Figure 1b, the introduction's QPipe-vs-DBMS X throughput curve,
+        # is fig12's cells restricted to two systems: its specs carry the
+        # owning figure id "fig12" so the two share cache entries.
+        Figure(
+            "fig1b", fig12_cell,
+            {"system": ("qpipe", "dbmsx"), "count": _CLIENT_COUNTS},
+            reduce=_series(
+                "Figure 1b: TPC-H throughput, QPipe vs DBMS X",
+                *_THROUGHPUT, x="count",
+            ),
+            seeds=_mix_seed, figure="fig12",
+        ),
+        # Measured Q2 I/O savings vs Q1 progress, one curve per overlap
+        # class (linear / step / full / spike), mirroring Figure 4a.
+        Figure(
+            "fig4", fig4_cell, {"klass": tuple(FIG4_CLASSES)},
+            reduce=_series(
+                "Figure 4 (measured): Q2 cost saving vs Q1 progress",
+                "Q1 progress", "fraction of Q2's disk blocks eliminated",
+                x=None, curve=lambda c: c["klass"],
+            ),
+            fixed={"progress_points": FIG4_POINTS},
+            regime=_limited_buffers,
+        ),
+        # Total disk blocks read by N staggered Q6 clients, Baseline vs
+        # QPipe w/OSP.
+        Figure(
+            "fig8", fig8_cell,
+            {"count": (2, 4, 8), "system": _TWO_SYSTEMS,
+             "gap": FIG8_INTERARRIVALS},
+            reduce=_fig8_series,
+            render=lambda out: "\n\n".join(
+                out[n].render() for n in sorted(out)
+            ),
+            seeds=_CLIENT_SEED,
+        ),
+        Figure(
+            "fig9", fig9_cell,
+            {"system": _TWO_SYSTEMS, "gap": INTERARRIVALS},
+            reduce=_series(
+                "Figure 9: order-sensitive clustered index scans "
+                "(Q4, merge-join)", *_INTERARRIVAL, x="gap",
+            ),
+            seeds=_SHARED_SEED, regime=_limited_buffers,
+        ),
+        Figure(
+            "fig10", fig10_cell,
+            {"system": _TWO_SYSTEMS, "gap": INTERARRIVALS},
+            reduce=_series(
+                "Figure 10: Wisconsin 3-way sort-merge join sharing",
+                *_INTERARRIVAL, x="gap",
+            ),
+            seeds=_SHARED_SEED, regime=_limited_buffers,
+        ),
+        Figure(
+            "fig11", fig11_cell,
+            {"system": _TWO_SYSTEMS, "gap": INTERARRIVALS},
+            reduce=_series(
+                "Figure 11: hash-join build sharing (Q4, hash-join)",
+                *_INTERARRIVAL, x="gap",
+            ),
+            seeds=_SHARED_SEED, regime=_limited_buffers,
+        ),
+        # TPC-H mix throughput (queries/hour), zero think time.
+        Figure(
+            "fig12", fig12_cell,
+            {"system": FIG12_SYSTEMS, "count": _CLIENT_COUNTS},
+            reduce=_series(
+                "Figure 12: TPC-H throughput vs concurrent clients",
+                *_THROUGHPUT, x="count",
+            ),
+            seeds=_mix_seed,
+        ),
+        # Average response time of the TPC-H mix under varying think time
+        # (low think time = high load), QPipe w/OSP vs Baseline.
+        Figure(
+            "fig13", fig13_cell,
+            {"system": _TWO_SYSTEMS, "think": (0, 20, 40, 60, 240)},
+            reduce=_series(
+                "Figure 13: average response time vs think time "
+                "({clients} clients)",
+                "think time (s)", "average response time (s)", x="think",
+            ),
+            fixed={"clients": 10},
+            seeds=_scale_seed,
+        ),
+        # Back-to-back (zero-concurrency) mixed queries with OSP on vs
+        # off.  With no sharing opportunities the two runs must take
+        # essentially the same time; the paper reports the overhead as
+        # negligible.
+        Figure(
+            "overhead", osp_overhead_cell, {"system": ("qpipe", "baseline")},
+            reduce=_overhead, render=_render_overhead,
+            fixed={"queries": 6},
+            seeds=_scale_seed,
+        ),
+        Figure(
+            "fold", fold_cell,
+            {"count": (4, 6), "similarity": (0.0, 0.5, 1.0),
+             "folded": (False, True)},
+            reduce=_fold_reduce, render=_render_fold,
+            fixed={"stagger": FOLD_STAGGER},
+            seeds=(("FOLD_QUERY_SEED", FOLD_QUERY_SEED),),
+        ),
+        # Figure 8's Baseline point under every replacement policy: how
+        # much of QPipe's sharing can a smarter pool recover on its own?
+        # Scan pages go through the policy itself here (no scan ring), so
+        # the policies' scan handling is what is actually being compared.
+        Figure(
+            "ablation-policies", ablation_policy_cell,
+            {"policy": ("lru", "mru", "clock", "lru-k", "2q", "arc")},
+            reduce=_policies_series,
+            fixed={"kind": "policy", "clients": 4, "interarrival": 20.0},
+            also=({"kind": "reference", "policy": "lru"},),
+            seeds=_CLIENT_SEED,
+        ),
+        # The Figure 4b buffering enhancement: a larger fan-out replay
+        # ring widens the hash-join step window, so later arrivals still
+        # attach.
+        Figure(
+            "ablation-replay", ablation_replay_cell,
+            {"ring": (16, 256, 4096, 65536)},
+            reduce=_series(
+                "Ablation: fan-out replay ring size vs join sharing",
+                "replay ring (tuples)", "hash-join attaches", x="ring",
+                curve=lambda c: "attaches",
+            ),
+            fixed={"interarrival": 40.0},
+            seeds=_SHARED_SEED,
+        ),
+        # What wrap-around adds over naive attach-at-start scan sharing.
+        # "When the scanner thread reaches the end-of-file for the first
+        # time, it will keep scanning the relation from the beginning, to
+        # serve the unread pages" (section 4.3.1).  Without the wrap, a
+        # late scan can share only if it happens to arrive while the
+        # scanner sits at page 0.
+        Figure(
+            "ablation-wraparound", ablation_wraparound_cell,
+            {"mode": ({"mode": "circular", "wrap": True},
+                      {"mode": "attach-at-start", "wrap": False}),
+             "gap": (0, 20, 60, 100)},
+            reduce=_series(
+                "Ablation: circular wrap-around vs naive scan sharing",
+                "interarrival (s)", "total disk blocks read", x="gap",
+                curve=lambda c: c["mode"],
+            ),
+            fixed={"clients": 4},
+            seeds=_CLIENT_SEED,
+        ),
+        # Section 4.3.1's late activation policy, on vs off.  Without it,
+        # probe-side scans attach to the shared scanner before their joins
+        # are ready to consume; the filled buffers stall the scanner (until
+        # detach-on-stall cuts them loose), costing extra time and I/O for
+        # everyone.
+        Figure(
+            "ablation-late-activation", ablation_late_activation_cell,
+            {"label": ({"label": "on", "late": True},
+                       {"label": "off", "late": False})},
+            reduce=_late_activation_series,
+            fixed={"clients": 4},
+            seeds=_SHARED_SEED,
+        ),
+        Figure(
+            "scaleout", scaleout_cell,
+            {"workload": ("scan", "join"), "hosts": SCALEOUT_HOSTS},
+            reduce=_scaleout_reduce, render=_render_scaleout,
+            fixed={"system": "qpipe"},
+        ),
+        # One cell per crash scenario; ``fault_seed`` places the crash.
+        Figure(
+            "recovery", recovery_cell, {"scenario": RECOVERY_SCENARIOS},
+            reduce=_keyed("scenario"), render=render_recovery,
+            fixed={"fault_seed": 1},
+            failed=recovery_failed,
+        ),
+    )
+}

@@ -165,7 +165,7 @@ def run_cells_serial(
 ) -> Dict[CellSpec, Any]:
     """Execute cells in-process, in order; returns ``{spec: payload}``.
 
-    The zero-dependency path the public ``figN_*`` wrappers use; the
+    The zero-dependency path ``Figure.run`` takes without a runner; the
     parallel path must produce byte-identical merges.
     """
     return {spec: execute_cell(spec, trace=trace).payload for spec in specs}

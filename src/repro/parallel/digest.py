@@ -1,7 +1,7 @@
 """Relevant-source digests via the simlint import graph.
 
 The cell cache must invalidate when *engine code* changes but survive
-edits to unrelated subsystems (``repro.lint``, ``repro.bench``, docs).
+edits to unrelated subsystems (``repro.lint``, ``perf/``, docs).
 "Relevant" is defined statically: the transitive closure of module
 imports reachable from the cell function's module, computed from the
 same parsed-module model simlint uses (:mod:`repro.lint`).  The digest

@@ -131,7 +131,7 @@ class PoolRunner:
             # Real process pools gain nothing from more workers than
             # cores; on a 1-core machine ``--jobs 4`` used to pay four
             # spawn-context interpreter startups for strictly serial
-            # execution (the macro.fig12_smoke_par4 regression).  Clamp
+            # execution (a pooled fig12 sweep ran slower than serial).  Clamp
             # to the machine -- payloads are placement-independent, so
             # this only changes wall-clock.  Injected executor factories
             # are test fakes scripting crash scenarios: they need the

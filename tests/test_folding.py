@@ -121,10 +121,10 @@ def test_fold_trace_invariants_clean():
 # Acceptance: >=25% folded throughput gain at >=4 similar queries
 # ---------------------------------------------------------------------------
 def test_fold_gain_and_invariance_at_smoke_scale():
-    from repro.harness.experiments import fold_sharing
+    from repro.harness import FIGURES
 
-    series, sharing, lines = fold_sharing(
-        SMOKE, counts=(4, 6), similarities=(1.0,)
+    series, sharing, lines = FIGURES["fold"].run(
+        SMOKE, count=(4, 6), similarity=(1.0,)
     )
     gains = series.curve("gain (%)")
     assert all(gain >= 25.0 for gain in gains), gains

@@ -1,6 +1,6 @@
 """Harness integration tests: every figure's qualitative shape must hold.
 
-These run the real experiment functions at reduced sweep resolution and
+These run the real figure-table entries at reduced sweep resolution and
 assert the *paper's conclusions*, not absolute numbers:
 
 * fig1a -- the five queries overlap heavily on LINEITEM/ORDERS/PART;
@@ -14,27 +14,15 @@ assert the *paper's conclusions*, not absolute numbers:
 
 import pytest
 
-from repro.harness import (
-    SMOKE,
-    fig1a_breakdown,
-    fig4_wop,
-    fig8_scan_sharing,
-    fig9_ordered_scans,
-    fig10_sort_merge,
-    fig11_hash_join,
-    fig12_throughput,
-    fig13_think_time,
-    osp_overhead,
-    ablation_replacement_policies,
-    ablation_replay_ring,
-)
+from repro.harness import FIGURES, SMOKE
 from repro.harness.config import build_tpch_system, with_overrides
 
 GAPS = (0, 20, 60, 100)
 
 
 def test_fig1a_queries_overlap_on_big_tables():
-    rows, rendered = fig1a_breakdown(SMOKE)
+    rows = FIGURES["fig1a"].run(SMOKE)
+    rendered = FIGURES["fig1a"].render(rows)
     assert set(rows) == {"Q8", "Q12", "Q13", "Q14", "Q19"}
     # Each query spends most of its read time on the three big tables.
     for query, fractions in rows.items():
@@ -47,7 +35,7 @@ def test_fig1a_queries_overlap_on_big_tables():
 
 
 def test_fig4_overlap_classes():
-    series = fig4_wop(SMOKE, progress_points=(0.0, 0.5, 0.95))
+    series = FIGURES["fig4"].run(SMOKE, progress_points=(0.0, 0.5, 0.95))
     linear = series.curve("linear(scan)")
     full = series.curve("full(aggregate)")
     step = series.curve("step(hash-join)")
@@ -66,7 +54,7 @@ def test_fig4_overlap_classes():
 
 
 def test_fig8_qpipe_saves_io():
-    out = fig8_scan_sharing(SMOKE, client_counts=(4,), interarrivals=GAPS)
+    out = FIGURES["fig8"].run(SMOKE, count=(4,), gap=GAPS)
     series = out[4]
     baseline = series.curve("Baseline")
     qpipe = series.curve("QPipe w/OSP")
@@ -80,7 +68,7 @@ def test_fig8_qpipe_saves_io():
 
 
 def test_fig9_ordered_scan_sharing():
-    series = fig9_ordered_scans(SMOKE, interarrivals=GAPS)
+    series = FIGURES["fig9"].run(SMOKE, gap=GAPS)
     baseline = series.curve("Baseline")
     qpipe = series.curve("QPipe w/OSP")
     assert all(q <= b + 1e-6 for q, b in zip(qpipe, baseline))
@@ -90,7 +78,7 @@ def test_fig9_ordered_scan_sharing():
 
 
 def test_fig10_sort_merge_sharing():
-    series = fig10_sort_merge(SMOKE, interarrivals=GAPS)
+    series = FIGURES["fig10"].run(SMOKE, gap=GAPS)
     baseline = series.curve("Baseline")
     qpipe = series.curve("QPipe w/OSP")
     assert all(q <= b + 1e-6 for q, b in zip(qpipe, baseline))
@@ -99,9 +87,7 @@ def test_fig10_sort_merge_sharing():
 
 
 def test_fig11_hash_join_two_regimes():
-    series = fig11_hash_join(
-        SMOKE, interarrivals=(0, 20, 60, 100, 140)
-    )
+    series = FIGURES["fig11"].run(SMOKE, gap=(0, 20, 60, 100, 140))
     qpipe = series.curve("QPipe w/OSP")
     baseline = series.curve("Baseline")
     assert all(q <= b + 1e-6 for q, b in zip(qpipe, baseline))
@@ -112,7 +98,7 @@ def test_fig11_hash_join_two_regimes():
 
 
 def test_fig12_throughput_ordering():
-    series = fig12_throughput(SMOKE, client_counts=(1, 8))
+    series = FIGURES["fig12"].run(SMOKE, count=(1, 8))
     qpipe = series.curve("QPipe w/OSP")
     baseline = series.curve("Baseline")
     dbmsx = series.curve("DBMS X")
@@ -125,7 +111,7 @@ def test_fig12_throughput_ordering():
 
 
 def test_fig13_response_time_under_load():
-    series = fig13_think_time(SMOKE, think_times=(0, 240), clients=6)
+    series = FIGURES["fig13"].run(SMOKE, think=(0, 240), clients=6)
     qpipe = series.curve("QPipe w/OSP")
     baseline = series.curve("Baseline")
     # QPipe keeps response times low at high load (think time 0).
@@ -135,13 +121,13 @@ def test_fig13_response_time_under_load():
 
 
 def test_osp_overhead_negligible():
-    result = osp_overhead(SMOKE, queries=4)
+    result = FIGURES["overhead"].run(SMOKE, queries=4)
     assert result["overhead_ratio"] == pytest.approx(1.0, abs=0.05)
 
 
 def test_ablation_replacement_policies_runs():
-    series = ablation_replacement_policies(
-        SMOKE, policies=("lru", "arc"), clients=2, interarrival=20.0
+    series = FIGURES["ablation-policies"].run(
+        SMOKE, policy=("lru", "arc"), clients=2, interarrival=20.0
     )
     values = series.curve("Baseline")
     assert len(values) == 2 and all(v > 0 for v in values)
@@ -149,8 +135,8 @@ def test_ablation_replacement_policies_runs():
 
 
 def test_ablation_replay_ring_widens_window():
-    series = ablation_replay_ring(
-        SMOKE, ring_sizes=(16, 4096), interarrival=40.0
+    series = FIGURES["ablation-replay"].run(
+        SMOKE, ring=(16, 4096), interarrival=40.0
     )
     attaches = series.curve("attaches")
     # A big ring must admit at least as many satellites as a tiny one.
@@ -158,22 +144,20 @@ def test_ablation_replay_ring_widens_window():
 
 
 def test_series_rendering_is_stable():
-    series = fig8_scan_sharing(SMOKE, client_counts=(2,), interarrivals=(0, 20))[2]
+    series = FIGURES["fig8"].run(SMOKE, count=(2,), gap=(0, 20))[2]
     text = series.render()
     assert "interarrival" in text and "QPipe w/OSP" in text
 
 
 def test_experiments_are_deterministic():
-    a = fig8_scan_sharing(SMOKE, client_counts=(2,), interarrivals=(0, 20))
-    b = fig8_scan_sharing(SMOKE, client_counts=(2,), interarrivals=(0, 20))
+    a = FIGURES["fig8"].run(SMOKE, count=(2,), gap=(0, 20))
+    b = FIGURES["fig8"].run(SMOKE, count=(2,), gap=(0, 20))
     assert a[2].curves == b[2].curves
 
 
 def test_ablation_circular_wraparound_shape():
-    from repro.harness import ablation_circular_wraparound
-
-    series = ablation_circular_wraparound(
-        SMOKE, clients=2, interarrivals=(0, 20)
+    series = FIGURES["ablation-wraparound"].run(
+        SMOKE, clients=2, gap=(0, 20)
     )
     circular = series.curve("circular")
     naive = series.curve("attach-at-start")
@@ -181,9 +165,7 @@ def test_ablation_circular_wraparound_shape():
 
 
 def test_ablation_late_activation_helps():
-    from repro.harness import ablation_late_activation
-
-    series = ablation_late_activation(SMOKE, clients=4)
+    series = FIGURES["ablation-late-activation"].run(SMOKE, clients=4)
     on = series.curve("late-activation on")
     off = series.curve("late-activation off")
     assert on[0] <= off[0]

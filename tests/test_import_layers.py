@@ -96,7 +96,7 @@ def test_importing_a_configuration_imports_a_configuration():
 
 
 def test_the_figure_registry_still_loads_on_first_use():
-    loaded = loaded_by("from repro.harness import SMOKE, fig8_scan_sharing")
+    loaded = loaded_by("from repro.harness import SMOKE, render_chaos")
     assert "repro.harness.experiments" in loaded
     assert "repro.parallel.cells" in loaded
 
@@ -106,17 +106,17 @@ def test_every_exported_name_resolves_and_is_listed():
     for name in repro.harness.__all__:
         assert getattr(repro.harness, name) is not None
         assert name in listed
-    from repro.harness import FIGURES, experiments, fig8_scan_sharing
+    from repro.harness import FIGURES, experiments, render_chaos
 
-    assert fig8_scan_sharing is experiments.fig8_scan_sharing
+    assert render_chaos is experiments.render_chaos
     assert FIGURES is experiments.FIGURES
 
 
 def test_a_misspelt_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="fig8_scan_sharin"):
-        repro.harness.fig8_scan_sharin
+    with pytest.raises(AttributeError, match="render_chao"):
+        repro.harness.render_chao
     with pytest.raises(ImportError):
-        from repro.harness import fig8_scan_sharin  # noqa: F401
+        from repro.harness import render_chao  # noqa: F401
 
 
 def test_a_cells_source_digest_covers_what_it_covered():

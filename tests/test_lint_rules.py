@@ -544,9 +544,9 @@ def test_channel_fast_path_lints_clean(tmp_path):
 
 
 def test_bench_timing_suppressions_are_honoured(tmp_path):
-    # repro.bench.timing is the one module allowed to read the host
-    # clock; the same idiom in a fixture must lint clean only with the
-    # explicit suppression.
+    # repro.harness.__main__ is the one module allowed to read the host
+    # clock (its "[... wall]" lines); the same idiom in a fixture must
+    # lint clean only with the explicit suppression.
     findings = run_lint(tmp_path, """\
         import time
 

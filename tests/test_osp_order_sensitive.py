@@ -226,3 +226,41 @@ def test_split_join_survives_the_other_input_ending_first():
     assert results[1].rows[0][0] == pytest.approx(
         expected_sum(r_rows, s_rows)
     )
+
+
+def _same_rows(got, want):
+    """Equal row for row: exactly, except that float aggregates may
+    differ by summation order (a shared scan delivers wrapped pages;
+    builtin ``sum`` compensates from Python 3.12)."""
+    assert len(got) == len(want)
+    for g, w in zip(sorted(got), sorted(want)):
+        assert len(g) == len(w)
+        for a, b in zip(g, w):
+            if isinstance(a, float) or isinstance(b, float):
+                assert a == pytest.approx(b, rel=1e-9)
+            else:
+                assert a == b
+
+
+@pytest.mark.parametrize("figure", ["fig9", "fig10", "fig11"])
+def test_a_two_query_figure_never_plots_a_wrong_answer(figure):
+    """At every SMOKE interarrival of Figures 9-11 both queries return,
+    with sharing on, the rows they return with sharing off.  (Figure 9's
+    flat curve once came from runs that skipped the split's second pass
+    and returned wrong sums at gaps 60 / 80 / 100.)"""
+    from repro.harness import FIGURES, SMOKE
+    from repro.harness.experiments import two_query_results
+
+    specs = FIGURES[figure].specs(SMOKE)
+    rows = {
+        (spec.coord["system"], spec.coord["gap"]): [
+            result.rows for result in two_query_results(spec)
+        ]
+        for spec in specs
+    }
+    gaps = FIGURES[figure].axes["gap"]
+    assert set(rows) == {(s, g) for s in ("baseline", "qpipe") for g in gaps}
+    for gap in gaps:
+        for got, want in zip(rows["qpipe", gap], rows["baseline", gap]):
+            assert want, (figure, gap)
+            _same_rows(got, want)

@@ -22,50 +22,49 @@ from repro.parallel.cells import run_cells_serial
 
 #: Reduced grids: same structure as the CLI figures, minutes less work.
 REDUCED = {
-    "fig1a": lambda: E.fig1a_cells(SMOKE),
-    "fig1b": lambda: E.fig1b_cells(SMOKE, client_counts=(1, 2)),
-    "fig4": lambda: E.fig4_cells(SMOKE, progress_points=(0.0, 0.5)),
-    "fig8": lambda: E.fig8_cells(
-        SMOKE, client_counts=(2,), interarrivals=(0, 20)
-    ),
-    "fig9": lambda: E.fig9_cells(SMOKE, interarrivals=(0, 40)),
-    "fig10": lambda: E.fig10_cells(SMOKE, interarrivals=(0, 40)),
-    "fig11": lambda: E.fig11_cells(SMOKE, interarrivals=(0, 40)),
-    "fig12": lambda: E.fig12_cells(SMOKE, client_counts=(1, 2)),
-    "fig13": lambda: E.fig13_cells(
-        SMOKE, think_times=(0, 20), clients=2
-    ),
-    "overhead": lambda: E.osp_overhead_cells(SMOKE, queries=2),
-    "ablation-policies": lambda: E.ablation_policies_cells(
-        SMOKE, policies=("lru", "mru"), clients=2
-    ),
-    "ablation-replay": lambda: E.ablation_replay_cells(
-        SMOKE, ring_sizes=(16, 4096)
-    ),
-    "ablation-wraparound": lambda: E.ablation_wraparound_cells(
-        SMOKE, clients=2, interarrivals=(0, 20)
-    ),
-    "ablation-late-activation": lambda: E.ablation_late_activation_cells(
-        SMOKE, clients=2
-    ),
+    "fig1a": {},
+    "fig1b": {"count": (1, 2)},
+    "fig4": {"progress_points": (0.0, 0.5)},
+    "fig8": {"count": (2,), "gap": (0, 20)},
+    "fig9": {"gap": (0, 40)},
+    "fig10": {"gap": (0, 40)},
+    "fig11": {"gap": (0, 40)},
+    "fig12": {"count": (1, 2)},
+    "fig13": {"think": (0, 20), "clients": 2},
+    "overhead": {"queries": 2},
+    "ablation-policies": {"policy": ("lru", "mru"), "clients": 2},
+    "ablation-replay": {"ring": (16, 4096)},
+    "ablation-wraparound": {"clients": 2, "gap": (0, 20)},
+    "ablation-late-activation": {"clients": 2},
+    "recovery": {"scenario": ("scan", "agg")},
 }
+
+
+def _specs(name):
+    return E.FIGURES[name].specs(SMOKE, **REDUCED[name])
+
+
+def _render(name, specs, payloads):
+    figure = E.FIGURES[name]
+    return figure.render(figure.reduce(specs, payloads))
+
 
 _PAYLOADS = {}
 
 
 def _payloads(name):
     if name not in _PAYLOADS:
-        _PAYLOADS[name] = run_cells_serial(REDUCED[name]())
+        _PAYLOADS[name] = run_cells_serial(_specs(name))
     return _PAYLOADS[name]
 
 
 @pytest.mark.parametrize("name", sorted(REDUCED))
 def test_merge_is_execution_order_independent(name):
-    specs = REDUCED[name]()
+    specs = _specs(name)
     payloads = _payloads(name)
-    reference = E.FIGURES[name].render(specs, payloads)
+    reference = _render(name, specs, payloads)
     scrambled = dict(reversed(list(payloads.items())))
-    assert E.FIGURES[name].render(specs, scrambled) == reference
+    assert _render(name, specs, scrambled) == reference
     assert "None" not in reference.splitlines()[0]
 
 
@@ -73,37 +72,37 @@ def test_merge_is_execution_order_independent(name):
 def test_merge_survives_json_roundtrip(name):
     """A cache-served payload must merge byte-identically with a fresh
     one, so payloads may use only JSON-faithful types."""
-    specs = REDUCED[name]()
+    specs = _specs(name)
     payloads = _payloads(name)
     roundtripped = {
         spec: json.loads(json.dumps(payload))
         for spec, payload in payloads.items()
     }
-    assert E.FIGURES[name].render(specs, roundtripped) == E.FIGURES[
-        name
-    ].render(specs, payloads)
+    assert _render(name, specs, roundtripped) == _render(
+        name, specs, payloads
+    )
 
 
 def test_spawn_pool_matches_serial_exactly():
     """Real process pool: byte-identical renders, not just close ones."""
-    specs = E.fig8_cells(SMOKE, client_counts=(2,), interarrivals=(0, 20))
+    specs = _specs("fig8")
     serial = _payloads("fig8")
     with PoolRunner(jobs=2) as runner:
         results = runner.run(specs)
     parallel = {spec: r.payload for spec, r in results.items()}
     assert parallel == serial
-    assert E.FIGURES["fig8"].render(specs, parallel) == E.FIGURES[
-        "fig8"
-    ].render(specs, serial)
-
-
-def test_public_wrappers_accept_precomputed_results():
-    """`figN_*(..., results=...)` is the bridge the CLI uses: wrappers
-    must render from supplied payloads without re-executing."""
-    specs = E.fig8_cells(SMOKE, client_counts=(2,), interarrivals=(0, 20))
-    payloads = _payloads("fig8")
-    out = E.fig8_scan_sharing(
-        SMOKE, client_counts=(2,), interarrivals=(0, 20), results=payloads
+    assert _render("fig8", specs, parallel) == _render(
+        "fig8", specs, serial
     )
-    direct = E.fig8_merge(specs, payloads)
-    assert out[2].render() == direct[2].render()
+
+
+def test_run_on_a_pool_runner_equals_run_serial():
+    """`Figure.run(scale, runner)` is the call the CLI makes with its
+    pool: it must reduce to what the serial in-process run reduces to,
+    and to what reducing the serial payloads directly gives."""
+    figure = E.FIGURES["fig8"]
+    serial = figure.run(SMOKE, **REDUCED["fig8"])
+    with PoolRunner(jobs=2) as runner:
+        pooled = figure.run(SMOKE, runner, **REDUCED["fig8"])
+    direct = figure.reduce(_specs("fig8"), _payloads("fig8"))
+    assert pooled[2].render() == serial[2].render() == direct[2].render()

@@ -271,7 +271,7 @@ def test_tracing_bypasses_cache_reads(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Worker-count clamping (the macro.fig12_smoke_par4 1-core regression)
+# Worker-count clamping (the pooled-fig12-on-one-core regression)
 # ---------------------------------------------------------------------------
 def test_jobs_clamped_to_cpu_count(monkeypatch):
     """Real pools never run more workers than cores: on a 1-core

@@ -15,12 +15,7 @@ import hashlib
 import json
 
 from repro.harness.config import SMOKE
-from repro.harness.experiments import (
-    fig8_cells,
-    fig12_cells,
-    force_engine,
-    substitute_engine,
-)
+from repro.harness.experiments import FIGURES, substitute_engine
 from repro.parallel import PoolRunner
 
 #: sha256 of the canonical-JSON payload of one committed cell each.
@@ -41,7 +36,7 @@ def _sha(payload) -> str:
 def _fig8_spec():
     return [
         s
-        for s in fig8_cells(SMOKE)
+        for s in FIGURES["fig8"].specs(SMOKE)
         if s.coord["count"] == 2
         and s.coord["system"] == "baseline"
         and s.coord["gap"] == 20
@@ -51,7 +46,7 @@ def _fig8_spec():
 def _fig12_spec():
     return [
         s
-        for s in fig12_cells(SMOKE)
+        for s in FIGURES["fig12"].specs(SMOKE)
         if s.coord["system"] == "dbmsx" and s.coord["count"] == 2
     ][0]
 
@@ -86,25 +81,20 @@ def test_fig12_cell_hash_matches_committed_output():
 def test_substitute_engine_rewrites_only_invariant_slots():
     """OSP cells must stay on the packet engine -- sharing lives there --
     while dbms-x / baseline-fig8 cells may move to the push backend."""
-    rewritten = substitute_engine(fig8_cells(SMOKE), "pushed")
+    rewritten = substitute_engine(FIGURES["fig8"].specs(SMOKE), "pushed")
     for spec in rewritten:
         c = dict(spec.coords)
         if c["system"] == "qpipe":
             assert "engine" not in c
         else:
             assert c["engine"] == "pushed"
-    rewritten = substitute_engine(fig12_cells(SMOKE), "pushed")
+    rewritten = substitute_engine(FIGURES["fig12"].specs(SMOKE), "pushed")
     for spec in rewritten:
         c = dict(spec.coords)
         assert ("engine" in c) == (c["system"] == "dbmsx")
     # backend "packets" is the identity.
-    originals = fig12_cells(SMOKE)
+    originals = FIGURES["fig12"].specs(SMOKE)
     assert substitute_engine(originals, "packets") == originals
-
-
-def test_force_engine_rewrites_every_engine_aware_slot():
-    rewritten = force_engine(fig12_cells(SMOKE), "pushed")
-    assert all(dict(s.coords)["engine"] == "pushed" for s in rewritten)
 
 
 def test_engine_coordinate_changes_the_cache_key():

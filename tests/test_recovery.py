@@ -9,16 +9,12 @@ enabled on both execution backends.
 import pytest
 
 from repro.harness.config import SMOKE
-from repro.harness.experiments import (
-    RECOVERY_SCENARIOS,
-    chaos,
-    recovery,
-)
+from repro.harness.experiments import FIGURES, RECOVERY_SCENARIOS, chaos
 
 
 @pytest.fixture(scope="module")
 def scenarios():
-    return recovery(SMOKE, fault_seed=1)
+    return FIGURES["recovery"].run(SMOKE, fault_seed=1)
 
 
 def test_covers_every_scenario(scenarios):

@@ -9,13 +9,11 @@ seed produces (chaos seeds are pinned in CI).
 """
 
 from repro.faults import random_plan
+from repro.harness import FIGURES
 from repro.harness.config import SMOKE
-from repro.harness.experiments import (
-    recovery,
-    recovery_cells,
-    recovery_merge,
-)
 from repro.parallel import PoolRunner
+
+recovery = FIGURES["recovery"].run
 
 
 def test_same_seed_same_lineage_digest():
@@ -40,12 +38,8 @@ def test_different_seed_moves_the_crash():
 def test_pool_runs_byte_identical_to_serial():
     """``--jobs 2`` must reproduce the serial run exactly: same rows,
     same recovery decisions, same lineage log bytes."""
-    specs = recovery_cells(SMOKE, fault_seed=1)
     with PoolRunner(jobs=2) as runner:
-        results = runner.run(specs)
-    pooled = recovery_merge(
-        specs, {s: r.payload for s, r in results.items()}
-    )
+        pooled = recovery(SMOKE, runner, fault_seed=1)
     serial = recovery(SMOKE, fault_seed=1)
     assert pooled == serial
 

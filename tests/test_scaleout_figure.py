@@ -3,19 +3,16 @@
 from dataclasses import replace
 
 from repro.harness import FIGURES, SMOKE
-from repro.harness.experiments import (
-    scaleout,
-    scaleout_cells,
-    substitute_engine,
-)
+from repro.harness.experiments import substitute_engine
 from repro.parallel import PoolRunner
 from repro.parallel.cells import run_cells_serial
 
 TINY = replace(SMOKE, name="tiny", wisconsin_big_rows=900)
+SCALEOUT = FIGURES["scaleout"]
 
 
 def test_scaleout_verdicts_pass_through_four_hosts():
-    series, verdicts = scaleout(SMOKE, host_counts=(1, 2, 4))
+    series, verdicts = SCALEOUT.run(SMOKE, hosts=(1, 2, 4))
     assert (
         "scaleout byte-identity (scan): PASS -- per-query results "
         "identical across host counts"
@@ -38,7 +35,7 @@ def test_scaleout_verdicts_pass_through_four_hosts():
 
 
 def test_one_host_cell_runs_everything_locally():
-    (spec,) = scaleout_cells(TINY, host_counts=(1,), workloads=("scan",))
+    (spec,) = SCALEOUT.specs(TINY, hosts=(1,), workload=("scan",))
     payload = run_cells_serial([spec])[spec]
     assert set(payload["strategies"]) == {"local"}
     assert payload["net_bytes"] == 0 and payload["net_msgs"] == 0
@@ -47,20 +44,19 @@ def test_one_host_cell_runs_everything_locally():
 def test_scaleout_cells_are_not_engine_substituted():
     """Scale-out makespans are engine-dependent by design, so the
     --engine flag must leave the figure's cells untouched."""
-    specs = scaleout_cells(TINY, host_counts=(1, 2))
+    specs = SCALEOUT.specs(TINY, hosts=(1, 2))
     assert substitute_engine(specs, "pushed") == specs
 
 
 def test_rendered_output_identical_across_jobs():
     """The ISSUE differential: --jobs 1 and --jobs 2 produce the same
     bytes (real spawn-context process pool, not a fake)."""
-    figure = FIGURES["scaleout"]
-    specs = scaleout_cells(TINY, host_counts=(1, 2), workloads=("scan",))
     outputs = []
     for jobs in (1, 2):
         with PoolRunner(jobs=jobs) as runner:
-            results = runner.run(specs)
-        payloads = {s: r.payload for s, r in results.items()}
-        outputs.append(figure.render(specs, payloads))
+            value = SCALEOUT.run(
+                TINY, runner, hosts=(1, 2), workload=("scan",)
+            )
+        outputs.append(SCALEOUT.render(value))
     assert outputs[0] == outputs[1]
     assert "byte-identity (scan): PASS" in outputs[0]
