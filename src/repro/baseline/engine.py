@@ -1,16 +1,16 @@
 """The query-centric iterator engine (Figure 5a).
 
 One simulated process per query pulls batches through the operator tree
+(:func:`~repro.baseline.operators.build_operator`, streaming runs fused)
 and collects them.  No cross-query coordination exists above the buffer
 pool -- this is precisely the sharing limitation the paper attacks.
 
-``execute`` is the one query driver of both tree engines (the pushed
-engine subclasses this one and swaps the plan builder).  Fault handling
-mirrors the packet engine's contract: running queries are registered in
-``_active`` (so the fault injector's ``crash_query`` channel can target
-them), an abort interrupts the driving process, and the teardown path
-drops any live spill files and sweeps the query's locks -- pin/lock
-balance holds after any injected fault or client disconnect.
+Fault handling mirrors the packet engine's contract: running queries
+are registered in ``_active`` (so the fault injector's ``crash_query``
+channel can target them), an abort interrupts the driving process, and
+the teardown path drops any live spill files and sweeps the query's
+locks -- pin/lock balance holds after any injected fault or client
+disconnect.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ class IteratorEngine:
     queries_completed: int = 0
     queries_aborted: int = 0
 
-    #: Plan tree -> operator tree: the one thing a tree engine chooses.
-    build = staticmethod(build_operator)
-
     @property
     def host(self) -> Host:
         return self.sm.host
@@ -88,7 +85,7 @@ class IteratorEngine:
             owner=("q", self.name, query_id),
             lineage=lineage,
         )
-        root = self.build(plan, ctx)
+        root = build_operator(plan, ctx)
         handle = _ActiveQuery(query_id=query_id, proc=self.sim.active_process)
         self.active_queries += 1
         self._active[query_id] = handle

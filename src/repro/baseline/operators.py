@@ -4,13 +4,12 @@ Every operator exposes one coroutine, ``next_batch()``, which yields
 simulation events (disk reads, CPU bursts) and returns either a non-empty
 list of rows or ``None`` at end-of-stream.  Pull-based: the parent drives.
 
-This is the one operator library under both tree engines.  Leaves and
-pipeline breakers (scans, sort, the joins, aggregation, DML) are the
-classes below; streaming operators are stages
-(:mod:`repro.relational.stages`) run by :class:`ChainOp`.  The iterator
-engine builds one operator per plan node (:func:`build_operator`); the
-pushed engine builds the same tree with adjacent streaming nodes fused
-into one chain (:func:`repro.pushexec.compile_plan`).
+Leaves and pipeline breakers (scans, sort, the joins, aggregation, DML)
+are the classes below; streaming operators are stages
+(:mod:`repro.relational.stages`) run by :class:`ChainOp`.
+:func:`build_operator` builds one operator per leaf or breaker and fuses
+each maximal run of streaming nodes above one into a single chain, so a
+batch crosses one coroutine frame per run rather than one per operator.
 
 An operator here is a *schedule*: when it pulls, which page it reads,
 what it charges.  The row work -- expression kernels, the run merge,
@@ -242,14 +241,13 @@ class ChainOp(Operator):
     empties and never again once a LIMIT is satisfied.  That is also the
     schedule of the same stages stacked as one-stage chains -- an upper
     operator is charged only for batches that reach it -- so how many
-    nodes share a chain moves no simulated event.  The iterator engine
-    gives every streaming node its own chain; the pushed engine fuses
-    each maximal run into one.
+    nodes share a chain moves no simulated event, and
+    :func:`build_operator` can fuse each maximal run into one.
     """
 
-    def __init__(self, ctx: ExecContext, source: Operator, plans, build):
+    def __init__(self, ctx: ExecContext, source: Operator, plans):
         """*plans*: the streaming plan nodes over *source*, innermost
-        first.  *build* compiles a probe node's right input."""
+        first."""
         self.ctx = ctx
         self.source = source
         self.stages: List[Stage] = []
@@ -257,7 +255,10 @@ class ChainOp(Operator):
         self._rights: List[Optional[Operator]] = []
         schema = source.schema
         for plan in plans:
-            right = build(plan.right, ctx) if isinstance(plan, PROBES) else None
+            right = (
+                build_operator(plan.right, ctx)
+                if isinstance(plan, PROBES) else None
+            )
             self.stages.append(
                 build_stage(plan, schema, right.schema if right else None)
             )
@@ -682,40 +683,48 @@ class DmlOp(Operator):
         return [(affected,)]
 
 
-def build_breaker(plan: PlanNode, ctx: ExecContext, build) -> Operator:
-    """The operator for one leaf or pipeline breaker, over inputs
-    compiled by *build* (the caller's own recursion)."""
+def _build_breaker(plan: PlanNode, ctx: ExecContext) -> Operator:
+    """The operator for one leaf or pipeline breaker over its inputs."""
     if isinstance(plan, TableScan):
         return ScanOp(ctx, plan)
     if isinstance(plan, IndexScan):
         return IndexScanOp(ctx, plan)
     if isinstance(plan, Sort):
-        return SortOp(ctx, plan, build(plan.child, ctx))
+        return SortOp(ctx, plan, build_operator(plan.child, ctx))
     if isinstance(plan, HashJoin):
-        return HashJoinOp(
-            ctx, plan, build(plan.left, ctx), build(plan.right, ctx)
-        )
+        return HashJoinOp(ctx, plan, build_operator(plan.left, ctx),
+                          build_operator(plan.right, ctx))
     if isinstance(plan, MergeJoin):
-        return MergeJoinOp(
-            ctx, plan, build(plan.left, ctx), build(plan.right, ctx)
-        )
+        return MergeJoinOp(ctx, plan, build_operator(plan.left, ctx),
+                           build_operator(plan.right, ctx))
     if isinstance(plan, NLJoin):
-        return NLJoinOp(
-            ctx, plan, build(plan.left, ctx), build(plan.right, ctx)
-        )
+        return NLJoinOp(ctx, plan, build_operator(plan.left, ctx),
+                        build_operator(plan.right, ctx))
     if isinstance(plan, Aggregate):
-        return AggregateOp(ctx, plan, build(plan.child, ctx))
+        return AggregateOp(ctx, plan, build_operator(plan.child, ctx))
     if isinstance(plan, GroupBy):
-        return GroupByOp(ctx, plan, build(plan.child, ctx))
+        return GroupByOp(ctx, plan, build_operator(plan.child, ctx))
     if isinstance(plan, (InsertRows, UpdateRows, DeleteRows)):
         return DmlOp(ctx, plan)
     raise TypeError(f"no iterator operator for {type(plan).__name__}")
 
 
 def build_operator(plan: PlanNode, ctx: ExecContext) -> Operator:
-    """Compile a logical plan tree into an iterator operator tree: one
-    operator per plan node, a streaming node being a one-stage chain."""
-    if isinstance(plan, STREAMING):
-        source = build_operator(plan.children[0], ctx)
-        return ChainOp(ctx, source, [plan], build_operator)
-    return build_breaker(plan, ctx, build_operator)
+    """Compile a logical plan tree into an iterator operator tree.
+
+    Every leaf and pipeline breaker is one operator; a maximal run of
+    streaming nodes (filter, project, limit, distinct, the probe side of
+    semi/anti/outer joins) above one becomes a single :class:`ChainOp`.
+    The fused tree issues exactly the storage-manager calls and CPU
+    charges a chain per node would, in the same order (see ``ChainOp``).
+    """
+    run = []
+    while isinstance(plan, STREAMING):
+        run.append(plan)
+        plan = plan.children[0]
+    source = _build_breaker(plan, ctx)
+    if not run:
+        return source
+    # Outer probe builds run before inner ones, as in a stack of
+    # one-stage chains: ChainOp opens its stages outermost first.
+    return ChainOp(ctx, source, run[::-1])

@@ -185,8 +185,8 @@ class FaultInjector:
         )
 
     def _crash_scanner(self, fault: ProcessFault) -> None:
-        # Engines without micro-engines (IteratorEngine, PushEngine) have
-        # no shared scanner threads to crash.
+        # An engine without micro-engines (IteratorEngine) has no shared
+        # scanner threads to crash.
         engines = getattr(self.engine, "engines", None)
         fscan = engines.get("fscan") if engines is not None else None
         manager = getattr(fscan, "_circular", None)

@@ -23,6 +23,7 @@ import sys
 import time
 
 from repro.harness import DEFAULT, FIGURES, SMOKE, chaos, render_chaos
+from repro.harness.experiments import CHAOS_SYSTEMS
 from repro.parallel import CellCache, CellError, PoolRunner
 from repro.parallel.cache import DEFAULT_DIR as CACHE_DIR
 
@@ -53,17 +54,6 @@ def main(argv=None) -> int:
             "worker processes for cell execution (default: 1 = serial "
             "in-process; 0 = one per CPU); output is byte-identical "
             "for every N"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("packets", "pushed"),
-        default=os.environ.get("REPRO_ENGINE", "packets"),
-        help=(
-            "execution backend for engine-invariant cells (default: "
-            "packets, or $REPRO_ENGINE); 'pushed' runs them on the "
-            "push-based fused backend -- rendered output is byte-"
-            "identical either way"
         ),
     )
     parser.add_argument(
@@ -167,7 +157,7 @@ def main(argv=None) -> int:
                 runner = _KeepLast(pool)
                 # Wall-clock here measures the *host*, never sim behaviour.
                 start = time.time()  # simlint: disable=DET001
-                value = figure.run(scale, runner, engine=args.engine, **sweep)
+                value = figure.run(scale, runner, **sweep)
                 print(figure.render(value))
                 elapsed = time.time() - start  # simlint: disable=DET001
                 print(f"[{name} @ {scale.name}: {elapsed:.1f}s wall]\n")
@@ -204,28 +194,35 @@ class _KeepLast:
 
 
 def _run_chaos(args) -> int:
-    """Chaos stays a single adversarial run -- never cellified, never
-    cached: its value is the fault interleaving, not a grid of points."""
+    """Chaos stays a single adversarial run per server -- never
+    cellified, never cached: its value is the fault interleaving, not a
+    grid of points.  Every server in ``CHAOS_SYSTEMS`` is attacked with
+    the same fault seed, one block each."""
     scale = SCALES[args.scale]
-    # Wall-clock here measures the *host*, never sim behaviour.
-    start = time.time()  # simlint: disable=DET001
-    result = chaos(
-        scale,
-        fault_seed=args.fault_seed,
-        engine_backend=args.engine,
-        recovery=args.recovery,
-    )
-    print(render_chaos(result))
-    elapsed = time.time() - start  # simlint: disable=DET001
-    print(f"[chaos @ {scale.name}: {elapsed:.1f}s wall]")
-    if args.trace is not None:
-        from repro.obs import write_jsonl
+    failed = False
+    for system in CHAOS_SYSTEMS:
+        # Wall-clock here measures the *host*, never sim behaviour.
+        start = time.time()  # simlint: disable=DET001
+        result = chaos(
+            scale,
+            fault_seed=args.fault_seed,
+            system=system,
+            recovery=args.recovery,
+        )
+        print(render_chaos(result))
+        elapsed = time.time() - start  # simlint: disable=DET001
+        print(f"[chaos @ {scale.name}: {elapsed:.1f}s wall]")
+        if args.trace is not None:
+            from repro.obs import write_jsonl
 
-        os.makedirs(args.trace, exist_ok=True)
-        path = os.path.join(args.trace, f"chaos-seed{args.fault_seed}.jsonl")
-        write_jsonl(result["events"], path)
-        print(f"[trace: {path} ({len(result['events'])} events)]")
-    return 1 if result["violations"] else 0
+            os.makedirs(args.trace, exist_ok=True)
+            path = os.path.join(
+                args.trace, f"chaos-{system}-seed{args.fault_seed}.jsonl"
+            )
+            write_jsonl(result["events"], path)
+            print(f"[trace: {path} ({len(result['events'])} events)]")
+        failed = failed or bool(result["violations"])
+    return 1 if failed else 0
 
 
 def _dump_cell_traces(directory: str, figure: str, specs, ran) -> None:

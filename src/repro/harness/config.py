@@ -22,7 +22,6 @@ from typing import Dict, List, Tuple
 
 from repro.baseline.engine import IteratorEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
-from repro.pushexec import PushEngine
 from repro.hw.host import Host, HostConfig
 from repro.storage.manager import StorageManager
 from repro.workloads.tpch import TpchScale, load_tpch
@@ -171,7 +170,20 @@ def build_tpch_system(
     scale: Scale, system: str, seed_offset: int = 0,
     backend: str = "packets",
 ) -> Tuple[Host, StorageManager, object]:
-    """A loaded TPC-H database plus the requested engine."""
+    """A loaded TPC-H database plus the requested engine.
+
+    ``backend`` is kept for one caller, the ``mix_pushed`` workload of
+    the ``perf`` benchmark, which passes ``backend="pushed"`` with
+    ``system="dbmsx"``.  That builds the same engine as
+    ``backend="packets"``: the iterator engine always fuses its
+    streaming runs now.  Every other ``"pushed"`` combination is refused
+    rather than quietly meaning another server.
+    """
+    if backend != "packets" and (backend, system) != ("pushed", "dbmsx"):
+        raise ValueError(
+            f"backend {backend!r} with system {system!r}: want "
+            "backend='packets', or 'pushed' only with system='dbmsx'"
+        )
     host = _host_for_pages(scale, _estimate_lineitem_pages(scale))
     policy = "arc" if system == "dbmsx" else "lru"
     sm = StorageManager(
@@ -185,12 +197,12 @@ def build_tpch_system(
         scan_ring_fraction=0.375 if system == "dbmsx" else 0.125,
     )
     load_tpch(sm, TpchScale(scale.tpch_factor), seed=scale.seed + seed_offset)
-    engine = make_engine(sm, scale, system, backend=backend)
+    engine = make_engine(sm, scale, system)
     return host, sm, engine
 
 
 def build_wisconsin_system(
-    scale: Scale, system: str, backend: str = "packets"
+    scale: Scale, system: str
 ) -> Tuple[Host, StorageManager, object]:
     """A loaded Wisconsin database plus the requested engine.
 
@@ -216,7 +228,7 @@ def build_wisconsin_system(
     )
     load_wisconsin(sm, WisconsinScale(big_rows=scale.wisconsin_big_rows),
                    seed=scale.seed)
-    engine = make_engine(sm, scale, system, backend=backend)
+    engine = make_engine(sm, scale, system)
     return host, sm, engine
 
 
@@ -224,7 +236,6 @@ def build_sharded_wisconsin_system(
     scale: Scale,
     hosts: int,
     system: str = "qpipe",
-    backend: str = "packets",
     prefer_shuffle: bool = True,
 ):
     """An N-host sharded Wisconsin deployment plus its executor.
@@ -285,7 +296,7 @@ def build_sharded_wisconsin_system(
     sharded = ShardedSystem(
         cluster,
         make_sm,
-        lambda sm: make_engine(sm, scale, system, backend=backend),
+        lambda sm: make_engine(sm, scale, system),
     )
     tables = generate_wisconsin(
         WisconsinScale(big_rows=scale.wisconsin_big_rows), seed=scale.seed
@@ -298,28 +309,8 @@ def build_sharded_wisconsin_system(
     )
 
 
-def make_engine(
-    sm: StorageManager, scale: Scale, system: str,
-    backend: str = "packets",
-):
-    """The engine object for a system name (see module docstring).
-
-    ``backend`` selects the execution machinery: ``"packets"`` is the
-    historical mapping (QPipe micro-engines for qpipe/baseline, the
-    iterator engine for dbms-x); ``"pushed"`` runs the persona on the
-    push-based fused backend instead, keeping the persona's name so
-    reports and lock owners read the same.  The harness only substitutes
-    the push backend where the figure's payload is engine-invariant
-    (see ``repro.harness.experiments.substitute_engine``).
-    """
-    if backend == "pushed":
-        return PushEngine(
-            sm,
-            work_mem_tuples=scale.work_mem_tuples,
-            name="dbms-x" if system == "dbmsx" else system,
-        )
-    if backend != "packets":
-        raise ValueError(f"unknown backend {backend!r}; want packets|pushed")
+def make_engine(sm: StorageManager, scale: Scale, system: str):
+    """The engine object for a system name (see module docstring)."""
     if system == "dbmsx":
         return IteratorEngine(
             sm, work_mem_tuples=scale.work_mem_tuples, name="dbms-x"

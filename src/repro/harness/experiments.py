@@ -160,11 +160,10 @@ class Figure:
             for point in points
         ]
 
-    def run(self, scale: Scale = SMOKE, runner=None,
-            engine: str = "packets", **sweep):
+    def run(self, scale: Scale = SMOKE, runner=None, **sweep):
         """Execute the grid and reduce it: serially in-process, or on
         *runner* (a :class:`~repro.parallel.pool.PoolRunner`)."""
-        specs = substitute_engine(self.specs(scale, **sweep), engine)
+        specs = self.specs(scale, **sweep)
         if runner is None:
             payloads = run_cells_serial(specs)
         else:
@@ -221,9 +220,7 @@ def fig1a_cell(spec: CellSpec) -> Dict[str, float]:
     c = spec.coord
     name = c["query"]
     builder = Q.QUERY_BUILDERS[name.lower()]
-    host, sm, engine = build_tpch_system(
-        spec.scale, "dbmsx", backend=c.get("engine", "packets")
-    )
+    host, sm, engine = build_tpch_system(spec.scale, "dbmsx")
     file_to_table = {sm.table_file_id(t): t for t in sm.catalog.tables()}
     before = host.disk.stats.snapshot()
     host.sim.spawn(engine.execute(builder(random.Random(FIG_QUERY_SEED))))
@@ -324,9 +321,7 @@ def fig4_cell(spec: CellSpec) -> List[List[float]]:
 def fig8_cell(spec: CellSpec) -> int:
     """Total disk blocks read by N staggered Q6 clients on one system."""
     c = spec.coord
-    host, sm, engine = build_tpch_system(
-        spec.scale, c["system"], backend=c.get("engine", "packets")
-    )
+    host, sm, engine = build_tpch_system(spec.scale, c["system"])
     plans = [
         Q.q6(random.Random(CLIENT_SEED_BASE + i)) for i in range(c["count"])
     ]
@@ -423,9 +418,7 @@ def fig12_cell(spec: CellSpec) -> float:
     """TPC-H mix throughput (queries/hour) at one client count."""
     c = spec.coord
     scale = spec.scale
-    host, sm, engine = build_tpch_system(
-        scale, c["system"], backend=c.get("engine", "packets")
-    )
+    host, sm, engine = build_tpch_system(scale, c["system"])
     builders = [Q.QUERY_BUILDERS[name] for name in MIX]
     factory = mixed_tpch_factory(builders)
     clients = [
@@ -620,73 +613,6 @@ def ablation_replay_cell(spec: CellSpec) -> int:
     ]
     _run_staggered(host, engine, plans, [0.0, c["interarrival"]])
     return engine.osp_stats.attaches["hashjoin"]
-
-
-# ---------------------------------------------------------------------------
-# Engine substitution (the CLI --engine flag)
-# ---------------------------------------------------------------------------
-#: Cell functions that honour an ``engine`` coordinate (they forward it
-#: to the system builders as ``backend=``).  Specs whose function is not
-#: listed here are never rewritten.
-_ENGINE_AWARE_FNS = frozenset((
-    "repro.harness.experiments:fig1a_cell",
-    "repro.harness.experiments:fig8_cell",
-    "repro.harness.experiments:fig12_cell",
-))
-
-
-def _with_engine(spec: CellSpec, backend: str) -> CellSpec:
-    """Rebuild *spec* with an ``engine`` coordinate.
-
-    The coordinate feeds the cache key, so packet- and push-backed runs
-    of the same grid point never collide in the content-addressed cache.
-    """
-    return CellSpec(
-        spec.figure, spec.fn, spec.scale,
-        coords(**{**dict(spec.coords), "engine": backend}),
-        seeds=spec.seeds,
-    )
-
-
-def _engine_invariant(spec: CellSpec) -> bool:
-    """True when *spec*'s payload provably does not depend on whether the
-    persona runs on the packet/iterator machinery or the push backend.
-
-    * fig1a always runs the dbms-x persona: the push backend replays the
-      iterator engine's exact virtual-cost schedule, so every payload --
-      timings included -- is identical.
-    * Any ``system == "dbmsx"`` slot, for the same reason.
-    * fig8's ``system == "baseline"`` slots: with sharing off the payload
-      (total disk blocks read) is decided by the buffer pool alone, which
-      both backends drive with the same page-access sequence.  QPipe
-      w/OSP slots are *not* invariant -- OSP lives in the packet engine.
-    """
-    if spec.fn not in _ENGINE_AWARE_FNS:
-        return False
-    c = spec.coord
-    if spec.fn.endswith(":fig1a_cell"):
-        return True
-    if c.get("system") == "dbmsx":
-        return True
-    return spec.fn.endswith(":fig8_cell") and c.get("system") == "baseline"
-
-
-def substitute_engine(
-    specs: Sequence[CellSpec], backend: str
-) -> List[CellSpec]:
-    """Rewrite the engine-invariant slots of *specs* to run on *backend*.
-
-    Used by ``python -m repro.harness --engine pushed``: the figure's
-    rendered bytes must not change, so only slots whose payload is
-    provably backend-independent (see :func:`_engine_invariant`) are
-    rewritten; the rest keep the historical packet machinery.
-    """
-    if backend == "packets":
-        return list(specs)
-    return [
-        _with_engine(s, backend) if _engine_invariant(s) else s
-        for s in specs
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +855,6 @@ def scaleout_cell(spec: CellSpec) -> Dict:
         spec.scale,
         c["hosts"],
         system=c.get("system", "qpipe"),
-        backend=c.get("engine", "packets"),
     )
     plans = _scaleout_plans(c["workload"])
     procs = []
@@ -1040,6 +965,11 @@ def _render_scaleout(value: Tuple[Dict[str, Series], List[str]]) -> str:
 # ---------------------------------------------------------------------------
 # Chaos harness: the Figure 12 mix under a seeded fault plan
 # ---------------------------------------------------------------------------
+#: The servers chaos attacks, each with the engine it runs on (the label
+#: its rendered block carries).
+CHAOS_SYSTEMS = {"qpipe": "packets", "dbmsx": "iterator"}
+
+
 def chaos(
     scale: Scale = SMOKE,
     fault_seed: int = 1,
@@ -1047,7 +977,7 @@ def chaos(
     process_faults: int = 4,
     stagger: float = 10.0,
     horizon: float = 250.0,
-    engine_backend: str = "packets",
+    system: str = "qpipe",
     recovery: bool = False,
 ) -> Dict:
     """Run the Figure 12 query mix under a seeded random fault plan.
@@ -1059,9 +989,10 @@ def chaos(
     (checked by replaying the recorded trace through the
     InvariantChecker plus direct end-state inspection).
 
-    ``engine_backend`` selects the server under attack: ``packets`` (the
-    QPipe micro-engine build) or ``pushed`` (the push-based fused
-    backend).  With ``recovery=True`` every client executes through a
+    ``system`` is the server under attack, a key of
+    :data:`CHAOS_SYSTEMS`: ``qpipe`` (QPipe w/OSP on the packet engine)
+    or ``dbmsx`` (DBMS X on the iterator engine).  With
+    ``recovery=True`` every client executes through a
     :class:`~repro.lineage.RecoveryManager` -- crashes and disconnects
     resume from the durable lineage frontier instead of surfacing, the
     fault plan additionally draws two log-device faults (appended
@@ -1085,11 +1016,6 @@ def chaos(
     from repro.sim import Interrupted
 
     names = list(MIX)
-
-    def build_system():
-        if engine_backend == "pushed":
-            return build_tpch_system(scale, "dbmsx", backend="pushed")
-        return build_tpch_system(scale, "qpipe")
 
     def rows_match(got, want) -> bool:
         # A consumer attaching to a circular scan mid-file receives the
@@ -1122,12 +1048,12 @@ def chaos(
 
     # Reference: each query solo on a fresh fault-free system.
     reference: Dict[str, List[tuple]] = {}
-    host, sm, engine = build_system()
+    host, sm, engine = build_tpch_system(scale, system)
     for name, plan in zip(names, build_plans()):
         reference[name] = sorted(engine.run_query(plan))
 
     # Faulted run: all queries staggered, under the seeded fault plan.
-    host, sm, engine = build_system()
+    host, sm, engine = build_tpch_system(scale, system)
     tracer = Tracer(host.sim)
     fault_plan = random_plan(
         fault_seed,
@@ -1212,7 +1138,7 @@ def chaos(
         )
     result = {
         "fault_seed": fault_seed,
-        "engine": engine_backend,
+        "system": system,
         "recovery": recovery,
         "plan": fault_plan.describe(),
         "fired": injector.fired,
@@ -1229,7 +1155,7 @@ def chaos(
 
 
 def render_chaos(result: Dict) -> str:
-    label = result.get("engine", "packets")
+    label = CHAOS_SYSTEMS[result["system"]]
     if result.get("recovery"):
         label += ", recovery on"
     lines = [f"Chaos run (fault seed {result['fault_seed']}, {label}):"]
@@ -1267,7 +1193,7 @@ RECOVERY_SCENARIOS = (
     "agg",           # Aggregate(scan): checkpoint resume
     "torn",          # torn lineage record: truncated frontier, still right
     "log-error",     # log device dies early: degraded frontier, still right
-    "pushed",        # push-based fused engine, scan crash
+    "iterator-crash",  # iterator engine, scan crash
     "iterator",      # iterator engine: client disconnect as the fault
 )
 
@@ -1291,9 +1217,7 @@ def _recovery_agg_plan() -> Aggregate:
 def _recovery_build(scale: Scale, scenario: str):
     if scenario == "scan-noshare":
         return build_tpch_system(scale, "baseline")
-    if scenario == "pushed":
-        return build_tpch_system(scale, "dbmsx", backend="pushed")
-    if scenario == "iterator":
+    if scenario in ("iterator-crash", "iterator"):
         return build_tpch_system(scale, "dbmsx")
     return build_tpch_system(scale, "qpipe")
 

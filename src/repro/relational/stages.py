@@ -11,11 +11,10 @@ the whole operator body:
   :mod:`repro.relational.compile`.
 
 What a stage never decides is the *schedule*: who pulls the batch, where
-the charge is paid, how the result ships.  The tree engines interleave
-the two over a source operator
-(:class:`~repro.baseline.operators.ChainOp`, one chain per streaming
-node on the iterator engine, one per maximal run on the pushed one);
-the packet engine runs one stage per packet between a ``get`` and a
+the charge is paid, how the result ships.  The iterator engine
+interleaves the two over a source operator
+(:class:`~repro.baseline.operators.ChainOp`, one chain per maximal run
+of streaming nodes); the packet engine runs one stage per packet between a ``get`` and a
 ``put`` (:class:`~repro.engine.engines.misc.StreamEngine`); the
 distributed coordinator applies one to the gathered stream
 (:mod:`repro.shard.merge`).

@@ -51,7 +51,7 @@ class ShardedSystem:
             host (buffer pool sizing, policy, scan rings).
         make_engine: ``sm -> engine`` factory; any object with the
             common ``execute(plan, query_id=...)`` coroutine contract
-            (iterator, packet, or pushed engine).
+            (iterator or packet engine).
     """
 
     def __init__(

@@ -9,9 +9,9 @@ random streaming-operator chains over random rows, by driving the real
   expression interpreter (``tests/expr_oracle.py``);
 * **batching**: the output must not depend on where batch boundaries
   fall -- batch sizes 1, 7, 64 and whole-table must agree;
-* **fusion**: one chain over the whole run (the pushed engine) and a
-  stack of one-stage chains (the iterator engine) return the same rows
-  at the same virtual time.
+* **fusion**: one chain over the whole run (what the iterator engine
+  builds) and a stack of one-stage chains return the same rows at the
+  same virtual time.
 """
 
 import random
@@ -167,7 +167,7 @@ def run_chain(ops, rows, batch_size, fused=True):
     host = ctx.host
     root = ListSource(slice_batches(rows, batch_size))
     for run in [ops] if fused else [[op] for op in ops]:
-        root = ChainOp(ctx, root, run, None)
+        root = ChainOp(ctx, root, run)
     proc = host.sim.spawn(root.drain(), name="chain")
     host.sim.run()
     return proc.value, host.sim.now
@@ -221,7 +221,7 @@ def test_chain_output_schema_tracks_projections():
     ops = [Filter(Rows(), Col("val") > 0)]
     ops.append(Project(ops[-1], ["grp", "val"]))
     ops.append(Project(ops[-1], ["double"], exprs=[Col("val") * 2]))
-    chain = ChainOp(new_ctx(), ListSource([]), ops, None)
+    chain = ChainOp(new_ctx(), ListSource([]), ops)
     assert chain.schema.names == ["double"]
 
 
@@ -229,4 +229,4 @@ def test_build_stage_rejects_breakers():
     from repro.relational.plans import Sort
 
     with pytest.raises(TypeError):
-        ChainOp(new_ctx(), ListSource([]), [Sort(Rows(), keys=["val"])], None)
+        ChainOp(new_ctx(), ListSource([]), [Sort(Rows(), keys=["val"])])

@@ -1,16 +1,11 @@
-"""Property test: all three engines return identical results for random
+"""Property test: both engines return identical results for random
 plans.
 
 Hypothesis generates random (but well-formed) logical plans over the
-fixture tables; the QPipe engine, the iterator engine and the push-based
-fused engine must agree on every one of them.  This is the repository's
-strongest end-to-end correctness check: it covers scans, index scans,
-filters, projections, sorts, all three joins, aggregates and group-bys
-in random compositions.
-
-The push engine's contract is stronger than row equality: it must replay
-the iterator engine's *virtual-cost schedule* exactly, so those two legs
-also compare row order, virtual clocks and disk I/O counters.
+fixture tables; the QPipe engine and the iterator engine must agree on
+every one of them.  This is the repository's strongest end-to-end
+correctness check: it covers scans, index scans, filters, projections,
+sorts, all three joins, aggregates and group-bys in random compositions.
 """
 
 import random
@@ -20,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.baseline.engine import IteratorEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
-from repro.pushexec import PushEngine
 from repro.hw.host import Host, HostConfig
 from repro.relational.expressions import AggSpec, Col
 from repro.relational.plans import (
@@ -120,7 +114,7 @@ def random_plan(seed: int):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_engines_agree_on_random_plans(seed):
-    """Three-way differential: iterator vs QPipe vs push backend."""
+    """Differential: iterator vs QPipe."""
     plan = random_plan(seed)
 
     host, sm = build_db()
@@ -133,15 +127,6 @@ def test_engines_agree_on_random_plans(seed):
     # Order-producing roots must match exactly, not just as multisets.
     if isinstance(plan, (Sort, Project)):
         assert qpipe == reference
-
-    host3, sm3 = build_db()
-    pushed = PushEngine(sm3).run_query(plan)
-    # Virtual-cost equivalence: same rows in the same order, same
-    # virtual finish time, same disk traffic as the iterator reference.
-    assert pushed == reference
-    assert host3.sim.now == host.sim.now
-    assert host3.disk.stats.blocks_read == host.disk.stats.blocks_read
-    assert host3.disk.stats.blocks_written == host.disk.stats.blocks_written
 
 
 def hash_family_plan(seed: int):
@@ -162,10 +147,9 @@ def hash_family_plan(seed: int):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), hash_family=st.booleans())
 def test_engines_agree_under_memory_pressure(seed, hash_family):
-    """The spill paths (external sort, Grace hash join) on all three
-    engines: a tiny work_mem forces them.  Rows agree everywhere; the
-    pushed engine also replays the iterator's schedule (DESIGN §12);
-    and every temp file is dropped."""
+    """The spill paths (external sort, Grace hash join) on both engines:
+    a tiny work_mem forces them.  Rows agree, and every temp file is
+    dropped."""
     plan = (hash_family_plan if hash_family else random_plan)(seed)
 
     host, sm = build_db()
@@ -174,19 +158,11 @@ def test_engines_agree_under_memory_pressure(seed, hash_family):
     assert set(sm.store.files()) == files
 
     host2, sm2 = build_db()
-    pushed = PushEngine(sm2, work_mem_tuples=40).run_query(plan)
-    assert pushed == reference
-    assert host2.sim.now == host.sim.now
-    assert host2.disk.stats.blocks_read == host.disk.stats.blocks_read
-    assert host2.disk.stats.blocks_written == host.disk.stats.blocks_written
-    assert set(sm2.store.files()) == files
-
-    host3, sm3 = build_db()
     config = QPipeConfig(osp_enabled=True, work_mem_tuples=40)
-    qpipe = QPipeEngine(sm3, config).run_query(plan)
+    qpipe = QPipeEngine(sm2, config).run_query(plan)
     # repr: an outer join's None padding does not order against floats.
     assert sorted(qpipe, key=repr) == sorted(reference, key=repr)
-    assert set(sm3.store.files()) == files
+    assert set(sm2.store.files()) == files
 
 
 def satisfied_limit_plans():
@@ -211,24 +187,17 @@ def satisfied_limit_plans():
 
 def test_satisfied_limit_never_pulls_its_input():
     """A LIMIT that is satisfied before it has emitted a row must not
-    pull below itself -- not even once.  The iterator and pushed engines
-    agree on rows, virtual clock and disk reads: no block at t = 0,
-    except that a probe *above* the satisfied limit builds from its
-    right input first, on both."""
+    pull below itself -- not even once.  On the iterator engine: no
+    block at t = 0, except that a probe *above* the satisfied limit
+    builds from its right input first."""
     for name, plan in satisfied_limit_plans().items():
         host, sm = build_db()
         assert IteratorEngine(sm).run_query(plan) == [], name
-        host2, sm2 = build_db()
-        assert PushEngine(sm2).run_query(plan) == [], name
-        assert host2.sim.now == host.sim.now, name
-        assert (
-            host2.disk.stats.blocks_read == host.disk.stats.blocks_read
-        ), name
         idle = name != "under-probe"
         assert (host.sim.now == 0.0) == idle, name
         assert (host.disk.stats.blocks_read == 0) == idle, name
-        host3, sm3 = build_db()
-        qpipe = QPipeEngine(sm3, QPipeConfig(osp_enabled=True))
+        host2, sm2 = build_db()
+        qpipe = QPipeEngine(sm2, QPipeConfig(osp_enabled=True))
         assert qpipe.run_query(plan) == [], name
 
 
@@ -313,36 +282,18 @@ def _is_aggregate_sql(sql: str) -> bool:
 def test_differential_wisconsin_sql():
     """~30 seeded random SQL queries agree across the iterator engine,
     QPipe with sharing off, QPipe with sharing on (submitted
-    concurrently), and the push backend."""
+    concurrently)."""
     queries = {seed: random_wisconsin_sql(seed) for seed in DIFFERENTIAL_SEEDS}
 
     host_ref, sm_ref = build_wisconsin_db()
     ref_engine = IteratorEngine(sm_ref)
-    reference_exact = {
-        seed: ref_engine.run_query(sql_plan(sql, sm_ref.catalog))
+    reference = {
+        seed: sorted(ref_engine.run_query(sql_plan(sql, sm_ref.catalog)))
         for seed, sql in queries.items()
     }
-    reference = {
-        seed: sorted(rows) for seed, rows in reference_exact.items()
-    }
 
-    host_push, sm_push = build_wisconsin_db()
-    push_engine = PushEngine(sm_push)
-    aggregates = 0
-    for seed, sql in queries.items():
-        got = push_engine.run_query(sql_plan(sql, sm_push.catalog))
-        # Schedule equivalence: exact row order, not just the multiset.
-        assert got == reference_exact[seed], (
-            f"pushed mismatch seed {seed}: {sql}"
-        )
-        if _is_aggregate_sql(sql):
-            aggregates += 1
-    # The seed range must actually have exercised aggregate equality.
-    assert aggregates >= 5
-    assert host_push.sim.now == host_ref.sim.now
-    assert (
-        host_push.disk.stats.blocks_read == host_ref.disk.stats.blocks_read
-    )
+    # The seed range must actually exercise aggregate equality.
+    assert sum(_is_aggregate_sql(sql) for sql in queries.values()) >= 5
 
     host_off, sm_off = build_wisconsin_db()
     engine_off = QPipeEngine(sm_off, QPipeConfig(osp_enabled=False))

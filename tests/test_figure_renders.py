@@ -66,7 +66,7 @@ RENDERS = {
     'scaleout':
         'd4fa8f6ba4375f7662a1f8b54673c1dafd4b4467ae657d09eeeaa54d21213796',
     'recovery --fault-seed 1':
-        'e8bc6b3103d42b831582b484966d2f4afc350e9e9fbddadaad7b8cc64f6d6d6f',
+        '2b02a87a2b3e33b3bb84342bf7eb181a03663fbb996be30515a6a2da5c58b614',
     'scaleout --hosts 4':
         '971fa1b2507b874f7d52e6bb33b27c3ddc84d09d28c6783186586c6f5731178f',
 }

@@ -1,8 +1,8 @@
 """End-to-end tests for generalized sharing (:mod:`repro.folding`).
 
 Correctness is non-negotiable: per-query results under folding must be
-byte-identical to the unfolded run (and agree with the iterator and
-push engines), and the trace invariants must hold even when the fold
+byte-identical to the unfolded run (and agree with the iterator
+engine), and the trace invariants must hold even when the fold
 donor -- the host query whose widened scan everyone rides -- is
 cancelled or crashed mid-fold.
 """
@@ -14,7 +14,6 @@ from repro.faults.errors import FaultError, QueryAborted
 from repro.harness.config import SMOKE, build_wisconsin_system
 from repro.hw.host import Host, HostConfig
 from repro.obs import InvariantChecker, Tracer
-from repro.pushexec import PushEngine
 from repro.relational.expressions import AggSpec, Between, Col
 from repro.relational.plans import Aggregate, GroupBy, TableScan
 from repro.storage.manager import StorageManager
@@ -66,17 +65,13 @@ def make_engine(sm, folded: bool) -> QPipeEngine:
 
 
 # ---------------------------------------------------------------------------
-# Differential: folded vs unfolded vs iterator vs push, per query
+# Differential: folded vs unfolded vs iterator, per query
 # ---------------------------------------------------------------------------
 def test_folded_results_identical_across_engines():
     plans = fold_plans(5)
 
     host_ref, sm_ref = build_db()
     reference = [IteratorEngine(sm_ref).run_query(p) for p in plans]
-
-    host_push, sm_push = build_db()
-    pushed = [PushEngine(sm_push).run_query(p) for p in plans]
-    assert pushed == reference
 
     for stagger in (0.0, 0.008):
         host_off, sm_off = build_db()

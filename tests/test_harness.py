@@ -169,3 +169,17 @@ def test_ablation_late_activation_helps():
     on = series.curve("late-activation on")
     off = series.curve("late-activation off")
     assert on[0] <= off[0]
+
+
+def test_pushed_backend_is_only_the_benchmarks_dbmsx_spelling():
+    """``backend="pushed"`` survives for one benchmark workload: with
+    DBMS X it builds the iterator engine, and with any other server it
+    is refused rather than quietly meaning that server."""
+    from repro.baseline.engine import IteratorEngine
+
+    tiny = with_overrides(SMOKE, tpch_factor=0.02)
+    _host, _sm, engine = build_tpch_system(tiny, "dbmsx", backend="pushed")
+    assert type(engine) is IteratorEngine and engine.name == "dbms-x"
+    for system in ("qpipe", "baseline"):
+        with pytest.raises(ValueError, match="'pushed' only with"):
+            build_tpch_system(tiny, system, backend="pushed")

@@ -1,5 +1,4 @@
-"""Which import loads what (the sibling of
-``tests/test_relational_compile.py::test_lower_layers_import_without_pushexec``).
+"""Which import loads what.
 
 ``repro.harness.config`` is what ``perf/``, the examples and any library
 user import to build a system.  It must stay a light import: presets
@@ -59,8 +58,7 @@ repro.obs.export repro.obs.invariants repro.obs.query_trace
 repro.obs.schema repro.obs.tracer repro.osp repro.osp.circular
 repro.osp.deadlock repro.osp.stats repro.osp.wop repro.parallel
 repro.parallel.cache repro.parallel.cells repro.parallel.digest
-repro.parallel.errors repro.parallel.pool repro.pushexec
-repro.pushexec.compiler repro.pushexec.engine repro.relational
+repro.parallel.errors repro.parallel.pool repro.relational
 repro.relational.compile repro.relational.expressions
 repro.relational.joins repro.relational.plans repro.relational.schema
 repro.relational.sort repro.relational.stages repro.results repro.shard

@@ -1,11 +1,11 @@
-"""Fault teardown on the two tree engines (iterator and pushed).
+"""Fault teardown on the iterator engine.
 
-Both run one query driver (``IteratorEngine.execute``), so a crashed or
-disconnected query unwinds the same way on either: the interrupt leaves
-the operator tree through ``execute``'s ``finally``, which must drop any
-live spill files, leave every buffer pin released, and sweep the query's
-locks.  These tests pin that balance after faults land mid-sort-spill
-and mid-join-partitioning, and that the engine stays usable afterwards.
+A crashed or disconnected query unwinds through the one query driver,
+``IteratorEngine.execute``: the interrupt leaves the operator tree
+through its ``finally``, which must drop any live spill files, leave
+every buffer pin released, and sweep the query's locks.  These tests pin
+that balance after faults land mid-sort-spill and mid-join-partitioning,
+and that the engine stays usable afterwards.
 """
 
 import pytest
@@ -13,16 +13,13 @@ import pytest
 from repro.baseline.engine import IteratorEngine
 from repro.faults import FaultInjector, FaultPlan, QueryAborted
 from repro.faults.errors import FaultError
-from repro.pushexec import PushEngine
 from repro.relational.plans import HashJoin, Sort, TableScan
 
 
-@pytest.fixture(params=[IteratorEngine, PushEngine],
-                ids=["iterator", "pushed"])
-def make_engine(request):
+def make_engine(sm):
     # A tiny memory budget so sorts spill runs and hash joins partition
     # to temp files -- teardown has real satellites to clean up.
-    return lambda sm: request.param(sm, work_mem_tuples=500)
+    return IteratorEngine(sm, work_mem_tuples=500)
 
 
 def spawn_catching(host, engine, plan, name="client"):
@@ -59,7 +56,7 @@ def join_plan():
 
 @pytest.mark.parametrize("plan_fn", [sort_plan, join_plan],
                          ids=["sort-spill", "hash-partition"])
-def test_crash_mid_spill_releases_everything(big_db, make_engine, plan_fn):
+def test_crash_mid_spill_releases_everything(big_db, plan_fn):
     host, sm, _, _ = big_db
     engine = make_engine(sm)
     files_before = len(sm.store._files)
@@ -74,7 +71,7 @@ def test_crash_mid_spill_releases_everything(big_db, make_engine, plan_fn):
     assert injector.fired
 
 
-def test_client_interrupt_runs_pipeline_finalizers(big_db, make_engine):
+def test_client_interrupt_runs_pipeline_finalizers(big_db):
     """A raw process interrupt (client disconnect, no abort_query call)
     must still unwind the operator tree and drop spill files."""
     host, sm, _, _ = big_db
@@ -96,7 +93,7 @@ def test_client_interrupt_runs_pipeline_finalizers(big_db, make_engine):
     assert_balanced(sm, engine, files_before)
 
 
-def test_engine_survives_repeated_crashes(big_db, make_engine):
+def test_engine_survives_repeated_crashes(big_db):
     """Crash several spilling queries back to back, then run one clean:
     no residue from the crashed runs may leak into the survivor."""
     host, sm, r_rows, _ = big_db

@@ -16,10 +16,9 @@ back under ``hold``, ``put`` or ``get`` is a reviewed one-line diff too.
 The fourth pins a kernel that is rendered once per index, not once per
 lookup: the clustered index scan's key-range filter.
 
-The fifth is what keeps fusion honest.  The iterator and pushed engines
-run the same operators and differ only in whether adjacent streaming
-operators share a frame, so the Python calls a streaming chain makes
-into the operator library are the one place that difference shows.
+The fifth is what keeps fusion honest: one frame per run of streaming
+operators, not one per operator, shows in the Python calls a streaming
+chain makes into the operator library.
 
 The fourth and fifth count calls into named directories, so they move
 when code moves between directories.  The sixth does not: the Python
@@ -36,7 +35,6 @@ import pytest
 from repro.baseline.engine import IteratorEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.hw.host import Host, HostConfig
-from repro.pushexec import PushEngine
 from repro.relational.expressions import AggSpec, Col
 from repro.relational.plans import (
     Aggregate,
@@ -56,10 +54,7 @@ import tests.conftest as cf
 _COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 _SIM = os.sep + os.path.join("repro", "sim") + os.sep
 _RELATIONAL = os.sep + os.path.join("repro", "relational") + os.sep
-_TREE_ENGINES = (
-    os.sep + os.path.join("repro", "baseline") + os.sep,
-    os.sep + os.path.join("repro", "pushexec") + os.sep,
-)
+_BASELINE = os.sep + os.path.join("repro", "baseline") + os.sep
 _REPRO = os.sep + "repro" + os.sep
 
 ROWS = 13_600  # 341 rows/page -> a 40-page table
@@ -69,32 +64,29 @@ STAGGER = 0.012  # virtual seconds: each scan arrives mid-way through the last
 ENGINES = {
     "packets": lambda sm: QPipeEngine(sm, QPipeConfig(osp_enabled=True)),
     "iterator": IteratorEngine,
-    "pushed": PushEngine,
 }
 
 #: engine -> (kernel entries scheduled, processes spawned).  Before
 #: Resource.hold (one entry per device service instead of a grant flush
 #: plus a timeout) the same scenario cost:
-#:   packets (1037, 157)    iterator (609, 3)    pushed (609, 3)
+#:   packets (1037, 157)    iterator (609, 3)
 #: and packets 756 while every pool miss announced itself to nobody and
 #: every patient put built an accept event it never waited on.  All 40
-#: misses of the iterator and pushed runs are piggybacked on (coalesced
-#: is 80), so their count did not move: a lazily created in-flight event
-#: still wakes its piggybackers.
+#: misses of the iterator run are piggybacked on (coalesced is 80), so
+#: its count did not move: a lazily created in-flight event still wakes
+#: its piggybackers.
 BUDGET = {
     "packets": (595, 157),
     "iterator": (329, 3),
-    "pushed": (329, 3),
 }
 
 #: engine -> Python calls into src/repro/sim/ while the three clients
 #: run, i.e. per kernel entry scheduled in that window:
-#:   packets 3428 / 443 = 7.7    iterator, pushed 1945 / 329 = 5.9
+#:   packets 3428 / 443 = 7.7    iterator 1945 / 329 = 5.9
 #: Before the transfer-path PR: 6630 / 604 = 11.0 and 3074 / 329 = 9.3.
 SIM_CALLS = {
     "packets": 3428,
     "iterator": 1945,
-    "pushed": 1945,
 }
 
 
@@ -158,7 +150,6 @@ JOIN_ROWS = (3_410, 2_000)  # r: 10 pages, s: 3 pages
 RELATIONAL_CALLS = {
     "packets": 211,
     "iterator": 172,
-    "pushed": 172,
 }
 
 def python_calls(fn, *where):
@@ -217,17 +208,16 @@ LOOKUPS = 25
 #: kernels for 25 clustered index lookups on one fresh system.  While
 #: every IndexScan rendered ``compile.key_range`` for itself (8 frames:
 #: a ``_Source``, the key expression, ``close``) the same lookups made
-#:   packets 554    iterator 379    pushed 379
+#:   packets 554    iterator 379
 #: i.e. 24 x 8 more: only the first lookup on an index builds it now
 #: (``IndexInfo.key_range``).  And while every lookup also rebuilt the
 #: index's key function (``StorageManager._key_fn``: one
 #: ``Schema.index_of`` per key column) instead of reading
 #: ``IndexInfo.key_of``:
-#:   packets 362    iterator 187    pushed 187
+#:   packets 362    iterator 187
 LOOKUP_CALLS = {
     "packets": 337,
     "iterator": 162,
-    "pushed": 162,
 }
 
 
@@ -257,27 +247,24 @@ def test_index_lookups_render_the_range_filter_once_per_index(name):
 
 
 # ---------------------------------------------------------------------------
-# Fusion: adjacent streaming operators share a frame on the pushed engine
+# Fusion: adjacent streaming operators share a frame
 # ---------------------------------------------------------------------------
 LIMIT_ROWS = 9_000  # of the 9,715 rows the filter keeps: met on page 37 of 40
 
-#: engine -> Python calls into src/repro/baseline/ + src/repro/pushexec/
-#: for one Limit(Project(Filter(TableScan))) over the 40-page table.  Per
-#: source batch the iterator enters three one-stage chains where the
-#: pushed engine enters one chain of three stages.  While the pushed
+#: engine -> Python calls into src/repro/baseline/ for one
+#: Limit(Project(Filter(TableScan))) over the 40-page table: per source
+#: batch, one chain of three stages.  Before fusion was the only builder
+#: the iterator engine entered three one-stage chains per batch and made
+#: 914, while a second, fused tree engine made 572.  While that fused
 #: engine was a transliterated second operator library
 #: (``_scan_source`` / ``_drive`` / ``pull_batch`` over ``(_BATCH,
-#: rows)`` markers) the same query made
-#:   iterator 909    pushed 1139
-#: i.e. fusing cost more frames than it saved.  While the stages lived
-#: in ``repro/baseline/stages.py`` (now ``repro/relational/stages.py``,
+#: rows)`` markers) it made 1139 to the unfused 909, i.e. fusing cost
+#: more frames than it saved.  While the stages lived in
+#: ``repro/baseline/stages.py`` (now ``repro/relational/stages.py``,
 #: outside this filter: three constructors, ``build_stage`` and 37
-#: ``LimitStage.apply`` frames on either engine) the pins read
-#:   iterator 957    pushed 615
-CHAIN_CALLS = {
-    "iterator": 914,
-    "pushed": 572,
-}
+#: ``LimitStage.apply`` frames) the unfused and fused pins read 957 and
+#: 615.
+CHAIN_CALLS = {"iterator": 572}
 
 
 def streaming_chain(name):
@@ -295,10 +282,9 @@ def streaming_chain(name):
 @pytest.mark.parametrize("name", sorted(CHAIN_CALLS))
 def test_streaming_chain_enters_the_operator_library_exactly_this_often(name):
     streaming_chain(name)()  # every kernel shape compiled once
-    calls, rows = python_calls(streaming_chain(name), *_TREE_ENGINES)
+    calls, rows = python_calls(streaming_chain(name), _BASELINE)
     assert len(rows) == LIMIT_ROWS
     assert calls == CHAIN_CALLS[name]
-    assert CHAIN_CALLS["pushed"] < CHAIN_CALLS["iterator"]
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +295,15 @@ def test_streaming_chain_enters_the_operator_library_exactly_this_often(name):
 #: one roof (PR 21's parent).  A pin that names a directory cannot tell
 #: a frame that went away from one that crossed its boundary; this one
 #: only asks that nothing got more than 1 % dearer.  After that PR:
-#:   lookups  packets 8617   iterator 4777   pushed 4777
-#:   chain    packets 10154  iterator 2822   pushed 2480
+#:   lookups  packets 8617   iterator 4777
+#:   chain    packets 10154  iterator 2822
 #: (the packet chain's +57: ``LimitStage.apply`` and the stage
-#: constructors are frames the inlined loops did not have).
+#: constructors are frames the inlined loops did not have).  The chain's
+#: iterator pin is the fused engine's 2480 since fusion became the only
+#: plan builder.
 ALL_CALLS_BEFORE = {
-    "lookups": {"packets": 8715, "iterator": 4825, "pushed": 4825},
-    "chain": {"packets": 10097, "iterator": 2822, "pushed": 2480},
+    "lookups": {"packets": 8715, "iterator": 4825},
+    "chain": {"packets": 10097, "iterator": 2480},
 }
 _SCENARIOS = {"lookups": index_lookups, "chain": streaming_chain}
 

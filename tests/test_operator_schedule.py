@@ -22,7 +22,6 @@ import pytest
 from repro.baseline.engine import IteratorEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.hw.host import Host, HostConfig
-from repro.pushexec import PushEngine
 from repro.relational.expressions import Col
 from repro.relational.plans import (
     AntiJoin,
@@ -57,7 +56,6 @@ ENGINES = {
         sm, QPipeConfig(osp_enabled=True, work_mem_tuples=mem)
     ),
     "iterator": lambda sm, mem: IteratorEngine(sm, work_mem_tuples=mem),
-    "pushed": lambda sm, mem: PushEngine(sm, work_mem_tuples=mem),
 }
 
 
@@ -139,122 +137,100 @@ SCENARIOS = {
 #: scenario -> engine -> (rows digest, finished_at of each query, disk
 #: blocks read, blocks written, kernel entries, processes spawned, files
 #: left in the store).  Recorded at the parent of the PR that moved the
-#: operator bodies under one roof; that PR left every reading as it was.
+#: operator bodies under one roof; that PR left every reading as it was,
+#: and so did making the iterator engine fuse every streaming run.
 SCHEDULE = {
     'sort_in_memory': {
         'packets': ('888f414aa42a', (2.18345,), 40, 0, 332, 155, 4),
         'iterator': ('888f414aa42a', (2.18345,), 40, 0, 84, 1, 4),
-        'pushed': ('888f414aa42a', (2.18345,), 40, 0, 84, 1, 4),
     },
     'sort_spilled': {
         'packets': ('888f414aa42a', (2.932650000000001,), 80, 40, 453, 155, 4),
         'iterator': ('888f414aa42a', (3.4664200000000007,), 80, 40, 191, 1, 4),
-        'pushed': ('888f414aa42a', (3.4664200000000007,), 80, 40, 191, 1, 4),
     },
     'sort_spilled_desc_ties': {
         'packets': ('8be125a4cbca', (2.932650000000001,), 80, 40, 453, 155, 4),
         'iterator': ('8be125a4cbca', (3.4664200000000007,), 80, 40, 191, 1, 4),
-        'pushed': ('8be125a4cbca', (3.4664200000000007,), 80, 40, 191, 1, 4),
     },
     'sort_spilled_under_limit': {
         'packets': ('356c7222905a', (2.947650000000001,), 80, 40, 437, 155, 4),
         'iterator': ('356c7222905a', (2.7268999999999997,), 54, 40, 153, 1, 4),
-        'pushed': ('356c7222905a', (2.7268999999999997,), 54, 40, 153, 1, 4),
     },
     'sort_empty': {
         'packets': ('2075510b5c64', (0.3160000000000002,), 40, 0, 248, 155, 4),
         'iterator': ('2075510b5c64', (0.3160000000000002,), 40, 0, 83, 1, 4),
-        'pushed': ('2075510b5c64', (0.3160000000000002,), 40, 0, 83, 1, 4),
     },
     'sorts_staggered': {
         'packets': ('83492d3f6de7', (4.886380000000003, 4.982380000000003), 124, 80, 669, 156, 4),
         'iterator': ('83492d3f6de7', (4.903060000000001, 4.999060000000001), 160, 80, 382, 2, 4),
-        'pushed': ('83492d3f6de7', (4.903060000000001, 4.999060000000001), 160, 80, 382, 2, 4),
     },
     'merge_join_spilled': {
         'packets': ('a083f031f2fb', (0.7687800000000052,), 12, 8, 1813, 155, 4),
         'iterator': ('a083f031f2fb', (1.0167400000000049,), 16, 8, 439, 1, 4),
-        'pushed': ('a083f031f2fb', (1.0167400000000049,), 16, 8, 439, 1, 4),
     },
     'merge_join_in_memory': {
         'packets': ('a083f031f2fb', (0.41740999999999634,), 4, 0, 1793, 155, 4),
         'iterator': ('a083f031f2fb', (0.6727200000000051,), 8, 0, 417, 1, 4),
-        'pushed': ('a083f031f2fb', (0.6727200000000051,), 8, 0, 417, 1, 4),
     },
     'nl_join': {
         'packets': ('07bbb9af8a95', (2.963450000000001,), 46, 2, 284, 156, 4),
         'iterator': ('07bbb9af8a95', (3.2480400000000063,), 46, 2, 101, 1, 4),
-        'pushed': ('07bbb9af8a95', (3.2480400000000063,), 46, 2, 101, 1, 4),
     },
     'distinct': {
         'packets': ('e98df4ee3aa7', (0.32202000000000025,), 40, 0, 492, 155, 4),
         'iterator': ('e98df4ee3aa7', (0.5880000000000015,), 40, 0, 163, 1, 4),
-        'pushed': ('e98df4ee3aa7', (0.5880000000000015,), 40, 0, 163, 1, 4),
     },
     'limit_offset': {
         'packets': ('bac8fe9e3b86', (0.04341000000000001,), 4, 0, 189, 155, 4),
         'iterator': ('bac8fe9e3b86', (0.04223000000000001,), 3, 0, 9, 1, 4),
-        'pushed': ('bac8fe9e3b86', (0.04223000000000001,), 3, 0, 9, 1, 4),
     },
     'limit_zero': {
         'packets': ('2075510b5c64', (0.0,), 0, 0, 161, 154, 4),
         'iterator': ('2075510b5c64', (0.0,), 0, 0, 3, 1, 4),
-        'pushed': ('2075510b5c64', (0.0,), 0, 0, 3, 1, 4),
     },
     'limit_project_filter': {
         'packets': ('a7624c99baac', (0.3023100000000002,), 39, 0, 732, 155, 4),
         'iterator': ('a7624c99baac', (0.5104700000000009,), 37, 0, 151, 1, 4),
-        'pushed': ('a7624c99baac', (0.5104700000000009,), 37, 0, 151, 1, 4),
     },
     'semi_join': {
         'packets': ('82d5535b57dd', (0.3796500000000005,), 44, 0, 356, 156, 4),
         'iterator': ('82d5535b57dd', (0.5280000000000011,), 44, 0, 135, 1, 4),
-        'pushed': ('82d5535b57dd', (0.5280000000000011,), 44, 0, 135, 1, 4),
     },
     'anti_join': {
         'packets': ('be68b7653f06', (0.3796500000000005,), 44, 0, 470, 156, 4),
         'iterator': ('be68b7653f06', (0.5280000000000011,), 44, 0, 135, 1, 4),
-        'pushed': ('be68b7653f06', (0.5280000000000011,), 44, 0, 135, 1, 4),
     },
     'left_outer_join': {
         'packets': ('079746720199', (0.3766400000000005,), 44, 0, 286, 156, 4),
         'iterator': ('079746720199', (0.4020000000000005,), 44, 0, 98, 1, 4),
-        'pushed': ('079746720199', (0.4020000000000005,), 44, 0, 98, 1, 4),
     },
     'iscan_clustered': {
         'packets': ('d82cf355332b', (0.14387,), 10, 0, 195, 154, 4),
         'iterator': ('d82cf355332b', (0.14387,), 10, 0, 20, 1, 4),
-        'pushed': ('d82cf355332b', (0.14387,), 10, 0, 20, 1, 4),
     },
     'iscan_clustered_open_lo': {
         'packets': ('756992aeb6c7', (0.05705000000000001,), 5, 0, 182, 154, 4),
         'iterator': ('756992aeb6c7', (0.05705000000000001,), 5, 0, 13, 1, 4),
-        'pushed': ('756992aeb6c7', (0.05705000000000001,), 5, 0, 13, 1, 4),
     },
     'iscan_rids_ordered': {
         'packets': ('61eb3e8d2249', (2.251950000000001,), 177, 0, 1155, 154, 4),
         'iterator': ('61eb3e8d2249', (2.251950000000001,), 177, 0, 402, 1, 4),
-        'pushed': ('61eb3e8d2249', (2.251950000000001,), 177, 0, 402, 1, 4),
     },
     'iscan_rids_unordered': {
         'packets': ('fa9e6bd7f33a', (0.09147000000000004,), 7, 0, 183, 154, 4),
         'iterator': ('fa9e6bd7f33a', (0.09147000000000004,), 7, 0, 14, 1, 4),
-        'pushed': ('fa9e6bd7f33a', (0.09147000000000004,), 7, 0, 14, 1, 4),
     },
     'insert': {
         'packets': ('6bd48f555ebd', (2.4000000000000017,), 0, 100, 266, 154, 4),
         'iterator': ('6bd48f555ebd', (2.4000000000000017,), 0, 100, 104, 1, 4),
-        'pushed': ('6bd48f555ebd', (2.4000000000000017,), 0, 100, 104, 1, 4),
     },
     'update': {
         'packets': ('e71cbfefb0fc', (14.461999999999687,), 4, 600, 1082, 154, 4),
         'iterator': ('e71cbfefb0fc', (14.461999999999687,), 4, 600, 908, 1, 4),
-        'pushed': ('e71cbfefb0fc', (14.461999999999687,), 4, 600, 908, 1, 4),
     },
     'delete': {
         'packets': ('30a2a9cca707', (24.065999999999782,), 4, 1000, 1692, 154, 4),
         'iterator': ('30a2a9cca707', (24.065999999999782,), 4, 1000, 1508, 1, 4),
-        'pushed': ('30a2a9cca707', (24.065999999999782,), 4, 1000, 1508, 1, 4),
     },
 }
 
@@ -306,11 +282,6 @@ def reading(scenario, engine_name):
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_operator_schedule_is_exactly_the_recorded_one(scenario, engine_name):
     assert reading(scenario, engine_name) == SCHEDULE[scenario][engine_name]
-
-
-def test_the_tree_engines_schedule_every_operator_identically():
-    for scenario, readings in SCHEDULE.items():
-        assert readings["iterator"] == readings["pushed"], scenario
 
 
 def test_the_spilled_scenarios_spill_and_the_lazy_merge_stops_early():

@@ -3,13 +3,18 @@
 Drives the ``recovery`` experiment's crash scenarios (each runs a
 fault-free reference plus a crashed-and-recovered run and demands
 byte-identical rows) and the chaos harness with the RecoveryManager
-enabled on both execution backends.
+enabled on both servers it attacks.
 """
 
 import pytest
 
 from repro.harness.config import SMOKE
-from repro.harness.experiments import FIGURES, RECOVERY_SCENARIOS, chaos
+from repro.harness.experiments import (
+    CHAOS_SYSTEMS,
+    FIGURES,
+    RECOVERY_SCENARIOS,
+    chaos,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +78,7 @@ def test_log_write_error_degrades_cleanly(scenarios):
     assert payload["attempts"] >= 2
 
 
-@pytest.mark.parametrize("scenario", ["pushed", "iterator"])
+@pytest.mark.parametrize("scenario", ["iterator-crash", "iterator"])
 def test_other_backends_recover(scenarios, scenario):
     payload = scenarios[scenario]
     assert payload["recoveries"] >= 1
@@ -91,9 +96,11 @@ def test_lineage_log_pays_for_durability(scenarios):
 # ---------------------------------------------------------------------------
 # Chaos with recovery enabled
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["packets", "pushed"])
-def test_chaos_with_recovery_holds_invariants(backend):
-    result = chaos(fault_seed=3, engine_backend=backend, recovery=True)
+@pytest.mark.parametrize(
+    "system", list(CHAOS_SYSTEMS), ids=list(CHAOS_SYSTEMS.values())
+)
+def test_chaos_with_recovery_holds_invariants(system):
+    result = chaos(fault_seed=3, system=system, recovery=True)
     assert result["violations"] == []
     assert result["recovery"] is True
     # Seed 3's plan crashes resumable queries: some recoveries happen
@@ -105,5 +112,5 @@ def test_chaos_with_recovery_holds_invariants(backend):
 def test_chaos_recovery_survives_log_faults():
     """The recovery leg arms extra log-device faults; a fault plan that
     tears or fails lineage flushes must still never corrupt results."""
-    result = chaos(fault_seed=2, engine_backend="packets", recovery=True)
+    result = chaos(fault_seed=2, recovery=True)
     assert result["violations"] == []

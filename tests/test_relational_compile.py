@@ -13,17 +13,14 @@
   raises what it raised, for bare and tuple keys and open bounds.
 * The code cache is keyed by expression shape: constants never add
   entries, and each closure still sees its own.
-* Float SUM/AVG equals the plain ``+=`` left fold on all three engines
+* Float SUM/AVG equals the plain ``+=`` left fold on both engines
   (builtin ``sum`` compensates floats on Python >= 3.12).
 """
 
 import math
-import os
 import pathlib
 import random
 import re
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +36,6 @@ from repro import (
     StorageManager,
     TableScan,
 )
-from repro.pushexec import PushEngine
 from repro.relational import compile
 from repro.relational.expressions import (
     AggSpec,
@@ -534,7 +530,7 @@ def _float_table(n=6000):
             for i in range(n)]
 
 
-@pytest.mark.parametrize("engine_name", ["packets", "iterator", "pushed"])
+@pytest.mark.parametrize("engine_name", ["packets", "iterator"])
 def test_float_sum_is_the_plain_left_fold(engine_name):
     rows = _float_table()
     host = Host(HostConfig())
@@ -544,7 +540,6 @@ def test_float_sum_is_the_plain_left_fold(engine_name):
     engine = {
         "packets": lambda: QPipeEngine(sm, QPipeConfig()),
         "iterator": lambda: IteratorEngine(sm),
-        "pushed": lambda: PushEngine(sm),
     }[engine_name]()
     plan = Aggregate(
         TableScan("f"),
@@ -564,20 +559,7 @@ def test_builtin_sum_is_not_used_over_row_values():
     src = SRC / "repro"
     relational = (src / "relational" / "compile.py").read_text()
     assert not re.search(r"\bsum\(", relational.split('"""', 2)[2])
-    for path in ("pushexec/compiler.py", "engine/engines/aggregates.py",
-                 "baseline/operators.py", "shard/merge.py",
-                 "lineage/recovery.py"):
+    for path in ("engine/engines/aggregates.py", "baseline/operators.py",
+                 "shard/merge.py", "lineage/recovery.py"):
         assert not re.search(r"\bsum\(", (src / path).read_text()), path
 
-
-# ---------------------------------------------------------------------------
-# Layering
-# ---------------------------------------------------------------------------
-def test_lower_layers_import_without_pushexec():
-    code = (
-        "import sys, repro.relational, repro.engine, repro.osp, "
-        "repro.baseline, repro.folding; "
-        "sys.exit('repro.pushexec' in sys.modules)"
-    )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -3,7 +3,6 @@
 from dataclasses import replace
 
 from repro.harness import FIGURES, SMOKE
-from repro.harness.experiments import substitute_engine
 from repro.parallel import PoolRunner
 from repro.parallel.cells import run_cells_serial
 
@@ -39,13 +38,6 @@ def test_one_host_cell_runs_everything_locally():
     payload = run_cells_serial([spec])[spec]
     assert set(payload["strategies"]) == {"local"}
     assert payload["net_bytes"] == 0 and payload["net_msgs"] == 0
-
-
-def test_scaleout_cells_are_not_engine_substituted():
-    """Scale-out makespans are engine-dependent by design, so the
-    --engine flag must leave the figure's cells untouched."""
-    specs = SCALEOUT.specs(TINY, hosts=(1, 2))
-    assert substitute_engine(specs, "pushed") == specs
 
 
 def test_rendered_output_identical_across_jobs():

@@ -2,8 +2,8 @@
 
 Every test runs real partitioned Wisconsin deployments built by the
 harness builder (range-partitioned BIG tables, replicated SMALL) and
-compares full result rows -- not digests -- across host counts, engine
-backends, and planner strategies.  The reference is always the 1-host
+compares full result rows -- not digests -- across host counts,
+engines, and planner strategies.  The reference is always the 1-host
 deployment, where every table is unpartitioned and the executor runs
 plans locally on the plain engine.
 """
@@ -30,9 +30,8 @@ from repro.sql.planner import UnshardablePlan, plan_distributed
 TINY = replace(SMOKE, name="tiny", wisconsin_big_rows=900)
 
 ENGINES = [
-    pytest.param("qpipe", "packets", id="qpipe-packets"),
-    pytest.param("dbmsx", "packets", id="dbmsx-iterator"),
-    pytest.param("qpipe", "pushed", id="qpipe-pushed"),
+    pytest.param("qpipe", id="qpipe-packets"),
+    pytest.param("dbmsx", id="dbmsx-iterator"),
 ]
 
 
@@ -86,10 +85,9 @@ def _plans():
     }
 
 
-def _run_all(engine, backend, hosts, prefer_shuffle=True):
+def _run_all(engine, hosts, prefer_shuffle=True):
     _cluster, system, executor = build_sharded_wisconsin_system(
-        TINY, hosts, system=engine, backend=backend,
-        prefer_shuffle=prefer_shuffle,
+        TINY, hosts, system=engine, prefer_shuffle=prefer_shuffle,
     )
     rows = {
         name: executor.run_query(plan) for name, plan in _plans().items()
@@ -100,15 +98,15 @@ def _run_all(engine, backend, hosts, prefer_shuffle=True):
 # ---------------------------------------------------------------------------
 # The ISSUE differential: every engine, every host count, same bytes
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("engine,backend", ENGINES)
-def test_sharded_rows_identical_across_host_counts(engine, backend):
-    reference, ref_exec, _ = _run_all(engine, backend, hosts=1)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_sharded_rows_identical_across_host_counts(engine):
+    reference, ref_exec, _ = _run_all(engine, hosts=1)
     assert set(ref_exec.stats.strategies) == {"local"}  # 1 host = no dist
     for hosts in (2, 4):
-        rows, executor, _ = _run_all(engine, backend, hosts=hosts)
+        rows, executor, _ = _run_all(engine, hosts=hosts)
         for name in reference:
             assert rows[name] == reference[name], (
-                f"{name} diverged at {hosts} hosts on {engine}/{backend}"
+                f"{name} diverged at {hosts} hosts on {engine}"
             )
         assert executor.stats.strategies == {
             "local": 1, "gather": 2, "shuffle": 1, "broadcast": 1,
@@ -119,25 +117,15 @@ def test_sharded_rows_identical_across_host_counts(engine, backend):
 
 def test_sharded_rows_identical_across_engines():
     """The relational answer is engine-independent, sharded or not."""
-    runs = {
-        (engine, backend): _run_all(engine, backend, hosts=2)[0]
-        for engine, backend in (
-            ("qpipe", "packets"), ("dbmsx", "packets"), ("qpipe", "pushed"),
-        )
-    }
-    reference = runs[("qpipe", "packets")]
-    for combo, rows in runs.items():
-        assert rows == reference, f"{combo} diverged from qpipe/packets"
+    assert _run_all("dbmsx", hosts=2)[0] == _run_all("qpipe", hosts=2)[0]
 
 
 def test_prefer_shuffle_off_falls_back_to_gather():
     """With shuffle disabled the grouped aggregate gathers raw rows to
     the coordinator instead -- a different exchange pattern, the same
     answer."""
-    shuffled, exec_s, _ = _run_all("qpipe", "packets", hosts=2)
-    gathered, exec_g, _ = _run_all(
-        "qpipe", "packets", hosts=2, prefer_shuffle=False
-    )
+    shuffled, exec_s, _ = _run_all("qpipe", hosts=2)
+    gathered, exec_g, _ = _run_all("qpipe", hosts=2, prefer_shuffle=False)
     assert gathered == shuffled
     assert "shuffle" in exec_s.stats.strategies
     assert "shuffle" not in exec_g.stats.strategies
@@ -145,8 +133,8 @@ def test_prefer_shuffle_off_falls_back_to_gather():
 
 
 def test_network_traffic_flows_only_when_partitioned():
-    _, exec1, sys1 = _run_all("qpipe", "packets", hosts=1)
-    _, exec4, sys4 = _run_all("qpipe", "packets", hosts=4)
+    _, exec1, sys1 = _run_all("qpipe", hosts=1)
+    _, exec4, sys4 = _run_all("qpipe", hosts=4)
     assert sys1.network.stats.messages == 0  # everything is loopback
     assert exec1.stats.bytes_shipped == 0  # nothing is partitioned
     assert sys4.network.stats.messages > 0
@@ -159,7 +147,7 @@ def test_network_traffic_flows_only_when_partitioned():
 # Planner classification
 # ---------------------------------------------------------------------------
 def test_planner_picks_documented_strategies():
-    _, system, _executor = _run_all("qpipe", "packets", hosts=2)
+    _, system, _executor = _run_all("qpipe", hosts=2)
     catalog = system.catalog
     for expected, plan in _plans().items():
         dist = plan_distributed(plan, catalog)
@@ -168,7 +156,7 @@ def test_planner_picks_documented_strategies():
 
 
 def test_planner_rejects_unshardable_shapes():
-    _, system, _executor = _run_all("qpipe", "packets", hosts=2)
+    _, system, _executor = _run_all("qpipe", hosts=2)
     catalog = system.catalog
     # MergeJoin's interleaved consumption has no partition-safe rewrite.
     with pytest.raises(UnshardablePlan):

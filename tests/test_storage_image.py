@@ -33,7 +33,6 @@ from repro.harness.config import (
 )
 from repro.hw.host import Cluster, ClusterConfig, Host, HostConfig
 from repro.obs import Tracer, jsonl_dumps
-from repro.pushexec import PushEngine
 from repro.relational.expressions import AggSpec, Col
 from repro.relational.plans import (
     Aggregate,
@@ -70,7 +69,6 @@ INDEXED = {
 ENGINES = {
     "packets": lambda sm: QPipeEngine(sm, QPipeConfig(osp_enabled=True)),
     "iterator": IteratorEngine,
-    "pushed": PushEngine,
 }
 
 
@@ -235,13 +233,13 @@ def op_delete(system, table, pick, _unused):
 
 
 def op_engine_dml(system, table, pick, which):
-    """INSERT, UPDATE and DELETE plans through each of the three engines."""
-    engine = system.engine(sorted(ENGINES)[which % 3])
+    """INSERT, UPDATE and DELETE plans through each of the two engines."""
+    engine = system.engine(sorted(ENGINES)[which % 2])
     heap = system.sm.catalog.table(table).heap
     schema = system.sm.catalog.table_schema(table)
     row = heap.fetch(live_rid(heap, pick))
     key_col = Col(schema.names[0])
-    kind = (which // 3) % 3
+    kind = (which // 2) % 3
     if kind == 0:
         rows = [with_key(row, system.next_key()) for _ in range(3)]
         assert engine.run_query(InsertRows(table, rows)) == [(3,)]
@@ -307,7 +305,7 @@ OPS = {
     "insert": (op_insert, st.integers(1, 90)),
     "update": (op_update, st.booleans()),
     "delete": (op_delete, st.just(0)),
-    "engine_dml": (op_engine_dml, st.integers(0, 8)),
+    "engine_dml": (op_engine_dml, st.integers(0, 5)),
     "txn": (op_txn, st.booleans()),
     "extend": (op_extend, st.integers(1, 200)),
     "corrupt": (op_corrupt, st.booleans()),
@@ -434,8 +432,8 @@ def digest(rows_lists) -> str:
     return hashlib.sha256(repr(rows_lists).encode()).hexdigest()
 
 
-def tpch_cell(persona: str, backend: str):
-    host, sm, engine = build_tpch_system(CELL_SCALE, persona, backend=backend)
+def tpch_cell(persona: str):
+    host, sm, engine = build_tpch_system(CELL_SCALE, persona)
     tracer = Tracer(host.sim)
     builders = [Q.q6, Q.q4_merge, Q.q1, Q.q12]
     clients = [
@@ -516,9 +514,8 @@ def sharded_cell():
 
 
 CELLS = {
-    "tpch-packets": lambda: tpch_cell("qpipe", "packets"),
-    "tpch-iterator": lambda: tpch_cell("dbmsx", "packets"),
-    "tpch-pushed": lambda: tpch_cell("dbmsx", "pushed"),
+    "tpch-packets": lambda: tpch_cell("qpipe"),
+    "tpch-iterator": lambda: tpch_cell("dbmsx"),
     "dml": dml_cell,
     "sharded-4h": sharded_cell,
 }
