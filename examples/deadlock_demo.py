@@ -75,7 +75,7 @@ def main() -> None:
             names = ", ".join(b.name for b in cycle)
             print(f"  waits-for cycle found; candidate buffers: {names}")
             print(f"  resolved by materialising "
-                  f"'{detector.resolved[0].name}' "
+                  f"'{detector.resolved[0]}' "
                   "(its back-pressure is removed, as if spilled to disk)")
 
     sim.spawn(watchdog(), name="watchdog")

@@ -134,7 +134,7 @@ class IteratorEngine:
         handle.abort_reason = reason
         if failure is not None:
             handle.failure = failure
-        self.sim.tracer.query_abort(handle, reason)
+        self.sim.tracer.query_abort(handle, reason, self.host.node)
         if handle.proc is not None and handle.proc.alive:
             handle.proc.interrupt(reason)
 

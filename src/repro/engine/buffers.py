@@ -34,6 +34,15 @@ from repro.sim import (
 SEGMENT_BOUNDARY = ("__segment_boundary__",)
 
 
+class FanOutClosed(RuntimeError):
+    """A replaying attach reached a closed :class:`FanOut`.
+
+    A closed fan-out has released its replay ring, so it can no longer
+    hand a late satellite the complete output; the attach must have been
+    promised (:meth:`FanOut.promise_replay`) while the fan-out was open.
+    """
+
+
 class TupleBuffer:
     """A bounded batch queue from one producer packet to one consumer.
 
@@ -47,7 +56,7 @@ class TupleBuffer:
 
     __slots__ = (
         "sim", "name", "producer", "consumer", "_channel", "_gate",
-        "tuples_in", "tuples_out", "skip_tuples",
+        "tuples_in", "tuples_out", "skip_tuples", "registry", "__weakref__",
     )
 
     def __init__(
@@ -74,6 +83,10 @@ class TupleBuffer:
         #: *logical stream* positions, so a second crash recomputes a
         #: correct skip.
         self.skip_tuples = 0
+        #: The live-buffer registry this buffer is listed in (a dict used
+        #: as an ordered set); close() removes it, so a finished query's
+        #: buffers are never pinned by the deadlock detector's registry.
+        self.registry = None
 
     # -- producer side ----------------------------------------------------
     def wait_activated(self) -> Generator:
@@ -202,6 +215,9 @@ class TupleBuffer:
 
     def close(self) -> None:
         self._channel.close()
+        if self.registry is not None:
+            self.registry.pop(self, None)
+            self.registry = None
 
     # -- consumer side ----------------------------------------------------
     def get(self) -> Generator:
@@ -271,11 +287,17 @@ class FanOut:
     The producer writes through :meth:`put`; the OSP coordinator attaches
     satellite buffers with :meth:`attach` (replaying ring contents first)
     and the operator closes everything with :meth:`close`.
+
+    Once closed, the fan-out admits no new satellite, so :meth:`close`
+    releases the replay ring -- except for the replays already promised
+    to satellites whose attach has not run yet, which keep it until the
+    last of them attaches or detaches.
     """
 
     __slots__ = (
         "sim", "name", "buffers", "replay_tuples", "_ring", "_ring_size",
-        "total_tuples", "dropped_from_ring", "closed", "_lock",
+        "total_tuples", "dropped_from_ring", "closed", "_lock", "_promised",
+        "__weakref__",
     )
 
     def __init__(
@@ -294,6 +316,8 @@ class FanOut:
         self.total_tuples = 0
         self.dropped_from_ring = False
         self.closed = False
+        #: Satellite buffers admitted for a replay their attach still owes.
+        self._promised: List[TupleBuffer] = []
         # Serialises put against attach so a satellite's replay never
         # races with (and misses) a concurrent live batch.
         self._lock = Lock(sim)
@@ -339,6 +363,16 @@ class FanOut:
         if self._ring_size > self.replay_tuples:
             self.dropped_from_ring = True
 
+    def promise_replay(self, buffer: TupleBuffer) -> None:
+        """Admit *buffer* for a replaying :meth:`attach` that runs later.
+
+        The admission decision and the attach are separate simulator
+        steps; the producer may finish and close in between.  The promise
+        keeps the ring alive until *buffer* attaches (or detaches), so
+        the satellite still receives the complete output.
+        """
+        self._promised.append(buffer)
+
     def attach(
         self,
         buffer: TupleBuffer,
@@ -352,10 +386,13 @@ class FanOut:
         ``on_attached`` runs while the fan-out lock is still held, so the
         caller can capture the producer's exact progress at the moment of
         attachment (the 4.3.2 split uses this to bound its prefix pass
-        without duplicating or losing a page).
+        without duplicating or losing a page).  A replaying attach on a
+        closed fan-out raises :exc:`FanOutClosed` unless it was promised.
         """
         yield self._lock.acquire()
         try:
+            if replay and self.closed and buffer not in self._promised:
+                raise FanOutClosed(f"{self.name}: replay after close")
             if replay:
                 for batch in list(self._ring):
                     # Intentional blocking-while-holding: replay must be
@@ -370,11 +407,19 @@ class FanOut:
             if self.closed:
                 buffer.close()
         finally:
+            self._forget_promise(buffer)
             self._lock.release()
 
     def detach(self, buffer: TupleBuffer) -> None:
         if buffer in self.buffers:
             self.buffers.remove(buffer)
+        self._forget_promise(buffer)
+
+    def _forget_promise(self, buffer: TupleBuffer) -> None:
+        if buffer in self._promised:
+            self._promised.remove(buffer)
+            if self.closed and not self._promised:
+                self._release_ring()
 
     def reset_replay(self) -> None:
         """Forget all replay/progress state.
@@ -384,15 +429,20 @@ class FanOut:
         stream from tuple zero, so the old ring and counters would
         corrupt later attach (window-of-opportunity) decisions.
         """
-        self._ring = []
-        self._ring_size = 0
+        self._release_ring()
         self.total_tuples = 0
         self.dropped_from_ring = False
+
+    def _release_ring(self) -> None:
+        self._ring = []
+        self._ring_size = 0
 
     def close(self) -> None:
         self.closed = True
         for buffer in self.buffers:
             buffer.close()
+        if not self._promised:
+            self._release_ring()
 
     # -- introspection ------------------------------------------------------
     def any_full(self) -> Optional[TupleBuffer]:

@@ -261,6 +261,8 @@ class IScanEngine(MicroEngine):
                 if batch is None:
                     break
                 yield from out.put(batch)
+            # Segment B outlives the host: hold neither it nor segment A.
+            host = seg_a = None
             yield from out.put_marker()
             # Segment B: the pages the satellite missed before attaching.
             if boundary["kind"] == "clustered":

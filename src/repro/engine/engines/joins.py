@@ -205,6 +205,12 @@ class MergeJoinEngine(MicroEngine):
         buffer = self.engine.dispatcher.dispatch_subtree(
             packet.query, child_plan
         )
+        # An input and a child like the first: when the join ends before
+        # reading it out, _release_inputs closes and cancels it -- or its
+        # producer would block on the full buffer for good, pinning a
+        # pool worker and its query's packet tree.
+        packet.inputs.append(buffer)
+        packet.children.append(buffer.producer)
         packet.query.bump("mj_restarts")
         return buffer
 

@@ -78,6 +78,10 @@ class MicroEngine:
 
     def _worker_loop(self, index: int) -> Generator:
         while True:
+            # Cleared before each wait: an idle worker must not pin the
+            # packet it last saw -- nor, through it, the query's fan-outs,
+            # buffers and rows.
+            packet = None
             packet = yield self.queue.get()
             if packet.state is not PacketState.QUEUED or packet.query.aborted:
                 continue  # cancelled, attached, or aborted while waiting
@@ -231,6 +235,8 @@ class MicroEngine:
             can_replay=host.output.can_replay(),
         )
         packet.cancel_subtree()
+        # Promised now, attached later: the host may close in between.
+        host.output.promise_replay(packet.primary_output)
         packet.attach_proc = self.sim.spawn(
             self._attach_proc(host, packet),
             name=f"{self.name}-attach",

@@ -100,7 +100,9 @@ class QPipeEngine:
         self.deadlock_detector = DeadlockDetector(
             self, period=self.config.deadlock_period
         )
-        self._buffers: List[TupleBuffer] = []
+        #: Open buffers in registration order (a dict as an ordered set);
+        #: each buffer removes itself when it closes.
+        self._buffers: Dict[TupleBuffer, None] = {}
         self._next_query_id = 0
         self.active_queries = 0
         self.queries_completed = 0
@@ -121,11 +123,11 @@ class QPipeEngine:
     # Buffer registry (deadlock detection)
     # ------------------------------------------------------------------
     def register_buffer(self, buffer: TupleBuffer) -> None:
-        self._buffers.append(buffer)
+        self._buffers[buffer] = None
+        buffer.registry = self._buffers
 
     def live_buffers(self) -> List[TupleBuffer]:
-        self._buffers = [b for b in self._buffers if not b.closed]
-        return self._buffers
+        return list(self._buffers)
 
     # ------------------------------------------------------------------
     # Query lifecycle
@@ -257,7 +259,7 @@ class QPipeEngine:
         if failure is not None:
             query.failure = failure
         self.queries_aborted += 1
-        self.sim.tracer.query_abort(query, reason)
+        self.sim.tracer.query_abort(query, reason, self.host.node)
 
         for packet in query.packets:
             for sat in list(packet.satellites):

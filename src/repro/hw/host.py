@@ -64,7 +64,7 @@ class Host:
     def __post_init__(self):
         if self.sim is None:
             self.sim = Simulator()
-        disk_name = "disk" if self.name == "host" else f"{self.name}.disk"
+        disk_name = "disk" if self.node is None else f"{self.node}.disk"
         self.disk = Disk(
             self.sim,
             transfer_time=self.config.disk_transfer_time,
@@ -73,6 +73,12 @@ class Host:
         )
         self.cpu = CPU(self.sim, cores=self.config.cores)
         self.rng = random.Random(self.config.seed)
+
+    @property
+    def node(self) -> Optional[str]:
+        """The cluster member's name, which keys its per-host trace
+        identities (disk, packet and query ids); None when standalone."""
+        return None if self.name == "host" else self.name
 
     @property
     def now(self) -> float:

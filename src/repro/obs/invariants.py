@@ -53,6 +53,20 @@ class InvariantViolation(AssertionError):
         )
 
 
+def _key(event: Dict[str, Any], field: str) -> Any:
+    """A packet or query id, qualified by its host in a cluster trace.
+
+    Every host of a sharded system numbers its queries from 1, so the
+    tracer stamps their lifecycle events with a ``node``; ids are checked
+    per node.  Single-host events carry no node and keep the bare id.
+    """
+    ident = event.get(field)
+    node = event.get("node")
+    if node is None or ident is None:
+        return ident
+    return f"{node}/{ident}"
+
+
 class InvariantChecker:
     """Replays one trace and collects every invariant violation."""
 
@@ -113,7 +127,7 @@ class InvariantChecker:
             if not etype.startswith("packet."):
                 continue
             kind = etype.split(".", 1)[1]
-            pid = event.get("packet")
+            pid = _key(event, "packet")
             if pid is None:
                 self._flag(f"{etype} event without a packet id: {event!r}")
                 continue
@@ -173,7 +187,7 @@ class InvariantChecker:
         for event in self.events:
             if event.get("type") != "packet.attach":
                 continue
-            pid = event.get("packet")
+            pid = _key(event, "packet")
             mechanism = event.get("mechanism")
             if mechanism == "generic":
                 host_tuples = event.get("host_tuples", 0)
@@ -276,17 +290,17 @@ class InvariantChecker:
         for event in self.events:
             etype = event.get("type", "")
             if etype == "query.abort":
-                qid = event.get("query")
+                qid = _key(event, "query")
                 if qid in aborted:
                     self._flag(f"query {qid} aborted twice")
                 aborted.add(qid)
             elif etype == "packet.cancel":
-                pid = event.get("packet")
+                pid = _key(event, "packet")
                 if pid in cancelled:
                     self._flag(f"packet {pid} cancelled twice")
                 cancelled.add(pid)
             elif etype == "packet.detach":
-                cancelled.discard(event.get("packet"))
+                cancelled.discard(_key(event, "packet"))
 
     # ------------------------------------------------------------------
     def _check_orphan_satellites(self) -> None:
@@ -298,10 +312,10 @@ class InvariantChecker:
         for event in self.events:
             etype = event.get("type", "")
             if etype == "packet.attach":
-                open_attach.add(event.get("packet"))
+                open_attach.add(_key(event, "packet"))
             elif etype in (
                 "packet.complete", "packet.cancel", "packet.detach"
             ):
-                open_attach.discard(event.get("packet"))
+                open_attach.discard(_key(event, "packet"))
         for pid in sorted(open_attach, key=repr):
             self._flag(f"satellite {pid} still attached at end of trace")

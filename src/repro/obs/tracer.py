@@ -94,7 +94,7 @@ class NullTracer:
         pass
 
     # -- query lifecycle -----------------------------------------------------
-    def query_abort(self, query, reason: str) -> None:
+    def query_abort(self, query, reason: str, node=None) -> None:
         pass
 
     # -- OSP coordinator decisions ------------------------------------------
@@ -191,6 +191,11 @@ class Tracer(NullTracer):
             "engine": packet.engine_name,
             "op": packet.plan.op_name,
         }
+        # Every host of a cluster numbers its queries from 1: its packet
+        # ids are unique only together with the host's name.
+        node = getattr(packet.query.host_machine, "node", None)
+        if node is not None:
+            record["node"] = node
         if extra:
             record.update(extra)
         self.events.append(record)
@@ -231,8 +236,9 @@ class Tracer(NullTracer):
         self._packet("packet.detach", packet, reason=reason)
 
     # -- query lifecycle -----------------------------------------------------
-    def query_abort(self, query, reason: str) -> None:
-        self.event("query.abort", query=query.query_id, reason=reason)
+    def query_abort(self, query, reason: str, node=None) -> None:
+        host = {} if node is None else {"node": node}
+        self.event("query.abort", query=query.query_id, reason=reason, **host)
 
     # -- OSP coordinator decisions ------------------------------------------
     def osp(self, etype: str, **fields) -> None:

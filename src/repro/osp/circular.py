@@ -256,6 +256,9 @@ class CircularScanManager:
                 self._mark_delivered(scan, consumer)
                 if consumer.pages_remaining <= 0:
                     self._finish(scan, consumer)
+            # Carry no consumer (a finished one pins its query's packet
+            # tree) and no batch across the next page read.
+            consumer = packet = output = out = None
             scan.visit_seq += 1
             scan.current_page = (scan.current_page + 1) % scan.num_pages
         self._unregister(scan)

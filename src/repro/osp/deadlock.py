@@ -32,7 +32,10 @@ class DeadlockDetector:
         self.engine = engine
         self.sim = engine.sim
         self.period = period
-        self.resolved: List[TupleBuffer] = []
+        #: Names of the materialised buffers, in resolution order (names,
+        #: not buffers: a buffer would pin its producer and consumer
+        #: packets, and every row they hold, for the detector's life).
+        self.resolved: List[str] = []
         self._running = False
 
     def ensure_running(self) -> None:
@@ -105,7 +108,7 @@ class DeadlockDetector:
             cycle_size=len(cycle),
         )
         victim.materialize()
-        self.resolved.append(victim)
+        self.resolved.append(victim.name)
         self.engine.osp_stats.deadlocks_resolved += 1
         return candidates
 

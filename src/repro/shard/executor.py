@@ -240,10 +240,14 @@ class ShardedExecutor:
             "start", query=query_id, kind="broadcast", shards=count
         )
         build_slices: List[Optional[List[tuple]]] = [None] * count
+        # The build side runs as a query of its own on every shard: the
+        # probe fragment runs there next under ``query_id``, and one host
+        # must never see two queries (and two packet trees) under one id.
+        build_id = self._new_query_id()
 
         def broadcast_build(shard: Shard) -> Generator:
             rows = yield from self._run_fragment(
-                shard, dist.build_fragment, query_id
+                shard, dist.build_fragment, build_id
             )
             build_slices[shard.index] = rows
             for dst in shards:
@@ -297,8 +301,7 @@ class ShardedExecutor:
         :class:`~repro.results.QueryResult` whose rows are
         byte-identical to the single-host run (range partitions)."""
         if query_id is None:
-            self._next_query_id += 1
-            query_id = self._next_query_id
+            query_id = self._new_query_id()
         submitted = self.sim.now
         dist = plan_distributed(
             plan, self.catalog, prefer_shuffle=self.prefer_shuffle
@@ -338,6 +341,10 @@ class ShardedExecutor:
             started_at=submitted,
             finished_at=self.sim.now,
         )
+
+    def _new_query_id(self) -> int:
+        self._next_query_id += 1
+        return self._next_query_id
 
     def run_query(self, plan: PlanNode) -> List[tuple]:
         """Convenience: spawn, run the clock, return the rows (tests)."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
+from repro.harness.config import build_sharded_wisconsin_system
 from repro.hw.host import Host, HostConfig
 from repro.obs import InvariantChecker, InvariantViolation, Tracer
 from repro.relational.expressions import AggSpec, Col
@@ -10,6 +11,7 @@ from repro.relational.plans import Aggregate, Sort, TableScan
 from repro.storage.manager import StorageManager
 
 import tests.conftest as cf
+from tests.test_shard_exec import TINY, _plans
 
 
 def build_db():
@@ -69,6 +71,35 @@ def _valid_packet_events():
 
 def test_valid_synthetic_trace_passes():
     assert InvariantChecker(_valid_packet_events()).check() == []
+
+
+def test_checker_green_on_a_traced_four_host_run():
+    """Every host numbers its queries from 1, and a broadcast join runs
+    two queries on each host: packet and query ids are checked per host."""
+    _cluster, system, executor = build_sharded_wisconsin_system(TINY, 4)
+    tracer = Tracer(system.sim)
+    for plan in _plans().values():
+        executor.run_query(plan)
+    assert "broadcast" in executor.stats.strategies
+    nodes = {
+        event["node"] for event in tracer.events
+        if event["type"].startswith("packet.")
+    }
+    assert nodes == {f"host{i}" for i in range(4)}
+    assert InvariantChecker(tracer.events).check() == []
+
+
+def test_one_packet_id_on_two_hosts_is_two_packets():
+    on_two = [
+        dict(event, node=node)
+        for node in ("host0", "host1")
+        for event in _valid_packet_events()
+    ]
+    on_two.sort(key=lambda event: event["ts"])
+    assert InvariantChecker(on_two).check() == []
+    on_one = [dict(event, node="host0") for event in on_two]
+    violations = InvariantChecker(on_one).check()
+    assert "packet host0/q1p0 created twice" in violations
 
 
 def test_clock_regression_flagged():

@@ -153,7 +153,7 @@ def test_victim_is_cheapest_buffer():
 
     sim.spawn(run_detector())
     sim.run()
-    assert detector.resolved and detector.resolved[0] is small
+    assert detector.resolved == [small.name]
 
 
 def test_detector_parks_when_idle():
@@ -205,7 +205,7 @@ def test_three_packet_cycle_detected_and_resolved():
     # All three full buffers lie on the cycle; the emptiest one (ca,
     # level 2) is the materialisation victim.
     assert found[0] is not None and len(found[0]) == 3
-    assert detector.resolved == [ca]
+    assert detector.resolved == [ca.name]
     assert engine.osp_stats.deadlocks_resolved == 1
 
 
