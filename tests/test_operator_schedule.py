@@ -3,7 +3,9 @@
 The engine differentials compare the two operator libraries on *rows*.
 This matrix pins what each library *schedules* for the operators the
 benchmark never runs -- external sort, merge join, NL join, DISTINCT,
-LIMIT, the semi/anti/outer probes, both index-scan paths and DML -- so
+LIMIT, the semi/anti/outer probes, both index-scan paths and DML --
+and for the hash join on a unique and on a repeating build key, in
+memory and partitioned (the benchmark never spills one) -- so
 an operator body can move between modules with nothing simulated
 moving: per plan and engine, the rows (order included), the virtual
 finish time, the disk blocks read and written, the kernel entries, the
@@ -28,6 +30,7 @@ from repro.relational.plans import (
     DeleteRows,
     Distinct,
     Filter,
+    HashJoin,
     IndexScan,
     InsertRows,
     LeftOuterJoin,
@@ -66,6 +69,16 @@ def s_side(alias):
 def merge_join():
     """s joined to itself on rid: ~5 rows a key on both sides."""
     return MergeJoin(s_side("a"), s_side("b"), "a.rid", "b.rid")
+
+
+def unique_build():
+    """r built on its unique id, probed with s.rid."""
+    return HashJoin(TableScan("r"), TableScan("s"), "id", "rid")
+
+
+def dup_build():
+    """s built on rid (~5 rows a key), probed with r.id."""
+    return HashJoin(TableScan("s"), TableScan("r"), "rid", "id")
 
 
 def bump_rid(row):
@@ -113,6 +126,13 @@ SCENARIOS = {
     "left_outer_join": (IN_MEMORY, [(0.0, lambda: LeftOuterJoin(
         TableScan("r", predicate=Col("id") < 1000), TableScan("s"), "id", "rid",
     ))]),
+    "hash_join_unique_build": (IN_MEMORY, [(0.0, unique_build)]),
+    "hash_join_dup_build": (IN_MEMORY, [(0.0, dup_build)]),
+    "hash_join_spilled": (SPILL, [(0.0, unique_build)]),
+    "hash_join_dup_spilled": (SPILL, [(0.0, dup_build)]),
+    "left_outer_join_unique": (IN_MEMORY, [(0.0, lambda: LeftOuterJoin(
+        TableScan("s"), TableScan("r"), "rid", "id",
+    ))]),
     "iscan_clustered": (IN_MEMORY, [
         (0.0, lambda: IndexScan("r", "r_id", lo=1000, hi=2500, ordered=True)),
     ]),
@@ -138,7 +158,11 @@ SCENARIOS = {
 #: blocks read, blocks written, kernel entries, processes spawned, files
 #: left in the store).  Recorded at the parent of the PR that moved the
 #: operator bodies under one roof; that PR left every reading as it was,
-#: and so did making the iterator engine fuse every streaming run.
+#: and so did making the iterator engine fuse every streaming run.  The
+#: five hash-join scenarios were recorded while every build table was a
+#: dict of arrival-order row lists; a spilled join writes its build rows
+#: to temp pages in the order the table hands them back, so their
+#: readings pin that order.
 SCHEDULE = {
     'sort_in_memory': {
         'packets': ('888f414aa42a', (2.18345,), 40, 0, 332, 155, 4),
@@ -203,6 +227,26 @@ SCHEDULE = {
     'left_outer_join': {
         'packets': ('079746720199', (0.3766400000000005,), 44, 0, 286, 156, 4),
         'iterator': ('079746720199', (0.4020000000000005,), 44, 0, 98, 1, 4),
+    },
+    'hash_join_unique_build': {
+        'packets': ('22803233a478', (0.37965000000000027,), 44, 0, 362, 156, 4),
+        'iterator': ('22803233a478', (0.5280000000000009,), 44, 0, 135, 1, 4),
+    },
+    'hash_join_dup_build': {
+        'packets': ('8ae527598001', (0.3796500000000005,), 44, 0, 356, 156, 4),
+        'iterator': ('8ae527598001', (0.5280000000000011,), 44, 0, 135, 1, 4),
+    },
+    'hash_join_spilled': {
+        'packets': ('11bcc5c4e1a4', (3.911010000000003,), 184, 140, 742, 156, 4),
+        'iterator': ('11bcc5c4e1a4', (4.179999999999998,), 184, 140, 441, 1, 4),
+    },
+    'hash_join_dup_spilled': {
+        'packets': ('14a60222f1c4', (1.9886399999999962,), 169, 125, 682, 156, 4),
+        'iterator': ('14a60222f1c4', (2.0240000000000022,), 169, 125, 351, 1, 4),
+    },
+    'left_outer_join_unique': {
+        'packets': ('5a33cb636d2b', (0.37965000000000027,), 44, 0, 362, 156, 4),
+        'iterator': ('5a33cb636d2b', (0.5280000000000009,), 44, 0, 135, 1, 4),
     },
     'iscan_clustered': {
         'packets': ('d82cf355332b', (0.14387,), 10, 0, 195, 154, 4),
@@ -288,6 +332,9 @@ def test_the_spilled_scenarios_spill_and_the_lazy_merge_stops_early():
     written = {name: SCHEDULE[name]["iterator"][3] for name in SCHEDULE}
     assert written["sort_in_memory"] == written["merge_join_in_memory"] == 0
     assert written["sort_spilled"] >= 40 and written["merge_join_spilled"] >= 8
+    assert written["hash_join_unique_build"] == 0
+    assert written["hash_join_spilled"] >= 40 + 4
+    assert written["hash_join_dup_spilled"] >= 40 + 4
     read = {name: SCHEDULE[name]["iterator"][2] for name in SCHEDULE}
     assert read["sort_spilled_under_limit"] < read["sort_spilled"]
 
