@@ -418,7 +418,7 @@ class HashJoinOp(Operator):
 
     def _build(self):
         budget = self.ctx.work_mem_tuples
-        table: Dict[Any, List[tuple]] = {}
+        table: Dict = {}
         count = 0
         overflow: List[tuple] = []
         while True:
@@ -437,7 +437,8 @@ class HashJoinOp(Operator):
             self._table = table
             return
         # Spill: rows already hashed plus the overflow go to partitions.
-        all_rows = [row for rows in table.values() for row in rows]
+        all_rows = compile.table_rows(table)
+        del table
         all_rows.extend(overflow)
         nparts = max(
             2, -(-len(all_rows) // max(1, self.ctx.work_mem_tuples // 2))
@@ -501,7 +502,7 @@ class HashJoinOp(Operator):
             lrows = yield from self._read_part(self._lparts[p])
             rrows = yield from self._read_part(self._rparts[p])
             yield from self.ctx.cpu(len(lrows) + len(rrows))
-            table: Dict[Any, List[tuple]] = {}
+            table: Dict = {}
             self._hash_insert(table, lrows)
             joined = self._hash_probe(table, rrows)
             self._pending = (

@@ -74,7 +74,10 @@ class HashJoinEngine(MicroEngine):
         query = packet.query
         sm = self.engine.sm
         packet.phase = "partition"
-        lrows = [row for rows in table.values() for row in rows]
+        lrows = compile.table_rows(table)
+        # The rows live on in lrows and then on temp pages: the caller's
+        # reference must not keep the table through every partition.
+        table.clear()
         rrows = yield from packet.inputs[1].drain()
         nparts = max(2, -(-len(lrows) // max(1, query.work_mem_tuples // 2)))
 

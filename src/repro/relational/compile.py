@@ -58,6 +58,7 @@ __all__ = [
     "agg_update",
     "group_update",
     "hash_build",
+    "table_rows",
     "key_set",
     "hash_probe",
     "partition",
@@ -298,14 +299,46 @@ def group_update(
 
 def hash_build(key: str, schema: Schema) -> Callable:
     """``build(table, rows)``: file each row under its bare *key* column
-    value, in arrival order within a key."""
+    value.
+
+    While every key the table has seen is unique it maps a key to its
+    row: a batch costs one dict display, a length check and a
+    disjointness test, all in C.  The first repeat, inside a batch or
+    across batches, turns every value into the list of its key's rows
+    in arrival order, and the table stays listed.  The form is read
+    from the data (rows are tuples, so a list value means listed);
+    :func:`table_rows` and :func:`hash_probe` read either.
+    """
     src = _Source(schema)
+    k = src.expr(Col(key))
     return src.close(f"""\
     def build(table, rows):
+        for first in table.values():
+            listed = first.__class__ is list
+            break
+        else:
+            listed = False
+        if not listed:
+            new = {{{k}: row for row in rows}}
+            if len(new) == len(rows) and table.keys().isdisjoint(new):
+                table.update(new)
+                return
+            table.update({{key: [row] for key, row in table.items()}})
         slot = table.setdefault
         for row in rows:
-            slot({src.expr(Col(key))}, []).append(row)
+            slot({k}, []).append(row)
     return build""")
+
+
+def table_rows(table: dict) -> List[tuple]:
+    """A :func:`hash_build` table's rows, keys in first-seen order and
+    each key's rows in arrival order -- the order a Grace partition
+    writes them in, whichever form the table is in."""
+    for first in table.values():
+        if first.__class__ is list:
+            return [row for rows in table.values() for row in rows]
+        break
+    return list(table.values())
 
 
 def key_set(key: str, schema: Schema) -> Callable:
@@ -324,8 +357,10 @@ def hash_probe(key: str, schema: Schema, kind: str, pad: int = 0) -> Callable:
 
     ``inner``: ``probe(table, rows)``, ``match + row`` per match, in
     probe order then build order.  ``outer``: ``row + match``, an
-    unmatched row padded with *pad* Nones.  ``semi`` / ``anti``:
-    ``probe(keys, rows)``, the rows whose key is / is not in the set.
+    unmatched row padded with *pad* Nones.  Either reads the table's
+    form once per batch and runs that form's comprehension.  ``semi`` /
+    ``anti``: ``probe(keys, rows)``, the rows whose key is / is not in
+    the set.
     """
     src = _Source(schema)
     k = src.expr(Col(key))
@@ -336,17 +371,30 @@ def hash_probe(key: str, schema: Schema, kind: str, pad: int = 0) -> Callable:
             f"[row for row in rows if {k} {test} keys]"
         )
     if kind == "inner":
-        out = f"[match + row for row in rows for match in get({k}, ())]"
+        listed = f"[match + row for row in rows for match in get({k}, ())]"
+        unique = f"[m + row for row in rows if (m := get({k})) is not None]"
     elif kind == "outer":
-        # Lists in the table are never empty, so `or` means "missing".
-        pad1 = src.const(((None,) * pad,))
-        out = f"[row + match for row in rows for match in (get({k}) or {pad1})]"
+        # Lists in a listed table are never empty, so `or` means
+        # "missing"; a unique table's row may be the falsy ().
+        padding = (None,) * pad
+        pad0, pad1 = src.const(padding), src.const((padding,))
+        listed = (
+            f"[row + match for row in rows for match in (get({k}) or {pad1})]"
+        )
+        unique = (
+            f"[row + ({pad0} if (m := get({k})) is None else m) "
+            f"for row in rows]"
+        )
     else:
         raise ValueError(f"unknown probe kind {kind!r}")
     return src.close(f"""\
     def probe(table, rows):
         get = table.get
-        return {out}
+        for first in table.values():
+            if first.__class__ is list:
+                return {listed}
+            break
+        return {unique}
     return probe""")
 
 

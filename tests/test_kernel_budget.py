@@ -24,11 +24,16 @@ The fourth and fifth count calls into named directories, so they move
 when code moves between directories.  The sixth does not: the Python
 calls the same two scenarios make into all of ``repro/`` and its
 generated kernels, which a refactor may shuffle but not inflate.
+
+Beside the call pins sits one on memory: the bytes a hash-join build
+table holds, on a unique and on a repeating key.  Dict and list sizes
+are CPython details, so it is pinned per version where one disagrees.
 """
 
 import gc
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -36,6 +41,7 @@ from repro.baseline.engine import IteratorEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.hw.host import Host, HostConfig
 from repro.relational.expressions import AggSpec, Col
+from repro.relational import compile
 from repro.relational.plans import (
     Aggregate,
     Filter,
@@ -46,6 +52,7 @@ from repro.relational.plans import (
     Project,
     TableScan,
 )
+from repro.relational.schema import Schema
 from repro.storage.manager import StorageManager
 
 import tests.conftest as cf
@@ -200,6 +207,61 @@ def test_join_under_group_by_calls_relational_per_batch_not_per_row(name):
     assert len(rows) == 7
     assert calls == RELATIONAL_CALLS[name]
     assert calls < min(JOIN_ROWS) // 5
+
+
+# ---------------------------------------------------------------------------
+# What a hash table holds: one dict entry per build row
+# ---------------------------------------------------------------------------
+TABLE_SCHEMA = Schema.of("k:int", "v:int")
+TABLE_ROWS = 10_000
+PAGE_ROWS = 341  # built a page-sized batch at a time, as the engines do
+
+#: table -> Python version -> bytes tracemalloc sees held by a table
+#: ``compile.hash_build`` fills with TABLE_ROWS rows: every key unique,
+#: or 2,000 keys x 5 rows (``i % 2000``, so the first repeat arrives
+#: after five unique batches).  The dict header is a word longer before
+#: 3.11.  While every key filed a one-row list the unique table held
+#: 1174928 (3.10: 1174936): the same dict plus 10,000 lists.
+TABLE_BYTES = {
+    "unique": {(3, 10): 294936, "later": 294928},
+    "five_per_key": {(3, 10): 313808, "later": 313800},
+}
+_TABLE_KEYS = {
+    "unique": range(TABLE_ROWS),
+    "five_per_key": [i % 2_000 for i in range(TABLE_ROWS)],
+}
+
+
+def table_bytes(keys) -> int:
+    rows = [(key, i) for i, key in enumerate(keys)]
+    batches = [rows[i:i + PAGE_ROWS] for i in range(0, len(rows), PAGE_ROWS)]
+    build = compile.hash_build("k", TABLE_SCHEMA)
+    # Every path of the kernel runs once first: before 3.11 a code
+    # object keeps a finished call's frame for reuse, which must not be
+    # allocated inside the window.
+    build({}, [(0, 0), (0, 1)])
+    build({}, [(0, 0)])
+    table: dict = {}
+    # Empty the list free list, so every list the build keeps is a
+    # traced allocation whatever ran before.
+    spare = [[] for _ in range(200)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for batch in batches:
+            build(table, batch)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(compile.table_rows(table)) == len(rows) and spare
+    return held
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_BYTES))
+def test_hash_tables_hold_exactly_this_many_bytes(name):
+    pins = TABLE_BYTES[name]
+    want = pins.get(sys.version_info[:2], pins["later"])
+    assert table_bytes(_TABLE_KEYS[name]) == want
 
 
 # ---------------------------------------------------------------------------

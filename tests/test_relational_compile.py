@@ -319,59 +319,128 @@ join_keys = st.one_of(
 key_lists = st.lists(join_keys, max_size=40)
 
 
+#: Build keys with no repeat in a dict's sense (1, 1.0 and True are one
+#: key; fresh NaNs are distinct ones), from a domain wide enough that a
+#: unique build is common.
+unique_keys = st.lists(
+    st.one_of(join_keys, st.integers(3, 99)), unique=True, max_size=30
+)
+
+
+def equal_twin(key):
+    """A key the table must file with *key*: the same object, or for
+    0 / 1 an equal number of another type."""
+    if key in (0, 1):
+        return st.sampled_from([int(key), float(key), bool(key)])
+    return st.just(key)
+
+
+@st.composite
+def build_batches(draw):
+    """Build-side keys cut into batches, empty ones included: heavy with
+    repeats, or unique up to at most one repeat, which may land in the
+    first batch or after any number of unique ones."""
+    if draw(st.booleans()):
+        keys = draw(key_lists)
+    else:
+        keys = draw(unique_keys)
+        if keys and draw(st.booleans()):
+            twin = draw(st.sampled_from(keys).flatmap(equal_twin))
+            keys.insert(draw(st.integers(0, len(keys))), twin)
+    cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=6)))
+    return [keys[a:b] for a, b in zip([0] + cuts, cuts + [len(keys)])]
+
+
+@st.composite
+def build_and_probe(draw):
+    """``(build batches, probe keys)``; probes mix the build's own keys
+    with ones that may miss."""
+    batches = draw(build_batches())
+    built = [key for batch in batches for key in batch]
+    probe_key = join_keys if not built else st.one_of(
+        join_keys, st.sampled_from(built).flatmap(equal_twin)
+    )
+    return batches, draw(st.lists(probe_key, max_size=40))
+
+
 def same_rows(got, want) -> bool:
     return same(tuple(got), tuple(want))
 
 
 def same_table(got: dict, want: dict) -> bool:
-    """*got* keyed by bare values, *want* by the old 1-tuples: the same
-    keys first seen in the same order, the same row lists."""
-    return same(
-        tuple((key, tuple(rows)) for key, rows in got.items()),
-        tuple((key[0], tuple(rows)) for key, rows in want.items()),
+    """*got* a kernel's table, *want* the old one of 1-tuple keys and
+    row lists, compared on what they mean: the same keys first seen in
+    the same order, and, read through ``compile.table_rows``, each
+    key's rows in arrival order."""
+    return same(tuple(got), tuple(key[0] for key in want)) and same_rows(
+        compile.table_rows(got), [row for rows in want.values() for row in rows]
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(lkeys=key_lists, rkeys=key_lists, size=st.sampled_from(BATCH_SIZES))
-def test_hash_join_kernels_match_the_per_row_bodies(lkeys, rkeys, size):
-    lrows = [(key, f"l{i}") for i, key in enumerate(lkeys)]
-    rrows = [(f"r{i}", key) for i, key in enumerate(rkeys)]
+def zero_width(want: dict):
+    """``(table, old table)`` of the same keys and row counts as the old
+    table *want*, every row ``()``: the table in the form a build keeps
+    (one row per key while every key is unique), and the old one."""
+    unique = all(len(rows) == 1 for rows in want.values())
+    return (
+        {key[0]: () if unique else [()] * len(rows)
+         for key, rows in want.items()},
+        {key: [()] * len(rows) for key, rows in want.items()},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(lside=build_and_probe(), rside=build_and_probe())
+def test_hash_join_kernels_match_the_per_row_bodies(lside, rside):
+    """*lside*: left batches built for the inner join, its probe keys
+    the outer join's left input; *rside* the other way round."""
+    lbatches, lprobe = lside
+    rbatches, rprobe = rside
     lkey = oracle.projector(LEFT, ["lk"])
     rkey = oracle.projector(RIGHT, ["rk"])
 
-    def built(kernel, reference, key, rows, make):
+    def built(kernel, reference, key, batches, make=dict):
         got, want = make(), make()
-        for batch in slice_batches(rows, size):
+        for batch in batches:
             kernel(got, batch)
             reference(want, batch, key)
         return got, want
 
+    def numbered(batches, row):
+        return [[row(key, f"{i}.{j}") for j, key in enumerate(batch)]
+                for i, batch in enumerate(batches)]
+
     # Inner: build left, probe right, lrow + rrow.
     got, want = built(compile.hash_build("lk", LEFT), oracle.hash_build,
-                      lkey, lrows, dict)
+                      lkey, numbered(lbatches, lambda key, tag: (key, tag)))
     assert same_table(got, want)
     probe = compile.hash_probe("rk", RIGHT, "inner")
-    for batch in slice_batches(rrows, size):
+    for batch in numbered([rprobe, []], lambda key, tag: (tag, key)):
         assert same_rows(probe(got, batch),
                          oracle.probe_inner(want, batch, rkey))
 
-    # Outer: build right, probe left, misses padded to the right width.
+    # Outer: build right, probe left, misses padded to the right width;
+    # then the same keys over zero-width rows, where a match is falsy.
     got, want = built(compile.hash_build("rk", RIGHT), oracle.hash_build,
-                      rkey, rrows, dict)
+                      rkey, numbered(rbatches, lambda key, tag: (tag, key)))
     assert same_table(got, want)
     probe = compile.hash_probe("lk", LEFT, "outer", pad=len(RIGHT))
-    for batch in slice_batches(lrows, size):
+    zero_got, zero_want = zero_width(want)
+    for batch in numbered([lprobe, []], lambda key, tag: (key, tag)):
         assert same_rows(probe(got, batch),
                          oracle.probe_outer(want, batch, lkey, (None, None)))
+        assert same_rows(
+            probe(zero_got, batch),
+            oracle.probe_outer(zero_want, batch, lkey, (None, None)),
+        )
 
     # Semi / anti: a key set from the right, a filter over the left.
-    got, want = built(compile.key_set("rk", RIGHT), oracle.key_set,
-                      rkey, rrows, set)
+    got, want = built(compile.key_set("rk", RIGHT), oracle.key_set, rkey,
+                      numbered(rbatches, lambda key, tag: (tag, key)), set)
     assert len(got) == len(want)
     for kind in ("semi", "anti"):
         probe = compile.hash_probe("lk", LEFT, kind)
-        for batch in slice_batches(lrows, size):
+        for batch in numbered([lprobe], lambda key, tag: (key, tag)):
             assert same_rows(
                 probe(got, batch),
                 oracle.probe_semi(want, batch, lkey, anti=kind == "anti"),
