@@ -58,7 +58,7 @@ def main() -> None:
     print("after recovery   :", balances())
     print(f"  losers undone  : {proc.value}")
     print(f"  log records    : {len(tm.wal.records)} "
-          f"(flushed through lsn {tm.wal.flushed_lsn})")
+          f"(flushed through lsn {tm.wal.flushed})")
 
     final = balances()
     assert final[0] == 70 and final[1] == 130  # committed work survives

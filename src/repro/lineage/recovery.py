@@ -26,12 +26,15 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, List, Optional
 
 from repro.faults.errors import FaultError
-from repro.hw.disk import Disk
-from repro.lineage.log import LineageLog
 from repro.lineage.tracker import LineageTracker, resume_shape
 from repro.relational import compile
 from repro.relational.plans import TableScan
 from repro.sim.errors import Interrupted
+from repro.storage.log import LogDevice, log_disk
+
+#: Attempts one :meth:`RecoveryManager.run` makes before the fault that
+#: ended the last one propagates.
+MAX_ATTEMPTS = 5
 
 
 @dataclass
@@ -65,26 +68,16 @@ class RecoveryManager:
     """Wraps one engine with lineage recording and mid-query recovery.
 
     One manager serves many queries; each :meth:`run` call gets its own
-    lineage log on the shared (sequential, seek-free) log device, the
-    same device model the WAL uses.
+    lineage :class:`~repro.storage.log.LogDevice` on the manager's shared
+    (sequential, seek-free) log disk, the device the WAL uses.
     """
 
-    def __init__(self, engine, max_attempts: int = 5,
-                 records_per_block: int = 16, flush_every: int = 4,
-                 injector=None):
+    def __init__(self, engine, injector=None):
         self.engine = engine
         self.sm = engine.sm
         self.sim = engine.sm.sim
-        self.max_attempts = max_attempts
-        self.records_per_block = records_per_block
-        self.flush_every = flush_every
         self.injector = injector
-        self.device = Disk(
-            self.sim,
-            transfer_time=self.sm.host.config.disk_transfer_time,
-            seek_time=0.0,
-            name="lineage-log",
-        )
+        self.device = log_disk(self.sm, "lineage-log")
         self.logs: dict = {}
         self._next_log = 0
         # Aggregate stats across every query this manager ran.
@@ -98,16 +91,11 @@ class RecoveryManager:
         :class:`RecoveryReport` whose ``rows`` match the fault-free run."""
         self._next_log += 1
         lid = self._next_log
-        log = LineageLog(
-            self.sim, self.device, query_id=lid,
-            records_per_block=self.records_per_block,
-        )
+        log = LogDevice(self.device, query_id=lid)
         self.logs[lid] = log
         if self.injector is not None:
             self.injector.register_lineage_log(log)
-        tracker = LineageTracker(
-            self.sim, log, plan, flush_every=self.flush_every
-        )
+        tracker = LineageTracker(self.sim, log, plan)
         shape = resume_shape(plan)
         report = RecoveryReport(query_id=lid, rows=[], log=log)
         if shape is not None:
@@ -143,7 +131,7 @@ class RecoveryManager:
                         plan, resume["payload"], result.rows
                     )
             except (FaultError, Interrupted) as exc:
-                if attempt >= self.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     raise
                 report.events.append(f"fault: {exc}")
                 resume = self._decide(plan, shape, tracker, log,
@@ -154,10 +142,10 @@ class RecoveryManager:
 
     # ------------------------------------------------------------------
     def _decide(self, plan, shape, tracker: LineageTracker,
-                log: LineageLog, report: RecoveryReport,
+                log: LogDevice, report: RecoveryReport,
                 attempt: int) -> Optional[dict]:
         """Consult the durable lineage and pick the next attempt's mode."""
-        durable = log.durable()
+        durable = tracker.durable()
         if shape == "scan":
             recs = [r for r in durable
                     if r.kind == "batch" and r.pages and r.table]

@@ -21,11 +21,37 @@ an optimisation, never a correctness dependency.
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass
 from typing import Any, Generator, List, Optional
 
 from repro.faults.errors import LogWriteError
-from repro.lineage.log import LineageLog
 from repro.relational.plans import Aggregate, TableScan
+from repro.storage.log import LogDevice
+
+#: A ``batch`` record is flushed every this many appends; a
+#: ``checkpoint`` is flushed at once.
+FLUSH_EVERY = 4
+
+
+@dataclass(frozen=True)
+class LineageRecord:
+    """One lineage log entry, sealed by :func:`repro.storage.log.checksum`.
+
+    ``kind`` is ``batch`` (the query's root output reached ``rows``
+    rows, wholly produced by ``pages`` input pages starting at
+    ``first_page`` in wrapped scan order) or ``checkpoint`` (a stateful
+    operator serialised its accumulator state in ``payload`` at an input
+    frontier of ``rows`` child rows / ``pages`` pages).
+    """
+
+    seq: int
+    kind: str
+    rows: int
+    table: Optional[str]
+    first_page: Optional[int]
+    pages: Optional[int]
+    payload: Any = None
+    checksum: int = 0
 
 
 def resume_shape(plan) -> Optional[str]:
@@ -40,12 +66,11 @@ def resume_shape(plan) -> Optional[str]:
 class LineageTracker:
     """Tracks one query's input-page / output-row lineage."""
 
-    def __init__(self, sim, log: LineageLog, plan, flush_every: int = 4):
+    def __init__(self, sim, log: LogDevice, plan):
         self.sim = sim
         self.log = log
         self.query_id = log.query_id
         self.mode = resume_shape(plan)
-        self.flush_every = flush_every
         #: Rows the client has received so far (survives a server-side
         #: crash: the client keeps its prefix and asks for the rest).
         self.received: List[tuple] = []
@@ -65,6 +90,7 @@ class LineageTracker:
         self.broken = False
         self._last_k = 0
         self._since_flush = 0
+        self._torn_reported = False
 
     # ------------------------------------------------------------------
     # Scan side (host-side, called from scan operators; no sim yields)
@@ -128,12 +154,9 @@ class LineageTracker:
         if k <= self._last_k:
             return
         self._last_k = k
-        self.log.append(
-            "batch", rows=covered, table=self.table,
-            first_page=self.first_page, pages=k,
-        )
+        self._append("batch", covered, k)
         self._since_flush += 1
-        if self._since_flush >= self.flush_every:
+        if self._since_flush >= FLUSH_EVERY:
             yield from self._flush()
 
     def checkpoint(self, consumed: int, payload: Any) -> Generator:
@@ -149,21 +172,43 @@ class LineageTracker:
         k = bisect.bisect_right(self._cum, consumed)
         if k == 0 or self._cum[k - 1] != consumed:
             return
-        self.log.append(
-            "checkpoint", rows=consumed, table=self.table,
-            first_page=self.first_page, pages=k, payload=payload,
-        )
+        self._append("checkpoint", consumed, k, payload)
         yield from self._flush()
+
+    # ------------------------------------------------------------------
+    # The log (these, not the device, emit the lineage.* trace events)
+    # ------------------------------------------------------------------
+    def _append(self, kind: str, rows: int, pages: int,
+                payload: Any = None) -> None:
+        seq = self.log.append(LineageRecord(
+            len(self.log.records), kind, rows, self.table, self.first_page,
+            pages, payload,
+        ))
+        self.sim.tracer.lineage("append", query=self.query_id, seq=seq,
+                                kind=kind)
 
     def _flush(self) -> Generator:
         self._since_flush = 0
         try:
-            yield from self.log.flush()
+            blocks = yield from self.log.flush()
         except LogWriteError:
             self.enabled = False
             self.sim.tracer.lineage(
                 "disabled", query=self.query_id, reason="log write error"
             )
+            return
+        if blocks:
+            self.sim.tracer.lineage("flush", query=self.query_id,
+                                    upto=self.log.flushed, blocks=blocks)
+
+    def durable(self) -> List[LineageRecord]:
+        """The log's durable prefix; reports the first tear it meets."""
+        durable = self.log.durable()
+        if len(durable) <= self.log.flushed and not self._torn_reported:
+            self._torn_reported = True
+            self.sim.tracer.lineage("torn", query=self.query_id,
+                                    seq=len(durable))
+        return durable
 
     # ------------------------------------------------------------------
     # Recovery support

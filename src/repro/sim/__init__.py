@@ -15,7 +15,7 @@ Public surface:
 * :class:`Event`, :class:`Timeout` -- primitive awaitables.
 * :exc:`Interrupted` -- raised inside a process that another process killed.
 * Synchronisation: :class:`Channel`, :class:`Resource`, :class:`Gate`,
-  :class:`Semaphore`, :class:`Lock`, :class:`Condition`.
+  :class:`Semaphore`, :class:`Lock`.
 """
 
 from repro.sim.errors import Interrupted, SimulationError, StarvationError
@@ -26,13 +26,10 @@ from repro.sim.kernel import (
     Process,
     Simulator,
     Timeout,
-    fast_paths_enabled,
-    set_fast_paths,
 )
 from repro.sim.sync import (
     Channel,
     ChannelClosed,
-    Condition,
     Gate,
     Lock,
     Resource,
@@ -44,7 +41,6 @@ __all__ = [
     "AnyOf",
     "Channel",
     "ChannelClosed",
-    "Condition",
     "Event",
     "Gate",
     "Interrupted",
@@ -56,6 +52,4 @@ __all__ = [
     "StarvationError",
     "Simulator",
     "Timeout",
-    "fast_paths_enabled",
-    "set_fast_paths",
 ]

@@ -16,8 +16,9 @@ FIFO *now-queue*: because the clock never moves backwards and sequence
 numbers grow monotonically, the now-queue is already sorted by the
 ``(time, priority, seq)`` contract, so the run loop only has to compare
 its front against the heap top to pop in exactly the order the pure heap
-would have produced.  :func:`set_fast_paths` turns the optimisation off
-globally; the differential tests assert byte-identical traces either way.
+would have produced.  The pure-heap ``schedule`` lives on as a test
+reference (``tests/sim_reference.py``); the differential tests patch it
+in and assert byte-identical traces either way.
 """
 
 from __future__ import annotations
@@ -35,29 +36,6 @@ URGENT = 0
 NORMAL = 1
 
 PENDING = object()
-
-#: Global switch for the wall-clock fast paths (the kernel's now-queue and
-#: the channel's immediate-completion transfers).  Captured per instance at
-#: construction time; the differential tests flip it to prove the fast and
-#: slow paths produce byte-identical traces.
-_FAST_PATHS = True
-
-
-def set_fast_paths(enabled: bool) -> bool:
-    """Enable/disable the wall-clock fast paths; returns the prior value.
-
-    Only simulators and channels built *after* the call are affected, so
-    flip it before constructing the system under test.
-    """
-    global _FAST_PATHS
-    previous = _FAST_PATHS
-    _FAST_PATHS = bool(enabled)
-    return previous
-
-
-def fast_paths_enabled() -> bool:
-    """Whether newly built simulators/channels will use the fast paths."""
-    return _FAST_PATHS
 
 
 class Event:
@@ -428,7 +406,6 @@ class Simulator:
         self._now_queue: deque = deque()
         self._seq = 0
         self._dead = 0  # lazily-cancelled entries still queued
-        self._use_now_queue = _FAST_PATHS
         self._crashes: list = []
         self.process_count = 0
         #: The process whose generator is currently being stepped (None
@@ -463,7 +440,7 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         entry = [self._now + delay, priority, self._seq, callback, args, True]
-        if delay == 0.0 and priority == NORMAL and self._use_now_queue:
+        if delay == 0.0 and priority == NORMAL:
             self._now_queue.append(entry)
         else:
             heapq.heappush(self._heap, entry)

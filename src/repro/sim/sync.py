@@ -8,7 +8,7 @@ These are the building blocks for QPipe's producer/consumer plumbing:
   and the CPU cores are Resources.
 * :class:`Gate` -- a broadcast open/close latch; used for the late-activation
   policy of scan packets (section 4.3.1).
-* :class:`Semaphore`, :class:`Lock`, :class:`Condition` -- classic shapes.
+* :class:`Semaphore`, :class:`Lock` -- classic shapes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import deque
 from typing import Any, Optional
 
 from repro.sim.errors import SimulationError
-from repro.sim.kernel import PENDING, Event, Simulator, fast_paths_enabled
+from repro.sim.kernel import PENDING, Event, Simulator
 
 
 def _abandoned(event: Event) -> bool:
@@ -67,14 +67,15 @@ class Channel:
     item and no queued consumers -- the transfer completes immediately
     without entering the :meth:`_balance` matching loop.  The returned
     event is triggered with the same sequence number `_balance` would
-    have assigned, so wakeup order is byte-identical either way.  An item
-    offered while consumers are parked (the buffer is then empty) goes
-    straight to the longest-parked live one, as `_balance` would move it.
+    have assigned, so wakeup order is byte-identical either way (the
+    `_balance`-only reference lives in ``tests/sim_reference.py``).  An
+    item offered while consumers are parked (the buffer is then empty)
+    goes straight to the longest-parked live one, as `_balance` would.
     """
 
     __slots__ = (
         "sim", "capacity", "name", "_items", "_used", "_putters",
-        "_getters", "_closed", "_fast", "total_put", "total_got",
+        "_getters", "_closed", "total_put", "total_got",
         "_put_wait", "_get_wait",
     )
 
@@ -89,7 +90,6 @@ class Channel:
         self._putters: deque = deque()  # (event, item, size, owner)
         self._getters: deque = deque()  # (event, owner)
         self._closed = False
-        self._fast = fast_paths_enabled()
         self._put_wait = _Parked("put", self)
         self._get_wait = _Parked("get", self)
         # Cumulative statistics for the harness.
@@ -140,11 +140,7 @@ class Channel:
                 )
             )
             return event
-        if (
-            self._fast
-            and not self._putters
-            and self._used + size <= self.capacity
-        ):
+        if not self._putters and self._used + size <= self.capacity:
             # Fast path: space is free and nobody is queued ahead, so
             # `_balance` would accept this put first thing.  Succeed in the
             # same order it would have: accept the item, then serve the
@@ -163,7 +159,7 @@ class Channel:
         """Dequeue the next item; the returned event fires with it."""
         event = Event(self.sim)
         event.describe = self._get_wait
-        if self._fast and self._items and not self._getters:
+        if self._items and not self._getters:
             # Fast path: an item is ready and no consumer is queued ahead,
             # so `_balance` would serve this get immediately.  Freed space
             # may in turn admit a blocked producer, in that order.
@@ -562,43 +558,3 @@ class Lock(Semaphore):
 
     def __init__(self, sim: Simulator):
         super().__init__(sim, value=1)
-
-
-class Condition:
-    """A broadcast condition variable (no associated lock; DES is serial).
-
-    Because the simulation kernel executes one callback at a time there is
-    no data race to guard; the condition is purely a wait/notify channel.
-    """
-
-    __slots__ = ("sim", "_waiters")
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._waiters: list = []
-
-    def wait(self) -> Event:
-        event = Event(self.sim)
-        event.describe = "condition"
-        self._waiters.append(event)
-        return event
-
-    def notify_all(self, value: Any = None) -> int:
-        """Wake every current waiter; returns the number woken."""
-        waiters, self._waiters = self._waiters, []
-        woken = 0
-        for event in waiters:
-            if not event.triggered:
-                event.succeed(value)
-                woken += 1
-        return woken
-
-    def notify(self, value: Any = None) -> bool:
-        """Wake the longest-waiting process, if any."""
-        while self._waiters:
-            event = self._waiters.pop(0)
-            if event.triggered:
-                continue
-            event.succeed(value)
-            return True
-        return False

@@ -15,6 +15,8 @@ package implements those pieces from scratch:
 * :mod:`repro.storage.locks` -- table-level shared/exclusive locks
   (section 4.3.4: updates route through locking).
 * :mod:`repro.storage.manager` -- the facade the engines program against.
+* :mod:`repro.storage.log` -- the durable-log device under the WAL
+  (:mod:`repro.storage.wal`) and the lineage logs.
 * :mod:`repro.storage.image` -- loaded tables as shareable images, and
   the memo that builds each database once per process.
 """
@@ -25,6 +27,7 @@ from repro.storage.catalog import Catalog, IndexInfo, TableInfo
 from repro.storage.file import BlockStore, HeapFile
 from repro.storage.image import StorageImage, load_once
 from repro.storage.locks import LockManager, LockMode
+from repro.storage.log import LogDevice
 from repro.storage.manager import StorageManager
 from repro.storage.page import RID, Page
 from repro.storage.partition import (
@@ -40,7 +43,6 @@ from repro.storage.wal import (
     Transaction,
     TransactionManager,
     TransactionState,
-    WriteAheadLog,
 )
 from repro.storage.replacement import (
     ARC,
@@ -64,6 +66,7 @@ __all__ = [
     "IndexInfo",
     "LockManager",
     "LockMode",
+    "LogDevice",
     "LogRecord",
     "LogType",
     "LRU",
@@ -85,6 +88,5 @@ __all__ = [
     "TransactionManager",
     "TransactionState",
     "TwoQ",
-    "WriteAheadLog",
     "make_policy",
 ]

@@ -13,17 +13,19 @@ rest of the storage manager's write-through pages:
   log backwards and reverse every operation of each unfinished
   transaction.
 
-Log appends charge sequential writes on a dedicated log device.
+The log is a :class:`repro.storage.log.LogDevice` on a dedicated,
+sequential-only disk: flushes charge sequential block writes, and a torn
+record truncates what :meth:`TransactionManager.recover` sees.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional
 
-from repro.hw.disk import Disk
-from repro.sim import SimulationError, Simulator
+from repro.sim import SimulationError
+from repro.storage.log import LogDevice, log_disk, seal
 from repro.storage.page import RID
 
 
@@ -45,66 +47,7 @@ class LogRecord:
     rid: Optional[RID] = None
     before: Optional[tuple] = None
     after: Optional[tuple] = None
-
-
-@dataclass
-class WriteAheadLog:
-    """An append-only log on its own (simulated) device.
-
-    Records accumulate in a buffer; :meth:`flush` makes everything up to
-    the current tail durable, charging one sequential block write per
-    ``records_per_block`` buffered records (log writes batch well).
-    """
-
-    sim: Simulator
-    device: Disk
-    records_per_block: int = 64
-
-    def __post_init__(self):
-        self.records: List[LogRecord] = []
-        self.flushed_lsn = -1
-        self._next_block = 0
-
-    @property
-    def tail_lsn(self) -> int:
-        return len(self.records) - 1
-
-    def append(
-        self,
-        txn_id: int,
-        type: LogType,
-        table: Optional[str] = None,
-        rid: Optional[RID] = None,
-        before: Optional[tuple] = None,
-        after: Optional[tuple] = None,
-    ) -> int:
-        record = LogRecord(
-            lsn=len(self.records),
-            txn_id=txn_id,
-            type=type,
-            table=table,
-            rid=rid,
-            before=before,
-            after=after,
-        )
-        self.records.append(record)
-        return record.lsn
-
-    def flush(self, up_to: Optional[int] = None) -> Generator:
-        """Coroutine: make the log durable up to *up_to* (default: tail)."""
-        target = self.tail_lsn if up_to is None else up_to
-        if target <= self.flushed_lsn:
-            return
-        pending = target - self.flushed_lsn
-        blocks = max(1, -(-pending // self.records_per_block))
-        for _ in range(blocks):
-            yield from self.device.write(0, self._next_block)
-            self._next_block += 1
-        self.flushed_lsn = target
-
-    def durable_records(self) -> List[LogRecord]:
-        """What survives a crash: records flushed to the device."""
-        return self.records[: self.flushed_lsn + 1]
+    checksum: int = 0
 
 
 class TransactionState(enum.Enum):
@@ -132,24 +75,23 @@ class TransactionManager:
         yield from tm.commit(txn)     # or: yield from tm.abort(txn)
     """
 
-    def __init__(self, sm, log_device: Optional[Disk] = None):
+    def __init__(self, sm):
         self.sm = sm
         self.sim = sm.sim
-        device = log_device or Disk(
-            sm.sim,
-            transfer_time=sm.host.config.disk_transfer_time,
-            seek_time=0.0,  # dedicated, sequential-only log device
-            name="wal",
-        )
-        self.wal = WriteAheadLog(sm.sim, device)
+        self.wal = LogDevice(log_disk(sm, "wal"))
         self._next_txn = 0
         self.active: Dict[int, Transaction] = {}
+
+    def _log(self, txn_id: int, type: LogType, **fields) -> int:
+        """Append one record at the WAL's tail; returns its LSN."""
+        lsn = len(self.wal.records)
+        return self.wal.append(LogRecord(lsn, txn_id, type, **fields))
 
     # ------------------------------------------------------------------
     def begin(self) -> Transaction:
         self._next_txn += 1
         txn = Transaction(self._next_txn)
-        txn.lsns.append(self.wal.append(txn.txn_id, LogType.BEGIN))
+        txn.lsns.append(self._log(txn.txn_id, LogType.BEGIN))
         self.active[txn.txn_id] = txn
         return txn
 
@@ -164,18 +106,16 @@ class TransactionManager:
     # ------------------------------------------------------------------
     def insert(self, txn: Transaction, table: str, row: tuple) -> Generator:
         self._check_active(txn)
-        lsn = self.wal.append(
-            txn.txn_id, LogType.INSERT, table=table, after=row
-        )
+        lsn = self._log(txn.txn_id, LogType.INSERT, table=table, after=row)
         txn.lsns.append(lsn)
         yield from self.wal.flush(lsn)
         rid = yield from self.sm.insert_row(table, row)
-        # Patch the record with the assigned RID (needed for undo).
-        self.wal.records[lsn] = LogRecord(
-            lsn=lsn, txn_id=txn.txn_id, type=LogType.INSERT,
-            table=table, rid=rid, after=row,
-        )
-        yield from self.wal.flush(lsn)
+        # Re-seal the (already flushed) record with the assigned RID that
+        # undo needs.  A crash inside insert_row leaves a row no durable
+        # record names: the known window of DESIGN.md section 6.
+        self.wal.records[lsn] = seal(LogRecord(
+            lsn, txn.txn_id, LogType.INSERT, table=table, rid=rid, after=row,
+        ))
         return rid
 
     def update(
@@ -186,7 +126,7 @@ class TransactionManager:
         before = page.get(rid.slot)
         if before is None:
             raise KeyError(f"{rid} is a tombstone in {table}")
-        lsn = self.wal.append(
+        lsn = self._log(
             txn.txn_id, LogType.UPDATE, table=table, rid=rid,
             before=before, after=new_row,
         )
@@ -200,7 +140,7 @@ class TransactionManager:
         before = page.get(rid.slot)
         if before is None:
             return False
-        lsn = self.wal.append(
+        lsn = self._log(
             txn.txn_id, LogType.DELETE, table=table, rid=rid, before=before
         )
         txn.lsns.append(lsn)
@@ -211,7 +151,7 @@ class TransactionManager:
     # ------------------------------------------------------------------
     def commit(self, txn: Transaction) -> Generator:
         self._check_active(txn)
-        lsn = self.wal.append(txn.txn_id, LogType.COMMIT)
+        lsn = self._log(txn.txn_id, LogType.COMMIT)
         txn.lsns.append(lsn)
         yield from self.wal.flush(lsn)  # durability point
         txn.state = TransactionState.COMMITTED
@@ -222,7 +162,7 @@ class TransactionManager:
         self._check_active(txn)
         for lsn in reversed(txn.lsns):
             yield from self._undo(self.wal.records[lsn])
-        lsn = self.wal.append(txn.txn_id, LogType.ABORT)
+        lsn = self._log(txn.txn_id, LogType.ABORT)
         yield from self.wal.flush(lsn)
         txn.state = TransactionState.ABORTED
         del self.active[txn.txn_id]
@@ -252,11 +192,12 @@ class TransactionManager:
     # Crash recovery (undo-only; see module docstring)
     # ------------------------------------------------------------------
     def simulate_crash(self) -> None:
-        """Drop everything volatile: unflushed log records and the
-        transaction table.  Data pages are write-through, so every
+        """Drop everything volatile: unflushed (and torn) log records and
+        the transaction table.  Data pages are write-through, so every
         *applied* operation has a durable log record (the WAL rule) and
-        :meth:`recover` can always undo it."""
-        self.wal.records = self.wal.durable_records()
+        :meth:`recover` can always undo it -- bar the INSERT window
+        (DESIGN.md section 6)."""
+        self.wal.crash()
         self.active.clear()
 
     def recover(self) -> Generator:
@@ -267,7 +208,7 @@ class TransactionManager:
         without a durable COMMIT/ABORT are losers: their operations are
         undone in reverse log order.  Returns the list of undone txn ids.
         """
-        durable = self.wal.durable_records()
+        durable = self.wal.durable()
         finished = {
             r.txn_id
             for r in durable
@@ -282,7 +223,7 @@ class TransactionManager:
             yield from self._undo(record)
         undone = sorted({r.txn_id for r in losers})
         for txn_id in undone:
-            lsn = self.wal.append(txn_id, LogType.ABORT)
+            lsn = self._log(txn_id, LogType.ABORT)
             yield from self.wal.flush(lsn)
             self.active.pop(txn_id, None)
         # Anything still "active" with no durable work simply evaporates.

@@ -49,7 +49,7 @@ repro.faults.errors repro.faults.injector repro.faults.plan
 repro.folding repro.folding.coordinator repro.folding.stats
 repro.harness repro.harness.config repro.harness.experiments
 repro.harness.report repro.hw repro.hw.cpu repro.hw.disk repro.hw.host
-repro.hw.net repro.lineage repro.lineage.log repro.lineage.recovery
+repro.hw.net repro.lineage repro.lineage.recovery
 repro.lineage.tracker repro.lint repro.lint.callgraph repro.lint.cfg
 repro.lint.core repro.lint.effects repro.lint.findings
 repro.lint.rules_det repro.lint.rules_ipr repro.lint.rules_res
@@ -67,9 +67,10 @@ repro.shard.topology repro.sim repro.sim.errors repro.sim.kernel
 repro.sim.sync repro.sql repro.sql.lexer repro.sql.parser
 repro.sql.planner repro.storage repro.storage.btree
 repro.storage.bufferpool repro.storage.catalog repro.storage.file
-repro.storage.image repro.storage.locks repro.storage.manager
-repro.storage.page repro.storage.partition repro.storage.replacement
-repro.storage.streams repro.storage.wal repro.workloads
+repro.storage.image repro.storage.locks repro.storage.log
+repro.storage.manager repro.storage.page repro.storage.partition
+repro.storage.replacement repro.storage.streams repro.storage.wal
+repro.workloads
 repro.workloads.clients repro.workloads.metrics repro.workloads.tpch
 repro.workloads.tpch.dbgen repro.workloads.tpch.queries
 repro.workloads.tpch.schema repro.workloads.wisconsin

@@ -89,13 +89,14 @@ BUDGET = {
 
 #: engine -> Python calls into src/repro/sim/ while the three clients
 #: run, i.e. per kernel entry scheduled in that window:
-#:   packets 3422 / 443 = 7.7    iterator 1945 / 329 = 5.9
+#:   packets 3416 / 443 = 7.7    iterator 1945 / 329 = 5.9
 #: Before the transfer-path PR: 6630 / 604 = 11.0 and 3074 / 329 = 9.3.
 #: packets was 3428 while the deadlock sweep re-tested ``closed`` on every
 #: buffer registered since the last sweep; buffers now leave the registry
-#: when they close.
+#: when they close.  It was 3422 while each of the scenario's six
+#: ``Channel``s read the fast-path toggle when it was built.
 SIM_CALLS = {
-    "packets": 3422,
+    "packets": 3416,
     "iterator": 1945,
 }
 

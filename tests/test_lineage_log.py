@@ -2,28 +2,36 @@
 
 Covers the checksummed record format (intact / torn detection), the
 durable-frontier contract (``durable()`` truncates strictly before the
-first torn record), WAL-style block charging on flush, the injected
-log-fault flags, deterministic serialisation, and the tracker's
-contiguity checking plus frontier arithmetic.
+first torn record), block charging on flush, the injected log-fault
+flags, deterministic serialisation, and the tracker's contiguity
+checking plus frontier arithmetic.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.faults.errors import LogWriteError
 from repro.hw.disk import Disk
 from repro.hw.host import Host, HostConfig
-from repro.lineage import LineageLog, LineageRecord, LineageTracker
+from repro.lineage import LineageRecord, LineageTracker
 from repro.lineage.tracker import resume_shape
 from repro.relational.expressions import AggSpec
 from repro.relational.plans import Aggregate, Filter, TableScan
+from repro.storage.log import RECORDS_PER_BLOCK, LogDevice, checksum, seal
 
 
-def make_log(records_per_block=4):
+def make_log():
     host = Host(HostConfig())
     device = Disk(host.sim, transfer_time=0.004, seek_time=0.0,
                   name="lineage-log")
-    return host, LineageLog(host.sim, device, query_id=7,
-                            records_per_block=records_per_block)
+    return host, LogDevice(device, query_id=7)
+
+
+def append(log, kind, rows, table=None, first_page=None, pages=None,
+           payload=None):
+    log.append(LineageRecord(len(log.records), kind, rows, table,
+                             first_page, pages, payload))
 
 
 def run_flush(host, log):
@@ -37,36 +45,35 @@ def run_flush(host, log):
 # Records
 # ---------------------------------------------------------------------------
 def test_record_checksum_roundtrip():
-    rec = LineageRecord.make(seq=0, kind="batch", rows=40, table="r",
-                             first_page=0, pages=4)
-    assert rec.intact
-    wire = rec.to_wire()
-    again = LineageRecord(**wire)
-    assert again.intact and again == rec
+    rec = seal(LineageRecord(0, "batch", 40, "r", 0, 4))
+    assert checksum(rec) == rec.checksum
+    again = LineageRecord(**vars(rec))
+    assert checksum(again) == again.checksum and again == rec
 
 
 def test_record_detects_corruption():
-    rec = LineageRecord.make(seq=1, kind="batch", rows=40)
-    from dataclasses import replace
-
-    assert not replace(rec, rows=41).intact
-    assert not replace(rec, checksum=rec.checksum ^ 1).intact
+    rec = seal(LineageRecord(1, "batch", 40, None, None, None))
+    assert checksum(replace(rec, rows=41)) != rec.checksum
+    flipped = replace(rec, checksum=rec.checksum ^ 1)
+    assert checksum(flipped) != flipped.checksum
 
 
 # ---------------------------------------------------------------------------
 # The log
 # ---------------------------------------------------------------------------
 def test_flush_charges_blocks_and_advances_frontier():
-    host, log = make_log(records_per_block=4)
-    for i in range(5):
-        log.append("batch", rows=10 * (i + 1), table="r",
-                   first_page=0, pages=i + 1)
+    host, log = make_log()
+    n = RECORDS_PER_BLOCK + 1
+    for i in range(n):
+        append(log, "batch", rows=10 * (i + 1), table="r",
+               first_page=0, pages=i + 1)
     assert log.flushed == -1 and log.durable() == []
     run_flush(host, log)
-    # 5 records at 4/block -> 2 sequential block writes.
+    # One record more than a block holds -> 2 sequential block writes.
     assert log.blocks_written == 2
-    assert log.flushed == 4
-    assert [r.rows for r in log.durable()] == [10, 20, 30, 40, 50]
+    assert log.disk.stats.blocks_written == 2
+    assert log.flushed == n - 1
+    assert [r.rows for r in log.durable()] == [10 * (i + 1) for i in range(n)]
     # Idempotent: nothing pending, no extra blocks.
     run_flush(host, log)
     assert log.blocks_written == 2
@@ -74,7 +81,7 @@ def test_flush_charges_blocks_and_advances_frontier():
 
 def test_flush_failure_keeps_records_volatile():
     host, log = make_log()
-    log.append("batch", rows=10, table="r", first_page=0, pages=1)
+    append(log, "batch", rows=10, table="r", first_page=0, pages=1)
     log.fail_next_flush = True
     log.fail_transient = False
 
@@ -96,24 +103,24 @@ def test_flush_failure_keeps_records_volatile():
 def test_torn_tail_truncates_durable_prefix():
     host, log = make_log()
     for i in range(3):
-        log.append("batch", rows=10 * (i + 1), table="r",
-                   first_page=0, pages=i + 1)
+        append(log, "batch", rows=10 * (i + 1), table="r",
+               first_page=0, pages=i + 1)
     log.tear_next_flush = True
     run_flush(host, log)
     assert log.flushed == 2
     durable = log.durable()
     # The torn tail is excluded; the intact prefix survives.
     assert [r.rows for r in durable] == [10, 20]
-    assert all(r.intact for r in durable)
+    assert all(checksum(r) == r.checksum for r in durable)
 
 
 def test_serialize_is_deterministic():
     _, log_a = make_log()
     _, log_b = make_log()
     for log in (log_a, log_b):
-        log.append("batch", rows=10, table="r", first_page=0, pages=1)
-        log.append("checkpoint", rows=80, pages=8,
-                   payload=[[3, 1.5, None]])
+        append(log, "batch", rows=10, table="r", first_page=0, pages=1)
+        append(log, "checkpoint", rows=80, pages=8,
+               payload=[[3, 1.5, None]])
     assert log_a.serialize() == log_b.serialize()
 
 

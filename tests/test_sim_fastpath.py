@@ -1,19 +1,20 @@
 """The wall-clock fast paths change nothing about virtual time.
 
-Three layers of evidence (DESIGN.md section 10):
+The slow paths they replaced -- a pure-heap ``schedule`` and
+``_balance``-only channel transfers -- are a test reference
+(``tests/sim_reference.py``).  Layers of evidence (DESIGN.md section 10):
 
 * a property test pinning same-timestamp execution order -- ``priority``
   then ``seq`` -- across the now-queue fast path vs. the pure heap path,
   over randomized schedule mixes including nested scheduling;
-* a differential test running one fig8 cell with fast paths force-
-  disabled vs. enabled, asserting byte-identical JSONL traces and equal
-  metrics;
+* a differential test running one fig8 cell on the reference paths vs.
+  the kernel's, asserting byte-identical JSONL traces and equal metrics;
 * a bound on queue growth under cancel-heavy workloads (the lazy-
   deletion leak fix);
 * a hypothesis differential over random channel programs: the direct
   hand-off of an offered item to a parked consumer (dead consumers at
   the head of the queue included) wakes everyone in the order the
-  ``_balance`` matching loop does with fast paths off.
+  reference ``_balance`` matching loop does.
 """
 
 import random
@@ -24,25 +25,10 @@ from hypothesis import strategies as st
 
 from repro.harness.config import SMOKE, build_tpch_system, with_overrides
 from repro.obs import Tracer, jsonl_dumps
-from repro.sim import (
-    Channel,
-    ChannelClosed,
-    Interrupted,
-    Simulator,
-    fast_paths_enabled,
-    set_fast_paths,
-)
+from repro.sim import Channel, ChannelClosed, Interrupted, Simulator
 from repro.workloads.clients import ClosedLoopClient, run_workload
 from repro.workloads.tpch import queries as Q
-
-
-@pytest.fixture
-def slow_paths():
-    previous = set_fast_paths(False)
-    try:
-        yield
-    finally:
-        set_fast_paths(previous)
+from tests.sim_reference import install, on_paths
 
 
 def record_execution_order(seed, fast):
@@ -53,8 +39,7 @@ def record_execution_order(seed, fast):
     of cancellations -- all driven by the same seeded RNG so the fast and
     slow runs build identical schedules.
     """
-    previous = set_fast_paths(fast)
-    try:
+    with on_paths(fast):
         sim = Simulator()
         rng = random.Random(seed)
         order = []
@@ -89,8 +74,6 @@ def record_execution_order(seed, fast):
                 entry[3] = cancelled_ran
         sim.run()
         return order
-    finally:
-        set_fast_paths(previous)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -108,8 +91,7 @@ def run_channel_program(ops, capacity, fast):
     becomes an abandoned entry at the head of the queue); ``try_put``
     and ``close`` act inline.
     """
-    previous = set_fast_paths(fast)
-    try:
+    with on_paths(fast):
         sim = Simulator()
         ch = Channel(sim, capacity=capacity)
         log = []
@@ -150,8 +132,6 @@ def run_channel_program(ops, capacity, fast):
         sim.run()
         log.append((sim.now, sim._seq, ch.total_put, ch.total_got, ch.level))
         return log
-    finally:
-        set_fast_paths(previous)
 
 
 _CHANNEL_OPS = st.lists(
@@ -173,19 +153,9 @@ def test_channel_hand_off_wakes_in_slow_path_order(ops, capacity):
         run_channel_program(ops, capacity, fast=False)
 
 
-def test_set_fast_paths_round_trip():
-    original = fast_paths_enabled()
-    previous = set_fast_paths(False)
-    assert previous == original
-    assert fast_paths_enabled() is False
-    set_fast_paths(original)
-    assert fast_paths_enabled() == original
-
-
 def test_until_boundary_identical_fast_and_slow():
     for fast in (True, False):
-        previous = set_fast_paths(fast)
-        try:
+        with on_paths(fast):
             sim = Simulator()
             seen = []
             sim.schedule(0.0, seen.append, "a")
@@ -196,8 +166,6 @@ def test_until_boundary_identical_fast_and_slow():
             assert sim.now == 5.0
             assert sim.run() == 10.0
             assert seen == ["a", "b", "c"]
-        finally:
-            set_fast_paths(previous)
 
 
 def test_cancel_heavy_workload_keeps_queues_bounded():
@@ -256,10 +224,10 @@ def run_fig8_cell():
     return jsonl_dumps(tracer.events), metrics
 
 
-def test_fig8_cell_identical_with_fast_paths_disabled(slow_paths):
-    blob_slow, metrics_slow = run_fig8_cell()
-    set_fast_paths(True)
+def test_fig8_cell_identical_with_fast_paths_disabled(monkeypatch):
     blob_fast, metrics_fast = run_fig8_cell()
+    install(monkeypatch)
+    blob_slow, metrics_slow = run_fig8_cell()
 
     assert blob_fast  # tracing recorded something
     assert blob_fast == blob_slow

@@ -26,8 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, set_fast_paths
+from repro.sim import Resource, Simulator
 from repro.sim.errors import Interrupted, StarvationError
+from tests.sim_reference import on_paths
 
 SERVICES = [0.0, 0.5, 1.0, 1.5]
 SLEEPS = [0.25, 0.75, 1.25]
@@ -126,6 +127,7 @@ def run_population(occupy, capacity, population, kills):
     )
 
 
+#: ``fast=False`` runs both forms on the kernel's slow reference paths.
 @pytest.mark.parametrize("fast", [True, False])
 @settings(max_examples=120, deadline=None)
 @given(
@@ -136,14 +138,11 @@ def run_population(occupy, capacity, population, kills):
 def test_hold_is_indistinguishable_from_three_step(
     fast, capacity, population, kills
 ):
-    previous = set_fast_paths(fast)
-    try:
+    with on_paths(fast):
         held = run_population(occupy_hold, capacity, population, kills)
         reference = run_population(
             occupy_three_step, capacity, population, kills
         )
-    finally:
-        set_fast_paths(previous)
     assert held == reference
     assert held[2] == [0, 0]  # in_use
 

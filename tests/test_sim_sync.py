@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     Channel,
     ChannelClosed,
-    Condition,
     Gate,
     Lock,
     Resource,
@@ -375,7 +374,7 @@ def test_resource_utilization_accounting():
 
 
 # ---------------------------------------------------------------------------
-# Gate, Semaphore, Lock, Condition
+# Gate, Semaphore, Lock
 # ---------------------------------------------------------------------------
 def test_gate_blocks_until_open():
     sim = Simulator()
@@ -443,46 +442,6 @@ def test_lock_is_mutual_exclusion():
     sim.spawn(user("b"))
     sim.run()
     assert order == [("a", 0.0), ("b", 2.0)]
-
-
-def test_condition_notify_all():
-    sim = Simulator()
-    cond = Condition(sim)
-    woke = []
-
-    def waiter(name):
-        value = yield cond.wait()
-        woke.append((name, value, sim.now))
-
-    def notifier():
-        yield sim.timeout(3)
-        assert cond.notify_all("go") == 2
-
-    sim.spawn(waiter("a"))
-    sim.spawn(waiter("b"))
-    sim.spawn(notifier())
-    sim.run()
-    assert woke == [("a", "go", 3.0), ("b", "go", 3.0)]
-
-
-def test_condition_notify_one():
-    sim = Simulator()
-    cond = Condition(sim)
-    woke = []
-
-    def waiter(name):
-        yield cond.wait()
-        woke.append(name)
-
-    def notifier():
-        yield sim.timeout(1)
-        cond.notify()
-
-    sim.spawn(waiter("a"))
-    sim.spawn(waiter("b"))
-    sim.spawn(notifier())
-    sim.run(until=100)
-    assert woke == ["a"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """WAL + transaction tests: atomicity, durability, crash recovery."""
 
-import pytest
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from repro.hw.host import Host, HostConfig
 from repro.relational.schema import Schema
 from repro.storage.manager import StorageManager
+from repro.storage.log import checksum, seal
 from repro.storage.page import RID
 from repro.storage.wal import (
+    LogRecord,
     LogType,
     TransactionManager,
     TransactionState,
@@ -96,11 +98,59 @@ def test_commit_flushes_log():
         yield from tm.commit(txn)
 
     drive(host, work())
-    assert tm.wal.flushed_lsn == tm.wal.tail_lsn
-    types = [r.type for r in tm.wal.durable_records()]
+    assert tm.wal.flushed == len(tm.wal.records) - 1
+    types = [r.type for r in tm.wal.durable()]
     assert types[-1] is LogType.COMMIT
     assert host.disk.stats.blocks_written > 0  # data pages
-    assert tm.wal.device.stats.blocks_written > 0  # log device
+    assert tm.wal.disk.stats.blocks_written > 0  # log device
+
+
+def test_torn_commit_is_undone_by_recovery():
+    host, sm, tm = make_db()
+    before = table_rows(sm)
+
+    def work():
+        txn = tm.begin()
+        yield from tm.insert(txn, "t", (100, 1000))
+        yield from tm.update(txn, "t", RID(0, 0), (0, -1))
+        tm.wal.tear_next_flush = True
+        yield from tm.commit(txn)  # "succeeds", but the COMMIT is torn
+
+    drive(host, work())
+    assert [r.type for r in tm.wal.durable()][-1] is LogType.UPDATE
+    tm.simulate_crash()
+    assert drive(host, tm.recover()) == [1]
+    assert table_rows(sm) == before
+
+
+def test_a_torn_record_drops_every_later_record():
+    host, sm, tm = make_db()
+
+    def work():
+        for i in range(3):
+            txn = tm.begin()
+            if i == 1:
+                tm.wal.tear_next_flush = True
+            yield from tm.update(txn, "t", RID(0, i), (i, -i))
+            yield from tm.commit(txn)
+
+    drive(host, work())
+    # BEGIN UPDATE COMMIT, BEGIN UPDATE(torn) COMMIT, BEGIN UPDATE COMMIT
+    assert tm.wal.flushed == len(tm.wal.records) - 1 == 8
+    assert [r.lsn for r in tm.wal.durable()] == [0, 1, 2, 3]
+    tm.simulate_crash()
+    assert len(tm.wal.records) == 4 and tm.wal.flushed == 3
+
+
+def test_log_record_round_trips_through_the_codec():
+    record = seal(LogRecord(3, 7, LogType.UPDATE, table="t", rid=RID(2, 5),
+                            before=(5, 50), after=(5, -1)))
+    assert checksum(record) == record.checksum
+    assert LogRecord(**vars(record)) == record
+    for flipped in (replace(record, after=(5, -2)),
+                    replace(record, type=LogType.DELETE),
+                    replace(record, rid=RID(2, 6))):
+        assert checksum(flipped) != record.checksum
 
 
 def test_crash_undoes_unfinished_transactions():
