@@ -3,7 +3,9 @@
 A micro-engine (Figure 6a) owns:
 
 * an incoming packet queue,
-* a pool of worker processes serving packets from the queue, and
+* a pool of worker processes serving packets from the queue, spawned on
+  demand: until the pool is full each queued packet starts the next
+  worker and hands it the packet, after that packets queue, and
 * its OSP hooks -- the overlap test and attach procedure the coordinator
   invokes whenever a new packet queues up.
 
@@ -28,7 +30,7 @@ from typing import Generator, List, Optional
 
 from repro.engine.packets import Packet, PacketState
 from repro.faults.errors import FaultError
-from repro.sim import Channel, ChannelClosed, Interrupted
+from repro.sim import Channel, ChannelClosed, Interrupted, Process
 
 
 class MicroEngine:
@@ -51,10 +53,8 @@ class MicroEngine:
         self.active: List[Packet] = []
         self.packets_served = 0
         self.packets_shared = 0
-        self._worker_procs = [
-            self.sim.spawn(self._worker_loop(i), name=f"{name}-w{i}")
-            for i in range(workers)
-        ]
+        #: Spawned workers, by index; never more than ``workers``.
+        self._worker_procs: List[Process] = []
 
     # ------------------------------------------------------------------
     # Packet intake
@@ -74,45 +74,60 @@ class MicroEngine:
         packet.state = PacketState.QUEUED
         self.active.append(packet)
         self.sim.tracer.packet_enqueue(packet)
-        assert self.queue.try_put(packet)
+        spawned = len(self._worker_procs)
+        if spawned < self.workers:
+            # Start the next worker with this packet.  A pool spawned
+            # whole and parked at t=0 in index order makes the same
+            # assignment -- its FIFO of parked workers offers a
+            # never-used one first -- for the same one kernel entry (the
+            # hand-off's wake-up; here the new process's first step).
+            self._worker_procs.append(self.sim.spawn(
+                self._worker_loop(spawned, packet),
+                name=f"{self.name}-w{spawned}",
+            ))
+        else:
+            assert self.queue.try_put(packet)
 
-    def _worker_loop(self, index: int) -> Generator:
+    def _worker_loop(self, index: int, packet: Packet) -> Generator:
+        """Serve *packet*, the one this worker was spawned for, then
+        every packet the queue hands it."""
         while True:
+            # Skipped when cancelled, attached, or aborted while waiting.
+            if packet.state is PacketState.QUEUED and not packet.query.aborted:
+                packet.state = PacketState.RUNNING
+                # Expose this worker's process so cancel_subtree can
+                # interrupt it.
+                packet.worker = self._worker_procs[index]
+                self.packets_served += 1
+                self.sim.tracer.packet_dispatch(packet)
+                try:
+                    yield from self._serve_wrapper(packet)
+                except Interrupted:
+                    # Cancellation by the OSP coordinator: clean up quietly.
+                    if packet.output is not None:
+                        packet.output.close()
+                except FaultError as exc:
+                    # An operator-level fault fails this *query*, not the
+                    # simulation: tear the query down and keep serving.
+                    if packet.output is not None:
+                        packet.output.close()
+                    # Detach ourselves first so the teardown's interrupt
+                    # sweep does not kill this pool worker.
+                    packet.worker = None
+                    self.engine.abort_query(packet.query, str(exc), exc)
+                finally:
+                    packet.worker = None
+                    if packet in self.active:
+                        self.active.remove(packet)
+                    if packet.state is PacketState.RUNNING:
+                        packet.state = PacketState.DONE
+                        self.sim.tracer.packet_complete(packet)
+                        self._complete_satellites(packet)
             # Cleared before each wait: an idle worker must not pin the
             # packet it last saw -- nor, through it, the query's fan-outs,
             # buffers and rows.
             packet = None
             packet = yield self.queue.get()
-            if packet.state is not PacketState.QUEUED or packet.query.aborted:
-                continue  # cancelled, attached, or aborted while waiting
-            packet.state = PacketState.RUNNING
-            # Expose this worker's process so cancel_subtree can interrupt.
-            packet.worker = self._worker_procs[index]
-            self.packets_served += 1
-            self.sim.tracer.packet_dispatch(packet)
-            try:
-                yield from self._serve_wrapper(packet)
-            except Interrupted:
-                # Cancellation by the OSP coordinator: clean up quietly.
-                if packet.output is not None:
-                    packet.output.close()
-            except FaultError as exc:
-                # An operator-level fault fails this *query*, not the
-                # simulation: tear the query down and keep serving.
-                if packet.output is not None:
-                    packet.output.close()
-                # Detach ourselves first so the teardown's interrupt
-                # sweep does not kill this pool worker.
-                packet.worker = None
-                self.engine.abort_query(packet.query, str(exc), exc)
-            finally:
-                packet.worker = None
-                if packet in self.active:
-                    self.active.remove(packet)
-                if packet.state is PacketState.RUNNING:
-                    packet.state = PacketState.DONE
-                    self.sim.tracer.packet_complete(packet)
-                    self._complete_satellites(packet)
 
     def _serve_wrapper(self, packet: Packet) -> Generator:
         try:

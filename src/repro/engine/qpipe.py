@@ -1,6 +1,7 @@
 """The QPipe engine facade.
 
-Construction instantiates every micro-engine with its worker pool, the
+Construction instantiates every micro-engine (whose worker pool starts
+empty and spawns a worker per queued packet, up to its size), the
 packet dispatcher, the OSP statistics block, and the deadlock detector.
 Clients call :meth:`QPipeEngine.execute` (a coroutine) per query; the
 engine splits the plan into packets and the client reads final results

@@ -167,7 +167,7 @@ class HeapFile:
         path (a read-modify-write per row); the resulting page/slot
         layout is identical.
         """
-        rows = rows if isinstance(rows, list) else list(rows)
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
         total = len(rows)
         i = 0
         if self.num_pages:

@@ -83,8 +83,14 @@ class SameRows:
     another only when both hold the very same row objects in the same
     order.  Rows are immutable tuples of scalars, so identical objects
     are identical content; a list of equal-but-distinct rows (``1`` vs
-    ``1.0``) misses.  Comparing is one C-level pass, and holding the
-    rows keeps their identities from being recycled."""
+    ``1.0``) misses.  Holding the rows keeps their identities from being
+    recycled.
+
+    A tuple is held as it is (``tuple(t) is t``), so the generators'
+    tables -- one memoised tuple each, see
+    :func:`repro.workloads.memo_tables` -- key a repeated build by
+    identity, in O(1).  Any other sequence is copied, and compared in
+    one C-level pass."""
 
     __slots__ = ("rows",)
 
@@ -95,10 +101,11 @@ class SameRows:
         return len(self.rows)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SameRows)
-            and len(self.rows) == len(other.rows)
-            and all(map(is_, self.rows, other.rows))
+        if not isinstance(other, SameRows):
+            return False
+        mine, theirs = self.rows, other.rows
+        return mine is theirs or (
+            len(mine) == len(theirs) and all(map(is_, mine, theirs))
         )
 
 

@@ -12,7 +12,7 @@ schemas and the value distributions the evaluated queries depend on.
 Scale knobs live in :mod:`repro.harness.config`.
 """
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Tuple
 
 from repro.workloads.clients import ClosedLoopClient, mixed_tpch_factory, run_workload
 from repro.workloads.metrics import WorkloadMetrics
@@ -25,7 +25,7 @@ __all__ = [
     "run_workload",
 ]
 
-Tables = Dict[str, List[tuple]]
+Tables = Dict[str, Tuple[tuple, ...]]
 
 #: Memo for generated datasets, one bounded map per generator (a key's
 #: first element names it).  Generation is a pure function of the key,
@@ -38,8 +38,10 @@ _GENERATED_MAX = 8
 def memo_tables(key: tuple, build: Callable[[], Tables]) -> Tables:
     """``build()``'s tables, built once per *key*.
 
-    Rows are immutable tuples; callers get fresh list copies so loaded
-    tables stay independent of the memo.
+    ``build`` makes each table one tuple of row tuples, and every caller
+    of a key gets those very tuples: immutable all the way down, they
+    need no copy to stay independent of the memo, and a repeated build
+    hands ``repro.storage.image.SameRows`` the object it was keyed by.
     """
     cache = _GENERATED[key[0]]
     cached = cache.get(key)
@@ -51,4 +53,4 @@ def memo_tables(key: tuple, build: Callable[[], Tables]) -> Tables:
         if len(cache) >= _GENERATED_MAX:
             cache.pop(next(iter(cache)))  # simlint: disable=IPR201
         cache[key] = cached  # simlint: disable=IPR201
-    return {name: list(rows) for name, rows in cached.items()}
+    return dict(cached)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Iterator, List
 
 from repro.storage.image import load_once
 from repro.storage.manager import StorageManager
-from repro.workloads import memo_tables
+from repro.workloads import Tables, memo_tables
 from repro.workloads.tpch import schema as S
 
 
@@ -47,16 +47,16 @@ class TpchScale:
         return max(3, int(100 * self.factor))
 
 
-def generate_tpch(scale: TpchScale, seed: int = 1) -> Dict[str, List[tuple]]:
-    """All eight tables as row lists, keyed by table name."""
+def generate_tpch(scale: TpchScale, seed: int = 1) -> Tables:
+    """All eight tables as row tuples, keyed by table name."""
     return memo_tables(
         ("tpch", scale.factor, seed), lambda: _generate_tpch(scale, seed)
     )
 
 
-def _generate_tpch(scale: TpchScale, seed: int) -> Dict[str, List[tuple]]:
+def _generate_tpch(scale: TpchScale, seed: int) -> Tables:
     rng = random.Random(seed)
-    tables: Dict[str, List[tuple]] = {}
+    tables: Tables = {}
     # One object per distinct stored value (DESIGN.md section 10): a
     # small-domain draw indexes the table of its domain instead of
     # making a fresh int or float, so 36k line items do not each own a
@@ -68,17 +68,19 @@ def _generate_tpch(scale: TpchScale, seed: int) -> Dict[str, List[tuple]]:
     quantities = [float(q) for q in range(51)]
     hundredths = [round(h / 100.0, 2) for h in range(11)]
 
-    tables["region"] = [
+    # Each table is built as its tuple (the memo's form), with no list
+    # of the same rows alive beside it.
+    tables["region"] = tuple(
         (i, name) for i, name in enumerate(S.REGIONS)
-    ]
-    tables["nation"] = [
+    )
+    tables["nation"] = tuple(
         (i, name, S.NATION_REGION[i]) for i, name in enumerate(S.NATIONS)
-    ]
-    tables["supplier"] = [
+    )
+    tables["supplier"] = tuple(
         (i + 1, f"Supplier#{i + 1:09d}", rng.randrange(len(S.NATIONS)))
         for i in range(scale.suppliers)
-    ]
-    tables["customer"] = [
+    )
+    tables["customer"] = tuple(
         (
             i + 1,
             f"Customer#{i + 1:09d}",
@@ -87,22 +89,23 @@ def _generate_tpch(scale: TpchScale, seed: int) -> Dict[str, List[tuple]]:
             rng.choice(S.SEGMENTS),
         )
         for i in range(scale.customers)
-    ]
+    )
 
-    parts: List[tuple] = []
-    for i in range(scale.parts):
-        partkey = i + 1
-        ptype = " ".join(
-            (
-                rng.choice(S.TYPE_SYLL1),
-                rng.choice(S.TYPE_SYLL2),
-                rng.choice(S.TYPE_SYLL3),
+    def part_rows() -> Iterator[tuple]:
+        for i in range(scale.parts):
+            partkey = i + 1
+            ptype = " ".join(
+                (
+                    rng.choice(S.TYPE_SYLL1),
+                    rng.choice(S.TYPE_SYLL2),
+                    rng.choice(S.TYPE_SYLL3),
+                )
             )
-        )
-        brand = f"Brand#{rng.randrange(1, 6)}{rng.randrange(1, 6)}"
-        retail = round(90000 + (partkey / 10) % 20001 + 100 * (partkey % 1000), 2) / 100
-        parts.append(
-            (
+            brand = f"Brand#{rng.randrange(1, 6)}{rng.randrange(1, 6)}"
+            retail = round(
+                90000 + (partkey / 10) % 20001 + 100 * (partkey % 1000), 2
+            ) / 100
+            yield (
                 partkey,
                 f"part name {partkey}",
                 f"Manufacturer#{rng.randrange(1, 6)}",
@@ -112,10 +115,10 @@ def _generate_tpch(scale: TpchScale, seed: int) -> Dict[str, List[tuple]]:
                 rng.choice(S.CONTAINERS),
                 retail,
             )
-        )
-    tables["part"] = parts
 
-    tables["partsupp"] = [
+    tables["part"] = parts = tuple(part_rows())
+
+    tables["partsupp"] = tuple(
         (
             ints[p + 1],
             ints[rng.randrange(scale.suppliers) + 1],
@@ -124,41 +127,43 @@ def _generate_tpch(scale: TpchScale, seed: int) -> Dict[str, List[tuple]]:
         )
         for p in range(scale.parts)
         for _copy in range(2)
-    ]
+    )
 
+    # An order's row needs its line items' totals: the line items are
+    # yielded into their tuple as they are drawn, the orders collected.
     orders: List[tuple] = []
-    lineitems: List[tuple] = []
-    for i in range(scale.orders):
-        orderkey = i + 1
-        custkey = ints[rng.randrange(scale.customers) + 1]
-        orderdate = ints[rng.randrange(S.START_DATE, S.END_DATE - 151)]
-        year = ints[1970 + orderdate // 365]  # close enough for grouping
-        priority = rng.choice(S.PRIORITIES)
-        prioclass = 1 if priority[0] in "12" else 0
-        n_lines = rng.randrange(1, 8)
-        total = 0.0
-        all_f = True
-        for line_no in range(1, n_lines + 1):
-            partkey = ints[rng.randrange(scale.parts) + 1]
-            suppkey = ints[rng.randrange(scale.suppliers) + 1]
-            quantity = quantities[rng.randrange(1, 51)]
-            price = round(quantity * parts[partkey - 1][7], 2)
-            discount = hundredths[rng.randrange(0, 11)]
-            tax = hundredths[rng.randrange(0, 9)]
-            shipdate = ints[orderdate + rng.randrange(1, 122)]
-            commitdate = ints[orderdate + rng.randrange(30, 91)]
-            receiptdate = ints[shipdate + rng.randrange(1, 31)]
-            current = S.END_DATE - 100
-            if receiptdate <= current:
-                returnflag = rng.choice(("R", "A"))
-            else:
-                returnflag = "N"
-            linestatus = "F" if shipdate <= current else "O"
-            if linestatus != "F":
-                all_f = False
-            total += price * (1 + tax) * (1 - discount)
-            lineitems.append(
-                (
+
+    def line_rows() -> Iterator[tuple]:
+        for i in range(scale.orders):
+            orderkey = i + 1
+            custkey = ints[rng.randrange(scale.customers) + 1]
+            orderdate = ints[rng.randrange(S.START_DATE, S.END_DATE - 151)]
+            year = ints[1970 + orderdate // 365]  # close enough for grouping
+            priority = rng.choice(S.PRIORITIES)
+            prioclass = 1 if priority[0] in "12" else 0
+            n_lines = rng.randrange(1, 8)
+            total = 0.0
+            all_f = True
+            for line_no in range(1, n_lines + 1):
+                partkey = ints[rng.randrange(scale.parts) + 1]
+                suppkey = ints[rng.randrange(scale.suppliers) + 1]
+                quantity = quantities[rng.randrange(1, 51)]
+                price = round(quantity * parts[partkey - 1][7], 2)
+                discount = hundredths[rng.randrange(0, 11)]
+                tax = hundredths[rng.randrange(0, 9)]
+                shipdate = ints[orderdate + rng.randrange(1, 122)]
+                commitdate = ints[orderdate + rng.randrange(30, 91)]
+                receiptdate = ints[shipdate + rng.randrange(1, 31)]
+                current = S.END_DATE - 100
+                if receiptdate <= current:
+                    returnflag = rng.choice(("R", "A"))
+                else:
+                    returnflag = "N"
+                linestatus = "F" if shipdate <= current else "O"
+                if linestatus != "F":
+                    all_f = False
+                total += price * (1 + tax) * (1 - discount)
+                yield (
                     orderkey,
                     partkey,
                     suppkey,
@@ -175,22 +180,23 @@ def _generate_tpch(scale: TpchScale, seed: int) -> Dict[str, List[tuple]]:
                     rng.choice(S.SHIP_MODES),
                     "c" * 8,
                 )
+            status = "F" if all_f else "O"
+            orders.append(
+                (
+                    orderkey,
+                    custkey,
+                    status,
+                    round(total, 2),
+                    orderdate,
+                    year,
+                    priority,
+                    prioclass,
+                    "c" * 8,
+                )
             )
-        status = "F" if all_f else "O"
-        orders.append(
-            (
-                orderkey,
-                custkey,
-                status,
-                round(total, 2),
-                orderdate,
-                year,
-                priority,
-                prioclass,
-                "c" * 8,
-            )
-        )
-    tables["orders"] = orders
+
+    lineitems = tuple(line_rows())
+    tables["orders"] = tuple(orders)
     tables["lineitem"] = lineitems
     return tables
 
@@ -200,7 +206,7 @@ def load_tpch(
     scale: TpchScale,
     seed: int = 1,
     with_indexes: bool = True,
-) -> Dict[str, List[tuple]]:
+) -> Tables:
     """Create, load, and index all TPC-H tables; returns the raw rows.
 
     Orders and lineitem are clustered on their order keys (dbgen emits

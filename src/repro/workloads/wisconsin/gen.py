@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List, Tuple
 
 from repro.relational.schema import Schema
 from repro.storage.image import load_once
 from repro.storage.manager import StorageManager
-from repro.workloads import memo_tables
+from repro.workloads import Tables, memo_tables
 
 WISCONSIN_SCHEMA = Schema.of(
     "unique1:int",
@@ -57,10 +57,10 @@ _STRING4 = ("AAAAxxxx", "HHHHxxxx", "OOOOxxxx", "VVVVxxxx")
 def _rows(
     n: int, rng: random.Random, ints: List[int], stringu1: List[str],
     stringu2: List[str],
-) -> List[tuple]:
+) -> Tuple[tuple, ...]:
     unique1 = ints[:n]
     rng.shuffle(unique1)
-    return [
+    return tuple(
         (
             u1,
             unique2,
@@ -80,13 +80,13 @@ def _rows(
             _STRING4[unique2 % 4],
         )
         for unique2, u1 in zip(ints, unique1)
-    ]
+    )
 
 
 def generate_wisconsin(
     scale: WisconsinScale, seed: int = 5
-) -> Dict[str, List[tuple]]:
-    def build() -> Dict[str, List[tuple]]:
+) -> Tables:
+    def build() -> Tables:
         rng = random.Random(seed)
         # One object per distinct key and string, shared by the three
         # tables (DESIGN.md section 10): every row indexes these.
@@ -107,7 +107,7 @@ def generate_wisconsin(
 
 def load_wisconsin(
     sm: StorageManager, scale: WisconsinScale, seed: int = 5
-) -> Dict[str, List[tuple]]:
+) -> Tables:
     """Create and load BIG1, BIG2, SMALL; returns the raw rows.
 
     Built once per ``(scale, seed)`` and process, adopted after (see

@@ -33,10 +33,38 @@ def make_packet(engine, plan=None, query_id=1):
     )
 
 
-def test_workers_spawned_at_construction(db):
-    engine = make_engine(db, workers=3)
-    assert len(engine.engines["sort"]._worker_procs) == 3
-    assert len(engine.engines["fscan"]._worker_procs) == 12  # 4x scans
+def test_workers_spawn_on_demand_up_to_the_pool_size(db):
+    """None at construction; the k-th queued packet spawns worker k-1,
+    the never-used worker a pool parked at t=0 would have handed it even
+    when an older one is idle again; never more than ``workers``."""
+    _h, sm, r_rows, _s = db
+    before = sm.sim.process_count
+    engine = make_engine(db, workers=1, osp_enabled=False)
+    assert sm.sim.process_count == before
+    assert all(m._worker_procs == [] for m in engine.engines.values())
+    micro = engine.engines["fscan"]  # 4x workers
+    assert micro.workers == 4
+
+    def run(packets):
+        for packet in packets:
+            micro.enqueue(packet)
+        spawned = len(micro._worker_procs)
+        readers = [
+            engine.sim.spawn(p.primary_output.drain()) for p in packets
+        ]
+        engine.sim.run_until_done(readers)
+        assert all(sorted(r.value) == sorted(r_rows) for r in readers)
+        return spawned
+
+    assert run([make_packet(engine, query_id=0)]) == 1
+    # Worker 0 is parked and idle; the next packet still starts worker 1.
+    assert run([make_packet(engine, query_id=1)]) == 2
+    assert run([make_packet(engine, query_id=i) for i in range(2, 8)]) == 4
+    assert micro.packets_served == 8
+    assert [p.name.split("#")[0] for p in micro._worker_procs] == [
+        f"fscan-w{i}" for i in range(4)
+    ]
+    assert all(p.alive for p in micro._worker_procs)  # parked, not gone
 
 
 def test_cancelled_packet_skipped_by_workers(db):

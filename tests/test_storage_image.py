@@ -50,7 +50,7 @@ from repro.storage.manager import StorageManager
 from repro.storage.page import RID, Page
 from repro.storage.wal import TransactionManager
 from repro.workloads.clients import ClosedLoopClient, run_workload
-from repro.workloads.tpch import TpchScale, load_tpch
+from repro.workloads.tpch import TpchScale, generate_tpch, load_tpch
 from repro.workloads.tpch import queries as Q
 from repro.workloads.tpch.schema import TPCH_SCHEMAS
 from repro.workloads.wisconsin import WisconsinScale, load_wisconsin
@@ -608,7 +608,8 @@ def test_sharded_tables_are_keyed_by_rows_and_partitioning(monkeypatch):
     for index, shard in enumerate(hit):
         info = shard.sm.catalog.table("big1")
         assert info.partitioning.index == index
-        assert info.heap.all_rows() == rows[index * 100:(index + 1) * 100]
+        part = rows[index * 100:(index + 1) * 100]
+        assert info.heap.all_rows() == list(part)
     assert build(rows=list(rows))[0] == 0  # the same row objects, a new list
     assert build(hosts=2)[0] == 2  # partition count
     assert build(scheme="hash", column="unique1")[0] == 4
@@ -620,6 +621,41 @@ def test_sharded_tables_are_keyed_by_rows_and_partitioning(monkeypatch):
     assert build(rows=[tuple(list(row)) for row in rows])[0] == 4
     assert build(rows=rows[1:])[0] == 4
     assert build(rows=rows[::-1])[0] == 4
+
+
+def test_a_repeated_sharded_build_keys_its_rows_by_identity(monkeypatch):
+    """The generators hand out their memoised tuples themselves, and
+    ``SameRows`` holds a tuple as it is: a repeated build compares one
+    pointer, never the rows one by one."""
+    loads = count_loads(monkeypatch)
+    compared = []
+
+    def is_(a, b):
+        compared.append(a)
+        return a is b
+
+    monkeypatch.setattr(image, "is_", is_)
+    tables = generate_wisconsin(WisconsinScale(big_rows=440), seed=5)
+    again = generate_wisconsin(WisconsinScale(big_rows=440), seed=5)
+    assert all(type(rows) is tuple for rows in tables.values())
+    tpch = generate_tpch(TINY, seed=SEED)
+    assert all(type(rows) is tuple for rows in tpch.values())
+    assert generate_tpch(TINY, seed=SEED)["lineitem"] is tpch["lineitem"]
+    assert all(again[name] is rows for name, rows in tables.items())
+    assert image.SameRows(tables["big1"]).rows is tables["big1"]
+
+    def build(rows):
+        before = len(loads)
+        sharded(4).create_table("big1", WISCONSIN_SCHEMA, rows)
+        return len(loads) - before
+
+    assert build(tables["big1"]) == 4
+    assert build(again["big1"]) == 0
+    assert compared == []
+    # A list of the same rows is not the memo's own: the exact
+    # element-wise check still runs, and still hits.
+    assert build(list(tables["big1"])) == 0
+    assert len(compared) == len(tables["big1"])
 
 
 def test_the_memo_is_bounded_and_evicts_oldest_first(monkeypatch):
