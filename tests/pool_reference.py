@@ -10,10 +10,6 @@ parking entries (one per worker) and the idle workers' processes differ.
 The differential tests patch it onto ``MicroEngine`` and compare.
 """
 
-import contextlib
-
-import pytest
-
 from repro.engine.micro_engine import MicroEngine
 
 _init = MicroEngine.__init__
@@ -38,11 +34,3 @@ def __init__(self, name, engine, workers=16):
 def install(monkeypatch):
     """Patch construction-time spawning onto ``MicroEngine``."""
     monkeypatch.setattr(MicroEngine, "__init__", __init__)
-
-
-@contextlib.contextmanager
-def eager_pools():
-    """Build every µEngine in the block with its whole pool spawned."""
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        install(monkeypatch)
-        yield
