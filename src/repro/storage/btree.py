@@ -5,17 +5,25 @@ traversals go through the buffer pool page by page (the storage manager
 does this); the methods here also offer untimed direct access for
 loaders, tests, and invariant checks.
 
-Duplicates are supported by storing a list of values per key, which is
-what a secondary index over a foreign key needs (e.g. ORDERS.o_custkey).
+Every key has one *bucket*, the values stored under it: the value itself
+while the key is unique, a tuple of its values in insertion order once
+it repeats (a secondary index over a foreign key, e.g. ORDERS.o_custkey,
+repeats).  The form is read from the bucket's type, so a value may be
+anything but a tuple; and a bucket is never tested for truth -- the
+storage manager stores packed RIDs, and ``RID(0, 0)`` packs to ``0``.
 
 Deletion is lazy: the (key, value) pair is removed from its leaf but
 nodes are never merged.  The read-mostly workloads of the paper never
 stress underflow, and the invariant checker accounts for it.
 
-A key's value list (its *bucket*) is replace-on-write, like a page's
-slot list: insert and delete put a new list in the leaf instead of
-changing the old one.  That is what lets the trees adopted from one
-:class:`TreeImage` share every bucket while each owns its nodes.
+A node's contents are replace-on-write, like a page's slot list: a node
+is a dict whose ``keys`` and ``vals`` (leaf) or ``keys`` and
+``children`` (internal) are tuples, and insert, delete and split put
+new tuples into the dict instead of changing the old ones; buckets are
+immutable anyway.  So the dict is all a tree owns of a node: the trees
+adopted from one :class:`TreeImage` share every key, bucket and child
+tuple, and each keeps dicts of its own because buffer-pool frames hold
+those.
 """
 
 from __future__ import annotations
@@ -30,21 +38,22 @@ NO_NODE = -1
 
 
 def _new_leaf() -> dict:
-    return {"leaf": True, "keys": [], "vals": [], "next": NO_NODE}
+    return {"leaf": True, "keys": (), "vals": (), "next": NO_NODE}
 
 
 def _new_internal() -> dict:
-    return {"leaf": False, "keys": [], "children": []}
+    return {"leaf": False, "keys": (), "children": ()}
 
 
 def _copy_node(node: dict) -> dict:
-    """A node for another tree to own: its own dict and key, bucket and
-    child lists, over the same keys and (replace-on-write) buckets."""
-    copy = dict(node)
-    copy["keys"] = node["keys"][:]
-    part = "vals" if node["leaf"] else "children"
-    copy[part] = node[part][:]
-    return copy
+    """A node for another tree to own: its own dict over the same
+    (replace-on-write) key, bucket and child tuples."""
+    return dict(node)
+
+
+def bucket_values(bucket: Any) -> tuple:
+    """The values of one bucket, in insertion order."""
+    return bucket if type(bucket) is tuple else (bucket,)
 
 
 class BPlusTree:
@@ -105,22 +114,28 @@ class BPlusTree:
         node = self.node(block)
         idx = bisect.bisect_left(node["keys"], key)
         if idx < len(node["keys"]) and node["keys"][idx] == key:
-            return list(node["vals"][idx])
+            return list(bucket_values(node["vals"][idx]))
         return []
 
     def insert(self, key: Any, value: Any) -> None:
         """Insert one (key, value) pair, splitting nodes as needed."""
+        if type(value) is tuple:
+            raise TypeError("a B+tree value may not be a tuple (a tuple "
+                            "is the bucket of a repeated key)")
         block, path = self._find_leaf(key)
         node = self.node(block)
-        idx = bisect.bisect_left(node["keys"], key)
-        if idx < len(node["keys"]) and node["keys"][idx] == key:
-            node["vals"][idx] = [*node["vals"][idx], value]
-            self.num_entries += 1
-            return
-        node["keys"].insert(idx, key)
-        node["vals"].insert(idx, [value])
-        self.num_keys += 1
+        keys, vals = node["keys"], node["vals"]
+        idx = bisect.bisect_left(keys, key)
         self.num_entries += 1
+        if idx < len(keys) and keys[idx] == key:
+            bucket = vals[idx]
+            bucket = ((*bucket, value) if type(bucket) is tuple
+                      else (bucket, value))
+            node["vals"] = (*vals[:idx], bucket, *vals[idx + 1:])
+            return
+        node["keys"] = (*keys[:idx], key, *keys[idx:])
+        node["vals"] = (*vals[:idx], value, *vals[idx:])
+        self.num_keys += 1
         if len(node["keys"]) > self.order:
             self._split(block, path)
 
@@ -131,27 +146,25 @@ class BPlusTree:
         """
         block, _path = self._find_leaf(key)
         node = self.node(block)
-        idx = bisect.bisect_left(node["keys"], key)
-        if idx >= len(node["keys"]) or node["keys"][idx] != key:
+        keys, vals = node["keys"], node["vals"]
+        idx = bisect.bisect_left(keys, key)
+        if idx >= len(keys) or keys[idx] != key:
             return False
-        if value is None:
-            removed = len(node["vals"][idx])
-            del node["keys"][idx]
-            del node["vals"][idx]
-            self.num_keys -= 1
-            self.num_entries -= removed
-            return True
-        values = node["vals"][idx]
-        if value not in values:
-            return False
-        self.num_entries -= 1
-        if len(values) == 1:
-            del node["keys"][idx]
-            del node["vals"][idx]
-            self.num_keys -= 1
-        else:
-            at = values.index(value)
-            node["vals"][idx] = values[:at] + values[at + 1:]
+        values = bucket_values(vals[idx])
+        if value is not None:
+            if value not in values:
+                return False
+            if len(values) > 1:
+                at = values.index(value)
+                rest = values[:at] + values[at + 1:]
+                bucket = rest if len(rest) > 1 else rest[0]
+                node["vals"] = (*vals[:idx], bucket, *vals[idx + 1:])
+                self.num_entries -= 1
+                return True
+        node["keys"] = (*keys[:idx], *keys[idx + 1:])
+        node["vals"] = (*vals[:idx], *vals[idx + 1:])
+        self.num_keys -= 1
+        self.num_entries -= len(values)
         return True
 
     def range_scan(
@@ -177,12 +190,12 @@ class BPlusTree:
                 node = self.node(block)
         while block != NO_NODE:
             node = self.node(block)
-            for key, values in zip(node["keys"], node["vals"]):
+            for key, bucket in zip(node["keys"], node["vals"]):
                 if lo is not None and (key < lo or (lo_open and key == lo)):
                     continue
                 if hi is not None and (key > hi or (hi_open and key == hi)):
                     return
-                for value in values:
+                for value in bucket_values(bucket):
                     yield key, value
             block = node["next"]
 
@@ -196,7 +209,8 @@ class BPlusTree:
 
     def bulk_build(self, sorted_keys: List[Any], values: List[Any]) -> None:
         """Bottom-up build from parallel lists: ``values[i]`` goes under
-        ``sorted_keys[i]`` (ascending, duplicates adjacent).
+        ``sorted_keys[i]`` (ascending, duplicates adjacent; no value is
+        a tuple).
 
         Replaces the current (expected empty) contents.
         """
@@ -208,14 +222,17 @@ class BPlusTree:
         # split across runs, so any out-of-order entry surfaces as an
         # out-of-order run key.
         keys: List[Any] = []
-        vals: List[List[Any]] = []
+        vals: List[Any] = []
         start = 0
         for key, run in groupby(sorted_keys):
             if keys and key < keys[-1]:
                 raise ValueError("bulk_build input is not sorted")
             end = start + len(list(run))
             keys.append(key)
-            vals.append(values[start:end])
+            vals.append(
+                values[start] if end - start == 1
+                else tuple(values[start:end])
+            )
             start = end
         self.num_keys = len(keys)
         self.num_entries = len(values)
@@ -224,6 +241,7 @@ class BPlusTree:
 
         # Build the leaf level at ~order*2/3 occupancy for insert headroom.
         fill = max(1, (self.order * 2) // 3)
+        keys, vals = tuple(keys), tuple(vals)
         leaf_blocks: List[int] = []
         leaf_lows: List[Any] = []
         for start in range(0, len(keys), fill):
@@ -246,8 +264,8 @@ class BPlusTree:
                 children = level_blocks[start:start + fill + 1]
                 lows = level_lows[start:start + fill + 1]
                 internal = _new_internal()
-                internal["children"] = children
-                internal["keys"] = lows[1:]
+                internal["children"] = tuple(children)
+                internal["keys"] = tuple(lows[1:])
                 block = self.store.append_block(self.file_id, internal)
                 parent_blocks.append(block)
                 parent_lows.append(lows[0])
@@ -299,16 +317,18 @@ class BPlusTree:
         if not path:
             # Splitting the root: grow the tree by one level.
             new_root = _new_internal()
-            new_root["keys"] = [separator]
-            new_root["children"] = [block, right_block]
+            new_root["keys"] = (separator,)
+            new_root["children"] = (block, right_block)
             self.root_block = self.store.append_block(self.file_id, new_root)
             self.height += 1
             return
         parent_block = path[-1]
         parent = self.node(parent_block)
-        idx = bisect.bisect_right(parent["keys"], separator)
-        parent["keys"].insert(idx, separator)
-        parent["children"].insert(idx + 1, right_block)
+        keys, children = parent["keys"], parent["children"]
+        idx = bisect.bisect_right(keys, separator)
+        parent["keys"] = (*keys[:idx], separator, *keys[idx:])
+        parent["children"] = (
+            *children[:idx + 1], right_block, *children[idx + 1:])
         if len(parent["keys"]) > self.order:
             self._split(parent_block, path[:-1])
 
@@ -319,10 +339,11 @@ class BPlusTree:
         """Raise AssertionError when any structural invariant is violated."""
         leaf_depths = set()
         seen_keys: List[Any] = []
+        bucket_sizes: List[int] = []
 
         def walk(block: int, depth: int, lo, hi):
             node = self.node(block)
-            keys = node["keys"]
+            keys = list(node["keys"])
             assert keys == sorted(keys), f"unsorted keys in block {block}"
             for key in keys:
                 assert lo is None or key >= lo, "key below subtree bound"
@@ -330,8 +351,13 @@ class BPlusTree:
             if node["leaf"]:
                 leaf_depths.add(depth)
                 assert len(node["vals"]) == len(keys)
-                for values in node["vals"]:
-                    assert values, "empty value list in leaf"
+                for bucket in node["vals"]:
+                    # By length, never by truth: a packed RID may be 0.
+                    size = len(bucket_values(bucket))
+                    assert type(bucket) is not tuple or size >= 2, (
+                        f"a tuple bucket of {size} values in block {block}"
+                    )
+                    bucket_sizes.append(size)
                 seen_keys.extend(keys)
                 return
             assert len(node["children"]) == len(keys) + 1, (
@@ -349,6 +375,9 @@ class BPlusTree:
         assert seen_keys == sorted(seen_keys), "global key order violated"
         assert len(seen_keys) == self.num_keys, (
             f"num_keys {self.num_keys} != actual {len(seen_keys)}"
+        )
+        assert sum(bucket_sizes) == self.num_entries, (
+            f"num_entries {self.num_entries} != actual {sum(bucket_sizes)}"
         )
         # The leaf chain must visit the same keys in the same order.
         chained = [key for key, _v in self.range_scan()]
@@ -368,9 +397,10 @@ class BPlusTree:
 class TreeImage(NamedTuple):
     """A B+tree's content at one instant, shareable between systems.
 
-    Nodes are mutated in place (and the buffer pool holds on to them),
-    so the image keeps private copies and every adopting tree copies
-    them again -- per node, not per entry: the buckets are shared.
+    The tree that was captured keeps writing its nodes (and the buffer
+    pool holds on to them), so the image keeps dicts of its own and
+    every adopting tree gets its own again -- one ``dict`` per node,
+    over the same key, bucket and child tuples.
     """
 
     name: str

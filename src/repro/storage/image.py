@@ -1,17 +1,18 @@
 """Loaded-database images: build a database once, adopt it after.
 
 Every data point of a figure sweep runs over the same database, and
-loading one is O(rows) -- sort on the clustering key, fill pages, make a
+loading one is O(rows) -- sort on the clustering key, fill pages, pack a
 RID per row, group and pack the B+tree leaves -- while everything the
 loaded state consists of is either never mutated or cheap to copy:
 
 * **shared** between every system adopted from one image: row tuples,
-  page slot lists and B+tree buckets.  All three are replace-on-write
-  (:class:`~repro.storage.page.Page`, :mod:`repro.storage.btree`): a
-  write puts a new list in place and leaves the old one as it was;
+  page slot lists and B+tree key, bucket and child tuples.  All are
+  replace-on-write (:class:`~repro.storage.page.Page`,
+  :mod:`repro.storage.btree`): a write puts a new list or tuple in
+  place and leaves the old one as it was;
 * **per system**, made afresh by :meth:`StorageManager.adopt`: ``Page``
   objects, block lists, row counts, corruption marks, catalog entries
-  and B+tree nodes (mutated in place, and held by buffer-pool frames).
+  and B+tree node dicts (held by buffer-pool frames).
 
 So an adopted system costs O(pages + tree nodes), runs no per-row
 bytecode, and ends up in the state the load would have left -- same file

@@ -14,19 +14,22 @@ Everything engines need from storage goes through here:
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Generator, List, Optional, Sequence
 
 from repro.hw.host import Host
 from repro.relational import compile
 from repro.relational.plans import DeleteRows, InsertRows, PlanNode, UpdateRows
 from repro.relational.schema import Schema
-from repro.storage.btree import BPlusTree
+from repro.storage.btree import BPlusTree, bucket_values
 from repro.storage.bufferpool import BufferPool
 from repro.storage.catalog import Catalog, IndexInfo, TableInfo
 from repro.storage.file import BlockStore, HeapFile
 from repro.storage.image import IndexImage, StorageImage, TableImage
 from repro.storage.locks import LockManager, LockMode
-from repro.storage.page import RID, page_rids, rows_per_page
+from repro.storage.page import (
+    RID, pack_rid, packed_rids, rows_per_page, unpack_rid, unpack_rids,
+)
 from repro.storage.partition import PartitionInfo
 
 
@@ -139,8 +142,8 @@ class StorageManager:
 
     def _build_index(self, info: TableInfo, index: IndexInfo) -> None:
         key = index.key_of
-        # Keys and RIDs as parallel lists, page by page and all at C
-        # level (no frame and no pair tuple per row: an index build is
+        # Keys and packed RIDs as parallel lists, page by page and all at
+        # C level (no frame and no pair tuple per row: an index build is
         # mostly allocation, and the collector's work is proportional to
         # it), then a stable sort of the *positions* on the key alone.
         # The heap iterates in ascending RID order, so ties keep that
@@ -148,16 +151,11 @@ class StorageManager:
         # tuples, without any of the RID.__lt__ tie-break calls.
         heap = info.heap
         keys: List[Any] = []
-        rids: List[RID] = []
+        rids: List[int] = []
         for block_no in range(heap.num_pages):
             page = heap.page(block_no)
-            rows, slots = page.rows(), page.slots()
-            live = (
-                range(len(slots)) if len(rows) == len(slots)
-                else [slot for slot, row in enumerate(slots) if row is not None]
-            )
-            keys += map(key, rows)
-            rids += page_rids(block_no, live)
+            keys += map(key, page.rows())
+            rids += packed_rids(block_no, page)
         order = sorted(range(len(keys)), key=keys.__getitem__)
         if index.tree.num_keys:
             # Rebuild from scratch (load after create_index).
@@ -298,20 +296,24 @@ class StorageManager:
                 else tree.leftmost_child(node)
             )
             node = yield from self.pool.get_page(tree.file_id, block)
-        # Leaf chain walk.
-        results: List[Tuple[Any, RID]] = []
+        # Leaf chain walk, keys and packed RIDs side by side.
+        keys: List[Any] = []
+        packed: List[int] = []
         while True:
-            for key, values in zip(node["keys"], node["vals"]):
+            past_hi = False
+            for key, bucket in zip(node["keys"], node["vals"]):
                 if lo is not None and (key < lo or (lo_open and key == lo)):
                     continue
                 if hi is not None and (key > hi or (hi_open and key == hi)):
-                    return results
-                results.extend((key, value) for value in values)
+                    past_hi = True
+                    break
+                values = bucket_values(bucket)
+                keys += repeat(key, len(values))
+                packed += values
             nxt = node["next"]
-            if nxt < 0:
-                return results
+            if past_hi or nxt < 0:
+                return list(zip(keys, unpack_rids(packed)))
             node = yield from self.pool.get_page(tree.file_id, nxt)
-        return results
 
     def clustered_start_page(self, table: str, index: str, lo: Any) -> Generator:
         """Coroutine: the heap page where key range ``[lo, ...`` begins.
@@ -330,13 +332,14 @@ class StorageManager:
         while not node["leaf"]:
             block = tree.child_for(node, lo)
             node = yield from self.pool.get_page(tree.file_id, block)
-        for key, values in zip(node["keys"], node["vals"]):
+        for key, bucket in zip(node["keys"], node["vals"]):
             if key >= lo:
-                return values[0].block_no
+                return unpack_rid(bucket_values(bucket)[0]).block_no
         if node["next"] >= 0:
             nxt = yield from self.pool.get_page(tree.file_id, node["next"])
             if nxt["keys"]:
-                return nxt["vals"][0][0].block_no
+                bucket = nxt["vals"][0]
+                return unpack_rid(bucket_values(bucket)[0]).block_no
         return self.num_pages(table)
 
     # ------------------------------------------------------------------
@@ -351,8 +354,9 @@ class StorageManager:
             )
         rid = info.heap.append_row(row)
         yield from self.pool.write_page(info.heap.file_id, rid.block_no)
+        packed = pack_rid(rid)
         for index in info.indexes.values():
-            index.tree.insert(index.key_of(row), rid)
+            index.tree.insert(index.key_of(row), packed)
             # Charge one leaf write per maintained index.
             yield from self.host.disk.write(index.tree.file_id, 0)
         return rid
@@ -366,8 +370,9 @@ class StorageManager:
             return False
         info.heap.tombstone_row(rid)
         yield from self.pool.write_page(info.heap.file_id, rid.block_no)
+        packed = pack_rid(rid)
         for index in info.indexes.values():
-            index.tree.delete(index.key_of(row), rid)
+            index.tree.delete(index.key_of(row), packed)
             yield from self.host.disk.write(index.tree.file_id, 0)
         return True
 
@@ -380,11 +385,12 @@ class StorageManager:
             return False
         page.update(rid.slot, new_row)
         yield from self.pool.write_page(info.heap.file_id, rid.block_no)
+        packed = pack_rid(rid)
         for index in info.indexes.values():
             old_key, new_key = index.key_of(old_row), index.key_of(new_row)
             if old_key != new_key:
-                index.tree.delete(old_key, rid)
-                index.tree.insert(new_key, rid)
+                index.tree.delete(old_key, packed)
+                index.tree.insert(new_key, packed)
                 yield from self.host.disk.write(index.tree.file_id, 0)
         return True
 

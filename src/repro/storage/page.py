@@ -42,11 +42,36 @@ class RID(NamedTuple):
 _rid_of_pair = partial(tuple.__new__, RID)
 
 
-def page_rids(block_no: int, slots: Iterable[int]) -> Iterator[RID]:
-    """The RIDs of *slots* on one page, in order -- built at C level: an
-    index build makes one per row, and ``RID(block_no, slot)`` is a
-    Python frame each."""
-    return map(_rid_of_pair, zip(repeat(block_no), slots))
+def pack_rid(rid: RID) -> int:
+    """*rid* as one int, ``block_no * PAGE_SIZE + slot``: what a B+tree
+    stores.  A page never holds more rows than ``PAGE_SIZE`` (see
+    :func:`rows_per_page`), so every slot is below it and packed RIDs
+    order exactly as the RIDs do."""
+    block_no, slot = rid
+    if not 0 <= slot < PAGE_SIZE:
+        raise ValueError(f"slot {slot} does not pack: 0 <= slot < {PAGE_SIZE}")
+    return block_no * PAGE_SIZE + slot
+
+
+def unpack_rid(packed: int) -> RID:
+    """The inverse of :func:`pack_rid`."""
+    return _rid_of_pair(divmod(packed, PAGE_SIZE))
+
+
+def unpack_rids(packed: Iterable[int]) -> Iterator[RID]:
+    """:func:`unpack_rid` over many, at C level (no frame per RID)."""
+    return map(_rid_of_pair, map(divmod, packed, repeat(PAGE_SIZE)))
+
+
+def packed_rids(block_no: int, page: Page) -> Iterable[int]:
+    """:func:`pack_rid` of every live row of *page*, block *block_no*,
+    in slot order -- at C level for a page without tombstones: an index
+    build makes one per row."""
+    first = block_no * PAGE_SIZE
+    slots = page.slots()
+    if len(page.rows()) == len(slots):
+        return range(first, first + len(slots))
+    return [first + slot for slot, row in enumerate(slots) if row is not None]
 
 
 def rid_runs(

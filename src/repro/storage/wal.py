@@ -26,7 +26,7 @@ from typing import Dict, Generator, List, Optional
 
 from repro.sim import SimulationError
 from repro.storage.log import LogDevice, log_disk, seal
-from repro.storage.page import RID
+from repro.storage.page import RID, pack_rid
 
 
 class LogType(enum.Enum):
@@ -184,8 +184,9 @@ class TransactionManager:
         yield from self.sm.pool.write_page(
             info.heap.file_id, record.rid.block_no
         )
+        packed = pack_rid(record.rid)
         for index in info.indexes.values():
-            index.tree.insert(index.key_of(record.before), record.rid)
+            index.tree.insert(index.key_of(record.before), packed)
             yield from self.sm.host.disk.write(index.tree.file_id, 0)
 
     # ------------------------------------------------------------------

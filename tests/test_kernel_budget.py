@@ -25,18 +25,23 @@ when code moves between directories.  The sixth does not: the Python
 calls the same two scenarios make into all of ``repro/`` and its
 generated kernels, which a refactor may shuffle but not inflate.
 
-Beside the call pins sits one on memory: the bytes a hash-join build
-table holds, on a unique and on a repeating key.  Dict and list sizes
-are CPython details, so it is pinned per version where one disagrees.
+Beside the call pins sit two on memory: the bytes a hash-join build
+table holds, and the bytes a loaded B+tree index holds (and one adopted
+copy of it adds), each on a unique and on a repeating key.  Object
+sizes are CPython details, so they are pinned per version where one
+disagrees.
 """
 
+import ast
 import gc
 import os
+import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
+import repro
 from repro.baseline.engine import IteratorEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.hw.host import Host, HostConfig
@@ -281,6 +286,55 @@ def test_hash_tables_hold_exactly_this_many_bytes(name):
     pins = TABLE_BYTES[name]
     want = pins.get(sys.version_info[:2], pins["later"])
     assert table_bytes(_TABLE_KEYS[name]) == want
+
+
+# ---------------------------------------------------------------------------
+# What a loaded index holds: one int per RID, buckets and nodes shared
+# ---------------------------------------------------------------------------
+#: keys -> Python version -> (bytes a loaded index of the hash tables'
+#: 10,000 rows holds, bytes one adopted copy of it adds), as
+#: ``tests/index_bytes.py`` measures them: order 64, packed RIDs, one
+#: dict per node in the copy.  Object layouts differ in every minor
+#: version; "later" is 3.13.  While every entry was a ``RID`` in a
+#: per-key bucket list and an adopt copied two lists per node, the same
+#: index and adopt held (3.11; 3.12 and 3.13 within 0.01 % of it, 3.10
+#: 1-2 % lower)
+#:   unique        (1759288, 240016)
+#:   five_per_key  (1120752, 49640)
+INDEX_BYTES = {
+    "unique": {
+        (3, 10): (521748, 60076),
+        (3, 11): (548664, 48264),
+        (3, 12): (548576, 48320),
+        "later": (548608, 48272),
+    },
+    "five_per_key": {
+        (3, 10): (488076, 13268),
+        (3, 11): (524352, 10816),
+        (3, 12): (524264, 10872),
+        "later": (524296, 10824),
+    },
+}
+
+
+def index_bytes(name: str) -> tuple:
+    """``tests/index_bytes.py`` in a fresh interpreter (its docstring
+    says why)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, root])}
+    done = subprocess.run(
+        [sys.executable, "-m", "tests.index_bytes", name], cwd=root,
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return ast.literal_eval(done.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_BYTES))
+def test_index_trees_hold_exactly_this_many_bytes(name):
+    pins = INDEX_BYTES[name]
+    want = pins.get(sys.version_info[:2], pins["later"])
+    assert index_bytes(name) == want
 
 
 # ---------------------------------------------------------------------------

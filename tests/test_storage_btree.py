@@ -5,8 +5,12 @@ from hypothesis import strategies as st
 
 import pytest
 
+from repro.hw.host import Host, HostConfig
+from repro.relational.schema import Schema
 from repro.storage.btree import BPlusTree
 from repro.storage.file import BlockStore
+from repro.storage.manager import StorageManager
+from repro.storage.page import PAGE_SIZE, RID, pack_rid, unpack_rid
 
 
 def make_tree(order=4):
@@ -227,3 +231,238 @@ def test_property_deletes_keep_invariants(keys, data):
     tree.check_invariants()
     for key in unique:
         assert tree.search(key) == expected.get(key, [])
+
+
+# ---------------------------------------------------------------------------
+# Buckets: the value itself for a unique key, a tuple once it repeats
+# ---------------------------------------------------------------------------
+def bucket(tree, key):
+    """The raw bucket *key* maps to (None when absent)."""
+    node = tree.node(tree._find_leaf(key)[0])
+    if key in node["keys"]:
+        return node["vals"][node["keys"].index(key)]
+    return None
+
+
+def assert_holds(tree, key, values):
+    """*key* holds *values* (in order) in the canonical bucket form."""
+    held = bucket(tree, key)
+    if not values:
+        assert held is None
+    elif len(values) == 1:
+        assert type(held) is not tuple and held == values[0]
+    else:
+        assert held == tuple(values)
+    assert tree.search(key) == values
+    assert [v for _k, v in tree.range_scan(key, key)] == values
+    tree.check_invariants()
+
+
+def test_a_tree_whose_only_entry_is_rid_0_0():
+    """``pack_rid(RID(0, 0)) == 0``: nothing may take the bucket, or the
+    value, for "empty" by its truth."""
+    host = Host(HostConfig())
+    sm = StorageManager(host, index_order=3)
+    sm.create_table("t", Schema.of("id:int", "v:int"), clustered_on=["id"])
+    sm.load_table("t", [(7, 70)])
+    info = sm.create_index("t", ["id"], name="t_id", clustered=True)
+    tree = info.tree
+    assert pack_rid(RID(0, 0)) == 0
+    assert_holds(tree, 7, [0])
+    assert tree.num_keys == 1 and tree.num_entries == 1
+
+    def reads():
+        pairs = yield from sm.index_range("t", "t_id", 7, 7)
+        page = yield from sm.clustered_start_page("t", "t_id", 7)
+        return pairs, page
+
+    proc = host.sim.spawn(reads())
+    host.sim.run()
+    assert proc.value == ([(7, RID(0, 0))], 0)
+    assert tree.delete(7, 0) is True
+    assert_holds(tree, 7, [])
+    assert tree.num_entries == 0
+    assert tree.delete(7, 0) is False
+    tree.insert(7, 0)
+    assert_holds(tree, 7, [0])
+
+
+def test_insert_takes_a_key_from_unique_to_repeated():
+    tree = make_tree(order=3)
+    for key in range(10):
+        tree.insert(key, key + 100)
+    assert_holds(tree, 4, [104])
+    tree.insert(4, 0)
+    assert_holds(tree, 4, [104, 0])
+    tree.insert(4, 104)  # a duplicate value is one more entry
+    assert_holds(tree, 4, [104, 0, 104])
+    assert tree.num_entries == 12
+    with pytest.raises(TypeError):
+        tree.insert(4, (1, 2))
+
+
+def test_delete_of_a_value_takes_a_key_from_repeated_to_unique_to_gone():
+    tree = make_tree(order=3)
+    for key in range(10):
+        tree.insert(key, key + 100)
+    tree.insert(4, 0)
+    tree.insert(4, 5)
+    assert_holds(tree, 4, [104, 0, 5])
+    assert tree.delete(4, 0) is True
+    assert_holds(tree, 4, [104, 5])
+    assert tree.delete(4, 99) is False
+    assert tree.delete(4, 104) is True
+    assert_holds(tree, 4, [5])
+    assert tree.delete(4, 5) is True
+    assert_holds(tree, 4, [])
+    assert tree.num_keys == 9 and tree.num_entries == 9
+
+
+def test_delete_of_a_key_removes_every_value_of_its_bucket():
+    tree = make_tree(order=3)
+    bulk_build(tree, [(1, 10), (2, 0), (2, 20), (2, 30), (3, 0)])
+    assert_holds(tree, 2, [0, 20, 30])
+    assert_holds(tree, 3, [0])
+    assert tree.delete(2) is True
+    assert_holds(tree, 2, [])
+    assert tree.num_keys == 2 and tree.num_entries == 2
+    assert tree.delete(3) is True
+    assert_holds(tree, 3, [])
+    assert tree.num_entries == 1
+
+
+def test_bulk_build_and_then_insert_and_delete_walk_one_key_through_each_form():
+    tree = make_tree(order=4)
+    bulk_build(tree, [(k, k) for k in range(30)])
+    assert_holds(tree, 0, [0])
+    tree.insert(0, 7)
+    assert_holds(tree, 0, [0, 7])
+    tree.delete(0, 7)
+    assert_holds(tree, 0, [0])
+    tree.delete(0, 0)
+    assert_holds(tree, 0, [])
+
+
+def test_check_invariants_counts_entries_by_bucket_size():
+    tree = make_tree(order=4)
+    bulk_build(tree, [(1, 0), (1, 1), (2, 0)])
+    tree.check_invariants()
+    tree.num_entries -= 1
+    with pytest.raises(AssertionError, match="num_entries"):
+        tree.check_invariants()
+    tree.num_entries += 1
+    leaf = tree.node(tree.first_leaf())
+    leaf["vals"] = ((0,), 0)  # a repeated key's bucket of one value
+    with pytest.raises(AssertionError, match="tuple bucket of 1"):
+        tree.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# Packed RIDs: a differential against a multimap, through the manager
+# ---------------------------------------------------------------------------
+rids = st.one_of(
+    st.just(RID(0, 0)),
+    st.builds(RID, st.integers(0, 3), st.just(PAGE_SIZE - 1)),
+    st.builds(RID, st.integers(0, 40), st.integers(0, PAGE_SIZE - 1)),
+    st.builds(RID, st.integers(2**31, 2**62), st.integers(0, PAGE_SIZE - 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=rids, b=rids)
+def test_property_pack_rid_round_trips_and_keeps_rid_order(a, b):
+    assert unpack_rid(pack_rid(a)) == a
+    assert type(unpack_rid(pack_rid(a))) is RID
+    assert (pack_rid(a) < pack_rid(b)) == (a < b)
+    assert (pack_rid(a) == pack_rid(b)) == (a == b)
+
+
+def test_pack_rid_refuses_a_slot_that_does_not_fit_a_page():
+    assert pack_rid(RID(1, 0)) == PAGE_SIZE
+    for slot in (PAGE_SIZE, -1):
+        with pytest.raises(ValueError):
+            pack_rid(RID(0, slot))
+
+
+keys = st.integers(0, 11)  # few enough that keys repeat
+tree_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), keys, rids),
+        st.tuples(st.just("delete_value"), keys, st.integers(0, 7)),
+        st.tuples(st.just("delete_key"), keys),
+        st.tuples(st.just("search"), keys),
+        st.tuples(st.just("range_scan"), keys, keys, st.booleans(),
+                  st.booleans()),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    loaded=st.lists(st.tuples(keys, rids), min_size=8, max_size=80),
+    ops=tree_ops,
+    order=st.integers(3, 8),
+)
+def test_property_tree_agrees_with_a_multimap_under_packed_rids(
+    loaded, ops, order
+):
+    """``bulk_build`` and then interleaved writes and reads on an index
+    of a storage manager, against key -> values in insertion order; the
+    manager's timed ``index_range`` unpacks what the tree holds."""
+    host = Host(HostConfig())
+    sm = StorageManager(host, index_order=order)
+    sm.create_table("t", Schema.of("k:int", "v:int"))
+    tree = sm.create_index("t", ["k"], name="t_k").tree
+    loaded = sorted(loaded, key=lambda pair: pair[0])  # stable: keeps RIDs
+    reference = {}
+    for key, rid in loaded:
+        reference.setdefault(key, []).append(pack_rid(rid))
+    tree.bulk_build([k for k, _r in loaded], [pack_rid(r) for _k, r in loaded])
+
+    def expected(lo=None, hi=None, lo_open=False, hi_open=False):
+        return [
+            (key, value) for key in sorted(reference)
+            if (lo is None or key > lo or (key == lo and not lo_open))
+            and (hi is None or key < hi or (key == hi and not hi_open))
+            for value in reference[key]
+        ]
+
+    for op in ops:
+        name, key = op[0], op[1]
+        if name == "insert":
+            tree.insert(key, pack_rid(op[2]))
+            reference.setdefault(key, []).append(pack_rid(op[2]))
+        elif name == "delete_value":
+            # Mostly a value some key holds, sometimes one no key holds
+            # (no drawn RID is on block 999).
+            if reference and op[2] < 6:
+                key = sorted(reference)[key % len(reference)]
+            held = reference.get(key, [])
+            value = (held[op[2] % len(held)] if held and op[2] < 6
+                     else pack_rid(RID(999, op[2])))
+            assert tree.delete(key, value) is (value in held)
+            if value in held:
+                held.remove(value)
+                if not held:
+                    del reference[key]
+        elif name == "delete_key":
+            assert tree.delete(key) is (key in reference)
+            reference.pop(key, None)
+        elif name == "search":
+            assert tree.search(key) == reference.get(key, [])
+        else:
+            lo, hi, lo_open, hi_open = sorted(op[1:3]) + list(op[3:])
+            assert list(tree.range_scan(lo, hi, lo_open, hi_open)) == (
+                expected(lo, hi, lo_open, hi_open))
+    tree.check_invariants()
+    assert list(tree.range_scan()) == expected()
+    assert tree.num_keys == len(reference)
+
+    def scan():
+        return (yield from sm.index_range("t", "t_k"))
+
+    proc = host.sim.spawn(scan())
+    host.sim.run()
+    assert proc.value == [(k, unpack_rid(v)) for k, v in expected()]

@@ -3,18 +3,20 @@
 A load that hits the memo must leave a storage manager in *exactly* the
 state the load itself would have -- and keep it that way: the systems
 adopted from one image share row tuples, page slot lists and B+tree
-buckets, so one system's write reaching another is the bug this file
-exists to catch.
+key, bucket and child tuples, so one system's write reaching another is
+the bug this file exists to catch.
 
 (a) random operation sequences on one system leave its siblings equal
     to a cold-built reference, page for page and leaf for leaf;
-(b) the same check *fails* once a ``Page``, a tree node or a bucket is
-    shared the wrong way (so (a) can see what it claims to see);
+(b) the same check *fails* once a ``Page`` or a tree node is shared, or
+    a shared key list or bucket is written in place (so (a) can see
+    what it claims to see);
 (c) cold-built and adopted systems produce byte-identical traces,
     readings and rows on every engine, under DML and on four hosts;
 (d) every keyed field misses when it changes, and the memo is bounded.
 """
 
+import bisect
 import hashlib
 import random
 from dataclasses import dataclass, field
@@ -83,6 +85,12 @@ def empty_memo():
 # ---------------------------------------------------------------------------
 # Everything a storage manager holds, as plain data
 # ---------------------------------------------------------------------------
+def values(bucket) -> list:
+    """A bucket's packed RIDs, whichever form it has: one int for a
+    unique key, a sequence of them for a repeated one."""
+    return [bucket] if isinstance(bucket, int) else list(bucket)
+
+
 def dump(sm: StorageManager) -> dict:
     store = sm.store
     files = {}
@@ -95,8 +103,10 @@ def dump(sm: StorageManager) -> dict:
                                list(payload.rows())))
             else:
                 blocks.append({
-                    part: [list(v) for v in value] if part == "vals"
-                    else list(value) if isinstance(value, list) else value
+                    part: [values(bucket) for bucket in value]
+                    if part == "vals"
+                    else list(value) if isinstance(value, (tuple, list))
+                    else value
                     for part, value in payload.items()
                 })
         files[file_id] = (store.file_name(file_id), blocks)
@@ -174,18 +184,28 @@ def test_second_load_adopts_and_equals_the_first(monkeypatch):
     for system in (cold, adopted):
         for table, index in INDEXED.items():
             system.sm.catalog.index(table, index).tree.check_invariants()
-    # Shared: the slot lists.  Per system: the pages, nodes, key lists.
+    # Shared: the slot lists.  Per system: the pages.
     cold_page, page = (s.sm.catalog.table("orders").heap.page(0)
                        for s in (cold, adopted))
     assert page is not cold_page and page.slots() is cold_page.slots()
-    cold_tree, tree = (s.sm.catalog.index("orders", "o_orderkey_idx").tree
-                       for s in (cold, adopted))
-    leaf, cold_leaf = tree.node(tree.first_leaf()), cold_tree.node(
-        cold_tree.first_leaf())
-    assert leaf is not cold_leaf
-    assert leaf["keys"] is not cold_leaf["keys"]
-    assert leaf["vals"] is not cold_leaf["vals"]
-    assert leaf["vals"][0] is cold_leaf["vals"][0]
+    # Shared by the image, the cold-built and the adopted tree: every
+    # key, bucket and child tuple.  Per system: the node dicts.
+    [(captured,)] = image._IMAGES.values()
+    forms = set()
+    for table, index in INDEXED.items():
+        trees = [s.sm.catalog.index(table, index).tree
+                 for s in (cold, adopted)]
+        held = captured.files[trees[0].file_id - captured.first_file_id]
+        assert len(held.nodes) == trees[0].store.num_blocks(trees[0].file_id)
+        for block, node in enumerate(held.nodes):
+            nodes = [node] + [tree.node(block) for tree in trees]
+            assert len({id(n) for n in nodes}) == 3
+            parts = ("keys", "vals") if node["leaf"] else ("keys", "children")
+            for part in parts:
+                assert type(node[part]) is tuple
+                assert all(n[part] is node[part] for n in nodes)
+            forms.update(map(type, node["vals"]) if node["leaf"] else ())
+    assert forms == {int, tuple}  # unique and repeated keys both occur
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +360,11 @@ def check_isolation(ops, victim: str):
     for name, table, pick, arg in sorted(ops, key=lambda op: op[0] == "corrupt"):
         OPS[name][0](target, table, pick, arg)
     after = tiny_system()
-    for table, index in INDEXED.items():
-        target.sm.catalog.index(table, index).tree.check_invariants()
     bystanders = [before, after] + ([] if target is source else [source])
     for system in bystanders:
-        assert dump(system.sm) == reference
+        assert dump(system.sm) == reference, "a write reached a bystander"
+    for table, index in INDEXED.items():
+        target.sm.catalog.index(table, index).tree.check_invariants()
     return target, after
 
 
@@ -396,17 +416,52 @@ def test_sharing_tree_nodes_is_caught(monkeypatch):
         check_isolation(WRITES, "adopted")
 
 
-def test_sharing_a_leaf_key_list_is_caught(monkeypatch):
-    def shallow(node):
-        return dict(node)
+def test_writing_a_shared_leaf_list_in_place_is_caught(monkeypatch):
+    """Adopters share every leaf's key and bucket sequences, so those
+    must be replaced, never written to: an image whose leaves hold
+    lists, under a tree that inserts a new key into them in place."""
 
-    monkeypatch.setattr(btree, "_copy_node", shallow)
-    with pytest.raises(AssertionError):
-        check_isolation(WRITES, "adopted")
+    def list_contents(node):
+        copy = dict(node)
+        if node["leaf"]:
+            for part in ("keys", "vals"):
+                if type(node[part]) is not list:
+                    copy[part] = list(node[part])  # at capture; adopt shares
+        return copy
+
+    replacing = BPlusTree.insert
+
+    def insert(self, key, value):
+        node = self.node(self._find_leaf(key)[0])
+        if type(node["keys"]) is not list or key in node["keys"]:
+            return replacing(self, key, value)
+        at = bisect.bisect_left(node["keys"], key)
+        node["keys"].insert(at, key)
+        node["vals"].insert(at, value)
+        self.num_keys += 1
+        self.num_entries += 1
+
+    monkeypatch.setattr(btree, "_copy_node", list_contents)
+    monkeypatch.setattr(BPlusTree, "insert", insert)
+    with pytest.raises(AssertionError, match="reached a bystander"):
+        # Even pick: a fresh key, into the last leaf.
+        check_isolation([("insert", "customer", 2, 1)], "adopted")
 
 
 def test_writing_a_bucket_in_place_is_caught(monkeypatch):
-    """Buckets are shared, so they must be replaced, never appended to."""
+    """Buckets are shared, so they must be replaced, never appended to:
+    an image whose buckets are lists, under a tree that appends."""
+
+    def list_buckets(node):
+        copy = dict(node)
+        if node["leaf"]:
+            copy["vals"] = tuple(
+                bucket if type(bucket) is list
+                else list(btree.bucket_values(bucket))  # at capture
+                for bucket in node["vals"]
+            )
+        return copy
+
     replacing = BPlusTree.insert
 
     def insert(self, key, value):
@@ -416,8 +471,9 @@ def test_writing_a_bucket_in_place_is_caught(monkeypatch):
         node["vals"][node["keys"].index(key)].append(value)
         self.num_entries += 1
 
+    monkeypatch.setattr(btree, "_copy_node", list_buckets)
     monkeypatch.setattr(BPlusTree, "insert", insert)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="reached a bystander"):
         # Odd pick: the insert re-uses an existing l_orderkey.
         check_isolation([("insert", "lineitem", 3, 1)], "adopted")
 

@@ -5,7 +5,7 @@ import pytest
 from repro.hw.host import Host, HostConfig
 from repro.relational.schema import Schema
 from repro.storage.manager import StorageManager
-from repro.storage.page import RID
+from repro.storage.page import RID, pack_rid
 
 
 def make_sm(buffer_pages=64, policy="lru"):
@@ -145,7 +145,7 @@ def test_insert_row_maintains_indexes():
 
     rid = drive(host, writer())
     tree = sm.catalog.index("t", "t_id").tree
-    assert tree.search(999) == [rid]
+    assert tree.search(999) == [pack_rid(rid)]  # trees hold packed RIDs
     assert host.disk.stats.blocks_written >= 2  # heap page + index leaf
 
 
@@ -187,8 +187,8 @@ def test_update_row_moves_index_entry():
 
     assert drive(host, updater()) is True
     tree = sm.catalog.index("t", "t_grp").tree
-    assert RID(0, 0) in tree.search(99)
-    assert RID(0, 0) not in tree.search(0)
+    assert pack_rid(RID(0, 0)) in tree.search(99)
+    assert pack_rid(RID(0, 0)) not in tree.search(0)
 
 
 def test_temp_file_lifecycle():

@@ -9,7 +9,7 @@ from repro.hw.host import Host, HostConfig
 from repro.relational.schema import Schema
 from repro.storage.manager import StorageManager
 from repro.storage.log import checksum, seal
-from repro.storage.page import RID
+from repro.storage.page import RID, pack_rid
 from repro.storage.wal import (
     LogRecord,
     LogType,
@@ -54,7 +54,7 @@ def test_commit_makes_changes_visible():
     rows = table_rows(sm)
     assert (100, 1000) in rows
     assert (0, -1) in rows
-    assert sm.catalog.index("t", "t_id").tree.search(100) == [rid]
+    assert sm.catalog.index("t", "t_id").tree.search(100) == [pack_rid(rid)]
 
 
 def test_abort_rolls_back_everything():
