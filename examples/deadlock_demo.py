@@ -65,7 +65,7 @@ def main() -> None:
     px = sim.spawn(producer_x(), name="X")
     py = sim.spawn(consumer_y(), name="Y")
 
-    detector = DeadlockDetector(engine, period=1.0)
+    detector = DeadlockDetector(engine)
 
     def watchdog():
         yield sim.timeout(1.0)

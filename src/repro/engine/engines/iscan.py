@@ -26,7 +26,7 @@ from typing import Generator, List
 
 from repro.engine.buffers import TupleBuffer
 from repro.engine.micro_engine import MicroEngine
-from repro.engine.packets import Packet, PacketState
+from repro.engine.packets import Packet
 from repro.faults.errors import FaultError
 from repro.relational import compile
 from repro.sim import ChannelClosed
@@ -185,7 +185,7 @@ class IScanEngine(MicroEngine):
             return False
         host = None
         for candidate in self.active:
-            if candidate.query is packet.query:
+            if candidate.query is packet.query or candidate.query.aborted:
                 continue
             if candidate.signature != packet.signature:
                 continue
@@ -211,15 +211,8 @@ class IScanEngine(MicroEngine):
             )
             return False
 
-        packet.state = PacketState.SATELLITE
-        # Completed by its own split-relay process, not the host's sweeps.
-        packet.self_serving = True
-        packet.host = host
-        host.satellites.append(packet)
-        self.sim.tracer.packet_attach(
-            packet, host, "mj-split", saved=saved, extra=extra
-        )
-        packet.cancel_subtree()
+        split["host_ended_early"] = False
+        packet.attach_to(host, "mj-split", saved=saved, extra=extra)
         # Only one input of a merge-join may be segmented: with both
         # sides split the two-pass union would no longer cover the full
         # cross product of matches.  Disable the sibling's eligibility.
@@ -235,7 +228,14 @@ class IScanEngine(MicroEngine):
         return True
 
     def _split_relay(self, host: Packet, packet: Packet) -> Generator:
-        """Segment A from the host, a boundary marker, then segment B."""
+        """Segment A from the host, a boundary marker, then segment B.
+
+        Segment A is the host's output from the cursor captured at
+        attach to the end of file.  A host that ends early (an early
+        stop, cancel, abort, crash or deadline) leaves part of it unread:
+        the relay reads that suffix privately, from the captured cursor,
+        skipping the tuples the host already delivered.
+        """
         post = self._post(packet)
         seg_a = TupleBuffer(
             self.sim,
@@ -255,41 +255,46 @@ class IScanEngine(MicroEngine):
 
         yield from host.output.attach(seg_a, replay=False, on_attached=capture)
         out = packet.primary_output
+        split = packet.artifacts["mj_split"]
         try:
             while True:
                 batch = yield from seg_a.get()
                 if batch is None:
                     break
                 yield from out.put(batch)
-            # Segment B outlives the host: hold neither it nor segment A.
+            # The rest outlives the host: hold neither it nor segment A.
             host = seg_a = None
+            if split["host_ended_early"]:
+                out.skip_tuples = out.tuples_in
+                yield from self._fetch(packet, boundary, post, out, suffix=True)
             yield from out.put_marker()
             # Segment B: the pages the satellite missed before attaching.
-            if boundary["kind"] == "clustered":
-                yield from self._fetch_clustered(
-                    packet,
-                    boundary["start_page"],
-                    boundary["cursor"],
-                    post,
-                    output=out,
-                    track_cursor=False,
-                )
-            else:
-                yield from self._fetch_rids(
-                    packet,
-                    boundary["rids"],
-                    0,
-                    boundary["cursor"],
-                    post,
-                    output=out,
-                )
+            yield from self._fetch(packet, boundary, post, out, suffix=False)
         except ChannelClosed:
-            pass
+            pass  # the consumer closed: end quietly
         except FaultError as exc:
             if not packet.query.aborted:
                 self.engine.abort_query(packet.query, str(exc), exc)
         finally:
+            if seg_a is not None:
+                seg_a.close()  # let the host deliver past a gone relay
             out.close()
-            if packet.state is PacketState.SATELLITE:
-                packet.state = PacketState.DONE
-                self.sim.tracer.packet_complete(packet)
+            packet.complete()
+
+    def _fetch(self, packet, boundary, post, out, suffix: bool) -> Generator:
+        """Coroutine: the split's private read of the host's access path,
+        from the captured cursor to the end (*suffix*) or from the start
+        up to it (segment B)."""
+        cursor = boundary["cursor"]
+        if boundary["kind"] == "clustered":
+            start, stop = (cursor, None) if suffix else (
+                boundary["start_page"], cursor)
+            yield from self._fetch_clustered(
+                packet, start, stop, post, output=out, track_cursor=False,
+            )
+        else:
+            rids = boundary["rids"]
+            start, stop = (cursor, len(rids)) if suffix else (0, cursor)
+            yield from self._fetch_rids(
+                packet, rids, start, stop, post, output=out,
+            )

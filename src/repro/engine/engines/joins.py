@@ -148,12 +148,10 @@ class _Input:
         dry first, so the rest of the segment matches nothing -- but the
         pass over the missed prefix is still owed.  An unsplit input is
         left where it is: draining it would read its table to the end."""
-        producer = self.buffer.producer
         if (
             self.boundary_seen
             or self.eos
-            or not getattr(producer, "self_serving", False)
-            or "mj_split" not in producer.artifacts
+            or self.buffer.producer.mechanism != "mj-split"
         ):
             return
         while (yield from self._pull()) is not None:

@@ -68,14 +68,6 @@ class FScanEngine(MicroEngine):
                 return
         yield from self._standalone_scan(packet)
 
-    def _rescue_satellites(self, packet: Packet) -> None:
-        group = packet.artifacts.get("fold_group")
-        if group is not None:
-            # Record the unfolds and close the group before the generic
-            # sweep redispatches the members into private re-executions.
-            group.on_host_failure()
-        super()._rescue_satellites(packet)
-
     # ------------------------------------------------------------------
     def _standalone_scan(self, packet: Packet) -> Generator:
         sm = self.engine.sm

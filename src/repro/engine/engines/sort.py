@@ -13,10 +13,11 @@ from __future__ import annotations
 from typing import Generator, List
 
 from repro.engine.micro_engine import MicroEngine
-from repro.engine.packets import Packet, PacketState
+from repro.engine.packets import Packet
 from repro.faults.errors import FaultError
 from repro.relational import BATCH_ROWS
 from repro.relational.sort import RunMerge, sort_comparisons
+from repro.sim import ChannelClosed
 
 
 class SortEngine(MicroEngine):
@@ -97,7 +98,7 @@ class SortEngine(MicroEngine):
         if super().try_share(packet):
             return True
         for host in self.active:
-            if host.query is packet.query:
+            if host.query is packet.query or host.query.aborted:
                 continue
             if host.signature != packet.signature:
                 continue
@@ -105,15 +106,7 @@ class SortEngine(MicroEngine):
             if result is None or not host.active:
                 continue
             # Emit phase: re-emit the materialised result from the start.
-            packet.state = PacketState.SATELLITE
-            # Completed by its own re-emit process, not the host's sweeps.
-            packet.self_serving = True
-            packet.host = host
-            host.satellites.append(packet)
-            self.sim.tracer.packet_attach(
-                packet, host, "sort-reemit", materialized=True
-            )
-            packet.cancel_subtree()
+            packet.attach_to(host, "sort-reemit", materialized=True)
             self.engine.osp_stats.sort_reemissions += 1
             self.engine.osp_stats.record_attach(self.name, packet)
             self.sim.spawn(
@@ -123,16 +116,18 @@ class SortEngine(MicroEngine):
         return False
 
     def _reemit(self, packet: Packet, result: List[tuple]) -> Generator:
+        """Re-emit the host's materialised result; it needs no host any
+        more, so only its own consumer's close ends it early."""
         out = packet.primary_output
         try:
             yield from self.charge(packet, len(result))
             for start in range(0, len(result), BATCH_ROWS):
                 yield from out.put(result[start:start + BATCH_ROWS])
+        except ChannelClosed:
+            pass  # the consumer closed: end quietly
         except FaultError as exc:
             if not packet.query.aborted:
                 self.engine.abort_query(packet.query, str(exc), exc)
         finally:
             out.close()
-            if packet.state is PacketState.SATELLITE:
-                packet.state = PacketState.DONE
-                self.sim.tracer.packet_complete(packet)
+            packet.complete()

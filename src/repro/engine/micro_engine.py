@@ -122,7 +122,7 @@ class MicroEngine:
                     if packet.state is PacketState.RUNNING:
                         packet.state = PacketState.DONE
                         self.sim.tracer.packet_complete(packet)
-                        self._complete_satellites(packet)
+                        packet.end_satellites(early=False)
             # Cleared before each wait: an idle worker must not pin the
             # packet it last saw -- nor, through it, the query's fan-outs,
             # buffers and rows.
@@ -134,33 +134,15 @@ class MicroEngine:
             yield from self.serve(packet)
         except (FaultError, Interrupted):
             # The host is dying with incomplete output.  Its satellites
-            # must be detached into private re-executions *before* the
-            # finally below closes the fan-out, or they would see a
-            # premature EOF and silently return truncated results.
-            self._rescue_satellites(packet)
+            # answer *before* the finally below closes the fan-out, or
+            # they would see a premature EOF and silently return
+            # truncated results.
+            packet.end_satellites(early=True)
             raise
         finally:
             if packet.output is not None and not packet.output.closed:
                 packet.output.close()
             self._release_inputs(packet)
-
-    def _rescue_satellites(self, packet: Packet) -> None:
-        """Redispatch every generic satellite of a dying host."""
-        for sat in list(packet.satellites):
-            if sat.state is PacketState.SATELLITE and not sat.self_serving:
-                self.engine.dispatcher.redispatch(sat)
-
-    def _complete_satellites(self, packet: Packet) -> None:
-        """Mark a completed host's remaining generic satellites done.
-
-        Self-serving satellites (sort re-emit, mj-split) complete from
-        their own processes; the exactly-once guarantee is the SATELLITE
-        state check here and there.
-        """
-        for sat in list(packet.satellites):
-            if sat.state is PacketState.SATELLITE and not sat.self_serving:
-                sat.state = PacketState.DONE
-                self.sim.tracer.packet_complete(sat)
 
     @staticmethod
     def _release_inputs(packet: Packet) -> None:
@@ -182,10 +164,7 @@ class MicroEngine:
             output = child.output
             if output is not None and all(b.closed for b in output.buffers):
                 child.cancel_subtree()
-                child.state = PacketState.CANCELLED
-                if child.worker is not None and child.worker.alive:
-                    child.worker.interrupt("parent finished early")
-                    child.worker = None
+                child.cancel("parent finished early")
 
     # ------------------------------------------------------------------
     # The operator itself
@@ -237,19 +216,14 @@ class MicroEngine:
 
     def attach_satellite(self, host: Packet, packet: Packet) -> None:
         """Figure 6b: attach, kill the satellite's subtree, replay, fan out."""
-        packet.state = PacketState.SATELLITE
-        packet.host = host
-        host.satellites.append(packet)
-        # Record the WoP evidence this attach decision rested on; the
+        # The WoP evidence this attach decision rested on; the
         # InvariantChecker re-validates it when replaying the trace.
-        self.sim.tracer.packet_attach(
-            packet,
+        packet.attach_to(
             host,
             "generic",
             host_tuples=host.output.total_tuples,
             can_replay=host.output.can_replay(),
         )
-        packet.cancel_subtree()
         # Promised now, attached later: the host may close in between.
         host.output.promise_replay(packet.primary_output)
         packet.attach_proc = self.sim.spawn(
@@ -258,16 +232,12 @@ class MicroEngine:
         )
 
     def _attach_proc(self, host: Packet, packet: Packet) -> Generator:
+        """Feed the satellite's buffer from the host's fan-out; the host's
+        end completes or redispatches it (:meth:`Packet.end_satellites`)."""
         try:
             yield from host.output.attach(packet.primary_output, replay=True)
         except ChannelClosed:
             packet.primary_output.close()
-        if host.output.closed and packet.state is PacketState.SATELLITE:
-            # Still a satellite (not redispatched after a host crash, not
-            # cancelled by its own query's abort): the host's completed
-            # output is this packet's completed output.
-            packet.state = PacketState.DONE
-            self.sim.tracer.packet_complete(packet)
 
     # ------------------------------------------------------------------
     # Helpers for operator implementations

@@ -25,7 +25,8 @@ class PacketState(enum.Enum):
     DONE = "done"
     #: Attached to a host packet; its own operator never runs.
     SATELLITE = "satellite"
-    #: Terminated because an ancestor became a satellite.
+    #: Terminated before its end: an ancestor became a satellite or
+    #: stopped early, or its query aborted.
     CANCELLED = "cancelled"
 
 
@@ -88,6 +89,12 @@ class Packet:
     state: PacketState = PacketState.CREATED
     #: The host this packet attached to (when it became a satellite).
     host: Optional["Packet"] = None
+    #: How it attached: the trace's ``generic``, ``fold-scan``,
+    #: ``fold-agg``, ``sort-reemit`` or ``mj-split`` -- what
+    #: :meth:`end_satellites` does with it when its host ends.
+    mechanism: str = ""
+    #: Other queries' packets riding this one as their host; each
+    #: answers this packet's end through :meth:`end_satellites`.
     satellites: List["Packet"] = field(default_factory=list)
     #: The worker process currently serving this packet.
     worker: Any = None
@@ -106,10 +113,6 @@ class Packet:
     #: re-execution produces tuples in the same canonical order, which a
     #: mid-file circular attach would not.
     no_share: bool = False
-    #: Satellite is served by its own process (sort-reemit, mj-split)
-    #: rather than by the host's delivery loop; host-side completion and
-    #: rescue sweeps must leave it alone.
-    self_serving: bool = False
     #: The generic-attach delivery process feeding this satellite's
     #: buffer from the host fan-out; redispatch interrupts it so a
     #: half-finished replay cannot race the private re-execution.
@@ -138,6 +141,64 @@ class Packet:
             stack.extend(packet.children)
         return out
 
+    def attach_to(self, host: "Packet", mechanism: str, **window) -> None:
+        """Become a satellite of *host* (Figure 6b): record the attach
+        with its window-of-opportunity evidence, then terminate this
+        packet's own subtree, whose work the host now does."""
+        self.state = PacketState.SATELLITE
+        self.host = host
+        self.mechanism = mechanism
+        host.satellites.append(self)
+        self.query.sm.sim.tracer.packet_attach(self, host, mechanism, **window)
+        self.cancel_subtree()
+
+    def complete(self) -> None:
+        """A satellite's output is whole: mark it done (exactly once)."""
+        if self.state is PacketState.SATELLITE:
+            self.state = PacketState.DONE
+            self.query.sm.sim.tracer.packet_complete(self)
+
+    def end_satellites(self, early: bool) -> None:
+        """The satellite lifecycle: this host reached its end of file
+        (*early* False) or ended before it -- an early stop, a cancel, an
+        abort, a crash or a deadline.  The one sweep every host end runs;
+        the mechanism each satellite attached with decides its answer
+        (DESIGN §7).  Idempotent: a satellite answers while attached."""
+        if early and self.state is PacketState.DONE:
+            return  # its satellites answered its end of file already
+        group = self.artifacts.get("fold_group")
+        if early and group is not None:
+            group.unfold()
+        for sat in list(self.satellites):
+            if sat.state is not PacketState.SATELLITE:
+                continue
+            if sat.mechanism == "sort-reemit":
+                continue  # it re-emits a materialised result
+            if sat.mechanism == "mj-split":
+                # Its relay reads on to the boundary; after an early end
+                # it reads the host's unread suffix privately first.
+                sat.artifacts["mj_split"]["host_ended_early"] |= early
+            elif not early:
+                sat.complete()  # generic; fold members completed already
+            elif self.query.engine is not None:
+                # Generic and fold: re-execute privately, skip-by-count.
+                self.query.engine.dispatcher.redispatch(sat)
+
+    def cancel(self, reason: str) -> None:
+        """Cancel this packet unless it already ended: not attachable any
+        more, its satellites answer its early end, then its worker is
+        interrupted and its output closed so nothing blocks on it."""
+        if self.state in (PacketState.DONE, PacketState.CANCELLED):
+            return
+        self.state = PacketState.CANCELLED
+        self.end_satellites(early=True)
+        self.query.sm.sim.tracer.packet_cancel(self, reason)
+        if self.worker is not None and self.worker.alive:
+            self.worker.interrupt(reason)
+            self.worker = None
+        if self.output is not None:
+            self.output.close()
+
     def cancel_subtree(self) -> None:
         """Terminate every descendant packet (Figure 6b, step 2).
 
@@ -145,24 +206,8 @@ class Packet:
         their micro-engine skips them; the buffers between them are closed
         so nothing blocks forever.
         """
-        tracer = self.query.sm.sim.tracer
-        engine = self.query.engine
         for packet in self.descendants():
-            if packet.state in (PacketState.DONE, PacketState.CANCELLED):
-                continue
-            # Other queries' satellites riding this packet must not die
-            # with it: detach them into private re-executions first.
-            if engine is not None:
-                for sat in list(packet.satellites):
-                    if sat.state is PacketState.SATELLITE and not sat.self_serving:
-                        engine.dispatcher.redispatch(sat)
-            packet.state = PacketState.CANCELLED
-            tracer.packet_cancel(packet, "subtree cancelled")
-            if packet.worker is not None and packet.worker.alive:
-                packet.worker.interrupt("subtree cancelled by OSP attach")
-                packet.worker = None
-            if packet.output is not None:
-                packet.output.close()
+            packet.cancel("subtree cancelled")
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (

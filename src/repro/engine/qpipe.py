@@ -45,8 +45,6 @@ class QPipeConfig:
     workers: int = 8
     #: Master OSP switch; False gives the paper's Baseline system.
     osp_enabled: bool = True
-    #: Seconds between deadlock-detector sweeps while queries are active.
-    deadlock_period: float = 1.0
     #: Per-query work memory (sort heaps / hash tables), in tuples.
     work_mem_tuples: int = 50_000
     #: Seconds a shared scanner waits on one stalled consumer before
@@ -98,9 +96,7 @@ class QPipeEngine:
         self.engines = build_engines(self, self.config.workers)
         self.dispatcher = PacketDispatcher(self)
         self.folds = FoldCoordinator(self)
-        self.deadlock_detector = DeadlockDetector(
-            self, period=self.config.deadlock_period
-        )
+        self.deadlock_detector = DeadlockDetector(self)
         #: Open buffers in registration order (a dict as an ordered set);
         #: each buffer removes itself when it closes.
         self._buffers: Dict[TupleBuffer, None] = {}
@@ -245,13 +241,13 @@ class QPipeEngine:
         """Tear one query down: exactly-once, isolation-preserving.
 
         Ordering matters: (1) other queries' satellites riding this
-        query's packets are detached into private re-executions *before*
-        any buffer closes under them; (2) this query's own satellite
-        packets are cancelled and removed from their hosts; (3) the
-        packet tree is cancelled root-down, interrupting workers and
-        closing buffers so every consumer sees EOF; (4) a delay-0 sweep
-        reclaims all the query's table locks after the interrupts have
-        run their cleanup.
+        query's packets answer their host's early end
+        (:meth:`Packet.end_satellites`) *before* any buffer closes under
+        them; (2) this query's own satellite packets are cancelled and
+        removed from their hosts; (3) the packet tree is cancelled
+        root-down, interrupting workers and closing buffers so every
+        consumer sees EOF; (4) a delay-0 sweep reclaims all the query's
+        table locks after the interrupts have run their cleanup.
         """
         if query.aborted:
             return
@@ -263,35 +259,17 @@ class QPipeEngine:
         self.sim.tracer.query_abort(query, reason, self.host.node)
 
         for packet in query.packets:
-            for sat in list(packet.satellites):
-                if (
-                    sat.query is not query
-                    and sat.state is PacketState.SATELLITE
-                    and not sat.self_serving
-                ):
-                    self.dispatcher.redispatch(sat)
+            packet.end_satellites(early=True)
 
         for packet in query.packets:
             if packet.state is PacketState.SATELLITE:
-                packet.state = PacketState.CANCELLED
-                self.sim.tracer.packet_cancel(packet, f"query aborted: {reason}")
-                host = packet.host
-                if host is not None and packet in host.satellites:
-                    host.satellites.remove(packet)
-                if packet.output is not None:
-                    packet.output.close()
+                packet.host.satellites.remove(packet)
+                packet.cancel(f"query aborted: {reason}")
 
-        root = query.packets[0] if query.packets else None
-        if root is not None:
+        if query.packets:
+            root = query.packets[0]
             root.cancel_subtree()
-            if root.state not in (PacketState.DONE, PacketState.CANCELLED):
-                root.state = PacketState.CANCELLED
-                self.sim.tracer.packet_cancel(root, f"query aborted: {reason}")
-                if root.worker is not None and root.worker.alive:
-                    root.worker.interrupt(f"query aborted: {reason}")
-                    root.worker = None
-                if root.output is not None:
-                    root.output.close()
+            root.cancel(f"query aborted: {reason}")
 
         # Interrupted workers release their own locks via finally blocks
         # (tolerantly); this sweep catches whatever they could not.  It

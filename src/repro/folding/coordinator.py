@@ -27,9 +27,10 @@ Correctness model:
 * A member's rows are byte-identical to its unfolded run because the
   residual filter is the member's own full predicate + projection applied
   to the wide-scan survivors (wide ⊇ member), in canonical page order.
-* Fold members are ordinary satellites of the host scan packet: the
-  generic rescue / completion / abort machinery (redispatch on host
-  death, cancellation on their own query's abort) applies unchanged.
+* Fold members are satellites of the host scan packet, answering its
+  end through the one satellite lifecycle (``Packet.end_satellites``):
+  completed by the group at end of file; unfolded and redispatched when
+  the host ends early; cancelled on their own query's abort.
 """
 
 from __future__ import annotations
@@ -195,18 +196,13 @@ class FoldGroup:
                 "widen", table=self.table, host=self.host.packet_id,
                 terms=_term_count(wide),
             )
-        packet.state = PacketState.SATELLITE
-        packet.host = self.host
-        self.host.satellites.append(packet)
-        tracer.packet_attach(
-            packet, self.host, f"fold-{kind}",
+        # Attaching cancels an aggregate member's own scan child.
+        packet.attach_to(
+            self.host, f"fold-{kind}",
             host_pages=self.blocks_done,
             subsumed=subsumed,
             ring_ok=not self.dropped,
         )
-        if packet.children:
-            # Aggregate member: its own scan child never runs.
-            packet.cancel_subtree()
         self.members.append(member)
         stats.members[kind] += 1
         stats.pages_saved += self.num_pages
@@ -369,14 +365,14 @@ class FoldGroup:
     def _finish(self) -> Generator:
         """Group EOF: emit merged-aggregate results, close member outputs.
 
-        Members are completed *here*, not by the host's
-        ``_complete_satellites`` sweep: closing a scan member's buffer can
-        finish its consumer (and the whole member query) before the host
-        packet itself completes, and the parent's early-finish cleanup
-        would then silently cancel a satellite that delivered everything
-        -- orphaning its attach in the trace.  Completing each member the
-        moment its EOF goes out closes the lifecycle race; the host sweep
-        skips them (no longer SATELLITE).
+        Members are completed *here*, not by the host's end-of-file
+        sweep (``Packet.end_satellites``): closing a scan member's buffer
+        can finish its consumer (and the whole member query) before the
+        host packet itself completes, and the parent's early-finish
+        cleanup would then silently cancel a satellite that delivered
+        everything.  Completing each member the moment its EOF goes out
+        closes the lifecycle race; the host sweep skips them (no longer
+        SATELLITE).
         """
         delivered = 0
         for member in list(self.members):
@@ -387,8 +383,7 @@ class FoldGroup:
             if member.kind == "agg":
                 row = member.bank.result_for(member.sigs)
                 yield from packet.output.put([row])  # simlint: disable=IPR102
-            packet.state = PacketState.DONE
-            self.sim.tracer.packet_complete(packet)
+            packet.complete()
             if packet.output is not None and not packet.output.closed:
                 packet.output.close()
         self.sim.tracer.fold(
@@ -399,13 +394,14 @@ class FoldGroup:
     # ------------------------------------------------------------------
     # Failure paths
     # ------------------------------------------------------------------
-    def on_host_failure(self) -> None:
-        """The host scan is dying mid-fold (crash, cancel, deadline).
+    def unfold(self) -> None:
+        """The host scan ended early mid-fold (early stop, cancel, abort,
+        crash or deadline).
 
-        Emits the unfold evidence; the generic ``_rescue_satellites``
-        sweep that calls this then redispatches every member through the
-        PR 2 skip-by-count path (sound here because delivery was in
-        canonical page order).
+        Emits the unfold evidence and closes the group; the host-end
+        sweep that calls this (``Packet.end_satellites``) then
+        redispatches every member through the skip-by-count path (sound
+        here because delivery was in canonical page order).
         """
         stats = self.coordinator.stats
         tracer = self.sim.tracer

@@ -12,12 +12,15 @@ exports.
 
 Event families:
 
-* ``packet.*``  -- create / enqueue / dispatch / attach / cancel /
-  complete, emitted by the dispatcher and the micro-engines.  Attach
-  events carry the sharing *mechanism* (``generic``, ``sort-reemit``,
-  ``mj-split``) plus the window-of-opportunity evidence the decision was
-  based on, which is what :class:`~repro.obs.invariants.InvariantChecker`
-  replays.
+* ``packet.*``  -- create / enqueue / dispatch / attach / detach /
+  cancel / complete, emitted by the dispatcher and the micro-engines.
+  Attach events carry the sharing *mechanism* (``generic``,
+  ``sort-reemit``, ``mj-split``, ``fold-scan``, ``fold-agg``) plus the
+  window-of-opportunity evidence the decision was based on, which is
+  what :class:`~repro.obs.invariants.InvariantChecker` replays.  The
+  packet keeps the same name (``Packet.mechanism``), and it decides
+  what the satellite does when its host ends (``Packet.end_satellites``):
+  a complete, a detach and private re-execution, or nothing.
 * ``osp.*``     -- coordinator decisions above single packets: circular
   scan attaches/detaches, rejected merge-join splits, deadlock
   resolutions.

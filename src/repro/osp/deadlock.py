@@ -25,13 +25,16 @@ from repro.engine.buffers import TupleBuffer
 from repro.engine.packets import PacketState
 
 
+#: Seconds between detector sweeps while queries are active.
+PERIOD = 1.0
+
+
 class DeadlockDetector:
     """Periodic waits-for-graph scan over the engine's live buffers."""
 
-    def __init__(self, engine, period: float = 0.5):
+    def __init__(self, engine):
         self.engine = engine
         self.sim = engine.sim
-        self.period = period
         #: Names of the materialised buffers, in resolution order (names,
         #: not buffers: a buffer would pin its producer and consumer
         #: packets, and every row they hold, for the detector's life).
@@ -47,7 +50,7 @@ class DeadlockDetector:
 
     def _loop(self) -> Generator:
         while self.engine.active_queries > 0:
-            yield self.sim.timeout(self.period)
+            yield self.sim.timeout(PERIOD)
             self.check_once()
         self._running = False
 

@@ -164,6 +164,14 @@ def _reference_rows():
     return [IteratorEngine(sm).run_query(p) for p in fold_plans(4)]
 
 
+def assert_unfolded(engine, events, members):
+    """Every member the donor's early end redispatched was unfolded: one
+    ``fold.unfold`` event and one ``FoldStats.unfolds`` count each."""
+    assert engine.fold_stats.unfolds == members
+    assert sum(e["type"] == "fold.unfold" for e in events) == members
+    assert sum(e["type"] == "packet.detach" for e in events) == members
+
+
 def test_donor_cancelled_mid_fold():
     """Cancelling the host query unfolds the members into private
     re-executions that still deliver exactly-once."""
@@ -177,6 +185,7 @@ def test_donor_cancelled_mid_fold():
     for i in (1, 2, 3):
         assert sorted(boxes[i]["rows"]) == sorted(reference[i])
     assert engine.fold_stats.folded == 3
+    assert_unfolded(engine, events, 3)
     assert InvariantChecker(events).check() == []
 
 
@@ -192,6 +201,7 @@ def test_donor_crashed_mid_fold():
     for i in (1, 2, 3):
         assert sorted(boxes[i]["rows"]) == sorted(reference[i])
     assert engine.fold_stats.folded == 3
+    assert_unfolded(engine, events, 3)
     assert InvariantChecker(events).check() == []
 
 
@@ -222,6 +232,7 @@ def test_donor_deadline_mid_fold():
     assert isinstance(boxes[0].get("error"), QueryAborted)
     for i in (1, 2, 3):
         assert sorted(boxes[i]["rows"]) == sorted(reference[i])
+    assert_unfolded(engine, tracer.events, 3)
     assert InvariantChecker(tracer.events).check() == []
 
 

@@ -11,12 +11,19 @@ twice, gated by the worst-case cost check.
 
 import pytest
 
+from repro.baseline.engine import IteratorEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
+from repro.faults.errors import QueryAborted
+from repro.obs import Tracer
 from repro.relational.expressions import AggSpec, Col
 from repro.relational.plans import (
     Aggregate,
+    GroupBy,
     IndexScan,
+    Limit,
     MergeJoin,
+    Sort,
+    TableScan,
 )
 
 
@@ -264,3 +271,146 @@ def test_a_two_query_figure_never_plots_a_wrong_answer(figure):
         for got, want in zip(rows["qpipe", gap], rows["baseline", gap]):
             assert want, (figure, gap)
             _same_rows(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Concurrent cohorts: a split whose host ends early, and a sort
+# re-emission whose consumer closes
+# ---------------------------------------------------------------------------
+def cohort_db():
+    """A 3,000-row ``r`` clustered on ``id`` and a 1,500-row ``s`` under
+    48 pool frames: large enough for the section 4.3.2 cost check to take
+    a split.  Returns ``(host, sm)``."""
+    import tests.conftest as cf
+    from repro.hw.host import Host, HostConfig
+    from repro.storage.manager import StorageManager
+
+    host = Host(HostConfig())
+    sm = StorageManager(host, buffer_pages=48)
+    sm.create_table("r", cf.R_SCHEMA, clustered_on=["id"])
+    sm.load_table("r", cf.make_r_rows(n=3000))
+    sm.create_index("r", ["id"], name="r_id", clustered=True)
+    sm.create_table("s", cf.S_SCHEMA)
+    sm.load_table("s", cf.make_s_rows(n=1500, r_n=3000))
+    return host, sm
+
+
+def cohort_join(w=None, lo=None, hi=None):
+    """``r`` (ordered, ``lo <= id <= hi``) merge-joined with ``s``
+    (``w > w``) sorted on ``rid``."""
+    s = TableScan("s") if w is None else TableScan("s", predicate=Col("w") > w)
+    return MergeJoin(
+        IndexScan("r", "r_id", lo=lo, hi=hi, ordered=True),
+        Sort(s, keys=["rid"]),
+        "id",
+        "rid",
+    )
+
+
+#: Virtual seconds a cohort may run: each finishes within two, so a
+#: client still running at this horizon is a hang (a blocked producer
+#: keeps the deadlock detector ticking forever).
+COHORT_HORIZON = 60.0
+
+
+def run_cohort(make_db, config, clients, end=None):
+    """Run ``(delay, plan, deadline)`` clients on a fresh ``make_db()``.
+
+    *end* (``(host, engine) -> None``) may schedule a cancel or a fault
+    before the run.  Returns ``(rows, engine, sm, events)``: each
+    client's rows or its QueryAborted (without its traceback, whose
+    frames are not the engine's to keep), and the trace.
+    """
+    host, sm = make_db()
+    tracer = Tracer(host.sim)
+    engine = QPipeEngine(sm, config)
+    rows = [None] * len(clients)
+
+    def client(i, delay, plan, deadline):
+        yield host.sim.timeout(delay)
+        try:
+            result = yield from engine.execute(plan, deadline=deadline)
+        except QueryAborted as exc:
+            rows[i] = exc.with_traceback(None)
+            return
+        rows[i] = result.rows
+
+    if end is not None:
+        end(host, engine)
+    procs = [
+        host.sim.spawn(client(i, *spec), name=f"client{i}")
+        for i, spec in enumerate(clients)
+    ]
+    host.sim.run(until=COHORT_HORIZON)
+    hung = [proc.name for proc in procs if proc.alive]
+    assert not hung, f"{hung} still running at t={COHORT_HORIZON}"
+    return rows, engine, sm, tracer.events
+
+
+def cancel_at(at, query_id=1):
+    return lambda host, engine: host.sim.schedule(
+        at, engine.cancel, query_id, "client gave up"
+    )
+
+
+def _late_group_sums():
+    return GroupBy(
+        cohort_join(8.0), ["grp"], [AggSpec("sum", Col("w"), "sw")]
+    )
+
+
+#: The early query's end, four ways, each while the late query's split
+#: still rides its index scan: ``(plan, end, deadline)``.
+EARLY_HOST_ENDS = {
+    "limit": (Limit(cohort_join(4.0), 37), None, None),
+    "cancel-0.30": (cohort_join(4.0), cancel_at(0.30), None),
+    "cancel-0.35": (cohort_join(4.0), cancel_at(0.35), None),
+    "deadline-0.30": (cohort_join(4.0), None, 0.30),
+}
+
+
+@pytest.mark.parametrize("how", sorted(EARLY_HOST_ENDS))
+def test_a_split_onto_a_host_that_ends_early_returns_every_row(how):
+    """The late query's split reads segment A from the host's fan-out.
+    When the host stops before its end of file, the pages it never read
+    are read privately from the cursor captured at attach (once: wrong
+    group sums, 171.19 / 171.19 / 164.27 instead of 377.46 / 404.39 /
+    344.93)."""
+    plan, end, deadline = EARLY_HOST_ENDS[how]
+    late = _late_group_sums()
+    clients = [(0.1, plan, deadline), (0.28, late, None)]
+    buffers = dict(buffer_tuples=1024, replay_tuples=16)
+    rows, engine, _sm, _events = run_cohort(
+        cohort_db, QPipeConfig(**buffers), clients, end
+    )
+    assert engine.osp_stats.mj_splits == 1
+    off, *_ = run_cohort(
+        cohort_db, QPipeConfig(osp_enabled=False, **buffers), clients, end
+    )
+    _same_rows(rows[1], off[1])
+    _same_rows(rows[1], IteratorEngine(cohort_db()[1]).run_query(late))
+
+
+#: ``(host query, late query's arrival, re-emissions)``: the cohort
+#: first seen crashing, and one whose late sort re-emits the host's
+#: materialised result until its LIMIT closes the consumer.
+CLOSED_CONSUMER_COHORTS = {
+    "limit-host": (Limit(cohort_join(), 5), 0.37, 0),
+    "reemission": (cohort_join(), 0.42, 1),
+}
+
+
+@pytest.mark.parametrize("cohort", sorted(CLOSED_CONSUMER_COHORTS))
+def test_a_sort_reemission_whose_consumer_closes_ends_quietly(cohort):
+    """A sort re-emission whose consumer has closed stops quietly (once:
+    ``SimulationError: process sort-reemit#14 crashed`` of
+    ``ChannelClosed``), and both queries return the iterator's rows."""
+    host_plan, arrival, reemissions = CLOSED_CONSUMER_COHORTS[cohort]
+    late = Limit(cohort_join(lo=1291, hi=2459), 6)
+    clients = [(0.18, host_plan, None), (arrival, late, None)]
+    rows, engine, _sm, _events = run_cohort(
+        cohort_db, QPipeConfig(buffer_tuples=64, replay_tuples=16), clients
+    )
+    assert engine.osp_stats.sort_reemissions == reemissions
+    for got, (_delay, plan, _deadline) in zip(rows, clients):
+        assert got == IteratorEngine(cohort_db()[1]).run_query(plan)
