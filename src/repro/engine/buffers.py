@@ -399,7 +399,7 @@ class FanOut:
                     # atomic w.r.t. new puts or the satellite would see a
                     # gap; the satellite's consumer is live, bounding the
                     # wait by its drain rate.
-                    yield from buffer.put(list(batch))  # simlint: disable=IPR102
+                    yield from buffer.put(list(batch))
             if not self.closed:
                 self.buffers.append(buffer)
             if on_attached is not None:

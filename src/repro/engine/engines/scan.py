@@ -107,7 +107,7 @@ class FScanEngine(MicroEngine):
                     # one-scan-at-a-time policy); backpressure here is the
                     # scan pacing itself, not a deadlock hazard -- the
                     # consumer never takes table locks.
-                    yield from packet.output.put(rows)  # simlint: disable=IPR102
+                    yield from packet.output.put(rows)
         finally:
             # Tolerant: the abort path's lock sweep may get here first.
             sm.locks.release_if_held(owner, plan.table)

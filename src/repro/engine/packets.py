@@ -50,7 +50,8 @@ class QueryContext:
     abort_reason: Optional[str] = None
     #: The originating failure (a FaultError), re-raised to the client.
     failure: Optional[BaseException] = None
-    #: Virtual-time deadline; the engine aborts the query past it.
+    #: Absolute virtual instant (not a budget from submission) at which
+    #: the engine aborts the query if it is still running.
     deadline: Optional[float] = None
     #: Set when execute() returns/raises; stops the deadline watchdog.
     finished: bool = False

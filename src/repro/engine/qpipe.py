@@ -138,8 +138,9 @@ class QPipeEngine:
     ) -> Generator:
         """Coroutine: run *plan* to completion; returns a QueryResult.
 
-        *deadline* is a virtual-time budget in seconds from submission;
-        past it the engine aborts the query (:exc:`QueryAborted`).  Any
+        *deadline* is an absolute virtual instant (``sim.now`` units),
+        not a budget from submission: at that instant the engine aborts
+        the query if it is still running (:exc:`QueryAborted`).  Any
         abort -- deadline, injected fault, client interrupt -- tears the
         packet tree down, closes its buffers, and reclaims every pin and
         table lock before the error surfaces here.

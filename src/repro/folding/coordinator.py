@@ -301,7 +301,7 @@ class FoldGroup:
                 if host_rows:
                     # Same intentional blocking-while-holding as the
                     # standalone scan: backpressure is the pacing.
-                    yield from host.output.put(host_rows)  # simlint: disable=IPR102
+                    yield from host.output.put(host_rows)
                 yield from self._deliver(block, survivors, mengine)
             yield from self._finish()
         finally:
@@ -345,7 +345,7 @@ class FoldGroup:
                     self.num_pages,
                 )
             if rows:
-                yield from packet.output.put(rows)  # simlint: disable=IPR102
+                yield from packet.output.put(rows)
         for bank in list(self.banks.values()):
             if bank.upto != block:
                 continue  # fresh bank; the ring replay covered this block
@@ -382,7 +382,7 @@ class FoldGroup:
             delivered += 1
             if member.kind == "agg":
                 row = member.bank.result_for(member.sigs)
-                yield from packet.output.put([row])  # simlint: disable=IPR102
+                yield from packet.output.put([row])
             packet.complete()
             if packet.output is not None and not packet.output.closed:
                 packet.output.close()

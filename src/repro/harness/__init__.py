@@ -7,8 +7,8 @@ rows the paper plots.  EXPERIMENTS.md records paper-vs-measured shapes.
 
 Importing the package, and so :mod:`repro.harness.config` -- all that
 building a system needs -- loads the presets and builders only.  The
-figure registry (and under it the cell pool and the linter's import
-graph) is imported the first time one of its names is used.
+figure registry (and under it the cell pool and the source digest's
+import graph) is imported the first time one of its names is used.
 """
 
 from repro.harness.config import (

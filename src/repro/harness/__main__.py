@@ -156,10 +156,10 @@ def main(argv=None) -> int:
                     sweep["fault_seed"] = args.fault_seed
                 runner = _KeepLast(pool)
                 # Wall-clock here measures the *host*, never sim behaviour.
-                start = time.time()  # simlint: disable=DET001
+                start = time.time()
                 value = figure.run(scale, runner, **sweep)
                 print(figure.render(value))
-                elapsed = time.time() - start  # simlint: disable=DET001
+                elapsed = time.time() - start
                 print(f"[{name} @ {scale.name}: {elapsed:.1f}s wall]\n")
                 if tracing:
                     _dump_cell_traces(args.trace, name, *runner.last)
@@ -202,7 +202,7 @@ def _run_chaos(args) -> int:
     failed = False
     for system in CHAOS_SYSTEMS:
         # Wall-clock here measures the *host*, never sim behaviour.
-        start = time.time()  # simlint: disable=DET001
+        start = time.time()
         result = chaos(
             scale,
             fault_seed=args.fault_seed,
@@ -210,7 +210,7 @@ def _run_chaos(args) -> int:
             recovery=args.recovery,
         )
         print(render_chaos(result))
-        elapsed = time.time() - start  # simlint: disable=DET001
+        elapsed = time.time() - start
         print(f"[chaos @ {scale.name}: {elapsed:.1f}s wall]")
         if args.trace is not None:
             from repro.obs import write_jsonl

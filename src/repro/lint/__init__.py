@@ -1,38 +1,28 @@
 """``simlint``: static analysis of the engine's determinism contracts.
 
-Every result this reproduction produces rests on two guarantees the
-runtime alone cannot cheaply enforce:
-
-* the DES kernel replays **byte-identically** from a seed -- one
-  ``time.time()`` or unseeded ``random.random()`` silently breaks every
-  differential test and chaos replay;
-* every sim process obeys the **cooperative yield/pin/lock discipline**
-  the kernel assumes -- a yielding primitive whose event is dropped on
-  the floor, or a lock acquire without a ``finally:`` release, produces
-  bugs that only surface as a diverged trace hours later.
-
-``repro.lint`` walks the AST of the whole tree (stdlib ``ast`` only, no
-third-party dependencies) and flags violations before they run:
+Every result this reproduction produces rests on guarantees tier-1's
+pinned renders, schedules and traces check only on the paths they run.
+``repro.lint`` keeps the rules that catch what those pins miss (each
+one earned its place against a mutation corpus, DESIGN section 9):
 
 =======  ==================================================================
 family   what it guards
 =======  ==================================================================
-``DET``  determinism hazards: wall clocks, unseeded/global RNG, OS
-         entropy, ``id()`` in orderings, set-iteration order leaks
-``YLD``  cooperative scheduling: dropped yielding primitives and
-         generators unreachable from the kernel's spawn surface
-``RES``  resource pairing: every lock/resource acquire and buffer pin
-         released on **all** exits (``try/finally`` or context manager)
-``TRC``  trace-schema conformance: every emit call site uses an event
-         name (and the required fields) declared in
-         :mod:`repro.obs.schema`
+``DET``  determinism hazards the pins cannot see: ``id()`` in
+         orderings, set-iteration order leaks, anonymous seeds in
+         experiment code
+``TRC``  trace emits that lack a field :mod:`repro.obs.schema` requires
+``IPR``  interprocedural: a lock or temp file that escapes a normal or
+         exceptional exit, and host I/O reachable from a ``@cell``
 =======  ==================================================================
 
-Run it as ``python -m repro.lint [--format text|json]
-[--baseline lint_baseline.json] [paths...]``; suppress a deliberate
-finding in place with a ``# simlint: disable=RULE`` comment on the
-flagged line, or grandfather legacy findings in a committed baseline
-file.  ``python -m repro.lint --rules`` prints the full catalogue.
+It walks the AST of the whole tree (stdlib ``ast`` only, no
+third-party dependencies).  Run it as ``python -m repro.lint
+[--format text|json|sarif] [--baseline lint_baseline.json] [paths...]``;
+suppress a deliberate finding in place with a ``# simlint:
+disable=RULE`` comment on the flagged line, or grandfather legacy
+findings in a committed baseline file.  ``python -m repro.lint
+--rules`` prints the full catalogue.
 """
 
 from repro.lint.core import Finding, lint_paths, rule_catalogue

@@ -7,8 +7,8 @@ the honest distinction the passes rely on:
   plain-name calls to locals/nested defs/module functions/imported
   functions, ``self.x()`` / ``cls.x()`` through the textual class
   hierarchy, ``Class()`` to ``Class.__init__``, and ``mod.func()``
-  through the import table.  The resource-escape and lock-order passes
-  follow only these (a wrong edge there would fabricate findings).
+  through the import table.  The resource-escape pass follows only
+  these (a wrong edge there would fabricate findings).
 * **fuzzy** edges -- ``obj.method()`` on an untyped receiver, resolved
   to *every* in-tree function of that name (capped; very common names
   are dropped).  The cell-purity pass follows these too: purity is a

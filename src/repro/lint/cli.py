@@ -5,30 +5,18 @@ Usage::
     python -m repro.lint [--format text|json|sarif] [--output FILE]
                          [--baseline lint_baseline.json]
                          [--write-baseline] [--rules] [--explain RULE]
-                         [--profile default|tests] [--jobs N]
-                         [--emit-module-table FILE] [paths...]
+                         [--jobs N] [paths...]
 
 Paths default to ``src`` (falling back to ``.``).  The default baseline
 file is ``lint_baseline.json`` in the working directory and is silently
 skipped when absent, so ``python -m repro.lint src`` does the right
 thing both locally and in CI.  Exit status: 0 when no new findings,
-1 otherwise (parse errors are findings too).
-
-``--profile tests`` is the relaxed rule set for ``tests/`` and
-``examples/``: determinism (DET), trace-schema (TRC), and cell-purity
-(IPR2xx) families are off -- test code freely uses clocks, ad-hoc
-events, and deliberately impure fixtures -- while parse, yield,
-resource-pairing, escape, and lock-discipline rules stay on.
-
-``--emit-module-table FILE`` writes the parsed files' (size, mtime,
-sha256) so the cell-cache digest job can skip re-hashing sources the
-lint job already read (point ``REPRO_MODTABLE`` at the file).
+1 otherwise (a file that does not parse fails the run too).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -50,12 +38,6 @@ from repro.lint.core import (
 from repro.lint.sarif import sarif_doc
 
 DEFAULT_BASELINE = "lint_baseline.json"
-
-#: profile name -> rule-id prefixes disabled under it.
-PROFILES = {
-    "default": (),
-    "tests": ("DET", "TRC", "IPR2"),
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -98,19 +80,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="print the full catalogue entry for one rule and exit",
     )
     parser.add_argument(
-        "--profile", choices=sorted(PROFILES), default="default",
-        help="rule profile (tests: relaxed set for test/example code)",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="parse files with N processes (clamped to cpu_count)",
-    )
-    parser.add_argument(
-        "--emit-module-table", default=None, metavar="FILE",
-        help=(
-            "also write a (size, mtime, sha256) table of every parsed "
-            "file, reusable by the cell-cache digest via REPRO_MODTABLE"
-        ),
     )
     args = parser.parse_args(argv)
 
@@ -123,15 +94,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     paths = args.paths or (["src"] if os.path.isdir("src") else ["."])
     findings = lint_paths(paths, jobs=args.jobs)
-
-    disabled = PROFILES[args.profile]
-    if disabled:
-        findings = [
-            f for f in findings if not f.rule.startswith(disabled)
-        ]
-
-    if args.emit_module_table:
-        _emit_module_table(paths, args.emit_module_table)
 
     baseline_path = args.baseline or DEFAULT_BASELINE
     if args.write_baseline:
@@ -183,27 +145,6 @@ def _explain(parser: argparse.ArgumentParser, rule: str) -> int:
         print()
         print(extra)
     return 0
-
-
-def _emit_module_table(paths: List[str], out_path: str) -> None:
-    """(size, mtime_ns, sha256) for every analyzed file -- lets the
-    cell-cache digest skip re-hashing unchanged sources."""
-    from repro.lint.core import iter_python_files
-
-    files = {}
-    for path in iter_python_files(paths):
-        st = os.stat(path)
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        files[os.path.abspath(path)] = {
-            "size": st.st_size,
-            "mtime_ns": st.st_mtime_ns,
-            "sha256": digest,
-        }
-    doc = {"version": 1, "files": files}
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ families over each module, runs the project-wide checks (which need
 every module's symbol table at once -- the interprocedural IPR passes
 build their call graph here), drops findings suppressed by a
 ``# simlint: disable=RULE`` comment on the flagged line, and returns
-the rest sorted by location.
+the rest sorted by location.  A file that does not parse raises its
+``SyntaxError``: the run fails, as it would for any finding.
 
 Rule modules contribute three things: a ``RULES`` dict (rule id ->
 one-line description, merged into :func:`rule_catalogue`), an optional
@@ -23,21 +24,15 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.lint import rules_det, rules_ipr, rules_res, rules_trc, rules_yld
-from repro.lint.findings import Finding, make_finding  # noqa: F401 (re-export)
+from repro.lint import rules_det, rules_ipr, rules_trc
+from repro.lint.findings import Finding
 from repro.lint.scopes import ModuleInfo
 
-#: Parse failures are findings too, so a syntactically broken file can
-#: never make the tree "lint clean" by being unanalysable.
-PARSE_RULE = "E001"
-
-RULES: Dict[str, str] = {
-    PARSE_RULE: "File could not be parsed as Python source.",
-}
+RULES: Dict[str, str] = {}
 EXPLAIN: Dict[str, str] = {}
-for _mod in (rules_det, rules_yld, rules_res, rules_trc, rules_ipr):
+for _mod in (rules_det, rules_trc, rules_ipr):
     RULES.update(_mod.RULES)
     EXPLAIN.update(getattr(_mod, "EXPLAIN", {}))
 
@@ -85,79 +80,37 @@ def load_module(path: str, root: str = ".") -> ModuleInfo:
     return ModuleInfo(path, _relpath(path, root), source)
 
 
-def _parse_one(args: Tuple[str, str]):
-    """Pool worker: parse one file; returns the module or the error
-    facts (SyntaxError itself does not pickle with position info)."""
-    path, root = args
-    try:
-        return ("ok", load_module(path, root))
-    except SyntaxError as exc:
-        return ("err", (path, exc.lineno or 1, (exc.offset or 1) - 1,
-                        str(exc.msg)))
-
-
 def collect_modules(
     paths: Iterable[str], root: str = ".", jobs: int = 1
-) -> Tuple[List[ModuleInfo], List[Finding]]:
-    """Parse every Python file under *paths*; returns the modules plus
-    E001 findings for unparsable files.  ``jobs`` is clamped to the
-    machine's core count (requesting more buys nothing, same rule as
-    the harness PoolRunner)."""
+) -> List[ModuleInfo]:
+    """Parse every Python file under *paths*.  ``jobs`` is clamped to
+    the machine's core count (requesting more buys nothing, same rule
+    as the harness PoolRunner)."""
     files = iter_python_files(paths)
     jobs = max(1, min(jobs, os.cpu_count() or 1))
-    modules: List[ModuleInfo] = []
-    findings: List[Finding] = []
-
     if jobs > 1 and len(files) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _parse_one, [(f, root) for f in files], chunksize=8
-                )
+            return list(
+                pool.map(load_module, files, [root] * len(files),
+                         chunksize=8)
             )
-    else:
-        results = [_parse_one((f, root)) for f in files]
-
-    for status, payload in results:
-        if status == "ok":
-            modules.append(payload)
-        else:
-            path, line, col, msg = payload
-            findings.append(
-                Finding(
-                    path=_relpath(path, root),
-                    line=line,
-                    col=col,
-                    rule=PARSE_RULE,
-                    message=f"syntax error: {msg}",
-                )
-            )
-    return modules, findings
+    return [load_module(f, root) for f in files]
 
 
 # ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
-_MODULE_CHECKS = (
-    rules_det.check,
-    rules_yld.check,
-    rules_res.check,
-    rules_trc.check,
-)
-_PROJECT_CHECKS = (rules_yld.check_project, rules_ipr.check_project)
+_MODULE_CHECKS = (rules_det.check, rules_trc.check)
 
 
-def lint_modules(
-    modules: List[ModuleInfo], findings: Optional[List[Finding]] = None
-) -> List[Finding]:
+def lint_modules(modules: List[ModuleInfo]) -> List[Finding]:
     """Run every check over already-parsed modules; returns surviving
     findings (suppressions applied), sorted by location."""
-    findings = list(findings or [])
+    findings: List[Finding] = []
     for module in modules:
         for check in _MODULE_CHECKS:
             findings.extend(check(module))
-    for check in _PROJECT_CHECKS:
-        findings.extend(check(modules))
+    findings.extend(rules_ipr.check_project(modules))
 
     by_rel = {m.rel: m for m in modules}
     survivors = []
@@ -176,5 +129,4 @@ def lint_paths(
 ) -> List[Finding]:
     """Analyze every Python file under *paths*; returns the surviving
     findings (suppressions already applied), sorted by location."""
-    modules, parse_findings = collect_modules(paths, root, jobs)
-    return lint_modules(modules, parse_findings)
+    return lint_modules(collect_modules(paths, root, jobs))

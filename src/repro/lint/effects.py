@@ -2,40 +2,34 @@
 
 Every function gets an :class:`EffectSummary`:
 
-* **purity-relevant origins** -- concrete source locations where the
-  function (or anything it transitively calls) mutates module-level
-  state, reads a wall clock / the global RNG / OS entropy, or performs
-  host I/O.  Origins survive propagation, so a cell-purity finding can
-  name the exact line that made a ``@cell`` impure and a sample call
-  path to it.
-* **flags** -- yields/blocks, touches a simulated device, can raise.
-* **resource deltas** -- per resource kind (lock / pin / temp file):
-  whether the function *transfers* a freshly acquired resource to its
-  caller (returns it or stores it into a caller-owned container), and
-  whether it *releases* resources of that kind.  The escape pass treats
-  a call to a transferring helper as an acquire at the call site and a
-  call to a releasing helper as a release.
+* **host-I/O origins** -- concrete source locations where the function
+  (or anything it transitively calls) performs host I/O.  Origins
+  survive propagation, so a cell-purity finding can name the exact
+  line that made a ``@cell`` impure.
+* **resource deltas** -- per resource kind (lock / temp file): whether
+  the function *transfers* a freshly acquired resource to its caller
+  (returns it or stores it into a caller-owned container), and whether
+  it *releases* resources of that kind.  The escape pass treats a call
+  to a transferring helper as an acquire at the call site and a call to
+  a releasing helper as a release.
 
-Propagation discipline: purity origins flow over precise **and** fuzzy
-call edges (purity is a universal claim; over-approximation is the
-sound direction).  Resource deltas and flags flow over precise edges
-only (a fabricated edge there would fabricate escape findings).
+Propagation discipline: origins flow over precise **and** fuzzy call
+edges (purity is a universal claim; over-approximation is the sound
+direction).  Releases flow over precise edges only (a fabricated edge
+there would fabricate escape findings).
 
-An origin whose line carries a matching ``# simlint: disable=`` comment
-(its IPR rule, or the DET rule that already sanctions the site) is a
-*designated* impurity -- deterministic memo caches, the process-unique
-stream counter, trace-collection plumbing -- and is dropped at
-extraction, so one annotation at the source absolves every caller.
+An origin whose line carries a ``# simlint: disable=IPR203`` comment is
+a *designated* impurity and is dropped at extraction, so one annotation
+at the source absolves every caller.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import CallGraph, Key
-from repro.lint.rules_det import _GLOBAL_RNG, _OS_ENTROPY, _WALL_CLOCK
 from repro.lint.scopes import (
     FunctionInfo,
     ModuleInfo,
@@ -45,37 +39,17 @@ from repro.lint.scopes import (
 )
 
 # ---------------------------------------------------------------------------
-# Effect kinds
+# Resource kinds shared with the escape pass
 # ---------------------------------------------------------------------------
-GLOBAL_MUT = "global-mutation"
-WALL_CLOCK = "wall-clock"
-GLOBAL_RNG = "global-rng"
-OS_ENTROPY = "os-entropy"
-IO = "host-io"
-
-#: kind -> (IPR rule it feeds, DET rule whose waiver also sanctions it)
-PURITY_KINDS: Dict[str, Tuple[str, Optional[str]]] = {
-    GLOBAL_MUT: ("IPR201", None),
-    WALL_CLOCK: ("IPR202", "DET001"),
-    GLOBAL_RNG: ("IPR202", "DET002"),
-    OS_ENTROPY: ("IPR202", "DET003"),
-    IO: ("IPR203", None),
-}
-
-#: Resource kinds shared with the escape pass.
 LOCK = "lock"
-PIN = "pin"
 TEMP = "temp-file"
-RESOURCE_KINDS = (LOCK, PIN, TEMP)
 
 ACQUIRE_ATTRS: Dict[str, FrozenSet[str]] = {
     LOCK: frozenset({"acquire", "request"}),
-    PIN: frozenset({"pin"}),
     TEMP: frozenset({"create_temp_file"}),
 }
 RELEASE_ATTRS: Dict[str, FrozenSet[str]] = {
     LOCK: frozenset({"release", "release_if_held", "release_all"}),
-    PIN: frozenset({"unpin", "unpin_all", "release_page"}),
     TEMP: frozenset({"drop_temp_file", "drop_temp", "track_temp"}),
 }
 
@@ -87,27 +61,17 @@ _IO_CALLS = frozenset({
     "tempfile.NamedTemporaryFile", "tempfile.TemporaryDirectory",
 })
 
-_MUTATING_METHODS = frozenset({
-    "append", "add", "clear", "discard", "extend", "insert", "pop",
-    "popitem", "remove", "reverse", "setdefault", "sort", "update",
-})
-
 #: Container-transfer methods: ``C.append(x)`` moves ownership of x
 #: into C for the escape pass's transfer analysis.
 _TRANSFER_METHODS = frozenset({
     "append", "add", "insert", "setdefault", "update", "track_temp",
 })
 
-#: Unbounded cooperative waits (consumer/producer dependent), the
-#: blocking-while-holding hazard class (IPR102).
-WAIT_ATTRS = frozenset({"get", "put", "wait", "drain", "put_with_patience"})
-
 
 @dataclass(frozen=True)
 class Origin:
-    """One concrete impurity site (survives propagation verbatim)."""
+    """One concrete host-I/O site (survives propagation verbatim)."""
 
-    kind: str
     path: str
     line: int
     symbol: str
@@ -119,54 +83,29 @@ class EffectSummary:
     """Inferred effects of one function, local + transitive."""
 
     key: Key
-    yields_: bool = False
-    raises_: bool = False
-    device: bool = False
-    #: Per purity kind: the origin sites (transitively reachable).
+    #: Host-I/O sites (transitively reachable).
     origins: Set[Origin] = field(default_factory=set)
     #: Resource kinds this function transfers to its caller.
     transfers: Set[str] = field(default_factory=set)
     #: Resource kinds this function releases (directly or via helpers).
     releases: Set[str] = field(default_factory=set)
-    #: Lock tokens this function (transitively) acquires -- feeds the
-    #: acquisition-order graph.
-    lock_tokens: Set[str] = field(default_factory=set)
 
 
 # ---------------------------------------------------------------------------
 # Small AST helpers shared with rules_ipr
 # ---------------------------------------------------------------------------
-def has_literal_pin(call: ast.Call) -> bool:
-    for kw in call.keywords:
-        if (
-            kw.arg == "pin"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is True
-        ):
-            return True
-    return False
-
-
 def acquire_kind_of(call: ast.Call, func_name: str) -> Optional[str]:
     """The resource kind *call* acquires, if any (primitive frontier).
 
-    Functions that *are* the primitive (``acquire``, ``create_temp_file``
-    implementations and the page-fetch internals) are exempt, mirroring
-    the RES rules.
+    Functions that *are* the primitive (``acquire`` and
+    ``create_temp_file`` implementations) are exempt.
     """
     attr = attr_of_call(call)
     if attr == func_name:
         return None
-    if attr in ACQUIRE_ATTRS[LOCK]:
-        return LOCK
-    if attr in ACQUIRE_ATTRS[PIN]:
-        return PIN
-    if attr in ACQUIRE_ATTRS[TEMP]:
-        return TEMP
-    if has_literal_pin(call) and func_name not in (
-        "get_page", "read_page", "read_table_page"
-    ):
-        return PIN
+    for kind, attrs in ACQUIRE_ATTRS.items():
+        if attr in attrs:
+            return kind
     return None
 
 
@@ -178,147 +117,25 @@ def release_kind_of(call: ast.Call) -> Optional[str]:
     return None
 
 
-def lock_token(
-    call: ast.Call, module: ModuleInfo, info: FunctionInfo
-) -> str:
-    """A stable token naming the lock *class* behind an acquire site:
-    the receiver chain with ``self``/``cls`` replaced by the enclosing
-    class, trimmed to its two most specific segments."""
-    base = call_name(call.func)
-    if base is None:
-        return "<lock>"
-    parts = base.split(".")[:-1]  # drop the .acquire/.request leaf
-    if parts and parts[0] in ("self", "cls"):
-        parts[0] = info.class_name or parts[0]
-    if len(parts) > 2:
-        parts = parts[-2:]
-    return ".".join(parts) if parts else "<lock>"
-
-
 # ---------------------------------------------------------------------------
 # Local extraction
 # ---------------------------------------------------------------------------
-def _module_globals(module: ModuleInfo) -> Set[str]:
-    """Names bound at module top level (mutable module state surface)."""
-    names: Set[str] = set()
-
-    def scan(stmts: Iterable[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    for node in ast.walk(target):
-                        if isinstance(node, ast.Name):
-                            names.add(node.id)
-            elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-                if isinstance(stmt.target, ast.Name):
-                    names.add(stmt.target.id)
-            elif isinstance(stmt, (ast.If, ast.Try)):
-                scan(stmt.body)
-                scan(stmt.orelse)
-                if isinstance(stmt, ast.Try):
-                    scan(stmt.finalbody)
-
-    scan(module.tree.body)
-    return names
-
-
-def _suppressed(module: ModuleInfo, line: int, kind: str) -> bool:
-    ipr_rule, det_rule = PURITY_KINDS[kind]
-    if module.suppressed(line, ipr_rule):
-        return True
-    return det_rule is not None and module.suppressed(line, det_rule)
-
-
-def _local_origins(
-    module: ModuleInfo, info: FunctionInfo, module_globals: Set[str]
-) -> Set[Origin]:
-    """Purity-relevant sites in one function's own scope."""
+def _local_origins(module: ModuleInfo, info: FunctionInfo) -> Set[Origin]:
+    """Host-I/O sites in one function's own scope."""
     out: Set[Origin] = set()
-
-    def add(kind: str, node: ast.AST, detail: str) -> None:
-        line = getattr(node, "lineno", info.lineno)
-        if _suppressed(module, line, kind):
-            return
-        out.add(Origin(kind, module.rel, line, info.qualname, detail))
-
-    declared_global: Set[str] = set()
     for node in iter_scope(info.node):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-
-    for node in iter_scope(info.node):
-        if isinstance(node, ast.Call):
-            name = module.resolve(call_name(node.func))
-            if name in _WALL_CLOCK:
-                add(WALL_CLOCK, node, f"calls {name}()")
-            elif name in _GLOBAL_RNG:
-                add(GLOBAL_RNG, node, f"calls {name}()")
-            elif name in _OS_ENTROPY:
-                add(OS_ENTROPY, node, f"calls {name}()")
-            elif name in _IO_CALLS:
-                add(IO, node, f"calls {name}()")
-            elif name == "next":
-                # next(COUNTER) on a module-level iterator advances
-                # shared state (the stream-identity idiom).
-                for arg in node.args[:1]:
-                    if (
-                        isinstance(arg, ast.Name)
-                        and arg.id in module_globals
-                    ):
-                        add(
-                            GLOBAL_MUT, node,
-                            f"advances module-level iterator {arg.id!r}",
-                        )
-            else:
-                attr = attr_of_call(node)
-                base = call_name(node.func)
-                if (
-                    attr in _MUTATING_METHODS
-                    and base is not None
-                    and base.split(".")[0] in module_globals
-                    and base.split(".")[0] not in ("self", "cls")
-                ):
-                    add(
-                        GLOBAL_MUT, node,
-                        f"mutates module-level {base.split('.')[0]!r} "
-                        f"via .{attr}()",
-                    )
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign)
-                else [node.target]
+        if not isinstance(node, ast.Call):
+            continue
+        name = module.resolve(call_name(node.func))
+        if name in _IO_CALLS and not module.suppressed(node.lineno, "IPR203"):
+            out.add(
+                Origin(module.rel, node.lineno, info.qualname,
+                       f"calls {name}()")
             )
-            for target in targets:
-                root = _store_root(target)
-                if root is None:
-                    continue
-                if root in declared_global:
-                    add(
-                        GLOBAL_MUT, node,
-                        f"assigns global {root!r}",
-                    )
-                elif (
-                    not isinstance(target, ast.Name)
-                    and root in module_globals
-                    and root not in ("self", "cls")
-                ):
-                    add(
-                        GLOBAL_MUT, node,
-                        f"stores into module-level {root!r}",
-                    )
-                elif (
-                    not isinstance(target, ast.Name)
-                    and root in module.imports
-                    and "." not in module.imports[root]
-                ):
-                    add(
-                        GLOBAL_MUT, node,
-                        f"stores into imported module {root!r}",
-                    )
     return out
 
 
-def _store_root(target: ast.AST) -> Optional[str]:
+def store_root(target: ast.AST) -> Optional[str]:
     """The base name of a store target (``X`` of ``X[k].y = v``)."""
     node = target
     while isinstance(node, (ast.Subscript, ast.Attribute, ast.Starred)):
@@ -326,12 +143,6 @@ def _store_root(target: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def _local_raises(info: FunctionInfo) -> bool:
-    return any(
-        isinstance(node, ast.Raise) for node in iter_scope(info.node)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +194,7 @@ def transferred_names(info: FunctionInfo) -> Set[str]:
                 [node.value.id] if isinstance(node.value, ast.Name) else []
             )
             for target in node.targets:
-                root = _store_root(target)
+                root = store_root(target)
                 if root is None or isinstance(target, ast.Name):
                     continue
                 for vname in value_names:
@@ -432,25 +243,16 @@ def binding_name(module: ModuleInfo, call: ast.Call) -> Optional[str]:
 def infer_effects(graph: CallGraph) -> Dict[Key, EffectSummary]:
     """Local extraction + worklist propagation to a fixpoint."""
     summaries: Dict[Key, EffectSummary] = {}
-    globals_cache: Dict[str, Set[str]] = {}
 
     for key, (module, info) in graph.functions.items():
-        if module.rel not in globals_cache:
-            globals_cache[module.rel] = _module_globals(module)
         summary = EffectSummary(key=key)
-        summary.yields_ = info.is_generator
-        summary.raises_ = _local_raises(info)
-        summary.origins = _local_origins(
-            module, info, globals_cache[module.rel]
-        )
+        summary.origins = _local_origins(module, info)
         escaped = transferred_names(info)
         for node in iter_scope(info.node):
             if not isinstance(node, ast.Call):
                 continue
             kind = acquire_kind_of(node, info.name)
             if kind is not None:
-                if kind == LOCK:
-                    summary.lock_tokens.add(lock_token(node, module, info))
                 bound = binding_name(module, node)
                 if _inside_release_call(module, node):
                     # track_temp(create_temp_file(...)): born released --
@@ -467,8 +269,8 @@ def infer_effects(graph: CallGraph) -> Dict[Key, EffectSummary]:
                 summary.releases.add(rkind)
         summaries[key] = summary
 
-    # Worklist propagation.  Purity origins flow over precise + fuzzy
-    # edges; flags/releases/lock tokens over precise edges only.
+    # Worklist propagation.  Origins flow over precise + fuzzy edges;
+    # releases over precise edges only.
     # `transfers` is deliberately NOT transitive: a caller that receives
     # a resource and passes it on shows up through its own analysis.
     callers_precise: Dict[Key, Set[Key]] = {k: set() for k in summaries}
@@ -489,29 +291,12 @@ def infer_effects(graph: CallGraph) -> Dict[Key, EffectSummary]:
         summary = summaries[key]
         for caller_key in callers_any[key]:
             caller = summaries[caller_key]
-            changed = False
-            if not summary.origins.issubset(caller.origins):
-                caller.origins |= summary.origins
-                changed = True
-            if changed and caller_key not in in_work:
-                work.append(caller_key)
-                in_work.add(caller_key)
-        for caller_key in callers_precise[key]:
-            caller = summaries[caller_key]
-            changed = False
-            if summary.yields_ and not caller.yields_:
-                caller.yields_ = True
-                changed = True
-            if summary.raises_ and not caller.raises_:
-                caller.raises_ = True
-                changed = True
-            if not summary.releases.issubset(caller.releases):
+            before = (len(caller.origins), len(caller.releases))
+            caller.origins |= summary.origins
+            if caller_key in callers_precise[key]:
                 caller.releases |= summary.releases
-                changed = True
-            if not summary.lock_tokens.issubset(caller.lock_tokens):
-                caller.lock_tokens |= summary.lock_tokens
-                changed = True
-            if changed and caller_key not in in_work:
+            grew = (len(caller.origins), len(caller.releases)) != before
+            if grew and caller_key not in in_work:
                 work.append(caller_key)
                 in_work.add(caller_key)
     return summaries

@@ -2,21 +2,12 @@
 
 The DES kernel's contract (DESIGN.md section 1) is byte-identical
 replay from a seed: every differential test, chaos replay, and trace
-invariant rests on it.  These rules flag the ways contributors break it
-by accident:
+invariant rests on it.  These rules flag the ways of breaking it that
+the pinned renders and schedules do not see -- an order that only
+moves on a tie or between processes, and a seed that escapes its
+name (a wall clock or an unseeded draw in engine code moves a pinned
+figure, so tier-1 catches those and no rule is kept for them):
 
-* **DET001** wall-clock reads (``time.time``, ``datetime.now``,
-  ``time.monotonic``...): real time leaking into simulation state or
-  output.  Virtual time lives at ``sim.now``.  Intentional wall-time
-  reporting (the harness's ``[... 3.1s wall]`` lines) carries a
-  ``# simlint: disable=DET001`` annotation.
-* **DET002** module-level / unseeded RNG: ``random.random()`` and
-  friends draw from the process-global generator whose state depends on
-  import order and everything else that ran; ``random.Random()`` with
-  no arguments seeds from OS entropy; ``random.seed`` mutates shared
-  global state.  Use a threaded ``random.Random(seed)`` instance.
-* **DET003** OS entropy: ``os.urandom``, ``uuid.uuid1``/``uuid4``,
-  ``secrets.*`` are nondeterministic by design.
 * **DET004** ``id()`` in orderings or hashes: CPython object addresses
   differ run to run, so an ``id()`` inside a sort key or a ``hash()``
   makes the order (and anything downstream of it) irreproducible.
@@ -39,15 +30,12 @@ by accident:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, Set
 
 from repro.lint.findings import Finding, make_finding
 from repro.lint.scopes import ModuleInfo, call_name, iter_scope
 
 RULES: Dict[str, str] = {
-    "DET001": "Wall-clock call; use virtual time (sim.now) instead.",
-    "DET002": "Module-level or unseeded RNG; use random.Random(seed).",
-    "DET003": "OS entropy source (os.urandom / uuid / secrets).",
     "DET004": "id() used in a sort key or hash; addresses vary per run.",
     "DET005": "Iteration over a set leaks hash order; sort it first.",
     "DET006": "Anonymous RNG seed in experiment code; use a named seed "
@@ -55,33 +43,8 @@ RULES: Dict[str, str] = {
 }
 
 #: Directories whose modules hold experiment definitions; only there is
-#: seed *provenance* (DET006) enforced on top of plain seededness.
+#: seed *provenance* (DET006) enforced.
 _EXPERIMENT_DIRS = ("harness", "workloads")
-
-_WALL_CLOCK = frozenset({
-    "time.time", "time.time_ns",
-    "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "time.process_time", "time.process_time_ns",
-    "time.localtime", "time.gmtime",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
-
-_GLOBAL_RNG = frozenset({
-    "random.random", "random.randint", "random.randrange",
-    "random.choice", "random.choices", "random.sample",
-    "random.shuffle", "random.uniform", "random.gauss",
-    "random.normalvariate", "random.expovariate", "random.betavariate",
-    "random.getrandbits", "random.randbytes", "random.triangular",
-    "random.seed",
-})
-
-_OS_ENTROPY = frozenset({
-    "os.urandom", "uuid.uuid1", "uuid.uuid4",
-    "secrets.token_bytes", "secrets.token_hex", "secrets.token_urlsafe",
-    "secrets.randbelow", "secrets.randbits", "secrets.choice",
-})
 
 _ORDERING_CALLS = frozenset({"sorted", "min", "max"})
 
@@ -99,30 +62,11 @@ def check(module: ModuleInfo) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# DET001 / DET002 / DET003 / DET004 -- call-shaped hazards
+# DET004 / DET006 -- call-shaped hazards
 # ---------------------------------------------------------------------------
 def _check_call(module: ModuleInfo, call: ast.Call) -> Iterator[Finding]:
     name = module.resolve(call_name(call.func))
-    if name in _WALL_CLOCK:
-        yield make_finding(
-            module, call, "DET001",
-            f"wall-clock call {name}() breaks deterministic replay; "
-            f"use virtual time (sim.now) or annotate intentional "
-            f"wall-time reporting",
-        )
-    elif name in _GLOBAL_RNG:
-        yield make_finding(
-            module, call, "DET002",
-            f"{name}() draws from the process-global RNG; thread a "
-            f"seeded random.Random(seed) instance instead",
-        )
-    elif name == "random.Random" and not call.args and not call.keywords:
-        yield make_finding(
-            module, call, "DET002",
-            "random.Random() with no seed falls back to OS entropy; "
-            "pass an explicit seed",
-        )
-    elif name == "random.Random" and _in_experiment_code(module):
+    if name == "random.Random" and _in_experiment_code(module):
         args = list(call.args) + [kw.value for kw in call.keywords]
         if not any(_mentions_seed(arg) for arg in args):
             yield make_finding(
@@ -132,12 +76,6 @@ def _check_call(module: ModuleInfo, call: ast.Call) -> Iterator[Finding]:
                 "CLIENT_SEED_BASE...) or a 'seed' parameter so the seed "
                 "is recorded on the cell spec",
             )
-    elif name in _OS_ENTROPY:
-        yield make_finding(
-            module, call, "DET003",
-            f"{name}() is nondeterministic OS entropy; derive values "
-            f"from the experiment seed instead",
-        )
     if name in _ORDERING_CALLS or (
         isinstance(call.func, ast.Attribute) and call.func.attr == "sort"
     ):

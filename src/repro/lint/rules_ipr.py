@@ -1,81 +1,49 @@
 """IPR -- interprocedural passes over the whole-program call graph.
 
-Three pass families, all driven from :func:`analyze_project`:
+Two pass families, both driven from :func:`check_project`:
 
-* **IPR0xx resource escape** (IPR001 lock, IPR002 pin, IPR003 temp
-  file): from each acquire site, a CFG reachability query asks whether
-  a function exit -- normal *or* exceptional -- is reachable without
-  passing a release of that resource kind.  Helpers participate through
-  effect summaries: a call to a function that *transfers* a freshly
-  acquired resource counts as an acquire at the call site, and a call
-  to a function that *releases* the kind counts as a release.  Where
-  the purely syntactic RES001/RES002 rules already fire on a line, the
-  IPR twin stays quiet (one finding per defect).
-* **IPR1xx lock discipline** (IPR101 acquisition-order cycle, IPR102
-  blocking wait while holding a lock): a static acquisition-order graph
-  over lock *class* tokens complements the runtime deadlock detector,
-  which can only see schedules that actually happen.  Same-token
-  multi-acquire (two row locks from one manager) is the runtime
-  detector's job and is not reported statically.
-* **IPR2xx cell purity** (IPR201 global mutation, IPR202 wall clock /
-  global RNG / OS entropy, IPR203 non-injected host I/O): every
-  ``@cell`` function must be transitively free of these effects or the
-  content-addressed cell cache silently serves stale results.  Origins
-  propagate over fuzzy call edges too -- purity is a universal claim,
-  so over-approximating the callee set errs on the sound side -- and
-  each finding names the concrete origin site.
+* **Resource escape** (IPR001 lock, IPR003 temp file): from each
+  acquire site, a CFG reachability query asks whether a function exit
+  -- normal *or* exceptional -- is reachable without passing a release
+  of that resource kind.  Helpers participate through effect
+  summaries: a call to a function that *transfers* a freshly acquired
+  resource counts as an acquire at the call site, and a call to a
+  function that *releases* the kind counts as a release.
+* **Cell purity** (IPR203 non-injected host I/O): every ``@cell``
+  function must be transitively free of host I/O, or the
+  content-addressed cell cache silently serves results that depend on
+  a file its key does not cover.  Origins propagate over fuzzy call
+  edges too -- purity is a universal claim, so over-approximating the
+  callee set errs on the sound side -- and each finding names the
+  concrete origin site.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint import rules_res
 from repro.lint.callgraph import CallGraph, Key, func_key
-from repro.lint.cfg import CFG, build_cfg
+from repro.lint.cfg import build_cfg
 from repro.lint.effects import (
     EffectSummary,
     LOCK,
-    Origin,
-    PIN,
-    PURITY_KINDS,
     TEMP,
-    WAIT_ATTRS,
+    store_root,
     acquire_kind_of,
     binding_name,
     infer_effects,
-    lock_token,
     release_kind_of,
     transferred_names,
 )
 from repro.lint.findings import Finding, make_finding
-from repro.lint.scopes import (
-    FunctionInfo,
-    ModuleInfo,
-    attr_of_call,
-    call_name,
-    iter_scope,
-)
+from repro.lint.scopes import FunctionInfo, ModuleInfo, call_name, iter_scope
 
 RULES: Dict[str, str] = {
     "IPR001": "Lock/resource acquired on some path escapes a normal or "
               "exceptional exit without a release (interprocedural).",
-    "IPR002": "Buffer pin escapes a normal or exceptional exit without "
-              "an unpin (interprocedural).",
     "IPR003": "Spill/temp file escapes a normal or exceptional exit "
               "without a drop or ownership transfer (interprocedural).",
-    "IPR101": "Static lock acquisition-order cycle between lock classes "
-              "(potential deadlock the runtime detector can only catch "
-              "in schedules that happen to occur).",
-    "IPR102": "Blocking cooperative wait while holding a lock -- the "
-              "holder can stall indefinitely on a peer that needs the "
-              "lock.",
-    "IPR201": "@cell function transitively mutates module-level state, "
-              "breaking cell-cache soundness.",
-    "IPR202": "@cell function transitively reads wall clock, global "
-              "RNG, or OS entropy -- nondeterministic cell output.",
     "IPR203": "@cell function transitively performs non-injected host "
               "I/O.",
 }
@@ -99,12 +67,6 @@ at the call site of the receiving function instead.
 Fix: cover the acquire with try/finally (release_if_held is idempotent)
 or a context manager; or suppress with `# simlint: disable=IPR001` plus
 a comment explaining who releases.""",
-    "IPR002": """\
-A buffer pin (`.pin(...)` or a `pin=True` page fetch) can reach a
-function exit -- normal or exceptional -- without an
-unpin/unpin_all/release_page.  Leaked pins permanently shrink the
-buffer pool's evictable set.  Same model as IPR001; see
-`--explain IPR001` for the exception and transfer semantics.""",
     "IPR003": """\
 A spill/temp file created with create_temp_file can reach a function
 exit without drop_temp_file/drop_temp or an ownership transfer
@@ -113,39 +75,6 @@ caller-owned container).  Exception paths count: an interrupt landing
 at a yield point between creation and the drop leaks the file and its
 pages.  Cleanup sweeps (`for f in files: sm.drop_temp_file(f)`) are
 recognised as releases of the whole kind.""",
-    "IPR101": """\
-The static acquisition-order graph has an edge A -> B when some
-function acquires a lock of class B while statically holding one of
-class A (same function, or calling a helper whose summary acquires B).
-A cycle means two processes can acquire in opposite orders and
-deadlock.  Lock classes are receiver chains (`BufferPool._lock`,
-`StorageManager.locks`); same-class multi-acquire is left to the
-runtime detector, which knows actual lock identities.""",
-    "IPR102": """\
-While statically holding a lock, the function performs a blocking
-cooperative wait (`yield`-driven .get/.put/.wait/.drain/
-.put_with_patience) whose completion depends on another process.  If
-that peer needs the held lock, both stall; even when it does not, the
-hold time becomes unbounded.  Intentional holds (e.g. a page latch held
-across a producer put by design) should carry a per-line suppression
-with a comment naming the invariant that makes it safe.""",
-    "IPR201": """\
-The cell cache keys on (spec fingerprint, source digest) and assumes a
-cell's output is a function of its inputs.  A cell that transitively
-assigns or mutates module-level state (module globals, `global`
-declarations, advancing a module-level iterator, mutating an imported
-module's attribute) either leaks information between cells or produces
-output that depends on process history.  The finding names the origin
-site; if the mutation is genuinely benign (a deterministic memo cache,
-a process-unique id counter that never reaches cell output), suppress
-*at the origin line* with `# simlint: disable=IPR201` and say why --
-one annotation absolves every caller.""",
-    "IPR202": """\
-A cell transitively reads time.time/monotonic/perf_counter, the global
-`random` module, or OS entropy, so two runs with the same inputs can
-return different values and the cache would pin whichever happened
-first.  Existing DET001/DET002/DET003 suppressions at the origin line
-are honoured (same waiver, same reason).""",
     "IPR203": """\
 A cell transitively opens files or touches the real filesystem outside
 the injected storage fabric.  Cells must receive all I/O capability via
@@ -154,108 +83,30 @@ Suppress at the origin line when the I/O sink is itself
 configuration-injected and cannot affect cell output.""",
 }
 
-_ESCAPE_RULE = {LOCK: "IPR001", PIN: "IPR002", TEMP: "IPR003"}
-#: Syntactic twin whose firing on the same line silences the IPR rule.
-_RES_TWIN = {"RES001": "IPR001", "RES002": "IPR002"}
+_ESCAPE_RULE = {LOCK: "IPR001", TEMP: "IPR003"}
 
-_KIND_LABEL = {LOCK: "lock", PIN: "pin", TEMP: "temp file"}
-
-
-# ---------------------------------------------------------------------------
-# Project report (tests introspect this; the driver consumes .findings)
-# ---------------------------------------------------------------------------
-@dataclass
-class CellPurity:
-    """Purity verdict for one registered ``@cell`` function."""
-
-    key: Key
-    qualname: str
-    module: str
-    line: int
-    #: rule id -> origin sites that violate it (empty == pure).
-    violations: Dict[str, List[Origin]] = field(default_factory=dict)
-
-    @property
-    def pure(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class ProjectReport:
-    graph: CallGraph
-    summaries: Dict[Key, EffectSummary]
-    cells: List[CellPurity]
-    findings: List[Finding]
+_KIND_LABEL = {LOCK: "lock", TEMP: "temp file"}
 
 
 def check_project(modules: List[ModuleInfo]) -> Iterator[Finding]:
-    yield from analyze_project(modules).findings
-
-
-def analyze_project(modules: List[ModuleInfo]) -> ProjectReport:
     graph = CallGraph(modules)
     summaries = infer_effects(graph)
-    findings: List[Finding] = []
-
     for module in modules:
-        res_lines = _res_twin_lines(module)
         for info in module.functions:
             key = func_key(module, info)
-            findings.extend(
-                _escape_findings(
-                    graph, summaries, module, info, key, res_lines
-                )
-            )
-            findings.extend(
-                _wait_while_holding(graph, summaries, module, info, key)
-            )
-
-    findings.extend(_order_cycles(graph, summaries, modules))
-
-    cells = _cell_purity(graph, summaries)
-    for cell in cells:
-        module, info = graph.function(cell.key)
-        for rule in sorted(cell.violations):
-            origins = cell.violations[rule]
-            shown = ", ".join(
-                f"{o.path}:{o.line} {o.detail} (in {o.symbol})"
-                for o in origins[:2]
-            )
-            more = len(origins) - 2
-            if more > 0:
-                shown += f", +{more} more"
-            findings.append(
-                make_finding(
-                    module, info.node, rule,
-                    f"@cell {info.qualname!r} is impure: {shown}",
-                )
-            )
-
-    return ProjectReport(
-        graph=graph, summaries=summaries, cells=cells, findings=findings
-    )
+            yield from _escape_findings(graph, summaries, module, info, key)
+    yield from _impure_cells(graph, summaries)
 
 
 # ---------------------------------------------------------------------------
-# IPR0xx: resource escape
+# IPR001 / IPR003: resource escape
 # ---------------------------------------------------------------------------
-def _res_twin_lines(module: ModuleInfo) -> Dict[str, Set[int]]:
-    """Lines where a syntactic RES rule already fires, per IPR twin."""
-    out: Dict[str, Set[int]] = {}
-    for finding in rules_res.check(module):
-        twin = _RES_TWIN.get(finding.rule)
-        if twin:
-            out.setdefault(twin, set()).add(finding.line)
-    return out
-
-
 def _escape_findings(
     graph: CallGraph,
     summaries: Dict[Key, EffectSummary],
     module: ModuleInfo,
     info: FunctionInfo,
     key: Key,
-    res_lines: Dict[str, Set[int]],
 ) -> Iterator[Finding]:
     acquires: List[Tuple[ast.Call, str, Optional[Key]]] = []
     for node in iter_scope(info.node):
@@ -278,10 +129,6 @@ def _escape_findings(
     release_stmts = _release_map(graph, summaries, module, info, key)
 
     for call, kind, via in acquires:
-        rule = _ESCAPE_RULE[kind]
-        line = getattr(call, "lineno", info.lineno)
-        if line in res_lines.get(rule, ()):
-            continue  # the syntactic twin already reports this line
         if _transferred(module, call, escaped):
             continue
         if _in_with_context(module, call):
@@ -303,7 +150,7 @@ def _escape_findings(
         )
         paths = " and ".join(sorted(e.replace("-exit", "") for e in exits))
         yield make_finding(
-            module, call, rule,
+            module, call, _ESCAPE_RULE[kind],
             f"{_KIND_LABEL[kind]} {how} can reach a {paths} exit of "
             f"{info.qualname!r} without a release -- cover it with "
             f"try/finally or transfer ownership",
@@ -386,9 +233,8 @@ def _transferred(
             break
     stmt = module.statement_of(call)
     if isinstance(stmt, ast.Assign):
-        from repro.lint.effects import _store_root
         for target in stmt.targets:
-            root = _store_root(target)
+            root = store_root(target)
             if not isinstance(target, ast.Name) and root in escaped:
                 return True  # self.f = acquire(...) / out[k] = acquire(...)
     return False
@@ -404,177 +250,9 @@ def _in_with_context(module: ModuleInfo, call: ast.Call) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# IPR1xx: lock discipline
+# IPR203: cell purity
 # ---------------------------------------------------------------------------
-def _lock_events(
-    module: ModuleInfo, info: FunctionInfo
-) -> List[Tuple[int, int, str, object]]:
-    """(line, col, kind, payload) events in source order.  Kinds:
-    ``acquire`` (payload: (token, call)), ``release`` (payload: call),
-    ``call`` (payload: call -- resolved later), ``wait`` (payload:
-    call)."""
-    events: List[Tuple[int, int, str, object]] = []
-    for node in iter_scope(info.node):
-        if not isinstance(node, ast.Call):
-            continue
-        attr = attr_of_call(node)
-        pos = (node.lineno, node.col_offset)
-        if acquire_kind_of(node, info.name) == LOCK:
-            events.append(
-                pos + ("acquire", (lock_token(node, module, info), node))
-            )
-        elif release_kind_of(node) == LOCK:
-            events.append(pos + ("release", node))
-        elif (
-            attr in WAIT_ATTRS
-            and attr != info.name
-            and _is_yield_driven(module, node)
-        ):
-            events.append(pos + ("wait", node))
-        else:
-            events.append(pos + ("call", node))
-    events.sort(key=lambda e: (e[0], e[1]))
-    return events
-
-
-def _is_yield_driven(module: ModuleInfo, call: ast.Call) -> bool:
-    """The call's result is yielded / yield-from'd / awaited -- i.e. it
-    is a cooperative wait the kernel parks the process on, not a plain
-    host method that happens to be named ``get``."""
-    for ancestor in module.ancestors(call):
-        if isinstance(ancestor, (ast.Yield, ast.YieldFrom, ast.Await)):
-            return True
-        if isinstance(ancestor, ast.stmt):
-            return False
-    return False
-
-
-def _wait_while_holding(
-    graph: CallGraph,
-    summaries: Dict[Key, EffectSummary],
-    module: ModuleInfo,
-    info: FunctionInfo,
-    key: Key,
-) -> Iterator[Finding]:
-    held: Dict[str, ast.Call] = {}
-    for _line, _col, kind, payload in _lock_events(module, info):
-        if kind == "acquire":
-            token, call = payload  # type: ignore[misc]
-            held[token] = call
-        elif kind == "release":
-            held.clear()  # coarse: any release ends the held region
-        elif kind == "wait" and held:
-            call = payload  # type: ignore[assignment]
-            holders = ", ".join(sorted(held))
-            yield make_finding(
-                module, call, "IPR102",
-                f"blocking wait .{attr_of_call(call)}() while holding "
-                f"{holders} in {info.qualname!r} -- the holder can stall "
-                f"indefinitely with the lock pinned",
-            )
-
-
-def _order_cycles(
-    graph: CallGraph,
-    summaries: Dict[Key, EffectSummary],
-    modules: List[ModuleInfo],
-) -> Iterator[Finding]:
-    """Build the token-level acquisition-order graph and report each
-    nontrivial strongly connected component once."""
-    # edge: held token -> acquired token, with one sample site.
-    edges: Dict[str, Dict[str, Tuple[ModuleInfo, ast.Call, str]]] = {}
-
-    for module in modules:
-        for info in module.functions:
-            key = func_key(module, info)
-            site_by_call = {s.call: s for s in graph.call_sites(key)}
-            held: Dict[str, ast.Call] = {}
-            for _l, _c, kind, payload in _lock_events(module, info):
-                if kind == "acquire":
-                    token, call = payload  # type: ignore[misc]
-                    for h in held:
-                        if h != token:
-                            edges.setdefault(h, {}).setdefault(
-                                token, (module, call, info.qualname)
-                            )
-                    held[token] = call
-                elif kind == "release":
-                    held.clear()
-                elif kind == "call" and held:
-                    call = payload  # type: ignore[assignment]
-                    site = site_by_call.get(call)
-                    if site is None:
-                        continue
-                    for tkey in site.precise:
-                        tsum = summaries.get(tkey)
-                        if tsum is None:
-                            continue
-                        for token in tsum.lock_tokens:
-                            for h in held:
-                                if h != token:
-                                    edges.setdefault(h, {}).setdefault(
-                                        token,
-                                        (module, call, info.qualname),
-                                    )
-
-    for component in _cycles(edges):
-        ordered = sorted(component)
-        # Anchor at the lexically first sample edge inside the cycle.
-        samples = [
-            edges[a][b]
-            for a in ordered for b in edges.get(a, {})
-            if b in component
-        ]
-        module, call, qualname = min(
-            samples, key=lambda s: (s[0].rel, s[1].lineno)
-        )
-        chain = " -> ".join(ordered + [ordered[0]])
-        yield make_finding(
-            module, call, "IPR101",
-            f"lock acquisition-order cycle {chain} (sample edge in "
-            f"{qualname!r}) -- opposite-order holders can deadlock",
-        )
-
-
-def _cycles(
-    edges: Dict[str, Dict[str, Tuple[ModuleInfo, ast.Call, str]]]
-) -> List[Set[str]]:
-    """Strongly connected components with more than one token."""
-    nodes = set(edges)
-    for targets in edges.values():
-        nodes.update(targets)
-    reach: Dict[str, Set[str]] = {}
-    for start in sorted(nodes):
-        seen: Set[str] = set()
-        stack = list(edges.get(start, ()))
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(edges.get(cur, ()))
-        reach[start] = seen
-    out: List[Set[str]] = []
-    assigned: Set[str] = set()
-    for node in sorted(nodes):
-        if node in assigned or node not in reach[node]:
-            continue
-        component = {
-            other
-            for other in reach[node]
-            if node in reach.get(other, ())
-        }
-        component.add(node)
-        if len(component) > 1:
-            out.append(component)
-            assigned |= component
-    return out
-
-
-# ---------------------------------------------------------------------------
-# IPR2xx: cell purity
-# ---------------------------------------------------------------------------
-def _is_cell(info: FunctionInfo) -> bool:
+def is_cell(info: FunctionInfo) -> bool:
     for dec in getattr(info.node, "decorator_list", []):
         target = dec.func if isinstance(dec, ast.Call) else dec
         name = call_name(target)
@@ -583,28 +261,23 @@ def _is_cell(info: FunctionInfo) -> bool:
     return False
 
 
-def _cell_purity(
+def _impure_cells(
     graph: CallGraph, summaries: Dict[Key, EffectSummary]
-) -> List[CellPurity]:
-    cells: List[CellPurity] = []
+) -> Iterator[Finding]:
     for key in sorted(graph.functions):
         module, info = graph.functions[key]
-        if not _is_cell(info):
+        if not is_cell(info) or not summaries[key].origins:
             continue
-        violations: Dict[str, List[Origin]] = {}
-        for origin in sorted(
-            summaries[key].origins,
-            key=lambda o: (o.path, o.line, o.kind),
-        ):
-            rule = PURITY_KINDS[origin.kind][0]
-            violations.setdefault(rule, []).append(origin)
-        cells.append(
-            CellPurity(
-                key=key,
-                qualname=info.qualname,
-                module=module.rel,
-                line=info.lineno,
-                violations=violations,
-            )
+        origins = sorted(
+            summaries[key].origins, key=lambda o: (o.path, o.line)
         )
-    return cells
+        shown = ", ".join(
+            f"{o.path}:{o.line} {o.detail} (in {o.symbol})"
+            for o in origins[:2]
+        )
+        if len(origins) > 2:
+            shown += f", +{len(origins) - 2} more"
+        yield make_finding(
+            module, info.node, "IPR203",
+            f"@cell {info.qualname!r} is impure: {shown}",
+        )

@@ -1,18 +1,11 @@
-"""TRC -- trace-schema conformance at emit call sites.
+"""TRC -- required trace fields at emit call sites.
 
 The :mod:`repro.obs.schema` registry declares every event the engine
-may emit and the fields each must carry; the tracer enforces the name
-half at runtime.  These rules enforce the same contract *statically*,
-so an unregistered name or missing field is a lint failure instead of a
-crash in the first traced run:
+may emit and the fields each must carry.  The tracer rejects an
+unregistered *name* at runtime, which tier-1's traced runs reach; it
+does not check *fields*, and an event emitted only on a rare path (a
+scanner restart, say) can lose one without any test noticing:
 
-* **TRC001** unregistered event name: a literal name passed to
-  ``tracer.event(...)`` (or a family method such as
-  ``tracer.osp("...")``, whose f-string families enumerate their
-  allowed suffixes in the registry) that the registry does not declare.
-* **TRC002** statically unverifiable event name: a non-literal name
-  expression at an emit call site.  The runtime check still applies;
-  annotate deliberate dynamic emits with ``# simlint: disable=TRC002``.
 * **TRC003** missing required field: a literal-name emit whose keyword
   arguments lack a field the registry requires (calls forwarding
   ``**fields`` are skipped -- they cannot be checked statically).
@@ -35,10 +28,6 @@ from repro.lint.scopes import ModuleInfo
 from repro.obs import schema
 
 RULES: Dict[str, str] = {
-    "TRC001": "Trace event name is not declared in the "
-              "repro.obs.schema registry.",
-    "TRC002": "Trace event name is not statically verifiable "
-              "(non-literal expression).",
     "TRC003": "Trace emit lacks a field the registry requires for "
               "this event.",
 }
@@ -140,7 +129,7 @@ def _in_exempt_body(module: ModuleInfo, node: ast.AST) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Name and field validation
+# Field validation
 # ---------------------------------------------------------------------------
 def _check_emit(
     module: ModuleInfo,
@@ -149,30 +138,15 @@ def _check_emit(
     injected: FrozenSet[str],
     fields_positional: bool,
 ) -> Iterator[Finding]:
-    if not call.args:
+    if not call.args or fields_positional:
         return
-    name_node = call.args[0]
-    names = _literal_names(name_node, prefix)
-    if names is None:
-        verdict = _dynamic_name_verdict(name_node, prefix)
-        if verdict is not None:
-            yield make_finding(module, call, verdict[0], verdict[1])
-        return
+    names = _literal_names(call.args[0], prefix)
+    if names is None or any(kw.arg is None for kw in call.keywords):
+        return  # dynamic name or **fields forwarding: not checkable
+    present: Set[str] = {kw.arg for kw in call.keywords if kw.arg}
     for name in names:
         if not schema.is_registered(name):
-            yield make_finding(
-                module, call, "TRC001",
-                f"trace event {name!r} is not declared in "
-                f"repro.obs.schema; register it (or fix the typo)",
-            )
-            continue
-        if fields_positional:
-            continue
-        if any(kw.arg is None for kw in call.keywords):
-            continue  # **fields forwarding: not statically checkable
-        present: Set[str] = {
-            kw.arg for kw in call.keywords if kw.arg is not None
-        }
+            continue  # the tracer rejects the name itself at runtime
         # _packet-style wrappers pass the subject positionally.
         missing = [
             f
@@ -204,33 +178,3 @@ def _literal_names(
         if body is not None and orelse is not None:
             return body + orelse
     return None
-
-
-def _dynamic_name_verdict(
-    node: ast.AST, prefix: str
-) -> Optional[Tuple[str, str]]:
-    """Classify a non-literal name expression.
-
-    An f-string whose constant head names a registered dynamic family
-    (``f"osp.{etype}"``) is allowed -- the family's suffixes are
-    enumerated in the registry and checked at the family-method call
-    sites plus at runtime.  Anything else is unverifiable.
-    """
-    if prefix == "" and isinstance(node, ast.JoinedStr) and node.values:
-        head = node.values[0]
-        if isinstance(head, ast.Constant) and isinstance(head.value, str):
-            family = head.value.split(".", 1)[0]
-            if head.value.endswith(".") and schema.family_suffixes(family):
-                return None  # registered dynamic family
-            return (
-                "TRC001",
-                f"f-string event name with head {head.value!r} does not "
-                f"name a registered dynamic family; enumerate its "
-                f"suffixes in repro.obs.schema",
-            )
-    return (
-        "TRC002",
-        "trace event name is not a literal; the registry cannot verify "
-        "it statically (runtime validation still applies) -- annotate "
-        "deliberate dynamic emits with '# simlint: disable=TRC002'",
-    )

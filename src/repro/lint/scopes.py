@@ -5,15 +5,10 @@ the parse tree plus the cheap symbol-table facts the rules need --
 
 * a parent map (rules walk *up* from an interesting node to its
   statement, enclosing ``try``, or enclosing function);
-* the import alias table, so ``from time import monotonic as mt`` still
-  resolves ``mt()`` to ``time.monotonic`` (the DET rules match on fully
-  resolved dotted names);
-* every function with its qualified name and whether it is a
-  *generator* (contains ``yield`` in its own scope) -- the YLD rules'
-  notion of "sim process";
-* every name referenced anywhere (loads, attribute accesses, imports,
-  ``__all__`` strings), which the project-wide unreachable-generator
-  check consumes;
+* the import alias table, so ``from os import remove as rm`` still
+  resolves ``rm()`` to ``os.remove`` (the rules match on fully resolved
+  dotted names);
+* every function with its qualified name and enclosing class;
 * the per-line ``# simlint: disable=RULE`` suppressions.
 """
 
@@ -21,13 +16,10 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Set
 
 _SUPPRESS_RE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9_*,\s]+)")
-
-#: Statement fields that hold lists of statements (sibling scans).
-_BLOCK_FIELDS = ("body", "orelse", "finalbody")
 
 
 @dataclass
@@ -38,9 +30,6 @@ class FunctionInfo:
     name: str
     qualname: str
     lineno: int
-    #: Contains ``yield``/``yield from`` in its own scope: a coroutine
-    #: the simulation kernel (or a ``yield from`` chain) must drive.
-    is_generator: bool
     #: Name of the enclosing class, if the def is a method.
     class_name: Optional[str] = None
 
@@ -61,10 +50,6 @@ class ModuleInfo:
                 self.parents[child] = parent
         self.imports = self._collect_imports()
         self.functions = self._collect_functions()
-        self.generator_names: Set[str] = {
-            f.name for f in self.functions if f.is_generator
-        }
-        self.referenced_names = self._collect_references()
 
     # -- suppressions ---------------------------------------------------
     def _parse_suppressions(self) -> Dict[int, Set[str]]:
@@ -106,8 +91,8 @@ class ModuleInfo:
 
     def resolve(self, dotted: Optional[str]) -> Optional[str]:
         """Expand the first segment of a dotted name via the import
-        table (``mt`` -> ``time.monotonic``, ``dt.now`` ->
-        ``datetime.datetime.now``)."""
+        table (``rm`` -> ``os.remove``, ``sh.rmtree`` ->
+        ``shutil.rmtree``)."""
         if dotted is None:
             return None
         head, _, rest = dotted.partition(".")
@@ -132,7 +117,6 @@ class ModuleInfo:
                             name=child.name,
                             qualname=qual,
                             lineno=child.lineno,
-                            is_generator=_has_own_yield(child),
                             class_name=cls,
                         )
                     )
@@ -156,32 +140,6 @@ class ModuleInfo:
             cursor = self.parents.get(cursor)
         return None
 
-    # -- references (for the project-wide reachability check) -----------
-    def _collect_references(self) -> Set[str]:
-        refs: Set[str] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Name) and isinstance(
-                node.ctx, ast.Load
-            ):
-                refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    refs.add((alias.asname or alias.name).split(".")[-1])
-            elif isinstance(node, ast.Assign):
-                # Strings in __all__ count as references (public API).
-                targets = [
-                    t.id for t in node.targets if isinstance(t, ast.Name)
-                ]
-                if "__all__" in targets:
-                    for elt in ast.walk(node.value):
-                        if isinstance(elt, ast.Constant) and isinstance(
-                            elt.value, str
-                        ):
-                            refs.add(elt.value)
-        return refs
-
     # -- generic tree helpers -------------------------------------------
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         cursor = self.parents.get(node)
@@ -196,47 +154,11 @@ class ModuleInfo:
             cursor = self.parents[cursor]
         return cursor
 
-    def block_of(self, stmt: ast.stmt) -> Tuple[List[ast.stmt], int]:
-        """The statement list containing *stmt* and its index in it."""
-        parent = self.parents[stmt]
-        for fname in _BLOCK_FIELDS:
-            block = getattr(parent, fname, None)
-            if isinstance(block, list) and stmt in block:
-                return block, block.index(stmt)
-        # ExceptHandler bodies hang off Try.handlers.
-        if isinstance(parent, ast.excepthandler):
-            return parent.body, parent.body.index(stmt)
-        return [stmt], 0
-
     def snippet(self, lineno: int) -> str:
         """The stripped source text of one line (baseline keys)."""
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
-
-
-def _has_own_yield(func: ast.AST) -> bool:
-    """Whether *func* yields in its own scope (nested defs excluded)."""
-
-    found = False
-
-    def scan(node: ast.AST) -> None:
-        nonlocal found
-        if found:
-            return
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda),
-            ):
-                continue
-            if isinstance(child, (ast.Yield, ast.YieldFrom)):
-                found = True
-                return
-            scan(child)
-
-    scan(func)
-    return found
 
 
 def iter_scope(func: ast.AST) -> Iterator[ast.AST]:

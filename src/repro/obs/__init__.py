@@ -3,9 +3,9 @@
 The subsystem has five parts:
 
 * :mod:`repro.obs.schema` -- the declared registry of every trace event
-  and its required fields; the tracer validates against it at runtime
-  and the ``TRC`` rules of :mod:`repro.lint` validate against it
-  statically;
+  and its required fields; the tracer validates names against it at
+  runtime and the ``TRC003`` rule of :mod:`repro.lint` checks required
+  fields against it statically;
 * :mod:`repro.obs.tracer` -- the :class:`Tracer` that records typed
   events with virtual timestamps (and the allocation-free
   :class:`NullTracer` every simulator starts with);

@@ -11,9 +11,9 @@ enforcement layers share:
   :class:`~repro.obs.tracer.NullTracer` skips it entirely), so a typo'd
   emit fails at the call site instead of producing a trace the
   :class:`~repro.obs.invariants.InvariantChecker` silently ignores;
-* **static** -- the ``TRC`` rules of :mod:`repro.lint` resolve every
-  literal emit call site against the same registry, so an unregistered
-  name or a missing required field is flagged before the code ever runs.
+* **static** -- the ``TRC003`` rule of :mod:`repro.lint` resolves every
+  literal emit call site against the same registry, so a missing
+  required field is flagged even on a path no traced run reaches.
 
 Dynamic event families (``osp.*``, ``pool.*``, ``lock.*``, ``fault.*``,
 ``proc.*``) are emitted through f-strings such as ``f"osp.{etype}"``;

@@ -172,9 +172,10 @@ class Tracer(NullTracer):
         """Record one raw event at the current virtual time.
 
         The name must come from the :mod:`repro.obs.schema` registry --
-        the same registry the static ``TRC`` lint rules check emit call
-        sites against -- so a typo'd event can never silently slip past
-        the :class:`~repro.obs.invariants.InvariantChecker`.
+        the same registry the static ``TRC003`` rule checks emit call
+        sites' required fields against -- so a typo'd event can never
+        silently slip past the
+        :class:`~repro.obs.invariants.InvariantChecker`.
         """
         if etype not in EVENT_NAMES:
             raise UnknownTraceEvent(etype)
@@ -184,8 +185,8 @@ class Tracer(NullTracer):
 
     def _packet(self, etype: str, packet, **extra) -> None:
         # Internal call sites only, all with literal registered names
-        # (covered by the TRC lint rules), so the record is built directly
-        # without the event() double-splat.
+        # (every one is emitted by tier-1's pinned traces), so the record
+        # is built directly without the event() double-splat.
         record: Dict[str, Any] = {
             "ts": self.sim.now,
             "type": etype,

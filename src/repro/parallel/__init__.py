@@ -13,8 +13,8 @@ and executes any bag of cells
 with results merged by grid coordinate so the output is byte-identical
 either way, and an optional content-addressed on-disk cache
 (:class:`~repro.parallel.cache.CellCache`) keyed by the cell spec plus a
-digest of the source files the cell function transitively imports (the
-simlint import graph), so reruns after unrelated edits are near-instant.
+digest of the source files the cell function transitively imports (a
+static import graph), so reruns after unrelated edits are near-instant.
 """
 
 from repro.parallel.cells import (

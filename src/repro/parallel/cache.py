@@ -3,7 +3,7 @@
 Key: SHA-256 of the cell's canonical fingerprint (figure, function,
 scale, seeds, grid coordinates) plus the *relevant-source digest* -- a
 hash of every source file the cell function's module transitively
-imports, computed from the simlint import graph
+imports, computed from a static import graph
 (:mod:`repro.parallel.digest`).  Editing any reachable engine file busts
 every dependent cell; editing docs, tests, or unreachable subsystems
 leaves the cache warm.

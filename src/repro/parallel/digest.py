@@ -1,13 +1,15 @@
-"""Relevant-source digests via the simlint import graph.
+"""Relevant-source digests via the static import graph.
 
 The cell cache must invalidate when *engine code* changes but survive
 edits to unrelated subsystems (``repro.lint``, ``perf/``, docs).
 "Relevant" is defined statically: the transitive closure of module
-imports reachable from the cell function's module, computed from the
-same parsed-module model simlint uses (:mod:`repro.lint`).  The digest
-is a SHA-256 over the sorted ``(module, file-hash)`` pairs of that
-closure, so any byte change in any reachable source file changes every
-dependent cell's content address.
+imports reachable from the cell function's module, read from each
+file's own ``ast.parse`` (this module walks and parses the tree itself
+and imports nothing from the linter, so the linter is never part of a
+cell's closure).  The digest is a SHA-256 over the sorted
+``(module, file-hash)`` pairs of that closure, so any byte change in
+any reachable source file changes every dependent cell's content
+address.
 """
 
 from __future__ import annotations
@@ -17,14 +19,26 @@ import hashlib
 import os
 from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.lint.core import iter_python_files, load_module
+
+def _python_files(root: str) -> List[str]:
+    """Every ``.py`` file under *root*, sorted; hidden directories and
+    ``__pycache__`` are skipped."""
+    out: List[str] = []
+    for dirpath, dirs, files in os.walk(root):
+        dirs[:] = [
+            d for d in dirs if not d.startswith(".") and d != "__pycache__"
+        ]
+        out.extend(
+            os.path.join(dirpath, f) for f in files if f.endswith(".py")
+        )
+    return sorted(out)
 
 
 def module_table(src_root: str) -> Dict[str, str]:
     """Map dotted module name -> file path for every module under
     *src_root* (a directory containing top-level packages)."""
     table: Dict[str, str] = {}
-    for path in iter_python_files([src_root]):
+    for path in _python_files(src_root):
         rel = os.path.relpath(path, src_root).replace(os.sep, "/")
         if rel.endswith("/__init__.py"):
             dotted = rel[: -len("/__init__.py")].replace("/", ".")
@@ -45,7 +59,8 @@ def _module_package(dotted: str, path: str) -> str:
 
 def _imports_of(dotted: str, path: str, known: Dict[str, str]) -> Set[str]:
     """In-tree modules *dotted* imports, resolved to table entries."""
-    module = load_module(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
     package = _module_package(dotted, path)
     deps: Set[str] = set()
 
@@ -58,7 +73,7 @@ def _imports_of(dotted: str, path: str, known: Dict[str, str]) -> Set[str]:
         if target in known:
             deps.add(target)
 
-    for node in ast.walk(module.tree):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 add(alias.name)
@@ -112,45 +127,7 @@ def closure(graph: Dict[str, Set[str]], roots: Iterable[str]) -> List[str]:
     return sorted(seen)
 
 
-#: Lazily loaded ``REPRO_MODTABLE`` contents: abspath -> entry dict.
-#: ``None`` means "not loaded yet"; ``{}`` means "no usable table".
-_MODTABLE: "Dict[str, Dict[str, object]] | None" = None
-
-
-def _modtable() -> "Dict[str, Dict[str, object]]":
-    """The pre-hashed module table emitted by ``python -m repro.lint
-    --emit-module-table`` (shared via the ``REPRO_MODTABLE`` env var),
-    or an empty table when absent/unreadable -- the digest then simply
-    hashes everything itself."""
-    global _MODTABLE
-    if _MODTABLE is None:
-        _MODTABLE = {}
-        path = os.environ.get("REPRO_MODTABLE")
-        if path:
-            try:
-                import json
-
-                with open(path, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-                if isinstance(doc, dict) and doc.get("version") == 1:
-                    _MODTABLE = dict(doc.get("files", {}))
-            except (OSError, ValueError):
-                _MODTABLE = {}
-    return _MODTABLE
-
-
 def _file_hash(path: str) -> str:
-    entry = _modtable().get(os.path.abspath(path))
-    if entry is not None:
-        try:
-            st = os.stat(path)
-            if (
-                entry.get("size") == st.st_size
-                and entry.get("mtime_ns") == st.st_mtime_ns
-            ):
-                return str(entry["sha256"])
-        except OSError:
-            pass  # fall through to hashing
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

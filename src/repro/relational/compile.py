@@ -146,7 +146,7 @@ class _Source:
             # Designated impurity: a deterministic memo -- the factory
             # is a pure function of `src`, so cell results cannot depend
             # on whether the cache was warm.
-            factory = _code_cache[src] = namespace["factory"]  # simlint: disable=IPR201
+            factory = _code_cache[src] = namespace["factory"]
         return factory(*self.consts)
 
 

@@ -141,5 +141,5 @@ def load_once(
     load()
     images = [sm.capture(start) for sm, start in zip(managers, starts)]
     if len(_IMAGES) >= _IMAGES_MAX:
-        _IMAGES.pop(next(iter(_IMAGES)))  # simlint: disable=IPR201
-    _IMAGES[key] = images  # simlint: disable=IPR201
+        _IMAGES.pop(next(iter(_IMAGES)))
+    _IMAGES[key] = images

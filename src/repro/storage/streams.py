@@ -28,4 +28,4 @@ def next_stream() -> Tuple[str, int]:
     # Designated impurity: the counter only mints process-unique ids;
     # no simulated behavior branches on their numeric values, so cell
     # outputs stay reproducible across warm/cold processes.
-    return ("scan-stream", next(_ids))  # simlint: disable=IPR201
+    return ("scan-stream", next(_ids))

@@ -51,6 +51,6 @@ def memo_tables(key: tuple, build: Callable[[], Tables]) -> Tables:
         # and eviction follows insertion order, so cell payloads cannot
         # observe whether the cache was warm.
         if len(cache) >= _GENERATED_MAX:
-            cache.pop(next(iter(cache)))  # simlint: disable=IPR201
-        cache[key] = cached  # simlint: disable=IPR201
+            cache.pop(next(iter(cache)))
+        cache[key] = cached
     return dict(cached)

@@ -1,5 +1,7 @@
-"""Shared fixtures: a small in-memory database for engine tests."""
+"""Shared fixtures: a small in-memory database for engine tests, and
+the one whole-tree simlint pass the lint tests share."""
 
+import pathlib
 import random
 
 import pytest
@@ -85,3 +87,13 @@ def big_db():
     sm.load_table("s", s_rows)
     sm.create_index("s", ["rid"], name="s_rid", clustered=True)
     return host, sm, r_rows, s_rows
+
+
+@pytest.fixture(scope="session")
+def src_lint():
+    """``(modules, findings)`` of one simlint pass over ``src/``."""
+    from repro.lint.core import collect_modules, lint_modules
+
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    modules = collect_modules([str(repo / "src")], root=str(repo))
+    return modules, lint_modules(modules)

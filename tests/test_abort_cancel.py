@@ -88,6 +88,30 @@ def test_deadline_aborts_slow_query(big_db):
     assert no_locks(sm)
 
 
+def test_deadline_is_an_absolute_virtual_instant(big_db):
+    """``deadline`` names the instant the query dies, not a budget from
+    submission: submitted at t=0.1 with deadline=0.30, it aborts at
+    exactly t=0.30 (0.40 would mean a budget)."""
+    host, sm, _r, _s = big_db
+    engine = QPipeEngine(sm, QPipeConfig(osp_enabled=True))
+    box = {}
+
+    def client():
+        yield host.sim.timeout(0.1)
+        try:
+            yield from engine.execute(count_plan(), deadline=0.30)
+        except QueryAborted as exc:
+            box["error"] = exc
+            box["at"] = host.sim.now
+
+    host.sim.spawn(client())
+    host.sim.run()
+    assert "deadline of 0.300s exceeded" in str(box["error"])
+    assert box["at"] == 0.30
+    assert engine.active_queries == 0
+    assert no_locks(sm)
+
+
 def test_deadline_far_away_does_not_fire(db):
     host, sm, r_rows, _s = db
     engine = QPipeEngine(sm, QPipeConfig(osp_enabled=True))

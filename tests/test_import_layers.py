@@ -3,23 +3,26 @@
 ``repro.harness.config`` is what ``perf/``, the examples and any library
 user import to build a system.  It must stay a light import: presets
 and builders, not the 2,000-line figure registry and, through it, the
-cell pool (``multiprocessing``, ``concurrent.futures``, ``subprocess``)
-and the whole linter (``repro.parallel.digest`` reads simlint's module
-model).  ``repro/harness/__init__.py`` therefore resolves the registry's
-names on first use (PEP 562) -- and still has to export every one of
-them, and still has to show the static import graph the edge, or a
-cell's source digest would silently stop covering the engines.
+cell pool (``multiprocessing``, ``concurrent.futures``, ``subprocess``).
+``repro/harness/__init__.py`` therefore resolves the registry's names on
+first use (PEP 562) -- and still has to export every one of them, and
+still has to show the static import graph the edge, or a cell's source
+digest would silently stop covering the engines.  No harness import
+loads the linter at all: ``repro.parallel.digest`` parses the files it
+hashes itself, so a cell's source digest does not cover ``repro.lint``
+either.
 """
 
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import repro.harness
-from repro.parallel.digest import closure, import_graph
+from repro.parallel.digest import closure, import_graph, source_digest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -33,10 +36,10 @@ HEAVY = (
     "subprocess",
 )
 
-#: ``closure(import_graph("src"), ["repro.harness.experiments"])`` at the
-#: parent of the PR that made the package import lazy (ISSUE 22): every
-#: module a figure cell's content address covers.  A PR that adds a
-#: module under the engines adds it here; none may drop out unnoticed.
+#: ``closure(import_graph("src"), ["repro.harness.experiments"])``: every
+#: module a figure cell's content address covers (no ``repro.lint``).  A
+#: change that adds a module under the engines adds it here; none may
+#: drop out unnoticed.
 EXPERIMENTS_CLOSURE = """
 repro repro.baseline repro.baseline.engine repro.baseline.operators
 repro.engine repro.engine.buffers repro.engine.dispatcher
@@ -50,10 +53,7 @@ repro.folding repro.folding.coordinator repro.folding.stats
 repro.harness repro.harness.config repro.harness.experiments
 repro.harness.report repro.hw repro.hw.cpu repro.hw.disk repro.hw.host
 repro.hw.net repro.lineage repro.lineage.recovery
-repro.lineage.tracker repro.lint repro.lint.callgraph repro.lint.cfg
-repro.lint.core repro.lint.effects repro.lint.findings
-repro.lint.rules_det repro.lint.rules_ipr repro.lint.rules_res
-repro.lint.rules_trc repro.lint.rules_yld repro.lint.scopes repro.obs
+repro.lineage.tracker repro.obs
 repro.obs.export repro.obs.invariants repro.obs.query_trace
 repro.obs.schema repro.obs.tracer repro.osp repro.osp.circular
 repro.osp.deadlock repro.osp.stats repro.osp.wop repro.parallel
@@ -122,3 +122,18 @@ def test_a_cells_source_digest_covers_what_it_covered():
     graph = import_graph(str(SRC))
     assert "repro.harness.experiments" in graph["repro.harness"]
     assert closure(graph, ["repro.harness.experiments"]) == EXPERIMENTS_CLOSURE
+
+
+def test_the_harness_loads_no_linter():
+    loaded = loaded_by("import repro.harness, repro.harness.experiments")
+    assert "repro.harness.experiments" in loaded
+    assert [name for name in loaded if name.startswith("repro.lint")] == []
+
+
+def test_a_lint_edit_leaves_every_cell_digest_alone(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    before = source_digest("repro.harness.experiments", str(src))
+    with open(src / "repro" / "lint" / "core.py", "a") as fh:
+        fh.write("# an edit to the linter only\n")
+    assert source_digest("repro.harness.experiments", str(src)) == before

@@ -14,10 +14,11 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import lint_paths
 from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-from repro.lint.core import collect_modules
-from repro.lint.rules_ipr import analyze_project
+from repro.lint.rules_ipr import is_cell
 from repro.lint.sarif import SARIF_VERSION, SCHEMA_URI, sarif_doc
 
 REPO = Path(__file__).resolve().parents[1]
@@ -40,11 +41,11 @@ def rules_of(findings):
 
 
 # ---------------------------------------------------------------------------
-# IPR001/IPR002: lock and pin escape
+# IPR001: lock escape
 # ---------------------------------------------------------------------------
 def test_ipr001_unwind_between_acquire_and_try(tmp_path):
-    # The syntactic RES001 accepts acquire-then-later-try; the CFG pass
-    # sees the yield between them and reports the gap it leaves.
+    # The acquire is followed by a try/finally, but the CFG pass sees
+    # the yield between them and reports the gap it leaves.
     findings = run_lint(tmp_path, """\
         def serve(sm, sim):
             yield sm.locks.acquire("t")
@@ -85,32 +86,6 @@ def test_ipr001_suppressible(tmp_path):
                 sm.locks.release("t")
         """)
     assert findings == []
-
-
-def test_ipr002_pin_escape_before_try(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def scan(pool, sim):
-            page = pool.pin(3)
-            yield sim.timeout(1)
-            try:
-                yield 1
-            finally:
-                pool.unpin(page)
-        """)
-    assert rules_of(findings) == ["IPR002"]
-    assert findings[0].symbol == "scan"
-
-
-def test_res_twin_dedupes_ipr(tmp_path):
-    # Release present but never in a finally: RES001 fires, and the IPR
-    # twin stays quiet on the same line (one finding per defect).
-    findings = run_lint(tmp_path, """\
-        def serve(sm):
-            yield sm.locks.acquire("t")
-            yield 1
-            sm.locks.release("t")
-        """)
-    assert rules_of(findings) == ["RES001"]
 
 
 # ---------------------------------------------------------------------------
@@ -188,191 +163,8 @@ def test_ipr003_born_tracked_helper_is_clean(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# IPR101/IPR102: lock discipline
+# IPR203: cell purity
 # ---------------------------------------------------------------------------
-def test_ipr101_acquisition_order_cycle(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def forward(la, lb):
-            yield la.alpha.acquire()
-            try:
-                yield lb.beta.acquire()
-                try:
-                    yield 1
-                finally:
-                    lb.beta.release()
-            finally:
-                la.alpha.release()
-
-        def backward(la, lb):
-            yield lb.beta.acquire()
-            try:
-                yield la.alpha.acquire()
-                try:
-                    yield 1
-                finally:
-                    la.alpha.release()
-            finally:
-                lb.beta.release()
-        """)
-    assert rules_of(findings) == ["IPR101"]
-    assert "la.alpha" in findings[0].message
-    assert "lb.beta" in findings[0].message
-
-
-def test_ipr101_consistent_order_is_clean(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def one(la, lb):
-            yield la.alpha.acquire()
-            try:
-                yield lb.beta.acquire()
-                try:
-                    yield 1
-                finally:
-                    lb.beta.release()
-            finally:
-                la.alpha.release()
-
-        def two(la, lb):
-            yield la.alpha.acquire()
-            try:
-                yield lb.beta.acquire()
-                try:
-                    yield 1
-                finally:
-                    lb.beta.release()
-            finally:
-                la.alpha.release()
-        """)
-    assert findings == []
-
-
-def test_ipr102_wait_while_holding(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def pump(lock, channel):
-            yield lock.acquire()
-            try:
-                item = yield channel.get()
-            finally:
-                lock.release()
-        """)
-    assert rules_of(findings) == ["IPR102"]
-    assert "lock" in findings[0].message
-
-
-def test_ipr102_host_get_not_flagged(tmp_path):
-    # A plain dict .get() is a host call, not a cooperative wait.
-    findings = run_lint(tmp_path, """\
-        def lookup(lock, table, key):
-            yield lock.acquire()
-            try:
-                value = table.get(key)
-                yield value
-            finally:
-                lock.release()
-        """)
-    assert findings == []
-
-
-def test_ipr102_suppressible_with_reason(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def pump(lock, channel):
-            yield lock.acquire()
-            try:
-                # Intentional: pump owns the channel's only consumer.
-                item = yield channel.get()  # simlint: disable=IPR102
-            finally:
-                lock.release()
-        """)
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# IPR2xx: cell purity
-# ---------------------------------------------------------------------------
-CELL_PRELUDE = """\
-    def cell(fn):
-        return fn
-
-    _CACHE = {}
-
-"""
-
-
-def test_ipr201_impure_cell_flagged_with_origin(tmp_path):
-    findings = run_lint(tmp_path, CELL_PRELUDE + """\
-    @cell
-    def bad_cell(spec):
-        _CACHE.update({1: 2})
-        return spec
-
-    @cell
-    def good_cell(spec):
-        return spec
-    """)
-    assert rules_of(findings) == ["IPR201"]
-    assert "bad_cell" in findings[0].message
-    assert "_CACHE" in findings[0].message  # names the origin
-
-
-def test_ipr201_transitive_through_helper(tmp_path):
-    findings = run_lint(tmp_path, CELL_PRELUDE + """\
-    def memoise(key, value):
-        _CACHE[key] = value
-        return value
-
-    @cell
-    def bad_cell(spec):
-        return memoise(spec, spec)
-    """)
-    assert rules_of(findings) == ["IPR201"]
-    assert "memoise" in findings[0].message
-
-
-def test_ipr201_origin_suppression_absolves_callers(tmp_path):
-    findings = run_lint(tmp_path, CELL_PRELUDE + """\
-    def memoise(key, value):
-        # Deterministic memo: value is a pure function of key.
-        _CACHE[key] = value  # simlint: disable=IPR201
-        return value
-
-    @cell
-    def good_cell(spec):
-        return memoise(spec, spec)
-    """)
-    assert findings == []
-
-
-def test_ipr202_wall_clock_in_cell(tmp_path):
-    findings = run_lint(tmp_path, "import time\n\n" + textwrap.dedent("""\
-        def cell(fn):
-            return fn
-
-        def stamp():
-            return time.time()
-
-        @cell
-        def timed_cell(spec):
-            return stamp()
-        """))
-    assert "IPR202" in rules_of(findings)  # alongside DET001 at origin
-
-
-def test_ipr202_det_waiver_is_honoured(tmp_path):
-    findings = run_lint(tmp_path, "import time\n\n" + textwrap.dedent("""\
-        def cell(fn):
-            return fn
-
-        def stamp():
-            # Host-side progress logging only; never reaches results.
-            return time.time()  # simlint: disable=DET001
-
-        @cell
-        def timed_cell(spec):
-            return stamp()
-        """))
-    assert findings == []
-
-
 def test_ipr203_host_io_in_cell(tmp_path):
     findings = run_lint(tmp_path, """\
         def cell(fn):
@@ -386,15 +178,11 @@ def test_ipr203_host_io_in_cell(tmp_path):
     assert rules_of(findings) == ["IPR203"]
 
 
-def test_all_registered_cells_are_pure():
-    modules, errors = collect_modules([str(REPO / "src")], root=str(REPO))
-    assert errors == []
-    report = analyze_project(modules)
-    assert len(report.cells) >= 14
-    impure = [c for c in report.cells if not c.pure]
-    assert impure == [], [
-        (c.qualname, sorted(c.violations)) for c in impure
-    ]
+def test_all_registered_cells_are_pure(src_lint):
+    modules, findings = src_lint
+    cells = [f for m in modules for f in m.functions if is_cell(f)]
+    assert len(cells) >= 14
+    assert [f.render() for f in findings if f.rule == "IPR203"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +201,8 @@ def test_mutation_designated_fixture(tmp_path):
     mutated = fixture.replace('        sm.locks.release("t")\n', "        pass\n")
     assert mutated != fixture
     findings = run_lint(tmp_path, mutated, name="mut.py")
-    # Full deletion is owned by the syntactic twin (RES001); the IPR
-    # rule stays quiet on that line by the one-finding-per-defect rule.
     assert any(
-        f.rule in ("RES001", "IPR001") and f.symbol == "serve"
-        for f in findings
+        f.rule == "IPR001" and f.symbol == "serve" for f in findings
     ), [f.render() for f in findings]
 
 
@@ -450,18 +235,16 @@ IMPURE = """\
     def cell(fn):
         return fn
 
-    _CACHE = {}
-
     @cell
     def bad_cell(spec):
-        _CACHE.update({1: 2})
-        return spec
+        with open(spec) as fh:
+            return fh.read()
 """
 
 
 def test_baseline_v2_round_trip(tmp_path):
     findings = run_lint(tmp_path, IMPURE)
-    assert rules_of(findings) == ["IPR201"]
+    assert rules_of(findings) == ["IPR203"]
     baseline_path = tmp_path / "baseline.json"
     write_baseline(findings, str(baseline_path))
     doc = json.loads(baseline_path.read_text())
@@ -514,30 +297,32 @@ def test_sarif_document_structure(tmp_path):
     driver = run["tool"]["driver"]
     assert driver["name"] == "simlint"
     rule_ids = [r["id"] for r in driver["rules"]]
-    assert "IPR201" in rule_ids
+    assert "IPR203" in rule_ids
     (result,) = run["results"]
-    assert result["ruleId"] == "IPR201"
+    assert result["ruleId"] == "IPR203"
     assert result["level"] == "error"
-    assert driver["rules"][result["ruleIndex"]]["id"] == "IPR201"
+    assert driver["rules"][result["ruleIndex"]]["id"] == "IPR203"
     (location,) = result["locations"]
     region = location["physicalLocation"]["region"]
     assert region["startLine"] >= 1 and region["startColumn"] >= 1
     assert "simlintFingerprint/v2" in result["partialFingerprints"]
 
 
-def _run_cli(args, cwd, env_extra=None):
+def _run_cli(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "repro.lint", *args],
         cwd=str(cwd), env=env, capture_output=True, text=True,
     )
 
 
+BAD = "def order(pages):\n    return sorted(pages, key=lambda p: id(p))\n"
+
+
 def test_cli_sarif_output(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("import time\n\ndef f():\n    return time.time()\n")
+    bad.write_text(BAD)
     proc = _run_cli(
         ["--format", "sarif", "--output", "out.sarif", str(bad)],
         cwd=tmp_path,
@@ -545,37 +330,12 @@ def test_cli_sarif_output(tmp_path):
     assert proc.returncode == 1
     doc = json.loads((tmp_path / "out.sarif").read_text())
     assert doc["version"] == "2.1.0"
-    assert [r["ruleId"] for r in doc["runs"][0]["results"]] == ["DET001"]
+    assert [r["ruleId"] for r in doc["runs"][0]["results"]] == ["DET004"]
 
 
 # ---------------------------------------------------------------------------
-# CLI: profiles, --explain, --jobs, module table
+# CLI: --explain, --jobs
 # ---------------------------------------------------------------------------
-def test_cli_profile_tests_relaxes_det_and_purity(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\n\ndef f():\n    return time.time()\n")
-    strict = _run_cli([str(bad)], cwd=tmp_path)
-    relaxed = _run_cli(["--profile", "tests", str(bad)], cwd=tmp_path)
-    assert strict.returncode == 1
-    assert relaxed.returncode == 0, relaxed.stdout + relaxed.stderr
-
-
-def test_cli_profile_tests_keeps_resource_rules(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(textwrap.dedent("""\
-        def serve(sm, sim):
-            yield sm.locks.acquire("t")
-            yield sim.timeout(1)
-            try:
-                yield 1
-            finally:
-                sm.locks.release("t")
-        """))
-    proc = _run_cli(["--profile", "tests", str(bad)], cwd=tmp_path)
-    assert proc.returncode == 1
-    assert "IPR001" in proc.stdout
-
-
 def test_cli_explain_ipr_rule(tmp_path):
     proc = _run_cli(["--explain", "IPR003"], cwd=tmp_path)
     assert proc.returncode == 0
@@ -584,9 +344,7 @@ def test_cli_explain_ipr_rule(tmp_path):
 
 
 def test_parallel_parse_matches_serial(tmp_path):
-    (tmp_path / "a.py").write_text(
-        "import time\n\ndef f():\n    return time.time()\n"
-    )
+    (tmp_path / "a.py").write_text(BAD)
     (tmp_path / "b.py").write_text(
         "def g(sm):\n    yield sm.locks.acquire('t')\n    yield 1\n"
     )
@@ -598,54 +356,6 @@ def test_parallel_parse_matches_serial(tmp_path):
 
 def test_parallel_parse_reports_syntax_errors(tmp_path):
     (tmp_path / "broken.py").write_text("def f(:\n")
-    serial = lint_paths([str(tmp_path)], root=str(tmp_path), jobs=1)
-    parallel = lint_paths([str(tmp_path)], root=str(tmp_path), jobs=2)
-    assert rules_of(serial) == ["E001"]
-    assert [f.to_dict() for f in serial] == [f.to_dict() for f in parallel]
-
-
-def test_cli_emit_module_table(tmp_path):
-    good = tmp_path / "good.py"
-    good.write_text("def f():\n    return 1\n")
-    proc = _run_cli(
-        ["--emit-module-table", "table.json", str(good)], cwd=tmp_path
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    doc = json.loads((tmp_path / "table.json").read_text())
-    assert doc["version"] == 1
-    (entry,) = doc["files"].values()
-    assert set(entry) == {"size", "mtime_ns", "sha256"}
-    assert entry["size"] == good.stat().st_size
-
-
-def test_module_table_feeds_digest_cache(tmp_path, monkeypatch):
-    """REPRO_MODTABLE short-circuits re-hashing when size+mtime match."""
-    import importlib
-
-    from repro.parallel import digest
-
-    src = tmp_path / "pkg.py"
-    src.write_text("X = 1\n")
-    st = src.stat()
-    table = {
-        "version": 1,
-        "files": {
-            str(src): {
-                "size": st.st_size,
-                "mtime_ns": st.st_mtime_ns,
-                "sha256": "cached-digest-sentinel",
-            }
-        },
-    }
-    table_path = tmp_path / "table.json"
-    table_path.write_text(json.dumps(table))
-    monkeypatch.setenv("REPRO_MODTABLE", str(table_path))
-    monkeypatch.setattr(digest, "_MODTABLE", None)
-    try:
-        assert digest._file_hash(str(src)) == "cached-digest-sentinel"
-        # A content change invalidates via mtime/size, falling back to
-        # a real hash.
-        src.write_text("X = 2\nY = 3\n")
-        assert digest._file_hash(str(src)) != "cached-digest-sentinel"
-    finally:
-        monkeypatch.setattr(digest, "_MODTABLE", None)
+    for jobs in (1, 2):
+        with pytest.raises(SyntaxError):
+            lint_paths([str(tmp_path)], root=str(tmp_path), jobs=jobs)

@@ -31,76 +31,6 @@ def rules_of(findings):
 # ---------------------------------------------------------------------------
 # DET: determinism
 # ---------------------------------------------------------------------------
-def test_det001_wall_clock(tmp_path):
-    findings = run_lint(tmp_path, """\
-        import time
-
-        def now():
-            return time.time()
-        """)
-    assert rules_of(findings) == ["DET001"]
-    assert findings[0].line == 4
-
-
-def test_det001_clean_virtual_time(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def now(sim):
-            return sim.now
-        """)
-    assert findings == []
-
-
-def test_det001_import_alias_resolved(tmp_path):
-    findings = run_lint(tmp_path, """\
-        from time import monotonic as mt
-
-        def now():
-            return mt()
-        """)
-    assert rules_of(findings) == ["DET001"]
-
-
-def test_det002_global_rng(tmp_path):
-    findings = run_lint(tmp_path, """\
-        import random
-
-        def jitter():
-            return random.random()
-        """)
-    assert rules_of(findings) == ["DET002"]
-
-
-def test_det002_unseeded_instance(tmp_path):
-    findings = run_lint(tmp_path, """\
-        import random
-
-        def make_rng():
-            return random.Random()
-        """)
-    assert rules_of(findings) == ["DET002"]
-
-
-def test_det002_clean_seeded_instance(tmp_path):
-    findings = run_lint(tmp_path, """\
-        import random
-
-        def make_rng(seed):
-            return random.Random(seed)
-        """)
-    assert findings == []
-
-
-def test_det003_os_entropy(tmp_path):
-    findings = run_lint(tmp_path, """\
-        import os
-        import uuid
-
-        def token():
-            return os.urandom(8), uuid.uuid4()
-        """)
-    assert rules_of(findings) == ["DET003", "DET003"]
-
-
 def test_det004_id_in_sort_key(tmp_path):
     findings = run_lint(tmp_path, """\
         def order(pages):
@@ -202,231 +132,13 @@ def test_det006_silent_outside_experiment_dirs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# YLD: cooperative scheduling
+# TRC: required trace fields
 # ---------------------------------------------------------------------------
-def test_yld001_dropped_primitive(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def proc(sim):
-            sim.timeout(5)
-            yield sim.timeout(1)
-        """)
-    assert rules_of(findings) == ["YLD001"]
-    assert findings[0].line == 2
-
-
-def test_yld001_clean_yielded(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def proc(sim):
-            yield sim.timeout(5)
-        """)
-    assert findings == []
-
-
-def test_yld001_dropped_generator_call(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def _work():
-            yield 1
-
-        def proc():
-            _work()
-            yield None
-        """)
-    assert rules_of(findings) == ["YLD001"]
-    assert findings[0].line == 5
-
-
-def test_yld001_clean_yield_from(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def _work():
-            yield 1
-
-        def proc():
-            yield from _work()
-        """)
-    assert findings == []
-
-
-def test_yld001_ambiguous_name_not_flagged(tmp_path):
-    # `insert` names both a generator and a plain method somewhere; an
-    # untyped obj.insert() call site must not be guessed at.
-    findings = run_lint(tmp_path, """\
-        class Wal:
-            def insert(self, row):
-                yield row
-
-        class Page:
-            def insert(self, row):
-                self.rows.append(row)
-
-        def apply(page, row):
-            page.insert(row)
-        """)
-    assert findings == []
-
-
-def test_yld001_common_method_not_flagged(tmp_path):
-    # A generator named `write` must not make file-handle writes look
-    # like dropped generators.
-    findings = run_lint(tmp_path, """\
-        class Disk:
-            def write(self, block):
-                yield block
-
-        def dump(fh):
-            fh.write("hello")
-        """)
-    assert findings == []
-
-
-def test_yld002_unreachable_private_generator(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def _orphan():
-            yield 1
-        """)
-    assert rules_of(findings) == ["YLD002"]
-    assert findings[0].line == 1
-
-
-def test_yld002_public_generator_exempt(tmp_path):
-    # Public generators are API surface: tests and client code outside
-    # the linted tree reference them.
-    findings = run_lint(tmp_path, """\
-        def fetch_rows():
-            yield 1
-        """)
-    assert findings == []
-
-
-def test_yld002_referenced_generator_clean(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def _work():
-            yield 1
-
-        def proc():
-            yield from _work()
-        """)
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# RES: resource pairing
-# ---------------------------------------------------------------------------
-def test_res001_release_outside_finally(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def proc(lock):
-            yield lock.acquire()
-            do_work()
-            lock.release()
-        """)
-    assert rules_of(findings) == ["RES001"]
-    assert findings[0].line == 2
-
-
-def test_res001_missing_release(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def proc(lock):
-            yield lock.acquire()
-            do_work()
-        """)
-    assert rules_of(findings) == ["RES001"]
-
-
-def test_res001_clean_try_finally(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def proc(lock):
-            yield lock.acquire()
-            try:
-                do_work()
-            finally:
-                lock.release()
-        """)
-    assert findings == []
-
-
-def test_res001_clean_enclosing_try(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def proc(lock):
-            try:
-                yield lock.acquire()
-                do_work()
-            finally:
-                lock.release_if_held()
-        """)
-    assert findings == []
-
-
-def test_res001_clean_context_manager(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def proc(lock):
-            with lock.acquire():
-                do_work()
-        """)
-    assert findings == []
-
-
-def test_res002_pin_without_unpin(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def fetch(pool, fid, block):
-            page = yield from pool.get_page(fid, block, pin=True)
-            return page.rows
-        """)
-    assert rules_of(findings) == ["RES002"]
-    assert findings[0].line == 2
-
-
-def test_res002_clean_unpin_in_finally(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def fetch(pool, fid, block):
-            page = yield from pool.get_page(fid, block, pin=True)
-            try:
-                return page.rows
-            finally:
-                pool.unpin(fid, block)
-        """)
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# TRC: trace-schema conformance
-# ---------------------------------------------------------------------------
-def test_trc001_unregistered_name(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def emit(tracer):
-            tracer.event("packet.dispatched", packet=1, query=1,
-                         engine="scan", op="TableScan")
-        """)
-    assert rules_of(findings) == ["TRC001"]
-
-
-def test_trc001_unregistered_family_suffix(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def emit(tracer):
-            tracer.osp("circularstart", packet=1, table="t")
-        """)
-    assert rules_of(findings) == ["TRC001"]
-
-
 def test_trc001_clean_registered(tmp_path):
     findings = run_lint(tmp_path, """\
         def emit(tracer):
             tracer.event("query.abort", query=3, reason="deadline")
             tracer.osp("circular_start", packet=1, table="t")
-        """)
-    assert findings == []
-
-
-def test_trc002_dynamic_name(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def emit(tracer, name):
-            tracer.event(name, query=3)
-        """)
-    assert rules_of(findings) == ["TRC002"]
-
-
-def test_trc002_suppressible(tmp_path):
-    findings = run_lint(tmp_path, """\
-        def emit(tracer, name):
-            tracer.event(name, query=3)  # simlint: disable=TRC002
         """)
     assert findings == []
 
@@ -449,39 +161,28 @@ def test_trc003_kwargs_forwarding_skipped(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Suppressions, parse errors, baseline
+# Suppressions, baseline
 # ---------------------------------------------------------------------------
 def test_suppression_wildcard(tmp_path):
     findings = run_lint(tmp_path, """\
-        import time
-
-        def now():
-            return time.time()  # simlint: disable=*
+        def order(pages):
+            return sorted(pages, key=lambda p: id(p))  # simlint: disable=*
         """)
     assert findings == []
 
 
 def test_suppression_other_rule_does_not_hide(tmp_path):
     findings = run_lint(tmp_path, """\
-        import time
-
-        def now():
-            return time.time()  # simlint: disable=DET002
+        def order(pages):
+            return sorted(pages, key=lambda p: id(p))  # simlint: disable=DET005
         """)
-    assert rules_of(findings) == ["DET001"]
-
-
-def test_parse_error_is_a_finding(tmp_path):
-    findings = run_lint(tmp_path, "def broken(:\n")
-    assert rules_of(findings) == ["E001"]
+    assert rules_of(findings) == ["DET004"]
 
 
 def test_baseline_round_trip(tmp_path):
     findings = run_lint(tmp_path, """\
-        import time
-
-        def now():
-            return time.time()
+        def order(pages):
+            return sorted(pages, key=lambda p: id(p))
         """)
     assert len(findings) == 1
     baseline_path = tmp_path / "baseline.json"
@@ -497,7 +198,7 @@ def test_baseline_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Fast-path idioms (kernel now-queue, channel fast path, bench timing)
+# Fast-path idioms (kernel now-queue, channel fast path)
 # ---------------------------------------------------------------------------
 def test_now_queue_merge_loop_lints_clean(tmp_path):
     # The kernel's two-front merge loop: deque peeks, lazy-deletion
@@ -543,36 +244,11 @@ def test_channel_fast_path_lints_clean(tmp_path):
     assert findings == []
 
 
-def test_bench_timing_suppressions_are_honoured(tmp_path):
-    # repro.harness.__main__ is the one module allowed to read the host
-    # clock (its "[... wall]" lines); the same idiom in a fixture must
-    # lint clean only with the explicit suppression.
-    findings = run_lint(tmp_path, """\
-        import time
-
-        def sample(fn):
-            start = time.perf_counter()  # simlint: disable=DET001
-            fn()
-            return time.perf_counter() - start  # simlint: disable=DET001
-        """)
-    assert findings == []
-
-    findings = run_lint(tmp_path, """\
-        import time
-
-        def sample(fn):
-            start = time.perf_counter()
-            fn()
-            return time.perf_counter() - start
-        """)
-    assert rules_of(findings) == ["DET001", "DET001"]
-
-
 # ---------------------------------------------------------------------------
 # The committed tree and the CLI
 # ---------------------------------------------------------------------------
-def test_repo_tree_is_lint_clean():
-    findings = lint_paths([str(REPO / "src")], root=str(REPO))
+def test_repo_tree_is_lint_clean(src_lint):
+    _modules, findings = src_lint
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
@@ -585,17 +261,24 @@ def _run_cli(args, cwd):
     )
 
 
+BAD = "def order(pages):\n    return sorted(pages, key=lambda p: id(p))\n"
+
+
 def test_cli_json_report(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("import time\n\ndef f():\n    return time.time()\n")
+    bad.write_text(BAD)
     proc = _run_cli(["--format", "json", str(bad)], cwd=tmp_path)
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
-    assert [f["rule"] for f in doc["findings"]] == ["DET001"]
+    assert [f["rule"] for f in doc["findings"]] == ["DET004"]
 
 
-def test_cli_exit_zero_on_repo_tree():
-    proc = _run_cli(["src"], cwd=REPO)
+def test_cli_exit_zero_on_repo_tree(tmp_path):
+    # The whole tree is linted once per session (test_repo_tree_is_lint_
+    # clean); the CLI's exit status is checked on one small clean file.
+    good = tmp_path / "good.py"
+    good.write_text("def order(pages):\n    return sorted(pages)\n")
+    proc = _run_cli([str(good)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "clean" in proc.stdout
 
@@ -603,5 +286,8 @@ def test_cli_exit_zero_on_repo_tree():
 def test_cli_rule_catalogue():
     proc = _run_cli(["--rules"], cwd=REPO)
     assert proc.returncode == 0
-    for rule in ("DET001", "YLD001", "RES001", "TRC001"):
-        assert rule in proc.stdout
+    listed = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert listed == [
+        "DET004", "DET005", "DET006", "IPR001", "IPR003", "IPR203",
+        "TRC003",
+    ]

@@ -459,11 +459,11 @@ def test_starvation_text_of_every_primitive_is_unchanged():
     # locker and waiter starve on purpose -- the report of who is parked
     # on what is the thing under test -- so nothing is ever released.
     def locker():
-        yield lock.acquire()  # simlint: disable=RES001
-        yield lock.acquire()  # simlint: disable=RES001
+        yield lock.acquire()
+        yield lock.acquire()
 
     def waiter():
-        yield sem.acquire()  # simlint: disable=RES001
+        yield sem.acquire()
 
     procs = [
         sim.spawn(producer(), name="p"),
