@@ -65,24 +65,20 @@ class AggEngine(MicroEngine):
 class FoldBank:
     """Merged-aggregation accumulators for one folded scan signature.
 
-    The fold group (repro.folding) feeds each wide-scan page's residual
-    rows through :meth:`add_batch` exactly once; members enrolling the
-    same aggregate (by :meth:`AggSpec.signature`) share one accumulator,
+    The fold group (repro.folding) feeds each page's residual rows
+    through :meth:`add_batch` exactly once; members enrolling the same
+    aggregate (by :meth:`AggSpec.signature`) share one accumulator,
     which is the "one aggregation, per-query projections" half of query
-    folding.  ``upto`` is the next canonical block this bank will consume
-    live; accumulators created later (``fresh``) are caught up from the
-    group's survivor ring over exactly ``ring[:upto]`` so a join landing
-    mid-page stays exactly-once.
+    folding.  Accumulators created later (``fresh``) are caught up from
+    the group's survivor ring.
     """
 
-    __slots__ = ("residual", "upto", "_schema", "_specs", "_states",
-                 "_fold")
+    __slots__ = ("residual", "_schema", "_specs", "_states", "_fold")
 
-    def __init__(self, residual, schema, frontier: int = 0):
+    def __init__(self, residual, schema):
         #: ``survivors -> member scan rows`` (the folded scan's own
         #: predicate + projection, shared by every member of this bank).
         self.residual = residual
-        self.upto = frontier
         #: Schema of the residual's output: what the aggregates read.
         self._schema = schema
         self._specs: List = []

@@ -108,8 +108,6 @@ class UpdateEngine(MicroEngine):
 
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
-        # Writes invalidate any cached results over this table.
-        self.engine.result_cache.invalidate_table(plan.table)
         packet.phase = "write"
         affected = yield from self.engine.sm.apply_dml(
             plan, ("q", packet.query.query_id, packet.packet_id)

@@ -50,13 +50,6 @@ class FScanEngine(MicroEngine):
 
     def serve(self, packet: Packet) -> Generator:
         packet.phase = "scan"
-        group = packet.artifacts.get("fold_group")
-        if group is not None:
-            # A fold-group host: run the group's widened scan in canonical
-            # page order (never circular -- skip-by-count redispatch of
-            # fold members relies on it).
-            yield from group.serve(packet)
-            return
         if (
             self.engine.osp_enabled
             and not packet.plan.ordered

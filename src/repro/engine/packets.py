@@ -88,11 +88,13 @@ class Packet:
     children: List["Packet"] = field(default_factory=list)
     parent: Optional["Packet"] = None
     state: PacketState = PacketState.CREATED
-    #: The host this packet attached to (when it became a satellite).
-    host: Optional["Packet"] = None
-    #: How it attached: the trace's ``generic``, ``fold-scan``,
-    #: ``fold-agg``, ``sort-reemit`` or ``mj-split`` -- what
-    #: :meth:`end_satellites` does with it when its host ends.
+    #: The host this packet attached to (when it became a satellite):
+    #: another query's packet, or a fold group's circular scanner.
+    host: Any = None
+    #: How it attached: the trace's ``generic``, ``sort-reemit`` or
+    #: ``mj-split`` -- what :meth:`end_satellites` does with it when its
+    #: host ends -- or ``fold-scan`` / ``fold-agg``, whose host is a
+    #: circular scanner (repro.folding), not a packet.
     mechanism: str = ""
     #: Other queries' packets riding this one as their host; each
     #: answers this packet's end through :meth:`end_satellites`.
@@ -142,10 +144,11 @@ class Packet:
             stack.extend(packet.children)
         return out
 
-    def attach_to(self, host: "Packet", mechanism: str, **window) -> None:
-        """Become a satellite of *host* (Figure 6b): record the attach
-        with its window-of-opportunity evidence, then terminate this
-        packet's own subtree, whose work the host now does."""
+    def attach_to(self, host, mechanism: str, **window) -> None:
+        """Become a satellite of *host*, a packet or a fold group (Figure
+        6b): record the attach with its window-of-opportunity evidence,
+        then terminate this packet's own subtree, whose work the host now
+        does."""
         self.state = PacketState.SATELLITE
         self.host = host
         self.mechanism = mechanism
@@ -167,9 +170,6 @@ class Packet:
         (DESIGN §7).  Idempotent: a satellite answers while attached."""
         if early and self.state is PacketState.DONE:
             return  # its satellites answered its end of file already
-        group = self.artifacts.get("fold_group")
-        if early and group is not None:
-            group.unfold()
         for sat in list(self.satellites):
             if sat.state is not PacketState.SATELLITE:
                 continue
@@ -180,9 +180,9 @@ class Packet:
                 # it reads the host's unread suffix privately first.
                 sat.artifacts["mj_split"]["host_ended_early"] |= early
             elif not early:
-                sat.complete()  # generic; fold members completed already
+                sat.complete()  # generic
             elif self.query.engine is not None:
-                # Generic and fold: re-execute privately, skip-by-count.
+                # Generic: re-execute privately, skip-by-count.
                 self.query.engine.dispatcher.redispatch(sat)
 
     def cancel(self, reason: str) -> None:

@@ -21,14 +21,12 @@ from repro.engine.buffers import SEGMENT_BOUNDARY, TupleBuffer
 from repro.engine.dispatcher import PacketDispatcher
 from repro.engine.engines import build_engines
 from repro.engine.packets import PacketState, QueryContext
-from repro.engine.result_cache import ResultCache
 from repro.faults.errors import FaultError, QueryAborted
 from repro.folding import FoldCoordinator
 from repro.sim.errors import Interrupted
 from repro.osp.deadlock import DeadlockDetector
 from repro.osp.stats import OspStats
 from repro.relational.plans import PlanNode
-from repro.relational.plans import walk_plan as _walk
 from repro.results import QueryResult
 from repro.storage.manager import StorageManager
 
@@ -63,16 +61,14 @@ class QPipeConfig:
     #: the scanner happens to be at page 0 (naive attach-at-start
     #: sharing); the ablation benchmarks quantify what wrap-around adds.
     circular_wraparound: bool = True
-    #: Query result cache size in total cached rows (0 disables it).
-    #: Sequential repeats of an identical query return cached rows;
-    #: concurrent repeats share through OSP instead (section 2.3).
-    result_cache_rows: int = 0
     #: Generalized sharing (repro.folding): fold *similar* concurrent
-    #: queries -- predicate-subsumed scans ride one widened scan with
-    #: per-query residual filters, and Aggregate(TableScan) queries merge
-    #: into one aggregation pass.  Off by default: folding changes which
-    #: packets run (group hosts scan standalone instead of circular), so
-    #: the paper-reproduction figures keep the original OSP-only paths.
+    #: queries -- a fold group on the table's circular scan filters each
+    #: page once with the union of their predicates, predicate-subsumed
+    #: scans take per-query residuals of the survivors, and
+    #: Aggregate(TableScan) queries merge into one aggregation pass.  Off
+    #: by default: folding changes which packets run (an aggregate
+    #: member's operators never do), so the paper-reproduction figures
+    #: keep the original OSP-only paths.
     fold_enabled: bool = False
     name: str = "qpipe"
 
@@ -106,7 +102,6 @@ class QPipeEngine:
         self.queries_aborted = 0
         #: Currently executing queries by id (fault injection targets).
         self._active: Dict[int, QueryContext] = {}
-        self.result_cache = ResultCache(self.config.result_cache_rows)
 
     @property
     def name(self) -> str:
@@ -148,21 +143,6 @@ class QPipeEngine:
         if query_id is None:
             self._next_query_id += 1
             query_id = self._next_query_id
-        signature = plan.signature(self.sm.catalog)
-        cached = self.result_cache.lookup(signature)
-        if cached is not None:
-            # Section 2.3 / Figure 2: a result-cache hit "returns the
-            # stored results and avoids execution altogether".
-            self.queries_completed += 1
-            if lineage is not None:
-                yield from lineage.on_root_batch(cached)
-            return QueryResult(
-                query_id=query_id,
-                rows=cached,
-                submitted_at=self.sim.now,
-                started_at=self.sim.now,
-                finished_at=self.sim.now,
-            )
         query = QueryContext(
             query_id=query_id,
             plan=plan,
@@ -215,10 +195,6 @@ class QPipeEngine:
             raise query.failure or QueryAborted(
                 query_id, query.abort_reason or "aborted"
             )
-        if not any(
-            node.op_name == "update" for node in _walk(plan)
-        ):
-            self.result_cache.store(signature, plan, rows)
         return QueryResult(
             query_id=query_id,
             rows=rows,

@@ -2,53 +2,61 @@
 
 OSP (section 4.3) shares *identical* in-progress work.  This layer folds
 queries that are merely *similar*: when a new query's scan predicate is
-subsumed by -- or unions cheaply with -- a scan another query already has
-in flight or queued over the same table, the dispatcher attaches the new
-query as a *fold member* instead of dispatching its own scan.  One wide
-scan runs (the union of the members' predicates); each member receives
-exactly the rows its own predicate + projection would have produced, via
-a per-member residual filter from the shared expression compiler
+subsumed by -- or unions cheaply with -- the predicate of a fold group
+open on the same table, the dispatcher enrolls the query as a *fold
+member* instead of dispatching its own scan.  Each member receives
+exactly the rows its own predicate + projection would have produced,
+via a per-member residual filter from the shared expression compiler
 (:mod:`repro.relational.compile`).  Whole ``Aggregate(TableScan)``
 queries additionally fold their aggregation into a shared accumulator
-bank (one accumulator per distinct aggregate over the same folded scan),
-so N similar aggregate queries cost one scan and one aggregation pass.
+bank (one accumulator per distinct aggregate), so N similar aggregate
+queries cost one scan and one aggregation pass.
+
+A fold group is state on the table's circular scan
+(:mod:`repro.osp.circular`), whose scanner thread "plays the role of the
+host packet" (section 4.3.1) for the group as for every other consumer:
+per page it evaluates the group's *wide* filter (the union of the
+members' predicates) once, the banks take the survivors, and scan
+members are ordinary scan consumers whose ``post`` is their residual
+over those survivors.  So every unordered scan of a table, folded or
+not, rides one physical scan.
 
 Correctness model:
 
-* The group's scan always runs **standalone in canonical page order**
-  (0..N-1, never a mid-file circular attach).  That makes the generic
-  skip-by-count redispatch sound if the host dies mid-fold: a member's
-  private re-execution replays the same canonical order and skips the
-  tuples already delivered.
-* Widening the predicate is only allowed while **no page has been
-  filtered yet** (``blocks_done == 0``); after that, joiners must be
-  subsumed by the wide predicate and are caught up from the survivor
-  ring -- the window-of-opportunity analogue of OSP's WoP.
-* A member's rows are byte-identical to its unfolded run because the
-  residual filter is the member's own full predicate + projection applied
-  to the wide-scan survivors (wide ⊇ member), in canonical page order.
-* Fold members are satellites of the host scan packet, answering its
-  end through the one satellite lifecycle (``Packet.end_satellites``):
-  completed by the group at end of file; unfolded and redispatched when
-  the host ends early; cancelled on their own query's abort.
+* Widening the predicate is only allowed while the group has filtered
+  no page; after that, joiners must be subsumed by the wide predicate.
+* A joiner catches up synchronously from the survivor ring -- the
+  survivors of every page the group has filtered, bounded by
+  ``replay_tuples`` -- and a scan member's ``pages_remaining`` drops by
+  the pages the ring covered, so every member ends with the group, one
+  full pass after it opened.
+* A member's rows equal its unfolded run's: its residual is its own
+  predicate + projection applied to survivors of a wider predicate, and
+  only order-insensitive consumers (a bank, an order-insensitive parent)
+  see the page order.
+* A member's early end (LIMIT, cancel, deadline, crash) drops only that
+  member.  A scanner crash restarts at the page it died on; the group's
+  ``visit`` mark, like each consumer's ``last_visit``, keeps every page
+  exactly-once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 from repro.engine.engines.aggregates import FoldBank
 from repro.engine.packets import Packet, PacketState
 from repro.folding.stats import FoldStats
+from repro.osp.circular import ScanConsumer
 from repro.relational import compile
 from repro.relational.expressions import Or
 from repro.relational.plans import Aggregate, TableScan
+from repro.sim import Event
 from repro.sql.planner import (
     fold_union,
     predicate_implies,
     predicate_selectivity,
 )
-from repro.storage.locks import LockMode
 
 
 def _compile_residual(predicate, project, schema):
@@ -66,74 +74,58 @@ def _term_count(predicate) -> int:
     return 1
 
 
-class _Member:
-    """One query folded into a group."""
-
-    __slots__ = ("kind", "packet", "residual", "delivered_upto", "bank",
-                 "sigs")
-
-    def __init__(self, kind: str, packet: Packet):
-        self.kind = kind          # "scan" or "agg"
-        self.packet = packet
-        self.residual = None      # scan members: survivors -> member rows
-        self.delivered_upto = 0   # scan members: next canonical block
-        self.bank = None          # agg members: shared accumulator bank
-        self.sigs = None          # agg members: its own AggSpec signatures
-
-
 class FoldGroup:
-    """One wide scan over one table, shared by similar queries."""
+    """One wide filter over one circular scan, shared by similar queries."""
 
-    def __init__(self, coordinator: "FoldCoordinator", host: Packet):
+    def __init__(self, coordinator: "FoldCoordinator", scan, predicate):
         self.coordinator = coordinator
         self.engine = coordinator.engine
         self.sim = self.engine.sim
-        self.table = host.plan.table
-        self.host = host
-        self.host_query = host.query
+        self.scan = scan
+        self.table = scan.table
+        self.num_pages = scan.num_pages
+        #: The host the members' attach events name: the scanner thread.
+        self.packet_id = f"scanner-{scan.table}"
         #: Union of every member's scan predicate (None matches all).
-        self.wide = host.plan.predicate
-        self._wide_dirty = True
+        self.wide = predicate
         self._wide_filter = None
-        self.members: List[_Member] = []
+        self._wide_dirty = True
+        #: Member packets (aggregate roots and scan leaves) riding the
+        #: scanner as satellites.
+        self.satellites: List[Packet] = []
         #: Accumulator banks keyed by member scan signature.
         self.banks: Dict[str, FoldBank] = {}
-        #: Survivor ring: ``ring[i]`` is block i's wide-scan survivors,
-        #: kept (bounded by ``replay_tuples``) so late joiners inside the
-        #: window can be caught up without re-reading pages.
+        #: Aggregate members: (root packet, its bank, its signatures).
+        self.aggs: List[Tuple[Packet, FoldBank, List[str]]] = []
+        #: Survivor ring: ``(page, wide survivors)`` for every page the
+        #: group filtered, in scan order, kept (bounded by
+        #: ``replay_tuples``) so joiners catch up without re-reading.
         self.ring: List[Tuple[int, List[tuple]]] = []
         self.ring_rows = 0
         self.dropped = False
-        self.blocks_done = 0
+        self.pages_done = 0
         self.raw_rows = 0
-        self.num_pages = self.engine.sm.num_pages(self.table)
-        self.started = False
-        self.closed = False
-        host.artifacts["fold_group"] = self
+        #: ``visit_seq`` of the last page taken, and that page's rows and
+        #: survivors (what the scan members' residuals read).
+        self.visit = -1
+        self.rows = self.survivors = None
+        scan.fold = self
         coordinator.stats.groups += 1
         self.sim.tracer.fold(
-            "group_start", table=self.table, host=host.packet_id
+            "group_start", table=self.table, host=self.packet_id
         )
 
     # ------------------------------------------------------------------
     # Admission (called synchronously from the dispatcher)
     # ------------------------------------------------------------------
-    def dead(self) -> bool:
-        return (
-            self.closed
-            or self.host_query.aborted
-            or self.host.state in (PacketState.DONE, PacketState.CANCELLED)
-        )
-
     def try_join(self, kind: str, packet: Packet, scan: Packet) -> bool:
         """Admit *packet* as a fold member if the window allows it."""
         stats = self.coordinator.stats
-        tracer = self.sim.tracer
         pred = scan.plan.predicate
 
         def reject(reason: str) -> bool:
             stats.rejected[reason] += 1
-            tracer.fold(
+            self.sim.tracer.fold(
                 "reject", table=self.table,
                 query=packet.query.query_id, reason=reason,
             )
@@ -145,17 +137,17 @@ class FoldGroup:
         wide = self.wide
         if not subsumed:
             # Widening is only sound while no page has been filtered yet.
-            if self.blocks_done > 0:
+            if self.pages_done > 0:
                 return reject("window-closed")
             wide = fold_union(self.wide, pred)
 
         # Window-of-opportunity cost rule: fold only when the residual
         # filtering the member adds is cheaper than the I/O it saves.
         cfg = self.engine.host.config
-        remaining = self.num_pages - self.blocks_done
+        remaining = self.num_pages - self.pages_done
         saved_io = remaining * cfg.disk_transfer_time
-        if self.blocks_done:
-            rows_per_page = self.raw_rows / self.blocks_done
+        if self.pages_done:
+            rows_per_page = self.raw_rows / self.pages_done
         else:
             rows_per_page = (
                 self.engine.sm.num_rows(self.table) / max(1, self.num_pages)
@@ -168,272 +160,193 @@ class FoldGroup:
         if residual_cost >= saved_io:
             return reject("cost")
 
-        catalog = self.engine.sm.catalog
-        base = catalog.table_schema(self.table)
-        member = _Member(kind, packet)
-        replay: Optional[List[Tuple[int, List[tuple]]]] = None
+        replay: List[Tuple[int, List[tuple]]] = []
         if kind == "scan":
-            member.residual = _compile_residual(
-                pred, scan.plan.project, base
-            )
-            if self.blocks_done:
-                # Synchronous catch-up from the survivor ring: pre-check
-                # that everything fits the member's (fresh, empty) buffer
-                # so the non-blocking puts below cannot partially fail.
-                replay = [
-                    (block, member.residual(rows))
-                    for block, rows in self.ring
-                ]
-                total = sum(len(rows) for _, rows in replay)
-                if total > packet.primary_output.capacity:
-                    return reject("buffer-full")
+            # Pre-check that the catch-up fits the member's (fresh,
+            # empty) buffer, so its non-blocking puts cannot fail.
+            residual = self._residual(scan)
+            replay = [(block, residual(rows)) for block, rows in self.ring]
+            total = sum(len(rows) for _, rows in replay)
+            if total > packet.primary_output.capacity:
+                return reject("buffer-full")
 
-        # -- admitted: widen, attach as a satellite, catch up ------------
         if wide is not self.wide:
             self.wide = wide
             self._wide_dirty = True
-            tracer.fold(
-                "widen", table=self.table, host=self.host.packet_id,
+            self.sim.tracer.fold(
+                "widen", table=self.table, host=self.packet_id,
                 terms=_term_count(wide),
             )
+        stats.members[kind] += 1
+        stats.pages_saved += self.num_pages
+        self.enroll(kind, packet, scan, subsumed, replay)
+        return True
+
+    def enroll(self, kind, packet, scan, subsumed=True, replay=()) -> None:
+        """Attach *packet* to the scanner and catch it up from the ring."""
         # Attaching cancels an aggregate member's own scan child.
         packet.attach_to(
-            self.host, f"fold-{kind}",
-            host_pages=self.blocks_done,
+            self, f"fold-{kind}",
+            host_pages=self.pages_done,
             subsumed=subsumed,
             ring_ok=not self.dropped,
         )
-        self.members.append(member)
-        stats.members[kind] += 1
-        stats.pages_saved += self.num_pages
-
-        if kind == "scan":
-            if replay:
-                lineage = packet.query.lineage
-                for block, rows in replay:
-                    if lineage is not None:
-                        lineage.scan_page(
-                            packet.stream, self.table, block, len(rows),
-                            self.num_pages,
-                        )
-                    if rows:
-                        # Pre-checked above; replay rides free of charge,
-                        # mirroring the fan-out ring replay.
-                        assert packet.primary_output.try_put(rows)
-            member.delivered_upto = self.blocks_done
-        else:
-            self._enroll_agg(member, scan, base, catalog)
-        return True
-
-    def _enroll_agg(self, member: _Member, scan: Packet, base, catalog):
-        """Fold the member's aggregation into the group's shared bank."""
-        stats = self.coordinator.stats
-        bank = self.banks.get(scan.signature)
-        if bank is None:
-            bank = FoldBank(
-                _compile_residual(scan.plan.predicate, scan.plan.project,
-                                  base),
-                scan.plan.output_schema(catalog),
-                frontier=self.blocks_done,
-            )
-            self.banks[scan.signature] = bank
-            stats.banks += 1
-        member.bank = bank
-        member.sigs, replay = bank.enroll(member.packet.plan.aggs)
-        if replay is not None and bank.upto:
-            # Catch fresh accumulators up from the survivor ring; states
-            # already in the bank cover this prefix and must not see it
-            # twice.  ``bank.upto`` (not ``blocks_done``) bounds the
-            # replay so a join landing mid-page stays exactly-once.
-            for block, rows in self.ring[:bank.upto]:
-                replay(bank.residual(rows))
-
-    # ------------------------------------------------------------------
-    # The wide scan (runs as the host packet's serve coroutine)
-    # ------------------------------------------------------------------
-    def serve(self, packet: Packet) -> Generator:
-        try:
-            yield from self._scan()
-        finally:
-            self._close()
-
-    def _wide_fn(self, base):
-        if self._wide_dirty:
-            self._wide_dirty = False
-            self._wide_filter = (
-                None if self.wide is None
-                else compile.filter(self.wide, base)
-            )
-        return self._wide_filter
-
-    def _scan(self) -> Generator:
-        sm = self.engine.sm
-        host = self.host
-        plan = host.plan
-        base = sm.catalog.table_schema(self.table)
-        host_residual = _compile_residual(plan.predicate, plan.project, base)
-        mengine = self.engine.engines[host.engine_name]
-        lineage = host.query.lineage
-        # Section 4.3.4 as in the standalone scan: one table lock for the
-        # whole pass; members do not lock individually (like satellites).
-        owner = ("scan", host.query.query_id, host.packet_id)
-        self.started = True
-        yield sm.locks.acquire(owner, self.table, LockMode.SHARED)
-        try:
-            for block in range(self.num_pages):
-                # Recompiled lazily: the predicate may have widened during
-                # the previous page's I/O (only while blocks_done == 0).
-                wide = self._wide_fn(base)
-                page = yield from sm.read_table_page(
-                    self.table, block, scan=True, stream=host.stream
-                )
-                rows = page.rows()
-                self.raw_rows += len(rows)
-                yield from mengine.charge(host, len(rows))
-                survivors = wide(rows) if wide is not None else list(rows)
-                self._remember(block, survivors)
-                host_rows = host_residual(survivors)
-                if lineage is not None:
-                    lineage.scan_page(
-                        host.stream, self.table, block, len(host_rows),
-                        self.num_pages,
-                    )
-                if host_rows:
-                    # Same intentional blocking-while-holding as the
-                    # standalone scan: backpressure is the pacing.
-                    yield from host.output.put(host_rows)
-                yield from self._deliver(block, survivors, mengine)
-            yield from self._finish()
-        finally:
-            sm.locks.release_if_held(owner, self.table)
-
-    def _remember(self, block: int, survivors: List[tuple]) -> None:
-        self.blocks_done = block + 1
-        if self.dropped:
+        if kind == "agg":
+            self._enroll_agg(packet, scan)
             return
-        self.ring.append((block, survivors))
-        self.ring_rows += len(survivors)
-        if self.ring_rows > self.engine.config.replay_tuples:
-            # The window closes for new members; existing ones already
-            # hold every block up to their own frontier.
-            self.dropped = True
-            self.ring = []
-            self.ring_rows = 0
-            self.sim.tracer.fold(
-                "seal", table=self.table, host=self.host.packet_id,
-                reason="ring-overflow",
-            )
-
-    def _deliver(self, block: int, survivors, mengine) -> Generator:
-        stats = self.coordinator.stats
-        for member in list(self.members):
-            if member.kind != "scan":
-                continue
-            packet = member.packet
-            if packet.state is not PacketState.SATELLITE:
-                continue  # cancelled or redispatched; not ours any more
-            if member.delivered_upto != block:
-                continue  # ring replay already covered this block
-            member.delivered_upto = block + 1
-            rows = member.residual(survivors)
-            stats.residual_rows += len(survivors)
-            yield from mengine.charge(packet, len(survivors))
-            lineage = packet.query.lineage
+        lineage = packet.query.lineage
+        for block, rows in replay:
             if lineage is not None:
                 lineage.scan_page(
                     packet.stream, self.table, block, len(rows),
                     self.num_pages,
                 )
             if rows:
-                yield from packet.output.put(rows)
-        for bank in list(self.banks.values()):
-            if bank.upto != block:
-                continue  # fresh bank; the ring replay covered this block
-            bank.upto = block + 1
-            live = [
-                m for m in self.members
-                if m.kind == "agg" and m.bank is bank
-                and m.packet.state is PacketState.SATELLITE
-            ]
-            if not live:
-                continue
-            rows = bank.residual(survivors)
-            stats.residual_rows += len(survivors)
-            yield from mengine.charge(live[0].packet, len(rows) * len(bank))
-            bank.add_batch(rows)
+                # Pre-checked; replay rides free of charge, mirroring the
+                # fan-out ring replay.
+                assert packet.primary_output.try_put(rows)
+        # The ring covered every page up to ``visit``: the member skips
+        # that visit and leaves one pass after the group's first page.
+        self.scan.consumers.append(ScanConsumer(
+            packet=packet,
+            post=self._post(self._residual(scan)),
+            pages_remaining=self.num_pages - self.pages_done,
+            done=Event(self.sim),
+            last_visit=self.visit,
+        ))
 
-    def _finish(self) -> Generator:
-        """Group EOF: emit merged-aggregate results, close member outputs.
+    def _residual(self, scan: Packet):
+        base = self.engine.sm.catalog.table_schema(self.table)
+        return _compile_residual(scan.plan.predicate, scan.plan.project, base)
 
-        Members are completed *here*, not by the host's end-of-file
-        sweep (``Packet.end_satellites``): closing a scan member's buffer
-        can finish its consumer (and the whole member query) before the
-        host packet itself completes, and the parent's early-finish
-        cleanup would then silently cancel a satellite that delivered
-        everything.  Completing each member the moment its EOF goes out
-        closes the lifecycle race; the host sweep skips them (no longer
-        SATELLITE).
+    def _post(self, residual):
+        """A scan member's ``post``: its residual over this page's
+        survivors.  A member cut loose onto a private catch-up scan
+        reads its own pages, which the wide filter never saw."""
+        stats = self.coordinator.stats
+
+        def post(rows):
+            if rows is not self.rows:
+                return residual(rows)
+            stats.residual_rows += len(self.survivors)
+            return residual(self.survivors)
+
+        return post
+
+    def _enroll_agg(self, packet: Packet, scan: Packet) -> None:
+        """Fold the member's aggregation into the group's shared bank."""
+        bank = self.banks.get(scan.signature)
+        if bank is None:
+            bank = FoldBank(
+                self._residual(scan),
+                scan.plan.output_schema(self.engine.sm.catalog),
+            )
+            self.banks[scan.signature] = bank
+            self.coordinator.stats.banks += 1
+        sigs, replay = bank.enroll(packet.plan.aggs)
+        if replay is not None:
+            # Catch fresh accumulators up from the ring; the bank's other
+            # states took every ring page live and must not see it twice.
+            for _block, rows in self.ring:
+                replay(bank.residual(rows))
+        self.aggs.append((packet, bank, sigs))
+
+    # ------------------------------------------------------------------
+    # The scanner's per-page step
+    # ------------------------------------------------------------------
+    def take(self, scan, rows) -> Generator:
+        """Filter one page for the group, before its consumers see it.
+
+        Everything but the CPU charge happens at once, so a member
+        joining while the scanner is charged or delivering finds the
+        ring, the banks and ``visit`` in step.
         """
-        delivered = 0
-        for member in list(self.members):
-            packet = member.packet
+        if self.visit != scan.visit_seq:
+            # Not a page a restarted scanner re-read after taking it.
+            if not any(
+                p.state is PacketState.SATELLITE for p in self.satellites
+            ):
+                self._close()  # every member left
+                return
+            self.visit = scan.visit_seq
+            if self._wide_dirty:
+                self._wide_dirty = False
+                base = self.engine.sm.catalog.table_schema(self.table)
+                self._wide_filter = (
+                    None if self.wide is None
+                    else compile.filter(self.wide, base)
+                )
+            wide = self._wide_filter
+            survivors = wide(rows) if wide is not None else list(rows)
+            self.rows, self.survivors = rows, survivors
+            self.raw_rows += len(rows)
+            self.pages_done += 1
+            if not self.dropped:
+                self.ring.append((scan.current_page, survivors))
+                self.ring_rows += len(survivors)
+                if self.ring_rows > self.engine.config.replay_tuples:
+                    # The window closes for new members; existing ones
+                    # already took every page so far.
+                    self.dropped = True
+                    self.ring = []
+                    self.sim.tracer.fold(
+                        "seal", table=self.table, host=self.packet_id,
+                        reason="ring-overflow",
+                    )
+            work = len(rows)
+            for bank in self.banks.values():
+                bank_rows = bank.residual(survivors)
+                self.coordinator.stats.residual_rows += len(survivors)
+                bank.add_batch(bank_rows)
+                work += len(bank_rows) * len(bank)
+            charged = self.satellites[0]
+            if self.pages_done == self.num_pages:
+                self._complete()
+            yield from self.engine.engines["fscan"].charge(charged, work)
+
+    def _complete(self) -> None:
+        """One full pass: each aggregate member gets its row and
+        completes; the scan members take this last page as consumers."""
+        members = sum(
+            p.state is PacketState.SATELLITE for p in self.satellites
+        )
+        for packet, bank, sigs in self.aggs:
             if packet.state is not PacketState.SATELLITE:
                 continue
-            delivered += 1
-            if member.kind == "agg":
-                row = member.bank.result_for(member.sigs)
-                yield from packet.output.put([row])
+            assert packet.primary_output.try_put([bank.result_for(sigs)])
             packet.complete()
-            if packet.output is not None and not packet.output.closed:
-                packet.output.close()
+            packet.output.close()
         self.sim.tracer.fold(
-            "complete", table=self.table, host=self.host.packet_id,
-            members=delivered, pages=self.num_pages,
+            "complete", table=self.table, host=self.packet_id,
+            members=members, pages=self.num_pages,
         )
-
-    # ------------------------------------------------------------------
-    # Failure paths
-    # ------------------------------------------------------------------
-    def unfold(self) -> None:
-        """The host scan ended early mid-fold (early stop, cancel, abort,
-        crash or deadline).
-
-        Emits the unfold evidence and closes the group; the host-end
-        sweep that calls this (``Packet.end_satellites``) then
-        redispatches every member through the skip-by-count path (sound
-        here because delivery was in canonical page order).
-        """
-        stats = self.coordinator.stats
-        tracer = self.sim.tracer
-        for member in list(self.members):
-            if member.packet.state is PacketState.SATELLITE:
-                stats.unfolds += 1
-                tracer.fold(
-                    "unfold", packet=member.packet.packet_id,
-                    host=self.host.packet_id, reason="host failed mid-fold",
-                )
         self._close()
 
+    def fail(self, exc: BaseException) -> None:
+        """The scanner failed for good: the members' queries fail with it."""
+        self._close()
+        for packet in list(self.satellites):
+            query = packet.query
+            if query.engine is not None and not query.aborted:
+                query.engine.abort_query(query, str(exc), exc)
+
     def _close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        registry = self.coordinator._groups
-        if registry.get(self.table) is self:
-            del registry[self.table]
+        self.ring = []  # nobody joins a closed group
+        if self.scan.fold is self:
+            self.scan.fold = None
 
 
 class FoldCoordinator:
-    """Per-engine registry of fold groups (one open group per table)."""
+    """Per-engine fold admission: at most one open group per table, on
+    that table's circular scan."""
 
     def __init__(self, engine):
         self.engine = engine
         self.stats = FoldStats()
-        self._groups: Dict[str, FoldGroup] = {}
 
     # ------------------------------------------------------------------
     def try_fold(self, query, root: Packet) -> bool:
-        """Fold *query* into an open group, or open one around its scan.
+        """Fold *query* into the table's open group, or open one.
 
         Returns True when the **whole** packet tree was absorbed (an
         ``Aggregate(TableScan)`` member) and nothing must be enqueued.
@@ -446,19 +359,17 @@ class FoldCoordinator:
             return False
         kind, packet, scan = candidate
         table = scan.plan.table
-        group = self._groups.get(table)
-        if group is not None and group.dead():
-            del self._groups[table]
-            group = None
-        if group is None:
-            # First similar query: its scan becomes the group host and
-            # dispatches normally (FScanEngine routes it back to the
-            # group's wide-scan loop via the fold_group artifact).
-            self._groups[table] = FoldGroup(self, scan)
-            return False
-        if group.host_query is query:
-            return False
-        if not group.try_join(kind, packet, scan):
+        circular = self.engine.engines["fscan"].circular
+        running = circular.scans.get(table)
+        if running is None or running.fold is None:
+            # First similar query: it opens a group on the scanner (which
+            # it starts when none runs) as the group's first member.
+            group = FoldGroup(
+                self, running or circular.start(table, packet),
+                scan.plan.predicate,
+            )
+            group.enroll(kind, packet, scan)
+        elif not running.fold.try_join(kind, packet, scan):
             return False
         return kind == "agg"
 
@@ -468,8 +379,9 @@ class FoldCoordinator:
 
         * ``Aggregate(TableScan)`` roots fold whole (merged aggregation).
         * Otherwise a tree with exactly one foldable unordered scan leaf
-          under an order-insensitive parent folds that leaf (residual
-          delivery order is canonical, which such parents accept).
+          under an order-insensitive parent folds that leaf (it receives
+          the pages in scan order from the group's first page, which
+          such parents accept).
         """
         plan = root.plan
         if (

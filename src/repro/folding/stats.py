@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 class FoldStats:
     """What the fold coordinator did during a run."""
 
-    #: Fold groups opened (one wide scan each).
+    #: Fold groups opened (one wide filter on a circular scan each; the
+    #: query that opens one is its first member, not counted below).
     groups: int = 0
-    #: Members folded into a group, by kind ("scan" / "agg").
+    #: Members folded into an open group, by kind ("scan" / "agg").
     members: Counter = field(default_factory=Counter)
     #: Candidates turned away, by reason ("window-closed", "not-subsumed",
     #: "ring-dropped", "buffer-full", "cost", ...).
@@ -28,8 +29,6 @@ class FoldStats:
     residual_rows: int = 0
     #: Merged-aggregation accumulator banks created.
     banks: int = 0
-    #: Members that fell back to private re-execution (host died).
-    unfolds: int = 0
 
     @property
     def folded(self) -> int:
@@ -58,5 +57,5 @@ class FoldStats:
             f"fold rate: {self.fold_rate():.2f}  "
             f"pages saved: {self.pages_saved}  "
             f"residual rows: {self.residual_rows}  "
-            f"banks: {self.banks}  unfolds: {self.unfolds}"
+            f"banks: {self.banks}"
         )

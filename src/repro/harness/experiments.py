@@ -621,7 +621,8 @@ def ablation_replay_cell(spec: CellSpec) -> int:
 #: Arrival stagger (seconds) between the fold workload's queries.  Late
 #: arrivals are where folding wins: an OSP circular scan admits them
 #: mid-file and makes them wait for the wrap-around pass, while a fold
-#: group replays the missed prefix from its survivor ring for free.
+#: member replays the missed prefix from the group's survivor ring for
+#: free and leaves with the group.
 FOLD_STAGGER = 5.0
 
 _FOLD_AGGS = (
@@ -630,7 +631,9 @@ _FOLD_AGGS = (
 )
 
 
-def _fold_workload(count: int, similarity: float, rng: random.Random):
+def _fold_workload(
+    count: int, similarity: float, rng: random.Random, reject: bool = False
+):
     """*count* queries over ``big1``; ``round(count * similarity)`` are
     fold-eligible.
 
@@ -640,7 +643,10 @@ def _fold_workload(count: int, similarity: float, rng: random.Random):
     ``Aggregate`` folds with ``GroupBy``-rooted queries whose *scan*
     folds as a member.  The dissimilar remainder runs order-sensitive
     scans of the same ranges: ineligible for folding (and for circular
-    sharing), identical in both arms.
+    sharing), identical in both arms.  With *reject*, one more query
+    arrives last: an unordered ``Aggregate`` over a range the chain's
+    widest predicate does not cover, which the open group turns away
+    (``window-closed``) and which shares the circular scan unfolded.
     """
     n_similar = int(round(count * similarity))
     plans = []
@@ -659,6 +665,11 @@ def _fold_workload(count: int, similarity: float, rng: random.Random):
             )
         else:
             plans.append(Aggregate(TableScan("big1", pred), aggs))
+    if reject:
+        plans.append(Aggregate(
+            TableScan("big1", Between(Col("unique1"), 1450, 1499)),
+            list(_FOLD_AGGS),
+        ))
     return plans
 
 
@@ -674,8 +685,8 @@ def fold_cell(spec: CellSpec) -> Dict[str, Any]:
     host, sm, engine = build_wisconsin_system(spec.scale, "qpipe")
     engine.config.fold_enabled = c["folded"]
     rng = random.Random(FOLD_QUERY_SEED)
-    plans = _fold_workload(c["count"], c["similarity"], rng)
-    delays = [i * c["stagger"] for i in range(c["count"])]
+    plans = _fold_workload(c["count"], c["similarity"], rng, c["reject"])
+    delays = [i * c["stagger"] for i in range(len(plans))]
     results = _run_staggered(host, engine, plans, delays)
     digest = hashlib.sha256(
         repr([r.rows for r in results]).encode()
@@ -691,7 +702,6 @@ def fold_cell(spec: CellSpec) -> Dict[str, Any]:
         "pages_saved": fold.pages_saved,
         "residual_rows": fold.residual_rows,
         "banks": fold.banks,
-        "unfolds": fold.unfolds,
         "osp_attaches": osp.total_attaches,
         "shared_pages": osp.shared_page_deliveries,
     }
@@ -715,11 +725,11 @@ def _fold_reduce(
     for spec in specs:
         c = spec.coord
         arms.setdefault(
-            (c["count"], c["similarity"]), {}
+            (c["count"], c["similarity"], c["reject"]), {}
         )[c["folded"]] = payloads[spec]
     lines = []
-    for (count, sim), pair in arms.items():
-        label = f"{count}q sim={sim:.1f}"
+    for (count, sim, reject), pair in arms.items():
+        label = f"{count}q sim={sim:.1f}" + (" +reject" if reject else "")
         folded, unfolded = pair.get(True), pair.get(False)
         if unfolded is not None:
             series.add_point("unfolded (s)", label, unfolded["makespan"])
@@ -727,7 +737,7 @@ def _fold_reduce(
             series.add_point("folded (s)", label, folded["makespan"])
             for metric in (
                 "fold_groups", "fold_members", "fold_rate", "pages_saved",
-                "residual_rows", "banks", "unfolds", "osp_attaches",
+                "residual_rows", "banks", "osp_attaches",
                 "shared_pages",
             ):
                 sharing.add_point(
@@ -740,8 +750,10 @@ def _fold_reduce(
         ) / unfolded["makespan"] if unfolded["makespan"] else 0.0
         series.add_point("gain (%)", label, round(gain, 1))
         same = folded["digest"] == unfolded["digest"]
+        no_worse = folded["makespan"] <= unfolded["makespan"]
         lines.append(
-            f"  {label}: results identical: {'yes' if same else 'NO'}"
+            f"  {label}: results identical: {'yes' if same else 'NO'}, "
+            f"folded <= unfolded: {'yes' if no_worse else 'NO'}"
         )
     return series, sharing, lines
 
@@ -1538,7 +1550,14 @@ FIGURES: Dict[str, Figure] = {
             {"count": (4, 6), "similarity": (0.0, 0.5, 1.0),
              "folded": (False, True)},
             reduce=_fold_reduce, render=_render_fold,
-            fixed={"stagger": FOLD_STAGGER},
+            fixed={"stagger": FOLD_STAGGER, "reject": False},
+            # A similar cohort joined by a query the group turns away.
+            also=(
+                {"count": 4, "similarity": 1.0, "reject": True,
+                 "folded": False},
+                {"count": 4, "similarity": 1.0, "reject": True,
+                 "folded": True},
+            ),
             seeds=(("FOLD_QUERY_SEED", FOLD_QUERY_SEED),),
         ),
         # Figure 8's Baseline point under every replacement policy: how

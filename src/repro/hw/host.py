@@ -3,7 +3,7 @@
 A single-host experiment builds one :class:`Host`, which owns a private
 :class:`~repro.sim.kernel.Simulator`.  A scale-out experiment builds a
 :class:`Cluster`: N hosts sharing **one** simulator (one virtual clock),
-each with its own disk, CPU cores, and RNG stream, linked by a
+each with its own disk and CPU cores, linked by a
 :class:`~repro.hw.net.Network`.  Sharing the clock is what makes
 distributed runs exactly as deterministic as single-host ones -- there
 is no cross-host time skew to model away.
@@ -11,7 +11,6 @@ is no cross-host time skew to model away.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -46,7 +45,7 @@ class HostConfig:
 
 @dataclass
 class Host:
-    """One simulated machine: clock, disk, CPU, and a seeded RNG.
+    """One simulated machine: clock, disk and CPU.
 
     A standalone experiment builds exactly one Host (which creates its
     own Simulator), then builds a storage manager and an engine on top
@@ -72,7 +71,6 @@ class Host:
             name=disk_name,
         )
         self.cpu = CPU(self.sim, cores=self.config.cores)
-        self.rng = random.Random(self.config.seed)
 
     @property
     def node(self) -> Optional[str]:
@@ -104,9 +102,8 @@ class ClusterConfig:
 class Cluster:
     """N hosts on one shared virtual clock, linked by a Network.
 
-    Host ``i`` is named ``host{i}`` and seeded ``config.host.seed + i``
-    so per-host RNG streams are distinct but reproducible.  Each host
-    owns its own disk and CPU; callers layer one storage manager (buffer
+    Host ``i`` is named ``host{i}`` and seeded ``config.host.seed + i``.
+    Each host owns its own disk and CPU; callers layer one storage manager (buffer
     pool, WAL, locks) and engine per host on top
     (:class:`repro.shard.topology.ShardedSystem` does exactly that).
     """

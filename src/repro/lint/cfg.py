@@ -10,9 +10,7 @@ The exception model is deliberately the simulator's, not CPython's:
 interrupts (query abort, injected crash, deadline) land at **yield
 points**, and typed faults propagate from explicit ``raise``.  So a
 statement grows an exception edge when it contains ``yield`` /
-``yield from`` / ``await``, is a ``raise`` or ``assert``, or (callers
-opt in via *extra_raisers*) calls an in-tree function whose body can
-raise.  Plain host-level statements between an acquire and its ``try``
+``yield from`` / ``await``, or is a ``raise`` or ``assert``.  Plain host-level statements between an acquire and its ``try``
 -- ``packet.phase = "write"`` -- correctly do not unwind, which is what
 keeps the tree's idiomatic acquire-then-try pattern clean.
 
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 #: Virtual node kinds (no statement attached).
 ENTRY = "entry"
@@ -116,27 +114,12 @@ class CFG:
 # ---------------------------------------------------------------------------
 # Exception sources
 # ---------------------------------------------------------------------------
-def _contains_unwind_point(
-    stmt: ast.stmt, extra_raisers: Optional[Callable[[ast.Call], bool]]
-) -> bool:
-    """Whether *stmt*'s own expressions can unwind: a yield point (where
-    interrupts land), an assert, or an opted-in raising call."""
-    if isinstance(stmt, (ast.Raise, ast.Assert)):
-        return True
-    for node in ast.walk(stmt):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            # Nested bodies run later, in their own frame.
-            continue
-        if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
-            return True
-        if (
-            extra_raisers is not None
-            and isinstance(node, ast.Call)
-            and extra_raisers(node)
-        ):
-            return True
-    return False
+def _contains_unwind_point(stmt: ast.stmt) -> bool:
+    """Whether *stmt* can unwind: a ``raise``, an ``assert``, or a yield
+    point (where interrupts land) among its own expressions."""
+    return isinstance(stmt, (ast.Raise, ast.Assert)) or (
+        _contains_unwind_point_expr(stmt)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +142,9 @@ class _Frame:
 
 
 class _Builder:
-    def __init__(
-        self,
-        func: ast.AST,
-        extra_raisers: Optional[Callable[[ast.Call], bool]] = None,
-    ) -> None:
+    def __init__(self, func: ast.AST) -> None:
         self.cfg = CFG()
         self.func = func
-        self.extra_raisers = extra_raisers
 
     def build(self) -> CFG:
         frame = _Frame(exc_target=lambda: self.cfg.except_exit)
@@ -267,7 +245,7 @@ class _Builder:
         # Plain statement (expr, assign, yield-bearing expr...).
         node = self.cfg._new(STMT, stmt)
         self._link(preds, node)
-        if _contains_unwind_point(stmt, self.extra_raisers):
+        if _contains_unwind_point(stmt):
             self.cfg.exc_edge(node, frame.exc_target())
         if isinstance(stmt, ast.Assert):
             return [node]
@@ -278,7 +256,7 @@ class _Builder:
     ) -> List[int]:
         node = self.cfg._new(STMT, stmt)
         self._link(preds, node)
-        if _contains_unwind_point(stmt, self.extra_raisers):
+        if _contains_unwind_point(stmt):
             self.cfg.exc_edge(node, frame.exc_target())
         outs = self._through_finals(
             frame.return_finals, [node],
@@ -293,7 +271,7 @@ class _Builder:
     ) -> List[int]:
         node = self.cfg._new(STMT, stmt)
         self._link(preds, node)
-        if _contains_unwind_point_expr(stmt.test, self.extra_raisers):
+        if _contains_unwind_point_expr(stmt.test):
             self.cfg.exc_edge(node, frame.exc_target())
         body_ends = self._block(stmt.body, [node], frame)
         else_ends = self._block(stmt.orelse, [node], frame) if stmt.orelse \
@@ -306,7 +284,7 @@ class _Builder:
         # `for x in <iter>` evaluates the iterator; a yielding iter
         # expression unwinds from the head.
         test_expr = stmt.test if isinstance(stmt, ast.While) else stmt.iter
-        if _contains_unwind_point_expr(test_expr, self.extra_raisers):
+        if _contains_unwind_point_expr(test_expr):
             self.cfg.exc_edge(head, frame.exc_target())
         after: List[int] = [head]  # loop may run zero times
 
@@ -341,7 +319,7 @@ class _Builder:
         node = self.cfg._new(STMT, stmt)
         self._link(preds, node)
         if any(
-            _contains_unwind_point_expr(item.context_expr, self.extra_raisers)
+            _contains_unwind_point_expr(item.context_expr)
             for item in stmt.items
         ):
             self.cfg.exc_edge(node, frame.exc_target())
@@ -468,43 +446,21 @@ def _has_bare_except(stmt: ast.Try) -> bool:
     )
 
 
-def _contains_unwind_point_expr(
-    expr: Optional[ast.AST],
-    extra_raisers: Optional[Callable[[ast.Call], bool]],
-) -> bool:
+def _contains_unwind_point_expr(expr: Optional[ast.AST]) -> bool:
+    """Whether *expr* holds a yield point."""
     if expr is None:
         return False
     for node in ast.walk(expr):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
+            # Nested bodies run later, in their own frame.
             continue
         if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
-            return True
-        if (
-            extra_raisers is not None
-            and isinstance(node, ast.Call)
-            and extra_raisers(node)
-        ):
             return True
     return False
 
 
-def build_cfg(
-    func: ast.AST,
-    extra_raisers: Optional[Callable[[ast.Call], bool]] = None,
-) -> CFG:
-    """The CFG of one function body.
-
-    *extra_raisers* lets callers mark specific calls as unwind points
-    (e.g. calls whose in-tree target transitively ``raise``\\ s); by
-    default only yield points, ``raise``, and ``assert`` unwind.
-    """
-    return _Builder(func, extra_raisers).build()
-
-
-# ---------------------------------------------------------------------------
-# Statement-level lookup used by the escape pass
-# ---------------------------------------------------------------------------
-def statement_index(cfg: CFG) -> Dict[int, ast.stmt]:
-    """node id -> attached statement, for every statement node."""
-    return {n.id: n.stmt for n in cfg.nodes if n.stmt is not None}
+def build_cfg(func: ast.AST) -> CFG:
+    """The CFG of one function body: yield points, ``raise`` and
+    ``assert`` unwind."""
+    return _Builder(func).build()

@@ -102,8 +102,8 @@ _event("osp.deadlock_resolved", ("buffer", "level", "cycle_size"),
 
 # -- generalized sharing (query folding) ------------------------------------
 _event("fold.group_start", ("table", "host"),
-       "A fold group opened around a scan packet; later similar queries "
-       "may ride its widened scan.")
+       "A fold group opened on a table's circular scanner; later similar "
+       "queries may ride its widened filter.")
 _event("fold.widen", ("table", "host", "terms"),
        "A member's predicate was unioned into the group's wide scan "
        "predicate before any page was filtered.")
@@ -113,12 +113,9 @@ _event("fold.reject", ("table", "query", "reason"),
 _event("fold.seal", ("table", "host", "reason"),
        "The group stopped admitting members (survivor ring overflowed); "
        "existing members are unaffected.")
-_event("fold.unfold", ("packet", "host", "reason"),
-       "A fold member fell back to private re-execution (host crashed, "
-       "was cancelled, or hit its deadline mid-fold).")
 _event("fold.complete", ("table", "host", "members", "pages"),
-       "The group's single wide scan finished; every member received its "
-       "residual-filtered rows or merged aggregate exactly once.")
+       "The group's pass over the table finished; every member received "
+       "its residual-filtered rows or merged aggregate exactly once.")
 
 # -- buffer pool ------------------------------------------------------------
 _POOL = ("file", "block")

@@ -20,7 +20,9 @@ Event families:
   what :class:`~repro.obs.invariants.InvariantChecker` replays.  The
   packet keeps the same name (``Packet.mechanism``), and it decides
   what the satellite does when its host ends (``Packet.end_satellites``):
-  a complete, a detach and private re-execution, or nothing.
+  a complete, a detach and private re-execution, or nothing.  A fold
+  member's host is a circular scanner, which completes it after one
+  pass.
 * ``osp.*``     -- coordinator decisions above single packets: circular
   scan attaches/detaches, rejected merge-join splits, deadlock
   resolutions.

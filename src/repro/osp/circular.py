@@ -17,6 +17,11 @@ Figure 12 workload).
 Late activation: a scan packet only attaches once its output buffer has
 been flagged ready by its consumer, so queries cannot delay each other
 by holding the shared scan back before they are ready to read.
+
+A fold group (:mod:`repro.folding`) is state on the scan, and the
+scanner is its host too: per page it runs the group's step -- one wide
+filter whose survivors feed the group's aggregate banks and its scan
+members, which are ordinary consumers here.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List
 
-from repro.engine.packets import Packet
+from repro.engine.packets import Packet, PacketState
 from repro.faults.errors import FaultError
 from repro.relational import compile
 from repro.sim import ChannelClosed, Event, Interrupted
@@ -74,6 +79,8 @@ class CircularScan:
     scanner_proc: Any = None
     #: Buffer-pool stream identity of the shared scanner itself.
     stream: Any = field(default_factory=next_stream)
+    #: The open :class:`~repro.folding.FoldGroup` riding this scan, if any.
+    fold: Any = None
 
 
 class CircularScanManager:
@@ -120,21 +127,7 @@ class CircularScanManager:
             done=done,
         )
         if scan is None or not scan.running:
-            scan = CircularScan(
-                table=table,
-                num_pages=self.sm.num_pages(table),
-                seq=self._seq,
-            )
-            self._seq += 1
-            scan.running = True
-            scan.consumers.append(consumer)
-            self.scans[table] = scan
-            self.sim.tracer.osp(
-                "circular_start", packet=packet.packet_id, table=table
-            )
-            scan.scanner_proc = self.sim.spawn(
-                self._scanner(scan), name=f"scanner-{table}"
-            )
+            self.start(table, packet).consumers.append(consumer)
         else:
             # Attach at the scanner's current position; the new
             # termination point is one full cycle from here.
@@ -148,6 +141,24 @@ class CircularScanManager:
             )
         yield consumer.done
         return True
+
+    def start(self, table: str, packet: Packet) -> CircularScan:
+        """Register a scan of *table* and spawn its scanner thread; the
+        caller attaches *packet* (a consumer or a fold member) before the
+        scanner's first step."""
+        scan = CircularScan(
+            table=table, num_pages=self.sm.num_pages(table), seq=self._seq
+        )
+        self._seq += 1
+        scan.running = True
+        self.scans[table] = scan
+        self.sim.tracer.osp(
+            "circular_start", packet=packet.packet_id, table=table
+        )
+        scan.scanner_proc = self.sim.spawn(
+            self._scanner(scan), name=f"scanner-{table}"
+        )
+        return scan
 
     # ------------------------------------------------------------------
     def _scanner(self, scan: CircularScan) -> Generator:
@@ -168,7 +179,9 @@ class CircularScanManager:
             yield sm.locks.acquire(owner, scan.table, LockMode.SHARED)
             yield from self._scan_loop(scan)
         except Interrupted:
-            if scan.consumers and self.scans.get(scan.table) is scan:
+            if (
+                scan.consumers or scan.fold is not None
+            ) and self.scans.get(scan.table) is scan:
                 self.sim.tracer.osp(
                     "scanner_restart",
                     table=scan.table,
@@ -187,6 +200,8 @@ class CircularScanManager:
                 "scan_failed", table=scan.table, error=type(exc).__name__
             )
             self._unregister(scan)
+            if scan.fold is not None:
+                scan.fold.fail(exc)
             for consumer in list(scan.consumers):
                 query = consumer.packet.query
                 if query.engine is not None and not query.aborted:
@@ -206,12 +221,14 @@ class CircularScanManager:
         one loop body."""
         sm = self.sm
         charge = self.engine.engines["fscan"].charge
-        while scan.consumers:
+        while scan.consumers or scan.fold is not None:
             page = yield from sm.read_table_page(
                 scan.table, scan.current_page, scan=True, stream=scan.stream
             )
             rows = page.rows()
             scan.total_pages_scanned += 1
+            if scan.fold is not None:
+                yield from scan.fold.take(scan, rows)
             shared_consumers = len(scan.consumers)
             if shared_consumers > 1:
                 self.engine.osp_stats.shared_page_deliveries += (
@@ -370,7 +387,13 @@ class CircularScanManager:
     def _finish(self, scan, consumer: ScanConsumer) -> None:
         if scan is not None and consumer in scan.consumers:
             scan.consumers.remove(consumer)
-        if not consumer.packet.output.closed:
-            consumer.packet.output.close()
+        packet = consumer.packet
+        if (
+            packet.state is PacketState.SATELLITE
+            and consumer.pages_remaining <= 0
+        ):
+            packet.complete()  # a fold member: its pass is whole
+        if not packet.output.closed:
+            packet.output.close()
         if not consumer.done.triggered:
             consumer.done.succeed()

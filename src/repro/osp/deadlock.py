@@ -43,7 +43,7 @@ class DeadlockDetector:
 
     def ensure_running(self) -> None:
         """Start the periodic sweep; it parks itself once the engine goes
-        idle so the simulation can drain."""
+        idle (or starves) so the simulation can drain."""
         if not self._running:
             self._running = True
             self.sim.spawn(self._loop(), name="deadlock-detector")
@@ -51,7 +51,12 @@ class DeadlockDetector:
     def _loop(self) -> Generator:
         while self.engine.active_queries > 0:
             yield self.sim.timeout(PERIOD)
-            self.check_once()
+            if self.check_once() is None and self.sim.idle:
+                # Starved: no cycle to break and nothing but this sweep
+                # would ever run again (a query waiting on a lock nobody
+                # releases, say).  Re-arming would spin forever; stopping
+                # lets the simulation drain and report the waits.
+                break
         self._running = False
 
     # ------------------------------------------------------------------

@@ -23,6 +23,7 @@ in and assert byte-identical traces either way.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -422,6 +423,12 @@ class Simulator:
         """Current virtual time (seconds)."""
         return self._now
 
+    @property
+    def idle(self) -> bool:
+        """Whether no live entry is queued: unless the running callback
+        schedules one, nothing will ever run again."""
+        return len(self._heap) + len(self._now_queue) == self._dead
+
     # ------------------------------------------------------------------
     # Scheduling primitives
     # ------------------------------------------------------------------
@@ -561,13 +568,30 @@ class Simulator:
         """Run until every process in *watched* has terminated.
 
         Raises :exc:`StarvationError` when the event heap drains while a
-        watched process is still alive (a kernel-level deadlock).
+        watched process is still alive (a kernel-level deadlock).  The
+        message names what each stuck process waits on, then what every
+        other process still blocked waits on -- often the cause (a lock
+        the watched query's scan waits for, say).
         """
         watched = list(watched)
         final = self.run()
         stuck = [p for p in watched if p.alive]
         if stuck:
             details = "; ".join(self._describe_blocked(p) for p in stuck)
+            # Found only now, on the failure path: the kernel keeps no
+            # registry of processes.
+            others = sorted(
+                (
+                    obj for obj in gc.get_objects()
+                    if isinstance(obj, Process) and obj.sim is self
+                    and obj.alive and obj not in stuck
+                ),
+                key=lambda p: p.name,
+            )
+            if others:
+                details += "; also blocked: " + "; ".join(
+                    self._describe_blocked(p) for p in others
+                )
             raise StarvationError(
                 f"simulation drained at t={final:.3f} with "
                 f"{len(stuck)} live process(es): {details}"

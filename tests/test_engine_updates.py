@@ -121,3 +121,47 @@ def test_descending_external_sort_both_engines(big_db):
     ).run_query(plan)
     assert [r[2] for r in reference] == [r[2] for r in expected]
     assert [r[2] for r in qpipe] == [r[2] for r in expected]
+
+
+def test_a_leaked_table_lock_fails_instead_of_spinning(big_db, monkeypatch):
+    """A write that never releases its X lock starves every later scan of
+    the table.  The deadlock detector finds no cycle and nothing else
+    pending, so it stops re-arming: the run drains and fails at once,
+    naming the lock wait, instead of sweeping forever."""
+    import time
+
+    from repro.sim import StarvationError
+    from repro.storage.locks import LockManager
+
+    release = LockManager.release_if_held
+
+    def leaky(self, owner, resource):
+        if owner[0] == "q":  # a DML statement's owner: leak its X lock
+            return False
+        return release(self, owner, resource)
+
+    monkeypatch.setattr(LockManager, "release_if_held", leaky)
+    host, sm, _r, _s = big_db
+    engine = QPipeEngine(sm, QPipeConfig(osp_enabled=True))
+    sim = host.sim
+
+    def writer():
+        yield from engine.execute(InsertRows("r", [(100_000, 0, 1.0, "w")]))
+
+    w = sim.spawn(writer(), name="writer")
+
+    def reader():
+        yield w
+        yield from engine.execute(
+            Aggregate(TableScan("r"), [AggSpec("count", None, "n")])
+        )
+
+    r = sim.spawn(reader(), name="reader")
+    started = time.monotonic()
+    with pytest.raises(StarvationError) as exc:
+        sim.run_until_done([w, r])
+    assert time.monotonic() - started < 10.0
+    assert sim.now < 3.0  # the detector's first idle sweep or so
+    message = str(exc.value)
+    assert "1 live process(es): reader#" in message
+    assert "waiting on lock on 'r'" in message

@@ -54,7 +54,7 @@ RENDERS = {
     'overhead':
         '989699a99eed28378d52772d21fd2edeb6d61c8258ca22928b8d897eb978c6d2',
     'fold':
-        'dcac64dc3bc25094887dc51021b116773d05196ac3ba47c609f87d10d09aa3a8',
+        'b90d4a409cbdbc5c2d4d7a0ff60db21ad4b7313064fec67461c39afdc6d489ee',
     'ablation-policies':
         'f4b42b913b442a98d8af50f9fc699e60af5aabfc9efca16e8f2885b90ca115a5',
     'ablation-replay':

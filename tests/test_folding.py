@@ -3,8 +3,8 @@
 Correctness is non-negotiable: per-query results under folding must be
 byte-identical to the unfolded run (and agree with the iterator
 engine), and the trace invariants must hold even when the fold
-donor -- the host query whose widened scan everyone rides -- is
-cancelled or crashed mid-fold.
+donor -- the query that opened the group -- is cancelled or crashed
+mid-fold, or when the circular scanner every member rides crashes.
 """
 
 from repro.baseline.engine import IteratorEngine
@@ -14,6 +14,7 @@ from repro.faults.errors import FaultError, QueryAborted
 from repro.harness.config import SMOKE, build_wisconsin_system
 from repro.hw.host import Host, HostConfig
 from repro.obs import InvariantChecker, Tracer
+from repro.osp.circular import CircularScanManager
 from repro.relational.expressions import AggSpec, Between, Col
 from repro.relational.plans import Aggregate, GroupBy, TableScan
 from repro.storage.manager import StorageManager
@@ -108,7 +109,10 @@ def test_fold_trace_invariants_clean():
         if e["type"] == "packet.attach"
         and e["mechanism"].startswith("fold-")
     ]
-    assert len(attaches) == engine.fold_stats.folded
+    # Each group's first member attaches too: the scanner is the host.
+    stats = engine.fold_stats
+    assert len(attaches) == stats.folded + stats.groups
+    assert {e["host"] for e in attaches} == {"scanner-big1"}
     assert InvariantChecker(tracer.events).check() == []
 
 
@@ -121,17 +125,25 @@ def test_fold_gain_and_invariance_at_smoke_scale():
     series, sharing, lines = FIGURES["fold"].run(
         SMOKE, count=(4, 6), similarity=(1.0,)
     )
-    gains = series.curve("gain (%)")
+    # The grid's two configs, then the one with a rejected member.
+    *gains, rejected_gain = series.curve("gain (%)")
     assert all(gain >= 25.0 for gain in gains), gains
-    assert lines and all(line.endswith("yes") for line in lines)
-    assert all(rate == 1.0 for rate in sharing.curve("fold rate"))
+    assert len(lines) == 3 and all(
+        "results identical: yes" in line
+        and line.endswith("folded <= unfolded: yes")
+        for line in lines
+    )
+    assert lines[-1].startswith("  4q sim=1.0 +reject:")
+    assert rejected_gain >= 0.0
+    assert sharing.curve("fold rate") == [1.0, 1.0, 0.75]
 
 
 # ---------------------------------------------------------------------------
 # Donor failure mid-fold: exactly-once delivery must survive
 # ---------------------------------------------------------------------------
-def _run_with_donor_failure(fail):
-    """Run 4 foldable queries; *fail* kills the donor (query 1) mid-scan.
+def _run_with_donor_failure(fail, deadline=None):
+    """Run 4 foldable queries; *fail* ends the donor (query 1) mid-scan,
+    or *deadline* is the donor's.
 
     Returns (per-client outcome boxes, engine, tracer events).
     """
@@ -143,7 +155,9 @@ def _run_with_donor_failure(fail):
 
     def client(i, plan):
         try:
-            result = yield from engine.execute(plan)
+            result = yield from engine.execute(
+                plan, deadline=deadline if i == 0 else None
+            )
         except (FaultError, QueryAborted) as exc:
             boxes[i]["error"] = exc
             return None
@@ -154,85 +168,97 @@ def _run_with_donor_failure(fail):
         host.sim.spawn(client(i, plan), name=f"q{i}")
         for i, plan in enumerate(plans)
     ]
-    fail(host, engine)
+    if fail is not None:
+        fail(host, engine)
     host.sim.run_until_done(procs)
     return boxes, engine, tracer.events
 
 
-def _reference_rows():
+def _unfolded_rows():
     host, sm = build_db()
-    return [IteratorEngine(sm).run_query(p) for p in fold_plans(4)]
+    return run_concurrent(host, make_engine(sm, folded=False), fold_plans(4))
 
 
-def assert_unfolded(engine, events, members):
-    """Every member the donor's early end redispatched was unfolded: one
-    ``fold.unfold`` event and one ``FoldStats.unfolds`` count each."""
-    assert engine.fold_stats.unfolds == members
-    assert sum(e["type"] == "fold.unfold" for e in events) == members
-    assert sum(e["type"] == "packet.detach" for e in events) == members
+def assert_donor_alone_ended(boxes, engine, events):
+    """The donor's end dropped only the donor: the other members finish
+    folded, with the unfolded run's rows, and nobody re-executes."""
+    reference = _unfolded_rows()
+    assert isinstance(boxes[0].get("error"), QueryAborted)
+    for i in (1, 2, 3):
+        assert boxes[i]["rows"] == reference[i]
+    assert engine.fold_stats.folded == 3
+    assert not any(e["type"] == "packet.detach" for e in events)
+    completed = {
+        e["packet"] for e in events
+        if e["type"] == "packet.complete" and e["satellite"]
+    }
+    assert len(completed) == 3
+    assert InvariantChecker(events).check() == []
 
 
 def test_donor_cancelled_mid_fold():
-    """Cancelling the host query unfolds the members into private
-    re-executions that still deliver exactly-once."""
     boxes, engine, events = _run_with_donor_failure(
         lambda host, engine: host.sim.schedule(
             0.015, lambda: engine.cancel(1, "client gave up")
         )
     )
-    reference = _reference_rows()
-    assert isinstance(boxes[0].get("error"), QueryAborted)
-    for i in (1, 2, 3):
-        assert sorted(boxes[i]["rows"]) == sorted(reference[i])
-    assert engine.fold_stats.folded == 3
-    assert_unfolded(engine, events, 3)
-    assert InvariantChecker(events).check() == []
+    assert_donor_alone_ended(boxes, engine, events)
 
 
 def test_donor_crashed_mid_fold():
-    """An injected process crash of the donor behaves like PR 2's
-    host-death path: members detach, redispatch, and finish correctly."""
+    """An injected process crash of the donor fails the donor alone."""
     def crash(host, engine):
         FaultInjector(FaultPlan().crash_query(at=0.015, target=0)).attach(engine)
 
     boxes, engine, events = _run_with_donor_failure(crash)
-    reference = _reference_rows()
-    assert isinstance(boxes[0].get("error"), QueryAborted)
-    for i in (1, 2, 3):
-        assert sorted(boxes[i]["rows"]) == sorted(reference[i])
-    assert engine.fold_stats.folded == 3
-    assert_unfolded(engine, events, 3)
-    assert InvariantChecker(events).check() == []
+    assert_donor_alone_ended(boxes, engine, events)
 
 
 def test_donor_deadline_mid_fold():
+    boxes, engine, events = _run_with_donor_failure(None, deadline=0.015)
+    assert_donor_alone_ended(boxes, engine, events)
+
+
+def test_scanner_crash_mid_fold_is_exactly_once(monkeypatch):
+    """The scanner thread -- every member's host -- crashes inside the
+    group's step for a page and restarts there: the scan member (which
+    joined late, from the ring) still takes every page exactly once, and
+    every query's rows -- counts included, so no bank saw a page twice --
+    are the unfolded run's."""
+    live = []
+    mark = CircularScanManager._mark_delivered
+
+    def recording(scan, consumer):
+        live.append(scan.current_page)
+        mark(scan, consumer)
+
+    monkeypatch.setattr(
+        CircularScanManager, "_mark_delivered", staticmethod(recording)
+    )
+    plans, stagger = fold_plans(4), 0.016
     host, sm = build_db()
     tracer = Tracer(host.sim)
     engine = make_engine(sm, folded=True)
-    plans = fold_plans(4)
-    boxes = [{} for _ in plans]
+    FaultInjector(
+        FaultPlan().crash_scanner(at=0.0485, table="big1")
+    ).attach(engine)
+    rows = run_concurrent(host, engine, plans, stagger)
 
-    def client(i, plan, deadline=None):
-        try:
-            result = yield from engine.execute(plan, deadline=deadline)
-        except QueryAborted as exc:
-            boxes[i]["error"] = exc
-            return None
-        boxes[i]["rows"] = result.rows
-        return result
-
-    procs = [
-        host.sim.spawn(
-            client(i, plan, deadline=0.015 if i == 0 else None), name=f"q{i}"
-        )
-        for i, plan in enumerate(plans)
+    restarts = [
+        e for e in tracer.events if e["type"] == "osp.scanner_restart"
     ]
-    host.sim.run_until_done(procs)
-    reference = _reference_rows()
-    assert isinstance(boxes[0].get("error"), QueryAborted)
-    for i in (1, 2, 3):
-        assert sorted(boxes[i]["rows"]) == sorted(reference[i])
-    assert_unfolded(engine, tracer.events, 3)
+    (joined,) = [
+        e for e in tracer.events
+        if e["type"] == "packet.attach" and e["mechanism"] == "fold-scan"
+    ]
+    assert restarts and 0 < joined["host_pages"] < restarts[0]["position"]
+    num_pages = sm.num_pages("big1")
+    # The scan member: the ring's pages, then every other page live once.
+    assert sorted(live) == list(range(joined["host_pages"], num_pages))
+    host_off, sm_off = build_db()
+    assert rows == run_concurrent(
+        host_off, make_engine(sm_off, folded=False), plans, stagger
+    )
     assert InvariantChecker(tracer.events).check() == []
 
 

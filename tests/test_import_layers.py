@@ -47,7 +47,7 @@ repro.engine.engines repro.engine.engines.aggregates
 repro.engine.engines.iscan repro.engine.engines.joins
 repro.engine.engines.misc repro.engine.engines.scan
 repro.engine.engines.sort repro.engine.micro_engine repro.engine.packets
-repro.engine.qpipe repro.engine.result_cache repro.faults
+repro.engine.qpipe repro.faults
 repro.faults.errors repro.faults.injector repro.faults.plan
 repro.folding repro.folding.coordinator repro.folding.stats
 repro.harness repro.harness.config repro.harness.experiments

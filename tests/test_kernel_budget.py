@@ -96,16 +96,18 @@ BUDGET = {
 
 #: engine -> Python calls into src/repro/sim/ while the three clients
 #: run, i.e. per kernel entry scheduled in that window:
-#:   packets 2954 / 443 = 6.7    iterator 1945 / 329 = 5.9
+#:   packets 2955 / 443 = 6.7    iterator 1945 / 329 = 5.9
 #: packets was 3416 / 443 = 7.7 while the engine's 152 workers were
 #: spawned when it was built, each parking on its queue in this window.
 #: Before the transfer-path PR: 6630 / 604 = 11.0 and 3074 / 329 = 9.3.
 #: packets was 3428 while the deadlock sweep re-tested ``closed`` on every
 #: buffer registered since the last sweep; buffers now leave the registry
 #: when they close.  It was 3422 while each of the scenario's six
-#: ``Channel``s read the fast-path toggle when it was built.
+#: ``Channel``s read the fast-path toggle when it was built.  It was 2954
+#: before a deadlock sweep that finds no cycle asked ``Simulator.idle``
+#: whether anything else is pending (one sweep runs here).
 SIM_CALLS = {
-    "packets": 2954,
+    "packets": 2955,
     "iterator": 1945,
 }
 
@@ -167,8 +169,10 @@ JOIN_ROWS = (3_410, 2_000)  # r: 10 pages, s: 3 pages
 #: engine -> Python calls into src/repro/relational/ and its generated
 #: kernels for one HashJoin-under-GroupBy query, code cache warm.  With
 #: per-row key lambdas the iterator and packet engines made ~5,500.
+#: packets made 211 while ``QPipeEngine.execute`` computed every query's
+#: plan signature for the (deleted) result cache.
 RELATIONAL_CALLS = {
-    "packets": 211,
+    "packets": 179,
     "iterator": 172,
 }
 
@@ -353,8 +357,10 @@ LOOKUPS = 25
 #: ``Schema.index_of`` per key column) instead of reading
 #: ``IndexInfo.key_of``:
 #:   packets 362    iterator 187
+#: packets made 337 while ``QPipeEngine.execute`` computed every query's
+#: plan signature for the (deleted) result cache.
 LOOKUP_CALLS = {
-    "packets": 337,
+    "packets": 212,
     "iterator": 162,
 }
 

@@ -14,7 +14,6 @@ from repro.lint.cfg import (
     EXCEPT_EXIT,
     NORMAL_EXIT,
     build_cfg,
-    statement_index,
 )
 
 
@@ -99,19 +98,6 @@ def test_raise_and_assert_unwind():
         stmt = stmt_matching(func, needle)
         (node,) = cfg.nodes_for(stmt)
         assert cfg.except_exit in node.exc_succ
-
-
-def test_extra_raisers_opt_in():
-    source = textwrap.dedent("""\
-        def f(helper):
-            helper.explode()
-        """)
-    func = ast.parse(source).body[0]
-    silent = build_cfg(func)
-    noisy = build_cfg(func, extra_raisers=lambda call: True)
-    call_stmt = func.body[0]
-    assert silent.nodes_for(call_stmt)[0].exc_succ == []
-    assert noisy.nodes_for(call_stmt)[0].exc_succ == [noisy.except_exit]
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +250,6 @@ def test_while_loop_zero_iterations_reach_exit():
         """)
     # Normal exit only via the release; exception via the loop body.
     assert exits_from(cfg, func, "acquire", "release") == {EXCEPT_EXIT}
-
-
-def test_statement_index_covers_all_statement_nodes():
-    func, cfg = cfg_of("""\
-        def f(lock):
-            yield lock.acquire()
-            try:
-                yield 1
-            finally:
-                lock.release()
-        """)
-    index = statement_index(cfg)
-    stmt_nodes = [n for n in cfg.nodes if n.stmt is not None]
-    assert set(index) == {n.id for n in stmt_nodes}
 
 
 def test_unreachable_code_after_raise_is_dropped():

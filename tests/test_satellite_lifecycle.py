@@ -18,7 +18,9 @@ oracles:
 
 The circular scan's consumers stand in its table: their host is the
 shared scanner thread, which can crash and restart, and a consumer can
-close mid-pass.
+close mid-pass.  Fold members ride that scanner too, so in the fold
+cells "the host" is only the query that opened the group, and its end
+ends its own ride alone.
 """
 
 import functools
@@ -71,7 +73,7 @@ class Mechanism:
     queries that ride it, and how each host end is staged."""
 
     def __init__(self, make_db, config, host, riders, attaches, *,
-                 early_stop, consumer_close, end_at):
+                 early_stop, consumer_close, end_at, scanner_hosted=False):
         self.make_db = make_db
         self.config = config
         self.host = host            # (delay, plan)
@@ -80,6 +82,8 @@ class Mechanism:
         self.early_stop = early_stop        # the host plan under a LIMIT
         self.consumer_close = consumer_close  # riders with a closing consumer
         self.end_at = end_at        # when cancel / crash / deadline strike
+        #: The riders' host is a circular scanner, not query 1's packet.
+        self.scanner_hosted = scanner_hosted
 
     def cohort(self, end):
         """``(clients, end hook)`` for one host end."""
@@ -138,7 +142,7 @@ MECHANISMS = {
         consumer_close=[(0.42, Limit(cohort_join(lo=1291, hi=2459), 6))],
         end_at=0.45,
     ),
-    # Folding: aggregate and scan members ride the host's wide scan.
+    # Folding: aggregate and scan members ride the scanner's wide filter.
     "fold": Mechanism(
         fold_db, dict(fold_enabled=True),
         host=(0.0, FOLD_MEMBERS[0]),
@@ -150,6 +154,7 @@ MECHANISMS = {
         consumer_close=[(0.0, plan) for plan in FOLD_MEMBERS[1:]]
         + [(0.0, FOLD_LIMITED)],
         end_at=0.015,
+        scanner_hosted=True,
     ),
 }
 
@@ -261,6 +266,9 @@ def test_a_satellite_answers_its_host_end(
         assert ends == {"completed"}
     elif end == "consumer close":
         assert "cancelled" in ends
+    elif spec.scanner_hosted:
+        # Query 1's end cancels its own ride; the others complete.
+        assert ends == {"completed", "cancelled"}
     else:
         assert "host ended early" in ends
     if end in ("cancel", "crash", "deadline"):
@@ -269,18 +277,20 @@ def test_a_satellite_answers_its_host_end(
     check_teardown(engine, sm, events, tracked)
 
 
-def test_fold_members_unfold_when_their_host_stops_early(
+def test_a_fold_members_early_stop_leaves_the_others_riding(
     tracked, no_cycle_collection  # noqa: F811
 ):
-    """A LIMIT that stops the fold host mid-scan unfolds every member:
-    one ``fold.unfold`` each, then a private re-execution."""
+    """A LIMIT that stops the group's first member mid-pass drops only
+    that member: nobody re-executes, and the group completes the other
+    three at its end."""
     spec = MECHANISMS["fold"]
     clients, hook = spec.cohort("early stop")
     rows, engine, sm, events = run_cohort(
         spec.make_db, QPipeConfig(**spec.config), clients, hook
     )
-    assert engine.fold_stats.unfolds == 3
-    assert sum(e["type"] == "fold.unfold" for e in events) == 3
+    assert not any(e["type"] == "packet.detach" for e in events)
+    (complete,) = [e for e in events if e["type"] == "fold.complete"]
+    assert complete["members"] == 3
     check_rows(spec.make_db, clients, rows)
     check_teardown(engine, sm, events, tracked)
 

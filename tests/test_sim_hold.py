@@ -262,5 +262,6 @@ def test_starvation_text_names_the_resource(occupy):
         sim.run_until_done([stuck])
     assert str(info.value) == (
         "simulation drained at t=0.000 with 1 live process(es): "
-        "scan#2 waiting on resource disk0"
+        "scan#2 waiting on resource disk0; "
+        "also blocked: process#1 waiting on Event"
     )
