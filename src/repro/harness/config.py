@@ -148,7 +148,6 @@ def _host_for_pages(scale: Scale, calibration_pages: int) -> Host:
         cores=scale.cores,
         disk_transfer_time=transfer,
         disk_seek_time=transfer * scale.seek_factor,
-        seed=scale.seed,
     )
     host = Host(config)
     if _TRACING["enabled"]:
@@ -272,7 +271,6 @@ def build_sharded_wisconsin_system(
                 cores=scale.cores,
                 disk_transfer_time=transfer,
                 disk_seek_time=transfer * scale.seek_factor,
-                seed=scale.seed,
             ),
             net=NetConfig(
                 latency=scale.net_latency, bandwidth=scale.net_bandwidth

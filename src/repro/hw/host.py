@@ -11,7 +11,7 @@ is no cross-host time skew to model away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.hw.cpu import CPU
@@ -40,7 +40,6 @@ class HostConfig:
     page_hit_cost: float = 0.00002
     #: comparison cost multiplier used by sort (n log n * this).
     sort_cpu_factor: float = 1.0
-    seed: int = 20050614  # SIGMOD 2005 opening day
 
 
 @dataclass
@@ -102,10 +101,10 @@ class ClusterConfig:
 class Cluster:
     """N hosts on one shared virtual clock, linked by a Network.
 
-    Host ``i`` is named ``host{i}`` and seeded ``config.host.seed + i``.
-    Each host owns its own disk and CPU; callers layer one storage manager (buffer
-    pool, WAL, locks) and engine per host on top
-    (:class:`repro.shard.topology.ShardedSystem` does exactly that).
+    Host ``i`` is named ``host{i}``.  Each host owns its own disk and
+    CPU; callers layer one storage manager (buffer pool, WAL, locks) and
+    engine per host on top (:class:`repro.shard.topology.ShardedSystem`
+    does exactly that).
     """
 
     def __init__(self, config: ClusterConfig = ClusterConfig()):
@@ -113,7 +112,7 @@ class Cluster:
         self.sim = Simulator()
         self.hosts: List[Host] = [
             Host(
-                replace(config.host, seed=config.host.seed + i),
+                config.host,
                 sim=self.sim,
                 name=f"host{i}",
             )

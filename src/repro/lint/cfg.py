@@ -447,16 +447,23 @@ def _has_bare_except(stmt: ast.Try) -> bool:
 
 
 def _contains_unwind_point_expr(expr: Optional[ast.AST]) -> bool:
-    """Whether *expr* holds a yield point."""
+    """Whether *expr* holds a yield point of the frame it runs in."""
     if expr is None:
         return False
-    for node in ast.walk(expr):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            # Nested bodies run later, in their own frame.
-            continue
+    stack = [expr]
+    while stack:
+        node = stack.pop()
         if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
             return True
+        nested = isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for name, value in ast.iter_fields(node):
+            if nested and name == "body":
+                continue  # runs later, in its own frame
+            if isinstance(value, ast.AST):
+                stack.append(value)
+            elif isinstance(value, list):
+                stack.extend(v for v in value if isinstance(v, ast.AST))
     return False
 
 

@@ -20,10 +20,11 @@ A node's contents are replace-on-write, like a page's slot list: a node
 is a dict whose ``keys`` and ``vals`` (leaf) or ``keys`` and
 ``children`` (internal) are tuples, and insert, delete and split put
 new tuples into the dict instead of changing the old ones; buckets are
-immutable anyway.  So the dict is all a tree owns of a node: the trees
-adopted from one :class:`TreeImage` share every key, bucket and child
-tuple, and each keeps dicts of its own because buffer-pool frames hold
-those.
+immutable anyway.  The dict itself is written in place, so it is taken
+for a write through :meth:`BlockStore.writable`: a captured tree and
+the trees adopted from its :class:`TreeImage` hold the same frozen node
+dicts, and a tree's first write to a node swaps a ``dict(node)`` of its
+own into its block list -- over the same key, bucket and child tuples.
 """
 
 from __future__ import annotations
@@ -44,11 +45,6 @@ def _new_leaf() -> dict:
 def _new_internal() -> dict:
     return {"leaf": False, "keys": (), "children": ()}
 
-
-def _copy_node(node: dict) -> dict:
-    """A node for another tree to own: its own dict over the same
-    (replace-on-write) key, bucket and child tuples."""
-    return dict(node)
 
 
 def bucket_values(bucket: Any) -> tuple:
@@ -123,7 +119,7 @@ class BPlusTree:
             raise TypeError("a B+tree value may not be a tuple (a tuple "
                             "is the bucket of a repeated key)")
         block, path = self._find_leaf(key)
-        node = self.node(block)
+        node = self.store.writable(self.file_id, block)
         keys, vals = node["keys"], node["vals"]
         idx = bisect.bisect_left(keys, key)
         self.num_entries += 1
@@ -158,9 +154,11 @@ class BPlusTree:
                 at = values.index(value)
                 rest = values[:at] + values[at + 1:]
                 bucket = rest if len(rest) > 1 else rest[0]
+                node = self.store.writable(self.file_id, block)
                 node["vals"] = (*vals[:idx], bucket, *vals[idx + 1:])
                 self.num_entries -= 1
                 return True
+        node = self.store.writable(self.file_id, block)
         node["keys"] = (*keys[:idx], *keys[idx + 1:])
         node["vals"] = (*vals[:idx], *vals[idx + 1:])
         self.num_keys -= 1
@@ -278,7 +276,6 @@ class BPlusTree:
     # Images (see repro.storage.image)
     # ------------------------------------------------------------------
     def capture(self) -> "TreeImage":
-        blocks = range(self.store.num_blocks(self.file_id))
         return TreeImage(
             self.name,
             self.order,
@@ -286,14 +283,14 @@ class BPlusTree:
             self.height,
             self.num_keys,
             self.num_entries,
-            tuple(_copy_node(self.node(block)) for block in blocks),
+            self.store.freeze(self.file_id),
         )
 
     # ------------------------------------------------------------------
     # Split machinery
     # ------------------------------------------------------------------
     def _split(self, block: int, path: List[int]) -> None:
-        node = self.node(block)
+        node = self.store.writable(self.file_id, block)
         mid = len(node["keys"]) // 2
         if node["leaf"]:
             right = _new_leaf()
@@ -323,7 +320,7 @@ class BPlusTree:
             self.height += 1
             return
         parent_block = path[-1]
-        parent = self.node(parent_block)
+        parent = self.store.writable(self.file_id, parent_block)
         keys, children = parent["keys"], parent["children"]
         idx = bisect.bisect_right(keys, separator)
         parent["keys"] = (*keys[:idx], separator, *keys[idx:])
@@ -397,10 +394,10 @@ class BPlusTree:
 class TreeImage(NamedTuple):
     """A B+tree's content at one instant, shareable between systems.
 
-    The tree that was captured keeps writing its nodes (and the buffer
-    pool holds on to them), so the image keeps dicts of its own and
-    every adopting tree gets its own again -- one ``dict`` per node,
-    over the same key, bucket and child tuples.
+    It holds the captured tree's own node dicts, frozen: the captured
+    tree and every adopting tree's block list start out over these very
+    dicts, and :meth:`BlockStore.writable` gives each a copy of one at
+    its first write to it -- over the same key, bucket and child tuples.
     """
 
     name: str
@@ -414,12 +411,11 @@ class TreeImage(NamedTuple):
     nodes: Tuple[dict, ...]
 
     def adopt(self, store: BlockStore) -> BPlusTree:
-        """A new tree in *store* with this content."""
+        """A new tree in *store* with this content: one C-level list
+        copy, nothing per node."""
         tree = BPlusTree(store, self.name, self.order)
-        nodes = [_copy_node(node) for node in self.nodes]
-        # Block 0 exists already: the constructor's empty root leaf.
-        store.write_block(tree.file_id, 0, nodes[0])
-        store.extend_file(tree.file_id, nodes[1:])
+        # Replaces the constructor's empty root leaf at block 0 too.
+        store.share(tree.file_id, self.nodes)
         tree.root_block = self.root_block
         tree.height = self.height
         tree.num_keys = self.num_keys

@@ -10,6 +10,12 @@ Two details matter for reproducing the paper's sharing behaviour:
 * **Page-level interface.**  The pool never knows who is asking or why --
   exactly the limitation (section 2.1) that prevents conventional engines
   from coordinating scans, and that QPipe's OSP bypasses at a higher layer.
+
+A frame records *residency*, not content: which blocks are in the pool,
+their pins, the replacement policy's view and the scan rings.  Every
+access returns the block from the :class:`BlockStore` once its cost is
+paid, so a block has one home, and a write that swaps a private copy
+into the store (:meth:`BlockStore.writable`) is what the next read sees.
 """
 
 from __future__ import annotations
@@ -52,7 +58,10 @@ class BufferPoolStats:
 
 @dataclass
 class BufferPool:
-    """A fixed number of page frames over one :class:`BlockStore` + disk."""
+    """A fixed number of page frames over one :class:`BlockStore` + disk.
+
+    A frame is a resident block's key; its content stays in the store.
+    """
 
     sim: Simulator
     disk: Disk
@@ -91,7 +100,12 @@ class BufferPool:
             raise ValueError(f"pool capacity must be >= 1: {self.capacity}")
         if self.policy is None:
             self.policy = make_policy(self.policy_name, self.capacity)
-        self._frames: Dict[Key, Any] = {}
+        #: The resident blocks, in the order they became resident (a
+        #: dict for that order; the values are unused).
+        self._frames: Dict[Key, None] = {}
+        #: The store's block lists by file id: a resident block is read
+        #: from its one home there, with no call on the hit path.
+        self._blocks = self.store._files
         self._pins: Dict[Key, int] = {}
         #: Pages being read right now.  The value is the event the
         #: piggybackers wait on, created by the first of them: a read
@@ -125,27 +139,26 @@ class BufferPool:
     ) -> Generator:
         """Coroutine: fetch one page's payload, charging hit or miss costs.
 
-        Returns the payload object; with ``pin=True`` the frame is held
-        unevictable until :meth:`unpin`.  ``cold=True`` marks a
-        sequential-scan read and ``stream`` identifies the scan: the
-        frame lives in that scan's *private* ring (a handful of recycled
-        frames), invisible to other requesters -- so one scan can neither
-        flood the pool nor leave a trailing window other scans ride on.
+        Returns the payload object, read from the store after the cost
+        is paid, so a write during the wait is seen; with ``pin=True``
+        the frame is held unevictable until :meth:`unpin`.  ``cold=True``
+        marks a sequential-scan read and ``stream`` identifies the scan:
+        the frame lives in that scan's *private* ring (a handful of
+        recycled frames), invisible to other requesters -- so one scan can
+        neither flood the pool nor leave a trailing window other scans
+        ride on.
         Simultaneous requests still coalesce on the in-flight read.
         """
         key = (file_id, block_no)
-        payload = self._frames.get(key)
-        if payload is not None:
+        if key in self._frames:
             ring_owner = self._scan_ring.get(key)
+            # A page in another scan's private ring is not in the shared
+            # pool hash: for us that is a miss.
             if (
-                ring_owner is not None
-                and ring_owner != stream
-                and not self.scan_window_shared
+                ring_owner is None
+                or ring_owner == stream
+                or self.scan_window_shared
             ):
-                # The page sits in another scan's private ring: it is not
-                # in the shared pool hash, so this is a miss for us.
-                payload = None
-            else:
                 self.stats.hits += 1
                 self.sim.tracer.pool("hit", file_id, block_no)
                 if ring_owner is not None and not cold:
@@ -165,7 +178,7 @@ class BufferPool:
                     if pin:
                         self.unpin(file_id, block_no)
                     raise
-                return payload
+                return self._blocks[file_id][block_no]
 
         if key in self._in_flight:
             # Someone else is already reading this page: piggyback.
@@ -175,8 +188,7 @@ class BufferPool:
             if pending is None:
                 pending = self._in_flight[key] = Event(self.sim)
             yield pending
-            payload = self._frames.get(key)
-            if payload is None:
+            if key not in self._frames:
                 # The reader was interrupted; retry from scratch.
                 return (
                     yield from self.get_page(
@@ -188,7 +200,7 @@ class BufferPool:
             if pin:
                 self._pins[key] = self._pins.get(key, 0) + 1
                 self.sim.tracer.pool("pin", file_id, block_no)
-            return payload
+            return self._blocks[file_id][block_no]
 
         # Genuine miss: this process performs the read.
         self.stats.misses += 1
@@ -199,7 +211,7 @@ class BufferPool:
                 self._make_room()
             yield from self._read_with_retry(file_id, block_no)
             payload = self.store.read_block(file_id, block_no)
-            self._frames[key] = payload
+            self._frames[key] = None
             if cold and self.use_scan_ring:
                 self._scan_ring[key] = stream
                 self._trim_scan_ring()
@@ -247,7 +259,7 @@ class BufferPool:
         key = (file_id, block_no)
         if key not in self._frames:
             self._make_room()
-            self._frames[key] = self.store.read_block(file_id, block_no)
+            self._frames[key] = None
             self.policy.on_insert(key)
         else:
             self.policy.on_hit(key)

@@ -1,8 +1,9 @@
 """The block store and heap files.
 
 The :class:`BlockStore` is the "platter": an in-memory array of block
-payloads per file.  It holds the *content*; the :class:`~repro.hw.disk.Disk`
-charges the *time*.  The buffer pool mediates between the two.
+payloads per file.  It holds the *content*, and it is the content's only
+home; the :class:`~repro.hw.disk.Disk` charges the *time*, and the buffer
+pool decides which blocks are resident and what a read of one costs.
 
 A :class:`HeapFile` is a sequence of :class:`~repro.storage.page.Page`
 blocks belonging to one table (or one sorted run, or one B+tree level --
@@ -14,11 +15,9 @@ from __future__ import annotations
 from typing import (
     Any,
     Dict,
-    Iterable,
     Iterator,
     List,
     NamedTuple,
-    Optional,
     Tuple,
 )
 
@@ -29,8 +28,16 @@ from repro.storage.page import Page, RID
 class BlockStore:
     """All files' block payloads, addressed by (file_id, block_no).
 
-    File ids are allocated monotonically.  Payloads are arbitrary objects:
-    :class:`Page` for heap files, node dicts for B+trees.
+    File ids are allocated monotonically.  Payloads are arbitrary objects
+    with a ``copy()``: :class:`Page` for heap files, node dicts for
+    B+trees.
+
+    A file captured into an image (:meth:`freeze`) or adopted from one
+    (:meth:`share`) holds the image's blocks, which every system that
+    holds them shares and nobody writes.  So every write takes its block
+    from :meth:`writable`, which swaps a private copy into this store's
+    block list the first time a shared block is written, and hands out
+    the block as it is after that (and for every block made since).
 
     Corruption is simulated with per-block marks rather than by mutating
     payloads: pages are shared live objects here, so a content checksum
@@ -44,6 +51,8 @@ class BlockStore:
         self._files: Dict[int, List[Any]] = {}
         self._names: Dict[int, str] = {}
         self._next_id = 0
+        #: file_id -> the image blocks the file was frozen or adopted as.
+        self._shared: Dict[int, Tuple[Any, ...]] = {}
         #: (file_id, block_no) -> permanent? for corruption marks.
         self._corrupt: Dict[Tuple[int, int], bool] = {}
 
@@ -62,6 +71,7 @@ class BlockStore:
     def drop_file(self, file_id: int) -> None:
         self._files.pop(file_id, None)
         self._names.pop(file_id, None)
+        self._shared.pop(file_id, None)
 
     def file_name(self, file_id: int) -> str:
         return self._names.get(file_id, f"file#{file_id}")
@@ -74,9 +84,20 @@ class BlockStore:
         blocks.append(payload)
         return len(blocks) - 1
 
-    def extend_file(self, file_id: int, payloads: Iterable[Any]) -> None:
-        """Append many blocks at once."""
-        self._files[file_id].extend(payloads)
+    def freeze(self, file_id: int) -> Tuple[Any, ...]:
+        """The blocks of *file_id* as they are now, for an image to hold:
+        this store shares them with the image's adopters from here on,
+        and :meth:`writable` copies each at its next write here."""
+        blocks = self._shared[file_id] = tuple(self._files[file_id])
+        return blocks
+
+    def share(self, file_id: int, blocks: Tuple[Any, ...]) -> None:
+        """Make *blocks* the whole content of *file_id* without copying
+        one: they are an image's, shared with every other store that
+        adopts it, and :meth:`writable` copies each at its first write
+        here."""
+        self._files[file_id] = list(blocks)
+        self._shared[file_id] = blocks
 
     def read_block(self, file_id: int, block_no: int) -> Any:
         blocks = self._files[file_id]
@@ -87,11 +108,15 @@ class BlockStore:
             )
         return blocks[block_no]
 
-    def write_block(self, file_id: int, block_no: int, payload: Any) -> None:
-        blocks = self._files[file_id]
-        if not 0 <= block_no < len(blocks):
-            raise IndexError(f"block {block_no} out of range")
-        blocks[block_no] = payload
+    def writable(self, file_id: int, block_no: int) -> Any:
+        """The block to write in place: this store's own copy of it,
+        made now if the block is still the image's (see :meth:`freeze`)."""
+        block = self.read_block(file_id, block_no)
+        shared = self._shared.get(file_id)
+        if (shared is not None and block_no < len(shared)
+                and shared[block_no] is block):
+            block = self._files[file_id][block_no] = block.copy()
+        return block
 
     def files(self) -> Iterator[int]:
         return iter(self._files)
@@ -149,13 +174,12 @@ class HeapFile:
         This is an *untimed* operation used for dataset loading; timed
         inserts go through the storage manager, which charges the disk.
         """
-        if self.num_pages == 0:
-            self.store.append_block(self.file_id, Page(self.rows_per_page))
         last_no = self.num_pages - 1
-        page: Page = self.store.read_block(self.file_id, last_no)
-        if page.full:
+        if last_no < 0 or self.page(last_no).full:
             page = Page(self.rows_per_page)
             last_no = self.store.append_block(self.file_id, page)
+        else:
+            page = self.store.writable(self.file_id, last_no)
         slot = page.insert(row)
         self._row_count += 1
         return RID(last_no, slot)
@@ -172,7 +196,7 @@ class HeapFile:
         i = 0
         if self.num_pages:
             last_no = self.num_pages - 1
-            i += self.store.read_block(self.file_id, last_no).extend(rows)
+            i += self.store.writable(self.file_id, last_no).extend(rows)
         per = self.rows_per_page
         while i < total:
             page = Page(per)
@@ -182,15 +206,19 @@ class HeapFile:
         self._row_count += total
         return total
 
-    # -- tombstones (untimed; the storage manager charges the write) -----
+    # -- row writes (untimed; the storage manager charges the write) -----
+    def update_row(self, rid: RID, row: tuple) -> None:
+        """Overwrite the live row at *rid*."""
+        self.store.writable(self.file_id, rid.block_no).update(rid.slot, row)
+
     def tombstone_row(self, rid: RID) -> None:
         """Tombstone the live row at *rid*."""
-        self.page(rid.block_no).delete(rid.slot)
+        self.store.writable(self.file_id, rid.block_no).delete(rid.slot)
         self._row_count -= 1
 
     def restore_row(self, rid: RID, row: tuple) -> None:
         """Un-tombstone *rid* (transaction rollback of a delete)."""
-        self.page(rid.block_no).restore(rid.slot, row)
+        self.store.writable(self.file_id, rid.block_no).restore(rid.slot, row)
         self._row_count += 1
 
     # -- images (see repro.storage.image) --------------------------------
@@ -199,7 +227,7 @@ class HeapFile:
             self.name,
             self.rows_per_page,
             self._row_count,
-            tuple(self.page(b).slots() for b in range(self.num_pages)),
+            self.store.freeze(self.file_id),
         )
 
     # -- direct (untimed) access, used by loaders and tests --------------
@@ -231,24 +259,22 @@ class HeapFile:
 class HeapImage(NamedTuple):
     """A heap file's content at one instant, shareable between systems.
 
-    It holds the page *slot lists*, which no write ever mutates (see
-    :class:`~repro.storage.page.Page`), never the pages: each adopting
-    system gets fresh ``Page`` objects, its own block list and its own
-    row count.
+    It holds the captured heap's own pages, frozen: the captured heap
+    and every adopting system's block list start out over these very
+    ``Page`` objects, and :meth:`BlockStore.writable` gives each a copy
+    of one at its first write to it; the row count is its own.
     """
 
     name: str
     rows_per_page: int
     num_rows: int
-    #: One slot list per block.
-    pages: Tuple[List[Optional[tuple]], ...]
+    #: One frozen page per block.
+    pages: Tuple[Page, ...]
 
     def adopt(self, store: BlockStore) -> HeapFile:
-        """A new heap file in *store* with this content."""
+        """A new heap file in *store* with this content: one C-level
+        list copy, nothing per page."""
         heap = HeapFile(store, self.name, self.rows_per_page)
-        per = self.rows_per_page
-        store.extend_file(
-            heap.file_id, [Page.over(per, slots) for slots in self.pages]
-        )
+        store.share(heap.file_id, self.pages)
         heap._row_count = self.num_rows
         return heap

@@ -3,23 +3,29 @@
 Every data point of a figure sweep runs over the same database, and
 loading one is O(rows) -- sort on the clustering key, fill pages, pack a
 RID per row, group and pack the B+tree leaves -- while everything the
-loaded state consists of is either never mutated or cheap to copy:
+loaded state consists of can be shared:
 
-* **shared** between every system adopted from one image: row tuples,
-  page slot lists and B+tree key, bucket and child tuples.  All are
-  replace-on-write (:class:`~repro.storage.page.Page`,
-  :mod:`repro.storage.btree`): a write puts a new list or tuple in
-  place and leaves the old one as it was;
-* **per system**, made afresh by :meth:`StorageManager.adopt`: ``Page``
-  objects, block lists, row counts, corruption marks, catalog entries
-  and B+tree node dicts (held by buffer-pool frames).
+* **shared** between the captured system and every system adopted
+  from its image: row tuples, page slot lists and B+tree key, bucket
+  and child tuples, which are replace-on-write
+  (:class:`~repro.storage.page.Page`, :mod:`repro.storage.btree`): a
+  write puts a new list or tuple in place and leaves the old one as it
+  was; and the ``Page`` objects and B+tree node dicts, which are
+  copy-on-write: a system's first write to one swaps a copy of its own
+  into its block list (:meth:`~repro.storage.file.BlockStore.writable`),
+  and the buffer pool keeps no payload that could go stale;
+* **per system**, made afresh by :meth:`StorageManager.adopt`: block
+  lists (one C-level list copy per file), row counts, corruption marks,
+  catalog entries and tree objects.
 
-So an adopted system costs O(pages + tree nodes), runs no per-row
-bytecode, and ends up in the state the load would have left -- same file
-ids, block numbers, counts and catalog order.  :func:`load_once` is the
-one way in: a bounded per-process memo that runs a load the first time
-its key is seen and adopts the captured images after.  There is no
-switch; the two paths are indistinguishable to everything above storage.
+So capturing and adopting cost O(files) and run no per-page, per-node
+or per-row bytecode, and an adopted system ends up in the state the
+load would have left -- same file ids, block numbers, counts and
+catalog order.
+:func:`load_once` is the one way in: a bounded per-process memo that
+runs a load the first time its key is seen and adopts the captured
+images after.  There is no switch; the two paths are indistinguishable
+to everything above storage.
 """
 
 from __future__ import annotations

@@ -174,16 +174,18 @@ class StorageManager:
 
         Those files must be exactly the heaps and index trees of whole
         tables (no temp file, no index on an older table): an image is
-        adopted as a unit, file id for file id.
+        adopted as a unit, file id for file id.  Nothing is copied: the
+        image holds this store's own blocks, and the store shares them
+        copy-on-write from then on (:meth:`BlockStore.freeze`).
         """
         files = {}
         tables = []
         for info in self.catalog.infos():
             if info.heap.file_id < since:
                 continue
-            files[info.heap.file_id] = info.heap.capture()
+            files[info.heap.file_id] = info.heap
             for index in info.indexes.values():
-                files[index.tree.file_id] = index.tree.capture()
+                files[index.tree.file_id] = index.tree
             tables.append(TableImage(
                 info.name,
                 info.schema,
@@ -205,7 +207,9 @@ class StorageManager:
                 f"the files of whole tables (those are {sorted(files)})"
             )
         return StorageImage(
-            since, tuple(files[file_id] for file_id in wanted), tuple(tables)
+            since,
+            tuple(files[file_id].capture() for file_id in wanted),
+            tuple(tables),
         )
 
     def adopt(self, image: StorageImage) -> None:
@@ -383,7 +387,7 @@ class StorageManager:
         old_row = page.get(rid.slot)
         if old_row is None:
             return False
-        page.update(rid.slot, new_row)
+        info.heap.update_row(rid, new_row)
         yield from self.pool.write_page(info.heap.file_id, rid.block_no)
         packed = pack_rid(rid)
         for index in info.indexes.values():

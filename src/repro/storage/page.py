@@ -99,7 +99,14 @@ class Page:
     Every write *replaces* the slot list instead of mutating it, so the
     lists :meth:`rows` and :meth:`slots` hand out are snapshots for free:
     a reader may hold one across a simulated wait while writers change
-    the page.
+    the page.  It is also what lets a loaded page be shared: the system a
+    :class:`~repro.storage.image.StorageImage` was captured from and the
+    systems adopted from it hold the image's (frozen) ``Page`` objects
+    themselves, and a system's first
+    write to one goes to a :meth:`copy` that
+    :meth:`~repro.storage.file.BlockStore.writable` swaps in.  A frozen
+    page is never written; only its :meth:`rows` cache fills, with the
+    same list for every reader.
     """
 
     __slots__ = ("capacity", "_slots", "_live")
@@ -112,17 +119,12 @@ class Page:
         #: What :meth:`rows` returned since the last write, if anything.
         self._live: Optional[List[tuple]] = None
 
-    @classmethod
-    def over(cls, capacity: int, slots: List[Optional[tuple]]) -> "Page":
-        """A fresh page whose content is the slot list *slots* itself.
-
-        This is how a :class:`~repro.storage.image.StorageImage` is
-        adopted: every write replaces the list, so pages of any number
-        of systems may start out over one list and none ever sees
-        another's write.
-        """
-        page = cls(capacity)
-        page._slots = slots
+    def copy(self) -> "Page":
+        """A page of its own over this page's slot list: every write
+        replaces the list, so neither page ever sees the other's
+        writes."""
+        page = Page(self.capacity)
+        page._slots = self._slots
         return page
 
     @property

@@ -174,6 +174,6 @@ def test_cpu_validation():
 # ---------------------------------------------------------------------------
 # Host
 # ---------------------------------------------------------------------------
-def test_host_bundles_and_seeds():
-    host = Host(HostConfig(seed=77))
+def test_host_bundles():
+    host = Host(HostConfig())
     assert host.now == 0.0

@@ -297,26 +297,30 @@ def test_hash_tables_hold_exactly_this_many_bytes(name):
 # ---------------------------------------------------------------------------
 #: keys -> Python version -> (bytes a loaded index of the hash tables'
 #: 10,000 rows holds, bytes one adopted copy of it adds), as
-#: ``tests/index_bytes.py`` measures them: order 64, packed RIDs, one
-#: dict per node in the copy.  Object layouts differ in every minor
-#: version; "later" is 3.13.  While every entry was a ``RID`` in a
-#: per-key bucket list and an adopt copied two lists per node, the same
-#: index and adopt held (3.11; 3.12 and 3.13 within 0.01 % of it, 3.10
-#: 1-2 % lower)
+#: ``tests/index_bytes.py`` measures them: order 64, packed RIDs, and
+#: the copy's block list over the image's own node dicts.  Object
+#: layouts differ in every minor version; "later" is 3.13.  While every
+#: entry was a ``RID`` in a per-key bucket list and an adopt copied two
+#: lists per node, the same index and adopt held (3.11; 3.12 and 3.13
+#: within 0.01 % of it, 3.10 1-2 % lower)
 #:   unique        (1759288, 240016)
 #:   five_per_key  (1120752, 49640)
+#: and while an adopt made one dict per node, the copy added
+#: (3.10 / 3.11 / 3.12 / 3.13)
+#:   unique        60076 / 48264 / 48320 / 48272
+#:   five_per_key  13268 / 10816 / 10872 / 10824
 INDEX_BYTES = {
     "unique": {
-        (3, 10): (521748, 60076),
-        (3, 11): (548664, 48264),
-        (3, 12): (548576, 48320),
-        "later": (548608, 48272),
+        (3, 10): (521748, 2828),
+        (3, 11): (548664, 3032),
+        (3, 12): (548576, 3088),
+        "later": (548608, 3040),
     },
     "five_per_key": {
-        (3, 10): (488076, 13268),
-        (3, 11): (524352, 10816),
-        (3, 12): (524264, 10872),
-        "later": (524296, 10824),
+        (3, 10): (488076, 1260),
+        (3, 11): (524352, 1464),
+        (3, 12): (524264, 1520),
+        "later": (524296, 1472),
     },
 }
 

@@ -100,6 +100,25 @@ def test_raise_and_assert_unwind():
         assert cfg.except_exit in node.exc_succ
 
 
+def test_nested_bodies_do_not_unwind_their_definitions():
+    """A yield inside a nested generator or lambda belongs to that
+    frame: defining it is a plain statement."""
+    func, cfg = cfg_of("""\
+        def f():
+            def gen():
+                yield 1
+            g = lambda: (yield)
+            x = 1
+        """)
+    for stmt in func.body:
+        (node,) = cfg.nodes_for(stmt)
+        assert node.exc_succ == []
+    gen = func.body[0]
+    inner = build_cfg(gen)
+    (node,) = inner.nodes_for(gen.body[0])
+    assert node.exc_succ == [inner.except_exit]
+
+
 # ---------------------------------------------------------------------------
 # try/finally duplication and kill-predicate reachability
 # ---------------------------------------------------------------------------

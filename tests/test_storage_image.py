@@ -2,15 +2,18 @@
 
 A load that hits the memo must leave a storage manager in *exactly* the
 state the load itself would have -- and keep it that way: the systems
-adopted from one image share row tuples, page slot lists and B+tree
-key, bucket and child tuples, so one system's write reaching another is
-the bug this file exists to catch.
+adopted from one image share its pages and B+tree node dicts until
+they first write them (copy-on-write), and the row tuples, slot lists
+and key, bucket and child tuples for good, so one system's write
+reaching another is the bug this file exists to catch.
 
 (a) random operation sequences on one system leave its siblings equal
-    to a cold-built reference, page for page and leaf for leaf;
-(b) the same check *fails* once a ``Page`` or a tree node is shared, or
-    a shared key list or bucket is written in place (so (a) can see
-    what it claims to see);
+    to a cold-built reference, page for page and leaf for leaf, and a
+    write to a block resident in the writer's buffer pool is what its
+    next timed read sees;
+(b) the same check *fails* once a page or tree-node write skips the
+    copy-on-write entry point, or a shared key list or bucket is
+    written in place (so (a) can see what it claims to see);
 (c) cold-built and adopted systems produce byte-identical traces,
     readings and rows on every engine, under DML and on four hosts;
 (d) every keyed field misses when it changes, and the memo is bounded.
@@ -48,6 +51,7 @@ from repro.relational.plans import (
 from repro.shard import ShardedSystem
 from repro.storage import btree, image
 from repro.storage.btree import BPlusTree
+from repro.storage.file import BlockStore
 from repro.storage.manager import StorageManager
 from repro.storage.page import RID, Page
 from repro.storage.wal import TransactionManager
@@ -184,13 +188,17 @@ def test_second_load_adopts_and_equals_the_first(monkeypatch):
     for system in (cold, adopted):
         for table, index in INDEXED.items():
             system.sm.catalog.index(table, index).tree.check_invariants()
-    # Shared: the slot lists.  Per system: the pages.
-    cold_page, page = (s.sm.catalog.table("orders").heap.page(0)
-                       for s in (cold, adopted))
-    assert page is not cold_page and page.slots() is cold_page.slots()
-    # Shared by the image, the cold-built and the adopted tree: every
-    # key, bucket and child tuple.  Per system: the node dicts.
     [(captured,)] = image._IMAGES.values()
+    # Shared by the image, the cold-built and the adopted heap, until
+    # either system writes one: the pages.
+    frozen = captured.files[
+        adopted.sm.table_file_id("orders") - captured.first_file_id].pages
+    for system in (cold, adopted):
+        heap = system.sm.catalog.table("orders").heap
+        assert all(heap.page(b) is page for b, page in enumerate(frozen))
+        assert heap.num_pages == len(frozen)
+    # And by the trees: the node dicts, whose key, bucket and child
+    # sequences are tuples.
     forms = set()
     for table, index in INDEXED.items():
         trees = [s.sm.catalog.index(table, index).tree
@@ -198,12 +206,9 @@ def test_second_load_adopts_and_equals_the_first(monkeypatch):
         held = captured.files[trees[0].file_id - captured.first_file_id]
         assert len(held.nodes) == trees[0].store.num_blocks(trees[0].file_id)
         for block, node in enumerate(held.nodes):
-            nodes = [node] + [tree.node(block) for tree in trees]
-            assert len({id(n) for n in nodes}) == 3
+            assert all(tree.node(block) is node for tree in trees)
             parts = ("keys", "vals") if node["leaf"] else ("keys", "children")
-            for part in parts:
-                assert type(node[part]) is tuple
-                assert all(n[part] is node[part] for n in nodes)
+            assert all(type(node[part]) is tuple for part in parts)
             forms.update(map(type, node["vals"]) if node["leaf"] else ())
     assert forms == {int, tuple}  # unique and repeated keys both occur
 
@@ -391,6 +396,71 @@ def test_page_append_and_leaf_split_stay_private():
         assert grown.num_keys == tree.num_keys + 300
 
 
+def test_a_write_to_a_resident_block_is_what_the_next_timed_read_sees():
+    """A buffer-pool frame records residency, not content: a heap page
+    and an index leaf resident in the writer's pool when it first
+    writes them -- so the writes go to private copies in its store --
+    read back new through the timed paths, while a sibling adopted from
+    the same image, with both resident too, still reads them old."""
+    tiny_system()  # cold: captures the image
+    writer, sibling = tiny_system(), tiny_system()
+    sm = writer.sm
+    heap = sm.catalog.table("orders").heap
+    tree = sm.catalog.index("orders", "o_orderkey_idx").tree
+    rid = RID(0, 0)
+    row = heap.fetch(rid)
+    key = row[0]
+    leaf = tree._find_leaf(key)[0]
+
+    def read(system):
+        page = yield from system.sm.read_table_page("orders", rid.block_no)
+        pairs = yield from system.sm.index_range(
+            "orders", "o_orderkey_idx", lo=key, hi=key)
+        return page.get(rid.slot), pairs
+
+    old = (row, [(key, rid)])
+    for system in (writer, sibling):
+        assert system.drive(read(system)) == old
+    shared_page, shared_leaf = heap.page(rid.block_no), tree.node(leaf)
+    for block in ((heap.file_id, rid.block_no), (tree.file_id, leaf)):
+        assert sm.pool.contains(*block)
+        assert sibling.sm.pool.contains(*block)
+
+    changed = row[:-1] + ("written",)
+    writer.drive(sm.update_row("orders", rid, changed))
+    # The same key again: the leaf's bucket grows, in place.
+    added = writer.drive(sm.insert_row("orders", with_key(row, key)))
+    assert heap.page(rid.block_no) is not shared_page
+    assert tree.node(leaf) is not shared_leaf
+    for block in ((heap.file_id, rid.block_no), (tree.file_id, leaf)):
+        assert sm.pool.contains(*block)  # resident all along
+    assert writer.drive(read(writer)) == (changed, [(key, rid), (key, added)])
+    assert sibling.drive(read(sibling)) == old
+
+
+def test_restoring_a_captured_tombstone_stays_private():
+    """A rollback's restore takes its page through copy-on-write too:
+    its own delete made the page private in every timed path, so here
+    the tombstone comes with the image."""
+    system = tiny_system()
+    heap = system.sm.catalog.table("orders").heap
+    rid = live_rid(heap, 4)
+    row = heap.fetch(rid)
+    assert system.drive(system.sm.delete_row("orders", rid))
+    captured = system.sm.capture()
+    twins = []
+    for _ in range(2):
+        twin = StorageManager(Host(HostConfig()), index_order=ORDER)
+        twin.adopt(captured)
+        twins.append(twin)
+    restored, bystander = twins
+    restored.catalog.table("orders").heap.restore_row(rid, row)
+    assert restored.catalog.table("orders").heap.fetch(rid) == row
+    assert dump(bystander) == dump(system.sm)
+    with pytest.raises(KeyError):
+        bystander.catalog.table("orders").heap.fetch(rid)
+
+
 # ---------------------------------------------------------------------------
 # (b) the check above can fail: share what must be per system
 # ---------------------------------------------------------------------------
@@ -398,41 +468,62 @@ WRITES = [("update", "orders", 5, False), ("insert", "lineitem", 3, 2),
           ("delete", "customer", 1, 0)]
 
 
+def skip_copy_on_write(monkeypatch, kind: type) -> None:
+    """Every write to a block of *kind* takes the block as it is, shared
+    or not: what a write site that bypassed ``BlockStore.writable``
+    would do."""
+    copying = BlockStore.writable
+
+    def writable(self, file_id, block_no):
+        block = self.read_block(file_id, block_no)
+        if isinstance(block, kind):
+            return block
+        return copying(self, file_id, block_no)
+
+    monkeypatch.setattr(BlockStore, "writable", writable)
+
+
 def test_sharing_page_objects_is_caught(monkeypatch):
-    pages = {}
-    make = Page.over.__func__
-
-    def over(cls, capacity, slots):
-        return pages.setdefault(id(slots), make(cls, capacity, slots))
-
-    monkeypatch.setattr(Page, "over", classmethod(over))
-    with pytest.raises(AssertionError):
+    skip_copy_on_write(monkeypatch, Page)
+    with pytest.raises(AssertionError, match="reached a bystander"):
         check_isolation(WRITES, "adopted")
 
 
 def test_sharing_tree_nodes_is_caught(monkeypatch):
-    monkeypatch.setattr(btree, "_copy_node", lambda node: node)
-    with pytest.raises(AssertionError):
+    skip_copy_on_write(monkeypatch, dict)
+    with pytest.raises(AssertionError, match="reached a bystander"):
         check_isolation(WRITES, "adopted")
 
 
+def capture_leaves_as(monkeypatch, convert) -> None:
+    """Every tree captured from here on first has *convert* turn each of
+    its leaves, in place, into another form: the image, and every system
+    that holds it, then has leaves of that form."""
+    capturing = BPlusTree.capture
+
+    def capture(self):
+        for block in range(self.store.num_blocks(self.file_id)):
+            node = self.node(block)
+            if node["leaf"]:
+                convert(node)
+        return capturing(self)
+
+    monkeypatch.setattr(BPlusTree, "capture", capture)
+
+
 def test_writing_a_shared_leaf_list_in_place_is_caught(monkeypatch):
-    """Adopters share every leaf's key and bucket sequences, so those
+    """Copy-on-write copies a node's dict, not its sequences, so those
     must be replaced, never written to: an image whose leaves hold
     lists, under a tree that inserts a new key into them in place."""
 
     def list_contents(node):
-        copy = dict(node)
-        if node["leaf"]:
-            for part in ("keys", "vals"):
-                if type(node[part]) is not list:
-                    copy[part] = list(node[part])  # at capture; adopt shares
-        return copy
+        for part in ("keys", "vals"):
+            node[part] = list(node[part])
 
     replacing = BPlusTree.insert
 
     def insert(self, key, value):
-        node = self.node(self._find_leaf(key)[0])
+        node = self.store.writable(self.file_id, self._find_leaf(key)[0])
         if type(node["keys"]) is not list or key in node["keys"]:
             return replacing(self, key, value)
         at = bisect.bisect_left(node["keys"], key)
@@ -441,7 +532,7 @@ def test_writing_a_shared_leaf_list_in_place_is_caught(monkeypatch):
         self.num_keys += 1
         self.num_entries += 1
 
-    monkeypatch.setattr(btree, "_copy_node", list_contents)
+    capture_leaves_as(monkeypatch, list_contents)
     monkeypatch.setattr(BPlusTree, "insert", insert)
     with pytest.raises(AssertionError, match="reached a bystander"):
         # Even pick: a fresh key, into the last leaf.
@@ -453,25 +544,19 @@ def test_writing_a_bucket_in_place_is_caught(monkeypatch):
     an image whose buckets are lists, under a tree that appends."""
 
     def list_buckets(node):
-        copy = dict(node)
-        if node["leaf"]:
-            copy["vals"] = tuple(
-                bucket if type(bucket) is list
-                else list(btree.bucket_values(bucket))  # at capture
-                for bucket in node["vals"]
-            )
-        return copy
+        node["vals"] = tuple(
+            list(btree.bucket_values(bucket)) for bucket in node["vals"])
 
     replacing = BPlusTree.insert
 
     def insert(self, key, value):
-        node = self.node(self._find_leaf(key)[0])
+        node = self.store.writable(self.file_id, self._find_leaf(key)[0])
         if key not in node["keys"]:
             return replacing(self, key, value)
         node["vals"][node["keys"].index(key)].append(value)
         self.num_entries += 1
 
-    monkeypatch.setattr(btree, "_copy_node", list_buckets)
+    capture_leaves_as(monkeypatch, list_buckets)
     monkeypatch.setattr(BPlusTree, "insert", insert)
     with pytest.raises(AssertionError, match="reached a bystander"):
         # Odd pick: the insert re-uses an existing l_orderkey.

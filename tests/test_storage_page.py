@@ -160,11 +160,27 @@ def test_blockstore_file_lifecycle():
     assert store.file_name(fid) == "x"
     b0 = store.append_block(fid, "payload")
     assert store.read_block(fid, b0) == "payload"
-    store.write_block(fid, b0, "changed")
-    assert store.read_block(fid, b0) == "changed"
     store.drop_file(fid)
     with pytest.raises(KeyError):
         store.read_block(fid, 0)
+
+
+def test_blockstore_copies_a_shared_block_at_its_first_write():
+    shared = (Page(4), Page(4))
+    stores = [BlockStore(), BlockStore()]
+    for store in stores:
+        fid = store.create_file("x")
+        store.share(fid, shared)
+    store, sibling = stores
+    own = store.writable(fid, 1)
+    assert own is not shared[1] and own.slots() is shared[1].slots()
+    assert store.writable(fid, 1) is own and store.read_block(fid, 1) is own
+    own.insert((1,))
+    assert shared[1].num_slots == 0
+    assert sibling.read_block(fid, 1) is shared[1]
+    assert store.read_block(fid, 0) is shared[0]  # never written: shared
+    appended = store.append_block(fid, Page(4))
+    assert store.writable(fid, appended) is store.read_block(fid, appended)
 
 
 def test_blockstore_block_bounds():
