@@ -162,7 +162,11 @@ class Channel:
         if self._items and not self._getters:
             # Fast path: an item is ready and no consumer is queued ahead,
             # so `_balance` would serve this get immediately.  Freed space
-            # may in turn admit a blocked producer, in that order.
+            # may in turn admit a blocked producer, in that order.  A dead
+            # producer at the head of the queue may hide one that already
+            # fits; `_balance` admits that one before serving any get.
+            if self._putters and _abandoned(self._putters[0][0]):
+                self._balance()
             item, size = self._items.popleft()
             self._used -= size
             self.total_got += 1
