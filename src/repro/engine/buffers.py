@@ -16,7 +16,7 @@ long as nothing has been dropped from the ring.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List
 
 from repro.sim import (
     AnyOf,
@@ -92,10 +92,6 @@ class TupleBuffer:
     def wait_activated(self) -> Generator:
         """Coroutine: block until the consumer signals readiness."""
         yield self._gate.wait()
-
-    def activate(self) -> None:
-        """Flag the buffer ready (normally implicit in the first get)."""
-        self._gate.open()
 
     def put(self, batch: List[tuple]) -> Generator:
         """Coroutine: enqueue one batch (blocks while full).
@@ -443,13 +439,6 @@ class FanOut:
             buffer.close()
         if not self._promised:
             self._release_ring()
-
-    # -- introspection ------------------------------------------------------
-    def any_full(self) -> Optional[TupleBuffer]:
-        for buffer in self.buffers:
-            if buffer.full and not buffer.closed:
-                return buffer
-        return None
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<FanOut {self.name} x{len(self.buffers)}>"

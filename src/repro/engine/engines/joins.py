@@ -212,7 +212,6 @@ class MergeJoinEngine(MicroEngine):
         # pool worker and its query's packet tree.
         packet.inputs.append(buffer)
         packet.children.append(buffer.producer)
-        packet.query.bump("mj_restarts")
         return buffer
 
 

@@ -41,7 +41,6 @@ class QueryContext:
     work_mem_tuples: int = 50_000
     submitted_at: float = 0.0
     packets: List["Packet"] = field(default_factory=list)
-    stats: Dict[str, float] = field(default_factory=dict)
     #: The owning QPipeEngine (None in unit tests that fake the context);
     #: abort paths use it to rescue satellites and sweep locks.
     engine: Any = None
@@ -66,9 +65,6 @@ class QueryContext:
         """
         host = self.host_machine
         return host.cpu.burst(tuples * host.config.cpu_per_tuple * factor)
-
-    def bump(self, key: str, amount: float = 1.0) -> None:
-        self.stats[key] = self.stats.get(key, 0.0) + amount
 
 
 @dataclass(eq=False)

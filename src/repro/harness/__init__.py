@@ -28,8 +28,6 @@ __all__ = [
     "SMOKE",
     "Scale",
     "Series",
-    "chaos",
-    "render_chaos",
     "render_recovery",
     "collected_tracers",
     "disable_tracing",

@@ -22,8 +22,7 @@ import os
 import sys
 import time
 
-from repro.harness import DEFAULT, FIGURES, SMOKE, chaos, render_chaos
-from repro.harness.experiments import CHAOS_SYSTEMS
+from repro.harness import DEFAULT, FIGURES, SMOKE
 from repro.parallel import CellCache, CellError, PoolRunner
 from repro.parallel.cache import DEFAULT_DIR as CACHE_DIR
 
@@ -108,26 +107,13 @@ def main(argv=None) -> int:
             "recovery experiment's crash points"
         ),
     )
-    parser.add_argument(
-        "--recovery",
-        action="store_true",
-        default=False,
-        help=(
-            "chaos only: run clients under the lineage RecoveryManager "
-            "so crashed queries resume instead of failing"
-        ),
-    )
     args = parser.parse_args(argv)
 
     if args.figure == "list":
         print("available figures:")
         for name in FIGURES:
             print(f"  {name}")
-        print("  chaos     (supports --fault-seed N, --recovery)")
         return 0
-
-    if args.figure == "chaos":
-        return _run_chaos(args)
 
     names = list(FIGURES) if args.figure == "all" else [args.figure]
     unknown = [n for n in names if n not in FIGURES]
@@ -191,38 +177,6 @@ class _KeepLast:
         results = self.pool.run(specs)
         self.last = (specs, results)
         return results
-
-
-def _run_chaos(args) -> int:
-    """Chaos stays a single adversarial run per server -- never
-    cellified, never cached: its value is the fault interleaving, not a
-    grid of points.  Every server in ``CHAOS_SYSTEMS`` is attacked with
-    the same fault seed, one block each."""
-    scale = SCALES[args.scale]
-    failed = False
-    for system in CHAOS_SYSTEMS:
-        # Wall-clock here measures the *host*, never sim behaviour.
-        start = time.time()
-        result = chaos(
-            scale,
-            fault_seed=args.fault_seed,
-            system=system,
-            recovery=args.recovery,
-        )
-        print(render_chaos(result))
-        elapsed = time.time() - start
-        print(f"[chaos @ {scale.name}: {elapsed:.1f}s wall]")
-        if args.trace is not None:
-            from repro.obs import write_jsonl
-
-            os.makedirs(args.trace, exist_ok=True)
-            path = os.path.join(
-                args.trace, f"chaos-{system}-seed{args.fault_seed}.jsonl"
-            )
-            write_jsonl(result["events"], path)
-            print(f"[trace: {path} ({len(result['events'])} events)]")
-        failed = failed or bool(result["violations"])
-    return 1 if failed else 0
 
 
 def _dump_cell_traces(directory: str, figure: str, specs, ran) -> None:

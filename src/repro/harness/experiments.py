@@ -975,58 +975,60 @@ def _render_scaleout(value: Tuple[Dict[str, Series], List[str]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Chaos harness: the Figure 12 mix under a seeded fault plan
+# Fault experiments' shared plumbing
 # ---------------------------------------------------------------------------
-#: The servers chaos attacks, each with the engine it runs on (the label
-#: its rendered block carries).
-CHAOS_SYSTEMS = {"qpipe": "packets", "dbmsx": "iterator"}
+def _fault_tracer(host):
+    """The tracer a fault experiment checks its run against: the
+    harness's own when ``--trace`` attached one to *host* (so the run
+    reaches the figure's trace files), else a fresh one."""
+    from repro.obs import Tracer
+
+    return host.sim.tracer if host.sim.tracer.enabled else Tracer(host.sim)
 
 
-def chaos(
-    scale: Scale = SMOKE,
-    fault_seed: int = 1,
-    disk_faults: int = 8,
-    process_faults: int = 4,
-    stagger: float = 10.0,
-    horizon: float = 250.0,
-    system: str = "qpipe",
-    recovery: bool = False,
-) -> Dict:
-    """Run the Figure 12 query mix under a seeded random fault plan.
+# ---------------------------------------------------------------------------
+# Chaos: the Figure 12 mix under a seeded random fault plan
+# ---------------------------------------------------------------------------
+#: The random plan's load: disk and process faults drawn over the first
+#: ``CHAOS_HORIZON`` virtual seconds, and one query submitted every
+#: ``CHAOS_STAGGER`` seconds.
+CHAOS_DISK_FAULTS = 8
+CHAOS_PROCESS_FAULTS = 4
+CHAOS_HORIZON = 250.0
+CHAOS_STAGGER = 10.0
+
+
+@cell
+def chaos_cell(spec: CellSpec) -> Dict[str, Any]:
+    """The Figure 12 mix on one server under a seeded random fault plan.
 
     Every query must either complete with results identical to its
     fault-free solo run, or fail cleanly with a typed
-    :class:`~repro.faults.errors.FaultError` -- in both cases with every
-    buffer-pool pin and table lock reclaimed and no orphaned satellites
-    (checked by replaying the recorded trace through the
-    InvariantChecker plus direct end-state inspection).
+    :class:`~repro.faults.errors.FaultError`; either way the run must
+    replay clean through the InvariantChecker and leave nothing held
+    (:meth:`~repro.storage.manager.StorageManager.leftovers`).
 
-    ``system`` is the server under attack, a key of
-    :data:`CHAOS_SYSTEMS`: ``qpipe`` (QPipe w/OSP on the packet engine)
-    or ``dbmsx`` (DBMS X on the iterator engine).  With
-    ``recovery=True`` every client executes through a
+    ``system`` is the server under attack: ``qpipe`` (QPipe w/OSP on
+    the packet engine) or ``dbmsx`` (DBMS X on the iterator engine).
+    With ``recovery`` every client executes through a
     :class:`~repro.lineage.RecoveryManager` -- crashes and disconnects
     resume from the durable lineage frontier instead of surfacing, the
     fault plan additionally draws two log-device faults (appended
-    *after* the disk/process draws, so the schedule an existing seed
-    produces is unchanged), and a completed query must still match its
-    fault-free solo rows.
-
-    Returns a dict with the fault plan, per-query outcomes, the recorded
-    trace events (for the determinism test: same ``fault_seed`` + config
-    must produce byte-identical JSONL), and the violation list (empty on
-    a clean run).
-
-    Chaos is deliberately *not* cellified: it is a single adversarial
-    run whose value is the interleaving, not a grid of points.
+    *after* the disk/process draws, so a seed's schedule is otherwise
+    unchanged), and a completed query must still match its fault-free
+    solo rows.  The payload names the faulted run's trace by the sha256
+    of its JSONL: the same seed and server must reproduce it exactly.
     """
     from repro.faults import FaultInjector, random_plan
     from repro.faults.errors import FaultError
     from repro.lineage import RecoveryManager
-    from repro.obs import Tracer
+    from repro.obs import jsonl_dumps
     from repro.obs.invariants import InvariantChecker
     from repro.sim import Interrupted
 
+    c = spec.coord
+    system, recovery = c["system"], c["recovery"]
+    fault_seed = int(c["fault_seed"])
     names = list(MIX)
 
     def rows_match(got, want) -> bool:
@@ -1060,18 +1062,18 @@ def chaos(
 
     # Reference: each query solo on a fresh fault-free system.
     reference: Dict[str, List[tuple]] = {}
-    host, sm, engine = build_tpch_system(scale, system)
+    host, sm, engine = build_tpch_system(spec.scale, system)
     for name, plan in zip(names, build_plans()):
         reference[name] = sorted(engine.run_query(plan))
 
     # Faulted run: all queries staggered, under the seeded fault plan.
-    host, sm, engine = build_tpch_system(scale, system)
-    tracer = Tracer(host.sim)
+    host, sm, engine = build_tpch_system(spec.scale, system)
+    tracer = _fault_tracer(host)
     fault_plan = random_plan(
         fault_seed,
-        horizon=horizon,
-        disk_faults=disk_faults,
-        process_faults=process_faults,
+        horizon=CHAOS_HORIZON,
+        disk_faults=CHAOS_DISK_FAULTS,
+        process_faults=CHAOS_PROCESS_FAULTS,
         tables=["lineitem", "orders", "part"],
         log_faults=2 if recovery else 0,
     )
@@ -1105,7 +1107,8 @@ def chaos(
     procs = []
     for i, (name, plan) in enumerate(zip(names, build_plans())):
         proc = host.sim.spawn(
-            client(name, plan, i * stagger), name=f"chaos-{i:02d}-{name}"
+            client(name, plan, i * CHAOS_STAGGER),
+            name=f"chaos-{i:02d}-{name}",
         )
         injector.register_client(proc)
         procs.append(proc)
@@ -1113,12 +1116,12 @@ def chaos(
 
     # ---- verdicts -----------------------------------------------------
     violations: List[str] = []
-    summary: Dict[str, str] = {}
+    summary: List[Tuple[str, str]] = []
     for name in names:
         outcome = outcomes.get(name)
         if outcome is None:
             violations.append(f"{name}: client died without an outcome")
-            summary[name] = "LOST"
+            summary.append((name, "LOST"))
             continue
         status, payload = outcome
         if status == "completed":
@@ -1127,27 +1130,15 @@ def chaos(
                     f"{name}: completed with wrong rows "
                     f"({len(payload)} vs {len(reference[name])} expected)"
                 )
-                summary[name] = "WRONG-ROWS"
+                summary.append((name, "WRONG-ROWS"))
             else:
-                summary[name] = "OK"
+                summary.append((name, "OK"))
         elif status == "failed":
-            summary[name] = f"FAILED({payload})"
+            summary.append((name, f"FAILED({payload})"))
         else:
-            summary[name] = "DISCONNECTED"
+            summary.append((name, "DISCONNECTED"))
     violations.extend(InvariantChecker(tracer.events).check())
-    residual_locks = [
-        (owner, resource)
-        for resource, grants in sm.locks._granted.items()
-        for owner, _mode in grants
-    ]
-    for owner, resource in residual_locks:
-        violations.append(f"residual lock on {resource!r} by {owner!r}")
-    for key, count in sm.pool._pins.items():
-        violations.append(f"leaked buffer pin on page {key} (count={count})")
-    if engine.active_queries != 0:
-        violations.append(
-            f"{engine.active_queries} queries still active at end of run"
-        )
+    violations.extend(sm.leftovers(engine))
     result = {
         "fault_seed": fault_seed,
         "system": system,
@@ -1157,7 +1148,9 @@ def chaos(
         "outcomes": summary,
         "aborted": engine.queries_aborted,
         "violations": violations,
-        "events": tracer.events,
+        "trace_sha256": hashlib.sha256(
+            jsonl_dumps(tracer.events).encode("utf-8")
+        ).hexdigest(),
     }
     if manager is not None:
         result["recoveries"] = manager.recoveries
@@ -1166,9 +1159,18 @@ def chaos(
     return result
 
 
-def render_chaos(result: Dict) -> str:
-    label = CHAOS_SYSTEMS[result["system"]]
-    if result.get("recovery"):
+def chaos_failed(blocks: List[Dict[str, Any]]) -> bool:
+    """True when any run broke an invariant (the CLI's exit code)."""
+    return any(block["violations"] for block in blocks)
+
+
+def render_chaos(blocks: List[Dict[str, Any]]) -> str:
+    return "\n".join(_render_chaos_block(block) for block in blocks)
+
+
+def _render_chaos_block(result: Dict[str, Any]) -> str:
+    label = "iterator" if result["system"] == "dbmsx" else "packets"
+    if result["recovery"]:
         label += ", recovery on"
     lines = [f"Chaos run (fault seed {result['fault_seed']}, {label}):"]
     lines.append("  scheduled faults:")
@@ -1176,10 +1178,10 @@ def render_chaos(result: Dict) -> str:
         lines.append(f"    {line}")
     lines.append(f"  faults fired: {len(result['fired'])}")
     lines.append("  query outcomes:")
-    for name, verdict in result["outcomes"].items():
+    for name, verdict in result["outcomes"]:
         lines.append(f"    {name:<4} {verdict}")
     lines.append(f"  queries aborted: {result['aborted']}")
-    if result.get("recovery"):
+    if result["recovery"]:
         lines.append(
             f"  recoveries: {result['recoveries']} resumed, "
             f"{result['clean_restarts']} clean restarts, "
@@ -1247,7 +1249,6 @@ def recovery_cell(spec: CellSpec) -> Dict[str, Any]:
     from repro.faults import FaultInjector, FaultPlan
     from repro.faults.errors import FaultError
     from repro.lineage import RecoveryManager
-    from repro.obs import Tracer
     from repro.obs.invariants import InvariantChecker
     from repro.sim import Interrupted
 
@@ -1289,7 +1290,7 @@ def recovery_cell(spec: CellSpec) -> Dict[str, Any]:
 
     # ---- crashed run with recovery ------------------------------------
     host, sm, engine = _recovery_build(spec.scale, scenario)
-    tracer = Tracer(host.sim)
+    tracer = _fault_tracer(host)
     fault_plan = FaultPlan()
     if scenario == "iterator":
         # This scenario covers the disconnect path: the fault is a
@@ -1341,14 +1342,7 @@ def recovery_cell(spec: CellSpec) -> Dict[str, Any]:
 
     # ---- verdicts -----------------------------------------------------
     violations = list(InvariantChecker(tracer.events).check())
-    for resource, grants in sm.locks._granted.items():
-        for owner, _mode in grants:
-            violations.append(f"residual lock on {resource!r} by {owner!r}")
-    for key, count in sm.pool._pins.items():
-        violations.append(f"leaked buffer pin on page {key} (count={count})")
-    active = getattr(engine, "active_queries", 0)
-    if active:
-        violations.append(f"{active} queries still active at end of run")
+    violations.extend(sm.leftovers(engine))
     report = got.get("report")
     identical = all(
         got.get(k) == reference[k] for k in reference
@@ -1630,6 +1624,18 @@ FIGURES: Dict[str, Figure] = {
             reduce=_keyed("scenario"), render=render_recovery,
             fixed={"fault_seed": 1},
             failed=recovery_failed,
+        ),
+        # The Figure 12 mix under one seeded random fault plan, on each
+        # server, with lineage recovery off and on; ``fault_seed`` draws
+        # the plan.
+        Figure(
+            "chaos", chaos_cell,
+            {"recovery": (False, True), "system": ("qpipe", "dbmsx")},
+            reduce=lambda specs, payloads: [payloads[s] for s in specs],
+            render=render_chaos,
+            fixed={"fault_seed": 1},
+            seeds=(("CHAOS_QUERY_SEED_BASE", CHAOS_QUERY_SEED_BASE),),
+            failed=chaos_failed,
         ),
     )
 }

@@ -6,13 +6,10 @@ any finding matching a baseline entry and fails only on *new* ones, so
 the lint gate can be turned on before a tree is fully clean -- and the
 entries burn down as files get fixed (stale entries are reported).
 
-**v2** entries fingerprint on ``(path, rule, symbol)`` -- the qualified
-name of the enclosing function -- so neither unrelated edits above a
+Entries fingerprint on ``(path, rule, symbol)`` -- the qualified name
+of the enclosing function -- so neither unrelated edits above a
 grandfathered finding *nor* rewording of the flagged line churn the
-baseline; duplicate keys carry a count.  **v1** entries keyed on the
-stripped source line are still read: a finding first tries the v2
-budget, then the v1 budget, so an old baseline keeps working and
-``--write-baseline`` migrates it to v2 wholesale.  An empty baseline
+baseline; duplicate keys carry a count.  An empty baseline
 (``{"findings": []}``) is the steady state this tree maintains.
 """
 
@@ -20,7 +17,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.lint.findings import Finding
@@ -30,25 +26,14 @@ _VERSION = 2
 Key = Tuple[str, str, str]
 
 
-@dataclass
-class Baseline:
-    """Grandfathered-finding budgets, split by fingerprint scheme."""
-
-    #: (path, rule, symbol) -> count   (v2 entries)
-    by_symbol: Counter = field(default_factory=Counter)
-    #: (path, rule, snippet) -> count  (legacy v1 entries)
-    by_snippet: Counter = field(default_factory=Counter)
-
-    def __len__(self) -> int:
-        return sum(self.by_symbol.values()) + sum(self.by_snippet.values())
+class Baseline(Counter):
+    """Grandfathered-finding budgets: ``(path, rule, symbol) -> count``."""
 
 
 def load_baseline(path: str) -> Baseline:
-    """The baseline as budgets of finding fingerprints.
-
-    v1 files (or stray v1-style entries in a v2 file) land in the
-    snippet budget; everything with a ``symbol`` field is v2.
-    """
+    """The baseline as budgets of finding fingerprints; an entry
+    without a ``symbol`` (the retired snippet-keyed format) is an
+    error -- ``--write-baseline`` writes a fresh one."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "findings" not in doc:
@@ -57,15 +42,10 @@ def load_baseline(path: str) -> Baseline:
         )
     baseline = Baseline()
     for entry in doc["findings"]:
-        count = entry.get("count", 1)
-        if "symbol" in entry:
-            baseline.by_symbol[
-                (entry["path"], entry["rule"], entry["symbol"])
-            ] += count
-        else:
-            baseline.by_snippet[
-                (entry["path"], entry["rule"], entry.get("snippet", ""))
-            ] += count
+        if "symbol" not in entry:
+            raise ValueError(f"{path}: entry without a 'symbol': {entry}")
+        key = (entry["path"], entry["rule"], entry["symbol"])
+        baseline[key] += entry.get("count", 1)
     return baseline
 
 
@@ -89,28 +69,19 @@ def apply_baseline(
 ) -> Tuple[List[Finding], List[Finding], List[Key]]:
     """Split findings into (new, grandfathered) and list stale entries.
 
-    Each baseline entry absorbs at most ``count`` matching findings --
-    v2 (symbol) entries first, then legacy v1 (snippet) entries.
+    Each baseline entry absorbs at most ``count`` matching findings.
     Entries matching nothing are *stale*: the code they covered was
     fixed, so the baseline should be regenerated to burn them down.
     """
-    v2_budget: Counter = Counter(baseline.by_symbol)
-    v1_budget: Counter = Counter(baseline.by_snippet)
+    budget = Counter(baseline)
     new: List[Finding] = []
     old: List[Finding] = []
     for finding in findings:
-        v2_key = finding.baseline_key()
-        v1_key = finding.baseline_key_v1()
-        if v2_budget.get(v2_key, 0) > 0:
-            v2_budget[v2_key] -= 1
-            old.append(finding)
-        elif v1_budget.get(v1_key, 0) > 0:
-            v1_budget[v1_key] -= 1
+        key = finding.baseline_key()
+        if budget.get(key, 0) > 0:
+            budget[key] -= 1
             old.append(finding)
         else:
             new.append(finding)
-    stale = sorted(
-        key for budget in (v2_budget, v1_budget)
-        for key, count in budget.items() if count > 0
-    )
+    stale = sorted(key for key, count in budget.items() if count > 0)
     return new, old, stale

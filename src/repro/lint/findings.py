@@ -17,22 +17,19 @@ class Finding:
     col: int
     rule: str
     message: str
-    #: Stripped source text of the flagged line (v1 baselines keyed on
-    #: it; kept for migration and human context in reports).
+    #: Stripped source text of the flagged line (human context in
+    #: reports).
     snippet: str = ""
     #: Qualified name of the enclosing function, "" at module level.
-    #: v2 baselines key on it: a symbol survives edits that move it.
+    #: Baselines key on it: a symbol survives edits that move it.
     symbol: str = ""
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
 
     def baseline_key(self) -> Tuple[str, str, str]:
-        """The v2 fingerprint: rule + normalized path + symbol."""
+        """The baseline fingerprint: rule + normalized path + symbol."""
         return (self.path, self.rule, self.symbol)
-
-    def baseline_key_v1(self) -> Tuple[str, str, str]:
-        return (self.path, self.rule, self.snippet)
 
     def to_dict(self) -> Dict[str, object]:
         return {

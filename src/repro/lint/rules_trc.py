@@ -42,6 +42,9 @@ _FAMILY_METHODS: Dict[str, str] = {
     "fault": "fault",
     "lineage": "lineage",
     "fold": "fold",
+    "net": "net",
+    "exchange": "exchange",
+    "shard": "shard",
     "proc": "proc",
 }
 

@@ -14,8 +14,6 @@ class OspStats:
     attaches: Counter = field(default_factory=Counter)
     #: circular-scan page deliveries that avoided a dedicated read
     shared_page_deliveries: int = 0
-    #: packets served standalone (no sharing opportunity found)
-    solo_packets: Counter = field(default_factory=Counter)
     #: sort re-emissions from materialised results (section 4.3, sort WoP)
     sort_reemissions: int = 0
     #: order-sensitive scans shared via the two-pass strategy (4.3.2)
@@ -29,9 +27,6 @@ class OspStats:
 
     def record_attach(self, engine_name: str, _packet=None) -> None:
         self.attaches[engine_name] += 1
-
-    def record_solo(self, engine_name: str) -> None:
-        self.solo_packets[engine_name] += 1
 
     @property
     def total_attaches(self) -> int:

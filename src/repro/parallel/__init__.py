@@ -30,7 +30,7 @@ from repro.parallel.cells import (
 from repro.parallel.cache import CellCache
 from repro.parallel.digest import import_graph, source_digest
 from repro.parallel.errors import CellError
-from repro.parallel.pool import PoolRunner, PoolStats, steal_choice
+from repro.parallel.pool import PoolRunner, PoolStats
 
 __all__ = [
     "CellCache",
@@ -47,5 +47,4 @@ __all__ = [
     "resolve",
     "run_cells_serial",
     "source_digest",
-    "steal_choice",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import os
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 
 def _python_files(root: str) -> List[str]:
@@ -149,11 +149,3 @@ def source_digest(root_module: str, src_root: str) -> str:
     lines = [f"{mod}={_file_hash(known[mod])}" for mod in reachable]
     blob = "\n".join(lines).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
-
-def digest_report(root_module: str, src_root: str) -> List[Tuple[str, str]]:
-    """The (module, file-hash) pairs behind :func:`source_digest` --
-    debugging aid for "why did my cache bust?"."""
-    known = module_table(src_root)
-    reachable = closure(import_graph(src_root), [root_module])
-    return [(mod, _file_hash(known[mod])) for mod in reachable]

@@ -6,15 +6,9 @@ cells execute cannot change their payloads; the runner returns a
 ``{spec: result}`` mapping and the figure merge step re-orders by grid
 coordinate, so ``--jobs N`` output is byte-identical to ``--jobs 1``.
 
-Scheduling is work-stealing: cells are dealt round-robin onto one queue
-per worker slot, each slot keeps exactly one cell in flight, and a slot
-whose own queue drains *steals* from the tail of the longest remaining
-queue (ties to the lowest slot index).  Cell runtimes are wildly uneven
--- a fig12 zero-interarrival cell simulates minutes of virtual time, an
-overhead cell milliseconds -- so static dealing alone can leave a slot
-idle behind a long queue while another still holds hours of work; the
-steal path keeps every slot busy until the bag is empty without
-affecting payloads (purity) or merged output (spec-order merges).
+Scheduling is one FIFO: ``jobs`` cells are in flight at once, and each
+finished cell makes room for the next one in spec order, so no worker
+idles while cells remain however uneven their runtimes are.
 
 Failure handling reuses the :mod:`repro.faults` conventions: a worker
 crash (the pool breaks) or an in-cell exception earns the cell one
@@ -63,22 +57,6 @@ def _worker(spec: CellSpec, trace: bool, marker: Optional[str]) -> CellResult:
     return result
 
 
-def steal_choice(queues, slot: int) -> Optional[int]:
-    """Which queue slot *slot* should take its next cell from.
-
-    Its own queue while non-empty; otherwise the longest other queue
-    (ties to the lowest slot index) -- the steal; ``None`` when every
-    queue is drained.  Own pulls take the queue head (FIFO, preserving
-    deal order); steals take the tail, so a thief grabs the cell its
-    victim would reach *last* and the two never contend for the same
-    end of the deque.
-    """
-    if queues[slot]:
-        return slot
-    victim = max(range(len(queues)), key=lambda s: len(queues[s]))
-    return victim if queues[victim] else None
-
-
 def _spawn_executor(jobs: int) -> ProcessPoolExecutor:
     # spawn, not fork: workers must import the engine fresh so module
     # state (dbgen memos, tracer registries) never leaks between cells,
@@ -95,8 +73,6 @@ class PoolStats:
     cache_hits: int = 0
     executed: int = 0
     retries: int = 0
-    #: Cells an idle slot took from another slot's queue.
-    steals: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -233,20 +209,15 @@ class PoolRunner:
             self._store(result, results)
 
     def _run_pool(
-        self, pending: List[CellSpec], results: Dict, slots: int
+        self, pending: List[CellSpec], results: Dict, jobs: int
     ) -> None:
         attempts: Dict[CellSpec, int] = {spec: 0 for spec in pending}
         markers: Dict[CellSpec, str] = {}
-        #: future -> (spec, slot); each slot keeps one cell in flight.
-        outstanding: Dict[Any, Any] = {}
-        #: Per-slot run queues, dealt round-robin in spec order.
-        queues: List[deque] = [deque() for _ in range(slots)]
-        for i, spec in enumerate(pending):
-            queues[i % slots].append(spec)
+        #: future -> spec; at most *jobs* cells are in flight.
+        outstanding: Dict[Any, CellSpec] = {}
+        queue = deque(pending)
 
-        def submit(
-            spec: CellSpec, slot: int, count_attempt: bool = True
-        ) -> None:
+        def submit(spec: CellSpec, count_attempt: bool = True) -> None:
             # Always submit through self._ensure_executor(): recovery
             # discards the broken pool, and the next submit must land on
             # the replacement, not a stale local.
@@ -260,59 +231,48 @@ class PoolRunner:
             future = self._ensure_executor().submit(
                 _worker, spec, self.trace, marker
             )
-            outstanding[future] = (spec, slot)
+            outstanding[future] = spec
 
-        def next_cell(slot: int) -> Optional[CellSpec]:
-            source = steal_choice(queues, slot)
-            if source is None:
-                return None
-            if source == slot:
-                return queues[slot].popleft()
-            self.stats.steals += 1
-            return queues[source].pop()
+        def refill() -> None:
+            while queue and len(outstanding) < jobs:
+                submit(queue.popleft())
 
-        def refill(slot: int) -> None:
-            spec = next_cell(slot)
-            if spec is not None:
-                submit(spec, slot)
-
-        for slot in range(slots):
-            refill(slot)
+        refill()
         try:
             while outstanding:
                 done, _ = wait(outstanding, return_when=FIRST_COMPLETED)
-                broken: List[Any] = []
+                broken: List[CellSpec] = []
                 for future in done:
-                    spec, slot = outstanding.pop(future)
+                    spec = outstanding.pop(future)
                     try:
                         result = future.result()
                     except KeyboardInterrupt:
                         raise
                     except BrokenExecutor:
-                        broken.append((spec, slot))
+                        broken.append(spec)
                     except Exception as exc:
                         if attempts[spec] > self.retries:
                             raise CellError(
                                 spec, attempts[spec], exc
                             ) from exc
                         self.stats.retries += 1
-                        submit(spec, slot)
+                        submit(spec)
                     else:
                         result.attempts = attempts[spec]
                         self._store(result, results)
-                        refill(slot)
                 if broken:
                     self._recover(
                         broken, outstanding, attempts, markers, submit
                     )
+                refill()
         except KeyboardInterrupt:
             self._interrupt(outstanding)
             raise
 
     def _recover(
         self,
-        broken: List[Any],
-        outstanding: Dict[Any, Any],
+        broken: List[CellSpec],
+        outstanding: Dict[Any, CellSpec],
         attempts: Dict[CellSpec, int],
         markers: Dict[CellSpec, str],
         submit: Callable,
@@ -321,15 +281,13 @@ class PoolRunner:
         charge retry budget to the cells that were actually running
         (their markers are still on disk), and resubmit the rest free.
 
-        Only in-flight ``(spec, slot)`` pairs are victims; the per-slot
-        queues are untouched -- queued cells were never submitted, so
-        they drain normally once their slots refill."""
+        Only in-flight cells are victims; queued cells were never
+        submitted, so they drain normally as the victims finish."""
         victims = broken + list(outstanding.values())
         outstanding.clear()
         self._discard_executor(terminate=True)
         suspects = [
-            spec
-            for spec, _slot in victims
+            spec for spec in victims
             if os.path.exists(markers.get(spec, ""))
         ]
         for spec in suspects:
@@ -338,8 +296,8 @@ class PoolRunner:
             os.remove(markers[spec])
             self.stats.retries += 1
         suspect_set = set(suspects)
-        for spec, slot in victims:
-            submit(spec, slot, count_attempt=spec in suspect_set)
+        for spec in victims:
+            submit(spec, count_attempt=spec in suspect_set)
 
     def _interrupt(self, outstanding: Dict[Any, CellSpec]) -> None:
         """Ctrl-C: cancel queued cells, kill running workers, bail."""

@@ -491,10 +491,6 @@ class Gate:
         self._open = opened
         self._waiters: list = []
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def wait(self) -> Event:
         event = Event(self.sim)
         event.describe = "gate"

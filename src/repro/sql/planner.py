@@ -697,55 +697,6 @@ def _expr_selectivity(expr) -> float:
     return _DEFAULT_SELECTIVITY
 
 
-def estimate_rows(plan_node: PlanNode, catalog) -> int:
-    """Estimated output cardinality of *plan_node*, from catalog row
-    counts and the selectivity constants above."""
-    node = plan_node
-    if isinstance(node, TableScan):
-        rows = catalog.table(node.table).num_rows
-        if node.predicate is not None:
-            rows *= _expr_selectivity(node.predicate)
-        return max(0, int(rows))
-    if isinstance(node, IndexScan):
-        rows = catalog.table(node.table).num_rows
-        if node.lo is not None and node.lo == node.hi:
-            rows *= 0.1  # point lookup band
-        else:
-            rows *= 0.25  # range band
-        if node.predicate is not None:
-            rows *= _expr_selectivity(node.predicate)
-        return max(0, int(rows))
-    if isinstance(node, Filter):
-        child = estimate_rows(node.child, catalog)
-        return max(0, int(child * _expr_selectivity(node.predicate)))
-    if isinstance(node, (Project, Sort)):
-        return estimate_rows(node.child, catalog)
-    if isinstance(node, Limit):
-        return min(estimate_rows(node.child, catalog), node.count)
-    if isinstance(node, Distinct):
-        return max(0, estimate_rows(node.child, catalog) // 2)
-    if isinstance(node, Aggregate):
-        return 1
-    if isinstance(node, GroupBy):
-        return min(estimate_rows(node.child, catalog), 128)
-    if isinstance(node, (HashJoin, MergeJoin, LeftOuterJoin)):
-        # Foreign-key heuristic: an equi-join rarely multiplies.
-        return max(
-            estimate_rows(node.left, catalog),
-            estimate_rows(node.right, catalog),
-        )
-    if isinstance(node, (SemiJoin, AntiJoin)):
-        return max(0, estimate_rows(node.left, catalog) // 2)
-    if isinstance(node, NLJoin):
-        cross = estimate_rows(node.left, catalog) * estimate_rows(
-            node.right, catalog
-        )
-        return max(0, int(cross * _expr_selectivity(node.predicate)))
-    if isinstance(node, (InsertRows, UpdateRows, DeleteRows)):
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Normalized predicate forms + the subsumption lattice (repro.folding)
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ Everything engines need from storage goes through here:
 * timed inserts/updates/deletes with index maintenance,
 * temp files for sort runs and OSP materialisations,
 * the table lock manager,
+* the teardown oracle (:meth:`StorageManager.leftovers`): what a run
+  left held,
 * whole loaded tables as shareable images (``capture`` / ``adopt``; see
   :mod:`repro.storage.image`).
 """
@@ -459,6 +461,38 @@ class StorageManager:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def leftovers(self, engine: Any = None) -> List[str]:
+        """The teardown oracle: one line per resource a finished run
+        still holds -- granted table locks, buffer pins, in-flight
+        reads, temp files nobody dropped and, given the *engine* that
+        ran here, queries still active.  Empty after every run, whether
+        its queries completed, failed or were cut off."""
+        found = [
+            f"residual lock on {resource!r} by {owner!r}"
+            for resource, grants in self.locks._granted.items()
+            for owner, _mode in grants
+        ]
+        found += [
+            f"leaked buffer pin on page {key} (count={count})"
+            for key, count in self.pool._pins.items()
+        ]
+        found += [
+            f"read of page {key} still in flight"
+            for key in self.pool._in_flight
+        ]
+        owned = set()
+        for info in self.catalog.infos():
+            owned.add(info.heap.file_id)
+            owned.update(i.tree.file_id for i in info.indexes.values())
+        found += [
+            f"temp file {self.store.file_name(file_id)} never dropped"
+            for file_id in self.store.files() if file_id not in owned
+        ]
+        active = engine.active_queries if engine is not None else 0
+        if active:
+            found.append(f"{active} queries still active at end of run")
+        return found
+
     def num_pages(self, table: str) -> int:
         return self.catalog.table(table).num_pages
 

@@ -21,10 +21,6 @@ def count_plan():
     return Aggregate(TableScan("r"), [AggSpec("count", None, "n")])
 
 
-def no_locks(sm) -> bool:
-    return all(not grants for grants in sm.locks._granted.values())
-
-
 def spawn_catching(host, engine, plan, name="client", delay=0.0):
     box = {}
 
@@ -56,9 +52,7 @@ def test_explicit_cancel_mid_query(big_db):
     assert isinstance(box["error"], QueryAborted)
     assert "user hit ctrl-c" in str(box["error"])
     assert engine.queries_aborted == 1
-    assert engine.active_queries == 0
-    assert sm.pool._pins == {}
-    assert no_locks(sm)
+    assert sm.leftovers(engine) == []
 
 
 def test_cancel_unknown_or_finished_query_is_false(db):
@@ -83,9 +77,7 @@ def test_deadline_aborts_slow_query(big_db):
     host.sim.spawn(client())
     host.sim.run()
     assert "deadline" in str(box["error"])
-    assert engine.active_queries == 0
-    assert sm.pool._pins == {}
-    assert no_locks(sm)
+    assert sm.leftovers(engine) == []
 
 
 def test_deadline_is_an_absolute_virtual_instant(big_db):
@@ -108,8 +100,7 @@ def test_deadline_is_an_absolute_virtual_instant(big_db):
     host.sim.run()
     assert "deadline of 0.300s exceeded" in str(box["error"])
     assert box["at"] == 0.30
-    assert engine.active_queries == 0
-    assert no_locks(sm)
+    assert sm.leftovers(engine) == []
 
 
 def test_deadline_far_away_does_not_fire(db):
@@ -139,9 +130,7 @@ def test_client_disconnect_cleans_up_server_side(big_db):
     host.sim.run()
     assert not proc.alive
     assert engine.queries_aborted == 1
-    assert engine.active_queries == 0
-    assert sm.pool._pins == {}
-    assert no_locks(sm)
+    assert sm.leftovers(engine) == []
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +148,7 @@ def test_aborted_update_releases_exclusive_lock(big_db):
     host.sim.schedule(0.1, engine.cancel, 1, "abort the writer")
     host.sim.run()
     assert isinstance(box["error"], QueryAborted)
-    assert no_locks(sm)
+    assert sm.leftovers(engine) == []
 
     # A follow-up scan must acquire the shared lock immediately and run.
     after = spawn_catching(host, engine, count_plan(), name="reader")
@@ -187,7 +176,7 @@ def test_lock_release_where_and_release_if_held(db):
         lambda owner: isinstance(owner, tuple) and owner[1] == 2
     )
     assert dropped == 1
-    assert no_locks(sm)
+    assert locks.holders("r") == []
 
 
 # ---------------------------------------------------------------------------

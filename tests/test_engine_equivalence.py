@@ -153,16 +153,17 @@ def test_engines_agree_under_memory_pressure(seed, hash_family):
     plan = (hash_family_plan if hash_family else random_plan)(seed)
 
     host, sm = build_db()
-    files = set(sm.store.files())
-    reference = IteratorEngine(sm, work_mem_tuples=40).run_query(plan)
-    assert set(sm.store.files()) == files
+    iterator = IteratorEngine(sm, work_mem_tuples=40)
+    reference = iterator.run_query(plan)
+    assert sm.leftovers(iterator) == []
 
     host2, sm2 = build_db()
     config = QPipeConfig(osp_enabled=True, work_mem_tuples=40)
-    qpipe = QPipeEngine(sm2, config).run_query(plan)
+    engine = QPipeEngine(sm2, config)
+    qpipe = engine.run_query(plan)
     # repr: an outer join's None padding does not order against floats.
     assert sorted(qpipe, key=repr) == sorted(reference, key=repr)
-    assert set(sm2.store.files()) == files
+    assert sm2.leftovers(engine) == []
 
 
 def satisfied_limit_plans():

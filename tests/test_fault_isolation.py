@@ -46,9 +46,7 @@ def trace_types(tracer):
 
 
 def assert_clean(sm, engine, tracer):
-    assert engine.active_queries == 0
-    assert sm.pool._pins == {}
-    assert all(not grants for grants in sm.locks._granted.values())
+    assert sm.leftovers(engine) == []
     assert InvariantChecker(tracer.events).check() == []
 
 

@@ -3,7 +3,8 @@
 Covers the deterministic fault-schedule DSL, the disk-hook and
 process-fault delivery channels, the buffer pool's bounded
 retry-with-backoff for transient errors, checksum verification, and the
-Interrupted-during-I/O cleanup (no leaked pin, no stale in-flight slot).
+Interrupted-during-I/O cleanup (no leaked pin, no stale in-flight slot:
+the storage manager's teardown oracle finds nothing held).
 """
 
 import pytest
@@ -118,10 +119,8 @@ def test_permanent_disk_error_aborts_with_typed_failure(db):
     assert isinstance(box["error"], DiskReadError)
     assert not box["error"].transient
     assert engine.queries_aborted == 1
-    assert engine.active_queries == 0
     # All resources reclaimed: no pins, no table locks.
-    assert sm.pool._pins == {}
-    assert all(not grants for grants in sm.locks._granted.values())
+    assert sm.leftovers(engine) == []
 
 
 def test_dead_block_poisons_every_later_read(db):
@@ -182,7 +181,7 @@ def test_permanent_corruption_aborts(db):
     box = spawn_catching(host, engine, count_plan())
     host.sim.run()
     assert isinstance(box["error"], PageCorruptError)
-    assert sm.pool._pins == {}
+    assert sm.leftovers(engine) == []
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,7 @@ def test_bufferpool_retry_exhaustion_gives_up(db):
     kinds = [e["type"] for e in tracer.events if e["type"].startswith("fault.")]
     assert kinds.count("fault.retry") == 2
     assert kinds.count("fault.giveup") == 1
-    assert sm.pool._in_flight == {}
+    assert sm.leftovers() == []
 
 
 def test_interrupted_io_leaves_no_pin_or_inflight_slot(db):
@@ -255,8 +254,7 @@ def test_interrupted_io_leaves_no_pin_or_inflight_slot(db):
     )
     host.sim.run()
     assert not proc.alive
-    assert sm.pool._pins == {}
-    assert sm.pool._in_flight == {}
+    assert sm.leftovers() == []
     # The page is still readable afterwards by anyone else.
     ok = host.sim.spawn(sm.pool.get_page(fid, 0))
     host.sim.run()
@@ -281,7 +279,7 @@ def test_interrupted_on_hit_path_releases_pin(db):
     )
     host.sim.run()
     assert not proc.alive
-    assert sm.pool._pins == {}
+    assert sm.leftovers() == []
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +302,7 @@ def test_crash_query_picks_deterministic_victim(big_db):
     assert "injected process crash" in str(boxes[0]["error"])
     assert "error" not in boxes[1] and "rows" in boxes[1]
     assert injector.fired[0]["type"] == "query_crash"
-    assert engine.active_queries == 0
-    assert sm.pool._pins == {}
-    assert all(not grants for grants in sm.locks._granted.values())
+    assert sm.leftovers(engine) == []
 
 
 def test_disconnect_interrupts_registered_client(big_db):
@@ -332,5 +328,4 @@ def test_disconnect_interrupts_registered_client(big_db):
     host.sim.run()
     assert outcome["status"] == "disconnected"
     assert engine.queries_aborted == 1
-    assert engine.active_queries == 0
-    assert all(not grants for grants in sm.locks._granted.values())
+    assert sm.leftovers(engine) == []

@@ -2,9 +2,10 @@
 
 ``benchmarks/out/`` holds reduced sweeps and only Figure 8's is compared
 in CI; this module pins what ``python -m repro.harness <name> --scale
-smoke --jobs 1`` prints for *every* entry of the figure table, plus
-``recovery --fault-seed 1`` and ``scaleout --hosts 4``, so the table can
-be re-declared with nothing rendered moving.  The digest is over stdout
+smoke --jobs 1`` prints for *every* entry of the figure table --
+``recovery`` and ``chaos`` at ``--fault-seed 1``, and ``scaleout`` also
+at ``--hosts 4`` -- so the table can be re-declared with nothing
+rendered moving.  The digest is over stdout
 exactly as the CLI prints it, minus the host-clock ``[... wall]`` and
 pool ``[cells: ...]`` lines and the blank lines that trail them.
 
@@ -30,6 +31,7 @@ CASES = {
     )
 }
 CASES["recovery --fault-seed 1"] = ["recovery", "--fault-seed", "1"]
+CASES["chaos --fault-seed 1"] = ["chaos", "--fault-seed", "1"]
 CASES["scaleout --hosts 4"] = ["scaleout", "--hosts", "4"]
 
 RENDERS = {
@@ -67,6 +69,8 @@ RENDERS = {
         'd4fa8f6ba4375f7662a1f8b54673c1dafd4b4467ae657d09eeeaa54d21213796',
     'recovery --fault-seed 1':
         '2b02a87a2b3e33b3bb84342bf7eb181a03663fbb996be30515a6a2da5c58b614',
+    'chaos --fault-seed 1':
+        '1f77c9795030c9265fb747f8467019560edea07106d076e25abf27ec572740f1',
     'scaleout --hosts 4':
         '971fa1b2507b874f7d52e6bb33b27c3ddc84d09d28c6783186586c6f5731178f',
 }

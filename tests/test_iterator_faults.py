@@ -38,11 +38,8 @@ def spawn_catching(host, engine, plan, name="client"):
     return box
 
 
-def assert_balanced(sm, engine, files_before):
-    assert dict(sm.pool._pins) == {}
-    assert all(not grants for grants in sm.locks._granted.values())
-    assert len(sm.store._files) == files_before
-    assert engine.active_queries == 0
+def assert_balanced(sm, engine):
+    assert sm.leftovers(engine) == []
     assert engine._active == {}
 
 
@@ -59,7 +56,6 @@ def join_plan():
 def test_crash_mid_spill_releases_everything(big_db, plan_fn):
     host, sm, _, _ = big_db
     engine = make_engine(sm)
-    files_before = len(sm.store._files)
     injector = FaultInjector(
         FaultPlan().crash_query(at=0.2, target=0)
     ).attach(engine)
@@ -67,7 +63,7 @@ def test_crash_mid_spill_releases_everything(big_db, plan_fn):
     host.sim.run()
     assert isinstance(box.get("error"), QueryAborted)
     assert engine.queries_aborted == 1
-    assert_balanced(sm, engine, files_before)
+    assert_balanced(sm, engine)
     assert injector.fired
 
 
@@ -76,7 +72,6 @@ def test_client_interrupt_runs_pipeline_finalizers(big_db):
     must still unwind the operator tree and drop spill files."""
     host, sm, _, _ = big_db
     engine = make_engine(sm)
-    files_before = len(sm.store._files)
     box = spawn_catching(host, engine, sort_plan())
 
     def killer():
@@ -90,7 +85,7 @@ def test_client_interrupt_runs_pipeline_finalizers(big_db):
     # The Interrupted propagates out of the client (it is not a
     # FaultError), so the query produced neither rows nor a typed error.
     assert "rows" not in box and "error" not in box
-    assert_balanced(sm, engine, files_before)
+    assert_balanced(sm, engine)
 
 
 def test_engine_survives_repeated_crashes(big_db):
@@ -98,7 +93,6 @@ def test_engine_survives_repeated_crashes(big_db):
     no residue from the crashed runs may leak into the survivor."""
     host, sm, r_rows, _ = big_db
     engine = make_engine(sm)
-    files_before = len(sm.store._files)
     plan = FaultPlan()
     for at in (0.2, 0.6, 1.0):
         plan.crash_query(at=at, target=0)
@@ -118,11 +112,11 @@ def test_engine_survives_repeated_crashes(big_db):
     host.sim.run()
     assert sum(isinstance(b.get("error"), QueryAborted)
                for b in boxes) == 3
-    assert_balanced(sm, engine, files_before)
+    assert_balanced(sm, engine)
 
     survivor = spawn_catching(host, engine, sort_plan())
     host.sim.run()
     expected = sorted(r_rows, key=lambda row: row[2])
     assert [row[2] for row in survivor["rows"]] == \
         [row[2] for row in expected]
-    assert_balanced(sm, engine, files_before)
+    assert_balanced(sm, engine)

@@ -229,7 +229,7 @@ def test_mutation_real_engine_function(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Baseline v2 and v1 migration
+# Baseline v2
 # ---------------------------------------------------------------------------
 IMPURE = """\
     def cell(fn):
@@ -251,24 +251,6 @@ def test_baseline_v2_round_trip(tmp_path):
     assert doc["version"] == 2
     assert doc["findings"][0]["symbol"] == "bad_cell"
 
-    baseline = load_baseline(str(baseline_path))
-    new, grandfathered, stale = apply_baseline(findings, baseline)
-    assert new == [] and len(grandfathered) == 1 and stale == []
-
-
-def test_baseline_v1_entries_still_match(tmp_path):
-    findings = run_lint(tmp_path, IMPURE)
-    (finding,) = findings
-    v1 = {
-        "version": 1,
-        "findings": [{
-            "path": finding.path,
-            "rule": finding.rule,
-            "snippet": finding.snippet,
-        }],
-    }
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps(v1))
     baseline = load_baseline(str(baseline_path))
     new, grandfathered, stale = apply_baseline(findings, baseline)
     assert new == [] and len(grandfathered) == 1 and stale == []

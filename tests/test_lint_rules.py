@@ -12,6 +12,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import lint_paths
 from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 
@@ -150,6 +152,23 @@ def test_trc003_missing_required_field(tmp_path):
         """)
     assert rules_of(findings) == ["TRC003"]
     assert "reason" in findings[0].message
+
+
+@pytest.mark.parametrize("emit, missing", [
+    ('tracer.net("send", src=0, dst=1, bytes=64, frames=1)', "tag"),
+    ('tracer.exchange("batch", query=1, kind="shuffle", src=0, dst=1, '
+     'rows=3)', "bytes"),
+    ('tracer.shard("fragment_done", query=1, shard=0)', "rows"),
+], ids=["net", "exchange", "shard"])
+def test_trc003_checks_the_network_exchange_and_shard_families(
+    tmp_path, emit, missing
+):
+    findings = run_lint(tmp_path, f"""\
+        def emit(tracer):
+            {emit}
+        """)
+    assert rules_of(findings) == ["TRC003"]
+    assert missing in findings[0].message
 
 
 def test_trc003_kwargs_forwarding_skipped(tmp_path):

@@ -331,26 +331,12 @@ def test_adaptive_width_bypasses_pool_for_fewer_cells(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Work stealing: the steal policy, and a forced steal through the pool
+# One FIFO: a retry keeps its place while the other worker drains the queue
 # ---------------------------------------------------------------------------
-def test_steal_choice_policy():
-    from repro.parallel import steal_choice
-
-    # Own queue first, regardless of longer queues elsewhere.
-    assert steal_choice([[1], [1, 2, 3]], 0) == 0
-    # Empty own queue: steal from the longest other queue.
-    assert steal_choice([[], [1], [1, 2]], 0) == 2
-    # Ties break to the lowest slot index.
-    assert steal_choice([[], [1, 2], [1, 2]], 0) == 1
-    # Every queue drained: nothing to take.
-    assert steal_choice([[], [], []], 1) is None
-
-
-def test_pool_steals_from_a_busy_slot(tmp_path):
-    """Deal [flaky, ok, ok] onto two slots: slot 0 gets [flaky, ok(3)],
-    slot 1 gets [ok(2)].  The flaky cell's retry re-occupies slot 0
-    without refilling, so when slot 1 finishes its only cell the sole
-    remaining work sits in slot 0's queue -- slot 1 must steal it."""
+def test_pool_retries_while_the_queue_drains(tmp_path):
+    """Run [flaky, ok, ok] two at a time: the flaky cell's retry takes
+    the place its first attempt held, and the queue's last cell runs
+    beside it."""
     flaky = flaky_spec(tmp_path)
     specs = [flaky, ok_spec(2), ok_spec(3)]
     factory = Factory()
@@ -360,12 +346,11 @@ def test_pool_steals_from_a_busy_slot(tmp_path):
     assert results[ok_spec(2)].payload == 3
     assert results[ok_spec(3)].payload == 4
     assert runner.stats.retries == 1
-    assert runner.stats.steals == 1
     assert runner.stats.executed == 3
 
 
-def test_pool_steals_match_serial_payloads(tmp_path):
-    """Byte-identity across scheduling: an uneven bag run with steals
+def test_pool_matches_serial_payloads(tmp_path):
+    """Byte-identity across scheduling: an uneven bag run on the pool
     produces exactly the serial runner's payloads."""
     flaky = flaky_spec(tmp_path)
     specs = [flaky, ok_spec(10), ok_spec(11), ok_spec(12), ok_spec(13)]

@@ -2,19 +2,14 @@
 
 Drives the ``recovery`` experiment's crash scenarios (each runs a
 fault-free reference plus a crashed-and-recovered run and demands
-byte-identical rows) and the chaos harness with the RecoveryManager
-enabled on both servers it attacks.
+byte-identical rows) and the chaos figure's recovery runs on both
+servers it attacks.
 """
 
 import pytest
 
 from repro.harness.config import SMOKE
-from repro.harness.experiments import (
-    CHAOS_SYSTEMS,
-    FIGURES,
-    RECOVERY_SCENARIOS,
-    chaos,
-)
+from repro.harness.experiments import FIGURES, RECOVERY_SCENARIOS
 
 
 @pytest.fixture(scope="module")
@@ -96,11 +91,18 @@ def test_lineage_log_pays_for_durability(scenarios):
 # ---------------------------------------------------------------------------
 # Chaos with recovery enabled
 # ---------------------------------------------------------------------------
+def chaos_with_recovery(seed, system):
+    (result,) = FIGURES["chaos"].run(
+        SMOKE, fault_seed=seed, recovery=(True,), system=(system,)
+    )
+    return result
+
+
 @pytest.mark.parametrize(
-    "system", list(CHAOS_SYSTEMS), ids=list(CHAOS_SYSTEMS.values())
+    "system", ["qpipe", "dbmsx"], ids=["packets", "iterator"]
 )
 def test_chaos_with_recovery_holds_invariants(system):
-    result = chaos(fault_seed=3, system=system, recovery=True)
+    result = chaos_with_recovery(3, system)
     assert result["violations"] == []
     assert result["recovery"] is True
     # Seed 3's plan crashes resumable queries: some recoveries happen
@@ -112,5 +114,5 @@ def test_chaos_with_recovery_holds_invariants(system):
 def test_chaos_recovery_survives_log_faults():
     """The recovery leg arms extra log-device faults; a fault plan that
     tears or fails lineage flushes must still never corrupt results."""
-    result = chaos(fault_seed=2, recovery=True)
+    result = chaos_with_recovery(2, "qpipe")
     assert result["violations"] == []

@@ -207,8 +207,7 @@ def no_cycle_collection():
 def check_teardown(engine, sm, events, tracked):
     assert InvariantChecker(events).check() == []
     assert engine.live_buffers() == []
-    assert sm.pool._pins == {}
-    assert all(not grants for grants in sm.locks._granted.values())
+    assert sm.leftovers(engine) == []
     packets = [
         obj for obj in (ref() for ref in tracked)
         if isinstance(obj, Packet) and obj.query.sm is sm
