@@ -76,13 +76,13 @@ class ExecContext:
     #: and has not yet dropped; the engine's fault teardown sweeps them.
     temp_files: List[Any] = field(default_factory=list)
 
-    def cpu(self, tuples: int, factor: float = 1.0) -> Generator:
+    def cpu(self, tuples: int) -> Generator:
         """Coroutine: charge CPU for processing *tuples* tuples.
 
         Hands back the burst itself, so a charge is one generator frame.
         """
         host = self.host
-        return host.cpu.burst(tuples * host.config.cpu_per_tuple * factor)
+        return host.cpu.burst(tuples * host.config.cpu_per_tuple)
 
     def track_temp(self, temp) -> Any:
         """Register a freshly created temp file for fault-path cleanup."""
@@ -329,10 +329,7 @@ class SortOp(Operator):
         self._done = False
 
     def _sort(self, rows: List[tuple]) -> Generator:
-        yield from self.ctx.cpu(
-            sort_comparisons(len(rows)),
-            factor=self.ctx.host.config.sort_cpu_factor,
-        )
+        yield from self.ctx.cpu(sort_comparisons(len(rows)))
         rows.sort(key=self._key, reverse=self.descending)
 
     def _build(self):

@@ -76,10 +76,7 @@ class SortEngine(MicroEngine):
             yield from packet.output.put(result[start:start + BATCH_ROWS])
 
     def _sort(self, packet: Packet, rows, key, reverse) -> Generator:
-        yield from self.charge(
-            packet, sort_comparisons(len(rows)),
-            factor=self.engine.host.config.sort_cpu_factor,
-        )
+        yield from self.charge(packet, sort_comparisons(len(rows)))
         rows.sort(key=key, reverse=reverse)
 
     def _spill(self, packet, rows, key, reverse, runs) -> Generator:

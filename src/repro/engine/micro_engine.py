@@ -45,9 +45,6 @@ class MicroEngine:
         self.engine = engine  # QPipeEngine
         self.sim = engine.sim
         self.workers = workers
-        #: Private CPU partition (section 4.2's "fixed number of CPUs per
-        #: micro-engine"); None charges the host's shared CPU pool.
-        self.cpu = engine.cpu_partitions.get(name)
         self.queue = Channel(self.sim, capacity=float("inf"), name=f"{name}-q")
         #: Packets queued or running here, inspected for overlaps.
         self.active: List[Packet] = []
@@ -242,17 +239,12 @@ class MicroEngine:
     # ------------------------------------------------------------------
     # Helpers for operator implementations
     # ------------------------------------------------------------------
-    def charge(self, packet: Packet, tuples: int, factor: float = 1.0) -> Generator:
-        """Coroutine: charge CPU for *tuples* on this micro-engine's
-        partition (or the shared pool when none is configured).
+    def charge(self, packet: Packet, tuples: int) -> Generator:
+        """Coroutine: charge CPU for *tuples* on the host's shared pool.
 
         Hands back the burst itself, so a charge is one generator frame.
         """
-        if self.cpu is None:
-            return packet.query.cpu(tuples, factor)
-        return self.cpu.burst(
-            tuples * self.engine.host.config.cpu_per_tuple * factor
-        )
+        return packet.query.cpu(tuples)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<µEngine {self.name} active={len(self.active)}>"

@@ -58,13 +58,13 @@ class QueryContext:
     #: operators report delivered pages through it (None: no recording).
     lineage: Any = None
 
-    def cpu(self, tuples: int, factor: float = 1.0) -> Generator:
+    def cpu(self, tuples: int) -> Generator:
         """Coroutine: charge CPU for processing *tuples* tuples.
 
         Hands back the burst itself, so a charge is one generator frame.
         """
         host = self.host_machine
-        return host.cpu.burst(tuples * host.config.cpu_per_tuple * factor)
+        return host.cpu.burst(tuples * host.config.cpu_per_tuple)
 
 
 @dataclass(eq=False)

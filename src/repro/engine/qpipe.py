@@ -45,13 +45,6 @@ class QPipeConfig:
     osp_enabled: bool = True
     #: Per-query work memory (sort heaps / hash tables), in tuples.
     work_mem_tuples: int = 50_000
-    #: Seconds a shared scanner waits on one stalled consumer before
-    #: detaching it (None: 5 page-service-times, computed at run time).
-    scan_detach_patience: float = None
-    #: Section 4.2's two-level scheduling: map micro-engine name -> number
-    #: of dedicated CPU cores (e.g. {"sort": 1, "hashjoin": 2}).  Unlisted
-    #: engines charge the host's shared CPU pool.  None partitions nothing.
-    cpu_partitions: dict = None
     #: Section 4.3.1's late activation: a scan packet only attaches to
     #: the shared scanner once its consumer is ready to receive tuples.
     #: Disabling it lets eager scans fill their buffers and stall the
@@ -83,12 +76,6 @@ class QPipeEngine:
         self.config = config or QPipeConfig()
         self.osp_enabled = self.config.osp_enabled
         self.osp_stats = OspStats()
-        from repro.hw.cpu import CPU
-
-        self.cpu_partitions = {
-            name: CPU(self.sim, cores=cores, name=f"cpu-{name}")
-            for name, cores in (self.config.cpu_partitions or {}).items()
-        }
         self.engines = build_engines(self, self.config.workers)
         self.dispatcher = PacketDispatcher(self)
         self.folds = FoldCoordinator(self)

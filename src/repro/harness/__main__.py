@@ -68,14 +68,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cache",
         action="store_true",
-        default=False,
-        help="serve unchanged cells from the content-addressed cache",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_false",
-        dest="cache",
-        help="disable the cell cache (the default)",
+        help=(
+            "serve unchanged cells from the content-addressed cache "
+            "(off by default)"
+        ),
     )
     parser.add_argument(
         "--cache-clear",

@@ -43,27 +43,11 @@ class Scale:
     buffer_pages: int = 32
     #: Target seconds for one undisturbed LINEITEM scan (disk calibration).
     lineitem_scan_seconds: float = 110.0
-    #: seek = seek_factor * transfer (concurrent-scan thrash severity).
-    #: Kept modest: real engines amortise stream switches with multi-page
-    #: prefetch, and the paper's 4-disk RAID-0 absorbs concurrent streams.
-    seek_factor: float = 0.2
-    cores: int = 2
-    work_mem_tuples: int = 50_000
     replay_tuples: int = 2048
     buffer_tuples: int = 4096
     seed: int = 20050614
     #: Queries each client submits in throughput experiments.
     queries_per_client: int = 2
-    #: Ramp-up delay between client starts in throughput experiments
-    #: (clients connect over a few seconds, not in an atomic barrier).
-    client_stagger: float = 7.0
-    #: Sharded deployments: network link bandwidth (bytes/s) and one-way
-    #: latency (s).  The defaults model GbE-class links -- orders of
-    #: magnitude faster than the deliberately slow paper-era disks, so
-    #: scan scale-out is disk-bound, but every exchanged byte is still
-    #: queued and charged through the NIC model.
-    net_bandwidth: float = 125_000_000.0
-    net_latency: float = 0.0005
 
 
 #: Tiny preset for unit tests and pytest-benchmark runs.
@@ -78,6 +62,12 @@ SMOKE = Scale(
 
 #: The scale EXPERIMENTS.md numbers are recorded at.
 DEFAULT = Scale(name="default")
+
+#: Disk seek time as a multiple of the calibrated block transfer time
+#: (concurrent-scan thrash severity).  Kept modest: real engines amortise
+#: stream switches with multi-page prefetch, and the paper's 4-disk
+#: RAID-0 absorbs concurrent streams.
+SEEK_FACTOR = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +134,33 @@ def _host_for_pages(scale: Scale, calibration_pages: int) -> Host:
     """A host whose disk reads *calibration_pages* sequential blocks in
     ``scale.lineitem_scan_seconds`` virtual seconds."""
     transfer = scale.lineitem_scan_seconds / max(1, calibration_pages)
-    config = HostConfig(
-        cores=scale.cores,
-        disk_transfer_time=transfer,
-        disk_seek_time=transfer * scale.seek_factor,
-    )
-    host = Host(config)
+    host = Host(_calibrated_disk(transfer))
     if _TRACING["enabled"]:
         from repro.obs import Tracer
 
         _TRACING["tracers"].append(Tracer(host.sim))  # type: ignore[union-attr]
     return host
+
+
+def _calibrated_disk(transfer: float) -> HostConfig:
+    return HostConfig(
+        disk_transfer_time=transfer, disk_seek_time=transfer * SEEK_FACTOR
+    )
+
+
+def _storage_manager(host: Host, scale: Scale, system: str) -> StorageManager:
+    """The persona's buffer pool: DBMS X runs ARC with a large scan ring
+    *visible* to other scans (commercial shared-scan-window behaviour,
+    the timing-sensitive extra sharing the paper credits X with); QPipe
+    and its Baseline run LRU with a private ring."""
+    dbmsx = system == "dbmsx"
+    return StorageManager(
+        host,
+        buffer_pages=scale.buffer_pages,
+        policy="arc" if dbmsx else "lru",
+        scan_window_shared=dbmsx,
+        scan_ring_fraction=0.375 if dbmsx else 0.125,
+    )
 
 
 def _estimate_lineitem_pages(scale: Scale) -> int:
@@ -166,8 +172,7 @@ def _estimate_lineitem_pages(scale: Scale) -> int:
 
 
 def build_tpch_system(
-    scale: Scale, system: str, seed_offset: int = 0,
-    backend: str = "packets",
+    scale: Scale, system: str, backend: str = "packets",
 ) -> Tuple[Host, StorageManager, object]:
     """A loaded TPC-H database plus the requested engine.
 
@@ -184,18 +189,8 @@ def build_tpch_system(
             "backend='packets', or 'pushed' only with system='dbmsx'"
         )
     host = _host_for_pages(scale, _estimate_lineitem_pages(scale))
-    policy = "arc" if system == "dbmsx" else "lru"
-    sm = StorageManager(
-        host,
-        buffer_pages=scale.buffer_pages,
-        policy=policy,
-        # Both pools confine scans to a ring; X's ring is *visible* to
-        # other scans (commercial shared-scan-window behaviour), which is
-        # the timing-sensitive extra sharing the paper credits X with.
-        scan_window_shared=(system == "dbmsx"),
-        scan_ring_fraction=0.375 if system == "dbmsx" else 0.125,
-    )
-    load_tpch(sm, TpchScale(scale.tpch_factor), seed=scale.seed + seed_offset)
+    sm = _storage_manager(host, scale, system)
+    load_tpch(sm, TpchScale(scale.tpch_factor), seed=scale.seed)
     engine = make_engine(sm, scale, system)
     return host, sm, engine
 
@@ -217,14 +212,7 @@ def build_wisconsin_system(
     host = _host_for_pages(
         with_overrides(scale, lineitem_scan_seconds=40.0), big_pages
     )
-    policy = "arc" if system == "dbmsx" else "lru"
-    sm = StorageManager(
-        host,
-        buffer_pages=scale.buffer_pages,
-        policy=policy,
-        scan_window_shared=(system == "dbmsx"),
-        scan_ring_fraction=0.375 if system == "dbmsx" else 0.125,
-    )
+    sm = _storage_manager(host, scale, system)
     load_wisconsin(sm, WisconsinScale(big_rows=scale.wisconsin_big_rows),
                    seed=scale.seed)
     engine = make_engine(sm, scale, system)
@@ -232,10 +220,7 @@ def build_wisconsin_system(
 
 
 def build_sharded_wisconsin_system(
-    scale: Scale,
-    hosts: int,
-    system: str = "qpipe",
-    prefer_shuffle: bool = True,
+    scale: Scale, hosts: int, system: str = "qpipe"
 ):
     """An N-host sharded Wisconsin deployment plus its executor.
 
@@ -251,7 +236,6 @@ def build_sharded_wisconsin_system(
     executor runs everything locally -- the single-host baseline.
     """
     from repro.hw.host import Cluster, ClusterConfig
-    from repro.hw.net import NetConfig
     from repro.shard import ShardedExecutor, ShardedSystem
     from repro.storage.page import rows_per_page
     from repro.workloads.wisconsin.gen import (
@@ -265,35 +249,16 @@ def build_sharded_wisconsin_system(
     )
     transfer = 40.0 / big_pages
     cluster = Cluster(
-        ClusterConfig(
-            hosts=hosts,
-            host=HostConfig(
-                cores=scale.cores,
-                disk_transfer_time=transfer,
-                disk_seek_time=transfer * scale.seek_factor,
-            ),
-            net=NetConfig(
-                latency=scale.net_latency, bandwidth=scale.net_bandwidth
-            ),
-        )
+        ClusterConfig(hosts=hosts, host=_calibrated_disk(transfer))
     )
     if _TRACING["enabled"]:
         from repro.obs import Tracer
 
         _TRACING["tracers"].append(Tracer(cluster.sim))  # type: ignore[union-attr]
 
-    def make_sm(host: Host) -> StorageManager:
-        return StorageManager(
-            host,
-            buffer_pages=scale.buffer_pages,
-            policy="arc" if system == "dbmsx" else "lru",
-            scan_window_shared=(system == "dbmsx"),
-            scan_ring_fraction=0.375 if system == "dbmsx" else 0.125,
-        )
-
     sharded = ShardedSystem(
         cluster,
-        make_sm,
+        lambda host: _storage_manager(host, scale, system),
         lambda sm: make_engine(sm, scale, system),
     )
     tables = generate_wisconsin(
@@ -302,23 +267,18 @@ def build_sharded_wisconsin_system(
     sharded.create_table("big1", WISCONSIN_SCHEMA, tables["big1"])
     sharded.create_table("big2", WISCONSIN_SCHEMA, tables["big2"])
     sharded.create_replicated_table("small", WISCONSIN_SCHEMA, tables["small"])
-    return cluster, sharded, ShardedExecutor(
-        sharded, prefer_shuffle=prefer_shuffle
-    )
+    return cluster, sharded, ShardedExecutor(sharded)
 
 
 def make_engine(sm: StorageManager, scale: Scale, system: str):
     """The engine object for a system name (see module docstring)."""
     if system == "dbmsx":
-        return IteratorEngine(
-            sm, work_mem_tuples=scale.work_mem_tuples, name="dbms-x"
-        )
+        return IteratorEngine(sm, name="dbms-x")
     if system in ("qpipe", "baseline"):
         return QPipeEngine(
             sm,
             QPipeConfig(
                 osp_enabled=(system == "qpipe"),
-                work_mem_tuples=scale.work_mem_tuples,
                 replay_tuples=scale.replay_tuples,
                 buffer_tuples=scale.buffer_tuples,
                 name=system,

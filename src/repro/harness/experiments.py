@@ -412,6 +412,10 @@ def fig11_cell(spec: CellSpec) -> float:
 # ---------------------------------------------------------------------------
 FIG12_SYSTEMS = ("qpipe", "baseline", "dbmsx")
 
+#: Ramp-up delay between client starts in the throughput figures
+#: (clients connect over a few seconds, not in an atomic barrier).
+CLIENT_STAGGER = 7.0
+
 
 @cell
 def fig12_cell(spec: CellSpec) -> float:
@@ -427,7 +431,7 @@ def fig12_cell(spec: CellSpec) -> float:
             factory,
             queries=scale.queries_per_client,
             think_time=0.0,
-            start_delay=i * scale.client_stagger,
+            start_delay=i * CLIENT_STAGGER,
         )
         for i in range(c["count"])
     ]
@@ -454,7 +458,7 @@ def fig13_cell(spec: CellSpec) -> float:
             factory,
             queries=queries,
             think_time=c["think"],
-            start_delay=i * scale.client_stagger,
+            start_delay=i * CLIENT_STAGGER,
         )
         for i in range(c["clients"])
     ]
@@ -795,7 +799,7 @@ def _scaleout_plans(workload: str) -> List:
     (gather), one grouped aggregate (shuffle), one partitioned-x-
     partitioned join (broadcast) -- exchange-heavy by construction.
     """
-    from repro.relational.plans import Limit, Project, Sort
+    from repro.relational.plans import Limit, Sort
 
     if workload == "scan":
         aggs = [AggSpec("sum", Col("unique2")), AggSpec("count", None)]

@@ -16,8 +16,11 @@ from typing import List, Optional
 
 from repro.hw.cpu import CPU
 from repro.hw.disk import Disk
-from repro.hw.net import NetConfig, Network
+from repro.hw.net import Network
 from repro.sim import Simulator
+
+#: CPU cores per host (the multi-core resource every CPU burst queues on).
+CORES = 2
 
 
 @dataclass
@@ -25,21 +28,16 @@ class HostConfig:
     """Hardware and cost-model knobs, scaled per DESIGN.md section 5.
 
     The defaults give a ~2 MB/s effective sequential disk (8 KB blocks at
-    4 ms each), so a ~1,500-block LINEITEM scan takes ~6 simulated seconds
-    per configured `time_scale`; harness presets stretch this so that full
-    scans take on the order of 100 simulated seconds, matching the paper's
-    interarrival sweeps.
+    4 ms each), so a ~1,500-block LINEITEM scan takes ~6 simulated
+    seconds; harness presets stretch this so that full scans take on the
+    order of 100 simulated seconds, matching the paper's interarrival
+    sweeps.
     """
 
-    cores: int = 2
     disk_transfer_time: float = 0.004
     disk_seek_time: float = 0.02
     #: CPU seconds to process one tuple through one operator.
     cpu_per_tuple: float = 0.00001
-    #: CPU seconds for a buffer-pool hit (in-memory page access).
-    page_hit_cost: float = 0.00002
-    #: comparison cost multiplier used by sort (n log n * this).
-    sort_cpu_factor: float = 1.0
 
 
 @dataclass
@@ -69,7 +67,7 @@ class Host:
             seek_time=self.config.disk_seek_time,
             name=disk_name,
         )
-        self.cpu = CPU(self.sim, cores=self.config.cores)
+        self.cpu = CPU(self.sim, cores=CORES)
 
     @property
     def node(self) -> Optional[str]:
@@ -87,11 +85,11 @@ class Host:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """An N-host symmetric cluster: identical hosts, one link fabric."""
+    """An N-host symmetric cluster: identical hosts, one link fabric
+    (the default :class:`~repro.hw.net.NetConfig`)."""
 
     hosts: int = 2
     host: HostConfig = field(default_factory=HostConfig)
-    net: NetConfig = field(default_factory=NetConfig)
 
     def __post_init__(self):
         if self.hosts < 1:
@@ -119,7 +117,7 @@ class Cluster:
             for i in range(config.hosts)
         ]
         self.network = Network(
-            self.sim, config.net, tuple(h.name for h in self.hosts)
+            self.sim, hosts=tuple(h.name for h in self.hosts)
         )
 
     def __len__(self):

@@ -9,11 +9,11 @@ service order -- so distributed runs stay bit-reproducible:
   concurrent messages on one host serialize exactly like concurrent
   reads on its disk;
 * a message of ``b`` payload bytes is framed into
-  ``ceil(b / frame_bytes)`` fixed-size frames and charged **whole
+  ``ceil(b / FRAME_BYTES)`` fixed-size frames and charged **whole
   frames** on the wire -- the same whole-block charging the disk model
   uses for partially-filled pages;
 * service is store-and-forward: the sender NIC is occupied for
-  ``frames * frame_bytes / bandwidth`` seconds, a fixed propagation
+  ``frames * FRAME_BYTES / bandwidth`` seconds, a fixed propagation
   latency elapses, then the receiver NIC is occupied for the same
   serialization time again;
 * delivery order is deterministic because the NIC queues are FIFO
@@ -33,6 +33,9 @@ from typing import Dict, Generator, List, Tuple
 from repro.sim import Simulator
 from repro.sim.sync import Resource
 
+#: Frame size; messages are charged in whole frames, like disk blocks.
+FRAME_BYTES = 8192
+
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -48,16 +51,12 @@ class NetConfig:
     latency: float = 0.0005
     #: NIC serialization bandwidth, bytes/second.
     bandwidth: float = 125_000_000.0
-    #: Frame size; messages are charged in whole frames, like disk blocks.
-    frame_bytes: int = 8192
 
     def __post_init__(self):
         if self.latency < 0:
             raise ValueError("latency cannot be negative")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.frame_bytes < 1:
-            raise ValueError("frame_bytes must be >= 1")
 
 
 @dataclass
@@ -135,11 +134,11 @@ class Network:
         """Whole frames needed for *nbytes* of payload (min 1)."""
         if nbytes < 0:
             raise ValueError(f"message size cannot be negative: {nbytes}")
-        return max(1, -(-nbytes // self.config.frame_bytes))
+        return max(1, -(-nbytes // FRAME_BYTES))
 
     def serialize_time(self, nbytes: int) -> float:
         """Seconds one NIC is occupied serializing *nbytes* of payload."""
-        wire = self.frames_for(nbytes) * self.config.frame_bytes
+        wire = self.frames_for(nbytes) * FRAME_BYTES
         return wire / self.config.bandwidth
 
     def transfer_time(self, nbytes: int) -> float:
@@ -165,7 +164,7 @@ class Network:
         snic = self.nic(src)
         rnic = self.nic(dst)
         frames = self.frames_for(nbytes)
-        wire = frames * self.config.frame_bytes
+        wire = frames * FRAME_BYTES
         service = wire / self.config.bandwidth
         tracer = self.sim.tracer
 

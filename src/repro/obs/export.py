@@ -15,7 +15,7 @@ one slice serving many queries.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Union
+from typing import Any, Dict, Iterable, List
 
 #: Chrome's ts unit is microseconds; the simulation clock is seconds.
 _US = 1_000_000.0
@@ -49,7 +49,7 @@ def read_jsonl(path) -> List[Dict[str, Any]]:
 # ---------------------------------------------------------------------------
 # Chrome trace_event
 # ---------------------------------------------------------------------------
-def chrome_trace(events: Iterable[Dict[str, Any]], process_name: str = "qpipe") -> dict:
+def chrome_trace(events: Iterable[Dict[str, Any]]) -> dict:
     """Convert a trace to the Chrome ``trace_event`` JSON object format.
 
     Threads: one per micro-engine (named after it), plus ``bufferpool``,
@@ -142,7 +142,7 @@ def chrome_trace(events: Iterable[Dict[str, Any]], process_name: str = "qpipe") 
             "name": "process_name",
             "ph": "M",
             "pid": 1,
-            "args": {"name": process_name},
+            "args": {"name": "qpipe"},
         }
     ]
     for thread, tid in tids.items():
@@ -158,8 +158,7 @@ def chrome_trace(events: Iterable[Dict[str, Any]], process_name: str = "qpipe") 
     return {"traceEvents": meta + out, "displayTimeUnit": "ms"}
 
 
-def write_chrome(events: Iterable[Dict[str, Any]], path,
-                 process_name: str = "qpipe") -> None:
+def write_chrome(events: Iterable[Dict[str, Any]], path) -> None:
     """Write the Chrome trace_event rendering of *events* to *path*."""
     with open(path, "w") as handle:
-        json.dump(chrome_trace(events, process_name), handle, sort_keys=True)
+        json.dump(chrome_trace(events), handle, sort_keys=True)

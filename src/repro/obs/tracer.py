@@ -39,7 +39,7 @@ tracing is off.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.schema import (
     EVENT_NAMES,
@@ -60,14 +60,28 @@ def _family_names(family: str) -> Dict[str, str]:
 
 _POOL_NAMES = _family_names("pool")
 _PROC_NAMES = _family_names("proc")
-_OSP_NAMES = _family_names("osp")
 _LOCK_NAMES = _family_names("lock")
-_FAULT_NAMES = _family_names("fault")
-_LINEAGE_NAMES = _family_names("lineage")
-_FOLD_NAMES = _family_names("fold")
-_NET_NAMES = _family_names("net")
-_EXCHANGE_NAMES = _family_names("exchange")
-_SHARD_NAMES = _family_names("shard")
+
+
+def _emitter(family: str):
+    """The emit hook of a keyword family: ``tracer.<family>(etype,
+    **fields)`` records ``{"ts", "type": "<family>.<etype>", **fields}``."""
+    names = _family_names(family)
+
+    def emit(self, etype: str, **fields) -> None:
+        name = names.get(etype)
+        if name is None:
+            raise UnknownTraceEvent(f"{family}.{etype}")
+        record: Dict[str, Any] = {"ts": self.sim.now, "type": name}
+        record.update(fields)
+        self.events.append(record)
+
+    emit.__name__ = family
+    return emit
+
+
+def _ignore(self, etype: str, **fields) -> None:
+    pass
 
 
 class NullTracer:
@@ -102,9 +116,10 @@ class NullTracer:
     def query_abort(self, query, reason: str, node=None) -> None:
         pass
 
-    # -- OSP coordinator decisions ------------------------------------------
-    def osp(self, etype: str, **fields) -> None:
-        pass
+    # -- keyword families: OSP coordinator decisions, fault injection /
+    # -- recovery, write-ahead lineage, query folding, network fabric,
+    # -- exchange operators, sharded query execution
+    osp = fault = lineage = fold = net = exchange = shard = _ignore
 
     # -- buffer pool ---------------------------------------------------------
     def pool(self, etype: str, file_id: int, block_no: int) -> None:
@@ -112,30 +127,6 @@ class NullTracer:
 
     # -- lock manager --------------------------------------------------------
     def lock(self, etype: str, owner, resource) -> None:
-        pass
-
-    # -- fault injection / recovery ------------------------------------------
-    def fault(self, etype: str, **fields) -> None:
-        pass
-
-    # -- write-ahead lineage / mid-query recovery ----------------------------
-    def lineage(self, etype: str, **fields) -> None:
-        pass
-
-    # -- generalized sharing (query folding) ----------------------------------
-    def fold(self, etype: str, **fields) -> None:
-        pass
-
-    # -- network fabric -------------------------------------------------------
-    def net(self, etype: str, **fields) -> None:
-        pass
-
-    # -- exchange operators ---------------------------------------------------
-    def exchange(self, etype: str, **fields) -> None:
-        pass
-
-    # -- sharded query execution ----------------------------------------------
-    def shard(self, etype: str, **fields) -> None:
         pass
 
     # -- simulation kernel ---------------------------------------------------
@@ -246,14 +237,14 @@ class Tracer(NullTracer):
         host = {} if node is None else {"node": node}
         self.event("query.abort", query=query.query_id, reason=reason, **host)
 
-    # -- OSP coordinator decisions ------------------------------------------
-    def osp(self, etype: str, **fields) -> None:
-        name = _OSP_NAMES.get(etype)
-        if name is None:
-            raise UnknownTraceEvent(f"osp.{etype}")
-        record: Dict[str, Any] = {"ts": self.sim.now, "type": name}
-        record.update(fields)
-        self.events.append(record)
+    # -- keyword families ----------------------------------------------------
+    osp = _emitter("osp")
+    fault = _emitter("fault")
+    lineage = _emitter("lineage")
+    fold = _emitter("fold")
+    net = _emitter("net")
+    exchange = _emitter("exchange")
+    shard = _emitter("shard")
 
     # -- lock manager --------------------------------------------------------
     def lock(self, etype: str, owner, resource) -> None:
@@ -268,60 +259,6 @@ class Tracer(NullTracer):
                 "resource": str(resource),
             }
         )
-
-    # -- fault injection / recovery ------------------------------------------
-    def fault(self, etype: str, **fields) -> None:
-        name = _FAULT_NAMES.get(etype)
-        if name is None:
-            raise UnknownTraceEvent(f"fault.{etype}")
-        record: Dict[str, Any] = {"ts": self.sim.now, "type": name}
-        record.update(fields)
-        self.events.append(record)
-
-    # -- write-ahead lineage / mid-query recovery ----------------------------
-    def lineage(self, etype: str, **fields) -> None:
-        name = _LINEAGE_NAMES.get(etype)
-        if name is None:
-            raise UnknownTraceEvent(f"lineage.{etype}")
-        record: Dict[str, Any] = {"ts": self.sim.now, "type": name}
-        record.update(fields)
-        self.events.append(record)
-
-    # -- generalized sharing (query folding) ----------------------------------
-    def fold(self, etype: str, **fields) -> None:
-        name = _FOLD_NAMES.get(etype)
-        if name is None:
-            raise UnknownTraceEvent(f"fold.{etype}")
-        record: Dict[str, Any] = {"ts": self.sim.now, "type": name}
-        record.update(fields)
-        self.events.append(record)
-
-    # -- network fabric -------------------------------------------------------
-    def net(self, etype: str, **fields) -> None:
-        name = _NET_NAMES.get(etype)
-        if name is None:
-            raise UnknownTraceEvent(f"net.{etype}")
-        record: Dict[str, Any] = {"ts": self.sim.now, "type": name}
-        record.update(fields)
-        self.events.append(record)
-
-    # -- exchange operators ---------------------------------------------------
-    def exchange(self, etype: str, **fields) -> None:
-        name = _EXCHANGE_NAMES.get(etype)
-        if name is None:
-            raise UnknownTraceEvent(f"exchange.{etype}")
-        record: Dict[str, Any] = {"ts": self.sim.now, "type": name}
-        record.update(fields)
-        self.events.append(record)
-
-    # -- sharded query execution ----------------------------------------------
-    def shard(self, etype: str, **fields) -> None:
-        name = _SHARD_NAMES.get(etype)
-        if name is None:
-            raise UnknownTraceEvent(f"shard.{etype}")
-        record: Dict[str, Any] = {"ts": self.sim.now, "type": name}
-        record.update(fields)
-        self.events.append(record)
 
     # -- buffer pool ---------------------------------------------------------
     def pool(self, etype: str, file_id: int, block_no: int) -> None:

@@ -305,9 +305,6 @@ class CircularScanManager:
         the scans".  A few page-service-times of grace absorbs normal
         jitter without coupling everyone to a stalled pipeline.
         """
-        configured = getattr(self.engine.config, "scan_detach_patience", None)
-        if configured is not None:
-            return configured
         disk = self.engine.host.config
         return 5.0 * (disk.disk_seek_time + disk.disk_transfer_time)
 

@@ -68,14 +68,11 @@ class WoPProfile:
             hold (buffering enhancement; widens step/spike).
         materialized: whether results are retained for re-emission
             (materialisation enhancement; converts spike/step to linear).
-        materialize_efficiency: slope discount for the materialised path
-            (re-reading stored results is not free).
     """
 
     overlap: OverlapClass
     buffer_fraction: float = 0.0
     materialized: bool = False
-    materialize_efficiency: float = 1.0
 
 
 def expected_gain(profile: WoPProfile, progress: float) -> float:
@@ -91,8 +88,8 @@ def expected_gain(profile: WoPProfile, progress: float) -> float:
         OverlapClass.SPIKE,
         OverlapClass.STEP,
     ):
-        # Materialisation converts to linear with a reduced slope.
-        return profile.materialize_efficiency * (1.0 - progress)
+        # Materialisation converts to linear.
+        return 1.0 - progress
 
     if overlap is OverlapClass.FULL:
         return 1.0 if progress < 1.0 else 0.0

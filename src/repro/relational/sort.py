@@ -17,7 +17,7 @@ from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 def sort_comparisons(n: int) -> int:
     """The ``n log n`` comparisons an in-memory sort of *n* rows is
-    charged (times the host's ``sort_cpu_factor``)."""
+    charged."""
     return int(n * max(1.0, log2(max(2, n))))
 
 

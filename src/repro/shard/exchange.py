@@ -9,10 +9,13 @@ blocks.  Loopback shipments (a shard sending to itself -- every gather
 includes one, and 1/N of all shuffle traffic) cost nothing, so a
 1-host "sharded" run pays no network tax at all.
 
-Batches are framed at ``batch_rows`` rows so large streams occupy the
-NICs as a sequence of bounded messages rather than one giant transfer
--- concurrent exchanges interleave at batch granularity, which is what
-makes the fabric's FIFO queues model contention at all.
+Batches are framed at the engines' ``BATCH_ROWS`` rows so large streams
+occupy the NICs as a sequence of bounded messages rather than one giant
+transfer -- concurrent exchanges interleave at batch granularity, which
+is what makes the fabric's FIFO queues model contention at all.  At the
+Wisconsin row width (~200 bytes) a batch is ~25 frames: big enough to
+amortise latency, small enough that concurrent streams share the NICs
+fairly.
 """
 
 from __future__ import annotations
@@ -21,11 +24,6 @@ from typing import Generator, Sequence
 
 from repro.hw.net import Network
 from repro.relational import BATCH_ROWS
-
-#: Rows per network message.  At the Wisconsin row width (~200 bytes)
-#: this is ~25 frames per message -- big enough to amortise latency,
-#: small enough that concurrent streams share the NICs fairly.
-DEFAULT_BATCH_ROWS = BATCH_ROWS
 
 
 def ship(
@@ -36,7 +34,6 @@ def ship(
     row_width: int,
     query: int,
     kind: str,
-    batch_rows: int = DEFAULT_BATCH_ROWS,
 ) -> Generator:
     """Coroutine: ship *rows* from *src* to *dst* in framed batches.
 
@@ -47,8 +44,8 @@ def ship(
     """
     total = 0
     width = max(1, row_width)
-    for start in range(0, len(rows), batch_rows):
-        chunk = rows[start:start + batch_rows]
+    for start in range(0, len(rows), BATCH_ROWS):
+        chunk = rows[start:start + BATCH_ROWS]
         nbytes = len(chunk) * width
         network.sim.tracer.exchange(
             "batch",

@@ -33,7 +33,7 @@ from typing import Dict, Generator, List, Optional
 from repro.baseline.operators import ExecContext
 from repro.relational.plans import PlanNode
 from repro.results import QueryResult
-from repro.shard.exchange import DEFAULT_BATCH_ROWS, ship
+from repro.shard.exchange import ship
 from repro.shard.merge import apply_suffix, group_rows, hash_join_rows
 from repro.shard.topology import Shard, ShardedSystem
 from repro.sql.planner import DistributedPlan, plan_distributed
@@ -60,15 +60,8 @@ class ShardStats:
 class ShardedExecutor:
     """Distributed query driver over a :class:`ShardedSystem`."""
 
-    def __init__(
-        self,
-        system: ShardedSystem,
-        prefer_shuffle: bool = True,
-        batch_rows: int = DEFAULT_BATCH_ROWS,
-    ):
+    def __init__(self, system: ShardedSystem):
         self.system = system
-        self.prefer_shuffle = prefer_shuffle
-        self.batch_rows = batch_rows
         self.stats = ShardStats()
         self._next_query_id = 0
 
@@ -102,7 +95,6 @@ class ShardedExecutor:
             width,
             query,
             kind,
-            batch_rows=self.batch_rows,
         )
         self.stats.rows_shipped += len(rows)
         self.stats.bytes_shipped += nbytes
@@ -303,9 +295,7 @@ class ShardedExecutor:
         if query_id is None:
             query_id = self._new_query_id()
         submitted = self.sim.now
-        dist = plan_distributed(
-            plan, self.catalog, prefer_shuffle=self.prefer_shuffle
-        )
+        dist = plan_distributed(plan, self.catalog)
         tracer = self.sim.tracer
         tracer.shard(
             "query_start", query=query_id, strategy=dist.strategy,

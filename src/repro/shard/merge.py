@@ -91,10 +91,7 @@ def _apply_one(
             yield from ctx.cpu(len(rows))
         return stage.apply(rows)
     if isinstance(op, Sort):
-        yield from ctx.cpu(
-            sort_comparisons(len(rows)),
-            factor=ctx.host.config.sort_cpu_factor,
-        )
+        yield from ctx.cpu(sort_comparisons(len(rows)))
         out = list(rows)
         out.sort(key=schema.key_of(op.keys), reverse=op.descending)
         return out

@@ -95,15 +95,13 @@ class ShardedSystem:
         schema: Schema,
         rows: Sequence[tuple],
         scheme: str = "range",
-        column: Optional[str] = None,
         clustered_on: Optional[List[str]] = None,
     ) -> None:
         """Create *name* on every shard and load its slice of *rows*.
 
         ``scheme`` is ``range`` (contiguous slices of the given row
-        order -- the byte-identity-preserving default), ``hash``
-        (bucketed on *column* via the stable row hash), or
-        ``replicated`` (every shard loads all rows).
+        order -- the byte-identity-preserving default) or ``replicated``
+        (every shard loads all rows).
 
         Splitting and loading happen once per process for the same row
         objects split the same way (the shard count and each partition's
@@ -113,20 +111,18 @@ class ShardedSystem:
         count = len(self.shards)
 
         def load() -> None:
-            slices = partition_rows(rows, schema, scheme, count, column=column)
+            slices = partition_rows(rows, scheme, count)
             for shard, part in zip(self.shards, slices):
                 shard.sm.create_table(
                     name,
                     schema,
                     clustered_on=clustered_on,
-                    partitioning=PartitionInfo(
-                        scheme, count, shard.index, column=column
-                    ),
+                    partitioning=PartitionInfo(scheme, count, shard.index),
                 )
                 shard.sm.load_table(name, part)
 
         key = (
-            "sharded", name, schema, scheme, column,
+            "sharded", name, schema, scheme,
             tuple(clustered_on or ()), SameRows(rows),
         )
         load_once(key, [shard.sm for shard in self.shards], load)

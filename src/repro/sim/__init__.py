@@ -15,7 +15,7 @@ Public surface:
 * :class:`Event`, :class:`Timeout` -- primitive awaitables.
 * :exc:`Interrupted` -- raised inside a process that another process killed.
 * Synchronisation: :class:`Channel`, :class:`Resource`, :class:`Gate`,
-  :class:`Semaphore`, :class:`Lock`.
+  :class:`Lock`.
 """
 
 from repro.sim.errors import Interrupted, SimulationError, StarvationError
@@ -33,7 +33,6 @@ from repro.sim.sync import (
     Gate,
     Lock,
     Resource,
-    Semaphore,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "Lock",
     "Process",
     "Resource",
-    "Semaphore",
     "SimulationError",
     "StarvationError",
     "Simulator",

@@ -8,7 +8,7 @@ These are the building blocks for QPipe's producer/consumer plumbing:
   and the CPU cores are Resources.
 * :class:`Gate` -- a broadcast open/close latch; used for the late-activation
   policy of scan packets (section 4.3.1).
-* :class:`Semaphore`, :class:`Lock` -- classic shapes.
+* :class:`Lock` -- a mutex; guards a fan-out's replay ring.
 """
 
 from __future__ import annotations
@@ -486,9 +486,9 @@ class Gate:
 
     __slots__ = ("sim", "_open", "_waiters")
 
-    def __init__(self, sim: Simulator, opened: bool = False):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self._open = opened
+        self._open = False
         self._waiters: list = []
 
     def wait(self) -> Event:
@@ -510,51 +510,32 @@ class Gate:
                 event.succeed()
 
 
-class Semaphore:
-    """A counting semaphore with FIFO wakeup."""
+class Lock:
+    """A mutex with FIFO wakeup."""
 
-    __slots__ = ("sim", "_value", "_waiters")
+    __slots__ = ("sim", "_held", "_waiters")
 
-    #: ``Event.describe`` of a blocked acquire.
-    _WAIT = "semaphore"
-
-    def __init__(self, sim: Simulator, value: int = 1):
-        if value < 0:
-            raise ValueError(f"semaphore value must be >= 0: {value}")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self._value = value
+        self._held = False
         self._waiters: deque = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
 
     def acquire(self) -> Event:
         event = Event(self.sim)
-        event.describe = self._WAIT
-        if self._value > 0 and not self._waiters:
-            self._value -= 1
+        event.describe = "lock"
+        if not self._held and not self._waiters:
+            self._held = True
             event.succeed()
         else:
             self._waiters.append(event)
         return event
 
     def release(self) -> None:
+        """Hand the lock to the first live waiter, else free it."""
         while self._waiters:
             event = self._waiters.popleft()
             if _abandoned(event):
                 continue
             event.succeed()
             return
-        self._value += 1
-
-
-class Lock(Semaphore):
-    """A mutex (binary semaphore)."""
-
-    __slots__ = ()
-
-    _WAIT = "lock"
-
-    def __init__(self, sim: Simulator):
-        super().__init__(sim, value=1)
+        self._held = False

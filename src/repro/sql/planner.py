@@ -935,7 +935,7 @@ def predicate_selectivity(expr: Optional[Expr]) -> float:
 # declares a subtree shard-safe when concatenating its per-shard outputs
 # in shard order reproduces the single-host row order (range partitions
 # are contiguous slices of stored order, which is what makes this hold;
-# hash partitions stay deterministic but permute row order, see
+# that is why a stored table has no hash scheme, see
 # repro.storage.partition).
 
 #: Per-join "order-driving" side: which input's row order the join's
@@ -1088,18 +1088,17 @@ def _annotate(base: PlanNode, suffix: Sequence[PlanNode]) -> PlanNode:
     return tree
 
 
-def plan_distributed(
-    plan: PlanNode, catalog, prefer_shuffle: bool = True
-) -> DistributedPlan:
+def plan_distributed(plan: PlanNode, catalog) -> DistributedPlan:
     """Split *plan* into fragment + exchange + coordinator suffix.
 
     Args:
         plan: the logical plan (single-host shape, no Exchange nodes).
         catalog: any shard's catalog -- schemas and partitioning
             metadata are identical on every shard.
-        prefer_shuffle: re-partition GroupBy inputs by group key so the
-            grouping work parallelizes across shards (all-to-all traffic
-            instead of an N-to-1 gather of ungrouped rows).
+
+    A GroupBy directly above the fragment re-partitions its input by
+    group key, so the grouping work parallelizes across shards
+    (all-to-all traffic instead of an N-to-1 gather of ungrouped rows).
 
     Raises:
         UnshardablePlan: when no supported split exists (e.g. a
@@ -1150,11 +1149,7 @@ def plan_distributed(
         )
 
     suffix = tuple(reversed(peeled))  # bottom-up application order
-    if (
-        prefer_shuffle
-        and suffix
-        and isinstance(suffix[0], GroupBy)
-    ):
+    if suffix and isinstance(suffix[0], GroupBy):
         groupby = suffix[0]
         key = groupby.group_cols[0]
         tree = _annotate(

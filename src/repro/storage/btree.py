@@ -166,17 +166,12 @@ class BPlusTree:
         return True
 
     def range_scan(
-        self,
-        lo: Any = None,
-        hi: Any = None,
-        lo_open: bool = False,
-        hi_open: bool = False,
+        self, lo: Any = None, hi: Any = None
     ) -> Iterator[Tuple[Any, Any]]:
         """Yield (key, value) pairs with lo <= key <= hi in key order.
 
-        ``None`` bounds are unbounded; the ``*_open`` flags make a bound
-        strict.  Untimed; the storage manager implements the timed variant
-        over the same leaf chain.
+        ``None`` bounds are unbounded.  Untimed; the storage manager
+        implements the timed variant over the same leaf chain.
         """
         if lo is not None:
             block, _path = self._find_leaf(lo)
@@ -189,9 +184,9 @@ class BPlusTree:
         while block != NO_NODE:
             node = self.node(block)
             for key, bucket in zip(node["keys"], node["vals"]):
-                if lo is not None and (key < lo or (lo_open and key == lo)):
+                if lo is not None and key < lo:
                     continue
-                if hi is not None and (key > hi or (hi_open and key == hi)):
+                if hi is not None and key > hi:
                     return
                 for value in bucket_values(bucket):
                     yield key, value

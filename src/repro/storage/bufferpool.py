@@ -32,6 +32,14 @@ from repro.storage.replacement import ReplacementPolicy, make_policy
 
 Key = Tuple[int, int]  # (file_id, block_no)
 
+#: Bounded retry for *transient* injected faults (disk read errors,
+#: transient page corruption): up to ``MAX_RETRIES`` extra attempts with
+#: exponential virtual-time backoff from ``RETRY_BACKOFF`` seconds.
+#: Permanent faults and exhausted retries surface the typed error to the
+#: caller.
+MAX_RETRIES = 3
+RETRY_BACKOFF = 0.002
+
 
 class BufferPoolFull(SimulationError):
     """Every frame is pinned; there is nothing to evict."""
@@ -87,12 +95,6 @@ class BufferPool:
     #: window, which is exactly the timing-sensitive pool sharing the
     #: paper credits it with.
     scan_window_shared: bool = False
-    #: Bounded retry for *transient* injected faults (disk read errors,
-    #: transient page corruption): up to ``max_retries`` extra attempts
-    #: with exponential virtual-time backoff.  Permanent faults and
-    #: exhausted retries surface the typed error to the caller.
-    max_retries: int = 3
-    retry_backoff: float = 0.002
     stats: BufferPoolStats = field(default_factory=BufferPoolStats)
 
     def __post_init__(self):
@@ -231,7 +233,7 @@ class BufferPool:
         """Coroutine: disk read + checksum verify with bounded retry.
 
         Transient faults (see :class:`~repro.faults.errors.FaultError`)
-        are retried up to ``max_retries`` times with exponential backoff
+        are retried up to ``MAX_RETRIES`` times with exponential backoff
         in virtual time; permanent faults and exhausted budgets re-raise.
         """
         attempt = 0
@@ -242,7 +244,7 @@ class BufferPool:
                 return
             except FaultError as exc:
                 attempt += 1
-                retriable = exc.transient and attempt <= self.max_retries
+                retriable = exc.transient and attempt <= MAX_RETRIES
                 self.sim.tracer.fault(
                     "retry" if retriable else "giveup",
                     file=file_id, block=block_no,
@@ -250,9 +252,7 @@ class BufferPool:
                 )
                 if not retriable:
                     raise
-                yield self.sim.timeout(
-                    self.retry_backoff * (2 ** (attempt - 1))
-                )
+                yield self.sim.timeout(RETRY_BACKOFF * (2 ** (attempt - 1)))
 
     def write_page(self, file_id: int, block_no: int) -> Generator:
         """Coroutine: write-through one (already mutated) page to disk."""

@@ -65,7 +65,6 @@ class StorageManager:
             store=self.store,
             capacity=buffer_pages,
             policy_name=policy,
-            page_hit_cost=host.config.page_hit_cost,
             use_scan_ring=use_scan_ring,
             scan_window_shared=scan_window_shared,
             scan_ring_fraction=scan_ring_fraction,
@@ -280,8 +279,6 @@ class StorageManager:
         index: str,
         lo: Any = None,
         hi: Any = None,
-        lo_open: bool = False,
-        hi_open: bool = False,
     ) -> Generator:
         """Coroutine: all (key, RID) pairs in the range, in key order.
 
@@ -308,9 +305,9 @@ class StorageManager:
         while True:
             past_hi = False
             for key, bucket in zip(node["keys"], node["vals"]):
-                if lo is not None and (key < lo or (lo_open and key == lo)):
+                if lo is not None and key < lo:
                     continue
-                if hi is not None and (key > hi or (hi_open and key == hi)):
+                if hi is not None and key > hi:
                     past_hi = True
                     break
                 values = bucket_values(bucket)

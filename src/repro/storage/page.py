@@ -239,8 +239,8 @@ class Page:
         return f"<Page {self.num_live}/{self.capacity}>"
 
 
-def rows_per_page(row_width: int, page_size: int = PAGE_SIZE) -> int:
+def rows_per_page(row_width: int) -> int:
     """How many rows of *row_width* bytes fit one page (at least 1)."""
     if row_width <= 0:
         raise ValueError(f"row width must be positive: {row_width}")
-    return max(1, page_size // row_width)
+    return max(1, PAGE_SIZE // row_width)

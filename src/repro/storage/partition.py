@@ -1,4 +1,4 @@
-"""Hash/range table partitioning for sharded deployments.
+"""Range table partitioning for sharded deployments.
 
 A partitioned table exists once per shard: every shard's catalog holds a
 :class:`TableInfo` for the *same* table name whose heap contains only
@@ -14,35 +14,39 @@ Two properties matter for byte-identical distributed execution
   stored row order, so concatenating partitions ``0..n-1`` reproduces
   the single-host table exactly -- including the row order every
   order-sensitive float accumulation depends on.
-* **Hash partitioning is process-independent**: bucket choice uses
-  :func:`stable_hash` (CRC-32 of the value's repr), never Python's
-  builtin ``hash`` whose string hashing is randomized per process.
+* **Shuffle routing is process-independent**: the exchange's bucket
+  choice (:func:`hash_partition`) uses :func:`stable_hash` (CRC-32 of
+  the value's repr), never Python's builtin ``hash`` whose string
+  hashing is randomized per process.
+
+There is no hash scheme for *stored* tables: hash buckets permute the
+stored row order, and every partitioned scan the distributed planner
+treats as order-safe relies on the range scheme's concatenation
+property.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 from repro.relational import compile
 from repro.relational.schema import Schema
 
-SCHEMES = ("range", "hash", "replicated")
+SCHEMES = ("range", "replicated")
 
 
 @dataclass(frozen=True)
 class PartitionInfo:
     """Which slice of a partitioned table one shard's copy holds."""
 
-    #: "range" | "hash" | "replicated".
+    #: "range" | "replicated".
     scheme: str
     #: Total number of shards the table is split across.
     count: int
     #: This copy's partition number in ``0..count-1``.
     index: int
-    #: Hash key column ("hash" scheme only; None for range/replicated).
-    column: Optional[str] = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -56,12 +60,6 @@ class PartitionInfo:
             raise ValueError(
                 f"partition index {self.index} out of 0..{self.count - 1}"
             )
-        if self.scheme == "hash" and not self.column:
-            raise ValueError("hash partitioning needs a key column")
-        if self.scheme != "hash" and self.column is not None:
-            raise ValueError(
-                f"{self.scheme!r} partitioning takes no key column"
-            )
 
     @property
     def partitioned(self) -> bool:
@@ -69,8 +67,7 @@ class PartitionInfo:
         return self.scheme != "replicated" and self.count > 1
 
     def signature(self) -> str:
-        key = self.column or "-"
-        return f"{self.scheme}({key};{self.index}/{self.count})"
+        return f"{self.scheme}({self.index}/{self.count})"
 
 
 def stable_hash(value: Any) -> int:
@@ -114,19 +111,11 @@ def hash_partition(
 
 
 def partition_rows(
-    rows: Sequence[tuple],
-    schema: Schema,
-    scheme: str,
-    count: int,
-    column: Optional[str] = None,
+    rows: Sequence[tuple], scheme: str, count: int
 ) -> List[List[tuple]]:
     """Split *rows* per *scheme*; ``"replicated"`` copies them N times."""
     if scheme == "range":
         return range_partition(rows, count)
-    if scheme == "hash":
-        if column is None:
-            raise ValueError("hash partitioning needs a key column")
-        return hash_partition(rows, schema, column, count)
     if scheme == "replicated":
         return [list(rows) for _ in range(count)]
     raise ValueError(

@@ -256,13 +256,14 @@ class TwoQ(ReplacementPolicy):
     """
 
     name = "2q"
+    #: A1in's share of the pool (the paper's recommended 25 %).
+    KIN_FRACTION = 0.25
 
-    def __init__(self, capacity: int, kin_fraction: float = 0.25,
-                 kout_fraction: float = 0.5):
+    def __init__(self, capacity: int, kout_fraction: float = 0.5):
         if capacity < 2:
             raise ValueError(f"2Q needs capacity >= 2: {capacity}")
         self.capacity = capacity
-        self.kin = max(1, int(capacity * kin_fraction))
+        self.kin = max(1, int(capacity * self.KIN_FRACTION))
         self.kout = max(1, int(capacity * kout_fraction))
         self._a1in: OrderedDict = OrderedDict()
         self._a1out: OrderedDict = OrderedDict()  # ghosts (not resident)

@@ -13,8 +13,8 @@ from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.faults import QueryAborted
 from repro.faults.errors import FaultError
 from repro.relational.expressions import AggSpec, Col
-from repro.relational.plans import Aggregate, Sort, TableScan, UpdateRows
-from repro.sim import Channel, Interrupted, Simulator, StarvationError
+from repro.relational.plans import Aggregate, TableScan, UpdateRows
+from repro.sim import Channel, Simulator, StarvationError
 
 
 def count_plan():

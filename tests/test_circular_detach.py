@@ -7,9 +7,6 @@ loose it completes via a private catch-up scan and still sees every row
 exactly once.
 """
 
-import pytest
-
-from repro.engine.buffers import TupleBuffer
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.relational.expressions import AggSpec, Col
 from repro.relational.plans import Aggregate, TableScan
@@ -22,7 +19,6 @@ def test_stalled_consumer_is_detached_and_completes(big_db):
         QPipeConfig(
             osp_enabled=True,
             buffer_tuples=64,  # tiny buffer: a paused reader stalls fast
-            scan_detach_patience=2.0,
         ),
     )
     sim = host.sim
@@ -70,9 +66,7 @@ def test_stalled_consumer_is_detached_and_completes(big_db):
 
 def test_fast_consumers_never_detached(big_db):
     host, sm, r_rows, _s = big_db
-    engine = QPipeEngine(
-        sm, QPipeConfig(osp_enabled=True, scan_detach_patience=1.0)
-    )
+    engine = QPipeEngine(sm, QPipeConfig(osp_enabled=True))
     procs = [
         host.sim.spawn(
             engine.execute(

@@ -6,8 +6,6 @@ catch-up executions, a crashed shared scanner restarts for its surviving
 consumers, and aborting a satellite's query leaves the host untouched.
 """
 
-import pytest
-
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.faults import QueryAborted
 from repro.faults.errors import FaultError

@@ -22,6 +22,7 @@ from repro.faults.errors import FaultError
 from repro.obs import Tracer
 from repro.relational.expressions import AggSpec
 from repro.relational.plans import Aggregate, TableScan
+from repro.storage.bufferpool import MAX_RETRIES
 
 
 def count_plan():
@@ -206,7 +207,6 @@ def test_blockstore_corruption_marks(db):
 
 def test_bufferpool_retry_exhaustion_gives_up(db):
     host, sm, _r, _s = db
-    sm.pool.max_retries = 2
     tracer = Tracer(host.sim)
     attempts = []
 
@@ -232,9 +232,9 @@ def test_bufferpool_retry_exhaustion_gives_up(db):
     host.sim.spawn(reader())
     host.sim.run()
     assert isinstance(outcome["error"], DiskReadError)
-    assert len(attempts) == 3  # first try + max_retries
+    assert len(attempts) == 1 + MAX_RETRIES  # first try + the retries
     kinds = [e["type"] for e in tracer.events if e["type"].startswith("fault.")]
-    assert kinds.count("fault.retry") == 2
+    assert kinds.count("fault.retry") == MAX_RETRIES
     assert kinds.count("fault.giveup") == 1
     assert sm.leftovers() == []
 

@@ -36,8 +36,6 @@ def test_config_validation():
         NetConfig(latency=-0.1)
     with pytest.raises(ValueError):
         NetConfig(bandwidth=0.0)
-    with pytest.raises(ValueError):
-        NetConfig(frame_bytes=0)
 
 
 def test_messages_charge_whole_frames():

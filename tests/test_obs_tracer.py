@@ -2,7 +2,7 @@
 
 import json
 
-from repro.engine.qpipe import QPipeConfig, QPipeEngine
+from repro.engine.qpipe import QPipeEngine
 from repro.hw.host import Host, HostConfig
 from repro.obs import (
     NULL_TRACER,
@@ -96,7 +96,7 @@ def test_jsonl_round_trip(tmp_path):
 
 def test_chrome_trace_threads_and_slices():
     tracer, _ = traced_run()
-    doc = chrome_trace(tracer.events, process_name="test")
+    doc = chrome_trace(tracer.events)
     events = doc["traceEvents"]
     thread_names = {
         e["args"]["name"] for e in events if e.get("name") == "thread_name"

@@ -85,9 +85,9 @@ def _plans():
     }
 
 
-def _run_all(engine, hosts, prefer_shuffle=True):
+def _run_all(engine, hosts):
     _cluster, system, executor = build_sharded_wisconsin_system(
-        TINY, hosts, system=engine, prefer_shuffle=prefer_shuffle,
+        TINY, hosts, system=engine
     )
     rows = {
         name: executor.run_query(plan) for name, plan in _plans().items()
@@ -118,18 +118,6 @@ def test_sharded_rows_identical_across_host_counts(engine):
 def test_sharded_rows_identical_across_engines():
     """The relational answer is engine-independent, sharded or not."""
     assert _run_all("dbmsx", hosts=2)[0] == _run_all("qpipe", hosts=2)[0]
-
-
-def test_prefer_shuffle_off_falls_back_to_gather():
-    """With shuffle disabled the grouped aggregate gathers raw rows to
-    the coordinator instead -- a different exchange pattern, the same
-    answer."""
-    shuffled, exec_s, _ = _run_all("qpipe", hosts=2)
-    gathered, exec_g, _ = _run_all("qpipe", hosts=2, prefer_shuffle=False)
-    assert gathered == shuffled
-    assert "shuffle" in exec_s.stats.strategies
-    assert "shuffle" not in exec_g.stats.strategies
-    assert exec_g.stats.strategies.get("gather") == 3
 
 
 def test_network_traffic_flows_only_when_partitioned():

@@ -28,24 +28,19 @@ def test_partition_info_validates():
     with pytest.raises(ValueError):
         PartitionInfo("range", 2, 2)  # index out of 0..count-1
     with pytest.raises(ValueError):
-        PartitionInfo("hash", 2, 0)  # hash needs a key column
-    with pytest.raises(ValueError):
-        PartitionInfo("range", 2, 0, column="k")  # range takes none
+        PartitionInfo("hash", 2, 0)  # stored tables are never hashed
 
 
 def test_partitioned_property():
     assert PartitionInfo("range", 4, 1).partitioned
-    assert PartitionInfo("hash", 2, 0, column="k").partitioned
     # A 1-way "partition" holds everything; replication always does.
     assert not PartitionInfo("range", 1, 0).partitioned
     assert not PartitionInfo("replicated", 4, 2).partitioned
 
 
 def test_signature_is_descriptive():
-    assert PartitionInfo("hash", 4, 2, column="k").signature() == (
-        "hash(k;2/4)"
-    )
-    assert PartitionInfo("range", 2, 0).signature() == "range(-;0/2)"
+    assert PartitionInfo("range", 4, 2).signature() == "range(2/4)"
+    assert PartitionInfo("replicated", 2, 0).signature() == "replicated(0/2)"
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +84,29 @@ def test_hash_partition_routes_by_key():
 
 
 def test_partition_rows_dispatch():
-    assert partition_rows(ROWS, SCHEMA, "range", 2) == range_partition(
-        ROWS, 2
-    )
-    assert partition_rows(
-        ROWS, SCHEMA, "hash", 2, column="k"
-    ) == hash_partition(ROWS, SCHEMA, "k", 2)
-    replicas = partition_rows(ROWS, SCHEMA, "replicated", 3)
+    assert partition_rows(ROWS, "range", 2) == range_partition(ROWS, 2)
+    replicas = partition_rows(ROWS, "replicated", 3)
     assert replicas == [ROWS, ROWS, ROWS]
     assert replicas[0] is not replicas[1]  # independent copies
     with pytest.raises(ValueError):
-        partition_rows(ROWS, SCHEMA, "hash", 2)  # no key column
+        partition_rows(ROWS, "hash", 2)
     with pytest.raises(ValueError):
-        partition_rows(ROWS, SCHEMA, "mystery", 2)
+        partition_rows(ROWS, "mystery", 2)
+
+
+def test_a_stored_table_cannot_be_hash_partitioned():
+    """Hash buckets permute the stored row order, which breaks the
+    byte-identical gather every partitioned scan relies on: a 400-row
+    table split by hash over 4 hosts gathered its rows in another order
+    than 1 host.  The scheme is refused, and nothing is created."""
+    from repro.baseline.engine import IteratorEngine
+    from repro.hw.host import Cluster, ClusterConfig
+    from repro.shard import ShardedSystem
+    from repro.storage.manager import StorageManager
+
+    system = ShardedSystem(
+        Cluster(ClusterConfig(hosts=4)), StorageManager, IteratorEngine
+    )
+    with pytest.raises(ValueError, match="hash"):
+        system.create_table("t", SCHEMA, ROWS, scheme="hash")
+    assert all("t" not in shard.sm.catalog.tables() for shard in system)

@@ -9,7 +9,7 @@ nobody, or grant a lock to a ghost.
 from repro.hw.cpu import CPU
 from repro.hw.disk import Disk
 from repro.hw.net import NetConfig, Network
-from repro.sim import Channel, Resource, Semaphore, Simulator
+from repro.sim import Channel, Lock, Resource, Simulator
 from repro.storage.locks import LockManager, LockMode
 
 
@@ -106,8 +106,9 @@ def test_interrupted_channel_getter_does_not_swallow_item():
 
 
 def test_interrupted_semaphore_waiter_skipped():
+    """The simulator's one semaphore is the binary :class:`Lock`."""
     sim = Simulator()
-    sem = Semaphore(sim, value=1)
+    sem = Lock(sim)
     log = []
 
     def holder():
@@ -242,7 +243,7 @@ def test_disk_read_interrupted_at_grant_instant_frees_the_disk():
 
 
 def test_net_transfer_interrupted_at_either_grant_instant_frees_the_nic():
-    config = NetConfig(latency=0.5, bandwidth=8192.0, frame_bytes=8192)
+    config = NetConfig(latency=0.5, bandwidth=8192.0)
     for leg, when in (("tx", 1.0), ("rx", 2.5)):
         sim = Simulator()
         net = Network(sim, config, hosts=("a", "b"))

@@ -8,7 +8,6 @@ from repro.sim import (
     Gate,
     Lock,
     Resource,
-    Semaphore,
     Simulator,
     StarvationError,
 )
@@ -374,7 +373,7 @@ def test_resource_utilization_accounting():
 
 
 # ---------------------------------------------------------------------------
-# Gate, Semaphore, Lock
+# Gate, Lock
 # ---------------------------------------------------------------------------
 def test_gate_blocks_until_open():
     sim = Simulator()
@@ -398,7 +397,8 @@ def test_gate_blocks_until_open():
 
 def test_gate_open_is_sticky():
     sim = Simulator()
-    gate = Gate(sim, opened=True)
+    gate = Gate(sim)
+    gate.open()
     woke = []
 
     def waiter():
@@ -408,23 +408,6 @@ def test_gate_open_is_sticky():
     sim.spawn(waiter())
     sim.run()
     assert woke == [0.0]
-
-
-def test_semaphore_counts():
-    sim = Simulator()
-    sem = Semaphore(sim, value=2)
-    starts = []
-
-    def user(hold):
-        yield sem.acquire()
-        starts.append(sim.now)
-        yield sim.timeout(hold)
-        sem.release()
-
-    for _ in range(3):
-        sim.spawn(user(5))
-    sim.run()
-    assert starts == [0.0, 0.0, 5.0]
 
 
 def test_lock_is_mutual_exclusion():
@@ -450,7 +433,7 @@ def test_lock_is_mutual_exclusion():
 def test_starvation_text_of_every_primitive_is_unchanged():
     sim = Simulator()
     ch = Channel(sim, capacity=1, name="pipe")
-    sem, lock = Semaphore(sim, 0), Lock(sim)
+    gate, lock = Gate(sim), Lock(sim)
 
     def producer():
         yield ch.put("a")
@@ -463,7 +446,7 @@ def test_starvation_text_of_every_primitive_is_unchanged():
         yield lock.acquire()
 
     def waiter():
-        yield sem.acquire()
+        yield gate.wait()
 
     procs = [
         sim.spawn(producer(), name="p"),
@@ -475,7 +458,7 @@ def test_starvation_text_of_every_primitive_is_unchanged():
     assert str(exc.value) == (
         "simulation drained at t=0.000 with 3 live process(es): "
         "p#1 waiting on put on channel pipe; l#2 waiting on lock; "
-        "w#3 waiting on semaphore"
+        "w#3 waiting on gate"
     )
     ch.name = "renamed"  # formatted at report time, from the channel
     assert str(ch.put("c").describe) == "put on channel renamed"

@@ -72,10 +72,12 @@ def test_range_scan_inclusive_bounds():
 
 
 def test_range_scan_open_bounds():
+    """Bounds need not be stored keys: the open interval (2, 6) over
+    integer keys is scanned as the closed [2.5, 5.5]."""
     tree = make_tree(order=4)
     for key in range(10):
         tree.insert(key, key)
-    got = [k for k, _v in tree.range_scan(2, 6, lo_open=True, hi_open=True)]
+    got = [k for k, _v in tree.range_scan(2.5, 5.5)]
     assert got == [3, 4, 5]
 
 
@@ -391,8 +393,7 @@ tree_ops = st.lists(
         st.tuples(st.just("delete_value"), keys, st.integers(0, 7)),
         st.tuples(st.just("delete_key"), keys),
         st.tuples(st.just("search"), keys),
-        st.tuples(st.just("range_scan"), keys, keys, st.booleans(),
-                  st.booleans()),
+        st.tuples(st.just("range_scan"), keys, keys),
     ),
     min_size=1,
     max_size=80,
@@ -421,11 +422,10 @@ def test_property_tree_agrees_with_a_multimap_under_packed_rids(
         reference.setdefault(key, []).append(pack_rid(rid))
     tree.bulk_build([k for k, _r in loaded], [pack_rid(r) for _k, r in loaded])
 
-    def expected(lo=None, hi=None, lo_open=False, hi_open=False):
+    def expected(lo=None, hi=None):
         return [
             (key, value) for key in sorted(reference)
-            if (lo is None or key > lo or (key == lo and not lo_open))
-            and (hi is None or key < hi or (key == hi and not hi_open))
+            if (lo is None or key >= lo) and (hi is None or key <= hi)
             for value in reference[key]
         ]
 
@@ -453,9 +453,8 @@ def test_property_tree_agrees_with_a_multimap_under_packed_rids(
         elif name == "search":
             assert tree.search(key) == reference.get(key, [])
         else:
-            lo, hi, lo_open, hi_open = sorted(op[1:3]) + list(op[3:])
-            assert list(tree.range_scan(lo, hi, lo_open, hi_open)) == (
-                expected(lo, hi, lo_open, hi_open))
+            lo, hi = sorted(op[1:3])
+            assert list(tree.range_scan(lo, hi)) == expected(lo, hi)
     tree.check_invariants()
     assert list(tree.range_scan()) == expected()
     assert tree.num_keys == len(reference)
